@@ -17,29 +17,13 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from msop import chain_cost, greedy_chain, histogram_containment_check, permutation_to_chain
-from msop import exact, mssc, orsched, rof, xsearch
+from msop import chain_cost, histogram_containment_check, permutation_to_chain
+from msop import exact
+from msop.cli import Toolchain
 from msop.generators import gen_instance
 
 MAX_N = {"mssc": 8, "pipelined": 8, "inforest": 8, "multitree": 8,
          "bipartite-or": 7, "rof": 7, "xsearch": 5}
-
-
-def toolchain(kind, parsed):
-    if kind in ("mssc", "pipelined"):
-        return mssc.to_msop(parsed), mssc.singleton_solver(parsed), 1
-    if kind in ("inforest",):
-        return orsched.to_msop(parsed), orsched.stem_solver(parsed), 1
-    if kind == "multitree":
-        return orsched.to_msop(parsed), orsched.outtree_solver(parsed), 1
-    if kind == "bipartite-or":
-        inst = orsched.to_msop(parsed)
-        return inst, exact.exact_density_solver(inst), 1
-    if kind == "rof":
-        inst = rof.to_msop(parsed)
-        return inst, rof.supplement_solver(parsed, inst), 2
-    inst = xsearch.xsearch_to_msop(parsed)
-    return inst, exact.exact_density_solver(inst), 1
 
 
 def sweep(kind, count, seed0):
@@ -50,8 +34,10 @@ def sweep(kind, count, seed0):
     for i in range(count):
         n = 2 + (seed0 + i) % (MAX_N[kind] - 1)
         parsed = gen_instance(kind, n, seed0 + i)
-        instance, solver, alpha = toolchain(kind, parsed)
-        chain = greedy_chain(instance, solver, alpha)
+        # the CLI's own routing, so the sweep certifies what `msop solve` runs
+        tools = Toolchain(parsed)
+        instance, alpha = tools.instance, tools.alpha
+        chain = tools.greedy()
         cost = chain_cost(instance, chain)
         opt_perm, opt = exact.exact_opt_permutation(instance)
         report = histogram_containment_check(

@@ -22,12 +22,13 @@ from .core import (
     greedy_chain,
     permutation_to_chain,
 )
-from .errors import MsopError
+from .errors import MsopError, ParseError
 from .formats import (
     Instance,
     file_kind,
     format_rational,
     parse_instance,
+    parse_rational,
     serialize_instance,
 )
 from .generators import KINDS, gen_instance
@@ -43,6 +44,13 @@ def _format_set(s) -> str:
 
 def _format_chain(chain: Chain) -> str:
     return ";".join(_format_set(s) for s in chain.sets[1:])
+
+
+def _rational_arg(text: str):
+    try:
+        return parse_rational(text, None, None)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_base(text: str) -> frozenset[int]:
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="greedy chain plus consistent permutation")
     solve.add_argument("file")
-    solve.add_argument("--alpha", type=int, default=None)
+    solve.add_argument("--alpha", type=_rational_arg, default=None)
     solve.add_argument("--backward", action="store_true")
     solve.set_defaults(run=_cmd_solve)
 
@@ -254,7 +262,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except MsopError as exc:
+    except (MsopError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

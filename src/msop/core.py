@@ -220,16 +220,33 @@ def marginal_density(
         raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
     if not instance.in_family(base):
         raise NotInFamily(f"base {sorted(base)} is not in the family")
+    rho, _, _ = _step_from(instance, base, instance.cost(base), instance.weight(base), candidate)
+    return DensityResult(base, candidate, rho, 1)
+
+
+def _step_from(
+    instance: MsopInstance,
+    base: frozenset[int],
+    base_cost: Rational,
+    base_weight: Rational,
+    candidate: frozenset[int],
+) -> tuple[Density, Rational, Rational]:
+    """Density of ``candidate`` over a feasible ``base`` whose cost and
+    weight are already known; also returns the candidate's cost and weight."""
+    if not base < candidate:
+        raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
     if not instance.in_family(candidate):
         raise NotInFamily(f"candidate {sorted(candidate)} is not in the family")
-    df = instance.cost(candidate) - instance.cost(base)
-    dg = instance.weight(candidate) - instance.weight(base)
+    cost = instance.cost(candidate)
+    weight = instance.weight(candidate)
+    df = cost - base_cost
+    dg = weight - base_weight
     if df < 0 or dg < 0:
         raise NonMonotone(
             f"value decreased between {sorted(base)} and {sorted(candidate)}"
         )
     rho: Density = INF if df == 0 else Fraction(dg, df)
-    return DensityResult(base, candidate, rho, 1)
+    return rho, cost, weight
 
 
 DensitySolver = Callable[[frozenset[int]], DensityResult]
@@ -249,20 +266,26 @@ def greedy_chain(
     instance.validate()
     universe = instance.universe()
     current: frozenset[int] = frozenset()
+    # each step's base is the previous candidate, already checked and
+    # evaluated; validate() showed the empty set is feasible with value 0
+    cost: Rational = 0
+    weight: Rational = 0
     sets = [current]
     densities: list[Density] = []
     while current != universe:
         step = density_solver(current)
         if step.candidate == current:
             raise SolverStall(f"density solver returned its base {sorted(current)}")
-        checked = marginal_density(instance, current, step.candidate)
-        if checked.marginal_density != step.marginal_density:
+        rho, cost, weight = _step_from(
+            instance, current, cost, weight, frozenset(step.candidate)
+        )
+        if rho != step.marginal_density:
             raise ValidationError(
                 "density solver reported density "
-                f"{step.marginal_density} but the oracles give {checked.marginal_density}"
+                f"{step.marginal_density} but the oracles give {rho}"
             )
         sets.append(step.candidate)
-        densities.append(checked.marginal_density)
+        densities.append(rho)
         current = step.candidate
     return Chain(tuple(sets), tuple(densities), alpha)
 

@@ -28,7 +28,7 @@ Instance = MsscInstance | OrDag | ReadOnceFormula | SearchGraph
 FILE_KINDS = ("mssc", "orsched", "rof", "xsearch")
 
 
-def parse_rational(token: str, line: int, column: int = 1) -> Rational:
+def parse_rational(token: str, line: int | None, column: int | None = 1) -> Rational:
     if "." in token:
         raise ParseError(f"decimal literals are not accepted: {token!r}", line, column)
     num, slash, den = token.partition("/")

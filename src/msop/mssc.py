@@ -105,25 +105,25 @@ def singleton_greedy_density(instance: MsscInstance, base: frozenset[int]) -> De
 
     Exact for the maximum-density problem here (modular cost, submodular
     weight, free family), so greedy chains built from it are 1-greedy.
-    Ties go to the smallest element id.
+    Ties go to the smallest element id.  Each uncovered hyperedge adds its
+    weight to the gain of its members, so a step costs O(sum of hyperedge
+    sizes); densities are compared by cross-multiplication.
     """
     base = frozenset(base)
     if not base < frozenset(range(instance.n)):
         raise NoFeasibleSuperset("base already contains every element")
-    uncovered = [(w, members) for w, members in instance.edges if not members & base]
-    best: tuple[Fraction, int] | None = None
-    for v in range(instance.n):
-        if v in base:
-            continue
-        gain: Rational = 0
-        for w, members in uncovered:
-            if v in members:
-                gain += w
-        rho = Fraction(gain, instance.costs[v])
-        if best is None or rho > best[0]:
-            best = (rho, v)
-    assert best is not None
-    return DensityResult(base, base | {best[1]}, best[0], 1)
+    gain: list[Rational] = [0] * instance.n
+    for w, members in instance.edges:
+        if members.isdisjoint(base):
+            for v in members:
+                gain[v] += w
+    costs = instance.costs
+    best = min(v for v in range(instance.n) if v not in base)
+    for v in range(best + 1, instance.n):
+        # strict, so the smallest id keeps ties
+        if v not in base and gain[v] * costs[best] > gain[best] * costs[v]:
+            best = v
+    return DensityResult(base, base | {best}, Fraction(gain[best], costs[best]), 1)
 
 
 def singleton_solver(instance: MsscInstance) -> DensitySolver:

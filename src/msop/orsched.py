@@ -115,6 +115,27 @@ class OrDag:
     def sources(self) -> tuple[int, ...]:
         return tuple(j for j in sorted(self.jobs) if not self.preds[j])
 
+    @cached_property
+    def _inforest(self) -> bool:
+        """Every vertex has at most one successor."""
+        return all(len(self.succs[j]) <= 1 for j in self.jobs)
+
+    @cached_property
+    def _multitree(self) -> bool:
+        """At most one directed path between any ordered pair of vertices."""
+        topo = _topological(self)
+        for start in self.jobs:
+            paths = {start: 1}
+            for v in topo:
+                count = paths.get(v)
+                if not count:
+                    continue
+                for w in self.succs[v]:
+                    paths[w] = paths.get(w, 0) + count
+                    if paths[w] > 1:
+                        return False
+        return True
+
     def time_of(self, job: int) -> Rational:
         return self.times[self._index[job]]
 
@@ -123,8 +144,8 @@ class OrDag:
 
 
 def is_inforest(dag: OrDag) -> bool:
-    """Every vertex has at most one successor."""
-    return all(len(dag.succs[j]) <= 1 for j in dag.jobs)
+    """Every vertex has at most one successor (computed once per DAG)."""
+    return dag._inforest
 
 
 def _weakly_connected(dag: OrDag) -> bool:
@@ -146,19 +167,9 @@ def _weakly_connected(dag: OrDag) -> bool:
 
 
 def is_multitree(dag: OrDag) -> bool:
-    """At most one directed path between any ordered pair of vertices."""
-    topo = _topological(dag)
-    for start in dag.jobs:
-        paths = {start: 1}
-        for v in topo:
-            count = paths.get(v)
-            if not count:
-                continue
-            for w in dag.succs[v]:
-                paths[w] = paths.get(w, 0) + count
-                if paths[w] > 1:
-                    return False
-    return True
+    """At most one directed path between any ordered pair of vertices
+    (computed once per DAG)."""
+    return dag._multitree
 
 
 def is_bipartite(dag: OrDag) -> bool:
@@ -259,7 +270,7 @@ def _better_density(
 
 
 def max_density_stem(
-    dag: OrDag, g_oracle: WeightOracle, base: frozenset[int]
+    dag: OrDag, g_oracle: WeightOracle | None, base: frozenset[int]
 ) -> DensityResult:
     """Exact density step on an inforest: best stem of the residual DAG.
 
@@ -267,7 +278,9 @@ def max_density_stem(
     arc, so there are O(n^2) of them; inclusion-minimal maximum-density
     OR-initial sets are stems whenever the weight oracle is submodular and
     the cost is the sum of processing times.  Ties prefer the shortest stem,
-    then the smallest start id.
+    then the smallest start id.  With ``g_oracle`` None the weights are the
+    jobs' own (modular) weights, summed along each stem; a supplied oracle
+    is called once per stem prefix.
     """
     base = frozenset(base)
     res = residual(dag, base)
@@ -275,43 +288,40 @@ def max_density_stem(
         raise NoFeasibleSuperset("base already contains every job")
     if not is_inforest(res):
         raise NotInforest("residual graph has a vertex with two successors")
-    g_base = g_oracle(base)
+    g_base = None if g_oracle is None else g_oracle(base)
     best: tuple[Rational, Rational, int, int] | None = None
-    best_members: frozenset[int] | None = None
     for start in res.sources:
-        members = set(base)
+        stem: list[int] = []
+        dg: Rational = 0
         time_sum: Rational = 0
         v: int | None = start
-        length = 0
         while v is not None:
-            members.add(v)
+            stem.append(v)
             time_sum += res.time_of(v)
-            length += 1
-            frozen = frozenset(members)
-            dg = g_oracle(frozen) - g_base
+            if g_oracle is None:
+                dg += res.weight_of(v)
+            else:
+                dg = g_oracle(base.union(stem)) - g_base
             if dg < 0:
                 raise NonMonotone(f"weight decreased when adding stem through {v}")
-            cand = (dg, time_sum, length, start)
+            cand = (dg, time_sum, len(stem), start)
             if best is None or _better_density(cand, best):
                 best = cand
-                best_members = frozen
             nxt = res.succs[v]
             v = nxt[0] if nxt else None
-    assert best is not None and best_members is not None
-    rho: Density = INF if best[1] == 0 else Fraction(best[0], best[1])
-    return DensityResult(base, best_members, rho, 1)
+    assert best is not None
+    dg, time_sum, length, v = best
+    stem = []
+    for _ in range(length):
+        stem.append(v)
+        nxt = res.succs[v]
+        v = nxt[0] if nxt else None
+    rho: Density = INF if time_sum == 0 else Fraction(dg, time_sum)
+    return DensityResult(base, base.union(stem), rho, 1)
 
 
-def _best_ratio_subtree(dag: OrDag, root: int) -> tuple[frozenset[int], Rational, Rational]:
-    """Maximum weight/time rooted subtree of ``root``'s successor outtree.
-
-    Parametric iteration: for a ratio guess, a linear pass maximises
-    weight - guess * time over rooted subtrees (keep a child's subtree iff
-    its value is strictly positive); the guess then moves to the achieved
-    ratio.  The guess strictly increases through the finite set of subtree
-    ratios, so this terminates at the exact optimum, and the strict
-    inclusion rule makes the winning subtree inclusion-minimal.
-    """
+def _successor_tree(dag: OrDag, root: int) -> list[int]:
+    """Vertices reachable from ``root``, parents before children."""
     reach = [root]
     seen = {root}
     for v in reach:
@@ -320,6 +330,22 @@ def _best_ratio_subtree(dag: OrDag, root: int) -> tuple[frozenset[int], Rational
                 raise NotMultitree("two paths meet inside a successor tree")
             seen.add(w)
             reach.append(w)
+    return reach
+
+
+def _best_ratio_subtree(
+    dag: OrDag, root: int, reach: list[int]
+) -> tuple[frozenset[int], Rational, Rational]:
+    """Maximum weight/time rooted subtree of ``root``'s successor outtree,
+    whose vertices ``reach`` lists parents first.
+
+    Parametric iteration: for a ratio guess, a linear pass maximises
+    weight - guess * time over rooted subtrees (keep a child's subtree iff
+    its value is strictly positive); the guess then moves to the achieved
+    ratio.  The guess strictly increases through the finite set of subtree
+    ratios, so this terminates at the exact optimum, and the strict
+    inclusion rule makes the winning subtree inclusion-minimal.
+    """
     order = list(reversed(reach))  # children before parents
 
     guess = Fraction(dag.weight_of(root), dag.time_of(root))
@@ -346,6 +372,32 @@ def _best_ratio_subtree(dag: OrDag, root: int) -> tuple[frozenset[int], Rational
         guess = Fraction(w_sum, t_sum)
 
 
+SubtreeMemo = dict[tuple[int, frozenset[int]], tuple[frozenset[int], Rational, Rational]]
+
+
+def _densest_outtree_step(res: OrDag, base: frozenset[int], memo: SubtreeMemo) -> DensityResult:
+    # a residual successor tree is fixed by its root and vertex set (each
+    # vertex has one predecessor inside it), so ``memo`` may outlive ``res``
+    for v in res.sources:
+        if res.time_of(v) == 0:
+            return DensityResult(base, base | {v}, INF, 1)
+    best: tuple[Fraction, int] | None = None
+    best_set: frozenset[int] | None = None
+    for start in res.sources:
+        reach = _successor_tree(res, start)
+        key = (start, frozenset(reach))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _best_ratio_subtree(res, start, reach)
+        subtree, w_sum, t_sum = found
+        rho = Fraction(w_sum, t_sum)
+        if best is None or rho > best[0]:
+            best = (rho, start)
+            best_set = subtree
+    assert best is not None and best_set is not None
+    return DensityResult(base, base | best_set, best[0], 1)
+
+
 def max_density_outtree(dag: OrDag, base: frozenset[int]) -> DensityResult:
     """Exact density step on a multitree with modular weights.
 
@@ -359,19 +411,7 @@ def max_density_outtree(dag: OrDag, base: frozenset[int]) -> DensityResult:
         raise NoFeasibleSuperset("base already contains every job")
     if not is_multitree(res):
         raise NotMultitree("residual graph has two paths between some pair of jobs")
-    for v in res.sources:
-        if res.time_of(v) == 0:
-            return DensityResult(base, base | {v}, INF, 1)
-    best: tuple[Fraction, int] | None = None
-    best_set: frozenset[int] | None = None
-    for start in res.sources:
-        subtree, w_sum, t_sum = _best_ratio_subtree(res, start)
-        rho = Fraction(w_sum, t_sum)
-        if best is None or rho > best[0]:
-            best = (rho, start)
-            best_set = subtree
-    assert best is not None and best_set is not None
-    return DensityResult(base, base | best_set, best[0], 1)
+    return _densest_outtree_step(res, base, {})
 
 
 def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Rational:
@@ -443,16 +483,27 @@ def pipelined_to_msop(
 
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:
-    oracle = g_oracle if g_oracle is not None else modular_weight_oracle(dag)
+    """Stem density steps; without ``g_oracle`` the weights are modular."""
 
     def solve(base: frozenset[int]) -> DensityResult:
-        return max_density_stem(dag, oracle, base)
+        return max_density_stem(dag, g_oracle, base)
 
     return solve
 
 
 def outtree_solver(dag: OrDag) -> DensitySolver:
+    """Outtree density steps on a multitree, whose residuals are multitrees
+    too, so the shape is checked once; subtree optima are shared across
+    steps."""
+    if not is_multitree(dag):
+        raise NotMultitree("graph has two paths between some pair of jobs")
+    memo: SubtreeMemo = {}
+
     def solve(base: frozenset[int]) -> DensityResult:
-        return max_density_outtree(dag, base)
+        base = frozenset(base)
+        res = residual(dag, base)
+        if not res.jobs:
+            raise NoFeasibleSuperset("base already contains every job")
+        return _densest_outtree_step(res, base, memo)
 
     return solve

@@ -101,6 +101,18 @@ class ReadOnceFormula:
         return tuple(out)
 
     @cached_property
+    def denominators(self) -> dict[Node, int]:
+        """Per node, the product of its leaves' probability denominators:
+        every probability the node can take is a multiple of its inverse."""
+        out: dict[Node, int] = {}
+        for node in self.nodes:
+            if isinstance(node, Leaf):
+                out[node] = self.probs[node.var].denominator
+            else:
+                out[node] = out[node.left] * out[node.right]
+        return out
+
+    @cached_property
     def tests_below(self) -> dict[Node, frozenset[int]]:
         out: dict[Node, frozenset[int]] = {}
         for node in self.nodes:
@@ -137,35 +149,50 @@ def eval_partial(formula: ReadOnceFormula, assignment: Mapping[int, int | None])
     return walk(formula.root)
 
 
+def _scaled_prob_tables(
+    formula: ReadOnceFormula, s: frozenset[int]
+) -> tuple[dict[Node, int], dict[Node, int]]:
+    """Per gate: probability its value is determined 1 (resp. 0) by the
+    outcomes of the tests in ``s``, times the gate's denominator."""
+    den = formula.denominators
+    ones: dict[Node, int] = {}
+    zeros: dict[Node, int] = {}
+    for node in formula.nodes:
+        if isinstance(node, Leaf):
+            if node.var in s:
+                p = formula.probs[node.var]
+                ones[node] = p.numerator
+                zeros[node] = p.denominator - p.numerator
+            else:
+                ones[node] = 0
+                zeros[node] = 0
+        else:
+            pl, pr = ones[node.left], ones[node.right]
+            ql, qr = zeros[node.left], zeros[node.right]
+            dl, dr = den[node.left], den[node.right]
+            if node.op == "and":
+                ones[node] = pl * pr
+                zeros[node] = ql * dr + qr * dl - ql * qr
+            else:
+                ones[node] = pl * dr + pr * dl - pl * pr
+                zeros[node] = ql * qr
+        p, q = ones[node], zeros[node]
+        if p < 0 or q < 0 or p + q > den[node]:
+            raise ValidationError("gate probabilities left [0, 1]")
+    return ones, zeros
+
+
 def _prob_tables(
     formula: ReadOnceFormula, s: frozenset[int]
 ) -> tuple[dict[Node, Fraction], dict[Node, Fraction]]:
     """Per gate: probability its value is determined 1 (resp. 0) by the
     outcomes of the tests in ``s``."""
-    ones: dict[Node, Fraction] = {}
-    zeros: dict[Node, Fraction] = {}
-    for node in formula.nodes:
-        if isinstance(node, Leaf):
-            if node.var in s:
-                p = formula.probs[node.var]
-                ones[node] = p
-                zeros[node] = 1 - p
-            else:
-                ones[node] = Fraction(0)
-                zeros[node] = Fraction(0)
-        else:
-            pl, pr = ones[node.left], ones[node.right]
-            ql, qr = zeros[node.left], zeros[node.right]
-            if node.op == "and":
-                ones[node] = pl * pr
-                zeros[node] = ql + qr - ql * qr
-            else:
-                ones[node] = pl + pr - pl * pr
-                zeros[node] = ql * qr
-        p, q = ones[node], zeros[node]
-        if p < 0 or q < 0 or p + q > 1:
-            raise ValidationError("gate probabilities left [0, 1]")
-    return ones, zeros
+    ones, zeros = _scaled_prob_tables(formula, s)
+    den = formula.denominators
+    return (
+        {node: Fraction(p, den[node]) for node, p in ones.items()},
+        {node: Fraction(q, den[node]) for node, q in zeros.items()},
+    )
 
 
 def gate_probabilities(
@@ -178,8 +205,9 @@ def gate_probabilities(
 
 def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
     """Probability that the formula value is determined by testing ``s``."""
-    ones, zeros = _prob_tables(formula, frozenset(s))
-    return ones[formula.root] + zeros[formula.root]
+    ones, zeros = _scaled_prob_tables(formula, frozenset(s))
+    root = formula.root
+    return Fraction(ones[root] + zeros[root], formula.denominators[root])
 
 
 def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
@@ -187,27 +215,31 @@ def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
     the sorted variables.  Exponential in n; meant for small oracles."""
     variables = formula.variables
     bit = {v: i for i, v in enumerate(variables)}
-    tables: dict[Node, dict[int, tuple[Fraction, Fraction]]] = {}
-    zero = Fraction(0)
+    den = formula.denominators
+    # per node: mask -> probabilities of 1 and 0, times the node's denominator
+    tables: dict[Node, dict[int, tuple[int, int]]] = {}
     for node in formula.nodes:
         if isinstance(node, Leaf):
             p = formula.probs[node.var]
-            tables[node] = {0: (zero, zero), 1 << bit[node.var]: (p, 1 - p)}
+            one, zero = p.numerator, p.denominator - p.numerator
+            tables[node] = {0: (0, 0), 1 << bit[node.var]: (one, zero)}
         else:
             left, right = tables[node.left], tables[node.right]
-            merged: dict[int, tuple[Fraction, Fraction]] = {}
+            dl, dr = den[node.left], den[node.right]
+            merged: dict[int, tuple[int, int]] = {}
             if node.op == "and":
                 for ml, (pl, ql) in left.items():
                     for mr, (pr, qr) in right.items():
-                        merged[ml | mr] = (pl * pr, ql + qr - ql * qr)
+                        merged[ml | mr] = (pl * pr, ql * dr + qr * dl - ql * qr)
             else:
                 for ml, (pl, ql) in left.items():
                     for mr, (pr, qr) in right.items():
-                        merged[ml | mr] = (pl + pr - pl * pr, ql * qr)
+                        merged[ml | mr] = (pl * dr + pr * dl - pl * pr, ql * qr)
             tables[node] = merged
             del tables[node.left], tables[node.right]
     root = tables[formula.root]
-    return [root[m][0] + root[m][1] for m in range(1 << len(variables))]
+    d = den[formula.root]
+    return [Fraction(root[m][0] + root[m][1], d) for m in range(1 << len(variables))]
 
 
 def evaluate_order_cost(
@@ -247,30 +279,46 @@ def expected_stop_cost(
     return total
 
 
-# entry: budget -> (probability, chosen tests)
-GateTable = dict[int, tuple[Fraction, frozenset[int]]]
+# entry: budget -> (probability times the gate's denominator, left child's budget)
+ScaledTable = dict[int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class RpTables:
     """Per gate and target value: best exact-budget supplements.
 
-    ``per_gate[node][l][t]`` holds the subset R of the gate's untested
+    ``scaled[node][l][t]`` describes the subset R of the gate's untested
     leaves with total cost exactly t that maximises the probability the
-    gate is determined to l once R is tested on top of the fixed base set,
-    together with that probability.
+    gate is determined to l once R is tested on top of the fixed base set.
+    It holds that probability times ``formula.denominators[node]`` and the
+    share of t spent under the left child, from which ``chosen`` rebuilds R.
     """
 
-    per_gate: dict[Node, dict[int, GateTable]]
+    formula: ReadOnceFormula
+    scaled: dict[Node, dict[int, ScaledTable]]
 
-    def root_table(self, formula: ReadOnceFormula, outcome: int) -> GateTable:
-        return self.per_gate[formula.root][outcome]
+    def chosen(self, node: Node, outcome: int, t: int) -> frozenset[int]:
+        out: list[int] = []
+        stack = [(node, t)]
+        while stack:
+            node, t = stack.pop()
+            if t == 0:  # tests cost at least 1, so only R = {} costs 0
+                continue
+            if isinstance(node, Leaf):
+                out.append(node.var)
+                continue
+            tl = self.scaled[node][outcome][t][1]
+            stack.append((node.left, tl))
+            stack.append((node.right, t - tl))
+        return frozenset(out)
 
-
-def _combine(op: str, outcome: int, a: Fraction, b: Fraction) -> Fraction:
-    if (op, outcome) in (("and", 1), ("or", 0)):
-        return a * b
-    return a + b - a * b
+    def table(self, node: Node, outcome: int) -> dict[int, tuple[Fraction, frozenset[int]]]:
+        """Budget -> (probability, chosen tests) for one gate and target."""
+        den = self.formula.denominators[node]
+        return {
+            t: (Fraction(value, den), self.chosen(node, outcome, t))
+            for t, (value, _) in self.scaled[node][outcome].items()
+        }
 
 
 def compute_rp(formula: ReadOnceFormula, s: frozenset[int]) -> RpTables:
@@ -278,70 +326,67 @@ def compute_rp(formula: ReadOnceFormula, s: frozenset[int]) -> RpTables:
 
     At an internal gate the budget is split between the two children every
     feasible way and the combined probability maximised; budget-split ties
-    keep the smallest left share.  Runtime O(n * C^2) for total cost C.
+    keep the smallest left share.  Runtime O(n * C^2) for total cost C, on
+    integers: a gate's probabilities all share its denominator.
     """
     s = frozenset(s)
-    empty = frozenset()
-    per_gate: dict[Node, dict[int, GateTable]] = {}
+    den = formula.denominators
+    scaled: dict[Node, dict[int, ScaledTable]] = {}
     for node in formula.nodes:
         if isinstance(node, Leaf):
             p = formula.probs[node.var]
-            zero = Fraction(0)
+            one, zero = p.numerator, p.denominator - p.numerator
             if node.var in s:
-                table = {1: {0: (p, empty)}, 0: {0: (1 - p, empty)}}
+                scaled[node] = {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
             else:
                 c = formula.costs[node.var]
-                only = frozenset((node.var,))
-                table = {
-                    1: {0: (zero, empty), c: (p, only)},
-                    0: {0: (zero, empty), c: (1 - p, only)},
-                }
-            per_gate[node] = table
-        else:
-            left = per_gate[node.left]
-            right = per_gate[node.right]
-            table = {}
-            for outcome in (0, 1):
-                out: GateTable = {}
-                for tl in sorted(left[outcome]):
-                    pl, rl = left[outcome][tl]
-                    for tr in sorted(right[outcome]):
-                        pr, rr = right[outcome][tr]
-                        t = tl + tr
-                        value = _combine(node.op, outcome, pl, pr)
-                        if t not in out or value > out[t][0]:
-                            out[t] = (value, rl | rr)
-                table[outcome] = out
-            per_gate[node] = table
-    return RpTables(per_gate)
+                scaled[node] = {1: {0: (0, 0), c: (one, 0)}, 0: {0: (0, 0), c: (zero, 0)}}
+            continue
+        dl, dr = den[node.left], den[node.right]
+        table = {}
+        for outcome in (0, 1):
+            # both children must reach the target for "and"->1 and "or"->0
+            both = (node.op == "and") == (outcome == 1)
+            right = sorted(scaled[node.right][outcome].items())
+            out: ScaledTable = {}
+            for tl, (pl, _) in sorted(scaled[node.left][outcome].items()):
+                for tr, (pr, _) in right:
+                    value = pl * pr if both else pl * dr + pr * dl - pl * pr
+                    t = tl + tr
+                    if t not in out or value > out[t][0]:
+                        out[t] = (value, tl)
+            table[outcome] = out
+        scaled[node] = table
+    return RpTables(formula, scaled)
 
 
 def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
     """A 2-approximate maximum-density supplement of ``s``.
 
     For each target value the best density over exact budgets is taken from
-    the root tables; the larger of the two wins (the target-1 set on a tie).
-    The winner's density is at least half the best over all supersets.
+    the root tables, against the budget-0 entry (``s`` alone); the larger of
+    the two wins (the target-1 set on a tie).  The winner's density is at
+    least half the best over all supersets.
     """
     s = frozenset(s)
     if s >= set(formula.variables):
         raise EmptyRemainder("every test has already been taken")
     tables = compute_rp(formula, s)
-    ones, zeros = _prob_tables(formula, s)
-    baseline = {1: ones[formula.root], 0: zeros[formula.root]}
-    best: dict[int, tuple[Fraction, frozenset[int]]] = {}
+    # (gain, budget) per target; gains share the root's denominator, so
+    # densities gain / budget compare by cross-multiplication
+    best: dict[int, tuple[int, int]] = {}
     for outcome in (0, 1):
-        root = tables.root_table(formula, outcome)
+        root = tables.scaled[formula.root][outcome]
+        baseline = root[0][0]
         for t in sorted(root):
             if t == 0:
                 continue
-            prob, chosen = root[t]
-            sigma = Fraction(prob - baseline[outcome], t)
-            if outcome not in best or sigma > best[outcome][0]:
-                best[outcome] = (sigma, chosen)
-    if best[0][0] > best[1][0]:
-        return best[0][1]
-    return best[1][1]
+            gain = root[t][0] - baseline
+            if outcome not in best or gain * best[outcome][1] > best[outcome][0] * t:
+                best[outcome] = (gain, t)
+    (gain0, t0), (gain1, t1) = best[0], best[1]
+    outcome = 0 if gain0 * t1 > gain1 * t0 else 1
+    return tables.chosen(formula.root, outcome, best[outcome][1])
 
 
 def to_msop(formula: ReadOnceFormula, tabulate: bool = False) -> MsopInstance:

@@ -1,15 +1,36 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and the
+reference density steps that the fast ones are tested against.
 
-These deliberately avoid the library's lattice DPs: permutations are
-enumerated with itertools, chains by recursive descent, densities by
-looping over combinations, so every dual-route check really runs two
-different algorithms.
+The brute-force oracles deliberately avoid the library's lattice DPs:
+permutations are enumerated with itertools, chains by recursive descent,
+densities by looping over combinations, so every dual-route check really
+runs two different algorithms.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from msop.core import INF, MsopInstance
+from msop.core import Chain, DensityResult, INF, MsopInstance, marginal_density
+from msop.errors import (
+    EmptyRemainder,
+    NoFeasibleSuperset,
+    NonMonotone,
+    NotInforest,
+    NotMultitree,
+    SolverStall,
+    ValidationError,
+)
+from msop.mssc import MsscInstance
+from msop.orsched import (
+    OrDag,
+    _best_ratio_subtree,
+    _better_density,
+    is_inforest,
+    is_multitree,
+    residual,
+)
+from msop.rof import Leaf, ReadOnceFormula, to_msop as rof_to_msop
 
 
 def eq2_cost(instance: MsopInstance, order) -> Fraction:
@@ -87,3 +108,203 @@ def brute_max_density(instance: MsopInstance, base):
             if best is None or rho > best:
                 best = rho
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference density steps: the straightforward implementations that the
+# library's incremental, integer-exact steps replaced.  Differential tests
+# run both and require identical answers, chains and densities.
+
+
+def ref_greedy_chain(instance: MsopInstance, density_solver, alpha=1) -> Chain:
+    """Greedy loop that re-evaluates base and candidate at every step."""
+    instance.validate()
+    universe = instance.universe()
+    current = frozenset()
+    sets = [current]
+    densities = []
+    while current != universe:
+        step = density_solver(current)
+        if step.candidate == current:
+            raise SolverStall(f"density solver returned its base {sorted(current)}")
+        checked = marginal_density(instance, current, step.candidate)
+        if checked.marginal_density != step.marginal_density:
+            raise ValidationError("density solver disagrees with the oracles")
+        sets.append(step.candidate)
+        densities.append(checked.marginal_density)
+        current = step.candidate
+    return Chain(tuple(sets), tuple(densities), alpha)
+
+
+def ref_singleton_greedy_density(instance: MsscInstance, base) -> DensityResult:
+    """Scan every element against every uncovered hyperedge."""
+    base = frozenset(base)
+    if not base < frozenset(range(instance.n)):
+        raise NoFeasibleSuperset("base already contains every element")
+    uncovered = [(w, members) for w, members in instance.edges if not members & base]
+    best = None
+    for v in range(instance.n):
+        if v in base:
+            continue
+        gain = 0
+        for w, members in uncovered:
+            if v in members:
+                gain += w
+        rho = Fraction(gain, instance.costs[v])
+        if best is None or rho > best[0]:
+            best = (rho, v)
+    return DensityResult(base, base | {best[1]}, best[0], 1)
+
+
+def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
+    """Every stem prefix evaluated through the full-set weight oracle."""
+    base = frozenset(base)
+    res = residual(dag, base)
+    if not res.jobs:
+        raise NoFeasibleSuperset("base already contains every job")
+    if not is_inforest(res):
+        raise NotInforest("residual graph has a vertex with two successors")
+    g_base = g_oracle(base)
+    best = None
+    best_members = None
+    for start in res.sources:
+        members = set(base)
+        time_sum = 0
+        v = start
+        length = 0
+        while v is not None:
+            members.add(v)
+            time_sum += res.time_of(v)
+            length += 1
+            frozen = frozenset(members)
+            dg = g_oracle(frozen) - g_base
+            if dg < 0:
+                raise NonMonotone(f"weight decreased when adding stem through {v}")
+            cand = (dg, time_sum, length, start)
+            if best is None or _better_density(cand, best):
+                best = cand
+                best_members = frozen
+            nxt = res.succs[v]
+            v = nxt[0] if nxt else None
+    rho = INF if best[1] == 0 else Fraction(best[0], best[1])
+    return DensityResult(base, best_members, rho, 1)
+
+
+def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
+    """Shape re-checked and every subtree optimum recomputed per step."""
+    base = frozenset(base)
+    res = residual(dag, base)
+    if not res.jobs:
+        raise NoFeasibleSuperset("base already contains every job")
+    if not is_multitree(res):
+        raise NotMultitree("residual graph has two paths between some pair of jobs")
+    for v in res.sources:
+        if res.time_of(v) == 0:
+            return DensityResult(base, base | {v}, INF, 1)
+    best = None
+    best_set = None
+    for start in res.sources:
+        reach = [start]
+        for v in reach:
+            reach.extend(res.succs[v])
+        subtree, w_sum, t_sum = _best_ratio_subtree(res, start, reach)
+        rho = Fraction(w_sum, t_sum)
+        if best is None or rho > best[0]:
+            best = (rho, start)
+            best_set = subtree
+    return DensityResult(base, base | best_set, best[0], 1)
+
+
+def ref_prob_tables(formula: ReadOnceFormula, s):
+    """Gate determination probabilities on ``Fraction``s."""
+    ones, zeros = {}, {}
+    for node in formula.nodes:
+        if isinstance(node, Leaf):
+            p = formula.probs[node.var] if node.var in s else None
+            ones[node] = Fraction(0) if p is None else p
+            zeros[node] = Fraction(0) if p is None else 1 - p
+        else:
+            pl, pr = ones[node.left], ones[node.right]
+            ql, qr = zeros[node.left], zeros[node.right]
+            if node.op == "and":
+                ones[node], zeros[node] = pl * pr, ql + qr - ql * qr
+            else:
+                ones[node], zeros[node] = pl + pr - pl * pr, ql * qr
+    return ones, zeros
+
+
+def ref_g_determined(formula: ReadOnceFormula, s) -> Fraction:
+    ones, zeros = ref_prob_tables(formula, frozenset(s))
+    return ones[formula.root] + zeros[formula.root]
+
+
+def ref_compute_rp(formula: ReadOnceFormula, s):
+    """Per gate and target: budget -> (Fraction, frozenset union) tables."""
+    empty = frozenset()
+    per_gate = {}
+    for node in formula.nodes:
+        if isinstance(node, Leaf):
+            p = formula.probs[node.var]
+            if node.var in s:
+                per_gate[node] = {1: {0: (p, empty)}, 0: {0: (1 - p, empty)}}
+            else:
+                c = formula.costs[node.var]
+                only = frozenset((node.var,))
+                zero = Fraction(0)
+                per_gate[node] = {
+                    1: {0: (zero, empty), c: (p, only)},
+                    0: {0: (zero, empty), c: (1 - p, only)},
+                }
+            continue
+        left, right = per_gate[node.left], per_gate[node.right]
+        table = {}
+        for outcome in (0, 1):
+            both = (node.op, outcome) in (("and", 1), ("or", 0))
+            out = {}
+            for tl in sorted(left[outcome]):
+                pl, rl = left[outcome][tl]
+                for tr in sorted(right[outcome]):
+                    pr, rr = right[outcome][tr]
+                    value = pl * pr if both else pl + pr - pl * pr
+                    t = tl + tr
+                    if t not in out or value > out[t][0]:
+                        out[t] = (value, rl | rr)
+            table[outcome] = out
+        per_gate[node] = table
+    return per_gate
+
+
+def ref_find_supp(formula: ReadOnceFormula, s) -> frozenset:
+    s = frozenset(s)
+    if s >= set(formula.variables):
+        raise EmptyRemainder("every test has already been taken")
+    tables = ref_compute_rp(formula, s)
+    ones, zeros = ref_prob_tables(formula, s)
+    baseline = {1: ones[formula.root], 0: zeros[formula.root]}
+    best = {}
+    for outcome in (0, 1):
+        root = tables[formula.root][outcome]
+        for t in sorted(root):
+            if t == 0:
+                continue
+            prob, chosen = root[t]
+            sigma = Fraction(prob - baseline[outcome], t)
+            if outcome not in best or sigma > best[outcome][0]:
+                best[outcome] = (sigma, chosen)
+    if best[0][0] > best[1][0]:
+        return best[0][1]
+    return best[1][1]
+
+
+def ref_rof_instance(formula: ReadOnceFormula) -> MsopInstance:
+    """``rof.to_msop`` with the ``Fraction`` weight oracle."""
+    return replace(rof_to_msop(formula), weight=lambda s: ref_g_determined(formula, s))
+
+
+def ref_supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
+    def solve(base):
+        candidate = base | ref_find_supp(formula, base)
+        rho = marginal_density(instance, base, candidate).marginal_density
+        return DensityResult(base, candidate, rho, 2)
+
+    return solve

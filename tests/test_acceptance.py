@@ -261,7 +261,7 @@ def test_criterion_06_supplement_half_density():
         expect = _brute_gate_maxima(formula, base)
         for node in formula.nodes:
             for outcome in (0, 1):
-                got = {t: p for t, (p, _) in tables.per_gate[node][outcome].items()}
+                got = {t: p for t, (p, _) in tables.table(node, outcome).items()}
                 assert got == expect[node][outcome], f"seed {i}"
     _verdict(
         "criterion 6: supplement density within half of best, tables exact",

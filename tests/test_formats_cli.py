@@ -209,3 +209,22 @@ def test_cli_check_ratio_flags_violations_with_exit_two(tmp_path, capsys, monkey
     assert run(["check-ratio", str(path)]) == 2
     out = capsys.readouterr().out
     assert "verdict=BOUND VIOLATED" in out
+
+
+def test_cli_missing_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    missing = tmp_path / "absent.msop"
+    assert run(["solve", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError:")
+    assert str(missing) in err
+
+
+def test_cli_solve_accepts_a_rational_alpha(tmp_path, capsys):
+    path = tmp_path / "m.msop"
+    run(["gen", "mssc", "--n", "5", "--seed", "3", "--out", str(path)])
+    capsys.readouterr()
+    assert run(["solve", str(path), "--alpha", "3/2"]) == 0
+    assert "alpha=3/2" in capsys.readouterr().out.splitlines()
+    with pytest.raises(SystemExit):
+        run(["solve", str(path), "--alpha", "0.5"])
+    assert "decimal literals are not accepted" in capsys.readouterr().err

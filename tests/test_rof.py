@@ -185,7 +185,7 @@ def test_determination_table_matches_pointwise():
 def test_compute_rp_single_leaf():
     f = ReadOnceFormula(Leaf(1), {1: Fraction(2, 5)}, {1: 1})
     tables = compute_rp(f, frozenset())
-    root = tables.root_table(f, 1)
+    root = tables.table(f.root, 1)
     assert root[0] == (Fraction(0), frozenset())
     assert root[1] == (Fraction(2, 5), frozenset({1}))
 
@@ -197,7 +197,7 @@ def test_compute_rp_and_of_two_leaves():
         {1: 1, 2: 1},
     )
     tables = compute_rp(f, frozenset())
-    assert tables.root_table(f, 1)[2][0] == Fraction(1, 6)
+    assert tables.table(f.root, 1)[2][0] == Fraction(1, 6)
 
 
 def brute_gate_maxima(formula, s):
@@ -230,10 +230,10 @@ def test_compute_rp_matches_brute_force():
         expect = brute_gate_maxima(f, s)
         for node in f.nodes:
             for outcome in (0, 1):
-                got = {t: p for t, (p, _) in tables.per_gate[node][outcome].items()}
+                got = {t: p for t, (p, _) in tables.table(node, outcome).items()}
                 assert got == expect[node][outcome]
                 # recorded subsets attain the recorded probability at that cost
-                for t, (p, chosen) in tables.per_gate[node][outcome].items():
+                for t, (p, chosen) in tables.table(node, outcome).items():
                     assert sum(f.costs[i] for i in chosen) == t
 
 
@@ -288,7 +288,7 @@ def test_supplement_gains_are_nonnegative_for_both_targets():
         ones, zeros = _prob_tables(f, base)
         tables = compute_rp(f, base)
         for outcome, floor in ((1, ones[f.root]), (0, zeros[f.root])):
-            for t, (p, _) in tables.root_table(f, outcome).items():
+            for t, (p, _) in tables.table(f.root, outcome).items():
                 if t > 0:
                     assert p >= floor
 
