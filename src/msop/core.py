@@ -249,6 +249,25 @@ def _step_from(
     return rho, cost, weight
 
 
+def compare_density(
+    gain: Rational, spent: Rational, other_gain: Rational, other_spent: Rational
+) -> int:
+    """Sign (-1, 0 or 1) of gain/spent - other_gain/other_spent.
+
+    Each pair is a (weight gain, cost gain) with nonnegative cost gain; a
+    cost gain of zero is the +inf sentinel, which beats every finite
+    density and ties with itself.  Compared by cross-multiplication, so the
+    answer is exact, and cheapest when all four values are ints.
+    """
+    if not spent:
+        return 0 if not other_spent else 1
+    if not other_spent:
+        return -1
+    lhs = gain * other_spent
+    rhs = other_gain * spent
+    return (lhs > rhs) - (lhs < rhs)
+
+
 DensitySolver = Callable[[frozenset[int]], DensityResult]
 
 

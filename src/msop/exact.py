@@ -24,6 +24,7 @@ from .core import (
     MsopInstance,
     Permutation,
     Rational,
+    compare_density,
     validate_chain,
 )
 from .errors import (
@@ -169,24 +170,103 @@ def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Cha
     return Chain(sets), cost
 
 
-def _superset_beats(
-    dg: Rational, df: Rational, size: int, ids: tuple[int, ...],
-    best: tuple[Rational, Rational, int, tuple[int, ...]],
-) -> bool:
-    # densities compared by cross-multiplication; df == 0 encodes +inf
-    b_dg, b_df, b_size, b_ids = best
-    if df == 0 and b_df != 0:
-        return True
-    if df != 0 and b_df == 0:
-        return False
-    if df != 0:
-        lhs = dg * b_df
-        rhs = b_dg * df
-        if lhs != rhs:
-            return lhs > rhs
-    if size != b_size:
-        return size < b_size
-    return ids < b_ids
+# per subset bitmask: (in family, cost, weight); every mask outside the
+# family shares the one sentinel entry
+Entry = tuple[bool, Rational, Rational]
+_INFEASIBLE: Entry = (False, 0, 0)
+
+
+def _members(ground: tuple[int, ...], mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ground[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def _entry(instance: MsopInstance, s: frozenset[int]) -> Entry:
+    if not instance.in_family(s):
+        return _INFEASIBLE
+    return (True, instance.cost(s), instance.weight(s))
+
+
+def _densest_superset(
+    instance: MsopInstance, base: frozenset[int], table: list[Entry | None] | None
+) -> DensityResult:
+    """The exhaustive step over every strict superset of ``base``.
+
+    With ``table`` (2^n slots indexed by bitmask over the ground set) each
+    subset's oracles run once per table; without it, once per call.
+    """
+    base = frozenset(base)
+    ground = instance.ground_set
+    index = {v: i for i, v in enumerate(ground)}
+    base_mask = 0
+    for v in base:
+        if v not in index:
+            raise NotInFamily(f"base {sorted(base)} is not in the family")
+        base_mask |= 1 << index[v]
+    entry = None if table is None else table[base_mask]
+    if entry is None:
+        entry = _entry(instance, base)
+        if table is not None:
+            table[base_mask] = entry
+    feasible, f_base, g_base = entry
+    if not feasible:
+        raise NotInFamily(f"base {sorted(base)} is not in the family")
+    # gains are compared on integers: with f = fn/fd and the base's cost
+    # fbn/fbd, the cost gain is (fn*fbd - fbn*fd) / (fd*fbd); the density's
+    # fixed factor fbd/gbd is left out of every candidate and put back once
+    fbn, fbd = f_base.numerator, f_base.denominator
+    gbn, gbd = g_base.numerator, g_base.denominator
+    best_mask = 0
+    best_gain = best_spent = 0
+    comp = ((1 << len(ground)) - 1) & ~base_mask
+    x = comp
+    while x:
+        mask = base_mask | x
+        entry = None if table is None else table[mask]
+        if entry is None:
+            entry = _entry(instance, base.union(_members(ground, x)))
+            if table is not None:
+                table[mask] = entry
+        feasible, f, g = entry
+        if feasible:
+            f_den, g_den = f.denominator, g.denominator
+            spent = f.numerator * fbd - fbn * f_den
+            gain = g.numerator * gbd - gbn * g_den
+            if spent < 0 or gain < 0:
+                candidate = base.union(_members(ground, x))
+                raise NonMonotone(
+                    f"value decreased between {sorted(base)} and {sorted(candidate)}"
+                )
+            gain *= f_den
+            spent *= g_den
+            if not best_mask:
+                order = 1
+            else:
+                order = compare_density(gain, spent, best_gain, best_spent)
+                if not order:
+                    order = _smaller_first(ground, base_mask, x, best_mask)
+            if order > 0:
+                best_mask, best_gain, best_spent = x, gain, spent
+        x = (x - 1) & comp
+    if not best_mask:
+        raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
+    rho: Density = INF if not best_spent else Fraction(best_gain * fbd, best_spent * gbd)
+    return DensityResult(base, base.union(_members(ground, best_mask)), rho, 1)
+
+
+def _smaller_first(ground: tuple[int, ...], base_mask: int, x: int, y: int) -> int:
+    """1 when base + x comes before base + y: fewer elements, then the
+    smaller sorted id tuple; -1 otherwise."""
+    size_x, size_y = x.bit_count(), y.bit_count()
+    if size_x != size_y:
+        return 1 if size_x < size_y else -1
+    ids_x = sorted(_members(ground, base_mask | x))
+    ids_y = sorted(_members(ground, base_mask | y))
+    return 1 if ids_x < ids_y else -1
 
 
 def exact_max_density(
@@ -197,48 +277,26 @@ def exact_max_density(
     The +inf sentinel beats every finite density; ties break to the smallest
     cardinality and then lexicographically on the sorted element ids.
     """
-    base = frozenset(base)
-    n = instance.n
-    _cap_for("density", n, cap)
-    if not instance.in_family(base):
-        raise NotInFamily(f"base {sorted(base)} is not in the family")
-    ground = instance.ground_set
-    index = {v: i for i, v in enumerate(ground)}
-    base_mask = 0
-    for v in base:
-        base_mask |= 1 << index[v]
-    comp = ((1 << n) - 1) & ~base_mask
-    f_base = instance.cost(base)
-    g_base = instance.weight(base)
-    best: tuple[Rational, Rational, int, tuple[int, ...]] | None = None
-    best_set: frozenset[int] | None = None
-    x = comp
-    while x:
-        extra = [ground[i] for i in range(n) if x >> i & 1]
-        candidate = base | frozenset(extra)
-        if instance.in_family(candidate):
-            df = instance.cost(candidate) - f_base
-            dg = instance.weight(candidate) - g_base
-            if df < 0 or dg < 0:
-                raise NonMonotone(
-                    f"value decreased between {sorted(base)} and {sorted(candidate)}"
-                )
-            key = (dg, df, len(candidate), tuple(sorted(candidate)))
-            if best is None or _superset_beats(dg, df, key[2], key[3], best):
-                best = key
-                best_set = candidate
-        x = (x - 1) & comp
-    if best is None or best_set is None:
-        raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
-    rho: Density = INF if best[1] == 0 else Fraction(best[0], best[1])
-    return DensityResult(base, best_set, rho, 1)
+    _cap_for("density", instance.n, cap)
+    return _densest_superset(instance, base, None)
 
 
 def exact_density_solver(instance: MsopInstance, cap: int | None = None) -> DensitySolver:
-    """Exhaustive density solver (factor 1) for use with the greedy loop."""
+    """Exhaustive density solver (factor 1) for use with the greedy loop.
+
+    The solver keeps every subset's family membership, cost and weight in a
+    table of up to 2^n entries, filled as the steps reach them.  A greedy
+    step's candidates are supersets of the previous step's winner, so after
+    the first step a greedy run calls no oracle here.  The cap is checked on
+    every call, not when the solver is built.
+    """
+    table: list[Entry | None] = []
 
     def solve(base: frozenset[int]) -> DensityResult:
-        return exact_max_density(instance, base, cap)
+        _cap_for("density", instance.n, cap)
+        if not table:
+            table.extend([None] * (1 << instance.n))
+        return _densest_superset(instance, base, table)
 
     return solve
 

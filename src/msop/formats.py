@@ -173,42 +173,43 @@ def _parse_formula(expr: str, lineno: int, offset: int) -> Node:
             error("expected a token", start)
         return expr[start:pos], start
 
-    def parse_node() -> Node:
-        nonlocal pos
+    # gates still open: operator, position of "(", inputs parsed so far
+    stack: list[tuple[str, int, list[Node]]] = []
+    while True:
         skip_blank()
-        if pos >= len(expr):
-            error("unexpected end of formula", pos)
-        if expr[pos] == "(":
-            open_at = pos
+        if stack and pos < len(expr) and expr[pos] == ")":
+            op, open_at, children = stack.pop()
             pos += 1
-            skip_blank()
-            op, op_at = read_token()
-            if op not in ("and", "or"):
-                error(f"unknown gate {op!r}", op_at)
-            children = []
-            while True:
-                skip_blank()
-                if pos >= len(expr):
-                    error("missing ')'", open_at)
-                if expr[pos] == ")":
-                    pos += 1
-                    break
-                children.append(parse_node())
             if len(children) != 2:
                 error(
                     f"gate has {len(children)} inputs; rewrite as nested binary "
                     "gates, e.g. (and x1 (and x2 x3))",
                     open_at,
                 )
-            return Gate(op, children[0], children[1])
-        if expr[pos] == ")":
+            node: Node = Gate(op, children[0], children[1])
+        elif pos >= len(expr):
+            if stack:
+                error("missing ')'", stack[-1][1])
+            error("unexpected end of formula", pos)
+        elif expr[pos] == "(":
+            open_at = pos
+            pos += 1
+            skip_blank()
+            op, op_at = read_token()
+            if op not in ("and", "or"):
+                error(f"unknown gate {op!r}", op_at)
+            stack.append((op, open_at, []))
+            continue
+        elif expr[pos] == ")":
             error("unexpected ')'", pos)
-        token, at = read_token()
-        if not token.startswith("x") or not token[1:].isdigit():
-            error(f"expected a variable like x3, got {token!r}", at)
-        return Leaf(int(token[1:]))
-
-    node = parse_node()
+        else:
+            token, at = read_token()
+            if not token.startswith("x") or not token[1:].isdigit():
+                error(f"expected a variable like x3, got {token!r}", at)
+            node = Leaf(int(token[1:]))
+        if not stack:
+            break
+        stack[-1][2].append(node)
     skip_blank()
     if pos != len(expr):
         error("trailing text after formula", pos)
@@ -278,10 +279,18 @@ def _parse_xsearch(body) -> SearchGraph:
     return SearchGraph(tuple(vertices), root, tuple(edges), probs)
 
 
-def _serialize_formula(node: Node) -> str:
-    if isinstance(node, Leaf):
-        return f"x{node.var}"
-    return f"({node.op} {_serialize_formula(node.left)} {_serialize_formula(node.right)})"
+def _serialize_formula(root: Node) -> str:
+    parts: list[str] = []
+    stack: list[Node | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"x{item.var}")
+        else:
+            stack.extend((")", item.right, " ", item.left, f"({item.op} "))
+    return "".join(parts)
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -26,6 +26,7 @@ from .core import (
     Permutation,
     Rational,
     StructuralFlags,
+    compare_density,
     order_of,
 )
 from .errors import (
@@ -247,28 +248,6 @@ def modular_weight_oracle(dag: OrDag) -> WeightOracle:
     return total
 
 
-def _better_density(
-    cand: tuple[Rational, Rational, int, int],
-    best: tuple[Rational, Rational, int, int],
-) -> bool:
-    # entries are (weight gain, time sum, stem length, start id);
-    # time sum 0 encodes the +inf sentinel
-    dg, df, length, start = cand
-    b_dg, b_df, b_length, b_start = best
-    if df == 0 and b_df != 0:
-        return True
-    if df != 0 and b_df == 0:
-        return False
-    if df != 0:
-        lhs = dg * b_df
-        rhs = b_dg * df
-        if lhs != rhs:
-            return lhs > rhs
-    if length != b_length:
-        return length < b_length
-    return start < b_start
-
-
 def max_density_stem(
     dag: OrDag, g_oracle: WeightOracle | None, base: frozenset[int]
 ) -> DensityResult:
@@ -305,7 +284,8 @@ def max_density_stem(
             if dg < 0:
                 raise NonMonotone(f"weight decreased when adding stem through {v}")
             cand = (dg, time_sum, len(stem), start)
-            if best is None or _better_density(cand, best):
+            order = 1 if best is None else compare_density(dg, time_sum, best[0], best[1])
+            if order > 0 or (order == 0 and cand[2:] < best[2:]):
                 best = cand
             nxt = res.succs[v]
             v = nxt[0] if nxt else None

@@ -31,7 +31,6 @@ from .core import (
     StructuralFlags,
     densest_consistent_permutation,
     greedy_chain,
-    marginal_density,
     order_of,
 )
 from .errors import EmptyRemainder, ValidationError
@@ -60,17 +59,11 @@ class ReadOnceFormula:
 
     def __post_init__(self):
         seen: list[int] = []
-
-        def walk(node: Node) -> None:
+        for node in self.nodes:
             if isinstance(node, Leaf):
                 seen.append(node.var)
-                return
-            if node.op not in ("and", "or"):
+            elif node.op not in ("and", "or"):
                 raise ValidationError(f"unknown gate {node.op!r}")
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
         if len(set(seen)) != len(seen):
             raise ValidationError("each variable may appear in exactly one leaf")
         if set(seen) != set(self.probs) or set(seen) != set(self.costs):
@@ -88,16 +81,17 @@ class ReadOnceFormula:
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        """All nodes, children before parents."""
+        """All nodes, children before parents, left subtrees first."""
         out: list[Node] = []
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Gate):
-                walk(node.left)
-                walk(node.right)
-            out.append(node)
-
-        walk(self.root)
+        stack: list[tuple[Node, bool]] = [(self.root, False)]
+        while stack:
+            node, inputs_done = stack.pop()
+            if isinstance(node, Gate) and not inputs_done:
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                out.append(node)
         return tuple(out)
 
     @cached_property
@@ -128,25 +122,24 @@ def eval_partial(formula: ReadOnceFormula, assignment: Mapping[int, int | None])
 
     Returns 0, 1, or None when the outcome is not yet determined.
     """
-
-    def walk(node: Node):
+    value: dict[Node, int | None] = {}
+    for node in formula.nodes:
         if isinstance(node, Leaf):
-            return assignment.get(node.var)
-        a = walk(node.left)
-        b = walk(node.right)
+            value[node] = assignment.get(node.var)
+            continue
+        a, b = value[node.left], value[node.right]
+        v = None
         if node.op == "and":
             if a == 0 or b == 0:
-                return 0
-            if a == 1 and b == 1:
-                return 1
-            return None
-        if a == 1 or b == 1:
-            return 1
-        if a == 0 and b == 0:
-            return 0
-        return None
-
-    return walk(formula.root)
+                v = 0
+            elif a == 1 and b == 1:
+                v = 1
+        elif a == 1 or b == 1:
+            v = 1
+        elif a == 0 and b == 0:
+            v = 0
+        value[node] = v
+    return value[formula.root]
 
 
 def _scaled_prob_tables(
@@ -368,15 +361,23 @@ def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
     the two wins (the target-1 set on a tie).  The winner's density is at
     least half the best over all supersets.
     """
-    s = frozenset(s)
+    return _supplement(formula, frozenset(s))[0]
+
+
+def _supplement(
+    formula: ReadOnceFormula, s: frozenset[int]
+) -> tuple[frozenset[int], int, Fraction]:
+    """``find_supp``'s supplement with its total cost and the
+    determination probability of ``s`` read off the root tables."""
     if s >= set(formula.variables):
         raise EmptyRemainder("every test has already been taken")
     tables = compute_rp(formula, s)
+    root_tables = tables.scaled[formula.root]
     # (gain, budget) per target; gains share the root's denominator, so
     # densities gain / budget compare by cross-multiplication
     best: dict[int, tuple[int, int]] = {}
     for outcome in (0, 1):
-        root = tables.scaled[formula.root][outcome]
+        root = root_tables[outcome]
         baseline = root[0][0]
         for t in sorted(root):
             if t == 0:
@@ -386,7 +387,11 @@ def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
                 best[outcome] = (gain, t)
     (gain0, t0), (gain1, t1) = best[0], best[1]
     outcome = 0 if gain0 * t1 > gain1 * t0 else 1
-    return tables.chosen(formula.root, outcome, best[outcome][1])
+    spent = best[outcome][1]
+    # the budget-0 entries are the probabilities that s alone determines 0, 1
+    determined = root_tables[0][0][0] + root_tables[1][0][0]
+    determined = Fraction(determined, formula.denominators[formula.root])
+    return tables.chosen(formula.root, outcome, spent), spent, determined
 
 
 def to_msop(formula: ReadOnceFormula, tabulate: bool = False) -> MsopInstance:
@@ -423,14 +428,19 @@ def to_msop(formula: ReadOnceFormula, tabulate: bool = False) -> MsopInstance:
 
 
 def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance | None = None):
-    """Density solver wrapping the supplement search (factor 2)."""
+    """Density solver wrapping the supplement search (factor 2).
+
+    The base's weight comes from the supplement search's own tables and the
+    supplement's cost is its budget, so a step calls the weight oracle once,
+    on the candidate."""
     inst = instance if instance is not None else to_msop(formula)
 
     def solve(base: frozenset[int]) -> DensityResult:
-        chosen = find_supp(formula, base)
+        base = frozenset(base)
+        chosen, spent, base_weight = _supplement(formula, base)
         candidate = base | chosen
-        rho = marginal_density(inst, base, candidate).marginal_density
-        return DensityResult(base, candidate, rho, 2)
+        gain = inst.weight(candidate) - base_weight
+        return DensityResult(base, candidate, Fraction(gain, spent), 2)
 
     return solve
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .core import MsopInstance, Rational, StructuralFlags
 from .errors import DisconnectedInput, ValidationError
@@ -67,6 +70,18 @@ class SearchGraph:
             if len(seen) != len(self.vertices):
                 raise DisconnectedInput("graph is not connected")
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...], int, dict[int, int]]:
+        """Edge costs over the lcm of their denominators, then vertex
+        probabilities over theirs, as ``(lcm, numerators)`` pairs; the
+        root's numerator is 0, since the weight oracle leaves it out."""
+        cost_den = lcm(*(c.denominator for _, _, c in self.edges))
+        costs = tuple(c.numerator * (cost_den // c.denominator) for _, _, c in self.edges)
+        prob_den = lcm(*(p.denominator for p in self.probs.values()))
+        probs = {v: p.numerator * (prob_den // p.denominator) for v, p in self.probs.items()}
+        probs[self.root] = 0
+        return cost_den, costs, prob_den, probs
+
 
 def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
     """Edge-set ordering instance; edges are indexed in input order."""
@@ -91,20 +106,21 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
                     grew = True
         return not remaining
 
+    # both oracles sum integer numerators and build at most one Fraction
     def cost(s: frozenset[int]) -> Rational:
-        return sum(graph.edges[idx][2] for idx in s)
+        den, costs, _, _ = graph._scaled
+        total = sum(costs[idx] for idx in s)
+        return total if den == 1 else Fraction(total, den)
 
     def weight(s: frozenset[int]) -> Rational:
+        _, _, den, probs = graph._scaled
         touched: set[int] = set()
         for idx in s:
             u, v, _ = graph.edges[idx]
             touched.add(u)
             touched.add(v)
-        touched.discard(graph.root)
-        total: Rational = 0
-        for v in touched:
-            total += graph.probs[v]
-        return total
+        total = sum(probs[v] for v in touched)
+        return total if den == 1 else Fraction(total, den)
 
     return MsopInstance(
         tuple(range(m)),

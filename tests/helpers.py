@@ -16,6 +16,7 @@ from msop.errors import (
     EmptyRemainder,
     NoFeasibleSuperset,
     NonMonotone,
+    NotInFamily,
     NotInforest,
     NotMultitree,
     SolverStall,
@@ -25,7 +26,6 @@ from msop.mssc import MsscInstance
 from msop.orsched import (
     OrDag,
     _best_ratio_subtree,
-    _better_density,
     is_inforest,
     is_multitree,
     residual,
@@ -136,6 +136,63 @@ def ref_greedy_chain(instance: MsopInstance, density_solver, alpha=1) -> Chain:
     return Chain(tuple(sets), tuple(densities), alpha)
 
 
+def _beats(cand, best) -> bool:
+    """Entries are (weight gain, cost gain, tie keys...); densities are
+    compared by cross-multiplication, a cost gain of 0 is +inf, and equal
+    densities go to the smaller tie keys."""
+    dg, df = cand[:2]
+    b_dg, b_df = best[:2]
+    if df == 0 and b_df != 0:
+        return True
+    if df != 0 and b_df == 0:
+        return False
+    if df != 0:
+        lhs = dg * b_df
+        rhs = b_dg * df
+        if lhs != rhs:
+            return lhs > rhs
+    return cand[2:] < best[2:]
+
+
+def ref_exact_max_density(instance: MsopInstance, base) -> DensityResult:
+    """Every strict superset of ``base`` evaluated through the oracles at
+    every call, enumerated as bitmasks from the full complement down."""
+    base = frozenset(base)
+    n = instance.n
+    if not instance.in_family(base):
+        raise NotInFamily(f"base {sorted(base)} is not in the family")
+    ground = instance.ground_set
+    index = {v: i for i, v in enumerate(ground)}
+    base_mask = 0
+    for v in base:
+        base_mask |= 1 << index[v]
+    comp = ((1 << n) - 1) & ~base_mask
+    f_base = instance.cost(base)
+    g_base = instance.weight(base)
+    best = None
+    best_set = None
+    x = comp
+    while x:
+        extra = [ground[i] for i in range(n) if x >> i & 1]
+        candidate = base | frozenset(extra)
+        if instance.in_family(candidate):
+            df = instance.cost(candidate) - f_base
+            dg = instance.weight(candidate) - g_base
+            if df < 0 or dg < 0:
+                raise NonMonotone(
+                    f"value decreased between {sorted(base)} and {sorted(candidate)}"
+                )
+            key = (dg, df, len(candidate), tuple(sorted(candidate)))
+            if best is None or _beats(key, best):
+                best = key
+                best_set = candidate
+        x = (x - 1) & comp
+    if best is None:
+        raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
+    rho = INF if best[1] == 0 else Fraction(best[0], best[1])
+    return DensityResult(base, best_set, rho, 1)
+
+
 def ref_singleton_greedy_density(instance: MsscInstance, base) -> DensityResult:
     """Scan every element against every uncovered hyperedge."""
     base = frozenset(base)
@@ -181,7 +238,7 @@ def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
             if dg < 0:
                 raise NonMonotone(f"weight decreased when adding stem through {v}")
             cand = (dg, time_sum, length, start)
-            if best is None or _better_density(cand, best):
+            if best is None or _beats(cand, best):
                 best = cand
                 best_members = frozen
             nxt = res.succs[v]

@@ -3,21 +3,24 @@
 The references in ``helpers`` re-evaluate everything at every step; the
 library's steps are incremental and integer-exact.  They must agree on the
 set chosen at every step, so whole greedy chains and their densities are
-compared, at sizes far above the exhaustive caps.
+compared: for the polynomial steps at sizes far above the exhaustive caps,
+for the exhaustive step at 10 to 14 elements.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from msop import greedy_chain, mssc, orsched, rof
+from msop import INF, dual, exact, greedy_chain, mssc, orsched, rof, xsearch
 from msop.errors import NonMonotone, NotMultitree
-from msop.generators import gen_instance, gen_or_pipelined
+from msop.generators import gen_generic_msop, gen_instance, gen_or_pipelined
 from msop.orsched import OrDag
 
 from helpers import (
     ref_compute_rp,
+    ref_exact_max_density,
     ref_find_supp,
     ref_g_determined,
     ref_greedy_chain,
@@ -112,6 +115,17 @@ def test_supplement_step_matches_reference_chain():
     assert_same_chain(fast, slow)
 
 
+def test_supplement_step_calls_the_weight_oracle_once():
+    formula = gen_instance("rof", 30, 4)
+    inst = rof.to_msop(formula)
+    calls = []
+    counted = replace(inst, weight=lambda s: calls.append(s) or inst.weight(s))
+    chain = greedy_chain(counted, rof.supplement_solver(formula, counted), 2)
+    # validate() weighs the empty set; each step weighs its candidate in the
+    # solver and again in the loop's re-check
+    assert len(calls) == 1 + 2 * chain.steps
+
+
 def test_find_supp_and_g_determined_match_reference_on_random_bases():
     rng = random.Random(32)
     bases = 0
@@ -164,3 +178,153 @@ def test_stem_with_a_decreasing_oracle_is_non_monotone():
     dag = OrDag((0, 1), (1, 1), (1, 1), ((0, 1),))
     with pytest.raises(NonMonotone):
         orsched.max_density_stem(dag, lambda s: Fraction(-len(s)), frozenset())
+
+
+# ---------------------------------------------------------------------------
+# exhaustive step: one table of oracle values per solver, integer comparisons
+
+
+def xsearch_instance(edges, seed):
+    vertices = min(edges + 1, edges // 2 + 2)
+    graph = gen_instance("xsearch", vertices, seed, extra=edges - (vertices - 1))
+    assert len(graph.edges) == edges
+    return xsearch.xsearch_to_msop(graph)
+
+
+def assert_same_exhaustive_chain(inst):
+    fast = greedy_chain(inst, exact.exact_density_solver(inst), 1)
+    slow = ref_greedy_chain(inst, lambda b: ref_exact_max_density(inst, b), 1)
+    assert_same_chain(fast, slow)
+    return fast
+
+
+def test_exhaustive_step_matches_reference_chain_on_xsearch():
+    for edges, seed in ((12, 1), (13, 2), (14, 3)):
+        assert_same_exhaustive_chain(xsearch_instance(edges, seed))
+
+
+ADAPTERS = {
+    "mssc": mssc.to_msop,
+    "pipelined": mssc.to_msop,
+    "inforest": orsched.to_msop,
+    "multitree": orsched.to_msop,
+    "rof": rof.to_msop,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_backward_exhaustive_step_matches_reference_chain(kind):
+    for n, seed in ((10, 1), (12, 2)):
+        inst = ADAPTERS[kind](gen_instance(kind, n, seed))
+        forward = assert_same_exhaustive_chain(dual.dualize(inst))
+        backward = dual.backward_greedy_chain(inst, exact.exact_density_solver)
+        assert backward.sets == dual.dual_chain(forward).sets
+
+
+def tie_counts(inst, base):
+    """(density ties, +inf ties, size ties) among the best supersets of ``base``."""
+    f0, g0 = inst.cost(base), inst.weight(base)
+    ground = inst.ground_set
+    rest = [v for v in ground if v not in base]
+    top = []
+    best = None
+    for mask in range(1, 1 << len(rest)):
+        s = base | {rest[i] for i in range(len(rest)) if mask >> i & 1}
+        if not inst.in_family(s):
+            continue
+        df, dg = inst.cost(s) - f0, inst.weight(s) - g0
+        rho = INF if df == 0 else Fraction(dg, df)
+        if best is None or rho > best:
+            best, top = rho, [s]
+        elif rho == best:
+            top.append(s)
+    if len(top) < 2:
+        return 0, 0, 0
+    smallest = min(len(s) for s in top)
+    size_tie = sum(len(s) == smallest for s in top) > 1
+    return 1, int(best == INF), int(size_tie)
+
+
+def test_exhaustive_step_matches_reference_chain_through_ties():
+    ties = [0, 0, 0]
+    for seed in range(150):
+        inst = gen_generic_msop(6 + seed % 4, 500 + seed)
+        chain = assert_same_exhaustive_chain(inst)
+        for base in chain.sets[:-1]:
+            for i, count in enumerate(tie_counts(inst, base)):
+                ties[i] += count
+    density_ties, inf_ties, size_ties = ties
+    assert density_ties >= 50 and inf_ties >= 10 and size_ties >= 20, ties
+
+
+def test_exhaustive_solver_matches_reference_on_bases_out_of_order():
+    rng = random.Random(41)
+    for seed in range(6):
+        inst = gen_generic_msop(9, 700 + seed)
+        universe = inst.universe()
+        feasible = [
+            frozenset(v for v in inst.ground_set if mask >> v & 1)
+            for mask in range(1 << inst.n)
+        ]
+        feasible = [s for s in feasible if s != universe and inst.in_family(s)]
+        bases = [rng.choice(feasible) for _ in range(12)]
+        bases += bases[:4]  # repeats hit entries the solver already holds
+        solve = exact.exact_density_solver(inst)
+        for base in bases:
+            got, want = solve(base), ref_exact_max_density(inst, base)
+            assert (got.candidate, got.marginal_density) == (want.candidate, want.marginal_density)
+
+
+def test_exhaustive_step_names_the_same_non_monotone_pair():
+    inst = mssc.to_msop(gen_instance("mssc", 7, 3))
+    drop = inst.weight(inst.universe()) + 1
+    # weight falls on sets holding 2 but not 6, which the enumeration from
+    # the full complement down reaches only after many others
+    bad = replace(inst, weight=lambda s: inst.weight(s) - drop * (2 in s and 6 not in s))
+    with pytest.raises(NonMonotone) as want:
+        ref_exact_max_density(bad, frozenset())
+    assert str(sorted(bad.universe())) not in str(want.value)
+    with pytest.raises(NonMonotone) as got:
+        exact.exact_max_density(bad, frozenset())
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NonMonotone) as got:
+        exact.exact_density_solver(bad)(frozenset())
+    assert str(got.value) == str(want.value)
+
+
+def test_one_greedy_run_evaluates_each_subset_once():
+    inst = xsearch_instance(12, 7)
+    calls = {"in_family": 0, "cost": 0, "weight": 0}
+
+    def counted(name):
+        oracle = getattr(inst, name)
+
+        def call(s):
+            calls[name] += 1
+            return oracle(s)
+
+        return call
+
+    counted_inst = replace(inst, **{name: counted(name) for name in calls})
+    chain = greedy_chain(counted_inst, exact.exact_density_solver(counted_inst), 1)
+    # the solver's table, the base check and the loop's re-check each step,
+    # and validate()'s two sets
+    assert calls["in_family"] <= 2 ** inst.n + 2 * chain.steps + 2
+    assert calls["cost"] <= 2 ** inst.n + chain.steps + 1
+
+
+def test_xsearch_oracles_equal_fraction_sums():
+    rng = random.Random(42)
+    for seed in range(10):
+        graph = gen_instance("xsearch", 8, 900 + seed)
+        edges = tuple(
+            (u, v, Fraction(rng.randint(1, 9), rng.randint(1, 6)) if i % 2 else c)
+            for i, (u, v, c) in enumerate(graph.edges)
+        )
+        graph = replace(graph, edges=edges)
+        inst = xsearch.xsearch_to_msop(graph)
+        for _ in range(30):
+            s = frozenset(i for i in range(len(edges)) if rng.random() < 0.5)
+            touched = {x for i in s for x in edges[i][:2]} - {graph.root}
+            assert inst.cost(s) == sum((Fraction(edges[i][2]) for i in s), Fraction(0))
+            assert inst.weight(s) == sum((Fraction(graph.probs[v]) for v in touched), Fraction(0))

@@ -17,6 +17,7 @@ from msop.errors import (
     MissingCertificate,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
+    NotInFamily,
     TooLarge,
 )
 from msop.generators import gen_generic_msop
@@ -188,6 +189,13 @@ def test_no_feasible_superset():
     inst = free_instance(2, modular([1, 1]), modular([1, 1]))
     with pytest.raises(NoFeasibleSuperset):
         exact.exact_max_density(inst, frozenset({0, 1}))  # nothing above the full set
+
+
+def test_base_outside_the_ground_set_is_not_in_the_family():
+    inst = free_instance(3, modular([1, 1, 1]), modular([1, 1, 1]))
+    for step in (lambda b: exact.exact_max_density(inst, b), exact.exact_density_solver(inst)):
+        with pytest.raises(NotInFamily):
+            step(frozenset({0, 99}))
 
 
 def test_histogram_trivial_single_column():

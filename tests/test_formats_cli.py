@@ -92,6 +92,25 @@ def test_formula_parser_rejects_wide_gates_with_hint():
     assert "nested binary" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "expr, message, column",
+    [
+        ("(and x1", "missing ')'", 9),
+        ("(and (or x1 x2) (and x3", "missing ')'", 25),
+        (")", "unexpected ')'", 9),
+        ("(and x1 x2) x3", "trailing text after formula", 21),
+        ("(xor x1 x2)", "unknown gate 'xor'", 10),
+        ("(and x1 ())", "expected a token", 18),
+        ("(or )", "gate has 0 inputs", 9),
+    ],
+)
+def test_formula_syntax_errors_name_their_column(expr, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(f"msop rof v1\nformula {expr}\n")
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 def test_parse_instance_accepts_stream_and_text():
     inst = parse_instance(io.StringIO(MSSC_TEXT))
     assert isinstance(inst, MsscInstance)
@@ -228,3 +247,20 @@ def test_cli_solve_accepts_a_rational_alpha(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run(["solve", str(path), "--alpha", "0.5"])
     assert "decimal literals are not accepted" in capsys.readouterr().err
+
+
+def test_deep_formula_parses_round_trips_and_fails_cleanly(tmp_path, capsys):
+    # a right-nested chain of 1200 leaves is far deeper than the recursion limit
+    leaves = 1200
+    expr = f"x{leaves}"
+    for i in range(leaves - 1, 0, -1):
+        expr = f"(and x{i} {expr})"
+    lines = ["msop rof v1"] + [f"var {i} 1/2 1" for i in range(1, leaves + 1)]
+    text = "\n".join(lines + [f"formula {expr}"]) + "\n"
+    formula = parse_instance_text(text)
+    assert formula.variables == tuple(range(1, leaves + 1))
+    assert serialize_instance(formula) == text
+    path = tmp_path / "deep.msop"
+    path.write_text(text, encoding="utf-8")
+    assert run(["exact", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: TooLarge: ")
