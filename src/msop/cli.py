@@ -17,12 +17,13 @@ from .core import (
     Chain,
     DensityResult,
     INF,
+    MsopInstance,
     chain_cost,
     chain_to_permutation,
     greedy_chain,
     permutation_to_chain,
 )
-from .errors import MsopError, ParseError
+from .errors import MsopError, NotInFamily, ParseError
 from .formats import (
     Instance,
     file_kind,
@@ -53,11 +54,22 @@ def _rational_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_base(text: str) -> frozenset[int]:
+def _parse_base(text: str, instance: MsopInstance) -> frozenset[int]:
+    """The ``--base`` ids: comma or space separated, ``-`` or empty for none;
+    every id must be in the instance's ground set."""
     text = text.strip()
     if not text or text == "-":
         return frozenset()
-    return frozenset(int(tok) for tok in text.replace(",", " ").split())
+    ids = []
+    for tok in text.replace(",", " ").split():
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ParseError(f"base id {tok!r} is not an integer") from None
+    base = frozenset(ids)
+    if not base <= frozenset(instance.ground_set):
+        raise NotInFamily(f"base {sorted(base)} is not in the family")
+    return base
 
 
 class Toolchain:
@@ -141,7 +153,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_density(args) -> int:
     chain_tools = Toolchain(parse_instance(args.file))
-    base = _parse_base(args.base)
+    base = _parse_base(args.base, chain_tools.instance)
     result = chain_tools.density(base)
     _emit("kind", chain_tools.detail)
     _emit("base", _format_set(result.base))
@@ -164,7 +176,7 @@ def _cmd_exact(args) -> int:
         _emit("chain", _format_chain(chain))
         _emit("cost", format_rational(cost))
     else:
-        result = exact.exact_max_density(instance, _parse_base(args.base))
+        result = exact.exact_max_density(instance, _parse_base(args.base, instance))
         _emit("base", _format_set(result.base))
         _emit("candidate", _format_set(result.candidate))
         _emit("density", _format_density(result.marginal_density))
@@ -258,8 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first ``run`` and reused by every later one in the process;
+# ``build_parser`` itself returns a fresh parser on each call
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.run(args)
     except (MsopError, OSError) as exc:

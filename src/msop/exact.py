@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .core import (
     Chain,
@@ -82,6 +83,18 @@ def _tabulate(instance: MsopInstance):
     return subsets, feasible, f, g
 
 
+def _scaled_tables(instance: MsopInstance):
+    """``_tabulate`` with the cost and weight columns scaled to ``int``s by
+    the lcm of each column's denominators; a DP value over the scaled
+    columns, divided by the returned scale, is the value over the oracles."""
+    subsets, feasible, f, g = _tabulate(instance)
+    fd = lcm(*(v.denominator for v in f))
+    gd = lcm(*(v.denominator for v in g))
+    f_int = [v.numerator * (fd // v.denominator) for v in f]
+    g_int = [v.numerator * (gd // v.denominator) for v in g]
+    return subsets, feasible, f_int, g_int, fd * gd
+
+
 def exact_opt_permutation(
     instance: MsopInstance, cap: int | None = None
 ) -> tuple[Permutation, Rational]:
@@ -91,24 +104,25 @@ def exact_opt_permutation(
     """
     n = instance.n
     _cap_for("perm", n, cap)
-    subsets, feasible, f, g = _tabulate(instance)
+    subsets, feasible, f, g, scale = _scaled_tables(instance)
     full = (1 << n) - 1
-    # best[S] = cheapest completion cost from prefix set S to the full set
-    best: list[Rational | None] = [None] * (full + 1)
+    # best[S] = cheapest completion cost from prefix set S to the full set,
+    # None when S is infeasible or has no feasible completion
+    best: list[int | None] = [None] * (full + 1)
     best[full] = 0
     for s in range(full - 1, -1, -1):
         if not feasible[s]:
             continue
         gs = g[s]
-        acc: Rational | None = None
-        rem = full & ~s
-        m = rem
+        acc: int | None = None
+        m = full & ~s
         while m:
             bit = m & -m
             m ^= bit
             t = s | bit
-            if feasible[t] and best[t] is not None:
-                cand = f[t] * (g[t] - gs) + best[t]
+            rest = best[t]
+            if rest is not None:
+                cand = f[t] * (g[t] - gs) + rest
                 if acc is None or cand < acc:
                     acc = cand
         best[s] = acc
@@ -124,22 +138,22 @@ def exact_opt_permutation(
             if s & bit:
                 continue
             t = s | bit
-            if feasible[t] and best[t] is not None and f[t] * (g[t] - g[s]) + best[t] == best[s]:
+            if best[t] is not None and f[t] * (g[t] - g[s]) + best[t] == best[s]:
                 order.append(ground[i])
                 s = t
                 break
         else:  # pragma: no cover - best[s] finite guarantees an extension
             raise AssertionError("optimal extension must exist")
-    return Permutation(tuple(order)), best[0]
+    return Permutation(tuple(order)), Fraction(best[0], scale)
 
 
 def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Chain, Rational]:
     """Global minimum over all feasible chains of any length."""
     n = instance.n
     _cap_for("chain", n, cap)
-    subsets, feasible, f, g = _tabulate(instance)
+    subsets, feasible, f, g, scale = _scaled_tables(instance)
     full = (1 << n) - 1
-    best: list[Rational | None] = [None] * (full + 1)
+    best: list[int | None] = [None] * (full + 1)
     best[0] = 0
     parent = [0] * (full + 1)
     for s in range(1, full + 1):
@@ -147,12 +161,13 @@ def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Cha
             continue
         fs = f[s]
         gs = g[s]
-        acc: Rational | None = None
+        acc: int | None = None
         arg = 0
         a = (s - 1) & s
         while True:
-            if feasible[a] and best[a] is not None:
-                cand = best[a] + fs * (gs - g[a])
+            before = best[a]
+            if before is not None:
+                cand = before + fs * (gs - g[a])
                 if acc is None or cand < acc:
                     acc = cand
                     arg = a
@@ -167,7 +182,7 @@ def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Cha
     while masks[-1] != 0:
         masks.append(parent[masks[-1]])
     sets = tuple(subsets[m] for m in reversed(masks))
-    return Chain(sets), cost
+    return Chain(sets), Fraction(cost, scale)
 
 
 # per subset bitmask: (in family, cost, weight); every mask outside the

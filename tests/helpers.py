@@ -1,5 +1,6 @@
 """Independent brute-force oracles used to pin expected values, and the
-reference density steps that the fast ones are tested against.
+reference lattice DPs and density steps that the fast ones are tested
+against.
 
 The brute-force oracles deliberately avoid the library's lattice DPs:
 permutations are enumerated with itertools, chains by recursive descent,
@@ -11,9 +12,11 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from msop.core import Chain, DensityResult, INF, MsopInstance, marginal_density
+from msop import exact
+from msop.core import Chain, DensityResult, INF, MsopInstance, Permutation, marginal_density
 from msop.errors import (
     EmptyRemainder,
+    NoFeasiblePermutation,
     NoFeasibleSuperset,
     NonMonotone,
     NotInFamily,
@@ -108,6 +111,87 @@ def brute_max_density(instance: MsopInstance, base):
             if best is None or rho > best:
                 best = rho
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference lattice DPs: the ``Fraction`` versions that the library's
+# integer DPs replaced, on the same tabulation.
+
+
+def ref_exact_opt_permutation(instance: MsopInstance):
+    """Cheapest feasible permutation, ties to the lexicographically smallest."""
+    n = instance.n
+    subsets, feasible, f, g = exact._tabulate(instance)
+    full = (1 << n) - 1
+    best = [None] * (full + 1)
+    best[full] = 0
+    for s in range(full - 1, -1, -1):
+        if not feasible[s]:
+            continue
+        gs = g[s]
+        acc = None
+        rem = full & ~s
+        m = rem
+        while m:
+            bit = m & -m
+            m ^= bit
+            t = s | bit
+            if feasible[t] and best[t] is not None:
+                cand = f[t] * (g[t] - gs) + best[t]
+                if acc is None or cand < acc:
+                    acc = cand
+        best[s] = acc
+    if best[0] is None:
+        raise NoFeasiblePermutation("the family rejects every ordering")
+    ground = instance.ground_set
+    by_id = sorted(range(n), key=lambda i: ground[i])
+    order = []
+    s = 0
+    while s != full:
+        for i in by_id:
+            bit = 1 << i
+            if s & bit:
+                continue
+            t = s | bit
+            if feasible[t] and best[t] is not None and f[t] * (g[t] - g[s]) + best[t] == best[s]:
+                order.append(ground[i])
+                s = t
+                break
+    return Permutation(tuple(order)), best[0]
+
+
+def ref_exact_opt_chain(instance: MsopInstance):
+    """Cheapest feasible chain; each set's predecessor is the first strict
+    improvement in descending-submask order."""
+    n = instance.n
+    subsets, feasible, f, g = exact._tabulate(instance)
+    full = (1 << n) - 1
+    best = [None] * (full + 1)
+    best[0] = 0
+    parent = [0] * (full + 1)
+    for s in range(1, full + 1):
+        if not feasible[s]:
+            continue
+        fs = f[s]
+        gs = g[s]
+        acc = None
+        arg = 0
+        a = (s - 1) & s
+        while True:
+            if feasible[a] and best[a] is not None:
+                cand = best[a] + fs * (gs - g[a])
+                if acc is None or cand < acc:
+                    acc = cand
+                    arg = a
+            if a == 0:
+                break
+            a = (a - 1) & s
+        best[s] = acc
+        parent[s] = arg
+    masks = [full]
+    while masks[-1] != 0:
+        masks.append(parent[masks[-1]])
+    return Chain(tuple(subsets[m] for m in reversed(masks))), best[full]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The references in ``helpers`` re-evaluate everything at every step; the
 library's steps are incremental and integer-exact.  They must agree on the
 set chosen at every step, so whole greedy chains and their densities are
 compared: for the polynomial steps at sizes far above the exhaustive caps,
-for the exhaustive step at 10 to 14 elements.
+for the exhaustive step at 10 to 14 elements.  The lattice DPs, which run
+on scaled integers, are compared with their ``Fraction`` versions up to the
+exhaustive caps.
 """
 
 import random
@@ -13,14 +15,16 @@ from fractions import Fraction
 
 import pytest
 
-from msop import INF, dual, exact, greedy_chain, mssc, orsched, rof, xsearch
-from msop.errors import NonMonotone, NotMultitree
-from msop.generators import gen_generic_msop, gen_instance, gen_or_pipelined
+from msop import INF, cli, dual, exact, greedy_chain, mssc, orsched, rof, xsearch
+from msop.errors import NoFeasiblePermutation, NonMonotone, NotMultitree
+from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined
 from msop.orsched import OrDag
 
 from helpers import (
     ref_compute_rp,
     ref_exact_max_density,
+    ref_exact_opt_chain,
+    ref_exact_opt_permutation,
     ref_find_supp,
     ref_g_determined,
     ref_greedy_chain,
@@ -328,3 +332,76 @@ def test_xsearch_oracles_equal_fraction_sums():
             touched = {x for i in s for x in edges[i][:2]} - {graph.root}
             assert inst.cost(s) == sum((Fraction(edges[i][2]) for i in s), Fraction(0))
             assert inst.weight(s) == sum((Fraction(graph.probs[v]) for v in touched), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# lattice DPs: integers scaled by the column lcms against the Fraction DPs
+
+
+def assert_same_optima(inst, chain=True):
+    try:
+        want = ref_exact_opt_permutation(inst)
+    except NoFeasiblePermutation:
+        with pytest.raises(NoFeasiblePermutation):
+            exact.exact_opt_permutation(inst)
+    else:
+        perm, cost = exact.exact_opt_permutation(inst)
+        assert (perm.order, cost) == (want[0].order, want[1])
+    if chain:
+        got, want = exact.exact_opt_chain(inst), ref_exact_opt_chain(inst)
+        assert (got[0].sets, got[1]) == (want[0].sets, want[1])
+
+
+def seeded_instance(kind, n, seed):
+    if kind == "xsearch":
+        return xsearch_instance(n, seed)
+    return cli.Toolchain(gen_instance(kind, n, seed)).instance
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lattice_dps_match_reference_on_seeded_instances(kind):
+    caps = exact.exhaustive_caps()
+    for n in range(1, caps["perm"] + 1):
+        for seed in (1, 2):
+            inst = seeded_instance(kind, n, seed)
+            assert inst.n == n
+            assert_same_optima(inst, chain=n <= caps["chain"])
+
+
+def fraction_tables(inst, rng, costs, weights):
+    """``inst`` with cost and weight tables drawn as fractions over the
+    given denominators, zero on the empty set."""
+    full = (1 << inst.n) - 1
+    f = [Fraction(rng.randint(0, 9), rng.choice(costs)) for _ in range(full + 1)]
+    g = [Fraction(rng.randint(0, 9), rng.choice(weights)) for _ in range(full + 1)]
+    f[0] = g[0] = 0
+
+    def mask(s):
+        return sum(1 << v for v in s)
+
+    return replace(inst, cost=lambda s: f[mask(s)], weight=lambda s: g[mask(s)])
+
+
+def test_lattice_dps_match_reference_with_mixed_denominators():
+    rng = random.Random(51)
+    for seed in range(60):
+        n = 3 + seed % 5
+        inst = fraction_tables(gen_generic_msop(n, 800 + seed), rng, (1, 2, 3, 5, 7), (1, 4, 6, 9))
+        assert_same_optima(inst)
+
+
+def test_lattice_dps_match_reference_through_ties():
+    # a constant cost makes every feasible chain cost weight(V)/3, and every
+    # feasible permutation too; small integer tables tie often as well
+    rng = random.Random(52)
+    split = 0
+    for seed in range(40):
+        n = 3 + seed % 5
+        inst = gen_generic_msop(n, 900 + seed)
+        flat = replace(inst, cost=lambda s: Fraction(len(s) > 0, 3))
+        assert_same_optima(flat)
+        # the first strict improvement is the largest feasible strict
+        # subset of V; a non-strict one would end at the empty set
+        split += len(exact.exact_opt_chain(flat)[0].sets) > 2
+        assert_same_optima(fraction_tables(inst, rng, (2,), (3,)))
+    assert split >= 20, split

@@ -264,3 +264,65 @@ def test_deep_formula_parses_round_trips_and_fails_cleanly(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert run(["exact", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: TooLarge: ")
+
+
+@pytest.mark.parametrize(
+    "kind, n, outside",
+    [("inforest", 6, "0,99"), ("mssc", 6, "99"), ("rof", 6, "0")],
+)
+def test_cli_density_rejects_a_base_outside_the_ground_set(tmp_path, capsys, kind, n, outside):
+    # rof variables are numbered from 1, so 0 lies outside its ground set
+    path = tmp_path / f"{kind}.msop"
+    run(["gen", kind, "--n", str(n), "--seed", "2", "--out", str(path)])
+    capsys.readouterr()
+    assert run(["density", str(path), "--base", outside]) == 1
+    assert capsys.readouterr().err.startswith("error: NotInFamily: base ")
+
+
+def test_cli_base_with_a_non_integer_id_is_an_error(tmp_path, capsys):
+    path = tmp_path / "m.msop"
+    run(["gen", "mssc", "--n", "5", "--seed", "3", "--out", str(path)])
+    capsys.readouterr()
+    for argv in (["density", str(path)], ["exact", str(path), "--mode", "density"]):
+        assert run([*argv, "--base", "1,x"]) == 1
+        assert capsys.readouterr().err == "error: ParseError: base id 'x' is not an integer\n"
+
+
+def test_cli_reuses_one_parser_with_the_output_of_a_fresh_one(tmp_path, capsys, monkeypatch):
+    from msop import cli
+
+    path = str(tmp_path / "m.msop")
+    run(["gen", "pipelined", "--n", "6", "--seed", "4", "--out", path])
+    capsys.readouterr()
+    calls = [
+        ["solve", path, "--backward"],
+        ["solve", path],
+        ["exact", path, "--mode", "chain"],
+        ["exact", path],
+        ["solve", path, "--alpha", "3/2"],
+        ["solve", path, "--alpha", "x"],
+        ["solve", path],
+        ["check-ratio"],
+        ["exact", path],
+    ]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(outcome(argv))
+    monkeypatch.setattr(cli, "_parser", None)
+    reused, parsers = [], []
+    for argv in calls:
+        reused.append(outcome(argv))
+        parsers.append(cli._parser)
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, "exit 2", 0, "exit 2", 0]
+    assert reused == fresh
+    assert all(parser is parsers[0] for parser in parsers)
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,8 +1,10 @@
 """CLI reports compared byte for byte with committed golden reports.
 
 ``tests/golden`` holds one small seeded instance file per kind and the
-``solve``, ``solve --backward`` and ``check-ratio`` reports on it, with the
-``wall_time_s`` line left out; stderr lines and the exit code are appended.
+``solve``, ``solve --backward``, ``check-ratio``, ``exact --mode perm`` and
+``exact --mode chain`` reports on it, with the ``wall_time_s`` line left out;
+stderr lines and the exit code are appended.  The chain report runs with the
+chain cap raised to 9, the largest golden ground set.
 A change meant to keep every report byte-identical must leave these tests
 passing.  ``python tests/test_golden.py`` writes the instance files and the
 reports afresh, for a change that alters a report on purpose.
@@ -32,7 +34,11 @@ COMMANDS = {
     "solve": ("solve",),
     "backward": ("solve", "--backward"),
     "check-ratio": ("check-ratio",),
+    "exact-perm": ("exact", "--mode", "perm"),
+    "exact-chain": ("exact", "--mode", "chain"),
 }
+# exhaustive caps a command runs with, where the defaults would refuse it
+CAPS = {"exact-chain": "chain=9"}
 
 
 def report(name: str, argv) -> str:
@@ -52,6 +58,8 @@ def report(name: str, argv) -> str:
 @pytest.mark.parametrize("kind", [kind for kind, _, _ in INSTANCES])
 def test_report_matches_golden(kind, command, monkeypatch):
     monkeypatch.chdir(GOLDEN)
+    if command in CAPS:
+        monkeypatch.setenv("MSOP_EXACT_CAPS", CAPS[command])
     want = (GOLDEN / f"{kind}.{command}.out").read_text(encoding="utf-8")
     assert report(f"{kind}.msop", COMMANDS[command]) == want
 
@@ -67,9 +75,13 @@ def write_golden() -> None:
             serialize_instance(gen_instance(kind, n, seed)), encoding="utf-8"
         )
         for command, argv in COMMANDS.items():
+            os.environ.pop("MSOP_EXACT_CAPS", None)
+            if command in CAPS:
+                os.environ["MSOP_EXACT_CAPS"] = CAPS[command]
             Path(f"{kind}.{command}.out").write_text(
                 report(f"{kind}.msop", argv), encoding="utf-8"
             )
+    os.environ.pop("MSOP_EXACT_CAPS", None)
 
 
 if __name__ == "__main__":
