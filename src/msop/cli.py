@@ -1,8 +1,9 @@
 """Command-line driver: solve, density, exact, check-ratio, gen.
 
 Reports are line-oriented ``key=value`` records on stdout.  Exit codes:
-0 success, 1 error, 2 a certified bound was violated by check-ratio (which
-would falsify a hypothesis or reveal a bug, so it is distinguished).
+0 success, 1 error (a bad command line too), 2 a certified bound was
+violated by check-ratio (which would falsify a hypothesis or reveal a bug,
+so it is distinguished).
 """
 
 from __future__ import annotations
@@ -234,10 +235,17 @@ def _cmd_check_ratio(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 with ``error: ...`` on a bad command line, where argparse
+    would exit 2, the code ``msop`` keeps for a violated bound; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="msop", description="min-sum ordering solver toolkit"
-    )
+    parser = _Parser(prog="msop", description="min-sum ordering solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="greedy chain plus consistent permutation")

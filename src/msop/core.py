@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     SolverStall,
     ValidationError,
 )
+from .lattice import Lattice, build_lattice
 
 Rational = int | Fraction
 Density = int | Fraction | float  # float solely for the +inf sentinel
@@ -101,6 +103,13 @@ class MsopInstance:
     @property
     def n(self) -> int:
         return len(self.ground_set)
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """Membership, cost and weight of all 2^n subsets (see
+        ``msop.lattice``), built on first use and kept with the instance;
+        ``dataclasses.replace`` makes an instance without it."""
+        return build_lattice(self)
 
     def universe(self) -> frozenset[int]:
         return frozenset(self.ground_set)

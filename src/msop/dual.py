@@ -20,6 +20,7 @@ from .core import (
     greedy_chain,
     marginal_density,
 )
+from .lattice import complemented, supply
 
 SolverFactory = Callable[[MsopInstance], DensitySolver]
 
@@ -39,7 +40,13 @@ def _dual_flags(flags: StructuralFlags) -> StructuralFlags:
 
 
 def dualize(instance: MsopInstance) -> MsopInstance:
-    """Dual instance; dualizing twice is extensionally the identity."""
+    """Dual instance; dualizing twice is extensionally the identity.
+
+    The dual's lattice columns are the primal's read backwards (mask m
+    stands for the complement of the primal's mask m), with the cost and
+    weight columns and their scales trading places, so an exhaustive step
+    on the dual calls no dual oracle.
+    """
     universe = instance.universe()
     cost_fn, weight_fn, family = instance.cost, instance.weight, instance.in_family
     total_cost = cost_fn(universe)
@@ -54,10 +61,17 @@ def dualize(instance: MsopInstance) -> MsopInstance:
     def dual_family(s: frozenset[int]) -> bool:
         return family(universe - s)
 
+    ground = instance.ground_set
+    supply(dual_family, ground, lambda: instance.lattice.feasible[::-1])
+    supply(dual_cost, ground,
+           lambda: complemented(instance.lattice.weight, instance.lattice.weight_scale))
+    supply(dual_weight, ground,
+           lambda: complemented(instance.lattice.cost, instance.lattice.cost_scale))
+
     perms = instance.permutations
     dual_perms = None if perms is None else tuple(tuple(reversed(p)) for p in perms)
     return MsopInstance(
-        instance.ground_set,
+        ground,
         dual_family,
         dual_cost,
         dual_weight,

@@ -4,6 +4,8 @@ The optimal-permutation and optimal-chain oracles run dynamic programs over
 the subset lattice: every feasible permutation is a path through feasible
 prefix sets and every chain is a path through nested feasible sets, so the
 lattice DP minimises over exactly the stated search space with no sampling.
+These DPs and the exhaustive density step read every subset's membership,
+cost and weight from the instance's ``msop.lattice.Lattice``.
 Caps are hard errors, never silent truncation; they can be overridden with
 the MSOP_EXACT_CAPS environment variable, e.g. ``perm=10,chain=8,density=22``.
 """
@@ -13,8 +15,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
 from .core import (
     Chain,
@@ -37,6 +37,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
+from .lattice import Lattice
 
 _DEFAULT_CAPS = {"perm": 9, "chain": 7, "density": 20}
 
@@ -62,37 +63,13 @@ def _cap_for(what: str, n: int, cap: int | None) -> None:
         raise TooLarge(what, n, limit)
 
 
-@lru_cache(maxsize=64)
-def _subsets_of(ground: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    n = len(ground)
-    out = []
-    for mask in range(1 << n):
-        out.append(frozenset(ground[i] for i in range(n) if mask >> i & 1))
-    return tuple(out)
-
-
-def _tabulate(instance: MsopInstance):
-    subsets = _subsets_of(instance.ground_set)
-    feasible = [instance.in_family(s) for s in subsets]
-    f = [instance.cost(s) for s in subsets]
-    g = [instance.weight(s) for s in subsets]
-    if not feasible[0] or not feasible[-1]:
+def _checked_lattice(instance: MsopInstance) -> Lattice:
+    lattice = instance.lattice
+    if not lattice.feasible[0] or not lattice.feasible[-1]:
         raise ValidationError("family must contain the empty set and the full ground set")
-    if f[0] != 0 or g[0] != 0:
+    if lattice.cost[0] or lattice.weight[0]:
         raise ValidationError("cost and weight must vanish on the empty set")
-    return subsets, feasible, f, g
-
-
-def _scaled_tables(instance: MsopInstance):
-    """``_tabulate`` with the cost and weight columns scaled to ``int``s by
-    the lcm of each column's denominators; a DP value over the scaled
-    columns, divided by the returned scale, is the value over the oracles."""
-    subsets, feasible, f, g = _tabulate(instance)
-    fd = lcm(*(v.denominator for v in f))
-    gd = lcm(*(v.denominator for v in g))
-    f_int = [v.numerator * (fd // v.denominator) for v in f]
-    g_int = [v.numerator * (gd // v.denominator) for v in g]
-    return subsets, feasible, f_int, g_int, fd * gd
+    return lattice
 
 
 def exact_opt_permutation(
@@ -104,7 +81,8 @@ def exact_opt_permutation(
     """
     n = instance.n
     _cap_for("perm", n, cap)
-    subsets, feasible, f, g, scale = _scaled_tables(instance)
+    lattice = _checked_lattice(instance)
+    feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
     full = (1 << n) - 1
     # best[S] = cheapest completion cost from prefix set S to the full set,
     # None when S is infeasible or has no feasible completion
@@ -144,14 +122,15 @@ def exact_opt_permutation(
                 break
         else:  # pragma: no cover - best[s] finite guarantees an extension
             raise AssertionError("optimal extension must exist")
-    return Permutation(tuple(order)), Fraction(best[0], scale)
+    return Permutation(tuple(order)), Fraction(best[0], lattice.cost_scale * lattice.weight_scale)
 
 
 def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Chain, Rational]:
     """Global minimum over all feasible chains of any length."""
     n = instance.n
     _cap_for("chain", n, cap)
-    subsets, feasible, f, g, scale = _scaled_tables(instance)
+    lattice = _checked_lattice(instance)
+    feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
     full = (1 << n) - 1
     best: list[int | None] = [None] * (full + 1)
     best[0] = 0
@@ -181,14 +160,9 @@ def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Cha
     masks = [full]
     while masks[-1] != 0:
         masks.append(parent[masks[-1]])
-    sets = tuple(subsets[m] for m in reversed(masks))
-    return Chain(sets), Fraction(cost, scale)
-
-
-# per subset bitmask: (in family, cost, weight); every mask outside the
-# family shares the one sentinel entry
-Entry = tuple[bool, Rational, Rational]
-_INFEASIBLE: Entry = (False, 0, 0)
+    ground = instance.ground_set
+    sets = tuple(frozenset(_members(ground, m)) for m in reversed(masks))
+    return Chain(sets), Fraction(cost, lattice.cost_scale * lattice.weight_scale)
 
 
 def _members(ground: tuple[int, ...], mask: int) -> list[int]:
@@ -200,20 +174,9 @@ def _members(ground: tuple[int, ...], mask: int) -> list[int]:
     return out
 
 
-def _entry(instance: MsopInstance, s: frozenset[int]) -> Entry:
-    if not instance.in_family(s):
-        return _INFEASIBLE
-    return (True, instance.cost(s), instance.weight(s))
-
-
-def _densest_superset(
-    instance: MsopInstance, base: frozenset[int], table: list[Entry | None] | None
-) -> DensityResult:
-    """The exhaustive step over every strict superset of ``base``.
-
-    With ``table`` (2^n slots indexed by bitmask over the ground set) each
-    subset's oracles run once per table; without it, once per call.
-    """
+def _densest_superset(instance: MsopInstance, base: frozenset[int]) -> DensityResult:
+    """The exhaustive step over every strict superset of ``base``, read
+    off the instance's lattice."""
     base = frozenset(base)
     ground = instance.ground_set
     index = {v: i for i, v in enumerate(ground)}
@@ -222,42 +185,27 @@ def _densest_superset(
         if v not in index:
             raise NotInFamily(f"base {sorted(base)} is not in the family")
         base_mask |= 1 << index[v]
-    entry = None if table is None else table[base_mask]
-    if entry is None:
-        entry = _entry(instance, base)
-        if table is not None:
-            table[base_mask] = entry
-    feasible, f_base, g_base = entry
-    if not feasible:
+    lattice = instance.lattice
+    feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
+    if not feasible[base_mask]:
         raise NotInFamily(f"base {sorted(base)} is not in the family")
-    # gains are compared on integers: with f = fn/fd and the base's cost
-    # fbn/fbd, the cost gain is (fn*fbd - fbn*fd) / (fd*fbd); the density's
-    # fixed factor fbd/gbd is left out of every candidate and put back once
-    fbn, fbd = f_base.numerator, f_base.denominator
-    gbn, gbd = g_base.numerator, g_base.denominator
+    # gains are compared on the scaled integers: both scales are common to
+    # every candidate, so they are left out and put back once in the density
+    f_base, g_base = f[base_mask], g[base_mask]
     best_mask = 0
     best_gain = best_spent = 0
     comp = ((1 << len(ground)) - 1) & ~base_mask
     x = comp
     while x:
         mask = base_mask | x
-        entry = None if table is None else table[mask]
-        if entry is None:
-            entry = _entry(instance, base.union(_members(ground, x)))
-            if table is not None:
-                table[mask] = entry
-        feasible, f, g = entry
-        if feasible:
-            f_den, g_den = f.denominator, g.denominator
-            spent = f.numerator * fbd - fbn * f_den
-            gain = g.numerator * gbd - gbn * g_den
+        if feasible[mask]:
+            spent = f[mask] - f_base
+            gain = g[mask] - g_base
             if spent < 0 or gain < 0:
                 candidate = base.union(_members(ground, x))
                 raise NonMonotone(
                     f"value decreased between {sorted(base)} and {sorted(candidate)}"
                 )
-            gain *= f_den
-            spent *= g_den
             if not best_mask:
                 order = 1
             else:
@@ -269,7 +217,11 @@ def _densest_superset(
         x = (x - 1) & comp
     if not best_mask:
         raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
-    rho: Density = INF if not best_spent else Fraction(best_gain * fbd, best_spent * gbd)
+    rho: Density = (
+        INF
+        if not best_spent
+        else Fraction(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
+    )
     return DensityResult(base, base.union(_members(ground, best_mask)), rho, 1)
 
 
@@ -290,28 +242,24 @@ def exact_max_density(
     """Maximum marginal density over feasible strict supersets of ``base``.
 
     The +inf sentinel beats every finite density; ties break to the smallest
-    cardinality and then lexicographically on the sorted element ids.
+    cardinality and then lexicographically on the sorted element ids.  The
+    first call on an instance builds its lattice of 2^n subsets, which
+    later calls on the same instance reuse.
     """
     _cap_for("density", instance.n, cap)
-    return _densest_superset(instance, base, None)
+    return _densest_superset(instance, base)
 
 
 def exact_density_solver(instance: MsopInstance, cap: int | None = None) -> DensitySolver:
     """Exhaustive density solver (factor 1) for use with the greedy loop.
 
-    The solver keeps every subset's family membership, cost and weight in a
-    table of up to 2^n entries, filled as the steps reach them.  A greedy
-    step's candidates are supersets of the previous step's winner, so after
-    the first step a greedy run calls no oracle here.  The cap is checked on
-    every call, not when the solver is built.
+    Every step reads the instance's lattice, built by the first one, so a
+    greedy run calls no oracle inside a step after that.  The cap is
+    checked on every call, not when the solver is built.
     """
-    table: list[Entry | None] = []
 
     def solve(base: frozenset[int]) -> DensityResult:
-        _cap_for("density", instance.n, cap)
-        if not table:
-            table.extend([None] * (1 << instance.n))
-        return _densest_superset(instance, base, table)
+        return exact_max_density(instance, base, cap)
 
     return solve
 

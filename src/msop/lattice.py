@@ -1,0 +1,173 @@
+"""Every subset's family membership, cost and weight, as bitmask columns.
+
+The exhaustive oracles (the exhaustive density step and the permutation and
+chain DPs) read one ``Lattice`` per instance.  A subset is a bitmask over
+the instance's ground-set order: bit i stands for ``ground_set[i]``.  The
+feasibility column is a ``bytearray``; the cost and weight columns hold
+ints, each scaled by one positive integer, so a set's cost is
+``cost[mask] / cost_scale`` and its weight ``weight[mask] / weight_scale``.
+Cost and weight are only meaningful on feasible masks.
+
+An adapter that knows how its oracles are built supplies their columns:
+``supply`` attaches a column builder to the oracle function itself, so the
+column travels with the function, and ``dataclasses.replace(instance,
+weight=...)`` drops the weight column and keeps the other two.  A column
+with no builder comes from one sweep over the oracles, which builds each
+subset from a smaller one and calls cost and weight only on feasible sets.
+
+The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
+are the masks below 2^i with bit i added, so a column grows in blocks,
+each block computed from the one before by a list comprehension.
+"""
+
+from __future__ import annotations
+
+from array import array
+from dataclasses import dataclass
+from math import lcm
+from typing import TYPE_CHECKING, Callable, MutableSequence, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .core import MsopInstance
+
+IntColumn = MutableSequence[int]
+Scaled = tuple[IntColumn, int]  # (column, scale): value = column[mask] / scale
+
+# an int column in machine words takes 8 bytes a mask, a list of ints
+# about 36 once the values outgrow Python's small-int cache
+_WORD = 1 << 63
+
+
+@dataclass(frozen=True)
+class Lattice:
+    feasible: bytearray
+    cost: IntColumn
+    cost_scale: int
+    weight: IntColumn
+    weight_scale: int
+
+
+def supply(oracle: Callable, ground: tuple[int, ...], build: Callable[[], object]) -> Callable:
+    """Attach ``build`` to ``oracle`` as the builder of its column over
+    ``ground``; returns ``oracle``.  ``build()`` returns a feasibility
+    ``bytearray`` for a family oracle and a ``(column, scale)`` pair for a
+    cost or weight oracle."""
+    oracle.lattice_column = (ground, build)
+    return oracle
+
+
+def _supplied(oracle: Callable, ground: tuple[int, ...]):
+    found = getattr(oracle, "lattice_column", None)
+    if found is None or found[0] != ground:
+        return None
+    return found[1]()
+
+
+def build_lattice(instance: "MsopInstance") -> Lattice:
+    ground = instance.ground_set
+    feasible = _supplied(instance.in_family, ground)
+    cost = _supplied(instance.cost, ground)
+    weight = _supplied(instance.weight, ground)
+    if feasible is None or cost is None or weight is None:
+        feasible, cost, weight = _sweep(instance, feasible, cost, weight)
+    return Lattice(feasible, cost[0], cost[1], weight[0], weight[1])
+
+
+def _sweep(instance: "MsopInstance", feasible, cost, weight):
+    """The missing columns from the oracles.  Masks are visited depth first,
+    each set built from its parent by adding one element above the
+    parent's highest bit, so at most O(n^2) sets are alive at once."""
+    ground = instance.ground_set
+    n = len(ground)
+    size = 1 << n
+    sweep_family = feasible is None
+    if sweep_family:
+        feasible = bytearray(size)
+    costs = [0] * size if cost is None else None
+    weights = [0] * size if weight is None else None
+    stack = [(0, frozenset(), 0)]
+    while stack:
+        mask, s, start = stack.pop()
+        if sweep_family:
+            feasible[mask] = bool(instance.in_family(s))
+        if feasible[mask]:
+            if costs is not None:
+                costs[mask] = instance.cost(s)
+            if weights is not None:
+                weights[mask] = instance.weight(s)
+        stack.extend((mask | 1 << i, s | {ground[i]}, i + 1) for i in range(start, n))
+    return (
+        feasible,
+        cost if costs is None else _scaled(costs),
+        weight if weights is None else _scaled(weights),
+    )
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """Rationals as ints over the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def int_column(values: Sequence[int], bound: int) -> IntColumn:
+    """``values`` as machine words when every magnitude stays below
+    ``bound`` < 2^63, else as a list."""
+    return array("q", values) if bound < _WORD else list(values)
+
+
+def free_family(n: int) -> bytearray:
+    return bytearray(b"\x01") * (1 << n)
+
+
+def modular_column(values: Sequence) -> Scaled:
+    """Column of S -> sum of ``values[i]`` over the bits i of S:
+    ``col[m | 1 << i] = col[m] + values[i]`` for every m below 2^i."""
+    ints, scale = _scaled(values)
+    col = int_column([0], sum(map(abs, ints)))
+    for c in ints:
+        col.extend([x + c for x in col])
+    return col, scale
+
+
+def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:
+    """Column of S -> total weight of the hyperedges that meet S, for
+    ``edges`` given as (weight, member mask).  Adding bit i to a mask m
+    below 2^i gains the hyperedges through i that miss m; their gain
+    depends only on m's bits inside those hyperedges, and is tabulated
+    once per block over the submasks of that union."""
+    ints, scale = _scaled([w for w, _ in edges])
+    col = int_column([0], sum(ints))
+    for i in range(n):
+        bit = 1 << i
+        through = [(w, members & (bit - 1)) for w, (_, members) in zip(ints, edges)
+                   if members & bit]
+        below = 0
+        for _, lower in through:
+            below |= lower
+        gains = {}
+        sub = below
+        while True:
+            gains[sub] = sum(w for w, lower in through if not lower & sub)
+            if not sub:
+                break
+            sub = (sub - 1) & below
+        col.extend([x + gains[m & below] for m, x in enumerate(col)])
+    return col, scale
+
+
+def union_column(parts: Sequence[int], start: int = 0) -> IntColumn:
+    """Column of S -> ``start`` | the OR of ``parts[i]`` over the bits i of
+    S, for masks ``parts`` of at most 62 bits."""
+    col = array("q", [start])
+    for part in parts:
+        col.extend([x | part for x in col])
+    return col
+
+
+def complemented(column: IntColumn, scale: int) -> Scaled:
+    """Column of S -> value(V) - value(V \\ S), over the same scale: the
+    complement of mask m is the full mask minus m, so it reads ``column``
+    backwards."""
+    top = column[-1]
+    values = [top - x for x in reversed(column)]
+    return (array("q", values) if isinstance(column, array) else values), scale

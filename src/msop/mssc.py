@@ -22,6 +22,7 @@ from .core import (
     order_of,
 )
 from .errors import NoFeasibleSuperset, ValidationError
+from .lattice import coverage_column, free_family, modular_column, supply
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,25 @@ def covering_cost(instance: MsscInstance, permutation: Permutation | Sequence[in
 
 
 def to_msop(instance: MsscInstance) -> MsopInstance:
-    """Free-family instance: modular costs, submodular coverage weight."""
+    """Free-family instance: modular costs, submodular coverage weight.
+    All three oracles supply their lattice columns."""
+    n = instance.n
+    ground = tuple(range(n))
 
     def cost(s: frozenset[int]) -> Rational:
         return sum(instance.costs[v] for v in s)
 
+    def weight(s: frozenset[int]) -> Rational:
+        return coverage_weight(instance, s)
+
+    def edge_masks():
+        return [(w, sum(1 << v for v in members)) for w, members in instance.edges]
+
     return MsopInstance(
-        tuple(range(instance.n)),
-        lambda s: True,
-        cost,
-        lambda s: coverage_weight(instance, s),
+        ground,
+        supply(lambda s: True, ground, lambda: free_family(n)),
+        supply(cost, ground, lambda: modular_column(instance.costs)),
+        supply(weight, ground, lambda: coverage_column(n, edge_masks())),
         StructuralFlags(
             union_closed=True,
             intersection_closed=True,

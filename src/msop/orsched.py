@@ -39,6 +39,7 @@ from .errors import (
     NotMultitree,
     ValidationError,
 )
+from .lattice import coverage_column, modular_column, supply, union_column
 
 WeightOracle = Callable[[frozenset[int]], Rational]
 
@@ -220,6 +221,32 @@ def or_initial_membership(dag: OrDag, s: frozenset[int]) -> bool:
         if ps and not any(p in s for p in ps):
             return False
     return True
+
+
+def or_initial_column(dag: OrDag, ground: tuple[int, ...]) -> bytearray:
+    """``or_initial_membership`` of every subset, by bitmask over ``ground``:
+    a set is OR-initial when each member is a source or a successor of
+    another member, so it is checked against the union of its members'
+    successor masks."""
+    bit = {j: 1 << i for i, j in enumerate(ground)}
+    sources = sum(bit[j] for j in ground if not dag.preds[j])
+    satisfied = union_column([sum(bit[k] for k in dag.succs[j]) for j in ground], sources)
+    return bytearray([not m & ~sat for m, sat in enumerate(satisfied)])
+
+
+def _membership_and_cost(dag: OrDag, ground: tuple[int, ...]):
+    """Membership and processing-time cost, with their lattice columns."""
+
+    def in_family(s: frozenset[int]) -> bool:
+        return or_initial_membership(dag, s)
+
+    def cost(s: frozenset[int]) -> Rational:
+        return sum(dag.time_of(j) for j in s)
+
+    return (
+        supply(in_family, ground, lambda: or_initial_column(dag, ground)),
+        supply(cost, ground, lambda: modular_column([dag.time_of(j) for j in ground])),
+    )
 
 
 def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
@@ -414,16 +441,15 @@ def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Ratio
 
 def to_msop(dag: OrDag) -> MsopInstance:
     """OR-scheduling as a min-sum ordering instance (both oracles modular)."""
-    weight = modular_weight_oracle(dag)
-
-    def cost(s: frozenset[int]) -> Rational:
-        return sum(dag.time_of(j) for j in s)
-
+    ground = tuple(sorted(dag.jobs))
+    in_family, cost = _membership_and_cost(dag, ground)
+    weight = supply(modular_weight_oracle(dag), ground,
+                    lambda: modular_column([dag.weight_of(j) for j in ground]))
     # a unique predecessor per job makes the family intersection-closed
     unique_preds = all(len(dag.preds[j]) <= 1 for j in dag.jobs)
     return MsopInstance(
-        tuple(sorted(dag.jobs)),
-        lambda s: or_initial_membership(dag, s),
+        ground,
+        in_family,
         cost,
         weight,
         StructuralFlags(
@@ -445,18 +471,22 @@ def pipelined_to_msop(
         if w < 0 or not members or not members <= set(dag.jobs):
             raise ValidationError("bad hyperedge over the job set")
     frozen_edges = tuple((w, frozenset(m)) for w, m in edges)
+    ground = tuple(sorted(dag.jobs))
+    in_family, cost = _membership_and_cost(dag, ground)
 
     def weight(s: frozenset[int]) -> Rational:
         return sum(w for w, members in frozen_edges if members & s)
 
-    def cost(s: frozenset[int]) -> Rational:
-        return sum(dag.time_of(j) for j in s)
+    def weight_column():
+        bit = {j: 1 << i for i, j in enumerate(ground)}
+        masks = [(w, sum(bit[j] for j in members)) for w, members in frozen_edges]
+        return coverage_column(len(ground), masks)
 
     return MsopInstance(
-        tuple(sorted(dag.jobs)),
-        lambda s: or_initial_membership(dag, s),
+        ground,
+        in_family,
         cost,
-        weight,
+        supply(weight, ground, weight_column),
         StructuralFlags(union_closed=True, f_modular=True, g_submodular=True),
         name="or-pipelined",
     )

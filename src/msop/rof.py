@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Mapping, Sequence
 
 from .core import (
@@ -34,6 +35,7 @@ from .core import (
     order_of,
 )
 from .errors import EmptyRemainder, ValidationError
+from .lattice import free_family, modular_column, supply
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +208,12 @@ def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
 def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
     """Determination probability for every subset, indexed by bitmask over
     the sorted variables.  Exponential in n; meant for small oracles."""
+    column, den = _determination_column(formula)
+    return [Fraction(v, den) for v in column]
+
+
+def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
+    """``determination_table`` as ints over the lcm of its denominators."""
     variables = formula.variables
     bit = {v: i for i, v in enumerate(variables)}
     den = formula.denominators
@@ -231,8 +239,11 @@ def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
             tables[node] = merged
             del tables[node.left], tables[node.right]
     root = tables[formula.root]
-    d = den[formula.root]
-    return [Fraction(root[m][0] + root[m][1], d) for m in range(1 << len(variables))]
+    column = [root[m][0] + root[m][1] for m in range(1 << len(variables))]
+    # the root's denominator is a multiple of every entry's; divide out
+    # what they share
+    common = gcd(den[formula.root], *column)
+    return [v // common for v in column], den[formula.root] // common
 
 
 def evaluate_order_cost(
@@ -394,34 +405,22 @@ def _supplement(
     return tables.chosen(formula.root, outcome, spent), spent, determined
 
 
-def to_msop(formula: ReadOnceFormula, tabulate: bool = False) -> MsopInstance:
+def to_msop(formula: ReadOnceFormula) -> MsopInstance:
     """Free-family instance: modular test costs, determination probability
-    as the weight.  ``tabulate`` precomputes the full weight table (2^n)."""
+    as the weight.  The weight's lattice column is ``determination_table``'s."""
     variables = formula.variables
 
     def cost(subset: frozenset[int]) -> Rational:
         return sum(formula.costs[i] for i in subset)
 
-    if tabulate:
-        table = determination_table(formula)
-        bit = {v: i for i, v in enumerate(variables)}
-
-        def weight(subset: frozenset[int]) -> Rational:
-            m = 0
-            for v in subset:
-                m |= 1 << bit[v]
-            return table[m]
-
-    else:
-
-        def weight(subset: frozenset[int]) -> Rational:
-            return g_determined(formula, subset)
+    def weight(subset: frozenset[int]) -> Rational:
+        return g_determined(formula, subset)
 
     return MsopInstance(
         variables,
-        lambda s: True,
-        cost,
-        weight,
+        supply(lambda s: True, variables, lambda: free_family(len(variables))),
+        supply(cost, variables, lambda: modular_column([formula.costs[i] for i in variables])),
+        supply(weight, variables, lambda: _determination_column(formula)),
         StructuralFlags(union_closed=True, intersection_closed=True, f_modular=True),
         name="rof",
     )

@@ -18,6 +18,7 @@ from math import lcm
 
 from .core import MsopInstance, Rational, StructuralFlags
 from .errors import DisconnectedInput, ValidationError
+from .lattice import IntColumn, int_column, modular_column, supply, union_column
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,57 @@ class SearchGraph:
         return cost_den, costs, prob_den, probs
 
 
+def _vertex_bits(graph: SearchGraph) -> tuple[dict[int, int], list[int]]:
+    """A bit per vertex, and each edge's two endpoint bits as one mask."""
+    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+    return bit, [bit[u] | bit[v] for u, v, _ in graph.edges]
+
+
+def _feasible_column(graph: SearchGraph) -> bytearray:
+    """Feasibility of every edge set, by bitmask over the edges.  A
+    nonempty edge set is feasible when some edge of it touches the root or
+    the vertices of the rest, the rest being feasible; so feasibility
+    spreads from each feasible set to its union with every edge touching
+    the root or its vertices."""
+    bit, ends = _vertex_bits(graph)
+    incident = dict.fromkeys(bit.values(), 0)  # vertex bit -> mask of its edges
+    for e, pair in enumerate(ends):
+        incident[pair & -pair] |= 1 << e
+        incident[pair & (pair - 1)] |= 1 << e
+    reachable = union_column(
+        [incident[pair & -pair] | incident[pair & (pair - 1)] for pair in ends],
+        incident[bit[graph.root]],
+    )
+    feasible = bytearray(len(reachable))
+    feasible[0] = 1
+    for m, edges in enumerate(reachable):
+        if feasible[m]:
+            grow = edges & ~m
+            while grow:
+                low = grow & -grow
+                feasible[m | low] = 1
+                grow ^= low
+    return feasible
+
+
+def _weight_column(graph: SearchGraph) -> tuple[IntColumn, int]:
+    """Scaled mass of the non-root vertices each edge set touches: adding
+    an edge adds the mass of those of its endpoints the set did not touch."""
+    _, _, den, probs = graph._scaled
+    bit, ends = _vertex_bits(graph)
+    mass = {b: probs[v] for v, b in bit.items()}
+    touched = union_column(ends)
+    weight = int_column([0], den)
+    for pair in ends:
+        u, v = pair & -pair, pair & (pair - 1)
+        mu, mv = mass[u], mass[v]
+        weight.extend([
+            w + (0 if t & u else mu) + (0 if t & v else mv)
+            for w, t in zip(weight, touched)
+        ])
+    return weight, den
+
+
 def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
     """Edge-set ordering instance; edges are indexed in input order."""
     m = len(graph.edges)
@@ -122,11 +174,12 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
         total = sum(probs[v] for v in touched)
         return total if den == 1 else Fraction(total, den)
 
+    ground = tuple(range(m))
     return MsopInstance(
-        tuple(range(m)),
-        in_family,
-        cost,
-        weight,
+        ground,
+        supply(in_family, ground, lambda: _feasible_column(graph)),
+        supply(cost, ground, lambda: modular_column([c for _, _, c in graph.edges])),
+        supply(weight, ground, lambda: _weight_column(graph)),
         StructuralFlags(union_closed=True, f_modular=True, g_submodular=True),
         name="xsearch",
     )

@@ -12,7 +12,6 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from msop import exact
 from msop.core import Chain, DensityResult, INF, MsopInstance, Permutation, marginal_density
 from msop.errors import (
     EmptyRemainder,
@@ -115,13 +114,30 @@ def brute_max_density(instance: MsopInstance, base):
 
 # ---------------------------------------------------------------------------
 # Reference lattice DPs: the ``Fraction`` versions that the library's
-# integer DPs replaced, on the same tabulation.
+# integer DPs replaced, on a tabulation through the oracles that does not
+# read the library's lattice.
+
+
+def tabulate(instance: MsopInstance):
+    """Every subset by bitmask over the ground set, with its membership,
+    cost and weight from the oracles."""
+    ground = instance.ground_set
+    n = len(ground)
+    subsets = [frozenset(ground[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    feasible = [instance.in_family(s) for s in subsets]
+    f = [instance.cost(s) for s in subsets]
+    g = [instance.weight(s) for s in subsets]
+    if not feasible[0] or not feasible[-1]:
+        raise ValidationError("family must contain the empty set and the full ground set")
+    if f[0] != 0 or g[0] != 0:
+        raise ValidationError("cost and weight must vanish on the empty set")
+    return subsets, feasible, f, g
 
 
 def ref_exact_opt_permutation(instance: MsopInstance):
     """Cheapest feasible permutation, ties to the lexicographically smallest."""
     n = instance.n
-    subsets, feasible, f, g = exact._tabulate(instance)
+    subsets, feasible, f, g = tabulate(instance)
     full = (1 << n) - 1
     best = [None] * (full + 1)
     best[full] = 0
@@ -164,7 +180,7 @@ def ref_exact_opt_chain(instance: MsopInstance):
     """Cheapest feasible chain; each set's predecessor is the first strict
     improvement in descending-submask order."""
     n = instance.n
-    subsets, feasible, f, g = exact._tabulate(instance)
+    subsets, feasible, f, g = tabulate(instance)
     full = (1 << n) - 1
     best = [None] * (full + 1)
     best[0] = 0

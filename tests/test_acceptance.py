@@ -242,7 +242,7 @@ def test_criterion_06_supplement_half_density():
     for i in range(total):
         n = 2 + i % 9  # up to 10 tests, costs in {1, 2, 3}
         formula = gen_instance("rof", n, SEEDS["supplement"] + i)
-        inst = rof.to_msop(formula, tabulate=True)
+        inst = rof.to_msop(formula)
         universe = set(formula.variables)
         for _ in range(20):
             base = frozenset(v for v in universe if rng.random() < 0.4)
@@ -278,7 +278,7 @@ def test_criterion_07_formula_order_within_eight():
         n = 2 + i % 6  # up to 7 tests
         formula = gen_instance("rof", n, SEEDS["formula"] + i)
         _, perm, cost = rof.rof_greedy(formula)
-        _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula, tabulate=True))
+        _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula))
         assert cost <= 8 * opt_cost, f"seed {i}"
         worst = max(worst, Fraction(cost, opt_cost))
     # pure disjunctions: the greedy order is exactly optimal
@@ -296,7 +296,7 @@ def test_criterion_07_formula_order_within_eight():
             {v: rng.randint(1, 3) for v in leaves},
         )
         _, perm, cost = rof.rof_greedy(formula)
-        _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula, tabulate=True))
+        _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula))
         assert cost == opt_cost, f"pure-or seed {i}"
     _verdict(
         "criterion 7: formula evaluation within 8x, exact on disjunctions",

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from msop import INF, cli, dual, exact, greedy_chain, mssc, orsched, rof, xsearch
-from msop.errors import NoFeasiblePermutation, NonMonotone, NotMultitree
+from msop.errors import DisconnectedInput, NoFeasiblePermutation, NonMonotone, NotMultitree
 from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined
 from msop.orsched import OrDag
 
@@ -34,6 +34,7 @@ from helpers import (
     ref_rof_instance,
     ref_singleton_greedy_density,
     ref_supplement_solver,
+    tabulate,
 )
 
 
@@ -405,3 +406,129 @@ def test_lattice_dps_match_reference_through_ties():
         split += len(exact.exact_opt_chain(flat)[0].sets) > 2
         assert_same_optima(fraction_tables(inst, rng, (2,), (3,)))
     assert split >= 20, split
+
+
+# ---------------------------------------------------------------------------
+# lattice columns: each column an adapter supplies, and each dual column
+# derived by complement, against the oracles on every subset
+
+
+def rational(rng, top=9, zero=False):
+    return Fraction(rng.randint(0 if zero else 1, top), rng.randint(1, 6))
+
+
+def rational_mssc(n, seed):
+    rng = random.Random(seed)
+    parsed = gen_instance("pipelined", n, seed)
+    edges = tuple((rational(rng, zero=True), members) for _, members in parsed.edges)
+    return mssc.to_msop(replace(parsed, costs=tuple(rational(rng) for _ in range(n)), edges=edges))
+
+
+def relabelled_dag(kind, n, seed):
+    """A seeded DAG with rational times and weights, and job ids that are
+    neither 0..n-1 nor listed in sorted order, so bit i is not job i."""
+    rng = random.Random(seed)
+    dag = gen_instance(kind, n, seed)
+    ids = [2 * j + 5 for j in range(n)]
+    rng.shuffle(ids)
+    times = tuple(rational(rng, zero=True) for _ in range(n))
+    weights = tuple(rational(rng, zero=True) for _ in range(n))
+    return OrDag(tuple(ids), times, weights, tuple((ids[i], ids[j]) for i, j in dag.arcs))
+
+
+def rational_or_pipelined(n, seed):
+    rng = random.Random(seed)
+    dag, edges = gen_or_pipelined(n, seed)
+    dag = replace(dag, times=tuple(rational(rng) for _ in range(n)))
+    return orsched.pipelined_to_msop(dag, [(rational(rng, zero=True), m) for _, m in edges])
+
+
+def has_bridge_and_cycle(graph):
+    def connected(edges):
+        try:
+            replace(graph, edges=edges)
+        except DisconnectedInput:
+            return False
+        return True
+
+    cut = any(not connected(graph.edges[:e] + graph.edges[e + 1:]) for e in range(len(graph.edges)))
+    return cut and len(graph.edges) >= len(graph.vertices)
+
+
+def rational_xsearch(edges, seed):
+    """A seeded graph with a bridge and a cycle (the first such seed from
+    ``seed`` on, in steps of 100), rational edge costs and vertex
+    probabilities over different denominators."""
+    vertices = min(edges + 1, edges // 2 + 2)
+    while True:
+        graph = gen_instance("xsearch", vertices, seed, extra=edges - (vertices - 1))
+        if has_bridge_and_cycle(graph):
+            break
+        seed += 100
+    rng = random.Random(seed)
+    raw = {v: rational(rng) for v in graph.vertices}
+    total = sum(raw.values())
+    graph = replace(
+        graph,
+        edges=tuple((u, v, rational(rng)) for u, v, _ in graph.edges),
+        probs={v: p / total for v, p in raw.items()},
+    )
+    return xsearch.xsearch_to_msop(graph)
+
+
+COLUMN_KINDS = {
+    "mssc": lambda n, seed: mssc.to_msop(gen_instance("mssc", n, seed)),
+    "pipelined": rational_mssc,
+    "inforest": lambda n, seed: orsched.to_msop(relabelled_dag("inforest", n, seed)),
+    "multitree": lambda n, seed: orsched.to_msop(relabelled_dag("multitree", n, seed)),
+    "bipartite-or": lambda n, seed: orsched.to_msop(relabelled_dag("bipartite-or", n, seed)),
+    "or-pipelined": rational_or_pipelined,
+    "rof": lambda n, seed: rof.to_msop(gen_instance("rof", n, seed)),
+    "xsearch": rational_xsearch,
+}
+
+
+def assert_columns_match_oracles(inst):
+    ground = inst.ground_set
+    for oracle in (inst.in_family, inst.cost, inst.weight):
+        assert oracle.lattice_column[0] == ground  # supplied, not swept
+    lattice = inst.lattice
+    subsets, feasible, f, g = tabulate(inst)
+    assert list(lattice.feasible) == [int(bool(x)) for x in feasible]
+    for m, ok in enumerate(feasible):
+        if ok:
+            assert Fraction(lattice.cost[m], lattice.cost_scale) == f[m], sorted(subsets[m])
+            assert Fraction(lattice.weight[m], lattice.weight_scale) == g[m], sorted(subsets[m])
+    return lattice
+
+
+@pytest.mark.parametrize("kind", sorted(COLUMN_KINDS))
+def test_supplied_and_dual_columns_match_the_oracles(kind):
+    for n, seed in ((10, 1), (12, 2), (13, 3)):
+        inst = COLUMN_KINDS[kind](n, seed)
+        assert inst.n == n
+        primal = assert_columns_match_oracles(inst)
+        dual_lattice = assert_columns_match_oracles(dual.dualize(inst))
+        assert (dual_lattice.cost_scale, dual_lattice.weight_scale) == (
+            primal.weight_scale, primal.cost_scale)
+
+
+def test_replacing_one_oracle_drops_only_its_column():
+    inst = orsched.to_msop(relabelled_dag("multitree", 10, 5))
+    want = inst.lattice
+    feasible_sets = sum(want.feasible)
+    assert feasible_sets < 2 ** inst.n
+    for name in ("in_family", "cost", "weight"):
+        calls = []
+        oracle = getattr(inst, name)
+        swapped = replace(inst, **{name: lambda s, oracle=oracle: calls.append(s) or oracle(s)})
+        got = swapped.lattice
+        # the sweep asks membership of every subset, cost and weight only of
+        # the feasible ones; the two kept columns call no oracle
+        assert len(calls) == (2 ** inst.n if name == "in_family" else feasible_sets), name
+        assert got.feasible == want.feasible
+        for column in ("cost", "weight"):
+            got_values = [Fraction(v, getattr(got, column + "_scale")) for v in getattr(got, column)]
+            want_values = [Fraction(v, getattr(want, column + "_scale")) for v in getattr(want, column)]
+            assert [v for v, ok in zip(got_values, want.feasible) if ok] == [
+                v for v, ok in zip(want_values, want.feasible) if ok]

@@ -322,7 +322,36 @@ def test_cli_reuses_one_parser_with_the_output_of_a_fresh_one(tmp_path, capsys, 
     for argv in calls:
         reused.append(outcome(argv))
         parsers.append(cli._parser)
-    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, "exit 2", 0, "exit 2", 0]
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, "exit 1", 0, "exit 1", 0]
     assert reused == fresh
     assert all(parser is parsers[0] for parser in parsers)
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-ratio"], "msop check-ratio: the following arguments are required: file"),
+        (["solve", "{path}", "--alpha", "x"], "msop solve: argument --alpha: bad rational 'x'"),
+        ([], "msop: the following arguments are required: command"),
+        (["exact", "{path}", "--mode", "all"], "msop exact: argument --mode: invalid choice"),
+    ],
+)
+def test_cli_argument_errors_exit_1_not_the_bound_code(tmp_path, capsys, argv, message):
+    path = tmp_path / "m.msop"
+    run(["gen", "mssc", "--n", "4", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(path=path) for arg in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: msop solve")

@@ -261,7 +261,7 @@ def test_find_supp_half_density_guarantee_smoke():
     rng = random.Random(26)
     for seed in range(20):
         f = gen_instance("rof", 2 + seed % 8, 120 + seed)
-        inst = to_msop(f, tabulate=True)
+        inst = to_msop(f)
         vs = set(f.variables)
         for _ in range(8):
             base = frozenset(v for v in vs if rng.random() < 0.4)
@@ -305,7 +305,7 @@ def test_rof_greedy_optimal_on_pure_or():
         costs = {v: rng.randint(1, 3) for v in leaves}
         f = ReadOnceFormula(root, probs, costs)
         _, perm, cost = rof_greedy(f)
-        _, opt = exact.exact_opt_permutation(to_msop(f, tabulate=True))
+        _, opt = exact.exact_opt_permutation(to_msop(f))
         assert cost == opt
         ratios = [Fraction(probs[v], costs[v]) for v in perm.order]
         assert ratios == sorted(ratios, reverse=True)
@@ -325,7 +325,7 @@ def test_rof_greedy_ratio_smoke():
     for seed in range(30):
         f = gen_instance("rof", 2 + seed % 6, 200 + seed)
         _, perm, cost = rof_greedy(f)
-        _, opt = exact.exact_opt_permutation(to_msop(f, tabulate=True))
+        _, opt = exact.exact_opt_permutation(to_msop(f))
         assert cost <= 8 * opt
 
 
