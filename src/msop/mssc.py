@@ -58,7 +58,7 @@ def coverage_weight(instance: MsscInstance, s: frozenset[int]) -> Rational:
     """Total weight of hyperedges containing at least one element of ``s``."""
     total: Rational = 0
     for w, members in instance.edges:
-        if members & s:
+        if not members.isdisjoint(s):
             total += w
     return total
 
@@ -86,8 +86,10 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
     n = instance.n
     ground = tuple(range(n))
 
+    cost_of = instance.costs.__getitem__
+
     def cost(s: frozenset[int]) -> Rational:
-        return sum(instance.costs[v] for v in s)
+        return sum(map(cost_of, s))
 
     def weight(s: frozenset[int]) -> Rational:
         return coverage_weight(instance, s)

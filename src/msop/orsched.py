@@ -96,8 +96,12 @@ class OrDag:
             raise CyclicInput("precedence graph contains a cycle")
 
     @cached_property
-    def _index(self) -> dict[int, int]:
-        return {j: i for i, j in enumerate(self.jobs)}
+    def time_map(self) -> dict[int, Rational]:
+        return dict(zip(self.jobs, self.times))
+
+    @cached_property
+    def weight_map(self) -> dict[int, Rational]:
+        return dict(zip(self.jobs, self.weights))
 
     @cached_property
     def preds(self) -> dict[int, tuple[int, ...]]:
@@ -105,6 +109,10 @@ class OrDag:
         for i, j in self.arcs:
             out[j].append(i)
         return {j: tuple(sorted(ps)) for j, ps in out.items()}
+
+    @cached_property
+    def pred_sets(self) -> dict[int, frozenset[int]]:
+        return {j: frozenset(ps) for j, ps in self.preds.items()}
 
     @cached_property
     def succs(self) -> dict[int, tuple[int, ...]]:
@@ -139,10 +147,10 @@ class OrDag:
         return True
 
     def time_of(self, job: int) -> Rational:
-        return self.times[self._index[job]]
+        return self.time_map[job]
 
     def weight_of(self, job: int) -> Rational:
-        return self.weights[self._index[job]]
+        return self.weight_map[job]
 
 
 def is_inforest(dag: OrDag) -> bool:
@@ -216,9 +224,10 @@ def classify_dag(dag: OrDag) -> str:
 
 def or_initial_membership(dag: OrDag, s: frozenset[int]) -> bool:
     """True iff every member with predecessors has one inside ``s``."""
+    pred_sets = dag.pred_sets
     for j in s:
-        ps = dag.preds[j]
-        if ps and not any(p in s for p in ps):
+        ps = pred_sets[j]
+        if ps and ps.isdisjoint(s):
             return False
     return True
 
@@ -241,7 +250,7 @@ def _membership_and_cost(dag: OrDag, ground: tuple[int, ...]):
         return or_initial_membership(dag, s)
 
     def cost(s: frozenset[int]) -> Rational:
-        return sum(dag.time_of(j) for j in s)
+        return sum(map(dag.time_map.__getitem__, s))
 
     return (
         supply(in_family, ground, lambda: or_initial_column(dag, ground)),
@@ -270,9 +279,79 @@ def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
 
 def modular_weight_oracle(dag: OrDag) -> WeightOracle:
     def total(s: frozenset[int]) -> Rational:
-        return sum(dag.weight_of(j) for j in s)
+        return sum(map(dag.weight_map.__getitem__, s))
 
     return total
+
+
+class _Residual:
+    """The residual DAG of one OR-initial base, read off the original DAG.
+
+    ``closed`` holds the base and every job with a predecessor in it, and
+    ``sources`` the residual sources: the jobs outside the base with no
+    predecessor or with one in the base.  A residual job's residual
+    successors are its successors outside ``closed``; they are filtered
+    only for the jobs a step visits, so no ``OrDag`` is built.  ``move_to``
+    updates the state from the jobs a base adds when it contains the last
+    base, as every greedy step's does, and recomputes it otherwise.
+    """
+
+    def __init__(self, dag: OrDag):
+        self.dag = dag
+        self.base: frozenset[int] | None = None  # set by the first move
+        self.closed: set[int] = set()
+        self.sources: set[int] = set()
+
+    def move_to(self, base: frozenset[int]) -> None:
+        """Follow ``base``; raises ``NotInitial``, leaving the state as it
+        was, when ``base`` is not OR-initial."""
+        superset = self.base is not None and base >= self.base
+        added = base - self.base if superset else base
+        # members of the last base have a predecessor in it already
+        pred_sets = self.dag.pred_sets
+        for j in added:
+            ps = pred_sets[j]
+            if ps and ps.isdisjoint(base):
+                raise NotInitial(f"{sorted(base)} is not an OR-initial set")
+        if not superset:
+            self.closed = set()
+            self.sources = set(self.dag.sources)
+        succs = self.dag.succs
+        freed = [w for j in added for w in succs[j] if w not in base]
+        self.closed.update(added, freed)
+        self.sources.difference_update(added)
+        self.sources.update(freed)
+        self.base = base
+
+    def successor(self, v: int) -> int | None:
+        """The first residual successor of ``v``, the only one in an inforest."""
+        closed = self.closed
+        for w in self.dag.succs[v]:
+            if w not in closed:
+                return w
+        return None
+
+    def has_fork(self) -> bool:
+        """Some residual job has two residual successors (a base member has
+        none: its successors are all in ``closed``)."""
+        closed = self.closed
+        return any(
+            sum(w not in closed for w in ss) > 1 for ss in self.dag.succs.values() if len(ss) > 1
+        )
+
+    def successor_tree(self, root: int) -> dict[int, list[int]]:
+        """Residual successors of each job reachable from ``root``, parents
+        first."""
+        closed = self.closed
+        succs = self.dag.succs
+        reach = [root]
+        kids: dict[int, list[int]] = {}
+        for v in reach:
+            kids[v] = out = [w for w in succs[v] if w not in closed]
+            reach.extend(out)
+        if len(kids) != len(reach):  # pragma: no cover - impossible in a multitree
+            raise NotMultitree("two paths meet inside a successor tree")
+        return kids
 
 
 def max_density_stem(
@@ -286,139 +365,112 @@ def max_density_stem(
     the cost is the sum of processing times.  Ties prefer the shortest stem,
     then the smallest start id.  With ``g_oracle`` None the weights are the
     jobs' own (modular) weights, summed along each stem; a supplied oracle
-    is called once per stem prefix.
+    is called once per stem prefix.  The DAG itself need not be an
+    inforest, only the residual of ``base``.
     """
-    base = frozenset(base)
-    res = residual(dag, base)
-    if not res.jobs:
-        raise NoFeasibleSuperset("base already contains every job")
-    if not is_inforest(res):
-        raise NotInforest("residual graph has a vertex with two successors")
+    return stem_solver(dag, g_oracle)(base)
+
+
+def _densest_stem(
+    state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
+) -> DensityResult:
+    time = state.dag.time_map
+    weight = state.dag.weight_map
+    successor = state.successor
     g_base = None if g_oracle is None else g_oracle(base)
     best: tuple[Rational, Rational, int, int] | None = None
-    for start in res.sources:
-        stem: list[int] = []
+    for start in sorted(state.sources):
+        stem: list[int] = []  # kept only for the oracle
         dg: Rational = 0
         time_sum: Rational = 0
+        length = 0
         v: int | None = start
         while v is not None:
-            stem.append(v)
-            time_sum += res.time_of(v)
+            length += 1
+            time_sum += time[v]
             if g_oracle is None:
-                dg += res.weight_of(v)
+                dg += weight[v]
             else:
+                stem.append(v)
                 dg = g_oracle(base.union(stem)) - g_base
             if dg < 0:
                 raise NonMonotone(f"weight decreased when adding stem through {v}")
-            cand = (dg, time_sum, len(stem), start)
             order = 1 if best is None else compare_density(dg, time_sum, best[0], best[1])
-            if order > 0 or (order == 0 and cand[2:] < best[2:]):
-                best = cand
-            nxt = res.succs[v]
-            v = nxt[0] if nxt else None
+            if order > 0 or (order == 0 and (length, start) < best[2:]):
+                best = (dg, time_sum, length, start)
+            v = successor(v)
     assert best is not None
     dg, time_sum, length, v = best
     stem = []
     for _ in range(length):
         stem.append(v)
-        nxt = res.succs[v]
-        v = nxt[0] if nxt else None
+        v = successor(v)
     rho: Density = INF if time_sum == 0 else Fraction(dg, time_sum)
     return DensityResult(base, base.union(stem), rho, 1)
 
 
-def _successor_tree(dag: OrDag, root: int) -> list[int]:
-    """Vertices reachable from ``root``, parents before children."""
-    reach = [root]
-    seen = {root}
-    for v in reach:
-        for w in dag.succs[v]:
-            if w in seen:  # pragma: no cover - impossible in a multitree
-                raise NotMultitree("two paths meet inside a successor tree")
-            seen.add(w)
-            reach.append(w)
-    return reach
-
-
 def _best_ratio_subtree(
-    dag: OrDag, root: int, reach: list[int]
+    dag: OrDag, root: int, kids: dict[int, list[int]]
 ) -> tuple[frozenset[int], Rational, Rational]:
     """Maximum weight/time rooted subtree of ``root``'s successor outtree,
-    whose vertices ``reach`` lists parents first.
+    given as each vertex's children, parents first; ``root``'s time is
+    positive.
 
-    Parametric iteration: for a ratio guess, a linear pass maximises
-    weight - guess * time over rooted subtrees (keep a child's subtree iff
+    Parametric iteration: for a ratio guess W/T, a linear pass maximises
+    T * weight - W * time over rooted subtrees (keep a child's subtree iff
     its value is strictly positive); the guess then moves to the achieved
     ratio.  The guess strictly increases through the finite set of subtree
     ratios, so this terminates at the exact optimum, and the strict
-    inclusion rule makes the winning subtree inclusion-minimal.
+    inclusion rule makes the winning subtree inclusion-minimal.  T > 0, so
+    the values have the signs of weight - (W/T) * time without a division.
     """
-    order = list(reversed(reach))  # children before parents
-
-    guess = Fraction(dag.weight_of(root), dag.time_of(root))
+    time = dag.time_map
+    weight = dag.weight_map
+    order = list(reversed(kids))  # children before parents
+    w_sum, t_sum = weight[root], time[root]
     while True:
         value: dict[int, Rational] = {}
         for v in order:
-            acc = dag.weight_of(v) - guess * dag.time_of(v)
-            for w in dag.succs[v]:
+            acc = t_sum * weight[v] - w_sum * time[v]
+            for w in kids[v]:
                 if value[w] > 0:
                     acc += value[w]
             value[v] = acc
-        chosen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in dag.succs[v]:
-                if value[w] > 0:
-                    chosen.add(w)
-                    stack.append(w)
-        w_sum: Rational = sum(dag.weight_of(v) for v in chosen)
-        t_sum: Rational = sum(dag.time_of(v) for v in chosen)
+        chosen = [root]
+        for v in chosen:
+            chosen.extend(w for w in kids[v] if value[w] > 0)
+        w_sum = sum(map(weight.__getitem__, chosen))
+        t_sum = sum(map(time.__getitem__, chosen))
         if value[root] == 0:
             return frozenset(chosen), w_sum, t_sum
-        guess = Fraction(w_sum, t_sum)
 
 
 SubtreeMemo = dict[tuple[int, frozenset[int]], tuple[frozenset[int], Rational, Rational]]
 
 
-def _densest_outtree_step(res: OrDag, base: frozenset[int], memo: SubtreeMemo) -> DensityResult:
+def _densest_outtree_step(
+    state: _Residual, base: frozenset[int], memo: SubtreeMemo
+) -> DensityResult:
     # a residual successor tree is fixed by its root and vertex set (each
-    # vertex has one predecessor inside it), so ``memo`` may outlive ``res``
-    for v in res.sources:
-        if res.time_of(v) == 0:
+    # vertex has one predecessor inside it), so ``memo`` serves every base
+    sources = sorted(state.sources)
+    time = state.dag.time_map
+    for v in sources:
+        if time[v] == 0:
             return DensityResult(base, base | {v}, INF, 1)
-    best: tuple[Fraction, int] | None = None
-    best_set: frozenset[int] | None = None
-    for start in res.sources:
-        reach = _successor_tree(res, start)
-        key = (start, frozenset(reach))
+    best: tuple[frozenset[int], Rational, Rational] | None = None
+    for start in sources:
+        kids = state.successor_tree(start)
+        key = (start, frozenset(kids))
         found = memo.get(key)
         if found is None:
-            found = memo[key] = _best_ratio_subtree(res, start, reach)
-        subtree, w_sum, t_sum = found
-        rho = Fraction(w_sum, t_sum)
-        if best is None or rho > best[0]:
-            best = (rho, start)
-            best_set = subtree
-    assert best is not None and best_set is not None
-    return DensityResult(base, base | best_set, best[0], 1)
-
-
-def max_density_outtree(dag: OrDag, base: frozenset[int]) -> DensityResult:
-    """Exact density step on a multitree with modular weights.
-
-    For each residual source the candidate is the best-ratio rooted subtree
-    of its successor outtree; the best source wins, smaller id on ties.
-    A zero-time source is a cost-flat step and returned alone immediately.
-    """
-    base = frozenset(base)
-    res = residual(dag, base)
-    if not res.jobs:
-        raise NoFeasibleSuperset("base already contains every job")
-    if not is_multitree(res):
-        raise NotMultitree("residual graph has two paths between some pair of jobs")
-    return _densest_outtree_step(res, base, {})
+            found = memo[key] = _best_ratio_subtree(state.dag, start, kids)
+        # strict, so the smallest start keeps ties
+        if best is None or compare_density(found[1], found[2], best[1], best[2]) > 0:
+            best = found
+    assert best is not None
+    subtree, w_sum, t_sum = best
+    return DensityResult(base, base | subtree, Fraction(w_sum, t_sum), 1)
 
 
 def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Rational:
@@ -475,7 +527,7 @@ def pipelined_to_msop(
     in_family, cost = _membership_and_cost(dag, ground)
 
     def weight(s: frozenset[int]) -> Rational:
-        return sum(w for w, members in frozen_edges if members & s)
+        return sum(w for w, members in frozen_edges if not members.isdisjoint(s))
 
     def weight_column():
         bit = {j: 1 << i for i, j in enumerate(ground)}
@@ -493,27 +545,48 @@ def pipelined_to_msop(
 
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:
-    """Stem density steps; without ``g_oracle`` the weights are modular."""
+    """Stem density steps (``max_density_stem``); without ``g_oracle`` the
+    weights are modular.  The solver keeps the residual of its last base.
+    A superset's residual is a subgraph of the base's residual, so once a
+    base passes the inforest check, its supersets skip it."""
+    state = _Residual(dag)
+    shaped: frozenset[int] | None = frozenset() if is_inforest(dag) else None
 
     def solve(base: frozenset[int]) -> DensityResult:
-        return max_density_stem(dag, g_oracle, base)
+        nonlocal shaped
+        base = frozenset(base)
+        state.move_to(base)
+        if not state.sources:
+            raise NoFeasibleSuperset("base already contains every job")
+        if shaped is None or not base >= shaped:
+            if state.has_fork():
+                raise NotInforest("residual graph has a vertex with two successors")
+            shaped = base
+        return _densest_stem(state, g_oracle, base)
 
     return solve
 
 
 def outtree_solver(dag: OrDag) -> DensitySolver:
-    """Outtree density steps on a multitree, whose residuals are multitrees
-    too, so the shape is checked once; subtree optima are shared across
-    steps."""
+    """Outtree density steps on a multitree with modular weights.
+
+    For each residual source the candidate is the best-ratio rooted subtree
+    of its successor outtree; the best source wins, smaller id on ties.
+    A zero-time source is a cost-flat step and returned alone immediately.
+    Residuals of a multitree are multitrees too, so the shape is checked
+    once; the solver keeps the residual of its last base, and subtree
+    optima are shared across steps.
+    """
     if not is_multitree(dag):
         raise NotMultitree("graph has two paths between some pair of jobs")
+    state = _Residual(dag)
     memo: SubtreeMemo = {}
 
     def solve(base: frozenset[int]) -> DensityResult:
         base = frozenset(base)
-        res = residual(dag, base)
-        if not res.jobs:
+        state.move_to(base)
+        if not state.sources:
             raise NoFeasibleSuperset("base already contains every job")
-        return _densest_outtree_step(res, base, memo)
+        return _densest_outtree_step(state, base, memo)
 
     return solve

@@ -25,13 +25,7 @@ from msop.errors import (
     ValidationError,
 )
 from msop.mssc import MsscInstance
-from msop.orsched import (
-    OrDag,
-    _best_ratio_subtree,
-    is_inforest,
-    is_multitree,
-    residual,
-)
+from msop.orsched import OrDag, is_inforest, is_multitree, residual
 from msop.rof import Leaf, ReadOnceFormula, to_msop as rof_to_msop
 
 
@@ -347,8 +341,38 @@ def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
     return DensityResult(base, best_members, rho, 1)
 
 
+def ref_best_ratio_subtree(res: OrDag, root, reach):
+    """Parametric ratio DP on ``Fraction`` guesses over the residual DAG
+    ``res``, whose successor outtree of ``root`` ``reach`` lists parents
+    first."""
+    order = list(reversed(reach))
+    guess = Fraction(res.weight_of(root), res.time_of(root))
+    while True:
+        value = {}
+        for v in order:
+            acc = res.weight_of(v) - guess * res.time_of(v)
+            for w in res.succs[v]:
+                if value[w] > 0:
+                    acc += value[w]
+            value[v] = acc
+        chosen = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in res.succs[v]:
+                if value[w] > 0:
+                    chosen.add(w)
+                    stack.append(w)
+        w_sum = sum(res.weight_of(v) for v in chosen)
+        t_sum = sum(res.time_of(v) for v in chosen)
+        if value[root] == 0:
+            return frozenset(chosen), w_sum, t_sum
+        guess = Fraction(w_sum, t_sum)
+
+
 def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
-    """Shape re-checked and every subtree optimum recomputed per step."""
+    """A residual ``OrDag`` built, its shape re-checked and every subtree
+    optimum recomputed per step, densities compared as ``Fraction``s."""
     base = frozenset(base)
     res = residual(dag, base)
     if not res.jobs:
@@ -364,7 +388,7 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
         reach = [start]
         for v in reach:
             reach.extend(res.succs[v])
-        subtree, w_sum, t_sum = _best_ratio_subtree(res, start, reach)
+        subtree, w_sum, t_sum = ref_best_ratio_subtree(res, start, reach)
         rho = Fraction(w_sum, t_sum)
         if best is None or rho > best[0]:
             best = (rho, start)

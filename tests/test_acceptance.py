@@ -180,7 +180,7 @@ def test_criterion_04_or_scheduling_stem_and_outtree():
         if kind == "inforest":
             got = orsched.max_density_stem(dag, orsched.modular_weight_oracle(dag), base)
         else:
-            got = orsched.max_density_outtree(dag, base)
+            got = orsched.outtree_solver(dag)(base)
         best = exact.exact_max_density(inst, base).marginal_density
         assert got.marginal_density == best, f"{kind} density seed {i}"
         density_checks += 1

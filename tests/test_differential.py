@@ -16,7 +16,13 @@ from fractions import Fraction
 import pytest
 
 from msop import INF, cli, dual, exact, greedy_chain, mssc, orsched, rof, xsearch
-from msop.errors import DisconnectedInput, NoFeasiblePermutation, NonMonotone, NotMultitree
+from msop.errors import (
+    DisconnectedInput,
+    MsopError,
+    NoFeasiblePermutation,
+    NonMonotone,
+    NotMultitree,
+)
 from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined
 from msop.orsched import OrDag
 
@@ -72,7 +78,7 @@ def test_singleton_step_matches_reference_from_any_base():
 
 
 def test_stem_step_matches_reference_chain():
-    for seed, n in ((1, 200), (2, 190)):
+    for seed, n in ((1, 300), (2, 400)):
         dag = gen_instance("inforest", n, seed)
         inst = orsched.to_msop(dag)
         oracle = orsched.modular_weight_oracle(dag)
@@ -82,7 +88,7 @@ def test_stem_step_matches_reference_chain():
 
 
 def test_stem_step_with_coverage_oracle_matches_reference_chain():
-    for seed, n in ((1, 100), (2, 90)):
+    for seed, n in ((1, 300), (2, 90)):
         dag, edges = gen_or_pipelined(n, seed)
         inst = orsched.pipelined_to_msop(dag, edges)
         fast = greedy_chain(inst, orsched.stem_solver(dag, inst.weight), 1)
@@ -91,12 +97,82 @@ def test_stem_step_with_coverage_oracle_matches_reference_chain():
 
 
 def test_outtree_step_matches_reference_chain():
-    for seed, n in ((1, 200), (2, 180)):
+    for seed, n in ((1, 300), (2, 180)):
         dag = gen_instance("multitree", n, seed)
         inst = orsched.to_msop(dag)
         fast = greedy_chain(inst, orsched.outtree_solver(dag), 1)
         slow = ref_greedy_chain(inst, lambda b: ref_max_density_outtree(dag, b), 1)
         assert_same_chain(fast, slow)
+
+
+def or_initial_walk(dag, rng):
+    """OR-initial sets from the empty set to every job, each adding one
+    random job that is free to start."""
+    walk = [frozenset()]
+    while len(walk[-1]) < len(dag.jobs):
+        base = walk[-1]
+        free = [j for j in dag.jobs if j not in base and orsched.or_initial_membership(dag, base | {j})]
+        walk.append(base | {rng.choice(free)})
+    return walk
+
+
+def outcome(step, *args):
+    """The step's (candidate, density), or its error's class and message."""
+    try:
+        got = step(*args)
+    except MsopError as err:
+        return type(err).__name__, str(err)
+    return got.candidate, got.marginal_density
+
+
+def fork_dag(n, seed):
+    """An inforest whose sources gain a second successor, so that only some
+    bases leave a residual inforest."""
+    dag = gen_instance("inforest", n, seed)
+    sinks = [j for j in dag.jobs if not dag.succs[j]]
+    extra = tuple((s, sinks[k % len(sinks)]) for k, s in enumerate(dag.sources)
+                  if dag.succs[s] and dag.succs[s][0] != sinks[k % len(sinks)])
+    return OrDag(dag.jobs, dag.times, dag.weights, dag.arcs + extra)
+
+
+def modular_stem(dag, base):
+    return ref_max_density_stem(dag, orsched.modular_weight_oracle(dag), base)
+
+
+SOLVERS = {
+    "inforest": (lambda n, seed: gen_instance("inforest", n, seed), orsched.stem_solver,
+                 modular_stem),
+    "fork": (fork_dag, orsched.stem_solver, modular_stem),
+    "multitree": (lambda n, seed: gen_instance("multitree", n, seed), orsched.outtree_solver,
+                  ref_max_density_outtree),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SOLVERS))
+def test_or_solver_matches_reference_on_bases_out_of_order(shape):
+    make, solver, reference = SOLVERS[shape]
+    rng = random.Random(43)
+    outcomes = set()
+    for seed in range(8):
+        dag = make(8 + 4 * seed, 600 + seed)
+        walk = or_initial_walk(dag, rng)
+        # a base near the middle of the walk, and a job none of whose
+        # predecessors it holds: together they are not OR-initial
+        middle, blocked = next(
+            (b, j) for b in walk[len(walk) // 2::-1] for j in dag.jobs
+            if dag.preds[j] and j not in b and dag.pred_sets[j].isdisjoint(b)
+        )
+        bases = walk + walk[::-1] + rng.sample(walk, len(walk))
+        bases += [middle, middle | {blocked}, walk[-2], frozenset({blocked}), frozenset()]
+        solve = solver(dag)
+        for base in bases:
+            want = outcome(reference, dag, base)
+            assert outcome(solve, base) == want, (seed, sorted(base))
+            outcomes.add(want[0] if isinstance(want[0], str) else "step")
+    want_kinds = {"step", "NotInitial", "NoFeasibleSuperset"}
+    if shape == "fork":
+        want_kinds.add("NotInforest")
+    assert outcomes == want_kinds
 
 
 def test_outtree_solver_memo_tells_apart_trees_of_equal_size():

@@ -19,7 +19,6 @@ from msop.orsched import (
     classify_dag,
     is_inforest,
     is_multitree,
-    max_density_outtree,
     max_density_stem,
     modular_weight_oracle,
     or_initial_membership,
@@ -106,7 +105,7 @@ def test_residual_of_multitree_is_multitree():
         inst = to_msop(dag)
         base = frozenset()
         while base != inst.universe():
-            step = max_density_outtree(dag, base)
+            step = outtree_solver(dag)(base)
             base = step.candidate
             assert is_multitree(residual(dag, base))
 
@@ -138,16 +137,31 @@ def test_stem_requires_inforest():
         max_density_stem(dag, modular_weight_oracle(dag), frozenset())
 
 
+def test_stem_checks_the_shape_of_each_residual_not_of_the_dag():
+    # job 0 has two successors, so the DAG is no inforest; once 0 is in the
+    # base both are satisfied and the residual is
+    dag = OrDag((0, 1, 2), (1, 1, 1), (1, 1, 3), ((0, 1), (0, 2)))
+    solve = stem_solver(dag)
+    with pytest.raises(NotInforest):
+        solve(frozenset())
+    result = solve(frozenset({0}))
+    assert result.candidate == frozenset({0, 2})
+    assert result.marginal_density == 3
+    with pytest.raises(NotInforest):
+        solve(frozenset())
+    assert max_density_stem(dag, None, frozenset({0})) == result
+
+
 def test_outtree_two_children_example():
     dag = OrDag((0, 1, 2), (1, 1, 1), (0, 3, 1), ((0, 1), (0, 2)))
-    result = max_density_outtree(dag, frozenset())
+    result = outtree_solver(dag)(frozenset())
     assert result.candidate == frozenset({0, 1})
     assert result.marginal_density == Fraction(3, 2)
 
 
 def test_outtree_isolated_job():
     dag = OrDag((7,), (2,), (5,), ())
-    result = max_density_outtree(dag, frozenset())
+    result = outtree_solver(dag)(frozenset())
     assert result.candidate == frozenset({7})
     assert result.marginal_density == Fraction(5, 2)
 
@@ -155,7 +169,7 @@ def test_outtree_isolated_job():
 def test_outtree_requires_multitree():
     dag = unit_dag([(0, 1), (0, 2), (1, 3), (2, 3)], 4)
     with pytest.raises(NotMultitree):
-        max_density_outtree(dag, frozenset())
+        outtree_solver(dag)(frozenset())
 
 
 def _random_or_initial_base(dag, inst, rng):
@@ -206,7 +220,7 @@ def test_outtree_density_matches_exact_up_to_twelve_jobs():
         dag = gen_instance("multitree", n, seed)
         inst = to_msop(dag)
         base = _random_or_initial_base(dag, inst, rng)
-        got = max_density_outtree(dag, base)
+        got = outtree_solver(dag)(base)
         assert got.marginal_density == exact.exact_max_density(inst, base).marginal_density
 
 
@@ -221,7 +235,7 @@ def test_returned_step_is_inclusion_minimal():
         if kind == "inforest":
             got = max_density_stem(dag, modular_weight_oracle(dag), base)
         else:
-            got = max_density_outtree(dag, base)
+            got = outtree_solver(dag)(base)
         added = sorted(got.candidate - base)
         for r in range(1, len(added)):
             for combo in combinations(added, r):
