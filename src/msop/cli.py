@@ -45,7 +45,10 @@ def _format_set(s) -> str:
 
 
 def _format_chain(chain: Chain) -> str:
-    return ";".join(_format_set(s) for s in chain.sets[1:])
+    # chain sets strictly increase from the empty set: each printed set is
+    # nonempty, and the last one holds every id
+    text = {v: str(v) for v in chain.sets[-1]}.__getitem__
+    return ";".join(",".join(map(text, sorted(s))) for s in chain.sets[1:])
 
 
 def _rational_arg(text: str):

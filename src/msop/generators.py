@@ -16,7 +16,7 @@ from typing import Sequence
 from .core import Chain, MsopInstance, Rational, StructuralFlags
 from .errors import BadParams
 from .mssc import MsscInstance
-from .orsched import OrDag, is_multitree
+from .orsched import OrDag
 from .rof import Gate, Leaf, Node, ReadOnceFormula
 from .xsearch import SearchGraph
 
@@ -74,14 +74,13 @@ def _gen_ordag(n: int, seed: int, kind: str, arc_chance: float | None = None) ->
         weights = tuple(rng.choice((0, 1, 2, 3, 4)) for _ in range(n))
     elif kind == "multitree":
         chance = arc_chance if arc_chance is not None else min(0.9, 2.5 / max(1, n))
+        # bit v of reach[u] (of above[u]): v = u or u reaches v (v reaches u)
+        reach = [1 << v for v in range(n)]
+        above = [1 << v for v in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < chance:
-                    trial = OrDag(
-                        jobs, (0,) * n, (0,) * n, tuple(arcs) + ((i, j),)
-                    )
-                    if is_multitree(trial):
-                        arcs.append((i, j))
+                if rng.random() < chance and _one_path_with(reach, above, i, j):
+                    arcs.append((i, j))
         times = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(n))
         weights = tuple(rng.choice((0, 1, 2, 3, 4)) for _ in range(n))
     else:  # bipartite-or
@@ -96,6 +95,34 @@ def _gen_ordag(n: int, seed: int, kind: str, arc_chance: float | None = None) ->
             rng.choice((0, 0, 0, 1)) if v < k else rng.randint(1, 5) for v in range(n)
         )
     return OrDag(jobs, times, weights, tuple(sorted(arcs)))
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _one_path_with(reach: list[int], above: list[int], i: int, j: int) -> bool:
+    """Whether arc i -> j keeps at most one path between every ordered pair,
+    given the reachability masks of a multitree over jobs numbered in
+    topological order; if so, the masks are updated to include the arc.
+
+    Every new path runs through the arc, and one of them doubles an old
+    path exactly when i or an ancestor of i already reaches j or a
+    descendant of j."""
+    ancestors, below = above[i], reach[j]
+    reached = 0
+    for u in _bits(ancestors):
+        reached |= reach[u]
+    if reached & below:
+        return False
+    for u in _bits(ancestors):
+        reach[u] |= below
+    for v in _bits(below):
+        above[v] |= ancestors
+    return True
 
 
 def _gen_rof(n: int, seed: int, max_cost: int = 3, max_denominator: int = 8) -> ReadOnceFormula:

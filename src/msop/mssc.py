@@ -113,33 +113,96 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
 
 
 def singleton_greedy_density(instance: MsscInstance, base: frozenset[int]) -> DensityResult:
-    """Best single element by newly-covered weight per unit cost.
+    """Best single element by newly-covered weight per unit cost: one step
+    of ``singleton_solver``.
 
     Exact for the maximum-density problem here (modular cost, submodular
     weight, free family), so greedy chains built from it are 1-greedy.
-    Ties go to the smallest element id.  Each uncovered hyperedge adds its
-    weight to the gain of its members, so a step costs O(sum of hyperedge
-    sizes); densities are compared by cross-multiplication.
+    Ties go to the smallest element id.
     """
-    base = frozenset(base)
-    if not base < frozenset(range(instance.n)):
-        raise NoFeasibleSuperset("base already contains every element")
-    gain: list[Rational] = [0] * instance.n
-    for w, members in instance.edges:
-        if members.isdisjoint(base):
+    return singleton_solver(instance)(base)
+
+
+class _Gains:
+    """Per-element gains of one base: the weight of the uncovered hyperedges
+    through each element outside the base, -1 for a base member, and a
+    covered flag per hyperedge.  ``move_to`` updates them from the hyperedges
+    through the added elements when the base contains the last one, as every
+    greedy step's does, and recomputes them otherwise."""
+
+    def __init__(self, instance: MsscInstance):
+        self.edges = instance.edges
+        n = instance.n
+        self.full = frozenset(range(n))
+        self.incident: list[list[int]] = [[] for _ in range(n)]
+        self.initial: list[Rational] = [0] * n
+        for e, (w, members) in enumerate(self.edges):
             for v in members:
-                gain[v] += w
-    costs = instance.costs
-    best = min(v for v in range(instance.n) if v not in base)
-    for v in range(best + 1, instance.n):
-        # strict, so the smallest id keeps ties
-        if v not in base and gain[v] * costs[best] > gain[best] * costs[v]:
-            best = v
-    return DensityResult(base, base | {best}, Fraction(gain[best], costs[best]), 1)
+                self.incident[v].append(e)
+                self.initial[v] += w
+        # elements by cost, ascending ids: a group's best is its first maximum gain
+        groups: dict[Rational, list[int]] = {}
+        for v, c in enumerate(instance.costs):
+            groups.setdefault(c, []).append(v)
+        self.groups = list(groups.items())
+        self.base: frozenset[int] | None = None  # set by the first move
+        self.gain: list[Rational] = []
+        self.covered = bytearray()
+
+    def move_to(self, base: frozenset[int]) -> None:
+        if self.base is not None and base >= self.base:
+            added = base - self.base
+        else:
+            added = base
+            self.gain = self.initial.copy()
+            self.covered = bytearray(len(self.edges))
+        gain, covered, edges = self.gain, self.covered, self.edges
+        for v in added:
+            for e in self.incident[v]:
+                if not covered[e]:
+                    covered[e] = 1
+                    w, members = edges[e]
+                    for u in members:
+                        gain[u] -= w
+        for v in added:
+            gain[v] = -1
+        self.base = base
+
+    def best(self) -> tuple[int, Rational, Rational]:
+        """The element of best gain per unit cost, with its gain and cost;
+        densities are compared by cross-multiplication."""
+        gain = self.gain
+        best = None
+        for c, group in self.groups:
+            v = max(group, key=gain.__getitem__)
+            g = gain[v]
+            if g < 0:  # the whole group is in the base
+                continue
+            if best is None:
+                best = (v, g, c)
+                continue
+            order = g * best[2] - best[1] * c
+            if order > 0 or (order == 0 and v < best[0]):
+                best = (v, g, c)
+        assert best is not None
+        return best
 
 
 def singleton_solver(instance: MsscInstance) -> DensitySolver:
+    """Best-single-element density steps (``singleton_greedy_density``).
+    The solver keeps the gains of its last base, built on the first call,
+    so a greedy step costs O(n) plus the sizes of the hyperedges it covers."""
+    state: _Gains | None = None
+
     def solve(base: frozenset[int]) -> DensityResult:
-        return singleton_greedy_density(instance, base)
+        nonlocal state
+        base = frozenset(base)
+        if state is None:
+            state = _Gains(instance)
+        if not base < state.full:
+            raise NoFeasibleSuperset("base already contains every element")
+        state.move_to(base)
+        v, g, c = state.best()
+        return DensityResult(base, base | {v}, Fraction(g, c), 1)
 
     return solve

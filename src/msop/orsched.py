@@ -285,7 +285,8 @@ def modular_weight_oracle(dag: OrDag) -> WeightOracle:
 
 
 class _Residual:
-    """The residual DAG of one OR-initial base, read off the original DAG.
+    """The residual DAG of one OR-initial base, read off the original DAG,
+    with the best candidate of each residual source.
 
     ``closed`` holds the base and every job with a predecessor in it, and
     ``sources`` the residual sources: the jobs outside the base with no
@@ -294,6 +295,14 @@ class _Residual:
     only for the jobs a step visits, so no ``OrDag`` is built.  ``move_to``
     updates the state from the jobs a base adds when it contains the last
     base, as every greedy step's does, and recomputes it otherwise.
+
+    ``found`` maps a source to the candidate a step computed for it, whose
+    last field holds the candidate's jobs other than the source.  Jobs only
+    ever leave a superset's residual, and its successor structure below the
+    jobs that stay is unchanged, so a source's candidates shrink to a
+    subfamily; the best one stays best, with the same tie-breaks, while
+    none of those jobs is closed (``cached``).  A recompute empties
+    ``found``.
     """
 
     def __init__(self, dag: OrDag):
@@ -301,6 +310,7 @@ class _Residual:
         self.base: frozenset[int] | None = None  # set by the first move
         self.closed: set[int] = set()
         self.sources: set[int] = set()
+        self.found: dict[int, tuple] = {}
 
     def move_to(self, base: frozenset[int]) -> None:
         """Follow ``base``; raises ``NotInitial``, leaving the state as it
@@ -316,12 +326,21 @@ class _Residual:
         if not superset:
             self.closed = set()
             self.sources = set(self.dag.sources)
+            self.found.clear()
         succs = self.dag.succs
         freed = [w for j in added for w in succs[j] if w not in base]
         self.closed.update(added, freed)
         self.sources.difference_update(added)
         self.sources.update(freed)
         self.base = base
+
+    def cached(self, source: int) -> tuple | None:
+        """``source``'s candidate from an earlier step, unless a job of it
+        has been added or freed since (a freed source is closed itself)."""
+        entry = self.found.get(source)
+        if entry is None or not self.closed.isdisjoint(entry[-1]):
+            return None
+        return entry
 
     def successor(self, v: int) -> int | None:
         """The first residual successor of ``v``, the only one in an inforest."""
@@ -371,42 +390,60 @@ def max_density_stem(
     return stem_solver(dag, g_oracle)(base)
 
 
-def _densest_stem(
-    state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
-) -> DensityResult:
+def _best_prefix(
+    state: _Residual, start: int, g_oracle: WeightOracle | None, base: frozenset[int], g_base
+) -> tuple[Rational, Rational, int, int, list[int]]:
+    """The densest prefix of the stem from ``start``, shortest on ties: its
+    weight gain, time, length, start and jobs after ``start``."""
     time = state.dag.time_map
     weight = state.dag.weight_map
     successor = state.successor
-    g_base = None if g_oracle is None else g_oracle(base)
-    best: tuple[Rational, Rational, int, int] | None = None
-    for start in sorted(state.sources):
-        stem: list[int] = []  # kept only for the oracle
-        dg: Rational = 0
-        time_sum: Rational = 0
-        length = 0
-        v: int | None = start
-        while v is not None:
-            length += 1
-            time_sum += time[v]
-            if g_oracle is None:
-                dg += weight[v]
-            else:
-                stem.append(v)
-                dg = g_oracle(base.union(stem)) - g_base
-            if dg < 0:
-                raise NonMonotone(f"weight decreased when adding stem through {v}")
-            order = 1 if best is None else compare_density(dg, time_sum, best[0], best[1])
-            if order > 0 or (order == 0 and (length, start) < best[2:]):
-                best = (dg, time_sum, length, start)
-            v = successor(v)
-    assert best is not None
-    dg, time_sum, length, v = best
-    stem = []
-    for _ in range(length):
+    stem: list[int] = []
+    dg: Rational = 0
+    time_sum: Rational = 0
+    best: tuple[Rational, Rational, int] | None = None
+    v: int | None = start
+    while v is not None:
         stem.append(v)
+        time_sum += time[v]
+        if g_oracle is None:
+            dg += weight[v]
+        else:
+            dg = g_oracle(base.union(stem)) - g_base
+        if dg < 0:
+            raise NonMonotone(f"weight decreased when adding stem through {v}")
+        if best is None or compare_density(dg, time_sum, best[0], best[1]) > 0:
+            best = (dg, time_sum, len(stem))
         v = successor(v)
+    assert best is not None
+    dg, time_sum, length = best
+    return dg, time_sum, length, start, stem[1:length]
+
+
+def _densest_stem(
+    state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
+) -> DensityResult:
+    # with modular weights a stem's gains do not depend on the base, so
+    # each source's best prefix is kept until one of its jobs is closed
+    g_base = None if g_oracle is None else g_oracle(base)
+    best = None
+    # sorted, so that a non-monotone oracle is reported at the same stem
+    for start in sorted(state.sources):
+        cand = state.cached(start)
+        if cand is None:
+            cand = _best_prefix(state, start, g_oracle, base, g_base)
+            if g_oracle is None:
+                state.found[start] = cand
+        if best is None:
+            best = cand
+            continue
+        order = compare_density(cand[0], cand[1], best[0], best[1])
+        if order > 0 or (order == 0 and cand[2:4] < best[2:4]):
+            best = cand
+    assert best is not None
+    dg, time_sum, _, start, below = best
     rho: Density = INF if time_sum == 0 else Fraction(dg, time_sum)
-    return DensityResult(base, base.union(stem), rho, 1)
+    return DensityResult(base, base.union(below, (start,)), rho, 1)
 
 
 def _best_ratio_subtree(
@@ -445,32 +482,28 @@ def _best_ratio_subtree(
             return frozenset(chosen), w_sum, t_sum
 
 
-SubtreeMemo = dict[tuple[int, frozenset[int]], tuple[frozenset[int], Rational, Rational]]
-
-
-def _densest_outtree_step(
-    state: _Residual, base: frozenset[int], memo: SubtreeMemo
-) -> DensityResult:
-    # a residual successor tree is fixed by its root and vertex set (each
-    # vertex has one predecessor inside it), so ``memo`` serves every base
-    sources = sorted(state.sources)
+def _densest_outtree_step(state: _Residual, base: frozenset[int]) -> DensityResult:
     time = state.dag.time_map
-    for v in sources:
-        if time[v] == 0:
-            return DensityResult(base, base | {v}, INF, 1)
-    best: tuple[frozenset[int], Rational, Rational] | None = None
-    for start in sources:
-        kids = state.successor_tree(start)
-        key = (start, frozenset(kids))
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = _best_ratio_subtree(state.dag, start, kids)
-        # strict, so the smallest start keeps ties
-        if best is None or compare_density(found[1], found[2], best[1], best[2]) > 0:
-            best = found
+    zero = [v for v in state.sources if time[v] == 0]
+    if zero:
+        return DensityResult(base, base | {min(zero)}, INF, 1)
+    best = None
+    for start in state.sources:
+        cand = state.cached(start)
+        if cand is None:
+            subtree, w_sum, t_sum = _best_ratio_subtree(
+                state.dag, start, state.successor_tree(start)
+            )
+            cand = state.found[start] = (w_sum, t_sum, start, subtree - {start})
+        if best is None:
+            best = cand
+            continue
+        order = compare_density(cand[0], cand[1], best[0], best[1])
+        if order > 0 or (order == 0 and cand[2] < best[2]):
+            best = cand
     assert best is not None
-    subtree, w_sum, t_sum = best
-    return DensityResult(base, base | subtree, Fraction(w_sum, t_sum), 1)
+    w_sum, t_sum, start, below = best
+    return DensityResult(base, base.union(below, (start,)), Fraction(w_sum, t_sum), 1)
 
 
 def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Rational:
@@ -546,9 +579,11 @@ def pipelined_to_msop(
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:
     """Stem density steps (``max_density_stem``); without ``g_oracle`` the
-    weights are modular.  The solver keeps the residual of its last base.
-    A superset's residual is a subgraph of the base's residual, so once a
-    base passes the inforest check, its supersets skip it."""
+    weights are modular.  The solver keeps the residual of its last base
+    and, with modular weights, each residual source's densest stem prefix
+    (``_Residual``).  A superset's residual is a subgraph of the base's
+    residual, so once a base passes the inforest check, its supersets skip
+    it."""
     state = _Residual(dag)
     shaped: frozenset[int] | None = frozenset() if is_inforest(dag) else None
 
@@ -574,19 +609,20 @@ def outtree_solver(dag: OrDag) -> DensitySolver:
     of its successor outtree; the best source wins, smaller id on ties.
     A zero-time source is a cost-flat step and returned alone immediately.
     Residuals of a multitree are multitrees too, so the shape is checked
-    once; the solver keeps the residual of its last base, and subtree
-    optima are shared across steps.
+    once; the solver keeps the residual of its last base and each residual
+    source's best subtree (``_Residual``).  The parametric DP returns the
+    subtree its values pick at the optimal ratio, and those values do not
+    change when jobs outside that subtree leave the tree.
     """
     if not is_multitree(dag):
         raise NotMultitree("graph has two paths between some pair of jobs")
     state = _Residual(dag)
-    memo: SubtreeMemo = {}
 
     def solve(base: frozenset[int]) -> DensityResult:
         base = frozenset(base)
         state.move_to(base)
         if not state.sources:
             raise NoFeasibleSuperset("base already contains every job")
-        return _densest_outtree_step(state, base, memo)
+        return _densest_outtree_step(state, base)
 
     return solve

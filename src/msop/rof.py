@@ -325,43 +325,141 @@ class RpTables:
         }
 
 
+def _leaf_tables(formula: ReadOnceFormula, leaf: Leaf, tested: bool) -> dict[int, ScaledTable]:
+    p = formula.probs[leaf.var]
+    one, zero = p.numerator, p.denominator - p.numerator
+    if tested:
+        return {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
+    c = formula.costs[leaf.var]
+    return {1: {0: (0, 0), c: (one, 0)}, 0: {0: (0, 0), c: (zero, 0)}}
+
+
+def _gate_tables(
+    formula: ReadOnceFormula, gate: Gate, scaled: dict[Node, dict[int, ScaledTable]],
+    prune: bool,
+) -> dict[int, ScaledTable]:
+    """A gate's tables from its children's: the budget is split between the
+    two children every feasible way and the combined probability
+    maximised; budget-split ties keep the smallest left share.  With
+    ``prune``, only the budgets whose value beats every smaller budget's
+    are kept."""
+    den = formula.denominators
+    dl, dr = den[gate.left], den[gate.right]
+    table = {}
+    for outcome in (0, 1):
+        # both children must reach the target for "and"->1 and "or"->0
+        both = (gate.op == "and") == (outcome == 1)
+        left = sorted(scaled[gate.left][outcome].items())
+        right = [(tr, pr) for tr, (pr, _) in sorted(scaled[gate.right][outcome].items())]
+        # by budget: best value (-1 for none; values are nonnegative) and
+        # the left share that reaches it first
+        value = [-1] * (left[-1][0] + right[-1][0] + 1)
+        share = [0] * len(value)
+        for tl, (pl, _) in left:
+            # pl * pr, or pl * dr + pr * dl - pl * pr, as a + b * pr
+            a, b = (0, pl) if both else (pl * dr, dl - pl)
+            for tr, pr in right:
+                v = a + b * pr
+                if v > value[tl + tr]:
+                    value[tl + tr] = v
+                    share[tl + tr] = tl
+        out: ScaledTable = {}
+        top = -1
+        for t, v in enumerate(value):
+            if v > top:
+                out[t] = (v, share[t])
+                if prune:
+                    top = v
+        table[outcome] = out
+    return table
+
+
 def compute_rp(formula: ReadOnceFormula, s: frozenset[int]) -> RpTables:
     """Bottom-up tables of best exact-cost supplements for every gate.
 
-    At an internal gate the budget is split between the two children every
-    feasible way and the combined probability maximised; budget-split ties
-    keep the smallest left share.  Runtime O(n * C^2) for total cost C, on
-    integers: a gate's probabilities all share its denominator.
+    Runtime O(n * C^2) for total cost C, on integers: a gate's
+    probabilities all share its denominator.
     """
     s = frozenset(s)
-    den = formula.denominators
     scaled: dict[Node, dict[int, ScaledTable]] = {}
     for node in formula.nodes:
         if isinstance(node, Leaf):
-            p = formula.probs[node.var]
-            one, zero = p.numerator, p.denominator - p.numerator
-            if node.var in s:
-                scaled[node] = {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
-            else:
-                c = formula.costs[node.var]
-                scaled[node] = {1: {0: (0, 0), c: (one, 0)}, 0: {0: (0, 0), c: (zero, 0)}}
-            continue
-        dl, dr = den[node.left], den[node.right]
-        table = {}
-        for outcome in (0, 1):
-            # both children must reach the target for "and"->1 and "or"->0
-            both = (node.op == "and") == (outcome == 1)
-            right = sorted(scaled[node.right][outcome].items())
-            out: ScaledTable = {}
-            for tl, (pl, _) in sorted(scaled[node.left][outcome].items()):
-                for tr, (pr, _) in right:
-                    value = pl * pr if both else pl * dr + pr * dl - pl * pr
-                    t = tl + tr
-                    if t not in out or value > out[t][0]:
-                        out[t] = (value, tl)
-            table[outcome] = out
-        scaled[node] = table
+            scaled[node] = _leaf_tables(formula, node, node.var in s)
+        else:
+            scaled[node] = _gate_tables(formula, node, scaled, prune=False)
     return RpTables(formula, scaled)
+
+
+class _Supplements:
+    """The supplement search's tables for one base, with dominated budgets
+    pruned (Nemhauser & Ullmann 1969): an entry goes when a smaller budget
+    reaches at least its value.  A gate's value grows with each child's, so
+    a split through a dominated child entry is matched at a smaller budget:
+    pruned children give the pruned gate, with ``compute_rp``'s values and
+    splits.  The search's chosen budget has positive gain (testing every
+    untested leaf determines the root where the base alone may not), so no
+    smaller budget reaches its value and it is kept.  ``move_to``
+    recomputes the leaves whose tested state changed and the gates on their
+    root paths.
+    """
+
+    def __init__(self, formula: ReadOnceFormula):
+        self.formula = formula
+        self.variables = frozenset(formula.variables)
+        self.leaves: dict[int, Leaf] = {}
+        self.parent: dict[Node, Gate] = {}
+        for node in formula.nodes:
+            if isinstance(node, Leaf):
+                self.leaves[node.var] = node
+            else:
+                self.parent[node.left] = self.parent[node.right] = node
+        self.tested: frozenset[int] | None = None  # set by the first move
+        self.scaled: dict[Node, dict[int, ScaledTable]] = {}
+
+    def move_to(self, s: frozenset[int]) -> None:
+        changed = self.variables if self.tested is None else (s ^ self.tested) & self.variables
+        formula, scaled, parent = self.formula, self.scaled, self.parent
+        dirty: set[Node] = set()
+        for var in changed:
+            node = self.leaves[var]
+            scaled[node] = _leaf_tables(formula, node, var in s)
+            gate = parent.get(node)
+            while gate is not None and gate not in dirty:
+                dirty.add(gate)
+                gate = parent.get(gate)
+        for gate in formula.nodes:  # children first
+            if gate in dirty:
+                scaled[gate] = _gate_tables(formula, gate, scaled, prune=True)
+        self.tested = s
+
+    def supplement(self, s: frozenset[int]) -> tuple[frozenset[int], int, Fraction]:
+        """``find_supp``'s supplement of ``s`` with its total cost, and the
+        determination probability of ``s`` read off the root tables."""
+        if s >= self.variables:
+            raise EmptyRemainder("every test has already been taken")
+        self.move_to(s)
+        formula = self.formula
+        root_tables = self.scaled[formula.root]
+        # (gain, budget) per target; gains share the root's denominator, so
+        # densities gain / budget compare by cross-multiplication
+        best: dict[int, tuple[int, int]] = {}
+        for outcome in (0, 1):
+            root = root_tables[outcome]
+            baseline = root[0][0]
+            for t in root:  # ascending budgets, 0 first
+                if t == 0:
+                    continue
+                gain = root[t][0] - baseline
+                if outcome not in best or gain * best[outcome][1] > best[outcome][0] * t:
+                    best[outcome] = (gain, t)
+        (gain0, t0), (gain1, t1) = best[0], best[1]
+        outcome = 0 if gain0 * t1 > gain1 * t0 else 1
+        spent = best[outcome][1]
+        # the budget-0 entries are the probabilities that s alone determines 0, 1
+        determined = root_tables[0][0][0] + root_tables[1][0][0]
+        determined = Fraction(determined, formula.denominators[formula.root])
+        chosen = RpTables(formula, self.scaled).chosen(formula.root, outcome, spent)
+        return chosen, spent, determined
 
 
 def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
@@ -369,40 +467,11 @@ def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
 
     For each target value the best density over exact budgets is taken from
     the root tables, against the budget-0 entry (``s`` alone); the larger of
-    the two wins (the target-1 set on a tie).  The winner's density is at
-    least half the best over all supersets.
+    the two wins (the target-1 set on a tie), and within a target the
+    smallest budget.  The winner's density is at least half the best over
+    all supersets.
     """
-    return _supplement(formula, frozenset(s))[0]
-
-
-def _supplement(
-    formula: ReadOnceFormula, s: frozenset[int]
-) -> tuple[frozenset[int], int, Fraction]:
-    """``find_supp``'s supplement with its total cost and the
-    determination probability of ``s`` read off the root tables."""
-    if s >= set(formula.variables):
-        raise EmptyRemainder("every test has already been taken")
-    tables = compute_rp(formula, s)
-    root_tables = tables.scaled[formula.root]
-    # (gain, budget) per target; gains share the root's denominator, so
-    # densities gain / budget compare by cross-multiplication
-    best: dict[int, tuple[int, int]] = {}
-    for outcome in (0, 1):
-        root = root_tables[outcome]
-        baseline = root[0][0]
-        for t in sorted(root):
-            if t == 0:
-                continue
-            gain = root[t][0] - baseline
-            if outcome not in best or gain * best[outcome][1] > best[outcome][0] * t:
-                best[outcome] = (gain, t)
-    (gain0, t0), (gain1, t1) = best[0], best[1]
-    outcome = 0 if gain0 * t1 > gain1 * t0 else 1
-    spent = best[outcome][1]
-    # the budget-0 entries are the probabilities that s alone determines 0, 1
-    determined = root_tables[0][0][0] + root_tables[1][0][0]
-    determined = Fraction(determined, formula.denominators[formula.root])
-    return tables.chosen(formula.root, outcome, spent), spent, determined
+    return _Supplements(formula).supplement(frozenset(s))[0]
 
 
 def to_msop(formula: ReadOnceFormula) -> MsopInstance:
@@ -431,12 +500,18 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance | None = 
 
     The base's weight comes from the supplement search's own tables and the
     supplement's cost is its budget, so a step calls the weight oracle once,
-    on the candidate."""
+    on the candidate.  The solver keeps the pruned tables of its last base
+    (``_Supplements``), built on the first call: a greedy step recomputes
+    the gates on the root paths of the tests the last step added."""
     inst = instance if instance is not None else to_msop(formula)
+    state: _Supplements | None = None
 
     def solve(base: frozenset[int]) -> DensityResult:
+        nonlocal state
         base = frozenset(base)
-        chosen, spent, base_weight = _supplement(formula, base)
+        if state is None:
+            state = _Supplements(formula)
+        chosen, spent, base_weight = state.supplement(base)
         candidate = base | chosen
         gain = inst.weight(candidate) - base_weight
         return DensityResult(base, candidate, Fraction(gain, spent), 2)

@@ -24,9 +24,10 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
+from msop.generators import _rng
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag, is_inforest, is_multitree, residual
-from msop.rof import Leaf, ReadOnceFormula, to_msop as rof_to_msop
+from msop.rof import Leaf, ReadOnceFormula, compute_rp, to_msop as rof_to_msop
 
 
 def eq2_cost(instance: MsopInstance, order) -> Fraction:
@@ -307,6 +308,25 @@ def ref_singleton_greedy_density(instance: MsscInstance, base) -> DensityResult:
     return DensityResult(base, base | {best[1]}, best[0], 1)
 
 
+def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
+    """Every uncovered hyperedge adds its weight to its members' gains at
+    every call; densities compared by cross-multiplication."""
+    base = frozenset(base)
+    if not base < frozenset(range(instance.n)):
+        raise NoFeasibleSuperset("base already contains every element")
+    gain = [0] * instance.n
+    for w, members in instance.edges:
+        if members.isdisjoint(base):
+            for v in members:
+                gain[v] += w
+    costs = instance.costs
+    best = min(v for v in range(instance.n) if v not in base)
+    for v in range(best + 1, instance.n):
+        if v not in base and gain[v] * costs[best] > gain[best] * costs[v]:
+            best = v
+    return DensityResult(base, base | {best}, Fraction(gain[best], costs[best]), 1)
+
+
 def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
     """Every stem prefix evaluated through the full-set weight oracle."""
     base = frozenset(base)
@@ -477,6 +497,40 @@ def ref_find_supp(formula: ReadOnceFormula, s) -> frozenset:
     return best[1][1]
 
 
+def ref_scaled_supplement(formula: ReadOnceFormula, s):
+    """The supplement search on ``compute_rp``'s unpruned integer tables,
+    rebuilt for every base: the supplement, its budget, and the
+    determination probability of ``s``."""
+    s = frozenset(s)
+    if s >= set(formula.variables):
+        raise EmptyRemainder("every test has already been taken")
+    tables = compute_rp(formula, s)
+    root_tables = tables.scaled[formula.root]
+    best = {}
+    for outcome in (0, 1):
+        root = root_tables[outcome]
+        baseline = root[0][0]
+        for t in sorted(root):
+            if t == 0:
+                continue
+            gain = root[t][0] - baseline
+            if outcome not in best or gain * best[outcome][1] > best[outcome][0] * t:
+                best[outcome] = (gain, t)
+    (gain0, t0), (gain1, t1) = best[0], best[1]
+    outcome = 0 if gain0 * t1 > gain1 * t0 else 1
+    spent = best[outcome][1]
+    determined = root_tables[0][0][0] + root_tables[1][0][0]
+    determined = Fraction(determined, formula.denominators[formula.root])
+    return tables.chosen(formula.root, outcome, spent), spent, determined
+
+
+def ref_scaled_supplement_step(formula: ReadOnceFormula, instance: MsopInstance, base):
+    chosen, spent, base_weight = ref_scaled_supplement(formula, base)
+    candidate = frozenset(base) | chosen
+    gain = instance.weight(candidate) - base_weight
+    return DensityResult(frozenset(base), candidate, Fraction(gain, spent), 2)
+
+
 def ref_rof_instance(formula: ReadOnceFormula) -> MsopInstance:
     """``rof.to_msop`` with the ``Fraction`` weight oracle."""
     return replace(rof_to_msop(formula), weight=lambda s: ref_g_determined(formula, s))
@@ -489,3 +543,24 @@ def ref_supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
         return DensityResult(base, candidate, rho, 2)
 
     return solve
+
+
+# ---------------------------------------------------------------------------
+# Reference generator: the multitree generator that re-checked the whole
+# DAG for every accepted arc candidate.
+
+
+def ref_gen_multitree(n: int, seed: int, arc_chance=None) -> OrDag:
+    rng = _rng("multitree", n, seed)
+    jobs = tuple(range(n))
+    arcs = []
+    chance = arc_chance if arc_chance is not None else min(0.9, 2.5 / max(1, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < chance:
+                trial = OrDag(jobs, (0,) * n, (0,) * n, tuple(arcs) + ((i, j),))
+                if is_multitree(trial):
+                    arcs.append((i, j))
+    times = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(n))
+    weights = tuple(rng.choice((0, 1, 2, 3, 4)) for _ in range(n))
+    return OrDag(jobs, times, weights, tuple(sorted(arcs)))

@@ -38,7 +38,9 @@ from helpers import (
     ref_max_density_stem,
     ref_prob_tables,
     ref_rof_instance,
+    ref_scaled_supplement_step,
     ref_singleton_greedy_density,
+    ref_singleton_step,
     ref_supplement_solver,
     tabulate,
 )
@@ -148,6 +150,29 @@ SOLVERS = {
 }
 
 
+def blocked_job(dag, base):
+    """A job outside ``base`` none of whose predecessors it holds, so that
+    ``base`` plus the job is not OR-initial; None when there is none."""
+    return next((j for j in dag.jobs if dag.preds[j] and j not in base
+                 and dag.pred_sets[j].isdisjoint(base)), None)
+
+
+def drive(solve, reference, parsed, bases):
+    """One solver through ``bases`` in order, each step against the
+    reference; returns the outcome kinds seen."""
+    kinds = set()
+    for k, base in enumerate(bases):
+        want = outcome(reference, parsed, base)
+        assert outcome(solve, base) == want, (k, sorted(base))
+        kinds.add(want[0] if isinstance(want[0], str) else "step")
+    return kinds
+
+
+def shuffled_walks(walk, rng):
+    """A walk, its reverse and a shuffle, one after another."""
+    return walk + walk[::-1] + rng.sample(walk, len(walk))
+
+
 @pytest.mark.parametrize("shape", sorted(SOLVERS))
 def test_or_solver_matches_reference_on_bases_out_of_order(shape):
     make, solver, reference = SOLVERS[shape]
@@ -159,20 +184,110 @@ def test_or_solver_matches_reference_on_bases_out_of_order(shape):
         # a base near the middle of the walk, and a job none of whose
         # predecessors it holds: together they are not OR-initial
         middle, blocked = next(
-            (b, j) for b in walk[len(walk) // 2::-1] for j in dag.jobs
-            if dag.preds[j] and j not in b and dag.pred_sets[j].isdisjoint(b)
+            (b, j) for b in walk[len(walk) // 2::-1] if (j := blocked_job(dag, b)) is not None
         )
-        bases = walk + walk[::-1] + rng.sample(walk, len(walk))
+        bases = shuffled_walks(walk, rng)
         bases += [middle, middle | {blocked}, walk[-2], frozenset({blocked}), frozenset()]
-        solve = solver(dag)
-        for base in bases:
-            want = outcome(reference, dag, base)
-            assert outcome(solve, base) == want, (seed, sorted(base))
-            outcomes.add(want[0] if isinstance(want[0], str) else "step")
+        outcomes |= drive(solver(dag), reference, dag, bases)
     want_kinds = {"step", "NotInitial", "NoFeasibleSuperset"}
     if shape == "fork":
         want_kinds.add("NotInforest")
     assert outcomes == want_kinds
+
+
+def rof_step(formula, base):
+    return ref_scaled_supplement_step(formula, rof.to_msop(formula), base)
+
+
+def free_walk(ground, rng):
+    """Sets from the empty set to the whole ground set, each adding one
+    random element."""
+    order = rng.sample(sorted(ground), len(ground))
+    return [frozenset(order[:k]) for k in range(len(order) + 1)]
+
+
+FREE_SOLVERS = {
+    "mssc": (lambda n, seed: gen_instance("mssc", n, seed), mssc.singleton_solver,
+             ref_singleton_step, lambda parsed: range(parsed.n), "NoFeasibleSuperset"),
+    "pipelined": (lambda n, seed: gen_instance("pipelined", n, seed), mssc.singleton_solver,
+                  ref_singleton_step, lambda parsed: range(parsed.n), "NoFeasibleSuperset"),
+    "rof": (lambda n, seed: gen_instance("rof", n, seed), rof.supplement_solver, rof_step,
+            lambda formula: formula.variables, "EmptyRemainder"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FREE_SOLVERS))
+def test_free_family_solver_matches_reference_on_bases_out_of_order(kind):
+    make, solver, reference, ground, full_error = FREE_SOLVERS[kind]
+    rng = random.Random(44)
+    outcomes = set()
+    for seed in range(8):
+        parsed = make(8 + 4 * seed, 700 + seed)
+        walk = free_walk(ground(parsed), rng)
+        bases = shuffled_walks(walk, rng)
+        bases += [walk[len(walk) // 2], walk[-2], walk[-1], walk[-1], frozenset()]
+        outcomes |= drive(solver(parsed), reference, parsed, bases)
+    assert outcomes == {"step", full_error}
+
+
+# kind: (parsed instance, adapter, solver factory, stateless reference, alpha)
+DETOURS = {
+    "mssc": (lambda: gen_instance("mssc", 160, 11), mssc.to_msop, mssc.singleton_solver,
+             ref_singleton_step, 1),
+    "pipelined": (lambda: gen_instance("pipelined", 140, 12), mssc.to_msop,
+                  mssc.singleton_solver, ref_singleton_step, 1),
+    "inforest": (lambda: gen_instance("inforest", 150, 13), orsched.to_msop,
+                 orsched.stem_solver, modular_stem, 1),
+    "multitree": (lambda: gen_instance("multitree", 110, 14), orsched.to_msop,
+                  orsched.outtree_solver, ref_max_density_outtree, 1),
+    "rof": (lambda: gen_instance("rof", 70, 15), rof.to_msop, rof.supplement_solver,
+            rof_step, 2),
+    "rof-nested": (lambda: right_nested_formula(60, 16), rof.to_msop, rof.supplement_solver,
+                   rof_step, 2),
+}
+
+
+def right_nested_formula(leaves, seed):
+    """(op x1 (op x2 (... x<leaves>))) with random gates, probabilities and
+    costs: greedy tests deep leaves, whose root paths hold nearly every gate."""
+    rng = random.Random(seed)
+    node = rof.Leaf(leaves)
+    for v in range(leaves - 1, 0, -1):
+        node = rof.Gate(rng.choice(("and", "or")), rof.Leaf(v), node)
+    probs = {}
+    for v in range(1, leaves + 1):
+        den = rng.randint(2, 6)
+        probs[v] = Fraction(rng.randint(1, den - 1), den)
+    return rof.ReadOnceFormula(node, probs, {v: rng.randint(1, 3) for v in range(1, leaves + 1)})
+
+
+@pytest.mark.parametrize("kind", sorted(DETOURS))
+def test_stateful_solver_matches_reference_through_detours(kind):
+    # above the exhaustive caps: the stateless reference's greedy chain, fed
+    # to one solver with detours -- the same base twice, a base that is not
+    # OR-initial (OR-DAGs), a jump ahead and back, and a base that neither
+    # contains nor is contained in the last one -- between nested stretches
+    make, adapter, solver, reference, alpha = DETOURS[kind]
+    parsed = make()
+    inst = adapter(parsed)
+    chain = ref_greedy_chain(inst, lambda b: reference(parsed, b), alpha)
+    sets = list(chain.sets[:-1])
+    assert len(sets) >= 30
+    rng = random.Random(kind)
+    a, b = len(sets) // 3, 2 * len(sets) // 3
+    if isinstance(parsed, OrDag):
+        walk = or_initial_walk(parsed, rng)
+        blocked = blocked_job(parsed, sets[a - 1])
+        bad = [sets[a - 1] | {blocked}]
+    else:
+        walk = free_walk(inst.ground_set, rng)
+        bad = []
+    other = walk[len(sets[b])]
+    assert not (other <= sets[b] or other >= sets[b])
+    bases = sets[:a] + [sets[a - 1]] + bad + sets[a:b] + [sets[b + 3], sets[b + 1]]
+    bases += [other] + sets[b:]
+    kinds = drive(solver(parsed), reference, parsed, bases)
+    assert kinds == ({"step", "NotInitial"} if bad else {"step"})
 
 
 def test_outtree_solver_memo_tells_apart_trees_of_equal_size():
@@ -187,6 +302,27 @@ def test_outtree_solver_memo_tells_apart_trees_of_equal_size():
     assert solve(frozenset({4})).candidate == frozenset({0, 1, 4})
 
 
+def test_residual_forgets_candidates_through_added_or_freed_jobs():
+    # 0 -> 1 -> 2 -> 4 and 3 -> 2: source 0's densest stem is 0, 1, 2, 4.
+    # Adding job 3 frees job 2, which cuts that stem short.  A best stem
+    # through a freed job always loses to the freed job's own (its tail is
+    # denser), so no chain shows a kept one: this checks the state itself.
+    dag = OrDag((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (0, 0, 9, 1, 5),
+                ((0, 1), (1, 2), (2, 4), (3, 2)))
+    state = orsched._Residual(dag)
+    state.move_to(frozenset())
+    state.found[0] = orsched._best_prefix(state, 0, None, frozenset(), None)
+    assert state.cached(0)[-1] == [1, 2, 4]
+    state.move_to(frozenset())
+    assert state.cached(0) is not None
+    state.move_to(frozenset({3}))
+    assert state.cached(0) is None and state.sources == {0, 2}
+    state.found[0] = orsched._best_prefix(state, 0, None, frozenset({3}), None)
+    assert state.cached(0)[-1] == []
+    state.move_to(frozenset({0}))  # not a superset: everything is recomputed
+    assert state.found == {}
+
+
 def test_supplement_step_matches_reference_chain():
     formula = gen_instance("rof", 60, 1)
     inst = rof.to_msop(formula)
@@ -194,6 +330,69 @@ def test_supplement_step_matches_reference_chain():
     fast = greedy_chain(inst, rof.supplement_solver(formula, inst), 2)
     slow = ref_greedy_chain(ref_inst, ref_supplement_solver(formula, ref_inst), 2)
     assert_same_chain(fast, slow)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_instance("rof", 120, 2),
+                                  lambda: right_nested_formula(110, 3)],
+                         ids=["generated", "right-nested"])
+def test_supplement_step_matches_unpruned_reference_chain(make):
+    formula = make()
+    inst = rof.to_msop(formula)
+    fast = greedy_chain(inst, rof.supplement_solver(formula, inst), 2)
+    slow = ref_greedy_chain(inst, lambda b: ref_scaled_supplement_step(formula, inst, b), 2)
+    assert_same_chain(fast, slow)
+
+
+def undominated(table):
+    """The entries of an exact-budget table whose value beats every smaller
+    budget's."""
+    kept, top = {}, -1
+    for t in sorted(table):
+        if table[t][0] > top:
+            kept[t] = table[t]
+            top = table[t][0]
+    return kept
+
+
+def test_supplement_tables_are_the_undominated_exact_budget_entries():
+    # after every move, nested or not, each gate's kept table is exactly the
+    # undominated part of compute_rp's table, back-pointers included
+    rng = random.Random(34)
+    checked = dropped = 0
+    for seed in range(10):
+        formula = gen_instance("rof", 12 + 5 * seed, 400 + seed)
+        walk = free_walk(formula.variables, rng)
+        state = rof._Supplements(formula)
+        for base in walk[:-1] + rng.sample(walk[:-1], 6):
+            state.move_to(base)
+            full = rof.compute_rp(formula, base).scaled
+            for node in formula.nodes:
+                for target in (0, 1):
+                    kept = state.scaled[node][target]
+                    assert kept == undominated(full[node][target]), (seed, sorted(base))
+                    dropped += len(full[node][target]) - len(kept)
+                    checked += 1
+    assert checked > 10_000 and dropped > 10_000
+
+
+def test_supplement_search_through_zero_gain_budgets():
+    # and(or(x1, x2), or(x3, x4)): until each side holds a tested leaf, a
+    # budget spent on one side only determines nothing new for target 1, so
+    # the exact-budget tables hold zero-gain entries that pruning drops
+    formula = rof.ReadOnceFormula(
+        rof.Gate("and", rof.Gate("or", rof.Leaf(1), rof.Leaf(2)),
+                 rof.Gate("or", rof.Leaf(3), rof.Leaf(4))),
+        {1: Fraction(1, 3), 2: Fraction(1, 2), 3: Fraction(2, 5), 4: Fraction(1, 4)},
+        {1: 1, 2: 2, 3: 4, 4: 5},
+    )
+    root = rof.compute_rp(formula, frozenset()).scaled[formula.root][1]
+    zero_gain = [t for t in sorted(root) if t and root[t][0] == root[0][0]]
+    assert zero_gain == [1, 2, 3, 4, 9]
+    solve = rof.supplement_solver(formula)
+    subsets = [frozenset(v for v in range(1, 5) if m >> (v - 1) & 1) for m in range(15)]
+    # every proper subset, in an order that both nests and jumps around
+    for base in subsets + subsets[::-1] + subsets[::3]:
+        assert outcome(solve, base) == outcome(rof_step, formula, base), sorted(base)
 
 
 def test_supplement_step_calls_the_weight_oracle_once():

@@ -12,6 +12,8 @@ from msop.generators import (
 )
 from msop.orsched import classify_dag, is_inforest, is_multitree
 
+from helpers import ref_gen_multitree
+
 
 def test_mssc_generator_validity_batch():
     # instance construction re-validates every invariant, so surviving
@@ -39,6 +41,18 @@ def test_multitree_generator_shape():
     for seed in range(300):
         dag = gen_instance("multitree", 2 + seed % 10, seed)
         assert is_multitree(dag)
+
+
+def test_multitree_generator_matches_the_whole_dag_recheck():
+    # same RNG draws and the same accepted arcs, so the instances are equal;
+    # dense arc chances make most candidate arcs close a second path
+    grid = [(n, seed, None) for n in range(1, 41, 3) for seed in range(4)]
+    grid += [(n, seed, chance) for n in (5, 9, 14) for seed in range(3) for chance in (0.3, 0.9)]
+    grid += [(90, 7, None), (60, 8, 0.2), (200, 5, None)]
+    for n, seed, chance in grid:
+        fast = gen_instance("multitree", n, seed, arc_chance=chance)
+        assert fast == ref_gen_multitree(n, seed, chance), (n, seed, chance)
+        assert is_multitree(fast)
 
 
 def test_bipartite_generator_shape():
