@@ -40,6 +40,54 @@ SetFn = Callable[[frozenset[int]], Rational]
 FamilyFn = Callable[[frozenset[int]], bool]
 
 
+class RunningOracle:
+    """A set function that keeps its value for the last set it was asked
+    about and moves to the next set by the symmetric difference: a greedy
+    chain, its dual's complements and the chain's refinement each ask
+    about sets one or two elements apart.  When the difference is larger
+    than the new set, the state is rebuilt from the empty set.
+
+    Subclasses hold the state: ``reset()`` empties it and
+    ``move(added, removed)`` applies a difference and returns the value.
+    An argument that is not a ``frozenset`` is frozen before it is kept,
+    since its caller may change it later.  ``rebuilds`` counts the moves
+    that started from the empty set.
+    """
+
+    def __init__(self):
+        self.last: frozenset[int] | None = None
+        self.value = None
+        self.rebuilds = 0
+
+    def __call__(self, s):
+        if type(s) is not frozenset:
+            s = frozenset(s)
+        last = self.last
+        if s is last:
+            return self.value
+        rebuild = last is None
+        if not rebuild:
+            added = s - last
+            size = len(s)
+            if len(last) + len(added) == size:  # last <= s
+                if not added:
+                    self.last = s
+                    return self.value
+                removed = ()
+            else:
+                removed = last - s
+                rebuild = len(added) + len(removed) > size
+        if rebuild:
+            self.rebuilds += 1
+            self.reset()
+            added, removed = s, ()
+        # a move that raises leaves a state nothing may trust
+        self.last = None
+        self.value = self.move(added, removed)
+        self.last = s
+        return self.value
+
+
 @dataclass(frozen=True)
 class StructuralFlags:
     """Declared structural properties of an instance.
@@ -229,8 +277,8 @@ def marginal_density(
         raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
     if not instance.in_family(base):
         raise NotInFamily(f"base {sorted(base)} is not in the family")
-    rho, _, _ = _step_from(instance, base, instance.cost(base), instance.weight(base), candidate)
-    return DensityResult(base, candidate, rho, 1)
+    _, _, dg, df = _step_from(instance, base, instance.cost(base), instance.weight(base), candidate)
+    return DensityResult(base, candidate, INF if df == 0 else Fraction(dg, df), 1)
 
 
 def _step_from(
@@ -239,9 +287,9 @@ def _step_from(
     base_cost: Rational,
     base_weight: Rational,
     candidate: frozenset[int],
-) -> tuple[Density, Rational, Rational]:
-    """Density of ``candidate`` over a feasible ``base`` whose cost and
-    weight are already known; also returns the candidate's cost and weight."""
+) -> tuple[Rational, Rational, Rational, Rational]:
+    """Cost and weight of ``candidate``, and its weight and cost gains, over
+    a feasible ``base`` whose cost and weight are already known."""
     if not base < candidate:
         raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
     if not instance.in_family(candidate):
@@ -254,8 +302,17 @@ def _step_from(
         raise NonMonotone(
             f"value decreased between {sorted(base)} and {sorted(candidate)}"
         )
-    rho: Density = INF if df == 0 else Fraction(dg, df)
-    return rho, cost, weight
+    return cost, weight, dg, df
+
+
+def _is_density(claimed: Density, gain: Rational, spent: Rational) -> bool:
+    """Whether ``claimed`` equals gain/spent (+inf when ``spent`` is 0);
+    an int or ``Fraction`` claim is checked by cross-multiplication."""
+    if not spent:
+        return claimed == INF
+    if type(claimed) is int or type(claimed) is Fraction:
+        return gain * claimed.denominator == claimed.numerator * spent
+    return claimed == Fraction(gain, spent)
 
 
 def compare_density(
@@ -285,8 +342,8 @@ def greedy_chain(
 ) -> Chain:
     """Iterate a density solver from the empty set until the ground set.
 
-    The solver's answer is taken verbatim each step; the achieved marginal
-    density is recomputed from the oracles and recorded as the chain's
+    The solver's answer is taken verbatim each step; its density is checked
+    against the oracles' weight and cost gains and recorded as the chain's
     certificate.  Cost-flat (+inf density) steps are expected to be offered
     by the solver before any finite-density step and are taken immediately;
     they never increase the objective.
@@ -304,16 +361,17 @@ def greedy_chain(
         step = density_solver(current)
         if step.candidate == current:
             raise SolverStall(f"density solver returned its base {sorted(current)}")
-        rho, cost, weight = _step_from(
+        cost, weight, dg, df = _step_from(
             instance, current, cost, weight, frozenset(step.candidate)
         )
-        if rho != step.marginal_density:
+        if not _is_density(step.marginal_density, dg, df):
+            rho = INF if df == 0 else Fraction(dg, df)
             raise ValidationError(
                 "density solver reported density "
                 f"{step.marginal_density} but the oracles give {rho}"
             )
         sets.append(step.candidate)
-        densities.append(rho)
+        densities.append(step.marginal_density)
         current = step.candidate
     return Chain(tuple(sets), tuple(densities), alpha)
 

@@ -42,7 +42,9 @@ def parse_rational(token: str, line: int | None, column: int | None = 1) -> Rati
 
 
 def format_rational(value: Rational) -> str:
-    frac = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    frac = value if type(value) is Fraction else Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"

@@ -18,6 +18,7 @@ from .core import (
     MsopInstance,
     Permutation,
     Rational,
+    RunningOracle,
     StructuralFlags,
     order_of,
 )
@@ -63,6 +64,44 @@ def coverage_weight(instance: MsscInstance, s: frozenset[int]) -> Rational:
     return total
 
 
+class CoverageWeight(RunningOracle):
+    """``coverage_weight`` over ``edges`` (weight, members) pairs as a running
+    oracle: the count of each hyperedge's members inside the last set, and
+    per element the hyperedges through it, built on the first call.  A
+    call costs the hyperedges through the elements that came or went."""
+
+    def __init__(self, edges: Sequence[tuple[Rational, frozenset[int]]]):
+        super().__init__()
+        self.edges = edges
+        self.incident: dict[int, list[int]] | None = None
+
+    def reset(self) -> None:
+        if self.incident is None:
+            self.incident = {}
+            for e, (_, members) in enumerate(self.edges):
+                for v in members:
+                    self.incident.setdefault(v, []).append(e)
+            self.weights = [w for w, _ in self.edges]
+        self.count = [0] * len(self.edges)
+        self.total: Rational = 0
+
+    def move(self, added, removed) -> Rational:
+        incident, count, weights = self.incident, self.count, self.weights
+        total = self.total
+        for v in removed:
+            for e in incident.get(v, ()):
+                count[e] -= 1
+                if not count[e]:
+                    total -= weights[e]
+        for v in added:
+            for e in incident.get(v, ()):
+                if not count[e]:
+                    total += weights[e]
+                count[e] += 1
+        self.total = total
+        return total
+
+
 def covering_cost(instance: MsscInstance, permutation: Permutation | Sequence[int]) -> Rational:
     """Weighted sum over hyperedges of the prefix cost at first coverage."""
     order = order_of(permutation)
@@ -81,8 +120,8 @@ def covering_cost(instance: MsscInstance, permutation: Permutation | Sequence[in
 
 
 def to_msop(instance: MsscInstance) -> MsopInstance:
-    """Free-family instance: modular costs, submodular coverage weight.
-    All three oracles supply their lattice columns."""
+    """Free-family instance: modular costs, submodular coverage weight
+    (``CoverageWeight``).  All three oracles supply their lattice columns."""
     n = instance.n
     ground = tuple(range(n))
 
@@ -91,9 +130,6 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
     def cost(s: frozenset[int]) -> Rational:
         return sum(map(cost_of, s))
 
-    def weight(s: frozenset[int]) -> Rational:
-        return coverage_weight(instance, s)
-
     def edge_masks():
         return [(w, sum(1 << v for v in members)) for w, members in instance.edges]
 
@@ -101,7 +137,8 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
         ground,
         supply(lambda s: True, ground, lambda: free_family(n)),
         supply(cost, ground, lambda: modular_column(instance.costs)),
-        supply(weight, ground, lambda: coverage_column(n, edge_masks())),
+        supply(CoverageWeight(instance.edges), ground,
+               lambda: coverage_column(n, edge_masks())),
         StructuralFlags(
             union_closed=True,
             intersection_closed=True,

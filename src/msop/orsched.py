@@ -25,6 +25,7 @@ from .core import (
     MsopInstance,
     Permutation,
     Rational,
+    RunningOracle,
     StructuralFlags,
     compare_density,
     order_of,
@@ -40,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import coverage_column, modular_column, supply, union_column
+from .mssc import CoverageWeight
 
 WeightOracle = Callable[[frozenset[int]], Rational]
 
@@ -132,18 +134,22 @@ class OrDag:
 
     @cached_property
     def _multitree(self) -> bool:
-        """At most one directed path between any ordered pair of vertices."""
-        topo = _topological(self)
-        for start in self.jobs:
-            paths = {start: 1}
-            for v in topo:
-                count = paths.get(v)
-                if not count:
-                    continue
-                for w in self.succs[v]:
-                    paths[w] = paths.get(w, 0) + count
-                    if paths[w] > 1:
-                        return False
+        """At most one directed path between any ordered pair of vertices.
+
+        Two paths from u to x part at some vertex into two successors that
+        both reach a common vertex, and two such successors give two paths.
+        So one pass in reverse topological order, over reachability
+        bitmasks, rejects a vertex two of whose successors reach a common
+        vertex."""
+        bit = {j: 1 << i for i, j in enumerate(self.jobs)}
+        reach: dict[int, int] = {}
+        for v in reversed(_topological(self)):
+            below = 0
+            for w in self.succs[v]:
+                if below & reach[w]:
+                    return False
+                below |= reach[w]
+            reach[v] = below | bit[v]
         return True
 
     def time_of(self, job: int) -> Rational:
@@ -243,17 +249,54 @@ def or_initial_column(dag: OrDag, ground: tuple[int, ...]) -> bytearray:
     return bytearray([not m & ~sat for m, sat in enumerate(satisfied)])
 
 
-def _membership_and_cost(dag: OrDag, ground: tuple[int, ...]):
-    """Membership and processing-time cost, with their lattice columns."""
+class OrInitialMembership(RunningOracle):
+    """``or_initial_membership`` as a running oracle: per job, how many of
+    its predecessors are in the last set, and how many members have
+    predecessors but none inside.  A call costs the arcs out of the jobs
+    that came or went."""
 
-    def in_family(s: frozenset[int]) -> bool:
-        return or_initial_membership(dag, s)
+    def __init__(self, dag: OrDag):
+        super().__init__()
+        self.dag = dag
+
+    def reset(self) -> None:
+        self.inside = dict.fromkeys(self.dag.jobs, 0)
+        self.members: set[int] = set()
+        self.stranded = 0
+
+    def move(self, added, removed) -> bool:
+        preds, succs = self.dag.preds, self.dag.succs
+        inside, members = self.inside, self.members
+        stranded = self.stranded
+        for v in removed:
+            members.remove(v)
+            if preds[v] and not inside[v]:
+                stranded -= 1
+            for w in succs[v]:
+                inside[w] -= 1
+                if not inside[w] and w in members:
+                    stranded += 1
+        for v in added:
+            if preds[v] and not inside[v]:  # an unknown job raises KeyError
+                stranded += 1
+            members.add(v)
+            for w in succs[v]:
+                if not inside[w] and w in members:
+                    stranded -= 1
+                inside[w] += 1
+        self.stranded = stranded
+        return not stranded
+
+
+def _membership_and_cost(dag: OrDag, ground: tuple[int, ...]):
+    """Membership (``OrInitialMembership``) and processing-time cost, with
+    their lattice columns."""
 
     def cost(s: frozenset[int]) -> Rational:
         return sum(map(dag.time_map.__getitem__, s))
 
     return (
-        supply(in_family, ground, lambda: or_initial_column(dag, ground)),
+        supply(OrInitialMembership(dag), ground, lambda: or_initial_column(dag, ground)),
         supply(cost, ground, lambda: modular_column([dag.time_of(j) for j in ground])),
     )
 
@@ -559,9 +602,6 @@ def pipelined_to_msop(
     ground = tuple(sorted(dag.jobs))
     in_family, cost = _membership_and_cost(dag, ground)
 
-    def weight(s: frozenset[int]) -> Rational:
-        return sum(w for w, members in frozen_edges if not members.isdisjoint(s))
-
     def weight_column():
         bit = {j: 1 << i for i, j in enumerate(ground)}
         masks = [(w, sum(bit[j] for j in members)) for w, members in frozen_edges]
@@ -571,7 +611,7 @@ def pipelined_to_msop(
         ground,
         in_family,
         cost,
-        supply(weight, ground, weight_column),
+        supply(CoverageWeight(frozen_edges), ground, weight_column),
         StructuralFlags(union_closed=True, f_modular=True, g_submodular=True),
         name="or-pipelined",
     )

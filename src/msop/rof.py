@@ -29,6 +29,7 @@ from .core import (
     MsopInstance,
     Permutation,
     Rational,
+    RunningOracle,
     StructuralFlags,
     densest_consistent_permutation,
     greedy_chain,
@@ -109,6 +110,37 @@ class ReadOnceFormula:
         return out
 
     @cached_property
+    def leaves(self) -> dict[int, Leaf]:
+        """Each variable's leaf."""
+        return {node.var: node for node in self.nodes if isinstance(node, Leaf)}
+
+    @cached_property
+    def parents(self) -> dict[Node, Gate]:
+        """Each node's gate; the root has none."""
+        out: dict[Node, Gate] = {}
+        for node in self.nodes:
+            if isinstance(node, Gate):
+                out[node.left] = out[node.right] = node
+        return out
+
+    @cached_property
+    def positions(self) -> dict[Node, int]:
+        """Each node's index in ``nodes``."""
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    def gates_above(self, variables) -> list[Gate]:
+        """The gates on the root paths of ``variables``' leaves, children
+        first; variables outside the formula have none."""
+        parents, leaves = self.parents, self.leaves
+        gates: set[Gate] = set()
+        for var in variables:
+            gate = parents.get(leaves.get(var))
+            while gate is not None and gate not in gates:
+                gates.add(gate)
+                gate = parents.get(gate)
+        return sorted(gates, key=self.positions.__getitem__)
+
+    @cached_property
     def tests_below(self) -> dict[Node, frozenset[int]]:
         out: dict[Node, frozenset[int]] = {}
         for node in self.nodes:
@@ -144,6 +176,21 @@ def eval_partial(formula: ReadOnceFormula, assignment: Mapping[int, int | None])
     return value[formula.root]
 
 
+def _scaled_gate(gate: Gate, ones, zeros, den) -> None:
+    """A gate's probabilities of being determined 1 and 0, times its
+    denominator, from its children's."""
+    pl, pr = ones[gate.left], ones[gate.right]
+    ql, qr = zeros[gate.left], zeros[gate.right]
+    dl, dr = den[gate.left], den[gate.right]
+    if gate.op == "and":
+        p, q = pl * pr, ql * dr + qr * dl - ql * qr
+    else:
+        p, q = pl * dr + pr * dl - pl * pr, ql * qr
+    if p < 0 or q < 0 or p + q > den[gate]:
+        raise ValidationError("gate probabilities left [0, 1]")
+    ones[gate], zeros[gate] = p, q
+
+
 def _scaled_prob_tables(
     formula: ReadOnceFormula, s: frozenset[int]
 ) -> tuple[dict[Node, int], dict[Node, int]]:
@@ -153,49 +200,16 @@ def _scaled_prob_tables(
     ones: dict[Node, int] = {}
     zeros: dict[Node, int] = {}
     for node in formula.nodes:
-        if isinstance(node, Leaf):
-            if node.var in s:
-                p = formula.probs[node.var]
-                ones[node] = p.numerator
-                zeros[node] = p.denominator - p.numerator
-            else:
-                ones[node] = 0
-                zeros[node] = 0
+        if isinstance(node, Gate):
+            _scaled_gate(node, ones, zeros, den)
+        elif node.var in s:
+            p = formula.probs[node.var]
+            ones[node] = p.numerator
+            zeros[node] = p.denominator - p.numerator
         else:
-            pl, pr = ones[node.left], ones[node.right]
-            ql, qr = zeros[node.left], zeros[node.right]
-            dl, dr = den[node.left], den[node.right]
-            if node.op == "and":
-                ones[node] = pl * pr
-                zeros[node] = ql * dr + qr * dl - ql * qr
-            else:
-                ones[node] = pl * dr + pr * dl - pl * pr
-                zeros[node] = ql * qr
-        p, q = ones[node], zeros[node]
-        if p < 0 or q < 0 or p + q > den[node]:
-            raise ValidationError("gate probabilities left [0, 1]")
+            ones[node] = 0
+            zeros[node] = 0
     return ones, zeros
-
-
-def _prob_tables(
-    formula: ReadOnceFormula, s: frozenset[int]
-) -> tuple[dict[Node, Fraction], dict[Node, Fraction]]:
-    """Per gate: probability its value is determined 1 (resp. 0) by the
-    outcomes of the tests in ``s``."""
-    ones, zeros = _scaled_prob_tables(formula, s)
-    den = formula.denominators
-    return (
-        {node: Fraction(p, den[node]) for node, p in ones.items()},
-        {node: Fraction(q, den[node]) for node, q in zeros.items()},
-    )
-
-
-def gate_probabilities(
-    formula: ReadOnceFormula, s: frozenset[int], outcome: int
-) -> dict[Node, Fraction]:
-    """Map each gate to the probability it is determined to ``outcome``."""
-    ones, zeros = _prob_tables(formula, frozenset(s))
-    return ones if outcome == 1 else zeros
 
 
 def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
@@ -203,6 +217,39 @@ def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
     ones, zeros = _scaled_prob_tables(formula, frozenset(s))
     root = formula.root
     return Fraction(ones[root] + zeros[root], formula.denominators[root])
+
+
+class Determination(RunningOracle):
+    """``g_determined`` as a running oracle: ``_scaled_prob_tables`` of the
+    last set.  A call recomputes the leaves whose tested state changed and
+    the gates on their root paths."""
+
+    def __init__(self, formula: ReadOnceFormula):
+        super().__init__()
+        self.formula = formula
+
+    def reset(self) -> None:
+        # nothing tested: every leaf, and so every gate, is determined
+        # with probability 0
+        self.ones = dict.fromkeys(self.formula.nodes, 0)
+        self.zeros = self.ones.copy()
+
+    def move(self, added, removed) -> Fraction:
+        formula, ones, zeros = self.formula, self.ones, self.zeros
+        leaves = formula.leaves
+        for var in removed:
+            if var in leaves:
+                ones[leaves[var]] = zeros[leaves[var]] = 0
+        for var in added:
+            if var in leaves:
+                p = formula.probs[var]
+                ones[leaves[var]] = p.numerator
+                zeros[leaves[var]] = p.denominator - p.numerator
+        den = formula.denominators
+        for gate in formula.gates_above(added.union(removed)):
+            _scaled_gate(gate, ones, zeros, den)
+        root = formula.root
+        return Fraction(ones[root] + zeros[root], den[root])
 
 
 def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
@@ -406,30 +453,17 @@ class _Supplements:
     def __init__(self, formula: ReadOnceFormula):
         self.formula = formula
         self.variables = frozenset(formula.variables)
-        self.leaves: dict[int, Leaf] = {}
-        self.parent: dict[Node, Gate] = {}
-        for node in formula.nodes:
-            if isinstance(node, Leaf):
-                self.leaves[node.var] = node
-            else:
-                self.parent[node.left] = self.parent[node.right] = node
         self.tested: frozenset[int] | None = None  # set by the first move
         self.scaled: dict[Node, dict[int, ScaledTable]] = {}
 
     def move_to(self, s: frozenset[int]) -> None:
         changed = self.variables if self.tested is None else (s ^ self.tested) & self.variables
-        formula, scaled, parent = self.formula, self.scaled, self.parent
-        dirty: set[Node] = set()
+        formula, scaled = self.formula, self.scaled
         for var in changed:
-            node = self.leaves[var]
+            node = formula.leaves[var]
             scaled[node] = _leaf_tables(formula, node, var in s)
-            gate = parent.get(node)
-            while gate is not None and gate not in dirty:
-                dirty.add(gate)
-                gate = parent.get(gate)
-        for gate in formula.nodes:  # children first
-            if gate in dirty:
-                scaled[gate] = _gate_tables(formula, gate, scaled, prune=True)
+        for gate in formula.gates_above(changed):
+            scaled[gate] = _gate_tables(formula, gate, scaled, prune=True)
         self.tested = s
 
     def supplement(self, s: frozenset[int]) -> tuple[frozenset[int], int, Fraction]:
@@ -476,20 +510,18 @@ def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
 
 def to_msop(formula: ReadOnceFormula) -> MsopInstance:
     """Free-family instance: modular test costs, determination probability
-    as the weight.  The weight's lattice column is ``determination_table``'s."""
+    as the weight (``Determination``).  The weight's lattice column is
+    ``determination_table``'s."""
     variables = formula.variables
 
     def cost(subset: frozenset[int]) -> Rational:
         return sum(formula.costs[i] for i in subset)
 
-    def weight(subset: frozenset[int]) -> Rational:
-        return g_determined(formula, subset)
-
     return MsopInstance(
         variables,
         supply(lambda s: True, variables, lambda: free_family(len(variables))),
         supply(cost, variables, lambda: modular_column([formula.costs[i] for i in variables])),
-        supply(weight, variables, lambda: _determination_column(formula)),
+        supply(Determination(formula), variables, lambda: _determination_column(formula)),
         StructuralFlags(union_closed=True, intersection_closed=True, f_modular=True),
         name="rof",
     )

@@ -27,7 +27,13 @@ from msop.errors import (
 from msop.generators import _rng
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag, is_inforest, is_multitree, residual
-from msop.rof import Leaf, ReadOnceFormula, compute_rp, to_msop as rof_to_msop
+from msop.rof import (
+    Leaf,
+    ReadOnceFormula,
+    _scaled_prob_tables,
+    compute_rp,
+    to_msop as rof_to_msop,
+)
 
 
 def eq2_cost(instance: MsopInstance, order) -> Fraction:
@@ -416,6 +422,17 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
     return DensityResult(base, base | best_set, best[0], 1)
 
 
+def prob_tables(formula: ReadOnceFormula, s):
+    """The library's gate determination probabilities: each entry of
+    ``_scaled_prob_tables`` over its gate's denominator."""
+    ones, zeros = _scaled_prob_tables(formula, frozenset(s))
+    den = formula.denominators
+    return (
+        {node: Fraction(p, den[node]) for node, p in ones.items()},
+        {node: Fraction(q, den[node]) for node, q in zeros.items()},
+    )
+
+
 def ref_prob_tables(formula: ReadOnceFormula, s):
     """Gate determination probabilities on ``Fraction``s."""
     ones, zeros = {}, {}
@@ -546,6 +563,34 @@ def ref_supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
 
 
 # ---------------------------------------------------------------------------
+# Reference shape check: directed paths counted from every start vertex.
+
+
+def ref_is_multitree(dag: OrDag) -> bool:
+    """At most one directed path between any ordered pair of vertices:
+    paths from each start counted along a topological order, O(n (n +
+    arcs))."""
+    indeg = {j: len(dag.preds[j]) for j in dag.jobs}
+    topo = [j for j in sorted(dag.jobs) if indeg[j] == 0]
+    for v in topo:
+        for w in dag.succs[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                topo.append(w)
+    for start in dag.jobs:
+        paths = {start: 1}
+        for v in topo:
+            count = paths.get(v)
+            if not count:
+                continue
+            for w in dag.succs[v]:
+                paths[w] = paths.get(w, 0) + count
+                if paths[w] > 1:
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Reference generator: the multitree generator that re-checked the whole
 # DAG for every accepted arc candidate.
 
@@ -559,7 +604,7 @@ def ref_gen_multitree(n: int, seed: int, arc_chance=None) -> OrDag:
         for j in range(i + 1, n):
             if rng.random() < chance:
                 trial = OrDag(jobs, (0,) * n, (0,) * n, tuple(arcs) + ((i, j),))
-                if is_multitree(trial):
+                if ref_is_multitree(trial):
                     arcs.append((i, j))
     times = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(n))
     weights = tuple(rng.choice((0, 1, 2, 3, 4)) for _ in range(n))

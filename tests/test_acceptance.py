@@ -217,7 +217,7 @@ def test_criterion_05_or_pipelined_cover():
 def _brute_gate_maxima(formula, s):
     from itertools import combinations
 
-    from msop.rof import _prob_tables
+    from helpers import prob_tables
 
     out = {}
     for node in formula.nodes:
@@ -226,7 +226,7 @@ def _brute_gate_maxima(formula, s):
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
                 t = sum(formula.costs[i] for i in combo)
-                ones, zeros = _prob_tables(formula, s | set(combo))
+                ones, zeros = prob_tables(formula, s | set(combo))
                 for outcome, value in ((1, ones[node]), (0, zeros[node])):
                     cur = table[outcome].get(t)
                     if cur is None or value > cur:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from msop import INF, cli, dual, exact, greedy_chain, mssc, orsched, rof, xsearch
+from msop import INF, cli, dual, exact, formats, greedy_chain, mssc, orsched, rof, xsearch
 from msop.errors import (
     DisconnectedInput,
     MsopError,
@@ -27,6 +27,7 @@ from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipeli
 from msop.orsched import OrDag
 
 from helpers import (
+    prob_tables,
     ref_compute_rp,
     ref_exact_max_density,
     ref_exact_opt_chain,
@@ -34,6 +35,7 @@ from helpers import (
     ref_find_supp,
     ref_g_determined,
     ref_greedy_chain,
+    ref_is_multitree,
     ref_max_density_outtree,
     ref_max_density_stem,
     ref_prob_tables,
@@ -415,8 +417,7 @@ def test_find_supp_and_g_determined_match_reference_on_random_bases():
         for _ in range(10):
             base = random_base(variables, rng, rng.random())
             assert rof.g_determined(formula, base) == ref_g_determined(formula, base)
-            ones, zeros = rof._prob_tables(formula, base)
-            assert (ones, zeros) == ref_prob_tables(formula, base)
+            assert prob_tables(formula, base) == ref_prob_tables(formula, base)
             if len(base) == len(variables):
                 continue
             assert rof.find_supp(formula, base) == ref_find_supp(formula, base)
@@ -807,3 +808,165 @@ def test_replacing_one_oracle_drops_only_its_column():
             want_values = [Fraction(v, getattr(want, column + "_scale")) for v in getattr(want, column)]
             assert [v for v, ok in zip(got_values, want.feasible) if ok] == [
                 v for v, ok in zip(want_values, want.feasible) if ok]
+
+
+# ---------------------------------------------------------------------------
+# running oracles: each against its from-scratch function, along the walks
+# the solve path takes (a greedy chain up, the dual's complements down) and
+# along ones it does not
+
+
+def rational_edges(edges, rng):
+    return tuple((rational(rng, zero=True), frozenset(members)) for _, members in edges)
+
+
+def running_case(kind, n, seed):
+    """(instance, name of its running oracle, the oracle's from-scratch
+    function, a density solver) for one seeded instance; the pipelined and
+    OR-pipelined hyperedges get rational weights."""
+    rng = random.Random(seed)
+    if kind == "or-pipelined":
+        dag, edges = gen_or_pipelined(n, seed)
+        edges = rational_edges(edges, rng)
+        inst = orsched.pipelined_to_msop(dag, edges)
+
+        def covered(s):
+            return sum(w for w, members in edges if not members.isdisjoint(s))
+
+        return inst, "weight", covered, orsched.stem_solver(dag, inst.weight)
+    parsed = gen_instance(kind, n, seed)
+    if kind == "pipelined":
+        parsed = replace(parsed, edges=rational_edges(parsed.edges, rng))
+    tools = cli.Toolchain(parsed)
+    if kind in ("mssc", "pipelined"):
+        return tools.instance, "weight", lambda s: mssc.coverage_weight(parsed, s), tools.solver
+    if kind == "rof":
+        return tools.instance, "weight", lambda s: rof.g_determined(parsed, s), tools.solver
+    return (tools.instance, "in_family", lambda s: orsched.or_initial_membership(parsed, s),
+            tools.solver)
+
+
+RUNNING_KINDS = {  # kind: (n, seed) of each instance
+    "mssc": ((60, 1), (90, 2)),
+    "pipelined": ((60, 3), (80, 4)),
+    "inforest": ((70, 5), (100, 6)),
+    "multitree": ((60, 7), (90, 8)),
+    "or-pipelined": ((50, 9), (70, 10)),
+    "rof": ((14, 11), (24, 12)),
+}
+
+
+def check_walk(oracle, reference, walk):
+    for k, s in enumerate(walk):
+        assert oracle(s) == reference(frozenset(s)), (k, sorted(s))
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNING_KINDS))
+def test_running_oracle_up_a_greedy_chain_and_down_its_complements(kind):
+    for n, seed in RUNNING_KINDS[kind]:
+        inst, name, reference, solver = running_case(kind, n, seed)
+        chain = greedy_chain(inst, solver)
+        universe = inst.universe()
+        oracle = getattr(running_case(kind, n, seed)[0], name)
+        check_walk(oracle, reference, chain.sets)
+        check_walk(oracle, reference, [universe - s for s in chain.sets])
+        # one element a call moves the state; only the first call and the
+        # return to the empty set start from empty
+        assert oracle.rebuilds == 2
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNING_KINDS))
+def test_running_oracle_through_jumps_repeats_and_outside_ids(kind):
+    rng = random.Random(kind)
+    for n, seed in RUNNING_KINDS[kind]:
+        inst, name, reference, solver = running_case(kind, n, seed)
+        # random sets, and the (feasible) sets of a greedy chain out of order
+        sets = list(greedy_chain(inst, solver).sets)
+        oracle = getattr(running_case(kind, n, seed)[0], name)
+        ground = inst.ground_set
+        outside = max(ground) + 1
+        values = set()
+        for _ in range(60):
+            s = random_base(ground, rng, rng.random()) if rng.random() < 0.5 else rng.choice(sets)
+            values.add(reference(s))
+            assert oracle(s) == reference(s)
+            assert oracle(s) == reference(s)  # the same set again
+            assert oracle(frozenset(sorted(s))) == reference(s)  # an equal one
+            if name == "in_family":
+                # an unknown job is a KeyError (the from-scratch check's too,
+                # unless it meets a member without a predecessor first), and
+                # the next call is answered from a rebuilt state
+                with pytest.raises(KeyError):
+                    oracle(s | {outside})
+            else:
+                assert oracle(s | {outside}) == reference(s)
+        assert len(values) > 1
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNING_KINDS))
+def test_running_oracle_freezes_a_set_its_caller_changes(kind):
+    rng = random.Random(kind)
+    n, seed = RUNNING_KINDS[kind][0]
+    inst, name, reference, _ = running_case(kind, n, seed)
+    oracle = getattr(inst, name)
+    ground = list(inst.ground_set)
+    members = set()
+    for _ in range(4 * n):
+        members ^= {rng.choice(ground)}
+        assert oracle(members) == reference(frozenset(members)), sorted(members)
+        assert oracle.last is not members
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNING_KINDS))
+def test_running_oracle_shared_by_a_replaced_and_a_dual_instance(kind):
+    rng = random.Random(kind)
+    for n, seed in RUNNING_KINDS[kind]:
+        inst, name, reference, solver = running_case(kind, n, seed)
+        up = list(greedy_chain(inst, solver).sets)
+        universe = inst.universe()
+        twin = replace(inst, cost=lambda s: inst.cost(s))  # keeps the oracle
+        dual_inst = dual.dualize(inst)
+        shuffled = rng.sample(up, len(up))
+        for s, other in zip(up, shuffled):
+            assert getattr(twin, name)(s) == reference(s)
+            if name == "in_family":
+                assert dual_inst.in_family(universe - other) == reference(other)
+            else:
+                assert dual_inst.cost(universe - other) == reference(universe) - reference(other)
+            assert getattr(inst, name)(other) == reference(other)
+
+
+# ---------------------------------------------------------------------------
+# multitree shape: the reachability-mask pass against the path count
+
+
+def random_dag(n, rng):
+    """Arcs between random pairs, at a density that makes about half the
+    DAGs multitrees, over shuffled job ids."""
+    ids = rng.sample(range(3 * n), n)
+    chance = rng.uniform(0.3, 2.5) / n
+    arcs = tuple((ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < chance)
+    return OrDag(tuple(ids), (1,) * n, (1,) * n, arcs)
+
+
+def test_multitree_check_matches_path_count_on_random_dags():
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for k in range(2_400):
+        dag = random_dag(1 + k % 14, rng)
+        want = ref_is_multitree(dag)
+        assert orsched.is_multitree(dag) == want, dag.arcs
+        seen[want] += 1
+    assert min(seen.values()) >= 500, seen
+
+
+@pytest.mark.parametrize("kind", ["inforest", "multitree", "bipartite-or"])
+def test_multitree_check_matches_path_count_on_generated_files(kind):
+    shapes = set()
+    for seed in range(40):
+        text = formats.serialize_instance(gen_instance(kind, 2 + seed, 100 + seed))
+        dag = formats.parse_instance_text(text)
+        assert orsched.is_multitree(dag) == ref_is_multitree(dag), seed
+        shapes.add(orsched.classify_dag(dag))
+    assert len(shapes) > 1

@@ -56,6 +56,19 @@ def test_parse_rational_rules():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
+def test_format_rational_on_ints_and_fractions():
+    big = 10**20
+    cases = {
+        0: "0", 7: "7", -12: "-12", big: str(big),
+        Fraction(6, 3): "2", Fraction(-8, 4): "-2", Fraction(0): "0",
+        Fraction(2, 4): "1/2", Fraction(-7, 3): "-7/3", Fraction(big + 1, big): f"{big + 1}/{big}",
+    }
+    for value, text in cases.items():
+        assert format_rational(value) == text, value
+        assert parse_rational(text, 1) == value
+    assert format_rational(True) == "1"  # not an int by type: the Fraction path
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_instance_text("msop mssc v1\nelements 2\nwhatever 1\n")

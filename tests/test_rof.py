@@ -19,10 +19,11 @@ from msop.rof import (
     expected_stop_cost,
     find_supp,
     g_determined,
-    gate_probabilities,
     rof_greedy,
     to_msop,
 )
+
+from helpers import prob_tables
 
 
 def fig_formula(p=Fraction(1, 2), costs=None):
@@ -103,14 +104,13 @@ def test_gate_probability_or_rule():
         {1: Fraction(1, 2), 2: Fraction(1, 2)},
         {1: 1, 2: 1},
     )
-    probs = gate_probabilities(f, frozenset({1, 2}), 1)
-    assert probs[f.root] == Fraction(3, 4)
+    ones, _ = prob_tables(f, frozenset({1, 2}))
+    assert ones[f.root] == Fraction(3, 4)
 
 
 def test_gate_probabilities_zero_on_empty_base():
     f = fig_formula()
-    for outcome in (0, 1):
-        probs = gate_probabilities(f, frozenset(), outcome)
+    for probs in prob_tables(f, frozenset()):
         assert all(p == 0 for p in probs.values())
 
 
@@ -119,8 +119,7 @@ def test_gate_probabilities_match_enumeration():
     for seed in range(10):
         f = gen_instance("rof", 3 + seed % 8, seed)  # up to 10 variables
         s = frozenset(v for v in f.variables if rng.random() < 0.5)
-        ones = gate_probabilities(f, s, 1)
-        zeros = gate_probabilities(f, s, 0)
+        ones, zeros = prob_tables(f, s)
         assert ones[f.root] + zeros[f.root] == enum_determined(f, s)
 
 
@@ -203,8 +202,6 @@ def test_compute_rp_and_of_two_leaves():
 def brute_gate_maxima(formula, s):
     """Oracle: per gate, target and exact cost, maximise the determination
     probability by trying every subset of the gate's untested leaves."""
-    from msop.rof import _prob_tables
-
     out = {}
     for node in formula.nodes:
         candidates = sorted(formula.tests_below[node] - s)
@@ -212,7 +209,7 @@ def brute_gate_maxima(formula, s):
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
                 t = sum(formula.costs[i] for i in combo)
-                ones, zeros = _prob_tables(formula, s | set(combo))
+                ones, zeros = prob_tables(formula, s | set(combo))
                 for outcome, value in ((1, ones[node]), (0, zeros[node])):
                     cur = table[outcome].get(t)
                     if cur is None or value > cur:
@@ -278,14 +275,12 @@ def test_find_supp_half_density_guarantee_smoke():
 def test_supplement_gains_are_nonnegative_for_both_targets():
     # adding tests can only raise the chance of pinning either target value
     rng = random.Random(28)
-    from msop.rof import _prob_tables
-
     for seed in range(15):
         f = gen_instance("rof", 2 + seed % 7, 160 + seed)
         base = frozenset(v for v in f.variables if rng.random() < 0.4)
         if base >= set(f.variables):
             base = frozenset()
-        ones, zeros = _prob_tables(f, base)
+        ones, zeros = prob_tables(f, base)
         tables = compute_rp(f, base)
         for outcome, floor in ((1, ones[f.root]), (0, zeros[f.root])):
             for t, (p, _) in tables.table(f.root, outcome).items():
