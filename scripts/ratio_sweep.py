@@ -14,13 +14,14 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from msop import chain_cost, histogram_containment_check, permutation_to_chain
 from msop import exact
 from msop.cli import Toolchain
-from msop.generators import gen_instance
+from msop.generators import KINDS, gen_instance
 
 MAX_N = {"mssc": 8, "pipelined": 8, "inforest": 8, "multitree": 8,
          "bipartite-or": 7, "rof": 7, "xsearch": 5}
@@ -30,13 +31,14 @@ def sweep(kind, count, seed0):
     worst = Fraction(0)
     worst_seed = None
     contained = True
+    bound = None
     started = time.time()
     for i in range(count):
         n = 2 + (seed0 + i) % (MAX_N[kind] - 1)
         parsed = gen_instance(kind, n, seed0 + i)
         # the CLI's own routing, so the sweep certifies what `msop solve` runs
         tools = Toolchain(parsed)
-        instance, alpha = tools.instance, tools.alpha
+        instance, alpha, bound = tools.instance, tools.alpha, tools.bound
         chain = tools.greedy()
         cost = chain_cost(instance, chain)
         opt_perm, opt = exact.exact_opt_permutation(instance)
@@ -47,24 +49,30 @@ def sweep(kind, count, seed0):
         if opt > 0 and Fraction(cost, opt) > worst:
             worst = Fraction(cost, opt)
             worst_seed = seed0 + i
-    return worst, worst_seed, contained, time.time() - started
+    return worst, worst_seed, contained, bound, time.time() - started
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--kinds", default=",".join(MAX_N))
+    parser.add_argument("--kinds", default=",".join(KINDS))
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    kinds = [kind.strip() for kind in args.kinds.split(",")]
+    for kind in kinds:
+        if kind not in KINDS:
+            print(f"error: unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
+                  file=sys.stderr)
+            return 1
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
+        return 1
 
     print(f"{'kind':<14} {'instances':>9} {'worst ratio':>12} {'bound':>6} "
           f"{'contained':>10} {'seconds':>8}")
     bad = False
-    for kind in args.kinds.split(","):
-        kind = kind.strip()
-        alpha = 2 if kind == "rof" else 1
-        worst, worst_seed, contained, elapsed = sweep(kind, args.count, args.seed)
-        bound = 4 * alpha
+    for kind in kinds:
+        worst, worst_seed, contained, bound, elapsed = sweep(kind, args.count, args.seed)
         flag = "" if worst <= bound and contained else "  <-- VIOLATION"
         bad = bad or bool(flag)
         print(f"{kind:<14} {args.count:>9} {float(worst):>12.4f} {bound:>6} "

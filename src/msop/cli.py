@@ -13,11 +13,9 @@ import sys
 import time
 from fractions import Fraction
 
-from . import dual, exact, mssc, orsched, rof, xsearch
+from . import dual, exact
 from .core import (
     Chain,
-    DensityResult,
-    INF,
     MsopInstance,
     chain_cost,
     chain_to_permutation,
@@ -26,8 +24,8 @@ from .core import (
 )
 from .errors import MsopError, NotInFamily, ParseError
 from .formats import (
+    KIND_OF_TYPE,
     Instance,
-    file_kind,
     format_rational,
     parse_instance,
     parse_rational,
@@ -37,7 +35,8 @@ from .generators import KINDS, gen_instance
 
 
 def _format_density(value) -> str:
-    return "inf" if value == INF else format_rational(value)
+    # a density is a float only for the ``INF`` sentinel
+    return "inf" if type(value) is float else format_rational(value)
 
 
 def _format_set(s) -> str:
@@ -77,37 +76,12 @@ def _parse_base(text: str, instance: MsopInstance) -> frozenset[int]:
 
 
 class Toolchain:
-    """Greedy machinery appropriate to a parsed instance."""
+    """Greedy machinery appropriate to a parsed instance (see
+    ``formats.FILE_KINDS``)."""
 
     def __init__(self, parsed: Instance):
-        self.parsed = parsed
-        self.kind = file_kind(parsed)
-        self.detail = self.kind
-        if isinstance(parsed, mssc.MsscInstance):
-            self.instance = mssc.to_msop(parsed)
-            self.solver = mssc.singleton_solver(parsed)
-            self.alpha = 1
-        elif isinstance(parsed, orsched.OrDag):
-            self.instance = orsched.to_msop(parsed)
-            shape = orsched.classify_dag(parsed)
-            self.detail = f"orsched/{shape}"
-            if orsched.is_inforest(parsed):
-                self.solver = orsched.stem_solver(parsed)
-            elif orsched.is_multitree(parsed):
-                self.solver = orsched.outtree_solver(parsed)
-            else:
-                # no polynomial density step is known beyond multitrees;
-                # fall back to the exhaustive one at desk scale
-                self.solver = exact.exact_density_solver(self.instance)
-            self.alpha = 1
-        elif isinstance(parsed, rof.ReadOnceFormula):
-            self.instance = rof.to_msop(parsed)
-            self.solver = rof.supplement_solver(parsed, self.instance)
-            self.alpha = 2
-        else:
-            self.instance = xsearch.xsearch_to_msop(parsed)
-            self.solver = exact.exact_density_solver(self.instance)
-            self.alpha = 1
+        kind = KIND_OF_TYPE[type(parsed)]
+        self.instance, self.solver, self.alpha, self.detail = kind.tools(parsed)
         self.bound = 4 * self.alpha
 
     def greedy(self, backward: bool = False, alpha=None) -> Chain:
@@ -117,9 +91,6 @@ class Toolchain:
                 self.instance, exact.exact_density_solver, claimed
             )
         return greedy_chain(self.instance, self.solver, claimed)
-
-    def density(self, base: frozenset[int]) -> DensityResult:
-        return self.solver(base)
 
 
 def _emit(key: str, value) -> None:
@@ -158,7 +129,7 @@ def _cmd_solve(args) -> int:
 def _cmd_density(args) -> int:
     chain_tools = Toolchain(parse_instance(args.file))
     base = _parse_base(args.base, chain_tools.instance)
-    result = chain_tools.density(base)
+    result = chain_tools.solver(base)
     _emit("kind", chain_tools.detail)
     _emit("base", _format_set(result.base))
     _emit("candidate", _format_set(result.candidate))

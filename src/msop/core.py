@@ -127,19 +127,13 @@ _NO_FLAGS = StructuralFlags()
 
 @dataclass(frozen=True)
 class MsopInstance:
-    """Ground set plus feasibility, cost and weight oracles.
-
-    ``permutations`` optionally lists an extensional feasible-permutation
-    set for small instances; when present, ``chain_to_permutation`` searches
-    it instead of extending greedily through the family oracle.
-    """
+    """Ground set plus feasibility, cost and weight oracles."""
 
     ground_set: tuple[int, ...]
     in_family: FamilyFn
     cost: SetFn
     weight: SetFn
     flags: StructuralFlags = _NO_FLAGS
-    permutations: tuple[tuple[int, ...], ...] | None = None
     name: str = "msop"
 
     def __post_init__(self):
@@ -394,35 +388,16 @@ def permutation_to_chain(
     return Chain(tuple(sets))
 
 
-def chain_to_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
-    """A permutation consistent with the chain (every chain set is one of its
-    initial sets).
-
-    With an extensional permutation list on the instance, scans it directly.
-    Otherwise each increment is filled by repeatedly adding the smallest
-    element that keeps the prefix feasible; for permutation families closed
-    under splicing such an element always exists, so a stall means the
-    family is not well-founded.
-    """
+def _extend_through(instance: MsopInstance, chain: Chain, pick) -> Permutation:
+    """Fill each chain increment one element at a time: ``pick(prefix,
+    rest)`` gets the increment's rest in ascending order and returns a
+    feasible next element, or ``None`` if there is none."""
     validate_chain(instance, chain)
-    if instance.permutations is not None:
-        for order in instance.permutations:
-            prefixes = {frozenset(order[:j]) for j in range(len(order) + 1)}
-            if all(s in prefixes for s in chain.sets):
-                return Permutation(order)
-        raise NotWellFounded(
-            "no listed permutation is consistent with the chain; "
-            "the permutation set is not well-founded"
-        )
     order_out: list[int] = []
     current: frozenset[int] = frozenset()
     for target in chain.sets[1:]:
         while current != target:
-            nxt = None
-            for v in sorted(target - current):
-                if instance.in_family(current | {v}):
-                    nxt = v
-                    break
+            nxt = pick(current, sorted(target - current))
             if nxt is None:
                 raise NotWellFounded(
                     f"no feasible single-element extension of {sorted(current)} inside "
@@ -433,6 +408,22 @@ def chain_to_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
     return Permutation(tuple(order_out))
 
 
+def chain_to_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
+    """A permutation consistent with the chain (every chain set is one of its
+    initial sets).
+
+    Each increment is filled by repeatedly adding the smallest element that
+    keeps the prefix feasible; for permutation families closed under
+    splicing such an element always exists, so a stall means the family is
+    not well-founded.
+    """
+
+    def smallest(current: frozenset[int], rest: list[int]) -> int | None:
+        return next((v for v in rest if instance.in_family(current | {v})), None)
+
+    return _extend_through(instance, chain, smallest)
+
+
 def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
     """Like ``chain_to_permutation`` but orders each increment by locally
     best single-element marginal density (ties to the smallest id).
@@ -440,27 +431,16 @@ def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> Perm
     The result is still consistent with the chain, so its full-permutation
     chain costs no more than the input chain.
     """
-    validate_chain(instance, chain)
-    order_out: list[int] = []
-    current: frozenset[int] = frozenset()
-    for target in chain.sets[1:]:
-        while current != target:
-            best: tuple[Density, int] | None = None
-            for v in sorted(target - current):
-                s = current | {v}
-                if not instance.in_family(s):
-                    continue
-                rho = marginal_density(instance, current, s).marginal_density
-                if best is None or rho > best[0]:
-                    best = (rho, v)
-            if best is None:
-                raise NotWellFounded(
-                    f"no feasible single-element extension of {sorted(current)} inside "
-                    f"{sorted(target)}"
-                )
-            order_out.append(best[1])
-            current = current | {best[1]}
-    return Permutation(tuple(order_out))
+
+    def densest(current: frozenset[int], rest: list[int]) -> int | None:
+        feasible = [v for v in rest if instance.in_family(current | {v})]
+        return max(
+            feasible,
+            key=lambda v: marginal_density(instance, current, current | {v}).marginal_density,
+            default=None,
+        )  # the first maximum: ties go to the smallest id
+
+    return _extend_through(instance, chain, densest)
 
 
 def splice(

@@ -68,15 +68,12 @@ def dualize(instance: MsopInstance) -> MsopInstance:
     supply(dual_weight, ground,
            lambda: complemented(instance.lattice.cost, instance.lattice.cost_scale))
 
-    perms = instance.permutations
-    dual_perms = None if perms is None else tuple(tuple(reversed(p)) for p in perms)
     return MsopInstance(
         ground,
         dual_family,
         dual_cost,
         dual_weight,
         _dual_flags(instance.flags),
-        permutations=dual_perms,
         name=f"dual({instance.name})",
     )
 

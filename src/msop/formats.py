@@ -8,15 +8,21 @@ exact):
     msop orsched v1    job id p w / arc i j
     msop rof v1        var i p c / formula (and x1 (or x2 x3))
     msop xsearch v1    root r / vertex v p / edge u v c
+
+``FILE_KINDS`` is the one table of these kinds: the CLI, the parser and the
+serializer read every per-kind decision from it.
 """
 
 from __future__ import annotations
 
 import io
 import os
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
-from .core import Rational
+from . import exact, mssc, orsched, rof, xsearch
+from .core import DensitySolver, MsopInstance, Rational
 from .errors import ParseError, ValidationError
 from .mssc import MsscInstance
 from .orsched import OrDag
@@ -24,8 +30,6 @@ from .rof import Gate, Leaf, Node, ReadOnceFormula
 from .xsearch import SearchGraph
 
 Instance = MsscInstance | OrDag | ReadOnceFormula | SearchGraph
-
-FILE_KINDS = ("mssc", "orsched", "rof", "xsearch")
 
 
 def parse_rational(token: str, line: int | None, column: int | None = 1) -> Rational:
@@ -73,17 +77,10 @@ def parse_instance_text(text: str) -> Instance:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "msop" or parts[2] != "v1":
         raise ParseError(f"bad header {header!r}; expected 'msop <kind> v1'", header_line)
-    kind = parts[1]
-    if kind not in FILE_KINDS:
-        raise ParseError(f"unknown kind {kind!r}", header_line, len("msop ") + 1)
-    body = records[1:]
-    if kind == "mssc":
-        return _parse_mssc(body)
-    if kind == "orsched":
-        return _parse_orsched(body)
-    if kind == "rof":
-        return _parse_rof(body)
-    return _parse_xsearch(body)
+    kind = _BY_NAME.get(parts[1])
+    if kind is None:
+        raise ParseError(f"unknown kind {parts[1]!r}", header_line, len("msop ") + 1)
+    return kind.parse(records[1:])
 
 
 def parse_instance(source) -> Instance:
@@ -295,44 +292,90 @@ def _serialize_formula(root: Node) -> str:
     return "".join(parts)
 
 
-def serialize_instance(instance: Instance) -> str:
-    lines: list[str]
-    if isinstance(instance, MsscInstance):
-        lines = ["msop mssc v1", f"elements {instance.n}"]
-        for v, c in enumerate(instance.costs):
-            lines.append(f"cost {v} {format_rational(c)}")
-        for w, members in instance.edges:
-            ids = " ".join(str(v) for v in sorted(members))
-            lines.append(f"edge {format_rational(w)} {ids}")
-    elif isinstance(instance, OrDag):
-        lines = ["msop orsched v1"]
-        for j, p, w in zip(instance.jobs, instance.times, instance.weights):
-            lines.append(f"job {j} {format_rational(p)} {format_rational(w)}")
-        for i, j in instance.arcs:
-            lines.append(f"arc {i} {j}")
-    elif isinstance(instance, ReadOnceFormula):
-        lines = ["msop rof v1"]
-        for v in instance.variables:
-            lines.append(
-                f"var {v} {format_rational(instance.probs[v])} {instance.costs[v]}"
-            )
-        lines.append(f"formula {_serialize_formula(instance.root)}")
-    elif isinstance(instance, SearchGraph):
-        lines = ["msop xsearch v1", f"root {instance.root}"]
-        for v in instance.vertices:
-            lines.append(f"vertex {v} {format_rational(instance.probs[v])}")
-        for u, v, c in instance.edges:
-            lines.append(f"edge {u} {v} {format_rational(c)}")
+def _serialize_mssc(instance: MsscInstance) -> Iterable[str]:
+    yield f"elements {instance.n}"
+    yield from (f"cost {v} {format_rational(c)}" for v, c in enumerate(instance.costs))
+    for w, members in instance.edges:
+        yield f"edge {format_rational(w)} {' '.join(str(v) for v in sorted(members))}"
+
+
+def _serialize_orsched(instance: OrDag) -> Iterable[str]:
+    for j, p, w in zip(instance.jobs, instance.times, instance.weights):
+        yield f"job {j} {format_rational(p)} {format_rational(w)}"
+    yield from (f"arc {i} {j}" for i, j in instance.arcs)
+
+
+def _serialize_rof(instance: ReadOnceFormula) -> Iterable[str]:
+    for v in instance.variables:
+        yield f"var {v} {format_rational(instance.probs[v])} {instance.costs[v]}"
+    yield f"formula {_serialize_formula(instance.root)}"
+
+
+def _serialize_xsearch(instance: SearchGraph) -> Iterable[str]:
+    yield f"root {instance.root}"
+    yield from (f"vertex {v} {format_rational(instance.probs[v])}" for v in instance.vertices)
+    yield from (f"edge {u} {v} {format_rational(c)}" for u, v, c in instance.edges)
+
+
+# Each ``*_tools`` function returns the greedy machinery of one parsed
+# instance: the MSOP instance, its density solver, alpha and the ``kind=``
+# detail.  The adapters and solver factories are looked up on their modules
+# at call time, so a wrapper installed there (a tracer's) is the one called.
+Tools = tuple[MsopInstance, DensitySolver, Rational, str]
+
+
+def _mssc_tools(parsed: MsscInstance) -> Tools:
+    return mssc.to_msop(parsed), mssc.singleton_solver(parsed), 1, "mssc"
+
+
+def _orsched_tools(dag: OrDag) -> Tools:
+    instance = orsched.to_msop(dag)
+    detail = f"orsched/{orsched.classify_dag(dag)}"
+    if orsched.is_inforest(dag):
+        solver = orsched.stem_solver(dag)
+    elif orsched.is_multitree(dag):
+        solver = orsched.outtree_solver(dag)
     else:
+        # no polynomial density step is known beyond multitrees;
+        # fall back to the exhaustive one at desk scale
+        solver = exact.exact_density_solver(instance)
+    return instance, solver, 1, detail
+
+
+def _rof_tools(formula: ReadOnceFormula) -> Tools:
+    instance = rof.to_msop(formula)
+    return instance, rof.supplement_solver(formula, instance), 2, "rof"
+
+
+def _xsearch_tools(graph: SearchGraph) -> Tools:
+    instance = xsearch.xsearch_to_msop(graph)
+    return instance, exact.exact_density_solver(instance), 1, "xsearch"
+
+
+@dataclass(frozen=True)
+class FileKind:
+    """One instance file kind: its header word, its instance type, the body
+    parser and serializer, and its greedy machinery."""
+
+    name: str
+    type: type
+    parse: Callable[[list[tuple[int, str]]], Instance]
+    serialize: Callable[[Instance], Iterable[str]]
+    tools: Callable[[Instance], Tools]
+
+
+FILE_KINDS = (
+    FileKind("mssc", MsscInstance, _parse_mssc, _serialize_mssc, _mssc_tools),
+    FileKind("orsched", OrDag, _parse_orsched, _serialize_orsched, _orsched_tools),
+    FileKind("rof", ReadOnceFormula, _parse_rof, _serialize_rof, _rof_tools),
+    FileKind("xsearch", SearchGraph, _parse_xsearch, _serialize_xsearch, _xsearch_tools),
+)
+_BY_NAME = {kind.name: kind for kind in FILE_KINDS}
+KIND_OF_TYPE = {kind.type: kind for kind in FILE_KINDS}
+
+
+def serialize_instance(instance: Instance) -> str:
+    kind = KIND_OF_TYPE.get(type(instance))
+    if kind is None:
         raise ValidationError(f"cannot serialize {type(instance).__name__}")
-    return "\n".join(lines) + "\n"
-
-
-def file_kind(instance: Instance) -> str:
-    if isinstance(instance, MsscInstance):
-        return "mssc"
-    if isinstance(instance, OrDag):
-        return "orsched"
-    if isinstance(instance, ReadOnceFormula):
-        return "rof"
-    return "xsearch"
+    return "\n".join((f"msop {kind.name} v1", *kind.serialize(instance))) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .core import Chain, MsopInstance, Rational, StructuralFlags
@@ -20,28 +21,9 @@ from .orsched import OrDag
 from .rof import Gate, Leaf, Node, ReadOnceFormula
 from .xsearch import SearchGraph
 
-KINDS = ("mssc", "pipelined", "inforest", "multitree", "bipartite-or", "rof", "xsearch")
-
 
 def _rng(kind: str, n: int, seed: int) -> random.Random:
     return random.Random(f"msop:{kind}:{n}:{seed}")
-
-
-def gen_instance(kind: str, n: int, seed: int, **params):
-    """Deterministic random instance of the requested kind and size."""
-    if kind not in KINDS:
-        raise BadParams(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    if n < 1:
-        raise BadParams("n must be at least 1")
-    if kind == "mssc":
-        return _gen_mssc(n, seed, unit=True, **params)
-    if kind == "pipelined":
-        return _gen_mssc(n, seed, unit=False, **params)
-    if kind in ("inforest", "multitree", "bipartite-or"):
-        return _gen_ordag(n, seed, kind, **params)
-    if kind == "rof":
-        return _gen_rof(n, seed, **params)
-    return _gen_xsearch(n, seed, **params)
 
 
 def _gen_mssc(
@@ -168,6 +150,28 @@ def _gen_xsearch(n: int, seed: int, extra: int | None = None, max_cost: int = 4)
     total = sum(mass)
     probs = {v: Fraction(mass[v], total) for v in range(n)}
     return SearchGraph(tuple(range(n)), 0, tuple(edges), probs)
+
+
+_GENERATORS = {
+    "mssc": partial(_gen_mssc, unit=True),
+    "pipelined": partial(_gen_mssc, unit=False),
+    "inforest": partial(_gen_ordag, kind="inforest"),
+    "multitree": partial(_gen_ordag, kind="multitree"),
+    "bipartite-or": partial(_gen_ordag, kind="bipartite-or"),
+    "rof": _gen_rof,
+    "xsearch": _gen_xsearch,
+}
+KINDS = tuple(_GENERATORS)
+
+
+def gen_instance(kind: str, n: int, seed: int, **params):
+    """Deterministic random instance of the requested kind and size."""
+    generate = _GENERATORS.get(kind)
+    if generate is None:
+        raise BadParams(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    if n < 1:
+        raise BadParams("n must be at least 1")
+    return generate(n, seed, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -149,17 +149,6 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
     )
 
 
-def singleton_greedy_density(instance: MsscInstance, base: frozenset[int]) -> DensityResult:
-    """Best single element by newly-covered weight per unit cost: one step
-    of ``singleton_solver``.
-
-    Exact for the maximum-density problem here (modular cost, submodular
-    weight, free family), so greedy chains built from it are 1-greedy.
-    Ties go to the smallest element id.
-    """
-    return singleton_solver(instance)(base)
-
-
 class _Gains:
     """Per-element gains of one base: the weight of the uncovered hyperedges
     through each element outside the base, -1 for a base member, and a
@@ -226,9 +215,12 @@ class _Gains:
 
 
 def singleton_solver(instance: MsscInstance) -> DensitySolver:
-    """Best-single-element density steps (``singleton_greedy_density``).
-    The solver keeps the gains of its last base, built on the first call,
-    so a greedy step costs O(n) plus the sizes of the hyperedges it covers."""
+    """Best-single-element density steps: the element of most newly covered
+    weight per unit cost, ties to the smallest id.  Exact for the maximum
+    density here (modular cost, submodular weight, free family), so greedy
+    chains built from it are 1-greedy.  The solver keeps the gains of its
+    last base, built on the first call, so a greedy step costs O(n) plus the
+    sizes of the hyperedges it covers."""
     state: _Gains | None = None
 
     def solve(base: frozenset[int]) -> DensityResult:

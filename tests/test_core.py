@@ -12,6 +12,7 @@ from msop import (
     StructuralFlags,
     chain_cost,
     chain_to_permutation,
+    densest_consistent_permutation,
     greedy_chain,
     marginal_density,
     permutation_to_chain,
@@ -195,19 +196,14 @@ def test_chain_to_permutation_consistency_free_family():
 
 
 def test_chain_to_permutation_not_well_founded():
-    # two listed orders whose initial sets admit a chain neither follows
-    perms = ((0, 1, 2), (2, 0, 1))
-    prefixes = {frozenset(p[:j]) for p in perms for j in range(4)}
-    inst = MsopInstance(
-        (0, 1, 2),
-        lambda s: s in prefixes,
-        modular([1, 1, 1]),
-        modular([1, 1, 1]),
-        permutations=perms,
-    )
-    chain = Chain((frozenset(), frozenset({0}), frozenset({0, 2}), frozenset({0, 1, 2})))
-    with pytest.raises(NotWellFounded):
-        chain_to_permutation(inst, chain)
+    # {0,1} is feasible but neither {0} nor {1} is: the family is not closed
+    # under splicing, so no permutation is consistent with the chain
+    family = {frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})}
+    inst = MsopInstance((0, 1, 2), family.__contains__, modular([1, 1, 1]), modular([1, 1, 1]))
+    chain = Chain((frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})))
+    for refine in (chain_to_permutation, densest_consistent_permutation):
+        with pytest.raises(NotWellFounded):
+            refine(inst, chain)
 
 
 def test_chain_to_permutation_on_greedy_inforest_output():

@@ -76,7 +76,7 @@ def test_singleton_step_matches_reference_from_any_base():
             base = random_base(range(parsed.n), rng, rng.random())
             if len(base) == parsed.n:
                 continue
-            got = mssc.singleton_greedy_density(parsed, base)
+            got = mssc.singleton_solver(parsed)(base)
             want = ref_singleton_greedy_density(parsed, base)
             assert (got.candidate, got.marginal_density) == (want.candidate, want.marginal_density)
 

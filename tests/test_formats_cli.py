@@ -1,7 +1,9 @@
 import io
+from collections import Counter
 
 import pytest
 
+from msop import exact, mssc, orsched, rof, xsearch
 from msop.cli import run
 from msop.errors import BadParams, ParseError, ValidationError
 from msop.formats import (
@@ -368,3 +370,56 @@ def test_cli_help_still_exits_0(capsys):
         run(["solve", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: msop solve")
+
+
+# The module attributes a tracer wraps to time density steps and count
+# oracle calls.  The kind table must look them up when it is called: one
+# that kept the functions it saw at import would bypass every wrapper.
+PATCH_POINTS = (
+    (mssc, "to_msop"),
+    (mssc, "singleton_solver"),
+    (orsched, "to_msop"),
+    (orsched, "stem_solver"),
+    (orsched, "outtree_solver"),
+    (rof, "to_msop"),
+    (rof, "supplement_solver"),
+    (xsearch, "xsearch_to_msop"),
+    (exact, "exact_density_solver"),
+)
+ROUTES = {
+    "mssc": ("mssc.to_msop", "mssc.singleton_solver"),
+    "pipelined": ("mssc.to_msop", "mssc.singleton_solver"),
+    "inforest": ("orsched.to_msop", "orsched.stem_solver"),
+    "multitree": ("orsched.to_msop", "orsched.outtree_solver"),
+    "bipartite-or": ("orsched.to_msop", "orsched.outtree_solver"),
+    "rof": ("rof.to_msop", "rof.supplement_solver"),
+    "xsearch": ("xsearch.xsearch_to_msop", "exact.exact_density_solver"),
+    "general": ("orsched.to_msop", "exact.exact_density_solver"),
+}
+# two paths from job 0 to job 3: neither an inforest nor a multitree
+DIAMOND = OrDag((0, 1, 2, 3), (1, 1, 1, 1), (1, 1, 1, 1), ((0, 1), (0, 2), (1, 3), (2, 3)))
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "general"])
+def test_solve_reaches_adapter_and_solver_through_their_modules(tmp_path, capsys, monkeypatch, kind):
+    path = tmp_path / "i.msop"
+    path.write_text(serialize_instance(DIAMOND if kind == "general" else gen_instance(kind, 7, 1)))
+    calls = Counter()
+
+    def counting(name, f, factory):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            out = f(*args, **kwargs)
+            return counting(f"{name} step", out, False) if factory else out
+
+        return call
+
+    for module, attr in PATCH_POINTS:
+        name = f"{module.__name__.rpartition('.')[2]}.{attr}"
+        factory = not attr.endswith("to_msop")
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr), factory))
+    assert run(["solve", str(path)]) == 0
+    capsys.readouterr()
+    adapter, solver = ROUTES[kind]
+    assert set(calls) == {adapter, solver, f"{solver} step"}
+    assert calls[adapter] == calls[solver] == 1

@@ -11,7 +11,6 @@ from msop.mssc import (
     MsscInstance,
     coverage_weight,
     covering_cost,
-    singleton_greedy_density,
     singleton_solver,
     to_msop,
 )
@@ -69,7 +68,7 @@ def test_unit_instance_reproduces_covering_times():
 
 def test_singleton_density_brute_force_example():
     inst = MsscInstance.unit(2, [frozenset({0}), frozenset({0}), frozenset({1})])
-    result = singleton_greedy_density(inst, frozenset())
+    result = singleton_solver(inst)(frozenset())
     assert result.candidate == frozenset({0})
     assert result.marginal_density == 2
     # brute force over all supersets confirms no larger density exists
@@ -78,7 +77,7 @@ def test_singleton_density_brute_force_example():
 
 def test_singleton_density_zero_gain_smallest_id():
     inst = MsscInstance.unit(3, [frozenset({0})])
-    result = singleton_greedy_density(inst, frozenset({0}))
+    result = singleton_solver(inst)(frozenset({0}))
     assert result.candidate == frozenset({0, 1})
     assert result.marginal_density == 0
 
@@ -91,7 +90,7 @@ def test_singleton_density_equals_exact_value():
         base = frozenset(v for v in range(inst.n) if rng.random() < 0.4)
         if base == frozenset(range(inst.n)):
             base = frozenset()
-        got = singleton_greedy_density(inst, base)
+        got = singleton_solver(inst)(base)
         assert got.marginal_density == exact.exact_max_density(mi, base).marginal_density
 
 

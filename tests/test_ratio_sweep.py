@@ -1,0 +1,44 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from msop.generators import KINDS
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ratio_sweep.py"
+
+
+@pytest.fixture(scope="module")
+def ratio_sweep():
+    spec = importlib.util.spec_from_file_location("ratio_sweep", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sweep_certifies_every_kind(ratio_sweep, kind):
+    worst, _, contained, bound, _ = ratio_sweep.sweep(kind, 2, 1)
+    assert bound == (8 if kind == "rof" else 4)
+    assert contained and worst <= bound
+
+
+def test_unknown_kind_is_an_error_not_a_traceback(ratio_sweep, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ratio_sweep.py", "--kinds", "mssc,foo"])
+    assert ratio_sweep.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown kind 'foo'; expected one of mssc, ")
+
+
+def test_script_runs_from_any_directory(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--kinds", "rof", "--count", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].split()[:2] == ["rof", "1"]
