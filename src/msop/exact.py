@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     Chain,
@@ -43,8 +44,13 @@ _DEFAULT_CAPS = {"perm": 9, "chain": 7, "density": 20}
 
 
 def exhaustive_caps() -> dict[str, int]:
+    return dict(_parse_caps(os.environ.get("MSOP_EXACT_CAPS", "")))
+
+
+@lru_cache(maxsize=8)
+def _parse_caps(raw: str) -> dict[str, int]:
+    """``MSOP_EXACT_CAPS`` parsed once per value; a bad one raises each time."""
     caps = dict(_DEFAULT_CAPS)
-    raw = os.environ.get("MSOP_EXACT_CAPS", "")
     for part in raw.split(","):
         part = part.strip()
         if not part:

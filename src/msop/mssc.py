@@ -149,50 +149,56 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
     )
 
 
-class _Gains:
-    """Per-element gains of one base: the weight of the uncovered hyperedges
-    through each element outside the base, -1 for a base member, and a
-    covered flag per hyperedge.  ``move_to`` updates them from the hyperedges
-    through the added elements when the base contains the last one, as every
-    greedy step's does, and recomputes them otherwise."""
+class _Gains(RunningOracle):
+    """Per-element gains of one base as a running oracle: the weight of the
+    uncovered hyperedges through each element outside the base, -1 for a
+    base member, and a count per hyperedge of its members in the base, as
+    in ``CoverageWeight``, built on the first call.  A call returns
+    ``best()``."""
 
     def __init__(self, instance: MsscInstance):
-        self.edges = instance.edges
-        n = instance.n
-        self.full = frozenset(range(n))
-        self.incident: list[list[int]] = [[] for _ in range(n)]
-        self.initial: list[Rational] = [0] * n
-        for e, (w, members) in enumerate(self.edges):
-            for v in members:
-                self.incident[v].append(e)
-                self.initial[v] += w
-        # elements by cost, ascending ids: a group's best is its first maximum gain
-        groups: dict[Rational, list[int]] = {}
-        for v, c in enumerate(instance.costs):
-            groups.setdefault(c, []).append(v)
-        self.groups = list(groups.items())
-        self.base: frozenset[int] | None = None  # set by the first move
-        self.gain: list[Rational] = []
-        self.covered = bytearray()
+        super().__init__()
+        self.instance = instance
+        self.incident: list[list[int]] | None = None
 
-    def move_to(self, base: frozenset[int]) -> None:
-        if self.base is not None and base >= self.base:
-            added = base - self.base
-        else:
-            added = base
-            self.gain = self.initial.copy()
-            self.covered = bytearray(len(self.edges))
-        gain, covered, edges = self.gain, self.covered, self.edges
+    def reset(self) -> None:
+        if self.incident is None:
+            self.edges, n = self.instance.edges, self.instance.n
+            self.incident = [[] for _ in range(n)]
+            self.initial: list[Rational] = [0] * n
+            for e, (w, members) in enumerate(self.edges):
+                for v in members:
+                    self.incident[v].append(e)
+                    self.initial[v] += w
+            # elements by cost, ascending ids: a group's best is its first maximum gain
+            groups: dict[Rational, list[int]] = {}
+            for v, c in enumerate(self.instance.costs):
+                groups.setdefault(c, []).append(v)
+            self.groups = list(groups.items())
+        self.gain = self.initial.copy()
+        self.count = [0] * len(self.edges)
+
+    def move(self, added, removed) -> tuple[int, Rational, Rational]:
+        gain, count, edges, incident = self.gain, self.count, self.edges, self.incident
+        for v in removed:
+            for e in incident[v]:
+                count[e] -= 1
+                if not count[e]:
+                    w, members = edges[e]
+                    for u in members:
+                        gain[u] += w
         for v in added:
-            for e in self.incident[v]:
-                if not covered[e]:
-                    covered[e] = 1
+            for e in incident[v]:
+                if not count[e]:
                     w, members = edges[e]
                     for u in members:
                         gain[u] -= w
+                count[e] += 1
         for v in added:
             gain[v] = -1
-        self.base = base
+        for v in removed:  # the weight of its hyperedges left uncovered
+            gain[v] = sum(edges[e][0] for e in incident[v] if not count[e])
+        return self.best()
 
     def best(self) -> tuple[int, Rational, Rational]:
         """The element of best gain per unit cost, with its gain and cost;
@@ -219,19 +225,17 @@ def singleton_solver(instance: MsscInstance) -> DensitySolver:
     weight per unit cost, ties to the smallest id.  Exact for the maximum
     density here (modular cost, submodular weight, free family), so greedy
     chains built from it are 1-greedy.  The solver keeps the gains of its
-    last base, built on the first call, so a greedy step costs O(n) plus the
-    sizes of the hyperedges it covers."""
-    state: _Gains | None = None
+    last base (``_Gains``), so a greedy step costs O(n) plus the sizes of
+    the hyperedges it covers, and a removed element the sizes of the
+    hyperedges it uncovers."""
+    state = _Gains(instance)
+    full = frozenset(range(instance.n))
 
     def solve(base: frozenset[int]) -> DensityResult:
-        nonlocal state
         base = frozenset(base)
-        if state is None:
-            state = _Gains(instance)
-        if not base < state.full:
+        if not base < full:
             raise NoFeasibleSuperset("base already contains every element")
-        state.move_to(base)
-        v, g, c = state.best()
+        v, g, c = state(base)
         return DensityResult(base, base | {v}, Fraction(g, c), 1)
 
     return solve

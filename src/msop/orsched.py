@@ -76,25 +76,7 @@ class OrDag:
                 raise ValidationError(f"arc ({i}, {j}) references an unknown job")
             if i == j:
                 raise CyclicInput(f"self-loop at job {i}")
-        self._assert_acyclic()
-
-    def _assert_acyclic(self) -> None:
-        indeg = {j: 0 for j in self.jobs}
-        for _, j in self.arcs:
-            indeg[j] += 1
-        queue = deque(j for j in self.jobs if indeg[j] == 0)
-        seen = 0
-        succs = {j: [] for j in self.jobs}
-        for i, j in self.arcs:
-            succs[i].append(j)
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for w in succs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(self.jobs):
+        if len(self._topological) != len(self.jobs):
             raise CyclicInput("precedence graph contains a cycle")
 
     @cached_property
@@ -128,6 +110,22 @@ class OrDag:
         return tuple(j for j in sorted(self.jobs) if not self.preds[j])
 
     @cached_property
+    def _topological(self) -> tuple[int, ...]:
+        """The jobs in Kahn's order, sources by ascending id first; on a
+        cycle, only the jobs before it."""
+        indeg = {j: len(self.preds[j]) for j in self.jobs}
+        queue = deque(j for j in sorted(self.jobs) if indeg[j] == 0)
+        out = []
+        while queue:
+            v = queue.popleft()
+            out.append(v)
+            for w in self.succs[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+        return tuple(out)
+
+    @cached_property
     def _inforest(self) -> bool:
         """Every vertex has at most one successor."""
         return all(len(self.succs[j]) <= 1 for j in self.jobs)
@@ -143,7 +141,7 @@ class OrDag:
         vertex."""
         bit = {j: 1 << i for i, j in enumerate(self.jobs)}
         reach: dict[int, int] = {}
-        for v in reversed(_topological(self)):
+        for v in reversed(self._topological):
             below = 0
             for w in self.succs[v]:
                 if below & reach[w]:
@@ -193,20 +191,6 @@ def is_bipartite(dag: OrDag) -> bool:
     has_in = {j for _, j in dag.arcs}
     has_out = {i for i, _ in dag.arcs}
     return not (has_in & has_out)
-
-
-def _topological(dag: OrDag) -> list[int]:
-    indeg = {j: len(dag.preds[j]) for j in dag.jobs}
-    queue = deque(j for j in sorted(dag.jobs) if indeg[j] == 0)
-    out = []
-    while queue:
-        v = queue.popleft()
-        out.append(v)
-        for w in dag.succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return out
 
 
 def classify_dag(dag: OrDag) -> str:
@@ -301,25 +285,6 @@ def _membership_and_cost(dag: OrDag, ground: tuple[int, ...]):
     )
 
 
-def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
-    """Remove an OR-initial set; jobs with a predecessor in it become free."""
-    s = frozenset(s)
-    if not or_initial_membership(dag, s):
-        raise NotInitial(f"{sorted(s)} is not an OR-initial set")
-    keep = [j for j in dag.jobs if j not in s]
-    satisfied = {j for j in keep if any(p in s for p in dag.preds[j])}
-    arcs = tuple(
-        (i, j) for i, j in dag.arcs if i not in s and j not in s and j not in satisfied
-    )
-    kept = tuple(keep)
-    return OrDag(
-        kept,
-        tuple(dag.time_of(j) for j in kept),
-        tuple(dag.weight_of(j) for j in kept),
-        arcs,
-    )
-
-
 def modular_weight_oracle(dag: OrDag) -> WeightOracle:
     def total(s: frozenset[int]) -> Rational:
         return sum(map(dag.weight_map.__getitem__, s))
@@ -327,55 +292,50 @@ def modular_weight_oracle(dag: OrDag) -> WeightOracle:
     return total
 
 
-class _Residual:
-    """The residual DAG of one OR-initial base, read off the original DAG,
-    with the best candidate of each residual source.
+class _Residual(OrInitialMembership):
+    """The residual DAG of the last set, read off the original DAG, with the
+    best candidate of each residual source; a call returns whether the set
+    is OR-initial.
 
-    ``closed`` holds the base and every job with a predecessor in it, and
-    ``sources`` the residual sources: the jobs outside the base with no
-    predecessor or with one in the base.  A residual job's residual
-    successors are its successors outside ``closed``; they are filtered
-    only for the jobs a step visits, so no ``OrDag`` is built.  ``move_to``
-    updates the state from the jobs a base adds when it contains the last
-    base, as every greedy step's does, and recomputes it otherwise.
+    ``closed`` holds the set and every job with a predecessor in it, and
+    ``sources`` the residual sources: the jobs outside the set with no
+    predecessor or with one in it.  Both follow the ``inside`` counts of
+    the jobs that came or went and of their successors.  A residual job's
+    residual successors are its successors outside ``closed``; they are
+    filtered only for the jobs a step visits, so no ``OrDag`` is built.
 
     ``found`` maps a source to the candidate a step computed for it, whose
     last field holds the candidate's jobs other than the source.  Jobs only
     ever leave a superset's residual, and its successor structure below the
     jobs that stay is unchanged, so a source's candidates shrink to a
     subfamily; the best one stays best, with the same tie-breaks, while
-    none of those jobs is closed (``cached``).  A recompute empties
+    none of those jobs is closed (``cached``).  A removal empties
     ``found``.
     """
 
-    def __init__(self, dag: OrDag):
-        self.dag = dag
-        self.base: frozenset[int] | None = None  # set by the first move
+    def reset(self) -> None:
+        super().reset()
         self.closed: set[int] = set()
-        self.sources: set[int] = set()
+        self.sources = set(self.dag.sources)
         self.found: dict[int, tuple] = {}
 
-    def move_to(self, base: frozenset[int]) -> None:
-        """Follow ``base``; raises ``NotInitial``, leaving the state as it
-        was, when ``base`` is not OR-initial."""
-        superset = self.base is not None and base >= self.base
-        added = base - self.base if superset else base
-        # members of the last base have a predecessor in it already
-        pred_sets = self.dag.pred_sets
-        for j in added:
-            ps = pred_sets[j]
-            if ps and ps.isdisjoint(base):
-                raise NotInitial(f"{sorted(base)} is not an OR-initial set")
-        if not superset:
-            self.closed = set()
-            self.sources = set(self.dag.sources)
+    def move(self, added, removed) -> bool:
+        initial = super().move(added, removed)
+        if removed:
             self.found.clear()
-        succs = self.dag.succs
-        freed = [w for j in added for w in succs[j] if w not in base]
-        self.closed.update(added, freed)
-        self.sources.difference_update(added)
-        self.sources.update(freed)
-        self.base = base
+        preds, succs, inside, members = self.dag.preds, self.dag.succs, self.inside, self.members
+        closed, sources = self.closed, self.sources
+        for v in (*added, *removed):
+            for j in (v, *succs[v]):
+                if j in members or inside[j]:
+                    closed.add(j)
+                else:
+                    closed.discard(j)
+                if j not in members and (inside[j] or not preds[j]):
+                    sources.add(j)
+                else:
+                    sources.discard(j)
+        return initial
 
     def cached(self, source: int) -> tuple | None:
         """``source``'s candidate from an earlier step, unless a job of it
@@ -414,23 +374,6 @@ class _Residual:
         if len(kids) != len(reach):  # pragma: no cover - impossible in a multitree
             raise NotMultitree("two paths meet inside a successor tree")
         return kids
-
-
-def max_density_stem(
-    dag: OrDag, g_oracle: WeightOracle | None, base: frozenset[int]
-) -> DensityResult:
-    """Exact density step on an inforest: best stem of the residual DAG.
-
-    A stem starts at a residual source and follows the (unique) successor
-    arc, so there are O(n^2) of them; inclusion-minimal maximum-density
-    OR-initial sets are stems whenever the weight oracle is submodular and
-    the cost is the sum of processing times.  Ties prefer the shortest stem,
-    then the smallest start id.  With ``g_oracle`` None the weights are the
-    jobs' own (modular) weights, summed along each stem; a supplied oracle
-    is called once per stem prefix.  The DAG itself need not be an
-    inforest, only the residual of ``base``.
-    """
-    return stem_solver(dag, g_oracle)(base)
 
 
 def _best_prefix(
@@ -618,25 +561,31 @@ def pipelined_to_msop(
 
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:
-    """Stem density steps (``max_density_stem``); without ``g_oracle`` the
-    weights are modular.  The solver keeps the residual of its last base
-    and, with modular weights, each residual source's densest stem prefix
-    (``_Residual``).  A superset's residual is a subgraph of the base's
-    residual, so once a base passes the inforest check, its supersets skip
-    it."""
+    """Exact density steps on a residual inforest: the best stem of the
+    residual DAG.
+
+    A stem starts at a residual source and follows the (unique) successor
+    arc, so there are O(n^2) of them; inclusion-minimal maximum-density
+    OR-initial sets are stems whenever the weight oracle is submodular and
+    the cost is the sum of processing times.  Ties prefer the shortest stem,
+    then the smallest start id.  Without ``g_oracle`` the weights are the
+    jobs' own (modular) weights, summed along each stem; a supplied oracle
+    is called once per stem prefix.  The DAG itself need not be an
+    inforest, only the residual of each base: unless the DAG is one, each
+    step checks the residual for a fork.  The solver keeps the residual of
+    its last base and, with modular weights, each residual source's densest
+    stem prefix (``_Residual``)."""
     state = _Residual(dag)
-    shaped: frozenset[int] | None = frozenset() if is_inforest(dag) else None
+    inforest = is_inforest(dag)
 
     def solve(base: frozenset[int]) -> DensityResult:
-        nonlocal shaped
         base = frozenset(base)
-        state.move_to(base)
+        if not state(base):
+            raise NotInitial(f"{sorted(base)} is not an OR-initial set")
         if not state.sources:
             raise NoFeasibleSuperset("base already contains every job")
-        if shaped is None or not base >= shaped:
-            if state.has_fork():
-                raise NotInforest("residual graph has a vertex with two successors")
-            shaped = base
+        if not inforest and state.has_fork():
+            raise NotInforest("residual graph has a vertex with two successors")
         return _densest_stem(state, g_oracle, base)
 
     return solve
@@ -660,7 +609,8 @@ def outtree_solver(dag: OrDag) -> DensitySolver:
 
     def solve(base: frozenset[int]) -> DensityResult:
         base = frozenset(base)
-        state.move_to(base)
+        if not state(base):
+            raise NotInitial(f"{sorted(base)} is not an OR-initial set")
         if not state.sources:
             raise NoFeasibleSuperset("base already contains every job")
         return _densest_outtree_step(state, base)

@@ -219,14 +219,32 @@ def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
     return Fraction(ones[root] + zeros[root], formula.denominators[root])
 
 
-class Determination(RunningOracle):
-    """``g_determined`` as a running oracle: ``_scaled_prob_tables`` of the
-    last set.  A call recomputes the leaves whose tested state changed and
-    the gates on their root paths."""
+class _FormulaState(RunningOracle):
+    """Per-node values of a formula for the last tested set: a call
+    recomputes the leaves whose tested state changed, then the gates on
+    their root paths.  Subclasses supply ``leaf(leaf, tested)``,
+    ``gate(gate)`` and ``result()``, the call's value."""
 
     def __init__(self, formula: ReadOnceFormula):
         super().__init__()
         self.formula = formula
+
+    def move(self, added, removed):
+        leaves = self.formula.leaves
+        for var in removed:
+            if var in leaves:
+                self.leaf(leaves[var], False)
+        for var in added:
+            if var in leaves:
+                self.leaf(leaves[var], True)
+        for gate in self.formula.gates_above(added.union(removed)):
+            self.gate(gate)
+        return self.result()
+
+
+class Determination(_FormulaState):
+    """``g_determined`` as a running oracle: ``_scaled_prob_tables`` of the
+    last set."""
 
     def reset(self) -> None:
         # nothing tested: every leaf, and so every gate, is determined
@@ -234,33 +252,23 @@ class Determination(RunningOracle):
         self.ones = dict.fromkeys(self.formula.nodes, 0)
         self.zeros = self.ones.copy()
 
-    def move(self, added, removed) -> Fraction:
-        formula, ones, zeros = self.formula, self.ones, self.zeros
-        leaves = formula.leaves
-        for var in removed:
-            if var in leaves:
-                ones[leaves[var]] = zeros[leaves[var]] = 0
-        for var in added:
-            if var in leaves:
-                p = formula.probs[var]
-                ones[leaves[var]] = p.numerator
-                zeros[leaves[var]] = p.denominator - p.numerator
-        den = formula.denominators
-        for gate in formula.gates_above(added.union(removed)):
-            _scaled_gate(gate, ones, zeros, den)
-        root = formula.root
-        return Fraction(ones[root] + zeros[root], den[root])
+    def leaf(self, leaf: Leaf, tested: bool) -> None:
+        p = self.formula.probs[leaf.var]
+        one, zero = (p.numerator, p.denominator - p.numerator) if tested else (0, 0)
+        self.ones[leaf], self.zeros[leaf] = one, zero
 
+    def gate(self, gate: Gate) -> None:
+        _scaled_gate(gate, self.ones, self.zeros, self.formula.denominators)
 
-def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
-    """Determination probability for every subset, indexed by bitmask over
-    the sorted variables.  Exponential in n; meant for small oracles."""
-    column, den = _determination_column(formula)
-    return [Fraction(v, den) for v in column]
+    def result(self) -> Fraction:
+        root = self.formula.root
+        return Fraction(self.ones[root] + self.zeros[root], self.formula.denominators[root])
 
 
 def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
-    """``determination_table`` as ints over the lcm of its denominators."""
+    """Determination probability of every subset, by bitmask over the
+    sorted variables: ints over the lcm of their denominators, and that
+    lcm.  Exponential in n; meant for small oracles."""
     variables = formula.variables
     bit = {v: i for i, v in enumerate(variables)}
     den = formula.denominators
@@ -437,41 +445,35 @@ def compute_rp(formula: ReadOnceFormula, s: frozenset[int]) -> RpTables:
     return RpTables(formula, scaled)
 
 
-class _Supplements:
-    """The supplement search's tables for one base, with dominated budgets
-    pruned (Nemhauser & Ullmann 1969): an entry goes when a smaller budget
-    reaches at least its value.  A gate's value grows with each child's, so
-    a split through a dominated child entry is matched at a smaller budget:
-    pruned children give the pruned gate, with ``compute_rp``'s values and
-    splits.  The search's chosen budget has positive gain (testing every
-    untested leaf determines the root where the base alone may not), so no
-    smaller budget reaches its value and it is kept.  ``move_to``
-    recomputes the leaves whose tested state changed and the gates on their
-    root paths.
+class _Supplements(_FormulaState):
+    """The supplement search's tables for the last tested set, with
+    dominated budgets pruned (Nemhauser & Ullmann 1969): an entry goes when
+    a smaller budget reaches at least its value.  A gate's value grows with
+    each child's, so a split through a dominated child entry is matched at
+    a smaller budget: pruned children give the pruned gate, with
+    ``compute_rp``'s values and splits.  The search's chosen budget has
+    positive gain (testing every untested leaf determines the root where
+    the set alone may not), so no smaller budget reaches its value and it
+    is kept.  A call returns ``find_supp``'s supplement of the set with its
+    total cost, and the set's determination probability read off the root
+    tables; some test must be left untested.
     """
 
-    def __init__(self, formula: ReadOnceFormula):
-        self.formula = formula
-        self.variables = frozenset(formula.variables)
-        self.tested: frozenset[int] | None = None  # set by the first move
+    def reset(self) -> None:
         self.scaled: dict[Node, dict[int, ScaledTable]] = {}
+        for node in self.formula.nodes:
+            if isinstance(node, Leaf):
+                self.leaf(node, False)
+            else:
+                self.gate(node)
 
-    def move_to(self, s: frozenset[int]) -> None:
-        changed = self.variables if self.tested is None else (s ^ self.tested) & self.variables
-        formula, scaled = self.formula, self.scaled
-        for var in changed:
-            node = formula.leaves[var]
-            scaled[node] = _leaf_tables(formula, node, var in s)
-        for gate in formula.gates_above(changed):
-            scaled[gate] = _gate_tables(formula, gate, scaled, prune=True)
-        self.tested = s
+    def leaf(self, leaf: Leaf, tested: bool) -> None:
+        self.scaled[leaf] = _leaf_tables(self.formula, leaf, tested)
 
-    def supplement(self, s: frozenset[int]) -> tuple[frozenset[int], int, Fraction]:
-        """``find_supp``'s supplement of ``s`` with its total cost, and the
-        determination probability of ``s`` read off the root tables."""
-        if s >= self.variables:
-            raise EmptyRemainder("every test has already been taken")
-        self.move_to(s)
+    def gate(self, gate: Gate) -> None:
+        self.scaled[gate] = _gate_tables(self.formula, gate, self.scaled, prune=True)
+
+    def result(self) -> tuple[frozenset[int], int, Fraction]:
         formula = self.formula
         root_tables = self.scaled[formula.root]
         # (gain, budget) per target; gains share the root's denominator, so
@@ -489,7 +491,7 @@ class _Supplements:
         (gain0, t0), (gain1, t1) = best[0], best[1]
         outcome = 0 if gain0 * t1 > gain1 * t0 else 1
         spent = best[outcome][1]
-        # the budget-0 entries are the probabilities that s alone determines 0, 1
+        # budget 0: the probabilities that the set alone determines 0, 1
         determined = root_tables[0][0][0] + root_tables[1][0][0]
         determined = Fraction(determined, formula.denominators[formula.root])
         chosen = RpTables(formula, self.scaled).chosen(formula.root, outcome, spent)
@@ -505,13 +507,16 @@ def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
     smallest budget.  The winner's density is at least half the best over
     all supersets.
     """
-    return _Supplements(formula).supplement(frozenset(s))[0]
+    s = frozenset(s)
+    if s.issuperset(formula.variables):
+        raise EmptyRemainder("every test has already been taken")
+    return _Supplements(formula)(s)[0]
 
 
 def to_msop(formula: ReadOnceFormula) -> MsopInstance:
     """Free-family instance: modular test costs, determination probability
-    as the weight (``Determination``).  The weight's lattice column is
-    ``determination_table``'s."""
+    as the weight (``Determination``), whose lattice column is
+    ``_determination_column``'s."""
     variables = formula.variables
 
     def cost(subset: frozenset[int]) -> Rational:
@@ -533,17 +538,16 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance | None = 
     The base's weight comes from the supplement search's own tables and the
     supplement's cost is its budget, so a step calls the weight oracle once,
     on the candidate.  The solver keeps the pruned tables of its last base
-    (``_Supplements``), built on the first call: a greedy step recomputes
-    the gates on the root paths of the tests the last step added."""
+    (``_Supplements``): a greedy step recomputes the gates on the root
+    paths of the tests the last step added."""
     inst = instance if instance is not None else to_msop(formula)
-    state: _Supplements | None = None
+    state = _Supplements(formula)
 
     def solve(base: frozenset[int]) -> DensityResult:
-        nonlocal state
         base = frozenset(base)
-        if state is None:
-            state = _Supplements(formula)
-        chosen, spent, base_weight = state.supplement(base)
+        if base.issuperset(formula.variables):
+            raise EmptyRemainder("every test has already been taken")
+        chosen, spent, base_weight = state(base)
         candidate = base | chosen
         gain = inst.weight(candidate) - base_weight
         return DensityResult(base, candidate, Fraction(gain, spent), 2)

@@ -20,16 +20,18 @@ from msop.errors import (
     NonMonotone,
     NotInFamily,
     NotInforest,
+    NotInitial,
     NotMultitree,
     SolverStall,
     ValidationError,
 )
 from msop.generators import _rng
 from msop.mssc import MsscInstance
-from msop.orsched import OrDag, is_inforest, is_multitree, residual
+from msop.orsched import OrDag, is_inforest, is_multitree, or_initial_membership, stem_solver
 from msop.rof import (
     Leaf,
     ReadOnceFormula,
+    _determination_column,
     _scaled_prob_tables,
     compute_rp,
     to_msop as rof_to_msop,
@@ -333,6 +335,30 @@ def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
     return DensityResult(base, base | {best}, Fraction(gain[best], costs[best]), 1)
 
 
+def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
+    """Remove an OR-initial set; jobs with a predecessor in it become free."""
+    s = frozenset(s)
+    if not or_initial_membership(dag, s):
+        raise NotInitial(f"{sorted(s)} is not an OR-initial set")
+    keep = [j for j in dag.jobs if j not in s]
+    satisfied = {j for j in keep if any(p in s for p in dag.preds[j])}
+    arcs = tuple(
+        (i, j) for i, j in dag.arcs if i not in s and j not in s and j not in satisfied
+    )
+    kept = tuple(keep)
+    return OrDag(
+        kept,
+        tuple(dag.time_of(j) for j in kept),
+        tuple(dag.weight_of(j) for j in kept),
+        arcs,
+    )
+
+
+def max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
+    """One step of a new ``stem_solver``."""
+    return stem_solver(dag, g_oracle)(base)
+
+
 def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
     """Every stem prefix evaluated through the full-set weight oracle."""
     base = frozenset(base)
@@ -420,6 +446,13 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
             best = (rho, start)
             best_set = subtree
     return DensityResult(base, base | best_set, best[0], 1)
+
+
+def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
+    """Determination probability for every subset, indexed by bitmask over
+    the sorted variables: ``_determination_column`` as ``Fraction``s."""
+    column, den = _determination_column(formula)
+    return [Fraction(v, den) for v in column]
 
 
 def prob_tables(formula: ReadOnceFormula, s):

@@ -178,7 +178,7 @@ def test_criterion_04_or_scheduling_stem_and_outtree():
         if base == inst.universe():
             base = frozenset()
         if kind == "inforest":
-            got = orsched.max_density_stem(dag, orsched.modular_weight_oracle(dag), base)
+            got = orsched.stem_solver(dag, orsched.modular_weight_oracle(dag))(base)
         else:
             got = orsched.outtree_solver(dag)(base)
         best = exact.exact_max_density(inst, base).marginal_density
@@ -215,10 +215,12 @@ def test_criterion_05_or_pipelined_cover():
 
 
 def _brute_gate_maxima(formula, s):
+    """Per gate, target and exact budget, the best scaled probability over
+    every subset of the gate's untested leaves; each tested set's tables
+    are computed once."""
     from itertools import combinations
 
-    from helpers import prob_tables
-
+    memo = {}
     out = {}
     for node in formula.nodes:
         candidates = sorted(formula.tests_below[node] - s)
@@ -226,7 +228,10 @@ def _brute_gate_maxima(formula, s):
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
                 t = sum(formula.costs[i] for i in combo)
-                ones, zeros = prob_tables(formula, s | set(combo))
+                tested = s.union(combo)
+                if tested not in memo:
+                    memo[tested] = rof._scaled_prob_tables(formula, tested)
+                ones, zeros = memo[tested]
                 for outcome, value in ((1, ones[node]), (0, zeros[node])):
                     cur = table[outcome].get(t)
                     if cur is None or value > cur:
@@ -261,7 +266,7 @@ def test_criterion_06_supplement_half_density():
         expect = _brute_gate_maxima(formula, base)
         for node in formula.nodes:
             for outcome in (0, 1):
-                got = {t: p for t, (p, _) in tables.table(node, outcome).items()}
+                got = {t: v for t, (v, _) in tables.scaled[node][outcome].items()}
                 assert got == expect[node][outcome], f"seed {i}"
     _verdict(
         "criterion 6: supplement density within half of best, tables exact",

@@ -312,17 +312,95 @@ def test_residual_forgets_candidates_through_added_or_freed_jobs():
     dag = OrDag((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (0, 0, 9, 1, 5),
                 ((0, 1), (1, 2), (2, 4), (3, 2)))
     state = orsched._Residual(dag)
-    state.move_to(frozenset())
+    state(frozenset())
     state.found[0] = orsched._best_prefix(state, 0, None, frozenset(), None)
     assert state.cached(0)[-1] == [1, 2, 4]
-    state.move_to(frozenset())
+    state(frozenset())
     assert state.cached(0) is not None
-    state.move_to(frozenset({3}))
+    state(frozenset({3}))
     assert state.cached(0) is None and state.sources == {0, 2}
     state.found[0] = orsched._best_prefix(state, 0, None, frozenset({3}), None)
     assert state.cached(0)[-1] == []
-    state.move_to(frozenset({0}))  # not a superset: everything is recomputed
+    state(frozenset({0}))  # not a superset: everything is recomputed
     assert state.found == {}
+
+
+def gains_step(state, parsed, base):
+    v, gain, cost = state(base)
+    return base | {v}, Fraction(gain, cost)
+
+
+def residual_step(densest):
+    def step(state, dag, base):
+        assert state(base)
+        got = densest(state, base)
+        return got.candidate, got.marginal_density
+
+    return step
+
+
+def supplement_state_step(state, formula, base):
+    chosen, spent, determined = state(base)
+    candidate = base | chosen
+    return candidate, Fraction(rof.g_determined(formula, candidate) - determined, spent)
+
+
+# kind: (parsed instance, solver state, its step, stateless reference)
+STATES = {
+    "mssc": (lambda: gen_instance("mssc", 70, 21), mssc._Gains, gains_step,
+             ref_singleton_step),
+    "pipelined": (lambda: gen_instance("pipelined", 60, 22), mssc._Gains, gains_step,
+                  ref_singleton_step),
+    "inforest": (lambda: gen_instance("inforest", 80, 23), orsched._Residual,
+                 residual_step(lambda state, base: orsched._densest_stem(state, None, base)),
+                 modular_stem),
+    "multitree": (lambda: gen_instance("multitree", 70, 24), orsched._Residual,
+                  residual_step(orsched._densest_outtree_step), ref_max_density_outtree),
+    "rof": (lambda: gen_instance("rof", 40, 25), rof._Supplements, supplement_state_step,
+            rof_step),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_solver_state_drops_and_takes_back_one_element_by_moves(kind):
+    # along a greedy chain, the state drops one element of each base (two
+    # of the last increment's first, which the reference often takes back
+    # at once, then two at random) and adds it again: each call is a move
+    # from the last set, never a rebuild, and each step is the stateless
+    # reference's
+    make, state_class, step, reference = STATES[kind]
+    parsed = make()
+    chain = cli.Toolchain(parsed).greedy()
+    state = state_class(parsed)
+    rng = random.Random(kind)
+    moves = 0
+    for prev, base in zip(chain.sets, chain.sets[1:-1]):
+        if len(base) < 3:
+            continue
+        order = sorted(base - prev) + sorted(prev)
+        if isinstance(parsed, OrDag):
+            order = [x for x in order if orsched.or_initial_membership(parsed, base - {x})]
+        for x in order[:2] + rng.sample(order[2:], min(2, len(order) - 2)):
+            for s in (base - {x}, base):
+                assert step(state, parsed, s) == outcome(reference, parsed, s), sorted(s)
+                assert state.rebuilds == 1, sorted(s)
+                moves += 1
+    assert moves >= 40
+
+
+def test_residual_forgets_candidates_when_a_removal_reopens_a_job():
+    # 0 -> 1 -> 2 -> 4 and 3 -> 2, with job 5 alone.  While job 3 is in the
+    # base, job 2 is freed and source 0's densest stem is 0 alone (density
+    # 0); dropping job 3 reopens job 2, and 0, 1, 2, 4 (density 14/4) beats
+    # 3, 2, 4 (14/12)
+    dag = OrDag((0, 1, 2, 3, 4, 5), (1, 1, 1, 10, 1, 1), (0, 0, 9, 0, 5, 1),
+                ((0, 1), (1, 2), (2, 4), (3, 2)))
+    state = orsched._Residual(dag)
+    step = STATES["inforest"][2]
+    for base in (frozenset({3, 5}), frozenset({5})):
+        assert step(state, dag, base) == outcome(modular_stem, dag, base)
+    assert state.rebuilds == 1
+    assert step(state, dag, frozenset({5})) == (frozenset({0, 1, 2, 4, 5}), Fraction(7, 2))
 
 
 def test_supplement_step_matches_reference_chain():
@@ -366,7 +444,7 @@ def test_supplement_tables_are_the_undominated_exact_budget_entries():
         walk = free_walk(formula.variables, rng)
         state = rof._Supplements(formula)
         for base in walk[:-1] + rng.sample(walk[:-1], 6):
-            state.move_to(base)
+            state(base)
             full = rof.compute_rp(formula, base).scaled
             for node in formula.nodes:
                 for target in (0, 1):
@@ -458,7 +536,7 @@ def test_outtree_solver_rejects_a_non_multitree():
 def test_stem_with_a_decreasing_oracle_is_non_monotone():
     dag = OrDag((0, 1), (1, 1), (1, 1), ((0, 1),))
     with pytest.raises(NonMonotone):
-        orsched.max_density_stem(dag, lambda s: Fraction(-len(s)), frozenset())
+        orsched.stem_solver(dag, lambda s: Fraction(-len(s)))(frozenset())
 
 
 # ---------------------------------------------------------------------------

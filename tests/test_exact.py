@@ -19,6 +19,7 @@ from msop.errors import (
     NoFeasibleSuperset,
     NotInFamily,
     TooLarge,
+    ValidationError,
 )
 from msop.generators import gen_generic_msop
 from msop.mssc import to_msop as mssc_to_msop
@@ -135,6 +136,23 @@ def test_caps_raise_too_large(monkeypatch):
         exact.exact_opt_permutation(free)
     monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=5")
     exact.exact_opt_permutation(free)
+
+
+def test_caps_follow_each_change_of_the_variable(monkeypatch):
+    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4")
+    assert exact.exhaustive_caps() == {"perm": 4, "chain": 7, "density": 20}
+    monkeypatch.setenv("MSOP_EXACT_CAPS", "chain=3,density=5")
+    assert exact.exhaustive_caps() == {"perm": 9, "chain": 3, "density": 5}
+    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4")
+    caps = exact.exhaustive_caps()
+    caps["perm"] = 1  # a caller's copy: the next call still sees 4
+    assert exact.exhaustive_caps()["perm"] == 4
+    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4,speed=3")
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="speed=3"):
+            exact.exhaustive_caps()
+    monkeypatch.delenv("MSOP_EXACT_CAPS")
+    assert exact.exhaustive_caps() == {"perm": 9, "chain": 7, "density": 20}
 
 
 def test_max_density_prefers_best_singleton():

@@ -19,18 +19,16 @@ from msop.orsched import (
     classify_dag,
     is_inforest,
     is_multitree,
-    max_density_stem,
     modular_weight_oracle,
     or_initial_membership,
     outtree_solver,
     pipelined_to_msop,
-    residual,
     schedule_cost,
     stem_solver,
     to_msop,
 )
 
-from helpers import eq2_cost
+from helpers import eq2_cost, max_density_stem, residual
 
 
 def unit_dag(arcs, n):

@@ -13,7 +13,6 @@ from msop.rof import (
     Leaf,
     ReadOnceFormula,
     compute_rp,
-    determination_table,
     eval_partial,
     evaluate_order_cost,
     expected_stop_cost,
@@ -23,7 +22,7 @@ from msop.rof import (
     to_msop,
 )
 
-from helpers import prob_tables
+from helpers import determination_table, prob_tables
 
 
 def fig_formula(p=Fraction(1, 2), costs=None):
