@@ -13,7 +13,6 @@ from .core import (
     INF,
     MsopInstance,
     Permutation,
-    StructuralFlags,
     chain_cost,
     chain_to_permutation,
     densest_consistent_permutation,
@@ -21,8 +20,7 @@ from .core import (
     marginal_density,
     permutation_to_chain,
     singleton_solver,
-    splice,
-    spot_check_flags,
+    spot_check_hypotheses,
     validate_chain,
 )
 from .dual import backward_greedy_chain, dual_chain, dualize
@@ -44,7 +42,6 @@ __all__ = [
     "MsopError",
     "MsopInstance",
     "Permutation",
-    "StructuralFlags",
     "backward_greedy_chain",
     "chain_cost",
     "chain_to_permutation",
@@ -60,7 +57,6 @@ __all__ = [
     "marginal_density",
     "permutation_to_chain",
     "singleton_solver",
-    "splice",
-    "spot_check_flags",
+    "spot_check_hypotheses",
     "validate_chain",
 ]

@@ -89,43 +89,6 @@ class RunningOracle:
 
 
 @dataclass(frozen=True)
-class StructuralFlags:
-    """Declared structural properties of an instance.
-
-    Flags are trusted inputs; ``spot_check_flags`` can probe them on random
-    set pairs.  Modular implies sub- and supermodular; a monotone
-    nonnegative submodular function is subadditive, so those implications
-    are normalised on construction.
-    """
-
-    union_closed: bool = False
-    intersection_closed: bool = False
-    f_subadditive: bool = False
-    f_submodular: bool = False
-    f_supermodular: bool = False
-    f_modular: bool = False
-    g_subadditive: bool = False
-    g_submodular: bool = False
-    g_supermodular: bool = False
-    g_modular: bool = False
-
-    def __post_init__(self):
-        if self.f_modular:
-            object.__setattr__(self, "f_submodular", True)
-            object.__setattr__(self, "f_supermodular", True)
-        if self.g_modular:
-            object.__setattr__(self, "g_submodular", True)
-            object.__setattr__(self, "g_supermodular", True)
-        if self.f_submodular:
-            object.__setattr__(self, "f_subadditive", True)
-        if self.g_submodular:
-            object.__setattr__(self, "g_subadditive", True)
-
-
-_NO_FLAGS = StructuralFlags()
-
-
-@dataclass(frozen=True)
 class MsopInstance:
     """Ground set plus feasibility, cost and weight oracles."""
 
@@ -133,7 +96,6 @@ class MsopInstance:
     in_family: FamilyFn
     cost: SetFn
     weight: SetFn
-    flags: StructuralFlags = _NO_FLAGS
     name: str = "msop"
 
     def __post_init__(self):
@@ -204,9 +166,6 @@ class Permutation:
             raise ValidationError("permutation is empty")
         if len(set(self.order)) != len(self.order):
             raise ValidationError("permutation repeats an element")
-
-    def prefix(self, j: int) -> frozenset[int]:
-        return frozenset(self.order[:j])
 
 
 @dataclass(frozen=True)
@@ -443,21 +402,6 @@ def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> Perm
     return _extend_through(instance, chain, densest)
 
 
-def splice(
-    sigma: Permutation | Sequence[int], tau: Permutation | Sequence[int], j: int
-) -> Permutation:
-    """Follow ``sigma`` for ``j`` elements, then the rest in ``tau``'s order."""
-    a = order_of(sigma)
-    b = order_of(tau)
-    if set(a) != set(b) or len(a) != len(b):
-        raise ValidationError("splice needs two permutations of the same set")
-    if not 1 <= j <= len(a):
-        raise ValueError(f"splice index {j} out of range 1..{len(a)}")
-    head = a[:j]
-    seen = set(head)
-    return Permutation(head + tuple(v for v in b if v not in seen))
-
-
 def singleton_solver(instance: MsopInstance) -> DensitySolver:
     """Density step that adds the single element of best marginal density.
 
@@ -485,46 +429,39 @@ def singleton_solver(instance: MsopInstance) -> DensitySolver:
     return solve
 
 
-def spot_check_flags(instance: MsopInstance, rng, rounds: int = 64) -> None:
-    """Probe declared structural flags on random set pairs; raise on a lie.
+def spot_check_hypotheses(instance: MsopInstance, rng, rounds: int = 64) -> None:
+    """Probe the hypotheses of the 4*alpha bound on random set pairs: a
+    union-closed family, a monotone cost and weight, and a subadditive
+    cost.  Raises ``ValidationError`` naming the property and two sets at
+    the first failure.
 
-    Property checks are skipped whenever a required set is outside the
-    family, since the declared properties only speak about feasible sets.
+    Each round draws two sets that may overlap, s and t (each element goes
+    to s only, t only, both or neither), and probes union closure on
+    (s, t), monotonicity from s and from t up to s | t, and subadditivity
+    on the disjoint pair (s - t, t).  Only feasible sets are evaluated,
+    since the hypotheses speak about the family alone.
     """
-    flags = instance.flags
-    elems = list(instance.ground_set)
+    ground = instance.ground_set
+    family, cost, weight = instance.in_family, instance.cost, instance.weight
 
-    def rand_set() -> frozenset[int]:
-        return frozenset(v for v in elems if rng.random() < 0.5)
+    def fail(claim: str, a: frozenset[int], b: frozenset[int]):
+        raise ValidationError(f"{claim} at {sorted(a)}, {sorted(b)}")
 
     for _ in range(rounds):
-        s, t = rand_set(), rand_set()
-        s_ok, t_ok = instance.in_family(s), instance.in_family(t)
-        u, i = s | t, s & t
-        if flags.union_closed and s_ok and t_ok and not instance.in_family(u):
-            raise ValidationError(f"family not closed under union at {sorted(s)}, {sorted(t)}")
-        if flags.intersection_closed and s_ok and t_ok and not instance.in_family(i):
-            raise ValidationError(
-                f"family not closed under intersection at {sorted(s)}, {sorted(t)}"
-            )
-        if not (s_ok and t_ok):
+        draws = [rng.randrange(4) for _ in ground]
+        s = frozenset(v for v, d in zip(ground, draws) if d & 1)
+        t = frozenset(v for v, d in zip(ground, draws) if d & 2)
+        u = s | t
+        s_ok, t_ok = family(s), family(t)
+        if not family(u):
+            if s_ok and t_ok:
+                fail("family is not union-closed", s, t)
             continue
-        for fn, mod, sub, sup, adds, label in (
-            (instance.cost, flags.f_modular, flags.f_submodular, flags.f_supermodular,
-             flags.f_subadditive, "cost"),
-            (instance.weight, flags.g_modular, flags.g_submodular, flags.g_supermodular,
-             flags.g_subadditive, "weight"),
-        ):
-            if (mod or sub or sup) and instance.in_family(u) and instance.in_family(i):
-                lhs = fn(u) + fn(i)
-                rhs = fn(s) + fn(t)
-                if mod and lhs != rhs:
-                    raise ValidationError(f"{label} is not modular at {sorted(s)}, {sorted(t)}")
-                if sub and lhs > rhs:
-                    raise ValidationError(f"{label} is not submodular at {sorted(s)}, {sorted(t)}")
-                if sup and lhs < rhs:
-                    raise ValidationError(
-                        f"{label} is not supermodular at {sorted(s)}, {sorted(t)}"
-                    )
-            if adds and not i and instance.in_family(u) and fn(u) > fn(s) + fn(t):
-                raise ValidationError(f"{label} is not subadditive at {sorted(s)}, {sorted(t)}")
+        for a, a_ok in ((s, s_ok), (t, t_ok)):
+            if a_ok and cost(a) > cost(u):
+                fail("cost is not monotone", a, u)
+            if a_ok and weight(a) > weight(u):
+                fail("weight is not monotone", a, u)
+        d = s - t
+        if t_ok and family(d) and cost(u) > cost(d) + cost(t):
+            fail("cost is not subadditive", d, t)

@@ -16,28 +16,12 @@ from .core import (
     DensitySolver,
     MsopInstance,
     Rational,
-    StructuralFlags,
     greedy_chain,
     marginal_density,
 )
 from .lattice import complemented, supply
 
 SolverFactory = Callable[[MsopInstance], DensitySolver]
-
-# on the dual instance the old weight plays the cost role and vice versa,
-# so the sub/super qualifiers mirror accordingly
-def _dual_flags(flags: StructuralFlags) -> StructuralFlags:
-    return StructuralFlags(
-        union_closed=flags.intersection_closed,
-        intersection_closed=flags.union_closed,
-        f_modular=flags.g_modular,
-        f_submodular=flags.g_supermodular,
-        f_supermodular=flags.g_submodular,
-        g_modular=flags.f_modular,
-        g_submodular=flags.f_supermodular,
-        g_supermodular=flags.f_submodular,
-    )
-
 
 def dualize(instance: MsopInstance) -> MsopInstance:
     """Dual instance; dualizing twice is extensionally the identity.
@@ -69,12 +53,7 @@ def dualize(instance: MsopInstance) -> MsopInstance:
            lambda: complemented(instance.lattice.cost, instance.lattice.cost_scale))
 
     return MsopInstance(
-        ground,
-        dual_family,
-        dual_cost,
-        dual_weight,
-        _dual_flags(instance.flags),
-        name=f"dual({instance.name})",
+        ground, dual_family, dual_cost, dual_weight, name=f"dual({instance.name})"
     )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
-from .core import Chain, MsopInstance, Rational, StructuralFlags
+from .core import Chain, MsopInstance, Rational
 from .errors import BadParams
 from .mssc import MsscInstance
 from .orsched import OrDag
@@ -26,21 +26,18 @@ def _rng(kind: str, n: int, seed: int) -> random.Random:
     return random.Random(f"msop:{kind}:{n}:{seed}")
 
 
-def _gen_mssc(
-    n: int, seed: int, unit: bool, edges: int | None = None, max_edge: int = 3,
-    max_value: int = 5,
-) -> MsscInstance:
+def _gen_mssc(n: int, seed: int, unit: bool, edges: int | None = None) -> MsscInstance:
     rng = _rng("mssc" if unit else "pipelined", n, seed)
     m = edges if edges is not None else rng.randint(1, max(1, 2 * n))
     if m < 1:
         raise BadParams("need at least one hyperedge")
     built = []
     for _ in range(m):
-        size = rng.randint(1, min(max_edge, n))
+        size = rng.randint(1, min(3, n))
         members = frozenset(rng.sample(range(n), size))
-        weight = 1 if unit else rng.randint(0, max_value)
+        weight = 1 if unit else rng.randint(0, 5)
         built.append((weight, members))
-    costs = tuple(1 if unit else rng.randint(1, max_value) for _ in range(n))
+    costs = tuple(1 if unit else rng.randint(1, 5) for _ in range(n))
     return MsscInstance(n, costs, tuple(built))
 
 
@@ -107,7 +104,7 @@ def _one_path_with(reach: list[int], above: list[int], i: int, j: int) -> bool:
     return True
 
 
-def _gen_rof(n: int, seed: int, max_cost: int = 3, max_denominator: int = 8) -> ReadOnceFormula:
+def _gen_rof(n: int, seed: int) -> ReadOnceFormula:
     rng = _rng("rof", n, seed)
     variables = list(range(1, n + 1))
     rng.shuffle(variables)
@@ -122,13 +119,13 @@ def _gen_rof(n: int, seed: int, max_cost: int = 3, max_denominator: int = 8) -> 
     probs = {}
     costs = {}
     for v in range(1, n + 1):
-        den = rng.randint(2, max_denominator)
+        den = rng.randint(2, 8)
         probs[v] = Fraction(rng.randint(1, den - 1), den)
-        costs[v] = rng.randint(1, max_cost)
+        costs[v] = rng.randint(1, 3)
     return ReadOnceFormula(root, probs, costs)
 
 
-def _gen_xsearch(n: int, seed: int, extra: int | None = None, max_cost: int = 4) -> SearchGraph:
+def _gen_xsearch(n: int, seed: int, extra: int | None = None) -> SearchGraph:
     if n < 2:
         raise BadParams("expanding search needs at least two vertices")
     rng = _rng("xsearch", n, seed)
@@ -136,14 +133,14 @@ def _gen_xsearch(n: int, seed: int, extra: int | None = None, max_cost: int = 4)
     present = set()
     for v in range(1, n):
         u = rng.randrange(v)
-        edges.append((u, v, rng.randint(1, max_cost)))
+        edges.append((u, v, rng.randint(1, 4)))
         present.add((u, v))
     want_extra = extra if extra is not None else rng.randint(0, max(0, n - 2))
     candidates = [
         (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
     ]
     for u, v in rng.sample(candidates, min(want_extra, len(candidates))):
-        edges.append((u, v, rng.randint(1, max_cost)))
+        edges.append((u, v, rng.randint(1, 4)))
     mass = [rng.randint(0, 5) for _ in range(n)]
     if not any(mass):
         mass[rng.randrange(n)] = 1
@@ -183,7 +180,6 @@ def table_instance(
     feasible_masks: frozenset[int],
     f_table: Sequence[Rational],
     g_table: Sequence[Rational],
-    flags: StructuralFlags,
     name: str,
 ) -> MsopInstance:
     """Instance over {0..n-1} whose oracles read precomputed mask tables."""
@@ -199,7 +195,6 @@ def table_instance(
         lambda s: mask_of(s) in feasible_masks,
         lambda s: f_table[mask_of(s)],
         lambda s: g_table[mask_of(s)],
-        flags,
         name=name,
     )
 
@@ -285,21 +280,14 @@ def gen_generic_msop(n: int, seed: int) -> MsopInstance:
         mile = _milestone_table(rng, n)
         g_table = [a + b for a, b in zip(mod, mile)]
 
-    flags = StructuralFlags(
-        union_closed=True,
-        f_subadditive=True,
-        f_modular=f_style == "modular",
-        f_submodular=f_style in ("truncated", "coverage"),
-        g_modular=g_style == "modular",
-        g_submodular=g_style == "coverage",
-        g_supermodular=g_style in ("milestones", "mixed"),
-    )
-    return table_instance(n, family, f_table, g_table, flags, f"generic-{n}-{seed}")
+    return table_instance(n, family, f_table, g_table, f"generic-{n}-{seed}")
 
 
 def gen_supermodular_cost_msop(n: int, seed: int) -> MsopInstance:
     """Free family, supermodular monotone cost, modular positive weight:
-    the shape on which the backward greedy is exact in polynomial time."""
+    the shape on which the backward greedy is exact in polynomial time.
+    The cost is not subadditive, so the forward bound's hypotheses hold
+    only on the dual instance, where the backward greedy runs."""
     if n < 1:
         raise BadParams("n must be at least 1")
     rng = _rng("supercost", n, seed)
@@ -308,14 +296,8 @@ def gen_supermodular_cost_msop(n: int, seed: int) -> MsopInstance:
     mile = _milestone_table(rng, n, min_size=2)
     f_table = [a + b for a, b in zip(base, mile)]
     g_table = _modular_table(rng, n, 1, 4)
-    flags = StructuralFlags(
-        union_closed=True,
-        intersection_closed=True,
-        f_supermodular=True,
-        g_modular=True,
-    )
     return table_instance(
-        n, frozenset(range(full + 1)), f_table, g_table, flags, f"supercost-{n}-{seed}"
+        n, frozenset(range(full + 1)), f_table, g_table, f"supercost-{n}-{seed}"
     )
 
 

@@ -19,7 +19,6 @@ from .core import (
     Permutation,
     Rational,
     RunningOracle,
-    StructuralFlags,
     order_of,
 )
 from .errors import NoFeasibleSuperset, ValidationError
@@ -139,12 +138,6 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
         supply(cost, ground, lambda: modular_column(instance.costs)),
         supply(CoverageWeight(instance.edges), ground,
                lambda: coverage_column(n, edge_masks())),
-        StructuralFlags(
-            union_closed=True,
-            intersection_closed=True,
-            f_modular=True,
-            g_submodular=True,
-        ),
         name="mssc",
     )
 

@@ -26,7 +26,6 @@ from .core import (
     Permutation,
     Rational,
     RunningOracle,
-    StructuralFlags,
     compare_density,
     order_of,
 )
@@ -516,21 +515,7 @@ def to_msop(dag: OrDag) -> MsopInstance:
     in_family, cost = _membership_and_cost(dag, ground)
     weight = supply(modular_weight_oracle(dag), ground,
                     lambda: modular_column([dag.weight_of(j) for j in ground]))
-    # a unique predecessor per job makes the family intersection-closed
-    unique_preds = all(len(dag.preds[j]) <= 1 for j in dag.jobs)
-    return MsopInstance(
-        ground,
-        in_family,
-        cost,
-        weight,
-        StructuralFlags(
-            union_closed=True,
-            intersection_closed=unique_preds,
-            f_modular=True,
-            g_modular=True,
-        ),
-        name="orsched",
-    )
+    return MsopInstance(ground, in_family, cost, weight, name="orsched")
 
 
 def pipelined_to_msop(
@@ -555,7 +540,6 @@ def pipelined_to_msop(
         in_family,
         cost,
         supply(CoverageWeight(frozen_edges), ground, weight_column),
-        StructuralFlags(union_closed=True, f_modular=True, g_submodular=True),
         name="or-pipelined",
     )
 

@@ -30,7 +30,6 @@ from .core import (
     Permutation,
     Rational,
     RunningOracle,
-    StructuralFlags,
     densest_consistent_permutation,
     greedy_chain,
     order_of,
@@ -222,23 +221,32 @@ def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
 class _FormulaState(RunningOracle):
     """Per-node values of a formula for the last tested set: a call
     recomputes the leaves whose tested state changed, then the gates on
-    their root paths.  Subclasses supply ``leaf(leaf, tested)``,
-    ``gate(gate)`` and ``result()``, the call's value."""
+    their root paths; after a rebuild it computes every node once.
+    Subclasses supply ``leaf(leaf, tested)``, ``gate(gate)`` and
+    ``result()``, the call's value."""
 
     def __init__(self, formula: ReadOnceFormula):
         super().__init__()
         self.formula = formula
 
+    def reset(self) -> None:
+        # the move that follows overwrites every node's value
+        self.rebuilt = True
+
     def move(self, added, removed):
-        leaves = self.formula.leaves
-        for var in removed:
-            if var in leaves:
-                self.leaf(leaves[var], False)
-        for var in added:
-            if var in leaves:
-                self.leaf(leaves[var], True)
-        for gate in self.formula.gates_above(added.union(removed)):
-            self.gate(gate)
+        formula = self.formula
+        if self.rebuilt:
+            self.rebuilt = False
+            nodes = formula.nodes
+        else:
+            leaves = formula.leaves
+            nodes = [leaves[var] for var in (*removed, *added) if var in leaves]
+            nodes += formula.gates_above(added.union(removed))
+        for node in nodes:
+            if isinstance(node, Leaf):
+                self.leaf(node, node.var in added)
+            else:
+                self.gate(node)
         return self.result()
 
 
@@ -247,10 +255,9 @@ class Determination(_FormulaState):
     last set."""
 
     def reset(self) -> None:
-        # nothing tested: every leaf, and so every gate, is determined
-        # with probability 0
-        self.ones = dict.fromkeys(self.formula.nodes, 0)
-        self.zeros = self.ones.copy()
+        super().reset()
+        self.ones: dict[Node, int] = {}
+        self.zeros: dict[Node, int] = {}
 
     def leaf(self, leaf: Leaf, tested: bool) -> None:
         p = self.formula.probs[leaf.var]
@@ -460,12 +467,8 @@ class _Supplements(_FormulaState):
     """
 
     def reset(self) -> None:
+        super().reset()
         self.scaled: dict[Node, dict[int, ScaledTable]] = {}
-        for node in self.formula.nodes:
-            if isinstance(node, Leaf):
-                self.leaf(node, False)
-            else:
-                self.gate(node)
 
     def leaf(self, leaf: Leaf, tested: bool) -> None:
         self.scaled[leaf] = _leaf_tables(self.formula, leaf, tested)
@@ -527,20 +530,19 @@ def to_msop(formula: ReadOnceFormula) -> MsopInstance:
         supply(lambda s: True, variables, lambda: free_family(len(variables))),
         supply(cost, variables, lambda: modular_column([formula.costs[i] for i in variables])),
         supply(Determination(formula), variables, lambda: _determination_column(formula)),
-        StructuralFlags(union_closed=True, intersection_closed=True, f_modular=True),
         name="rof",
     )
 
 
-def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance | None = None):
-    """Density solver wrapping the supplement search (factor 2).
+def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
+    """Density solver wrapping the supplement search (factor 2), over
+    ``instance``, the formula's ``to_msop`` instance.
 
     The base's weight comes from the supplement search's own tables and the
     supplement's cost is its budget, so a step calls the weight oracle once,
     on the candidate.  The solver keeps the pruned tables of its last base
     (``_Supplements``): a greedy step recomputes the gates on the root
     paths of the tests the last step added."""
-    inst = instance if instance is not None else to_msop(formula)
     state = _Supplements(formula)
 
     def solve(base: frozenset[int]) -> DensityResult:
@@ -549,7 +551,7 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance | None = 
             raise EmptyRemainder("every test has already been taken")
         chosen, spent, base_weight = state(base)
         candidate = base | chosen
-        gain = inst.weight(candidate) - base_weight
+        gain = instance.weight(candidate) - base_weight
         return DensityResult(base, candidate, Fraction(gain, spent), 2)
 
     return solve

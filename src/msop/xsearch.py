@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .core import MsopInstance, Rational, StructuralFlags
+from .core import MsopInstance, Rational
 from .errors import DisconnectedInput, ValidationError
 from .lattice import IntColumn, int_column, modular_column, supply, union_column
 
@@ -180,6 +180,5 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
         supply(in_family, ground, lambda: _feasible_column(graph)),
         supply(cost, ground, lambda: modular_column([c for _, _, c in graph.edges])),
         supply(weight, ground, lambda: _weight_column(graph)),
-        StructuralFlags(union_closed=True, f_modular=True, g_submodular=True),
         name="xsearch",
     )

@@ -2,14 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from msop import (
     Chain,
     INF,
     MsopInstance,
     Permutation,
-    StructuralFlags,
     chain_cost,
     chain_to_permutation,
     densest_consistent_permutation,
@@ -17,8 +15,7 @@ from msop import (
     marginal_density,
     permutation_to_chain,
     singleton_solver,
-    splice,
-    spot_check_flags,
+    spot_check_hypotheses,
 )
 from msop import exact
 from msop.errors import (
@@ -29,6 +26,7 @@ from msop.errors import (
     NotInFamily,
     NotWellFounded,
     SolverStall,
+    ValidationError,
 )
 from msop.generators import gen_generic_msop, random_chain
 from msop.mssc import MsscInstance, covering_cost, singleton_solver as mssc_singleton, to_msop
@@ -37,10 +35,8 @@ from msop.orsched import OrDag, schedule_cost, stem_solver, to_msop as ordag_to_
 from helpers import eq2_cost
 
 
-def free_instance(n, cost, weight, **flags):
-    return MsopInstance(
-        tuple(range(n)), lambda s: True, cost, weight, StructuralFlags(**flags)
-    )
+def free_instance(n, cost, weight):
+    return MsopInstance(tuple(range(n)), lambda s: True, cost, weight)
 
 
 def modular(values):
@@ -226,21 +222,6 @@ def _random_inforest(seed, n=6):
     return tuple(range(n)), times, weights, tuple(arcs)
 
 
-def test_splice_examples():
-    sigma = Permutation((3, 1, 5, 2, 4))
-    tau = Permutation((4, 5, 1, 2, 3))
-    assert splice(sigma, tau, 2).order == (3, 1, 4, 5, 2)
-    assert splice(sigma, tau, 3).order == (3, 1, 5, 4, 2)
-    assert splice(sigma, tau, 5).order == sigma.order
-
-
-@given(st.permutations(list(range(6))), st.permutations(list(range(6))), st.integers(1, 6))
-def test_splice_is_a_permutation_with_sigma_prefix(a, b, j):
-    result = splice(tuple(a), tuple(b), j)
-    assert sorted(result.order) == list(range(6))
-    assert result.order[:j] == tuple(a)[:j]
-
-
 def test_subchain_costs_at_least_chain():
     rng = random.Random(5)
     for seed in range(30):
@@ -265,9 +246,29 @@ def test_telescoping_matches_completion_time_formula():
         assert chain_cost(inst, chain) == eq2_cost(inst, elements)
 
 
-def test_spot_check_flags_accepts_honest_and_catches_lies():
-    inst = gen_generic_msop(5, 77)
-    spot_check_flags(inst, random.Random(0), rounds=200)
-    liar = free_instance(5, modular([1] * 5), lambda s: len(s) ** 2, g_submodular=True)
-    with pytest.raises(Exception):
-        spot_check_flags(liar, random.Random(0), rounds=500)
+# each breaks one hypothesis of the 4*alpha bound and keeps the others
+LIARS = {
+    # {0} and {1} are feasible, {0, 1} and its supersets short of V are not
+    "family is not union-closed": MsopInstance(
+        tuple(range(4)), lambda s: not {0, 1} <= s or len(s) == 4,
+        modular([1] * 4), modular([1] * 4),
+    ),
+    "cost is not monotone": free_instance(4, lambda s: int(len(s) == 1), modular([1] * 4)),
+    "weight is not monotone": free_instance(4, modular([1] * 4), lambda s: int(len(s) == 1)),
+    "cost is not subadditive": free_instance(4, lambda s: len(s) ** 2, modular([1] * 4)),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(LIARS), ids=lambda claim: claim.replace(" ", "-"))
+def test_spot_check_hypotheses_names_each_liars_property(claim):
+    honest = free_instance(4, modular([1, 2, 3, 4]), modular([4, 3, 2, 1]))
+    spot_check_hypotheses(honest, random.Random(0), rounds=200)
+    with pytest.raises(ValidationError, match=f"^{claim} at "):
+        spot_check_hypotheses(LIARS[claim], random.Random(0), rounds=200)
+
+
+def test_package_exports_resolve():
+    import msop
+
+    assert [name for name in msop.__all__ if not hasattr(msop, name)] == []
+    exec("from msop import *", {})

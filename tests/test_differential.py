@@ -201,6 +201,10 @@ def rof_step(formula, base):
     return ref_scaled_supplement_step(formula, rof.to_msop(formula), base)
 
 
+def rof_solver(formula):
+    return rof.supplement_solver(formula, rof.to_msop(formula))
+
+
 def free_walk(ground, rng):
     """Sets from the empty set to the whole ground set, each adding one
     random element."""
@@ -213,7 +217,7 @@ FREE_SOLVERS = {
              ref_singleton_step, lambda parsed: range(parsed.n), "NoFeasibleSuperset"),
     "pipelined": (lambda n, seed: gen_instance("pipelined", n, seed), mssc.singleton_solver,
                   ref_singleton_step, lambda parsed: range(parsed.n), "NoFeasibleSuperset"),
-    "rof": (lambda n, seed: gen_instance("rof", n, seed), rof.supplement_solver, rof_step,
+    "rof": (lambda n, seed: gen_instance("rof", n, seed), rof_solver, rof_step,
             lambda formula: formula.variables, "EmptyRemainder"),
 }
 
@@ -242,10 +246,8 @@ DETOURS = {
                  orsched.stem_solver, modular_stem, 1),
     "multitree": (lambda: gen_instance("multitree", 110, 14), orsched.to_msop,
                   orsched.outtree_solver, ref_max_density_outtree, 1),
-    "rof": (lambda: gen_instance("rof", 70, 15), rof.to_msop, rof.supplement_solver,
-            rof_step, 2),
-    "rof-nested": (lambda: right_nested_formula(60, 16), rof.to_msop, rof.supplement_solver,
-                   rof_step, 2),
+    "rof": (lambda: gen_instance("rof", 70, 15), rof.to_msop, rof_solver, rof_step, 2),
+    "rof-nested": (lambda: right_nested_formula(60, 16), rof.to_msop, rof_solver, rof_step, 2),
 }
 
 
@@ -468,7 +470,7 @@ def test_supplement_search_through_zero_gain_budgets():
     root = rof.compute_rp(formula, frozenset()).scaled[formula.root][1]
     zero_gain = [t for t in sorted(root) if t and root[t][0] == root[0][0]]
     assert zero_gain == [1, 2, 3, 4, 9]
-    solve = rof.supplement_solver(formula)
+    solve = rof_solver(formula)
     subsets = [frozenset(v for v in range(1, 5) if m >> (v - 1) & 1) for m in range(15)]
     # every proper subset, in an order that both nests and jumps around
     for base in subsets + subsets[::-1] + subsets[::3]:

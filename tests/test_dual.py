@@ -1,18 +1,21 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from msop import (
     Chain,
     MsopInstance,
-    StructuralFlags,
     backward_greedy_chain,
     chain_cost,
     dual_chain,
     dualize,
     greedy_chain,
     singleton_solver,
+    spot_check_hypotheses,
 )
 from msop import exact
+from msop.errors import ValidationError
 from msop.generators import (
     gen_generic_msop,
     gen_supermodular_cost_msop,
@@ -26,10 +29,7 @@ def modular(values):
 
 def test_modular_cost_is_self_dual():
     values = [2, 5, 1]
-    inst = MsopInstance(
-        (0, 1, 2), lambda s: True, modular(values), modular([1, 1, 1]),
-        StructuralFlags(f_modular=True, g_modular=True),
-    )
+    inst = MsopInstance((0, 1, 2), lambda s: True, modular(values), modular([1, 1, 1]))
     d = dualize(inst)
     for r in range(4):
         for combo in combinations(range(3), r):
@@ -53,13 +53,15 @@ def test_double_dual_is_extensionally_identity():
         assert dd.weight(s) == inst.weight(s)
 
 
-def test_dual_flag_translation():
-    inst = gen_supermodular_cost_msop(4, 2)
-    d = dualize(inst)
-    assert d.flags.f_modular  # weight was modular
-    assert d.flags.f_subadditive
-    assert d.flags.g_submodular  # cost was supermodular
-    assert d.flags.union_closed and d.flags.intersection_closed
+def test_supermodular_cost_meets_the_hypotheses_only_on_its_dual():
+    # the backward greedy is forward greedy on the dual, where the
+    # supermodular cost becomes a monotone weight and the modular weight
+    # a modular cost
+    for seed in range(20):
+        inst = gen_supermodular_cost_msop(2 + seed % 6, seed)
+        with pytest.raises(ValidationError, match="^cost is not subadditive"):
+            spot_check_hypotheses(inst, random.Random(seed), rounds=500)
+        spot_check_hypotheses(dualize(inst), random.Random(seed), rounds=500)
 
 
 def test_dual_chain_examples_and_involution():
@@ -99,15 +101,7 @@ def test_backward_greedy_four_approximation_smoke():
 def test_backward_on_duality_symmetric_instance():
     # cost and weight both |S|: the instance equals its dual, so both
     # directions produce the same objective value
-    inst = MsopInstance(
-        (0, 1, 2),
-        lambda s: True,
-        lambda s: len(s),
-        lambda s: len(s),
-        StructuralFlags(
-            union_closed=True, intersection_closed=True, f_modular=True, g_modular=True
-        ),
-    )
+    inst = MsopInstance((0, 1, 2), lambda s: True, lambda s: len(s), lambda s: len(s))
     back = backward_greedy_chain(inst, singleton_solver, 1)
     forward = greedy_chain(inst, singleton_solver(inst), 1)
     assert chain_cost(inst, back) == chain_cost(inst, forward)

@@ -7,7 +7,6 @@ from msop import (
     Chain,
     INF,
     MsopInstance,
-    StructuralFlags,
     chain_cost,
     greedy_chain,
     histogram_containment_check,
@@ -33,7 +32,7 @@ def modular(values):
 
 
 def free_instance(n, cost, weight):
-    return MsopInstance(tuple(range(n)), lambda s: True, cost, weight, StructuralFlags())
+    return MsopInstance(tuple(range(n)), lambda s: True, cost, weight)
 
 
 def test_opt_permutation_single_element():

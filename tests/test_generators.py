@@ -1,16 +1,19 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from msop import spot_check_flags
+from msop import dualize, spot_check_hypotheses
+from msop.formats import KIND_OF_TYPE
 from msop.generators import (
+    KINDS,
     gen_generic_msop,
     gen_instance,
     gen_or_pipelined,
     gen_supermodular_cost_msop,
     random_chain,
 )
-from msop.orsched import classify_dag, is_inforest, is_multitree
+from msop.orsched import classify_dag, is_inforest, is_multitree, pipelined_to_msop
 
 from helpers import ref_gen_multitree
 
@@ -82,14 +85,30 @@ def test_xsearch_generator_structure():
 @settings(max_examples=60, deadline=None)
 def test_generic_instances_declare_honest_flags(seed):
     inst = gen_generic_msop(2 + seed % 6, seed)
-    spot_check_flags(inst, random.Random(seed), rounds=40)
+    spot_check_hypotheses(inst, random.Random(seed), rounds=40)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_supermodular_cost_instances_declare_honest_flags(seed):
     inst = gen_supermodular_cost_msop(2 + seed % 6, seed)
-    spot_check_flags(inst, random.Random(seed), rounds=40)
+    spot_check_hypotheses(dualize(inst), random.Random(seed), rounds=40)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adapter_instances_meet_the_bound_hypotheses(kind):
+    for n in (2, 5, 9, 16):
+        for seed in range(1, 4):
+            parsed = gen_instance(kind, n, seed)
+            instance = KIND_OF_TYPE[type(parsed)].tools(parsed)[0]
+            spot_check_hypotheses(instance, random.Random(seed))
+
+
+def test_or_pipelined_instances_meet_the_bound_hypotheses():
+    for n in (2, 5, 9, 16):
+        for seed in range(1, 4):
+            instance = pipelined_to_msop(*gen_or_pipelined(n, seed))
+            spot_check_hypotheses(instance, random.Random(seed))
 
 
 def test_or_pipelined_generator():

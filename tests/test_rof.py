@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,6 +13,7 @@ from msop.rof import (
     Gate,
     Leaf,
     ReadOnceFormula,
+    _Supplements,
     compute_rp,
     eval_partial,
     evaluate_order_cost,
@@ -239,6 +241,19 @@ def test_find_supp_last_missing_test():
     assert find_supp(f, s) == frozenset({5})
     with pytest.raises(EmptyRemainder):
         find_supp(f, frozenset(f.variables))
+
+
+def test_fresh_supplement_state_computes_each_gate_once():
+    formula = gen_instance("rof", 12, 3)
+    calls = Counter()
+
+    class Counted(_Supplements):
+        def gate(self, gate):
+            calls[gate] += 1
+            super().gate(gate)
+
+    Counted(formula)(frozenset(formula.variables[::2]))
+    assert calls == Counter(node for node in formula.nodes if isinstance(node, Gate))
 
 
 def test_find_supp_pure_or_takes_best_ratio_test():
