@@ -435,11 +435,13 @@ def spot_check_hypotheses(instance: MsopInstance, rng, rounds: int = 64) -> None
     cost.  Raises ``ValidationError`` naming the property and two sets at
     the first failure.
 
-    Each round draws two sets that may overlap, s and t (each element goes
-    to s only, t only, both or neither), and probes union closure on
-    (s, t), monotonicity from s and from t up to s | t, and subadditivity
-    on the disjoint pair (s - t, t).  Only feasible sets are evaluated,
-    since the hypotheses speak about the family alone.
+    Each round grows two disjoint feasible sets, s and t, from the empty
+    set by random feasible one-element extensions, t avoiding s, each to a
+    random size or until no extension is left; so even a precedence family
+    that few random sets belong to is probed.  The round probes union
+    closure on (s, t), monotonicity from s and from t up to s | t, and
+    subadditivity on (s, t).  Only feasible sets are evaluated, since the
+    hypotheses speak about the family alone.
     """
     ground = instance.ground_set
     family, cost, weight = instance.in_family, instance.cost, instance.weight
@@ -447,21 +449,30 @@ def spot_check_hypotheses(instance: MsopInstance, rng, rounds: int = 64) -> None
     def fail(claim: str, a: frozenset[int], b: frozenset[int]):
         raise ValidationError(f"{claim} at {sorted(a)}, {sorted(b)}")
 
+    def grow(avoid: frozenset[int]) -> frozenset[int]:
+        # the first feasible element of a shuffled rest is a uniform draw
+        # among the feasible extensions
+        s: frozenset[int] = frozenset()
+        rest = [v for v in ground if v not in avoid]
+        for _ in range(rng.randrange(len(rest) + 1)):
+            rng.shuffle(rest)
+            v = next((v for v in rest if family(s | {v})), None)
+            if v is None:
+                break
+            s |= {v}
+            rest.remove(v)
+        return s
+
     for _ in range(rounds):
-        draws = [rng.randrange(4) for _ in ground]
-        s = frozenset(v for v, d in zip(ground, draws) if d & 1)
-        t = frozenset(v for v, d in zip(ground, draws) if d & 2)
+        s = grow(frozenset())
+        t = grow(s)
         u = s | t
-        s_ok, t_ok = family(s), family(t)
         if not family(u):
-            if s_ok and t_ok:
-                fail("family is not union-closed", s, t)
-            continue
-        for a, a_ok in ((s, s_ok), (t, t_ok)):
-            if a_ok and cost(a) > cost(u):
+            fail("family is not union-closed", s, t)
+        for a in (s, t):
+            if cost(a) > cost(u):
                 fail("cost is not monotone", a, u)
-            if a_ok and weight(a) > weight(u):
+            if weight(a) > weight(u):
                 fail("weight is not monotone", a, u)
-        d = s - t
-        if t_ok and family(d) and cost(u) > cost(d) + cost(t):
-            fail("cost is not subadditive", d, t)
+        if cost(u) > cost(s) + cost(t):
+            fail("cost is not subadditive", s, t)

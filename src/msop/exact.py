@@ -63,8 +63,8 @@ def _parse_caps(raw: str) -> dict[str, int]:
     return caps
 
 
-def _cap_for(what: str, n: int, cap: int | None) -> None:
-    limit = cap if cap is not None else exhaustive_caps()[what]
+def _cap_for(what: str, n: int) -> None:
+    limit = exhaustive_caps()[what]
     if n > limit:
         raise TooLarge(what, n, limit)
 
@@ -78,15 +78,13 @@ def _checked_lattice(instance: MsopInstance) -> Lattice:
     return lattice
 
 
-def exact_opt_permutation(
-    instance: MsopInstance, cap: int | None = None
-) -> tuple[Permutation, Rational]:
+def exact_opt_permutation(instance: MsopInstance) -> tuple[Permutation, Rational]:
     """Global minimum over feasible permutations (every initial set feasible).
 
     Ties break to the lexicographically smallest optimal permutation.
     """
     n = instance.n
-    _cap_for("perm", n, cap)
+    _cap_for("perm", n)
     lattice = _checked_lattice(instance)
     feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
     full = (1 << n) - 1
@@ -131,10 +129,10 @@ def exact_opt_permutation(
     return Permutation(tuple(order)), Fraction(best[0], lattice.cost_scale * lattice.weight_scale)
 
 
-def exact_opt_chain(instance: MsopInstance, cap: int | None = None) -> tuple[Chain, Rational]:
+def exact_opt_chain(instance: MsopInstance) -> tuple[Chain, Rational]:
     """Global minimum over all feasible chains of any length."""
     n = instance.n
-    _cap_for("chain", n, cap)
+    _cap_for("chain", n)
     lattice = _checked_lattice(instance)
     feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
     full = (1 << n) - 1
@@ -217,7 +215,7 @@ def _densest_superset(instance: MsopInstance, base: frozenset[int]) -> DensityRe
             else:
                 order = compare_density(gain, spent, best_gain, best_spent)
                 if not order:
-                    order = _smaller_first(ground, base_mask, x, best_mask)
+                    order = _smaller_first(ground, x, best_mask)
             if order > 0:
                 best_mask, best_gain, best_spent = x, gain, spent
         x = (x - 1) & comp
@@ -231,20 +229,18 @@ def _densest_superset(instance: MsopInstance, base: frozenset[int]) -> DensityRe
     return DensityResult(base, base.union(_members(ground, best_mask)), rho, 1)
 
 
-def _smaller_first(ground: tuple[int, ...], base_mask: int, x: int, y: int) -> int:
-    """1 when base + x comes before base + y: fewer elements, then the
-    smaller sorted id tuple; -1 otherwise."""
+def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
+    """1 when base + x comes before base + y, for distinct masks x, y
+    outside the base: fewer elements, then the smaller sorted id tuple;
+    -1 otherwise.  Equal-size sets' sorted tuples agree below the smallest
+    id in which they differ, so the set holding that id comes first."""
     size_x, size_y = x.bit_count(), y.bit_count()
     if size_x != size_y:
         return 1 if size_x < size_y else -1
-    ids_x = sorted(_members(ground, base_mask | x))
-    ids_y = sorted(_members(ground, base_mask | y))
-    return 1 if ids_x < ids_y else -1
+    return 1 if min(_members(ground, x & ~y)) < min(_members(ground, y & ~x)) else -1
 
 
-def exact_max_density(
-    instance: MsopInstance, base: frozenset[int], cap: int | None = None
-) -> DensityResult:
+def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityResult:
     """Maximum marginal density over feasible strict supersets of ``base``.
 
     The +inf sentinel beats every finite density; ties break to the smallest
@@ -252,11 +248,11 @@ def exact_max_density(
     first call on an instance builds its lattice of 2^n subsets, which
     later calls on the same instance reuse.
     """
-    _cap_for("density", instance.n, cap)
+    _cap_for("density", instance.n)
     return _densest_superset(instance, base)
 
 
-def exact_density_solver(instance: MsopInstance, cap: int | None = None) -> DensitySolver:
+def exact_density_solver(instance: MsopInstance) -> DensitySolver:
     """Exhaustive density solver (factor 1) for use with the greedy loop.
 
     Every step reads the instance's lattice, built by the first one, so a
@@ -265,7 +261,7 @@ def exact_density_solver(instance: MsopInstance, cap: int | None = None) -> Dens
     """
 
     def solve(base: frozenset[int]) -> DensityResult:
-        return exact_max_density(instance, base, cap)
+        return exact_max_density(instance, base)
 
     return solve
 

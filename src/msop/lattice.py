@@ -11,7 +11,10 @@ Cost and weight are only meaningful on feasible masks.
 An adapter that knows how its oracles are built supplies their columns:
 ``supply`` attaches a column builder to the oracle function itself, so the
 column travels with the function, and ``dataclasses.replace(instance,
-weight=...)`` drops the weight column and keeps the other two.  A column
+weight=...)`` drops the weight column and keeps the other two.  The shared
+shapes come with their columns from one place each: ``free`` (every subset
+feasible), ``modular`` (a sum of per-element values) and
+``mssc.coverage`` (the weight of the hyperedges a set meets).  A column
 with no builder comes from one sweep over the oracles, which builds each
 subset from a smaller one and calls cost and weight only on feasible sets.
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import lcm
-from typing import TYPE_CHECKING, Callable, MutableSequence, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, MutableSequence, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import MsopInstance
@@ -115,8 +118,21 @@ def int_column(values: Sequence[int], bound: int) -> IntColumn:
     return array("q", values) if bound < _WORD else list(values)
 
 
-def free_family(n: int) -> bytearray:
-    return bytearray(b"\x01") * (1 << n)
+def free(ground: tuple[int, ...]) -> Callable:
+    """The family of every subset of ``ground``, with its column."""
+    return supply(lambda s: True, ground, lambda: bytearray(b"\x01") * (1 << len(ground)))
+
+
+def modular(ground: tuple[int, ...], values: Callable[[], Mapping]) -> Callable:
+    """The oracle S -> sum of ``values()[v]`` over the members v of S, with
+    its column over ``ground``.  ``values`` is called at every use, so that
+    nothing is built before the first: it returns a kept mapping, such as
+    an attribute or a cached property."""
+
+    def total(s: frozenset[int]):
+        return sum(map(values().__getitem__, s))
+
+    return supply(total, ground, lambda: modular_column([values()[v] for v in ground]))
 
 
 def modular_column(values: Sequence) -> Scaled:

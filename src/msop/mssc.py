@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     DensityResult,
@@ -22,7 +22,9 @@ from .core import (
     order_of,
 )
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import coverage_column, free_family, modular_column, supply
+from .lattice import coverage_column, free, modular, supply
+
+Hyperedges = Sequence[tuple[Rational, frozenset[int]]]
 
 
 @dataclass(frozen=True)
@@ -64,24 +66,26 @@ def coverage_weight(instance: MsscInstance, s: frozenset[int]) -> Rational:
 
 
 class CoverageWeight(RunningOracle):
-    """``coverage_weight`` over ``edges`` (weight, members) pairs as a running
-    oracle: the count of each hyperedge's members inside the last set, and
-    per element the hyperedges through it, built on the first call.  A
-    call costs the hyperedges through the elements that came or went."""
+    """``coverage_weight`` over the (weight, members) pairs that ``edges()``
+    returns, as a running oracle: the count of each hyperedge's members
+    inside the last set, and per element the hyperedges through it, built
+    on the first call.  A call costs the hyperedges through the elements
+    that came or went."""
 
-    def __init__(self, edges: Sequence[tuple[Rational, frozenset[int]]]):
+    def __init__(self, edges: Callable[[], Hyperedges]):
         super().__init__()
         self.edges = edges
         self.incident: dict[int, list[int]] | None = None
 
     def reset(self) -> None:
         if self.incident is None:
+            edges = self.edges()
             self.incident = {}
-            for e, (_, members) in enumerate(self.edges):
+            for e, (_, members) in enumerate(edges):
                 for v in members:
                     self.incident.setdefault(v, []).append(e)
-            self.weights = [w for w, _ in self.edges]
-        self.count = [0] * len(self.edges)
+            self.weights = [w for w, _ in edges]
+        self.count = [0] * len(self.weights)
         self.total: Rational = 0
 
     def move(self, added, removed) -> Rational:
@@ -118,28 +122,24 @@ def covering_cost(instance: MsscInstance, permutation: Permutation | Sequence[in
     return total
 
 
+def coverage(ground: tuple[int, ...], edges: Callable[[], Hyperedges]) -> CoverageWeight:
+    """``CoverageWeight`` over ``edges()``, with its column over ``ground``;
+    ``edges`` is called when the oracle is first called and when the
+    column is built."""
+
+    def column():
+        bit = {v: 1 << i for i, v in enumerate(ground)}
+        masks = [(w, sum(bit[v] for v in members)) for w, members in edges()]
+        return coverage_column(len(ground), masks)
+
+    return supply(CoverageWeight(edges), ground, column)
+
+
 def to_msop(instance: MsscInstance) -> MsopInstance:
-    """Free-family instance: modular costs, submodular coverage weight
-    (``CoverageWeight``).  All three oracles supply their lattice columns."""
-    n = instance.n
-    ground = tuple(range(n))
-
-    cost_of = instance.costs.__getitem__
-
-    def cost(s: frozenset[int]) -> Rational:
-        return sum(map(cost_of, s))
-
-    def edge_masks():
-        return [(w, sum(1 << v for v in members)) for w, members in instance.edges]
-
-    return MsopInstance(
-        ground,
-        supply(lambda s: True, ground, lambda: free_family(n)),
-        supply(cost, ground, lambda: modular_column(instance.costs)),
-        supply(CoverageWeight(instance.edges), ground,
-               lambda: coverage_column(n, edge_masks())),
-        name="mssc",
-    )
+    """Free-family instance: modular costs, submodular coverage weight."""
+    ground = tuple(range(instance.n))
+    return MsopInstance(ground, free(ground), modular(ground, lambda: instance.costs),
+                        coverage(ground, lambda: instance.edges), name="mssc")
 
 
 class _Gains(RunningOracle):

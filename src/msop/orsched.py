@@ -39,8 +39,8 @@ from .errors import (
     NotMultitree,
     ValidationError,
 )
-from .lattice import coverage_column, modular_column, supply, union_column
-from .mssc import CoverageWeight
+from .lattice import modular, supply, union_column
+from .mssc import coverage
 
 WeightOracle = Callable[[frozenset[int]], Rational]
 
@@ -148,12 +148,6 @@ class OrDag:
                 below |= reach[w]
             reach[v] = below | bit[v]
         return True
-
-    def time_of(self, job: int) -> Rational:
-        return self.time_map[job]
-
-    def weight_of(self, job: int) -> Rational:
-        return self.weight_map[job]
 
 
 def is_inforest(dag: OrDag) -> bool:
@@ -271,24 +265,9 @@ class OrInitialMembership(RunningOracle):
         return not stranded
 
 
-def _membership_and_cost(dag: OrDag, ground: tuple[int, ...]):
-    """Membership (``OrInitialMembership``) and processing-time cost, with
-    their lattice columns."""
-
-    def cost(s: frozenset[int]) -> Rational:
-        return sum(map(dag.time_map.__getitem__, s))
-
-    return (
-        supply(OrInitialMembership(dag), ground, lambda: or_initial_column(dag, ground)),
-        supply(cost, ground, lambda: modular_column([dag.time_of(j) for j in ground])),
-    )
-
-
 def modular_weight_oracle(dag: OrDag) -> WeightOracle:
-    def total(s: frozenset[int]) -> Rational:
-        return sum(map(dag.weight_map.__getitem__, s))
-
-    return total
+    """The sum of the jobs' own weights, with its lattice column."""
+    return modular(tuple(sorted(dag.jobs)), lambda: dag.weight_map)
 
 
 class _Residual(OrInitialMembership):
@@ -496,6 +475,7 @@ def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Ratio
     order = order_of(permutation)
     if sorted(order) != sorted(dag.jobs):
         raise ValidationError("order must schedule every job exactly once")
+    time, weight = dag.time_map, dag.weight_map
     done: set[int] = set()
     clock: Rational = 0
     total: Rational = 0
@@ -503,19 +483,28 @@ def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Ratio
         ps = dag.preds[j]
         if ps and not any(p in done for p in ps):
             raise InfeasibleOrder(f"job {j} scheduled before any of its predecessors")
-        clock += dag.time_of(j)
-        total += dag.weight_of(j) * clock
+        clock += time[j]
+        total += weight[j] * clock
         done.add(j)
     return total
 
 
+def _or_instance(dag: OrDag, weight: WeightOracle, name: str) -> MsopInstance:
+    """OR-initial membership (``OrInitialMembership``) and processing-time
+    cost over the sorted jobs, with ``weight``; each supplies its column."""
+    ground = tuple(sorted(dag.jobs))
+    return MsopInstance(
+        ground,
+        supply(OrInitialMembership(dag), ground, lambda: or_initial_column(dag, ground)),
+        modular(ground, lambda: dag.time_map),
+        weight,
+        name=name,
+    )
+
+
 def to_msop(dag: OrDag) -> MsopInstance:
     """OR-scheduling as a min-sum ordering instance (both oracles modular)."""
-    ground = tuple(sorted(dag.jobs))
-    in_family, cost = _membership_and_cost(dag, ground)
-    weight = supply(modular_weight_oracle(dag), ground,
-                    lambda: modular_column([dag.weight_of(j) for j in ground]))
-    return MsopInstance(ground, in_family, cost, weight, name="orsched")
+    return _or_instance(dag, modular_weight_oracle(dag), "orsched")
 
 
 def pipelined_to_msop(
@@ -527,21 +516,8 @@ def pipelined_to_msop(
         if w < 0 or not members or not members <= set(dag.jobs):
             raise ValidationError("bad hyperedge over the job set")
     frozen_edges = tuple((w, frozenset(m)) for w, m in edges)
-    ground = tuple(sorted(dag.jobs))
-    in_family, cost = _membership_and_cost(dag, ground)
-
-    def weight_column():
-        bit = {j: 1 << i for i, j in enumerate(ground)}
-        masks = [(w, sum(bit[j] for j in members)) for w, members in frozen_edges]
-        return coverage_column(len(ground), masks)
-
-    return MsopInstance(
-        ground,
-        in_family,
-        cost,
-        supply(CoverageWeight(frozen_edges), ground, weight_column),
-        name="or-pipelined",
-    )
+    weight = coverage(tuple(sorted(dag.jobs)), lambda: frozen_edges)
+    return _or_instance(dag, weight, "or-pipelined")
 
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:

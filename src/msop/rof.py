@@ -28,14 +28,13 @@ from .core import (
     DensityResult,
     MsopInstance,
     Permutation,
-    Rational,
     RunningOracle,
     densest_consistent_permutation,
     greedy_chain,
     order_of,
 )
 from .errors import EmptyRemainder, ValidationError
-from .lattice import free_family, modular_column, supply
+from .lattice import free, modular, supply
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,14 +520,10 @@ def to_msop(formula: ReadOnceFormula) -> MsopInstance:
     as the weight (``Determination``), whose lattice column is
     ``_determination_column``'s."""
     variables = formula.variables
-
-    def cost(subset: frozenset[int]) -> Rational:
-        return sum(formula.costs[i] for i in subset)
-
     return MsopInstance(
         variables,
-        supply(lambda s: True, variables, lambda: free_family(len(variables))),
-        supply(cost, variables, lambda: modular_column([formula.costs[i] for i in variables])),
+        free(variables),
+        modular(variables, lambda: formula.costs),
         supply(Determination(formula), variables, lambda: _determination_column(formula)),
         name="rof",
     )

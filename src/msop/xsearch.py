@@ -5,20 +5,20 @@ connected subgraph containing the root (or is empty).  The cost is the sum
 of edge costs; the weight of an edge set is the probability mass of the
 non-root vertices it touches.  The root's own mass is found at time zero
 and would only shift every objective value by the same constant, so it is
-dropped from the weight oracle.
+dropped from the weight oracle.  That weight is a coverage: each non-root
+vertex is a hyperedge over the edges that touch it, weighted by its mass.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .core import MsopInstance, Rational
 from .errors import DisconnectedInput, ValidationError
-from .lattice import IntColumn, int_column, modular_column, supply, union_column
+from .lattice import modular, supply, union_column
+from .mssc import coverage
 
 
 @dataclass(frozen=True)
@@ -72,22 +72,8 @@ class SearchGraph:
                 raise DisconnectedInput("graph is not connected")
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...], int, dict[int, int]]:
-        """Edge costs over the lcm of their denominators, then vertex
-        probabilities over theirs, as ``(lcm, numerators)`` pairs; the
-        root's numerator is 0, since the weight oracle leaves it out."""
-        cost_den = lcm(*(c.denominator for _, _, c in self.edges))
-        costs = tuple(c.numerator * (cost_den // c.denominator) for _, _, c in self.edges)
-        prob_den = lcm(*(p.denominator for p in self.probs.values()))
-        probs = {v: p.numerator * (prob_den // p.denominator) for v, p in self.probs.items()}
-        probs[self.root] = 0
-        return cost_den, costs, prob_den, probs
-
-
-def _vertex_bits(graph: SearchGraph) -> tuple[dict[int, int], list[int]]:
-    """A bit per vertex, and each edge's two endpoint bits as one mask."""
-    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
-    return bit, [bit[u] | bit[v] for u, v, _ in graph.edges]
+    def costs(self) -> tuple[Rational, ...]:
+        return tuple(c for _, _, c in self.edges)
 
 
 def _feasible_column(graph: SearchGraph) -> bytearray:
@@ -96,7 +82,8 @@ def _feasible_column(graph: SearchGraph) -> bytearray:
     the vertices of the rest, the rest being feasible; so feasibility
     spreads from each feasible set to its union with every edge touching
     the root or its vertices."""
-    bit, ends = _vertex_bits(graph)
+    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+    ends = [bit[u] | bit[v] for u, v, _ in graph.edges]
     incident = dict.fromkeys(bit.values(), 0)  # vertex bit -> mask of its edges
     for e, pair in enumerate(ends):
         incident[pair & -pair] |= 1 << e
@@ -115,24 +102,6 @@ def _feasible_column(graph: SearchGraph) -> bytearray:
                 feasible[m | low] = 1
                 grow ^= low
     return feasible
-
-
-def _weight_column(graph: SearchGraph) -> tuple[IntColumn, int]:
-    """Scaled mass of the non-root vertices each edge set touches: adding
-    an edge adds the mass of those of its endpoints the set did not touch."""
-    _, _, den, probs = graph._scaled
-    bit, ends = _vertex_bits(graph)
-    mass = {b: probs[v] for v, b in bit.items()}
-    touched = union_column(ends)
-    weight = int_column([0], den)
-    for pair in ends:
-        u, v = pair & -pair, pair & (pair - 1)
-        mu, mv = mass[u], mass[v]
-        weight.extend([
-            w + (0 if t & u else mu) + (0 if t & v else mv)
-            for w, t in zip(weight, touched)
-        ])
-    return weight, den
 
 
 def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
@@ -158,27 +127,20 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
                     grew = True
         return not remaining
 
-    # both oracles sum integer numerators and build at most one Fraction
-    def cost(s: frozenset[int]) -> Rational:
-        den, costs, _, _ = graph._scaled
-        total = sum(costs[idx] for idx in s)
-        return total if den == 1 else Fraction(total, den)
-
-    def weight(s: frozenset[int]) -> Rational:
-        _, _, den, probs = graph._scaled
-        touched: set[int] = set()
-        for idx in s:
-            u, v, _ = graph.edges[idx]
-            touched.add(u)
-            touched.add(v)
-        total = sum(probs[v] for v in touched)
-        return total if den == 1 else Fraction(total, den)
+    def touched():
+        """Each non-root vertex's mass and the edges that touch it."""
+        edges = {v: [] for v in graph.vertices if v != graph.root}
+        for e, (u, v, _) in enumerate(graph.edges):
+            for x in (u, v):
+                if x in edges:
+                    edges[x].append(e)
+        return [(graph.probs[v], frozenset(es)) for v, es in edges.items()]
 
     ground = tuple(range(m))
     return MsopInstance(
         ground,
         supply(in_family, ground, lambda: _feasible_column(graph)),
-        supply(cost, ground, lambda: modular_column([c for _, _, c in graph.edges])),
-        supply(weight, ground, lambda: _weight_column(graph)),
+        modular(ground, lambda: graph.costs),
+        coverage(ground, touched),
         name="xsearch",
     )

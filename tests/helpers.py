@@ -28,6 +28,7 @@ from msop.errors import (
 from msop.generators import _rng
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag, is_inforest, is_multitree, or_initial_membership, stem_solver
+from msop.xsearch import SearchGraph
 from msop.rof import (
     Leaf,
     ReadOnceFormula,
@@ -348,8 +349,8 @@ def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
     kept = tuple(keep)
     return OrDag(
         kept,
-        tuple(dag.time_of(j) for j in kept),
-        tuple(dag.weight_of(j) for j in kept),
+        tuple(dag.time_map[j] for j in kept),
+        tuple(dag.weight_map[j] for j in kept),
         arcs,
     )
 
@@ -377,7 +378,7 @@ def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
         length = 0
         while v is not None:
             members.add(v)
-            time_sum += res.time_of(v)
+            time_sum += res.time_map[v]
             length += 1
             frozen = frozenset(members)
             dg = g_oracle(frozen) - g_base
@@ -398,11 +399,11 @@ def ref_best_ratio_subtree(res: OrDag, root, reach):
     ``res``, whose successor outtree of ``root`` ``reach`` lists parents
     first."""
     order = list(reversed(reach))
-    guess = Fraction(res.weight_of(root), res.time_of(root))
+    guess = Fraction(res.weight_map[root], res.time_map[root])
     while True:
         value = {}
         for v in order:
-            acc = res.weight_of(v) - guess * res.time_of(v)
+            acc = res.weight_map[v] - guess * res.time_map[v]
             for w in res.succs[v]:
                 if value[w] > 0:
                     acc += value[w]
@@ -415,8 +416,8 @@ def ref_best_ratio_subtree(res: OrDag, root, reach):
                 if value[w] > 0:
                     chosen.add(w)
                     stack.append(w)
-        w_sum = sum(res.weight_of(v) for v in chosen)
-        t_sum = sum(res.time_of(v) for v in chosen)
+        w_sum = sum(res.weight_map[v] for v in chosen)
+        t_sum = sum(res.time_map[v] for v in chosen)
         if value[root] == 0:
             return frozenset(chosen), w_sum, t_sum
         guess = Fraction(w_sum, t_sum)
@@ -432,7 +433,7 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
     if not is_multitree(res):
         raise NotMultitree("residual graph has two paths between some pair of jobs")
     for v in res.sources:
-        if res.time_of(v) == 0:
+        if res.time_map[v] == 0:
             return DensityResult(base, base | {v}, INF, 1)
     best = None
     best_set = None
@@ -597,6 +598,15 @@ def ref_supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
 
 # ---------------------------------------------------------------------------
 # Reference shape check: directed paths counted from every start vertex.
+
+
+def ref_xsearch_weight(graph: SearchGraph, s) -> Fraction:
+    """The mass of the non-root vertices that the edges of ``s`` touch."""
+    touched = set()
+    for idx in s:
+        u, v, _ = graph.edges[idx]
+        touched |= {u, v}
+    return sum((graph.probs[v] for v in touched - {graph.root}), Fraction(0))
 
 
 def ref_is_multitree(dag: OrDag) -> bool:

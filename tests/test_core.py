@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
-from msop.generators import gen_generic_msop, random_chain
+from msop.generators import gen_generic_msop, gen_instance, random_chain
 from msop.mssc import MsscInstance, covering_cost, singleton_solver as mssc_singleton, to_msop
 from msop.orsched import OrDag, schedule_cost, stem_solver, to_msop as ordag_to_msop
 
@@ -265,6 +266,17 @@ def test_spot_check_hypotheses_names_each_liars_property(claim):
     spot_check_hypotheses(honest, random.Random(0), rounds=200)
     with pytest.raises(ValidationError, match=f"^{claim} at "):
         spot_check_hypotheses(LIARS[claim], random.Random(0), rounds=200)
+
+
+def test_spot_check_hypotheses_probes_precedence_families():
+    # few uniform random sets of a 16-job multitree are OR-initial, so the
+    # probe pairs are grown inside the family
+    for seed in (1, 2, 3):
+        honest = ordag_to_msop(gen_instance("multitree", 16, seed))
+        spot_check_hypotheses(honest, random.Random(seed))
+        liar = replace(honest, cost=lambda s: len(s) ** 2)
+        with pytest.raises(ValidationError, match="^cost is not subadditive at "):
+            spot_check_hypotheses(liar, random.Random(seed))
 
 
 def test_package_exports_resolve():

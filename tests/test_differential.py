@@ -44,6 +44,7 @@ from helpers import (
     ref_singleton_greedy_density,
     ref_singleton_step,
     ref_supplement_solver,
+    ref_xsearch_weight,
     tabulate,
 )
 
@@ -811,7 +812,7 @@ def has_bridge_and_cycle(graph):
     return cut and len(graph.edges) >= len(graph.vertices)
 
 
-def rational_xsearch(edges, seed):
+def rational_search_graph(edges, seed):
     """A seeded graph with a bridge and a cycle (the first such seed from
     ``seed`` on, in steps of 100), rational edge costs and vertex
     probabilities over different denominators."""
@@ -829,7 +830,11 @@ def rational_xsearch(edges, seed):
         edges=tuple((u, v, rational(rng)) for u, v, _ in graph.edges),
         probs={v: p / total for v, p in raw.items()},
     )
-    return xsearch.xsearch_to_msop(graph)
+    return graph
+
+
+def rational_xsearch(edges, seed):
+    return xsearch.xsearch_to_msop(rational_search_graph(edges, seed))
 
 
 COLUMN_KINDS = {
@@ -867,6 +872,48 @@ def test_supplied_and_dual_columns_match_the_oracles(kind):
         dual_lattice = assert_columns_match_oracles(dual.dualize(inst))
         assert (dual_lattice.cost_scale, dual_lattice.weight_scale) == (
             primal.weight_scale, primal.cost_scale)
+
+
+def test_xsearch_weight_and_column_are_the_touched_mass():
+    rng = random.Random(17)
+    graphs = [rational_search_graph(edges, seed) for edges, seed in ((10, 1), (12, 2), (13, 3))]
+    graphs += [gen_instance("xsearch", vertices, seed, extra=extra)
+               for vertices, seed, extra in ((5, 4, 3), (7, 5, 5), (8, 6, 0))]
+    for graph in graphs:
+        inst = xsearch.xsearch_to_msop(graph)
+        assert isinstance(inst.weight, mssc.CoverageWeight)
+        for _ in range(200):  # random edge sets, feasible or not
+            s = random_base(inst.ground_set, rng, rng.random())
+            assert inst.weight(s) == ref_xsearch_weight(graph, s), sorted(s)
+        lattice = inst.lattice
+        for m in range(1 << inst.n):
+            s = frozenset(e for e in inst.ground_set if m >> e & 1)
+            assert Fraction(lattice.weight[m], lattice.weight_scale) == ref_xsearch_weight(graph, s)
+
+
+def adapted(kind):
+    """A seeded instance of ``kind`` through its adapter, with the tables
+    of what it was built from that the adapter must leave unbuilt."""
+    if kind == "or-pipelined":
+        dag, edges = gen_or_pipelined(40, 1)
+        return orsched.pipelined_to_msop(dag, edges), dag, ("time_map", "weight_map")
+    parsed = gen_instance(kind, 12 if kind in ("rof", "xsearch") else 40, 1)
+    if isinstance(parsed, OrDag):
+        return orsched.to_msop(parsed), parsed, ("time_map", "weight_map")
+    if kind == "xsearch":
+        return xsearch.xsearch_to_msop(parsed), parsed, ("costs",)
+    adapter = {"mssc": mssc.to_msop, "pipelined": mssc.to_msop, "rof": rof.to_msop}[kind]
+    return adapter(parsed), parsed, ()
+
+
+@pytest.mark.parametrize("kind", sorted(COLUMN_KINDS))
+def test_adapters_build_no_table(kind):
+    inst, parsed, tables = adapted(kind)
+    assert not set(tables) & set(vars(parsed))
+    covered = kind in ("mssc", "pipelined", "or-pipelined", "xsearch")
+    assert isinstance(inst.weight, mssc.CoverageWeight) == covered
+    if covered:
+        assert inst.weight.incident is None
 
 
 def test_replacing_one_oracle_drops_only_its_column():

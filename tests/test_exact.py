@@ -10,6 +10,7 @@ from msop import (
     chain_cost,
     greedy_chain,
     histogram_containment_check,
+    marginal_density,
 )
 from msop import exact
 from msop.errors import (
@@ -24,7 +25,12 @@ from msop.generators import gen_generic_msop
 from msop.mssc import to_msop as mssc_to_msop
 from msop.orsched import OrDag, to_msop as ordag_to_msop
 
-from helpers import brute_max_density, brute_opt_chain, brute_opt_permutation
+from helpers import (
+    brute_max_density,
+    brute_opt_chain,
+    brute_opt_permutation,
+    ref_exact_max_density,
+)
 
 
 def modular(values):
@@ -123,14 +129,14 @@ def test_opt_chain_never_exceeds_opt_permutation():
 
 def test_caps_raise_too_large(monkeypatch):
     inst = gen_generic_msop(5, 1)
-    with pytest.raises(TooLarge):
-        exact.exact_opt_permutation(inst, cap=4)
-    with pytest.raises(TooLarge):
-        exact.exact_opt_chain(inst, cap=4)
-    with pytest.raises(TooLarge):
-        exact.exact_max_density(inst, frozenset(), cap=4)
-    free = free_instance(5, modular([1] * 5), modular([1] * 5))
     monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4,chain=4,density=4")
+    with pytest.raises(TooLarge):
+        exact.exact_opt_permutation(inst)
+    with pytest.raises(TooLarge):
+        exact.exact_opt_chain(inst)
+    with pytest.raises(TooLarge):
+        exact.exact_max_density(inst, frozenset())
+    free = free_instance(5, modular([1] * 5), modular([1] * 5))
     with pytest.raises(TooLarge):
         exact.exact_opt_permutation(free)
     monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=5")
@@ -188,6 +194,37 @@ def test_max_density_matches_brute_force():
                 assert brute_max_density(inst, base) is None
                 continue
             assert got.marginal_density == brute_max_density(inst, base)
+
+
+def test_max_density_ties_on_a_ground_set_out_of_order():
+    # bit i stands for ground[i], so the lowest differing bit is not the
+    # smallest differing id; unit or two-valued oracles make many
+    # equal-size candidates tie on density
+    ground = (5, 2, 9, 0, 7)
+    full = frozenset(ground)
+    rng = random.Random(13)
+    ties = 0
+    for round_ in range(40):
+        family = {frozenset(), full}
+        for _ in range(4):  # the union closure of random generators
+            extra = frozenset(rng.sample(ground, rng.randint(1, 3)))
+            family |= {s | extra for s in family}
+        top = 1 if round_ % 2 else 2
+        cost = {v: rng.randint(1, top) for v in ground}
+        weight = {v: rng.randint(1, top) for v in ground}
+        inst = MsopInstance(
+            ground, family.__contains__, lambda s, c=cost: sum(c[v] for v in s),
+            lambda s, w=weight: sum(w[v] for v in s),
+        )
+        for base in family - {full}:
+            got = exact.exact_max_density(inst, base)
+            want = ref_exact_max_density(inst, base)
+            assert got.candidate == want.candidate, (round_, sorted(base))
+            assert got.marginal_density == want.marginal_density == brute_max_density(inst, base)
+            best = [s for s in family if s > base and len(s) == len(got.candidate)
+                    and marginal_density(inst, base, s).marginal_density == got.marginal_density]
+            ties += len(best) > 1
+    assert ties >= 50, ties
 
 
 def _family_sets(inst):

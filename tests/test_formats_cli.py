@@ -235,8 +235,8 @@ def test_cli_check_ratio_flags_violations_with_exit_two(tmp_path, capsys, monkey
     capsys.readouterr()
     real = cli_mod.exact.exact_opt_permutation
 
-    def liar(instance, cap=None):
-        perm, cost = real(instance, cap)
+    def liar(instance):
+        perm, cost = real(instance)
         return perm, Fraction(cost, 100)
 
     monkeypatch.setattr(cli_mod.exact, "exact_opt_permutation", liar)
