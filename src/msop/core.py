@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, islice
 from typing import Callable, Sequence
 
 from .errors import (
@@ -435,13 +436,11 @@ def spot_check_hypotheses(instance: MsopInstance, rng, rounds: int = 64) -> None
     cost.  Raises ``ValidationError`` naming the property and two sets at
     the first failure.
 
-    Each round grows two disjoint feasible sets, s and t, from the empty
-    set by random feasible one-element extensions, t avoiding s, each to a
-    random size or until no extension is left; so even a precedence family
-    that few random sets belong to is probed.  The round probes union
-    closure on (s, t), monotonicity from s and from t up to s | t, and
-    subadditivity on (s, t).  Only feasible sets are evaluated, since the
-    hypotheses speak about the family alone.
+    Each round probes three pairs (s, t): two uniform random sets that may
+    overlap, and two grown inside the family from the empty set, t grown
+    freely and then avoiding s, which reach precedence families too.  On
+    each it probes union closure, monotonicity from s and t up to s | t,
+    and subadditivity on (s - t, t), evaluating feasible sets only.
     """
     ground = instance.ground_set
     family, cost, weight = instance.in_family, instance.cost, instance.weight
@@ -450,29 +449,36 @@ def spot_check_hypotheses(instance: MsopInstance, rng, rounds: int = 64) -> None
         raise ValidationError(f"{claim} at {sorted(a)}, {sorted(b)}")
 
     def grow(avoid: frozenset[int]) -> frozenset[int]:
-        # the first feasible element of a shuffled rest is a uniform draw
-        # among the feasible extensions
-        s: frozenset[int] = frozenset()
-        rest = [v for v in ground if v not in avoid]
+        # add a feasible element, uniform among them, or failing one the
+        # shortest feasible prefix of the shuffled rest
+        s, rest = frozenset(), [v for v in ground if v not in avoid]
         for _ in range(rng.randrange(len(rest) + 1)):
             rng.shuffle(rest)
-            v = next((v for v in rest if family(s | {v})), None)
-            if v is None:
+            prefixes = accumulate(rest, lambda p, v: p | {v}, initial=s)
+            grown = next((s | {v} for v in rest if family(s | {v})), None) or next(
+                (p for p in islice(prefixes, 2, None) if family(p)), None)
+            if grown is None:
                 break
-            s |= {v}
-            rest.remove(v)
+            s, rest = grown, [v for v in rest if v not in grown]
         return s
 
     for _ in range(rounds):
-        s = grow(frozenset())
-        t = grow(s)
-        u = s | t
-        if not family(u):
-            fail("family is not union-closed", s, t)
-        for a in (s, t):
-            if cost(a) > cost(u):
-                fail("cost is not monotone", a, u)
-            if weight(a) > weight(u):
-                fail("weight is not monotone", a, u)
-        if cost(u) > cost(s) + cost(t):
-            fail("cost is not subadditive", s, t)
+        draws = [rng.randrange(4) for _ in ground]
+        grown = grow(frozenset())
+        for s, t in ((frozenset(v for v, d in zip(ground, draws) if d & 1),
+                      frozenset(v for v, d in zip(ground, draws) if d & 2)),
+                     (grown, grow(frozenset())), (grown, grow(grown))):
+            u = s | t
+            s_ok, t_ok = family(s), family(t)
+            if not family(u):
+                if s_ok and t_ok:
+                    fail("family is not union-closed", s, t)
+                continue
+            for a, a_ok in ((s, s_ok), (t, t_ok)):
+                if a_ok and cost(a) > cost(u):
+                    fail("cost is not monotone", a, u)
+                if a_ok and weight(a) > weight(u):
+                    fail("weight is not monotone", a, u)
+            d = s - t
+            if t_ok and family(d) and cost(u) > cost(d) + cost(t):
+                fail("cost is not subadditive", d, t)

@@ -125,14 +125,19 @@ def free(ground: tuple[int, ...]) -> Callable:
 
 def modular(ground: tuple[int, ...], values: Callable[[], Mapping]) -> Callable:
     """The oracle S -> sum of ``values()[v]`` over the members v of S, with
-    its column over ``ground``.  ``values`` is called at every use, so that
-    nothing is built before the first: it returns a kept mapping, such as
-    an attribute or a cached property."""
+    its column over ``ground``.  ``values`` is called once, at the first
+    use, so that nothing is built before."""
+    get = None  # values().__getitem__ from the first use on
+
+    def table() -> Callable:
+        nonlocal get
+        get = get or values().__getitem__
+        return get
 
     def total(s: frozenset[int]):
-        return sum(map(values().__getitem__, s))
+        return sum(map(get or table(), s))
 
-    return supply(total, ground, lambda: modular_column([values()[v] for v in ground]))
+    return supply(total, ground, lambda: modular_column(list(map(table(), ground))))
 
 
 def modular_column(values: Sequence) -> Scaled:

@@ -267,7 +267,7 @@ class OrInitialMembership(RunningOracle):
 
 def modular_weight_oracle(dag: OrDag) -> WeightOracle:
     """The sum of the jobs' own weights, with its lattice column."""
-    return modular(tuple(sorted(dag.jobs)), lambda: dag.weight_map)
+    return to_msop(dag).weight
 
 
 class _Residual(OrInitialMembership):
@@ -489,22 +489,22 @@ def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Ratio
     return total
 
 
-def _or_instance(dag: OrDag, weight: WeightOracle, name: str) -> MsopInstance:
-    """OR-initial membership (``OrInitialMembership``) and processing-time
-    cost over the sorted jobs, with ``weight``; each supplies its column."""
+def _or_instance(dag: OrDag, weight: Callable, name: str) -> MsopInstance:
+    """OR-initial membership and processing-time cost over the sorted jobs,
+    with the oracle ``weight(jobs)``; each supplies its column."""
     ground = tuple(sorted(dag.jobs))
     return MsopInstance(
         ground,
         supply(OrInitialMembership(dag), ground, lambda: or_initial_column(dag, ground)),
         modular(ground, lambda: dag.time_map),
-        weight,
+        weight(ground),
         name=name,
     )
 
 
 def to_msop(dag: OrDag) -> MsopInstance:
     """OR-scheduling as a min-sum ordering instance (both oracles modular)."""
-    return _or_instance(dag, modular_weight_oracle(dag), "orsched")
+    return _or_instance(dag, lambda jobs: modular(jobs, lambda: dag.weight_map), "orsched")
 
 
 def pipelined_to_msop(
@@ -516,8 +516,7 @@ def pipelined_to_msop(
         if w < 0 or not members or not members <= set(dag.jobs):
             raise ValidationError("bad hyperedge over the job set")
     frozen_edges = tuple((w, frozenset(m)) for w, m in edges)
-    weight = coverage(tuple(sorted(dag.jobs)), lambda: frozen_edges)
-    return _or_instance(dag, weight, "or-pipelined")
+    return _or_instance(dag, lambda jobs: coverage(jobs, lambda: frozen_edges), "or-pipelined")
 
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import MsopInstance, Rational
 from .errors import DisconnectedInput, ValidationError
@@ -71,10 +70,6 @@ class SearchGraph:
             if len(seen) != len(self.vertices):
                 raise DisconnectedInput("graph is not connected")
 
-    @cached_property
-    def costs(self) -> tuple[Rational, ...]:
-        return tuple(c for _, _, c in self.edges)
-
 
 def _feasible_column(graph: SearchGraph) -> bytearray:
     """Feasibility of every edge set, by bitmask over the edges.  A
@@ -106,15 +101,11 @@ def _feasible_column(graph: SearchGraph) -> bytearray:
 
 def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
     """Edge-set ordering instance; edges are indexed in input order."""
-    m = len(graph.edges)
-    if m == 0:
+    if not graph.edges:
         raise ValidationError("graph has no edges to search")
 
     def in_family(s: frozenset[int]) -> bool:
-        if not s:
-            return True
-        reached = {graph.root}
-        remaining = set(s)
+        reached, remaining = {graph.root}, set(s)
         grew = True
         while grew and remaining:
             grew = False
@@ -129,18 +120,17 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
 
     def touched():
         """Each non-root vertex's mass and the edges that touch it."""
-        edges = {v: [] for v in graph.vertices if v != graph.root}
+        edges: dict[int, list[int]] = {v: [] for v in graph.vertices}
         for e, (u, v, _) in enumerate(graph.edges):
-            for x in (u, v):
-                if x in edges:
-                    edges[x].append(e)
-        return [(graph.probs[v], frozenset(es)) for v, es in edges.items()]
+            edges[u].append(e)
+            edges[v].append(e)
+        return [(graph.probs[v], frozenset(es)) for v, es in edges.items() if v != graph.root]
 
-    ground = tuple(range(m))
+    ground = tuple(range(len(graph.edges)))
     return MsopInstance(
         ground,
         supply(in_family, ground, lambda: _feasible_column(graph)),
-        modular(ground, lambda: graph.costs),
+        modular(ground, lambda: [c for _, _, c in graph.edges]),
         coverage(ground, touched),
         name="xsearch",
     )

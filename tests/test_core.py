@@ -279,6 +279,26 @@ def test_spot_check_hypotheses_probes_precedence_families():
             spot_check_hypotheses(liar, random.Random(seed))
 
 
+def test_spot_check_hypotheses_probes_families_grown_by_jumps():
+    # few members of these generic families are one element more than
+    # another, so growing by one element stalls; each holds two disjoint
+    # nonempty members, on which a quadratic cost is not subadditive
+    for seed in (4, 8):
+        liar = replace(gen_generic_msop(6, seed), cost=lambda s: len(s) ** 2)
+        with pytest.raises(ValidationError, match="^cost is not subadditive at "):
+            spot_check_hypotheses(liar, random.Random(seed))
+
+
+def test_spot_check_hypotheses_probes_overlapping_pairs():
+    # every nonempty member holds 0, so every disjoint pair holds {}; the
+    # union {0, 1, 2} of the members {0, 1} and {0, 2} is missing
+    liar = MsopInstance((0, 1, 2), lambda s: not s or (0 in s and len(s) <= 2),
+                        modular([1] * 3), modular([1] * 3))
+    for seed in (1, 2, 3):
+        with pytest.raises(ValidationError, match="^family is not union-closed at "):
+            spot_check_hypotheses(liar, random.Random(seed))
+
+
 def test_package_exports_resolve():
     import msop
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from msop import INF, cli, dual, exact, formats, greedy_chain, mssc, orsched, rof, xsearch
+from msop import INF, MsopInstance, cli, dual, exact, formats, greedy_chain, mssc, orsched, rof, xsearch
 from msop.errors import (
     DisconnectedInput,
     MsopError,
@@ -24,6 +24,7 @@ from msop.errors import (
     NotMultitree,
 )
 from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined
+from msop.lattice import free, modular
 from msop.orsched import OrDag
 
 from helpers import (
@@ -901,7 +902,7 @@ def adapted(kind):
     if isinstance(parsed, OrDag):
         return orsched.to_msop(parsed), parsed, ("time_map", "weight_map")
     if kind == "xsearch":
-        return xsearch.xsearch_to_msop(parsed), parsed, ("costs",)
+        return xsearch.xsearch_to_msop(parsed), parsed, ()
     adapter = {"mssc": mssc.to_msop, "pipelined": mssc.to_msop, "rof": rof.to_msop}[kind]
     return adapter(parsed), parsed, ()
 
@@ -914,6 +915,16 @@ def test_adapters_build_no_table(kind):
     assert isinstance(inst.weight, mssc.CoverageWeight) == covered
     if covered:
         assert inst.weight.incident is None
+
+
+def test_modular_reads_its_values_once_and_only_when_used():
+    calls = []
+    oracle = modular((0, 1, 2), lambda: calls.append(1) or [Fraction(1, 2), 2, 3])
+    assert calls == []
+    assert oracle(frozenset({0, 2})) == Fraction(7, 2) and oracle(frozenset()) == 0
+    inst = MsopInstance((0, 1, 2), free((0, 1, 2)), oracle, oracle)
+    assert inst.lattice.cost_scale == 2 and list(inst.lattice.cost) == [0, 1, 4, 5, 6, 7, 10, 11]
+    assert calls == [1]
 
 
 def test_replacing_one_oracle_drops_only_its_column():
