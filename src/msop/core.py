@@ -384,6 +384,14 @@ def chain_to_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
     return _extend_through(instance, chain, smallest)
 
 
+def _densest_extension(instance: MsopInstance, base: frozenset[int], elements):
+    """The feasible ``base | {v}``, v in ``elements``, of best marginal
+    density as a ``DensityResult``, the first on ties; ``None`` if none."""
+    steps = (marginal_density(instance, base, base | {v})
+             for v in elements if instance.in_family(base | {v}))
+    return max(steps, key=lambda step: step.marginal_density, default=None)
+
+
 def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
     """Like ``chain_to_permutation`` but orders each increment by locally
     best single-element marginal density (ties to the smallest id).
@@ -393,12 +401,8 @@ def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> Perm
     """
 
     def densest(current: frozenset[int], rest: list[int]) -> int | None:
-        feasible = [v for v in rest if instance.in_family(current | {v})]
-        return max(
-            feasible,
-            key=lambda v: marginal_density(instance, current, current | {v}).marginal_density,
-            default=None,
-        )  # the first maximum: ties go to the smallest id
+        step = _densest_extension(instance, current, rest)
+        return None if step is None else min(step.candidate - current)
 
     return _extend_through(instance, chain, densest)
 
@@ -413,19 +417,10 @@ def singleton_solver(instance: MsopInstance) -> DensitySolver:
     ground = sorted(instance.ground_set)
 
     def solve(base: frozenset[int]) -> DensityResult:
-        best: tuple[Density, int, frozenset[int]] | None = None
-        for v in ground:
-            if v in base:
-                continue
-            s = base | {v}
-            if not instance.in_family(s):
-                continue
-            rho = marginal_density(instance, base, s).marginal_density
-            if best is None or rho > best[0]:
-                best = (rho, v, s)
-        if best is None:
+        step = _densest_extension(instance, base, (v for v in ground if v not in base))
+        if step is None:
             raise NoFeasibleSuperset(f"no feasible singleton extension of {sorted(base)}")
-        return DensityResult(base, best[2], best[0], 1)
+        return step
 
     return solve
 

@@ -290,13 +290,6 @@ class HistogramReport:
     greedy_area: Density
 
 
-def _height_at(columns: list[Column], x: Rational) -> Density:
-    for left, right, height in columns:
-        if left < x < right:
-            return height
-    return 0
-
-
 def histogram_containment_check(
     instance: MsopInstance,
     greedy: Chain,
@@ -329,6 +322,8 @@ def histogram_containment_check(
     prev_w = 0
     for s, rho in zip(greedy.sets[1:], greedy.densities):
         w = instance.weight(s)
+        if w < prev_w:
+            raise NonMonotone(f"greedy chain is not monotone at {sorted(s)}")
         remaining = g_total - prev_w
         if remaining == 0 or rho == INF:
             height: Density = 0
@@ -343,48 +338,34 @@ def histogram_containment_check(
             greedy_area += height * (w - prev_w)
         prev_w = w
 
+    # one merge in doubled x, where a greedy edge x shrinks to g_total + x
+    # and an optimal one sits at 2x: the solid columns tile [g_total, 2 g_total]
+    # and [0, 2 g_total], so each overlap of positive width is one interval
+    # of the common refinement, met in order of x
     two_alpha = 2 * alpha
-    shrunk: list[Column] = []
-    for left, right, height in greedy_columns:
-        s_left = Fraction(g_total + left, 2)
-        s_right = Fraction(g_total + right, 2)
-        s_height = INF if height == INF else Fraction(height, two_alpha)
-        if s_left < s_right:
-            shrunk.append((s_left, s_right, s_height))
-    solid_opt = [c for c in opt_columns if c[0] < c[1]]
-
-    breakpoints: set[Rational] = set()
-    for left, right, _ in shrunk:
-        breakpoints.add(left)
-        breakpoints.add(right)
-    if shrunk:
-        lo = shrunk[0][0]
-        hi = shrunk[-1][1]
-        for left, right, _ in solid_opt:
-            if lo <= left <= hi:
-                breakpoints.add(left)
-            if lo <= right <= hi:
-                breakpoints.add(right)
-    xs = sorted(breakpoints)
-
-    contained = True
+    shrunk = [(g_total + left, g_total + right, height)
+              for left, right, height in greedy_columns if left < right]
+    solid_opt = [(2 * left, 2 * right, height)
+                 for left, right, height in opt_columns if left < right]
     first_violation: tuple[Rational, Density, Rational] | None = None
-    for a, b in zip(xs, xs[1:]):
-        if a == b:
-            continue
-        mid = Fraction(a + b, 2)
-        shrunk_height = _height_at(shrunk, mid)
-        opt_height = _height_at(solid_opt, mid)
-        if shrunk_height > opt_height:
-            contained = False
-            first_violation = (mid, shrunk_height, opt_height)
-            break
+    i = j = 0
+    while first_violation is None and i < len(shrunk):
+        left, right, height = shrunk[i]
+        o_left, o_right, o_height = solid_opt[j]
+        lo, hi = max(left, o_left), min(right, o_right)
+        if lo < hi and height > two_alpha * o_height:
+            shrunk_height = INF if height == INF else Fraction(height, two_alpha)
+            first_violation = (Fraction(lo + hi, 4), shrunk_height, o_height)
+        elif right <= o_right:
+            i += 1
+        else:
+            j += 1
 
     return HistogramReport(
         tuple(opt_columns),
         tuple(greedy_columns),
         alpha,
-        contained,
+        first_violation is None,
         first_violation,
         opt_area,
         greedy_area,

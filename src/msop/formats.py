@@ -15,7 +15,6 @@ serializer read every per-kind decision from it.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,17 +82,10 @@ def parse_instance_text(text: str) -> Instance:
     return kind.parse(records[1:])
 
 
-def parse_instance(source) -> Instance:
-    """Parse a path, an open text stream, or raw text."""
-    if isinstance(source, io.TextIOBase):
-        return parse_instance_text(source.read())
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        if "\n" in path:
-            return parse_instance_text(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_instance_text(handle.read())
-    raise ParseError(f"cannot read instance from {type(source).__name__}")
+def parse_instance(path: str | os.PathLike) -> Instance:
+    """Parse the instance file at ``path``."""
+    with open(os.fspath(path), "r", encoding="utf-8") as handle:
+        return parse_instance_text(handle.read())
 
 
 def _parse_mssc(body) -> MsscInstance:

@@ -512,8 +512,9 @@ def pipelined_to_msop(
 ) -> MsopInstance:
     """Covering variant: job times are element costs, hyperedge coverage is
     the weight, and the OR-DAG constrains the order."""
+    jobs = set(dag.jobs)
     for w, members in edges:
-        if w < 0 or not members or not members <= set(dag.jobs):
+        if w < 0 or not members or not members <= jobs:
             raise ValidationError("bad hyperedge over the job set")
     frozen_edges = tuple((w, frozenset(m)) for w, m in edges)
     return _or_instance(dag, lambda jobs: coverage(jobs, lambda: frozen_edges), "or-pipelined")

@@ -189,34 +189,6 @@ def _scaled_gate(gate: Gate, ones, zeros, den) -> None:
     ones[gate], zeros[gate] = p, q
 
 
-def _scaled_prob_tables(
-    formula: ReadOnceFormula, s: frozenset[int]
-) -> tuple[dict[Node, int], dict[Node, int]]:
-    """Per gate: probability its value is determined 1 (resp. 0) by the
-    outcomes of the tests in ``s``, times the gate's denominator."""
-    den = formula.denominators
-    ones: dict[Node, int] = {}
-    zeros: dict[Node, int] = {}
-    for node in formula.nodes:
-        if isinstance(node, Gate):
-            _scaled_gate(node, ones, zeros, den)
-        elif node.var in s:
-            p = formula.probs[node.var]
-            ones[node] = p.numerator
-            zeros[node] = p.denominator - p.numerator
-        else:
-            ones[node] = 0
-            zeros[node] = 0
-    return ones, zeros
-
-
-def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
-    """Probability that the formula value is determined by testing ``s``."""
-    ones, zeros = _scaled_prob_tables(formula, frozenset(s))
-    root = formula.root
-    return Fraction(ones[root] + zeros[root], formula.denominators[root])
-
-
 class _FormulaState(RunningOracle):
     """Per-node values of a formula for the last tested set: a call
     recomputes the leaves whose tested state changed, then the gates on
@@ -250,8 +222,10 @@ class _FormulaState(RunningOracle):
 
 
 class Determination(_FormulaState):
-    """``g_determined`` as a running oracle: ``_scaled_prob_tables`` of the
-    last set."""
+    """Probability that the formula value is determined by testing a set,
+    as a running oracle.  Per node, ``ones`` (``zeros``) holds the
+    probability that the last set's outcomes determine its value 1 (0),
+    times the node's denominator."""
 
     def reset(self) -> None:
         super().reset()
@@ -269,6 +243,20 @@ class Determination(_FormulaState):
     def result(self) -> Fraction:
         root = self.formula.root
         return Fraction(self.ones[root] + self.zeros[root], self.formula.denominators[root])
+
+
+def _scaled_prob_tables(
+    formula: ReadOnceFormula, s: frozenset[int]
+) -> tuple[dict[Node, int], dict[Node, int]]:
+    """``Determination``'s ``ones`` and ``zeros`` for ``s``, from scratch."""
+    state = Determination(formula)
+    state(s)
+    return state.ones, state.zeros
+
+
+def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
+    """Probability that the formula value is determined by testing ``s``."""
+    return Determination(formula)(s)
 
 
 def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to pin expected values, and the
-reference lattice DPs and density steps that the fast ones are tested
-against.
+reference lattice DPs, density steps and histogram check that the fast
+ones are tested against.
 
 The brute-force oracles deliberately avoid the library's lattice DPs:
 permutations are enumerated with itertools, chains by recursive descent,
@@ -12,9 +12,18 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from msop.core import Chain, DensityResult, INF, MsopInstance, Permutation, marginal_density
+from msop.core import (
+    Chain,
+    DensityResult,
+    INF,
+    MsopInstance,
+    Permutation,
+    marginal_density,
+    validate_chain,
+)
 from msop.errors import (
     EmptyRemainder,
+    MissingCertificate,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
     NonMonotone,
@@ -25,6 +34,7 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
+from msop.exact import HistogramReport
 from msop.generators import _rng
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag, is_inforest, is_multitree, or_initial_membership, stem_solver
@@ -652,3 +662,106 @@ def ref_gen_multitree(n: int, seed: int, arc_chance=None) -> OrDag:
     times = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(n))
     weights = tuple(rng.choice((0, 1, 2, 3, 4)) for _ in range(n))
     return OrDag(jobs, times, weights, tuple(sorted(arcs)))
+
+
+# ---------------------------------------------------------------------------
+# Reference histogram check: the breakpoint scan that the library's merge of
+# the two step functions replaced.
+
+
+def _height_at(columns, x):
+    for left, right, height in columns:
+        if left < x < right:
+            return height
+    return 0
+
+
+def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: Chain, alpha):
+    """Shrink the greedy histogram, then test both histograms' heights at
+    the midpoint of every interval between sorted column edges."""
+    if greedy.densities is None:
+        raise MissingCertificate("greedy chain carries no per-step density certificate")
+    if alpha < 1:
+        raise ValidationError("alpha must be at least 1")
+    validate_chain(instance, greedy)
+    validate_chain(instance, opt)
+    g_total = instance.weight(instance.universe())
+
+    opt_columns = []
+    opt_area = 0
+    prev_w = 0
+    prev_h = 0
+    for s in opt.sets[1:]:
+        w = instance.weight(s)
+        h = instance.cost(s)
+        if h < prev_h or w < prev_w:
+            raise NonMonotone(f"optimal chain is not monotone at {sorted(s)}")
+        opt_columns.append((prev_w, w, h))
+        opt_area += h * (w - prev_w)
+        prev_w, prev_h = w, h
+
+    greedy_columns = []
+    greedy_area = 0
+    prev_w = 0
+    for s, rho in zip(greedy.sets[1:], greedy.densities):
+        w = instance.weight(s)
+        remaining = g_total - prev_w
+        if remaining == 0 or rho == INF:
+            height = 0
+        elif rho == 0:
+            height = INF  # only reachable through a corrupted certificate
+        else:
+            height = Fraction(remaining, rho)
+        greedy_columns.append((prev_w, w, height))
+        if height == INF and w > prev_w:
+            greedy_area = INF
+        elif greedy_area != INF:
+            greedy_area += height * (w - prev_w)
+        prev_w = w
+
+    two_alpha = 2 * alpha
+    shrunk = []
+    for left, right, height in greedy_columns:
+        s_left = Fraction(g_total + left, 2)
+        s_right = Fraction(g_total + right, 2)
+        s_height = INF if height == INF else Fraction(height, two_alpha)
+        if s_left < s_right:
+            shrunk.append((s_left, s_right, s_height))
+    solid_opt = [c for c in opt_columns if c[0] < c[1]]
+
+    breakpoints = set()
+    for left, right, _ in shrunk:
+        breakpoints.add(left)
+        breakpoints.add(right)
+    if shrunk:
+        lo = shrunk[0][0]
+        hi = shrunk[-1][1]
+        for left, right, _ in solid_opt:
+            if lo <= left <= hi:
+                breakpoints.add(left)
+            if lo <= right <= hi:
+                breakpoints.add(right)
+    xs = sorted(breakpoints)
+
+    contained = True
+    first_violation = None
+    for a, b in zip(xs, xs[1:]):
+        if a == b:
+            continue
+        mid = Fraction(a + b, 2)
+        shrunk_height = _height_at(shrunk, mid)
+        opt_height = _height_at(solid_opt, mid)
+        if shrunk_height > opt_height:
+            contained = False
+            first_violation = (mid, shrunk_height, opt_height)
+            break
+
+    return HistogramReport(
+        tuple(opt_columns),
+        tuple(greedy_columns),
+        alpha,
+        contained,
+        first_violation,
+        opt_area,
+        greedy_area,
+    )

@@ -6,7 +6,8 @@ set chosen at every step, so whole greedy chains and their densities are
 compared: for the polynomial steps at sizes far above the exhaustive caps,
 for the exhaustive step at 10 to 14 elements.  The lattice DPs, which run
 on scaled integers, are compared with their ``Fraction`` versions up to the
-exhaustive caps.
+exhaustive caps, and the histogram check's merge with the breakpoint scan
+it replaced.
 """
 
 import random
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from msop import INF, MsopInstance, cli, dual, exact, formats, greedy_chain, mssc, orsched, rof, xsearch
+from msop import INF, Chain, MsopInstance, cli, dual, exact, formats, greedy_chain, mssc, orsched, rof, xsearch
 from msop.errors import (
     DisconnectedInput,
     MsopError,
@@ -23,7 +24,7 @@ from msop.errors import (
     NonMonotone,
     NotMultitree,
 )
-from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined
+from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined, random_chain
 from msop.lattice import free, modular
 from msop.orsched import OrDag
 
@@ -36,6 +37,7 @@ from helpers import (
     ref_find_supp,
     ref_g_determined,
     ref_greedy_chain,
+    ref_histogram_containment_check,
     ref_is_multitree,
     ref_max_density_outtree,
     ref_max_density_stem,
@@ -764,6 +766,29 @@ def test_lattice_dps_match_reference_through_ties():
         split += len(exact.exact_opt_chain(flat)[0].sets) > 2
         assert_same_optima(fraction_tables(inst, rng, (2,), (3,)))
     assert split >= 20, split
+
+
+def test_histogram_check_matches_reference_on_scaled_certificates():
+    # certificates scaled by 1/32 to 3/2 push the shrunk greedy histogram
+    # above the optimal one on about half the cases; random feasible chains
+    # stand in for the optimal one too, so column edges meet at many places
+    rng = random.Random(14)
+    cases = violations = 0
+    for seed in range(120):
+        inst = gen_generic_msop(2 + seed % 6, 1400 + seed)
+        greedy = greedy_chain(inst, exact.exact_density_solver(inst), 1)
+        opts = [exact.exact_opt_chain(inst)[0], random_chain(inst, rng), random_chain(inst, rng)]
+        for _ in range(4):
+            factor = Fraction(rng.randint(1, 6), 4 << rng.randrange(4))
+            scaled = Chain(greedy.sets, tuple(d * factor for d in greedy.densities), 1)
+            for opt in opts:
+                for alpha in (1, Fraction(3, 2), 2):
+                    report = exact.histogram_containment_check(inst, scaled, opt, alpha)
+                    expected = ref_histogram_containment_check(inst, scaled, opt, alpha)
+                    assert report == expected, (seed, factor, alpha)
+                    cases += 1
+                    violations += not report.contained
+    assert cases >= 4000 and violations >= max(1000, cases // 4), (cases, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from msop.errors import (
     MissingCertificate,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
+    NonMonotone,
     NotInFamily,
     TooLarge,
     ValidationError,
@@ -265,6 +266,18 @@ def test_histogram_requires_certificate():
     bare = Chain((frozenset(), frozenset({0})))
     with pytest.raises(MissingCertificate):
         histogram_containment_check(inst, bare, bare, 1)
+
+
+def test_histogram_rejects_a_chain_whose_weight_falls():
+    # weight({0}) = 2 > weight({0, 1}) = 1; the merge needs both step
+    # functions' columns in order of x
+    inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
+    falling = Chain((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1), 1)
+    rising = Chain((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0), 1)
+    with pytest.raises(NonMonotone, match="greedy chain"):
+        histogram_containment_check(inst, falling, rising, 1)
+    with pytest.raises(NonMonotone, match="optimal chain"):
+        histogram_containment_check(inst, rising, falling, 1)
 
 
 def test_histogram_area_identities_and_containment():

@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 
 import pytest
@@ -126,11 +125,13 @@ def test_formula_syntax_errors_name_their_column(expr, message, column):
     assert (err.value.line, err.value.column) == (2, column)
 
 
-def test_parse_instance_accepts_stream_and_text():
-    inst = parse_instance(io.StringIO(MSSC_TEXT))
-    assert isinstance(inst, MsscInstance)
-    inst2 = parse_instance(MSSC_TEXT)
-    assert serialize_instance(inst) == serialize_instance(inst2)
+def test_parse_instance_reads_a_path(tmp_path):
+    path = tmp_path / "cover.txt"
+    path.write_text(MSSC_TEXT, encoding="utf-8")
+    for source in (path, str(path)):
+        inst = parse_instance(source)
+        assert isinstance(inst, MsscInstance)
+        assert serialize_instance(inst) == serialize_instance(parse_instance_text(MSSC_TEXT))
 
 
 def test_round_trip_fuzzed_files():
