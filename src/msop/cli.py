@@ -50,11 +50,14 @@ def _format_chain(chain: Chain) -> str:
     return ";".join(",".join(map(text, sorted(s))) for s in chain.sets[1:])
 
 
-def _rational_arg(text: str):
+def _alpha_arg(text: str):
     try:
-        return parse_rational(text, None, None)
+        alpha = parse_rational(text, None, None)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if alpha < 1:
+        raise argparse.ArgumentTypeError("alpha must be at least 1")
+    return alpha
 
 
 def _parse_base(text: str, instance: MsopInstance) -> frozenset[int]:
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="greedy chain plus consistent permutation")
     solve.add_argument("file")
-    solve.add_argument("--alpha", type=_rational_arg, default=None)
+    solve.add_argument("--alpha", type=_alpha_arg, default=None)
     solve.add_argument("--backward", action="store_true")
     solve.set_defaults(run=_cmd_solve)
 

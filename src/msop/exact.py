@@ -178,9 +178,15 @@ def _members(ground: tuple[int, ...], mask: int) -> list[int]:
     return out
 
 
-def _densest_superset(instance: MsopInstance, base: frozenset[int]) -> DensityResult:
-    """The exhaustive step over every strict superset of ``base``, read
-    off the instance's lattice."""
+def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityResult:
+    """Maximum marginal density over feasible strict supersets of ``base``.
+
+    The +inf sentinel beats every finite density; ties break to the smallest
+    cardinality and then lexicographically on the sorted element ids.  The
+    first call on an instance builds its lattice of 2^n subsets, which
+    later calls on the same instance reuse.
+    """
+    _cap_for("density", instance.n)
     base = frozenset(base)
     ground = instance.ground_set
     index = {v: i for i, v in enumerate(ground)}
@@ -238,18 +244,6 @@ def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
     if size_x != size_y:
         return 1 if size_x < size_y else -1
     return 1 if min(_members(ground, x & ~y)) < min(_members(ground, y & ~x)) else -1
-
-
-def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityResult:
-    """Maximum marginal density over feasible strict supersets of ``base``.
-
-    The +inf sentinel beats every finite density; ties break to the smallest
-    cardinality and then lexicographically on the sorted element ids.  The
-    first call on an instance builds its lattice of 2^n subsets, which
-    later calls on the same instance reuse.
-    """
-    _cap_for("density", instance.n)
-    return _densest_superset(instance, base)
 
 
 def exact_density_solver(instance: MsopInstance) -> DensitySolver:
@@ -317,6 +311,7 @@ def histogram_containment_check(
         opt_area += h * (w - prev_w)
         prev_w, prev_h = w, h
 
+    # a density, height or area is a float only for the ``INF`` sentinel
     greedy_columns: list[Column] = []
     greedy_area: Density = 0
     prev_w = 0
@@ -325,16 +320,16 @@ def histogram_containment_check(
         if w < prev_w:
             raise NonMonotone(f"greedy chain is not monotone at {sorted(s)}")
         remaining = g_total - prev_w
-        if remaining == 0 or rho == INF:
+        if remaining == 0 or type(rho) is float:
             height: Density = 0
         elif rho == 0:
             height = INF  # only reachable through a corrupted certificate
         else:
             height = Fraction(remaining, rho)
         greedy_columns.append((prev_w, w, height))
-        if height == INF and w > prev_w:
+        if type(height) is float and w > prev_w:
             greedy_area = INF
-        elif greedy_area != INF:
+        elif type(greedy_area) is not float:
             greedy_area += height * (w - prev_w)
         prev_w = w
 
@@ -354,7 +349,7 @@ def histogram_containment_check(
         o_left, o_right, o_height = solid_opt[j]
         lo, hi = max(left, o_left), min(right, o_right)
         if lo < hi and height > two_alpha * o_height:
-            shrunk_height = INF if height == INF else Fraction(height, two_alpha)
+            shrunk_height = INF if type(height) is float else Fraction(height, two_alpha)
             first_violation = (Fraction(lo + hi, 4), shrunk_height, o_height)
         elif right <= o_right:
             i += 1

@@ -155,24 +155,6 @@ def is_inforest(dag: OrDag) -> bool:
     return dag._inforest
 
 
-def _weakly_connected(dag: OrDag) -> bool:
-    if not dag.jobs:
-        return True
-    adj: dict[int, set[int]] = {j: set() for j in dag.jobs}
-    for i, j in dag.arcs:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {dag.jobs[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(dag.jobs)
-
-
 def is_multitree(dag: OrDag) -> bool:
     """At most one directed path between any ordered pair of vertices
     (computed once per DAG)."""
@@ -188,16 +170,15 @@ def is_bipartite(dag: OrDag) -> bool:
 
 def classify_dag(dag: OrDag) -> str:
     """Most specific shape label among outtree, intree, inforest, bipartite,
-    multitree, general."""
-    if not dag.jobs:
+    multitree, general.
+
+    When every job has at most one predecessor the DAG is a forest of
+    outtrees, one per source, so it is connected exactly when it has one
+    source; likewise an inforest is one intree per sink."""
+    if all(len(dag.preds[j]) <= 1 for j in dag.jobs) and len(dag.sources) <= 1:
         return "outtree"
-    connected = _weakly_connected(dag)
-    if connected and all(len(dag.preds[j]) <= 1 for j in dag.jobs):
-        return "outtree"
-    if connected and all(len(dag.succs[j]) <= 1 for j in dag.jobs):
-        return "intree"
     if is_inforest(dag):
-        return "inforest"
+        return "intree" if sum(not dag.succs[j] for j in dag.jobs) == 1 else "inforest"
     if is_bipartite(dag):
         return "bipartite"
     if is_multitree(dag):
@@ -265,11 +246,6 @@ class OrInitialMembership(RunningOracle):
         return not stranded
 
 
-def modular_weight_oracle(dag: OrDag) -> WeightOracle:
-    """The sum of the jobs' own weights, with its lattice column."""
-    return to_msop(dag).weight
-
-
 class _Residual(OrInitialMembership):
     """The residual DAG of the last set, read off the original DAG, with the
     best candidate of each residual source; a call returns whether the set
@@ -331,14 +307,6 @@ class _Residual(OrInitialMembership):
                 return w
         return None
 
-    def has_fork(self) -> bool:
-        """Some residual job has two residual successors (a base member has
-        none: its successors are all in ``closed``)."""
-        closed = self.closed
-        return any(
-            sum(w not in closed for w in ss) > 1 for ss in self.dag.succs.values() if len(ss) > 1
-        )
-
     def successor_tree(self, root: int) -> dict[int, list[int]]:
         """Residual successors of each job reachable from ``root``, parents
         first."""
@@ -384,32 +352,6 @@ def _best_prefix(
     return dg, time_sum, length, start, stem[1:length]
 
 
-def _densest_stem(
-    state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
-) -> DensityResult:
-    # with modular weights a stem's gains do not depend on the base, so
-    # each source's best prefix is kept until one of its jobs is closed
-    g_base = None if g_oracle is None else g_oracle(base)
-    best = None
-    # sorted, so that a non-monotone oracle is reported at the same stem
-    for start in sorted(state.sources):
-        cand = state.cached(start)
-        if cand is None:
-            cand = _best_prefix(state, start, g_oracle, base, g_base)
-            if g_oracle is None:
-                state.found[start] = cand
-        if best is None:
-            best = cand
-            continue
-        order = compare_density(cand[0], cand[1], best[0], best[1])
-        if order > 0 or (order == 0 and cand[2:4] < best[2:4]):
-            best = cand
-    assert best is not None
-    dg, time_sum, _, start, below = best
-    rho: Density = INF if time_sum == 0 else Fraction(dg, time_sum)
-    return DensityResult(base, base.union(below, (start,)), rho, 1)
-
-
 def _best_ratio_subtree(
     dag: OrDag, root: int, kids: dict[int, list[int]]
 ) -> tuple[frozenset[int], Rational, Rational]:
@@ -446,28 +388,75 @@ def _best_ratio_subtree(
             return frozenset(chosen), w_sum, t_sum
 
 
+def _densest_source_step(
+    state: _Residual, base: frozenset[int], candidate: Callable[[int], tuple], keep: bool = True
+) -> DensityResult:
+    """The best candidate of the residual sources as a step from ``base``.
+
+    A candidate is (weight gain, time, *tie-break, start, jobs after
+    start); the denser wins, then the smaller tie-break ``cand[2:-1]``.
+    The scan meets the sources in ascending order, so of that tie-break
+    only ``cand[2]`` can decide: a later start never wins a tie.
+    ``candidate(start)`` computes a source's, and with ``keep`` it is kept
+    in ``state.found`` for later steps."""
+    best = None
+    # sorted also so that a non-monotone oracle is reported at the same source
+    for start in sorted(state.sources):
+        cand = state.cached(start)
+        if cand is None:
+            cand = candidate(start)
+            if keep:
+                state.found[start] = cand
+        order = 1 if best is None else compare_density(cand[0], cand[1], best[0], best[1])
+        if order > 0 or (order == 0 and cand[2] < best[2]):
+            best = cand
+    assert best is not None
+    gain, spent, *_, start, below = best
+    rho: Density = INF if not spent else Fraction(gain, spent)
+    return DensityResult(base, base.union(below, (start,)), rho, 1)
+
+
+def _densest_stem(
+    state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
+) -> DensityResult:
+    # with modular weights a stem's gains do not depend on the base, so
+    # each source's best prefix is kept until one of its jobs is closed
+    g_base = None if g_oracle is None else g_oracle(base)
+    return _densest_source_step(
+        state, base, lambda start: _best_prefix(state, start, g_oracle, base, g_base),
+        keep=g_oracle is None,
+    )
+
+
 def _densest_outtree_step(state: _Residual, base: frozenset[int]) -> DensityResult:
     time = state.dag.time_map
     zero = [v for v in state.sources if time[v] == 0]
     if zero:
         return DensityResult(base, base | {min(zero)}, INF, 1)
-    best = None
-    for start in state.sources:
-        cand = state.cached(start)
-        if cand is None:
-            subtree, w_sum, t_sum = _best_ratio_subtree(
-                state.dag, start, state.successor_tree(start)
-            )
-            cand = state.found[start] = (w_sum, t_sum, start, subtree - {start})
-        if best is None:
-            best = cand
-            continue
-        order = compare_density(cand[0], cand[1], best[0], best[1])
-        if order > 0 or (order == 0 and cand[2] < best[2]):
-            best = cand
-    assert best is not None
-    w_sum, t_sum, start, below = best
-    return DensityResult(base, base.union(below, (start,)), Fraction(w_sum, t_sum), 1)
+
+    def best_subtree(start: int) -> tuple:
+        subtree, w_sum, t_sum = _best_ratio_subtree(state.dag, start, state.successor_tree(start))
+        return w_sum, t_sum, start, subtree - {start}
+
+    return _densest_source_step(state, base, best_subtree)
+
+
+def _residual_solver(
+    dag: OrDag, step: Callable[[_Residual, frozenset[int]], DensityResult]
+) -> DensitySolver:
+    """Density steps by ``step`` on the residual of each base, kept by one
+    ``_Residual`` between calls."""
+    state = _Residual(dag)
+
+    def solve(base: frozenset[int]) -> DensityResult:
+        base = frozenset(base)
+        if not state(base):
+            raise NotInitial(f"{sorted(base)} is not an OR-initial set")
+        if not state.sources:
+            raise NoFeasibleSuperset("base already contains every job")
+        return step(state, base)
+
+    return solve
 
 
 def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Rational:
@@ -521,8 +510,8 @@ def pipelined_to_msop(
 
 
 def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:
-    """Exact density steps on a residual inforest: the best stem of the
-    residual DAG.
+    """Exact density steps on an inforest: the best stem of the residual
+    DAG.
 
     A stem starts at a residual source and follows the (unique) successor
     arc, so there are O(n^2) of them; inclusion-minimal maximum-density
@@ -530,25 +519,13 @@ def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolv
     the cost is the sum of processing times.  Ties prefer the shortest stem,
     then the smallest start id.  Without ``g_oracle`` the weights are the
     jobs' own (modular) weights, summed along each stem; a supplied oracle
-    is called once per stem prefix.  The DAG itself need not be an
-    inforest, only the residual of each base: unless the DAG is one, each
-    step checks the residual for a fork.  The solver keeps the residual of
-    its last base and, with modular weights, each residual source's densest
-    stem prefix (``_Residual``)."""
-    state = _Residual(dag)
-    inforest = is_inforest(dag)
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        base = frozenset(base)
-        if not state(base):
-            raise NotInitial(f"{sorted(base)} is not an OR-initial set")
-        if not state.sources:
-            raise NoFeasibleSuperset("base already contains every job")
-        if not inforest and state.has_fork():
-            raise NotInforest("residual graph has a vertex with two successors")
-        return _densest_stem(state, g_oracle, base)
-
-    return solve
+    is called once per stem prefix.  Residuals of an inforest are
+    inforests too, so the shape is checked once; the solver keeps the
+    residual of its last base and, with modular weights, each residual
+    source's densest stem prefix (``_Residual``)."""
+    if not is_inforest(dag):
+        raise NotInforest("graph has a vertex with two successors")
+    return _residual_solver(dag, lambda state, base: _densest_stem(state, g_oracle, base))
 
 
 def outtree_solver(dag: OrDag) -> DensitySolver:
@@ -565,14 +542,4 @@ def outtree_solver(dag: OrDag) -> DensitySolver:
     """
     if not is_multitree(dag):
         raise NotMultitree("graph has two paths between some pair of jobs")
-    state = _Residual(dag)
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        base = frozenset(base)
-        if not state(base):
-            raise NotInitial(f"{sorted(base)} is not an OR-initial set")
-        if not state.sources:
-            raise NoFeasibleSuperset("base already contains every job")
-        return _densest_outtree_step(state, base)
-
-    return solve
+    return _residual_solver(dag, _densest_outtree_step)

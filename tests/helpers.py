@@ -8,6 +8,7 @@ densities by looping over combinations, so every dual-route check really
 runs two different algorithms.
 """
 
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -37,7 +38,14 @@ from msop.errors import (
 from msop.exact import HistogramReport
 from msop.generators import _rng
 from msop.mssc import MsscInstance
-from msop.orsched import OrDag, is_inforest, is_multitree, or_initial_membership, stem_solver
+from msop.orsched import (
+    OrDag,
+    is_bipartite,
+    is_inforest,
+    is_multitree,
+    or_initial_membership,
+    stem_solver,
+)
 from msop.xsearch import SearchGraph
 from msop.rof import (
     Leaf,
@@ -641,6 +649,43 @@ def ref_is_multitree(dag: OrDag) -> bool:
                 if paths[w] > 1:
                     return False
     return True
+
+
+def _weakly_connected(dag: OrDag) -> bool:
+    if not dag.jobs:
+        return True
+    adj: dict[int, set[int]] = {j: set() for j in dag.jobs}
+    for i, j in dag.arcs:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen = {dag.jobs[0]}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(dag.jobs)
+
+
+def ref_classify_dag(dag: OrDag) -> str:
+    """``classify_dag`` with connectivity found by a breadth-first search
+    over the arcs taken both ways."""
+    if not dag.jobs:
+        return "outtree"
+    connected = _weakly_connected(dag)
+    if connected and all(len(dag.preds[j]) <= 1 for j in dag.jobs):
+        return "outtree"
+    if connected and all(len(dag.succs[j]) <= 1 for j in dag.jobs):
+        return "intree"
+    if is_inforest(dag):
+        return "inforest"
+    if is_bipartite(dag):
+        return "bipartite"
+    if ref_is_multitree(dag):
+        return "multitree"
+    return "general"
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_criterion_04_or_scheduling_stem_and_outtree():
         if base == inst.universe():
             base = frozenset()
         if kind == "inforest":
-            got = orsched.stem_solver(dag, orsched.modular_weight_oracle(dag))(base)
+            got = orsched.stem_solver(dag, orsched.to_msop(dag).weight)(base)
         else:
             got = orsched.outtree_solver(dag)(base)
         best = exact.exact_max_density(inst, base).marginal_density

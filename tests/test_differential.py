@@ -89,7 +89,7 @@ def test_stem_step_matches_reference_chain():
     for seed, n in ((1, 300), (2, 400)):
         dag = gen_instance("inforest", n, seed)
         inst = orsched.to_msop(dag)
-        oracle = orsched.modular_weight_oracle(dag)
+        oracle = orsched.to_msop(dag).weight
         fast = greedy_chain(inst, orsched.stem_solver(dag), 1)
         slow = ref_greedy_chain(inst, lambda b: ref_max_density_stem(dag, oracle, b), 1)
         assert_same_chain(fast, slow)
@@ -133,24 +133,13 @@ def outcome(step, *args):
     return got.candidate, got.marginal_density
 
 
-def fork_dag(n, seed):
-    """An inforest whose sources gain a second successor, so that only some
-    bases leave a residual inforest."""
-    dag = gen_instance("inforest", n, seed)
-    sinks = [j for j in dag.jobs if not dag.succs[j]]
-    extra = tuple((s, sinks[k % len(sinks)]) for k, s in enumerate(dag.sources)
-                  if dag.succs[s] and dag.succs[s][0] != sinks[k % len(sinks)])
-    return OrDag(dag.jobs, dag.times, dag.weights, dag.arcs + extra)
-
-
 def modular_stem(dag, base):
-    return ref_max_density_stem(dag, orsched.modular_weight_oracle(dag), base)
+    return ref_max_density_stem(dag, orsched.to_msop(dag).weight, base)
 
 
 SOLVERS = {
     "inforest": (lambda n, seed: gen_instance("inforest", n, seed), orsched.stem_solver,
                  modular_stem),
-    "fork": (fork_dag, orsched.stem_solver, modular_stem),
     "multitree": (lambda n, seed: gen_instance("multitree", n, seed), orsched.outtree_solver,
                   ref_max_density_outtree),
 }
@@ -195,10 +184,7 @@ def test_or_solver_matches_reference_on_bases_out_of_order(shape):
         bases = shuffled_walks(walk, rng)
         bases += [middle, middle | {blocked}, walk[-2], frozenset({blocked}), frozenset()]
         outcomes |= drive(solver(dag), reference, dag, bases)
-    want_kinds = {"step", "NotInitial", "NoFeasibleSuperset"}
-    if shape == "fork":
-        want_kinds.add("NotInforest")
-    assert outcomes == want_kinds
+    assert outcomes == {"step", "NotInitial", "NoFeasibleSuperset"}
 
 
 def rof_step(formula, base):

@@ -351,6 +351,7 @@ def test_cli_reuses_one_parser_with_the_output_of_a_fresh_one(tmp_path, capsys, 
         (["solve", "{path}", "--alpha", "x"], "msop solve: argument --alpha: bad rational 'x'"),
         ([], "msop: the following arguments are required: command"),
         (["exact", "{path}", "--mode", "all"], "msop exact: argument --mode: invalid choice"),
+        (["solve", "{path}", "--alpha", "0"], "msop solve: argument --alpha: alpha must be at least 1"),
     ],
 )
 def test_cli_argument_errors_exit_1_not_the_bound_code(tmp_path, capsys, argv, message):

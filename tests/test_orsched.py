@@ -19,7 +19,6 @@ from msop.orsched import (
     classify_dag,
     is_inforest,
     is_multitree,
-    modular_weight_oracle,
     or_initial_membership,
     outtree_solver,
     pipelined_to_msop,
@@ -28,7 +27,7 @@ from msop.orsched import (
     to_msop,
 )
 
-from helpers import eq2_cost, max_density_stem, residual
+from helpers import eq2_cost, max_density_stem, ref_classify_dag, residual
 
 
 def unit_dag(arcs, n):
@@ -42,6 +41,35 @@ def test_classification_examples():
     assert classify_dag(unit_dag([(0, 2), (1, 2), (3, 4)], 5)) == "inforest"
     assert classify_dag(unit_dag([(0, 2), (0, 3), (1, 2), (1, 3)], 4)) == "bipartite"
     assert classify_dag(unit_dag([(0, 1), (0, 2), (1, 3), (2, 4)], 5)) == "outtree"
+
+
+def random_forest(rng, n, reverse):
+    """Outtrees (intrees with ``reverse``) over jobs 0..n-1: each job after
+    the first hangs below an earlier one, or starts a tree of its own."""
+    arcs = [(rng.randrange(j), j) for j in range(1, n) if rng.random() < 0.8]
+    return unit_dag([(j, i) if reverse else (i, j) for i, j in arcs], n)
+
+
+def test_classify_dag_matches_reference_on_random_dags():
+    rng = random.Random(45)
+    labels = set()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        chance = rng.random()
+        shape = rng.randrange(5)
+        if shape == 0:
+            pairs = combinations(rng.sample(range(n), n), 2)
+            dag = unit_dag([pair for pair in pairs if rng.random() < chance], n)
+        elif shape in (1, 2):
+            dag = random_forest(rng, n, reverse=shape == 2)
+        elif shape == 3:
+            dag = unit_dag([], 1)
+        else:
+            dag = unit_dag([], n)
+        label = classify_dag(dag)
+        assert label == ref_classify_dag(dag), dag
+        labels.add(label)
+    assert labels == {"outtree", "intree", "inforest", "bipartite", "multitree", "general"}
 
 
 def test_cycles_rejected():
@@ -92,7 +120,7 @@ def test_residual_of_inforest_is_inforest():
         inst = to_msop(dag)
         base = frozenset()
         while base != inst.universe():
-            step = max_density_stem(dag, modular_weight_oracle(dag), base)
+            step = max_density_stem(dag, to_msop(dag).weight, base)
             base = step.candidate
             assert is_inforest(residual(dag, base))
 
@@ -110,21 +138,21 @@ def test_residual_of_multitree_is_multitree():
 
 def test_stem_chain_dag_example():
     dag = OrDag((0, 1), (1, 1), (0, 1), ((0, 1),))
-    result = max_density_stem(dag, modular_weight_oracle(dag), frozenset())
+    result = max_density_stem(dag, to_msop(dag).weight, frozenset())
     assert result.candidate == frozenset({0, 1})
     assert result.marginal_density == Fraction(1, 2)
 
 
 def test_stem_all_sources_picks_best_ratio_job():
     dag = OrDag((0, 1, 2), (2, 1, 4), (1, 3, 2), ())
-    result = max_density_stem(dag, modular_weight_oracle(dag), frozenset())
+    result = max_density_stem(dag, to_msop(dag).weight, frozenset())
     assert result.candidate == frozenset({1})
     assert result.marginal_density == 3
 
 
 def test_stem_zero_time_source_is_infinite():
     dag = OrDag((0, 1), (0, 2), (1, 5), ())
-    result = max_density_stem(dag, modular_weight_oracle(dag), frozenset())
+    result = max_density_stem(dag, to_msop(dag).weight, frozenset())
     assert result.marginal_density == INF
     assert result.candidate == frozenset({0})
 
@@ -132,22 +160,17 @@ def test_stem_zero_time_source_is_infinite():
 def test_stem_requires_inforest():
     dag = unit_dag([(0, 1), (0, 2)], 3)
     with pytest.raises(NotInforest):
-        max_density_stem(dag, modular_weight_oracle(dag), frozenset())
+        max_density_stem(dag, to_msop(dag).weight, frozenset())
 
 
-def test_stem_checks_the_shape_of_each_residual_not_of_the_dag():
-    # job 0 has two successors, so the DAG is no inforest; once 0 is in the
-    # base both are satisfied and the residual is
+def test_stem_solver_rejects_a_dag_that_is_not_an_inforest():
+    # job 0 has two successors; once 0 is in a base the residual is an
+    # inforest, but the solver checks the DAG when it is built
     dag = OrDag((0, 1, 2), (1, 1, 1), (1, 1, 3), ((0, 1), (0, 2)))
-    solve = stem_solver(dag)
     with pytest.raises(NotInforest):
-        solve(frozenset())
-    result = solve(frozenset({0}))
-    assert result.candidate == frozenset({0, 2})
-    assert result.marginal_density == 3
+        stem_solver(dag)
     with pytest.raises(NotInforest):
-        solve(frozenset())
-    assert max_density_stem(dag, None, frozenset({0})) == result
+        stem_solver(dag, to_msop(dag).weight)
 
 
 def test_outtree_two_children_example():
@@ -192,7 +215,7 @@ def test_stem_density_matches_exact_up_to_twelve_jobs():
         dag = gen_instance("inforest", n, seed)
         inst = to_msop(dag)
         base = _random_or_initial_base(dag, inst, rng)
-        got = max_density_stem(dag, modular_weight_oracle(dag), base)
+        got = max_density_stem(dag, to_msop(dag).weight, base)
         assert got.marginal_density == exact.exact_max_density(inst, base).marginal_density
 
 
@@ -231,7 +254,7 @@ def test_returned_step_is_inclusion_minimal():
         inst = to_msop(dag)
         base = _random_or_initial_base(dag, inst, rng)
         if kind == "inforest":
-            got = max_density_stem(dag, modular_weight_oracle(dag), base)
+            got = max_density_stem(dag, to_msop(dag).weight, base)
         else:
             got = outtree_solver(dag)(base)
         added = sorted(got.candidate - base)
