@@ -98,11 +98,16 @@ def _parse_mssc(body) -> MsscInstance:
         if word == "elements":
             if len(tokens) != 2:
                 raise ParseError("elements takes one count", lineno)
+            if n is not None:
+                raise ParseError("only one elements record is allowed", lineno)
             n = _int(tokens[1], lineno)
         elif word == "cost":
             if len(tokens) != 3:
                 raise ParseError("cost takes an element id and a value", lineno)
-            costs[_int(tokens[1], lineno)] = parse_rational(tokens[2], lineno)
+            v = _int(tokens[1], lineno)
+            if v in costs:
+                raise ParseError(f"element {v} already has a cost", lineno)
+            costs[v] = parse_rational(tokens[2], lineno)
         elif word == "edge":
             if len(tokens) < 3:
                 raise ParseError("edge takes a weight and at least one element", lineno)
@@ -219,6 +224,8 @@ def _parse_rof(body) -> ReadOnceFormula:
             if len(parts) != 4:
                 raise ParseError("var takes id, probability and cost", lineno)
             i = _int(parts[1], lineno)
+            if i in probs:
+                raise ParseError(f"variable {i} is already declared", lineno)
             probs[i] = Fraction(parse_rational(parts[2], lineno))
             costs[i] = _int(parts[3], lineno, "integer cost")
         elif word == "formula":
@@ -246,6 +253,8 @@ def _parse_xsearch(body) -> SearchGraph:
         if word == "root":
             if len(tokens) != 2:
                 raise ParseError("root takes one vertex id", lineno)
+            if root is not None:
+                raise ParseError("only one root record is allowed", lineno)
             root = _int(tokens[1], lineno)
         elif word == "vertex":
             if len(tokens) != 3:

@@ -56,21 +56,12 @@ class MsscInstance:
         return cls(n, (1,) * n, tuple((1, frozenset(e)) for e in edges))
 
 
-def coverage_weight(instance: MsscInstance, s: frozenset[int]) -> Rational:
-    """Total weight of hyperedges containing at least one element of ``s``."""
-    total: Rational = 0
-    for w, members in instance.edges:
-        if not members.isdisjoint(s):
-            total += w
-    return total
-
-
 class CoverageWeight(RunningOracle):
-    """``coverage_weight`` over the (weight, members) pairs that ``edges()``
-    returns, as a running oracle: the count of each hyperedge's members
-    inside the last set, and per element the hyperedges through it, built
-    on the first call.  A call costs the hyperedges through the elements
-    that came or went."""
+    """Total weight of the hyperedges that meet a set, over the (weight,
+    members) pairs that ``edges()`` returns, as a running oracle: the count
+    of each hyperedge's members inside the last set, and per element the
+    hyperedges through it, built on the first call.  A call costs the
+    hyperedges through the elements that came or went."""
 
     def __init__(self, edges: Callable[[], Hyperedges]):
         super().__init__()

@@ -70,11 +70,15 @@ class OrDag:
         for w in self.weights:
             if w < 0:
                 raise ValidationError("job weights must be nonnegative")
+        seen_arcs: set[tuple[int, int]] = set()
         for i, j in self.arcs:
             if i not in known or j not in known:
                 raise ValidationError(f"arc ({i}, {j}) references an unknown job")
             if i == j:
                 raise CyclicInput(f"self-loop at job {i}")
+            if (i, j) in seen_arcs:
+                raise ValidationError(f"duplicate arc ({i}, {j})")
+            seen_arcs.add((i, j))
         if len(self._topological) != len(self.jobs):
             raise CyclicInput("precedence graph contains a cycle")
 
@@ -92,10 +96,6 @@ class OrDag:
         for i, j in self.arcs:
             out[j].append(i)
         return {j: tuple(sorted(ps)) for j, ps in out.items()}
-
-    @cached_property
-    def pred_sets(self) -> dict[int, frozenset[int]]:
-        return {j: frozenset(ps) for j, ps in self.preds.items()}
 
     @cached_property
     def succs(self) -> dict[int, tuple[int, ...]]:
@@ -186,21 +186,11 @@ def classify_dag(dag: OrDag) -> str:
     return "general"
 
 
-def or_initial_membership(dag: OrDag, s: frozenset[int]) -> bool:
-    """True iff every member with predecessors has one inside ``s``."""
-    pred_sets = dag.pred_sets
-    for j in s:
-        ps = pred_sets[j]
-        if ps and ps.isdisjoint(s):
-            return False
-    return True
-
-
 def or_initial_column(dag: OrDag, ground: tuple[int, ...]) -> bytearray:
-    """``or_initial_membership`` of every subset, by bitmask over ``ground``:
-    a set is OR-initial when each member is a source or a successor of
-    another member, so it is checked against the union of its members'
-    successor masks."""
+    """Whether each subset is OR-initial, by bitmask over ``ground``: a set
+    is OR-initial when each member is a source or a successor of another
+    member, so it is checked against the union of its members' successor
+    masks."""
     bit = {j: 1 << i for i, j in enumerate(ground)}
     sources = sum(bit[j] for j in ground if not dag.preds[j])
     satisfied = union_column([sum(bit[k] for k in dag.succs[j]) for j in ground], sources)
@@ -208,8 +198,8 @@ def or_initial_column(dag: OrDag, ground: tuple[int, ...]) -> bytearray:
 
 
 class OrInitialMembership(RunningOracle):
-    """``or_initial_membership`` as a running oracle: per job, how many of
-    its predecessors are in the last set, and how many members have
+    """Whether a set is OR-initial, as a running oracle: per job, how many
+    of its predecessors are in the last set, and how many members have
     predecessors but none inside.  A call costs the arcs out of the jobs
     that came or went."""
 

@@ -23,16 +23,7 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .core import (
-    Chain,
-    DensityResult,
-    MsopInstance,
-    Permutation,
-    RunningOracle,
-    densest_consistent_permutation,
-    greedy_chain,
-    order_of,
-)
+from .core import DensityResult, MsopInstance, Permutation, RunningOracle, order_of
 from .errors import EmptyRemainder, ValidationError
 from .lattice import free, modular, supply
 
@@ -138,16 +129,6 @@ class ReadOnceFormula:
                 gate = parents.get(gate)
         return sorted(gates, key=self.positions.__getitem__)
 
-    @cached_property
-    def tests_below(self) -> dict[Node, frozenset[int]]:
-        out: dict[Node, frozenset[int]] = {}
-        for node in self.nodes:
-            if isinstance(node, Leaf):
-                out[node] = frozenset((node.var,))
-            else:
-                out[node] = out[node.left] | out[node.right]
-        return out
-
 
 def eval_partial(formula: ReadOnceFormula, assignment: Mapping[int, int | None]):
     """Three-valued evaluation; missing or None entries are untested.
@@ -245,15 +226,6 @@ class Determination(_FormulaState):
         return Fraction(self.ones[root] + self.zeros[root], self.formula.denominators[root])
 
 
-def _scaled_prob_tables(
-    formula: ReadOnceFormula, s: frozenset[int]
-) -> tuple[dict[Node, int], dict[Node, int]]:
-    """``Determination``'s ``ones`` and ``zeros`` for ``s``, from scratch."""
-    state = Determination(formula)
-    state(s)
-    return state.ones, state.zeros
-
-
 def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
     """Probability that the formula value is determined by testing ``s``."""
     return Determination(formula)(s)
@@ -336,21 +308,80 @@ def expected_stop_cost(
 ScaledTable = dict[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class RpTables:
-    """Per gate and target value: best exact-budget supplements.
+class _Supplements(_FormulaState):
+    """The supplement search's tables for the last tested set.
 
-    ``scaled[node][l][t]`` describes the subset R of the gate's untested
+    ``scaled[node][l][t]`` describes the subset R of the node's untested
     leaves with total cost exactly t that maximises the probability the
-    gate is determined to l once R is tested on top of the fixed base set.
-    It holds that probability times ``formula.denominators[node]`` and the
-    share of t spent under the left child, from which ``chosen`` rebuilds R.
+    node is determined to l once R is tested on top of the set.  It holds
+    that probability times ``formula.denominators[node]`` and the share of
+    t spent under the left child, from which ``chosen`` rebuilds R.  Only
+    the budgets that beat every smaller budget are kept (Nemhauser &
+    Ullmann 1969).  A gate's value grows with each child's, so a split
+    through a dominated child entry is matched at a smaller budget: pruned
+    children give the pruned gate, with the full exact-budget tables'
+    values and splits.
+
+    A call returns a 2-approximate maximum-density supplement of the set,
+    with its total cost and the set's determination probability read off
+    the root tables; some test must be left untested.  For each target the
+    best density over budgets is taken against the budget-0 entry (the set
+    alone); the larger of the two wins (target 1 on a tie), and within a
+    target the smallest budget.  The chosen budget has positive gain
+    (testing every untested leaf determines the root where the set alone
+    may not), so no smaller budget reaches its value and it is kept.  The
+    winner's density is at least half the best over all supersets.
     """
 
-    formula: ReadOnceFormula
-    scaled: dict[Node, dict[int, ScaledTable]]
+    def reset(self) -> None:
+        super().reset()
+        self.scaled: dict[Node, dict[int, ScaledTable]] = {}
+
+    def leaf(self, leaf: Leaf, tested: bool) -> None:
+        p = self.formula.probs[leaf.var]
+        one, zero = p.numerator, p.denominator - p.numerator
+        if tested:
+            self.scaled[leaf] = {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
+        else:
+            c = self.formula.costs[leaf.var]
+            self.scaled[leaf] = {1: {0: (0, 0), c: (one, 0)}, 0: {0: (0, 0), c: (zero, 0)}}
+
+    def gate(self, gate: Gate) -> None:
+        """A gate's tables from its children's: the budget is split between
+        the two children every feasible way and the combined probability
+        maximised; budget-split ties keep the smallest left share.  Only
+        the budgets whose value beats every smaller budget's are kept."""
+        scaled, den = self.scaled, self.formula.denominators
+        dl, dr = den[gate.left], den[gate.right]
+        table = {}
+        for outcome in (0, 1):
+            # both children must reach the target for "and"->1 and "or"->0
+            both = (gate.op == "and") == (outcome == 1)
+            left = sorted(scaled[gate.left][outcome].items())
+            right = [(tr, pr) for tr, (pr, _) in sorted(scaled[gate.right][outcome].items())]
+            # by budget: best value (-1 for none; values are nonnegative)
+            # and the left share that reaches it first
+            value = [-1] * (left[-1][0] + right[-1][0] + 1)
+            share = [0] * len(value)
+            for tl, (pl, _) in left:
+                # pl * pr, or pl * dr + pr * dl - pl * pr, as a + b * pr
+                a, b = (0, pl) if both else (pl * dr, dl - pl)
+                for tr, pr in right:
+                    v = a + b * pr
+                    if v > value[tl + tr]:
+                        value[tl + tr] = v
+                        share[tl + tr] = tl
+            out: ScaledTable = {}
+            top = -1
+            for t, v in enumerate(value):
+                if v > top:
+                    out[t] = (v, share[t])
+                    top = v
+            table[outcome] = out
+        scaled[gate] = table
 
     def chosen(self, node: Node, outcome: int, t: int) -> frozenset[int]:
+        """The tests of ``scaled[node][outcome][t]``'s supplement."""
         out: list[int] = []
         stack = [(node, t)]
         while stack:
@@ -364,104 +395,6 @@ class RpTables:
             stack.append((node.left, tl))
             stack.append((node.right, t - tl))
         return frozenset(out)
-
-    def table(self, node: Node, outcome: int) -> dict[int, tuple[Fraction, frozenset[int]]]:
-        """Budget -> (probability, chosen tests) for one gate and target."""
-        den = self.formula.denominators[node]
-        return {
-            t: (Fraction(value, den), self.chosen(node, outcome, t))
-            for t, (value, _) in self.scaled[node][outcome].items()
-        }
-
-
-def _leaf_tables(formula: ReadOnceFormula, leaf: Leaf, tested: bool) -> dict[int, ScaledTable]:
-    p = formula.probs[leaf.var]
-    one, zero = p.numerator, p.denominator - p.numerator
-    if tested:
-        return {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
-    c = formula.costs[leaf.var]
-    return {1: {0: (0, 0), c: (one, 0)}, 0: {0: (0, 0), c: (zero, 0)}}
-
-
-def _gate_tables(
-    formula: ReadOnceFormula, gate: Gate, scaled: dict[Node, dict[int, ScaledTable]],
-    prune: bool,
-) -> dict[int, ScaledTable]:
-    """A gate's tables from its children's: the budget is split between the
-    two children every feasible way and the combined probability
-    maximised; budget-split ties keep the smallest left share.  With
-    ``prune``, only the budgets whose value beats every smaller budget's
-    are kept."""
-    den = formula.denominators
-    dl, dr = den[gate.left], den[gate.right]
-    table = {}
-    for outcome in (0, 1):
-        # both children must reach the target for "and"->1 and "or"->0
-        both = (gate.op == "and") == (outcome == 1)
-        left = sorted(scaled[gate.left][outcome].items())
-        right = [(tr, pr) for tr, (pr, _) in sorted(scaled[gate.right][outcome].items())]
-        # by budget: best value (-1 for none; values are nonnegative) and
-        # the left share that reaches it first
-        value = [-1] * (left[-1][0] + right[-1][0] + 1)
-        share = [0] * len(value)
-        for tl, (pl, _) in left:
-            # pl * pr, or pl * dr + pr * dl - pl * pr, as a + b * pr
-            a, b = (0, pl) if both else (pl * dr, dl - pl)
-            for tr, pr in right:
-                v = a + b * pr
-                if v > value[tl + tr]:
-                    value[tl + tr] = v
-                    share[tl + tr] = tl
-        out: ScaledTable = {}
-        top = -1
-        for t, v in enumerate(value):
-            if v > top:
-                out[t] = (v, share[t])
-                if prune:
-                    top = v
-        table[outcome] = out
-    return table
-
-
-def compute_rp(formula: ReadOnceFormula, s: frozenset[int]) -> RpTables:
-    """Bottom-up tables of best exact-cost supplements for every gate.
-
-    Runtime O(n * C^2) for total cost C, on integers: a gate's
-    probabilities all share its denominator.
-    """
-    s = frozenset(s)
-    scaled: dict[Node, dict[int, ScaledTable]] = {}
-    for node in formula.nodes:
-        if isinstance(node, Leaf):
-            scaled[node] = _leaf_tables(formula, node, node.var in s)
-        else:
-            scaled[node] = _gate_tables(formula, node, scaled, prune=False)
-    return RpTables(formula, scaled)
-
-
-class _Supplements(_FormulaState):
-    """The supplement search's tables for the last tested set, with
-    dominated budgets pruned (Nemhauser & Ullmann 1969): an entry goes when
-    a smaller budget reaches at least its value.  A gate's value grows with
-    each child's, so a split through a dominated child entry is matched at
-    a smaller budget: pruned children give the pruned gate, with
-    ``compute_rp``'s values and splits.  The search's chosen budget has
-    positive gain (testing every untested leaf determines the root where
-    the set alone may not), so no smaller budget reaches its value and it
-    is kept.  A call returns ``find_supp``'s supplement of the set with its
-    total cost, and the set's determination probability read off the root
-    tables; some test must be left untested.
-    """
-
-    def reset(self) -> None:
-        super().reset()
-        self.scaled: dict[Node, dict[int, ScaledTable]] = {}
-
-    def leaf(self, leaf: Leaf, tested: bool) -> None:
-        self.scaled[leaf] = _leaf_tables(self.formula, leaf, tested)
-
-    def gate(self, gate: Gate) -> None:
-        self.scaled[gate] = _gate_tables(self.formula, gate, self.scaled, prune=True)
 
     def result(self) -> tuple[frozenset[int], int, Fraction]:
         formula = self.formula
@@ -484,23 +417,7 @@ class _Supplements(_FormulaState):
         # budget 0: the probabilities that the set alone determines 0, 1
         determined = root_tables[0][0][0] + root_tables[1][0][0]
         determined = Fraction(determined, formula.denominators[formula.root])
-        chosen = RpTables(formula, self.scaled).chosen(formula.root, outcome, spent)
-        return chosen, spent, determined
-
-
-def find_supp(formula: ReadOnceFormula, s: frozenset[int]) -> frozenset[int]:
-    """A 2-approximate maximum-density supplement of ``s``.
-
-    For each target value the best density over exact budgets is taken from
-    the root tables, against the budget-0 entry (``s`` alone); the larger of
-    the two wins (the target-1 set on a tie), and within a target the
-    smallest budget.  The winner's density is at least half the best over
-    all supersets.
-    """
-    s = frozenset(s)
-    if s.issuperset(formula.variables):
-        raise EmptyRemainder("every test has already been taken")
-    return _Supplements(formula)(s)[0]
+        return self.chosen(formula.root, outcome, spent), spent, determined
 
 
 def to_msop(formula: ReadOnceFormula) -> MsopInstance:
@@ -539,16 +456,3 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
 
     return solve
 
-
-def rof_greedy(formula: ReadOnceFormula) -> tuple[Chain, Permutation, Fraction]:
-    """2-greedy chain from the supplement search, refined to an order.
-
-    Each chain increment is laid out by locally best single-test density,
-    which keeps the order consistent with the chain (so its cost is no
-    larger) and reproduces the classic best-ratio order on pure OR or pure
-    AND formulas.  The expected cost is at most 8 times the optimum.
-    """
-    instance = to_msop(formula)
-    chain = greedy_chain(instance, supplement_solver(formula, instance), alpha=2)
-    permutation = densest_consistent_permutation(instance, chain)
-    return chain, permutation, evaluate_order_cost(formula, permutation)

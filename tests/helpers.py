@@ -19,6 +19,8 @@ from msop.core import (
     INF,
     MsopInstance,
     Permutation,
+    densest_consistent_permutation,
+    greedy_chain,
     marginal_density,
     validate_chain,
 )
@@ -37,24 +39,24 @@ from msop.errors import (
 )
 from msop.exact import HistogramReport
 from msop.generators import _rng
+from msop.rof import (
+    Determination,
+    Leaf,
+    ReadOnceFormula,
+    _determination_column,
+    evaluate_order_cost,
+    supplement_solver,
+    to_msop as rof_to_msop,
+)
 from msop.mssc import MsscInstance
 from msop.orsched import (
     OrDag,
     is_bipartite,
     is_inforest,
     is_multitree,
-    or_initial_membership,
     stem_solver,
 )
 from msop.xsearch import SearchGraph
-from msop.rof import (
-    Leaf,
-    ReadOnceFormula,
-    _determination_column,
-    _scaled_prob_tables,
-    compute_rp,
-    to_msop as rof_to_msop,
-)
 
 
 def eq2_cost(instance: MsopInstance, order) -> Fraction:
@@ -315,6 +317,11 @@ def ref_exact_max_density(instance: MsopInstance, base) -> DensityResult:
     return DensityResult(base, best_set, rho, 1)
 
 
+def ref_coverage_weight(instance: MsscInstance, s) -> Fraction:
+    """Total weight of the hyperedges that meet ``s``, summed from scratch."""
+    return sum((w for w, members in instance.edges if not members.isdisjoint(s)), 0)
+
+
 def ref_singleton_greedy_density(instance: MsscInstance, base) -> DensityResult:
     """Scan every element against every uncovered hyperedge."""
     base = frozenset(base)
@@ -354,10 +361,15 @@ def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
     return DensityResult(base, base | {best}, Fraction(gain[best], costs[best]), 1)
 
 
+def ref_or_initial_membership(dag: OrDag, s) -> bool:
+    """Every member with predecessors has one inside ``s``."""
+    return all(not dag.preds[j] or not s.isdisjoint(dag.preds[j]) for j in s)
+
+
 def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
     """Remove an OR-initial set; jobs with a predecessor in it become free."""
     s = frozenset(s)
-    if not or_initial_membership(dag, s):
+    if not ref_or_initial_membership(dag, s):
         raise NotInitial(f"{sorted(s)} is not an OR-initial set")
     keep = [j for j in dag.jobs if j not in s]
     satisfied = {j for j in keep if any(p in s for p in dag.preds[j])}
@@ -474,10 +486,23 @@ def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
     return [Fraction(v, den) for v in column]
 
 
+def leaves_below(formula: ReadOnceFormula) -> dict:
+    """Per node, the tests of its leaves."""
+    out = {}
+    for node in formula.nodes:
+        if isinstance(node, Leaf):
+            out[node] = frozenset((node.var,))
+        else:
+            out[node] = out[node.left] | out[node.right]
+    return out
+
+
 def prob_tables(formula: ReadOnceFormula, s):
-    """The library's gate determination probabilities: each entry of
-    ``_scaled_prob_tables`` over its gate's denominator."""
-    ones, zeros = _scaled_prob_tables(formula, frozenset(s))
+    """The library's gate determination probabilities: each entry of a
+    fresh ``Determination``'s scaled tables over its gate's denominator."""
+    state = Determination(formula)
+    state(frozenset(s))
+    ones, zeros = state.ones, state.zeros
     den = formula.denominators
     return (
         {node: Fraction(p, den[node]) for node, p in ones.items()},
@@ -566,15 +591,72 @@ def ref_find_supp(formula: ReadOnceFormula, s) -> frozenset:
     return best[1][1]
 
 
+def ref_scaled_tables(formula: ReadOnceFormula, s):
+    """The full exact-budget tables of the supplement search on scaled
+    integers, nothing pruned: per node and target, budget -> (the best
+    probability of determining the node to the target with a subset of its
+    untested leaves of exactly that cost, times the node's denominator;
+    the left child's share of the budget).  Budget-split ties keep the
+    smallest left share."""
+    den = formula.denominators
+    scaled = {}
+    for node in formula.nodes:
+        if isinstance(node, Leaf):
+            p = formula.probs[node.var]
+            one, zero = p.numerator, p.denominator - p.numerator
+            if node.var in s:
+                scaled[node] = {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
+            else:
+                c = formula.costs[node.var]
+                scaled[node] = {1: {0: (0, 0), c: (one, 0)}, 0: {0: (0, 0), c: (zero, 0)}}
+            continue
+        dl, dr = den[node.left], den[node.right]
+        table = {}
+        for outcome in (0, 1):
+            both = (node.op, outcome) in (("and", 1), ("or", 0))
+            out = {}
+            for tl, (pl, _) in sorted(scaled[node.left][outcome].items()):
+                for tr, (pr, _) in sorted(scaled[node.right][outcome].items()):
+                    value = pl * pr if both else pl * dr + pr * dl - pl * pr
+                    if tl + tr not in out or value > out[tl + tr][0]:
+                        out[tl + tr] = (value, tl)
+            table[outcome] = dict(sorted(out.items()))
+        scaled[node] = table
+    return scaled
+
+
+def ref_chosen(scaled, node, outcome, t) -> frozenset:
+    """The tests of ``scaled[node][outcome][t]``'s supplement, rebuilt from
+    the left shares."""
+    if t == 0:
+        return frozenset()
+    if isinstance(node, Leaf):
+        return frozenset((node.var,))
+    tl = scaled[node][outcome][t][1]
+    return ref_chosen(scaled, node.left, outcome, tl) | ref_chosen(
+        scaled, node.right, outcome, t - tl
+    )
+
+
+def undominated(table: dict) -> dict:
+    """The budgets of a budget -> value table whose value beats every
+    smaller budget's."""
+    kept, top = {}, -1
+    for t in sorted(table):
+        if table[t] > top:
+            kept[t] = top = table[t]
+    return kept
+
+
 def ref_scaled_supplement(formula: ReadOnceFormula, s):
-    """The supplement search on ``compute_rp``'s unpruned integer tables,
+    """The supplement search on ``ref_scaled_tables``' unpruned tables,
     rebuilt for every base: the supplement, its budget, and the
     determination probability of ``s``."""
     s = frozenset(s)
     if s >= set(formula.variables):
         raise EmptyRemainder("every test has already been taken")
-    tables = compute_rp(formula, s)
-    root_tables = tables.scaled[formula.root]
+    scaled = ref_scaled_tables(formula, s)
+    root_tables = scaled[formula.root]
     best = {}
     for outcome in (0, 1):
         root = root_tables[outcome]
@@ -590,7 +672,7 @@ def ref_scaled_supplement(formula: ReadOnceFormula, s):
     spent = best[outcome][1]
     determined = root_tables[0][0][0] + root_tables[1][0][0]
     determined = Fraction(determined, formula.denominators[formula.root])
-    return tables.chosen(formula.root, outcome, spent), spent, determined
+    return ref_chosen(scaled, formula.root, outcome, spent), spent, determined
 
 
 def ref_scaled_supplement_step(formula: ReadOnceFormula, instance: MsopInstance, base):
@@ -598,6 +680,22 @@ def ref_scaled_supplement_step(formula: ReadOnceFormula, instance: MsopInstance,
     candidate = frozenset(base) | chosen
     gain = instance.weight(candidate) - base_weight
     return DensityResult(frozenset(base), candidate, Fraction(gain, spent), 2)
+
+
+def find_supp(formula: ReadOnceFormula, base) -> frozenset:
+    """The tests that a fresh ``rof.supplement_solver`` step adds to
+    ``base``."""
+    base = frozenset(base)
+    return supplement_solver(formula, rof_to_msop(formula))(base).candidate - base
+
+
+def rof_greedy(formula: ReadOnceFormula):
+    """The supplement greedy chain (alpha 2), refined to an order by locally
+    best single-test density, and the order's expected cost."""
+    instance = rof_to_msop(formula)
+    chain = greedy_chain(instance, supplement_solver(formula, instance), alpha=2)
+    permutation = densest_consistent_permutation(instance, chain)
+    return chain, permutation, evaluate_order_cost(formula, permutation)
 
 
 def ref_rof_instance(formula: ReadOnceFormula) -> MsopInstance:

@@ -36,6 +36,8 @@ from msop.generators import (
     random_chain,
 )
 
+from helpers import find_supp, leaves_below, ref_or_initial_membership, rof_greedy, undominated
+
 SCALE = float(os.environ.get("MSOP_TEST_SCALE", "1"))
 
 SEEDS = {
@@ -170,7 +172,7 @@ def test_criterion_04_or_scheduling_stem_and_outtree():
             ready = [
                 j
                 for j in dag.jobs
-                if j not in base and orsched.or_initial_membership(dag, base | {j})
+                if j not in base and ref_or_initial_membership(dag, base | {j})
             ]
             if not ready:
                 break
@@ -216,28 +218,31 @@ def test_criterion_05_or_pipelined_cover():
 
 def _brute_gate_maxima(formula, s):
     """Per gate, target and exact budget, the best scaled probability over
-    every subset of the gate's untested leaves; each tested set's tables
-    are computed once."""
+    every subset of the gate's untested leaves, and each tested set's
+    scaled gate probabilities, computed once per set."""
     from itertools import combinations
 
     memo = {}
     out = {}
+    below = leaves_below(formula)
     for node in formula.nodes:
-        candidates = sorted(formula.tests_below[node] - s)
+        candidates = sorted(below[node] - s)
         table = {0: {}, 1: {}}
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
                 t = sum(formula.costs[i] for i in combo)
                 tested = s.union(combo)
                 if tested not in memo:
-                    memo[tested] = rof._scaled_prob_tables(formula, tested)
+                    state = rof.Determination(formula)
+                    state(tested)
+                    memo[tested] = state.ones, state.zeros
                 ones, zeros = memo[tested]
                 for outcome, value in ((1, ones[node]), (0, zeros[node])):
                     cur = table[outcome].get(t)
                     if cur is None or value > cur:
                         table[outcome][t] = value
         out[node] = table
-    return out
+    return out, memo
 
 
 def test_criterion_06_supplement_half_density():
@@ -253,7 +258,7 @@ def test_criterion_06_supplement_half_density():
             base = frozenset(v for v in universe if rng.random() < 0.4)
             if base >= universe:
                 base = frozenset()
-            chosen = rof.find_supp(formula, base)
+            chosen = find_supp(formula, base)
             rho = marginal_density(inst, base, base | chosen).marginal_density
             best = exact.exact_max_density(inst, base).marginal_density
             assert rho >= 0
@@ -262,12 +267,23 @@ def test_criterion_06_supplement_half_density():
         base = frozenset(v for v in universe if rng.random() < 0.3)
         if base >= universe:
             base = frozenset()
-        tables = rof.compute_rp(formula, base)
-        expect = _brute_gate_maxima(formula, base)
+        state = rof._Supplements(formula)
+        state(base)
+        expect, memo = _brute_gate_maxima(formula, base)
+        below = leaves_below(formula)
         for node in formula.nodes:
             for outcome in (0, 1):
-                got = {t: v for t, (v, _) in tables.scaled[node][outcome].items()}
-                assert got == expect[node][outcome], f"seed {i}"
+                kept = state.scaled[node][outcome]
+                got = {t: v for t, (v, _) in kept.items()}
+                assert got == undominated(expect[node][outcome]), f"seed {i}"
+                # the back-pointers rebuild a supplement of cost exactly t
+                # that attains the kept value
+                for t, (v, _) in kept.items():
+                    chosen = state.chosen(node, outcome, t)
+                    assert chosen <= below[node] - base, f"seed {i}"
+                    assert sum(formula.costs[x] for x in chosen) == t, f"seed {i}"
+                    ones, zeros = memo[base | chosen]
+                    assert (ones if outcome else zeros)[node] == v, f"seed {i}"
     _verdict(
         "criterion 6: supplement density within half of best, tables exact",
         started,
@@ -282,7 +298,7 @@ def test_criterion_07_formula_order_within_eight():
     for i in range(total):
         n = 2 + i % 6  # up to 7 tests
         formula = gen_instance("rof", n, SEEDS["formula"] + i)
-        _, perm, cost = rof.rof_greedy(formula)
+        _, perm, cost = rof_greedy(formula)
         _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula))
         assert cost <= 8 * opt_cost, f"seed {i}"
         worst = max(worst, Fraction(cost, opt_cost))
@@ -300,7 +316,7 @@ def test_criterion_07_formula_order_within_eight():
             {v: Fraction(rng.randint(1, 7), 8) for v in leaves},
             {v: rng.randint(1, 3) for v in leaves},
         )
-        _, perm, cost = rof.rof_greedy(formula)
+        _, perm, cost = rof_greedy(formula)
         _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula))
         assert cost == opt_cost, f"pure-or seed {i}"
     _verdict(

@@ -29,8 +29,10 @@ from msop.lattice import free, modular
 from msop.orsched import OrDag
 
 from helpers import (
+    find_supp,
     prob_tables,
     ref_compute_rp,
+    ref_coverage_weight,
     ref_exact_max_density,
     ref_exact_opt_chain,
     ref_exact_opt_permutation,
@@ -41,14 +43,17 @@ from helpers import (
     ref_is_multitree,
     ref_max_density_outtree,
     ref_max_density_stem,
+    ref_or_initial_membership,
     ref_prob_tables,
     ref_rof_instance,
     ref_scaled_supplement_step,
+    ref_scaled_tables,
     ref_singleton_greedy_density,
     ref_singleton_step,
     ref_supplement_solver,
     ref_xsearch_weight,
     tabulate,
+    undominated,
 )
 
 
@@ -119,7 +124,7 @@ def or_initial_walk(dag, rng):
     walk = [frozenset()]
     while len(walk[-1]) < len(dag.jobs):
         base = walk[-1]
-        free = [j for j in dag.jobs if j not in base and orsched.or_initial_membership(dag, base | {j})]
+        free = [j for j in dag.jobs if j not in base and ref_or_initial_membership(dag, base | {j})]
         walk.append(base | {rng.choice(free)})
     return walk
 
@@ -149,7 +154,7 @@ def blocked_job(dag, base):
     """A job outside ``base`` none of whose predecessors it holds, so that
     ``base`` plus the job is not OR-initial; None when there is none."""
     return next((j for j in dag.jobs if dag.preds[j] and j not in base
-                 and dag.pred_sets[j].isdisjoint(base)), None)
+                 and base.isdisjoint(dag.preds[j])), None)
 
 
 def drive(solve, reference, parsed, bases):
@@ -371,7 +376,7 @@ def test_solver_state_drops_and_takes_back_one_element_by_moves(kind):
             continue
         order = sorted(base - prev) + sorted(prev)
         if isinstance(parsed, OrDag):
-            order = [x for x in order if orsched.or_initial_membership(parsed, base - {x})]
+            order = [x for x in order if ref_or_initial_membership(parsed, base - {x})]
         for x in order[:2] + rng.sample(order[2:], min(2, len(order) - 2)):
             for s in (base - {x}, base):
                 assert step(state, parsed, s) == outcome(reference, parsed, s), sorted(s)
@@ -415,20 +420,9 @@ def test_supplement_step_matches_unpruned_reference_chain(make):
     assert_same_chain(fast, slow)
 
 
-def undominated(table):
-    """The entries of an exact-budget table whose value beats every smaller
-    budget's."""
-    kept, top = {}, -1
-    for t in sorted(table):
-        if table[t][0] > top:
-            kept[t] = table[t]
-            top = table[t][0]
-    return kept
-
-
 def test_supplement_tables_are_the_undominated_exact_budget_entries():
     # after every move, nested or not, each gate's kept table is exactly the
-    # undominated part of compute_rp's table, back-pointers included
+    # undominated part of the full exact-budget table, back-pointers included
     rng = random.Random(34)
     checked = dropped = 0
     for seed in range(10):
@@ -437,12 +431,14 @@ def test_supplement_tables_are_the_undominated_exact_budget_entries():
         state = rof._Supplements(formula)
         for base in walk[:-1] + rng.sample(walk[:-1], 6):
             state(base)
-            full = rof.compute_rp(formula, base).scaled
+            full = ref_scaled_tables(formula, base)
             for node in formula.nodes:
                 for target in (0, 1):
                     kept = state.scaled[node][target]
-                    assert kept == undominated(full[node][target]), (seed, sorted(base))
-                    dropped += len(full[node][target]) - len(kept)
+                    table = full[node][target]
+                    budgets = undominated({t: value for t, (value, _) in table.items()})
+                    assert kept == {t: table[t] for t in budgets}, (seed, sorted(base))
+                    dropped += len(table) - len(kept)
                     checked += 1
     assert checked > 10_000 and dropped > 10_000
 
@@ -457,7 +453,7 @@ def test_supplement_search_through_zero_gain_budgets():
         {1: Fraction(1, 3), 2: Fraction(1, 2), 3: Fraction(2, 5), 4: Fraction(1, 4)},
         {1: 1, 2: 2, 3: 4, 4: 5},
     )
-    root = rof.compute_rp(formula, frozenset()).scaled[formula.root][1]
+    root = ref_scaled_tables(formula, frozenset())[formula.root][1]
     zero_gain = [t for t in sorted(root) if t and root[t][0] == root[0][0]]
     assert zero_gain == [1, 2, 3, 4, 9]
     solve = rof_solver(formula)
@@ -490,7 +486,7 @@ def test_find_supp_and_g_determined_match_reference_on_random_bases():
             assert prob_tables(formula, base) == ref_prob_tables(formula, base)
             if len(base) == len(variables):
                 continue
-            assert rof.find_supp(formula, base) == ref_find_supp(formula, base)
+            assert find_supp(formula, base) == ref_find_supp(formula, base)
             bases += 1
     assert bases >= 250
 
@@ -503,20 +499,31 @@ def test_find_supp_density_tie_between_targets_goes_to_target_one():
         {1: Fraction(1, 8), 2: Fraction(7, 31)},
         {1: 2, 2: 1},
     )
-    assert rof.find_supp(formula, frozenset()) == frozenset({2})
+    assert find_supp(formula, frozenset()) == frozenset({2})
     assert ref_find_supp(formula, frozenset()) == frozenset({2})
 
 
-def test_compute_rp_tables_match_reference_entry_for_entry():
+def test_supplement_tables_match_reference_entry_for_entry():
+    # each kept entry, rebuilt as (probability, chosen tests), is the
+    # Fraction reference's entry at that budget, and exactly the budgets
+    # that beat every smaller one are kept
     rng = random.Random(33)
     for seed in range(20):
         formula = gen_instance("rof", 3 + seed, 300 + seed)
         base = random_base(formula.variables, rng, 0.3)
-        tables = rof.compute_rp(formula, base)
+        state = rof._Supplements(formula)
+        state(base)
         expect = ref_compute_rp(formula, base)
         for node in formula.nodes:
+            den = formula.denominators[node]
             for outcome in (0, 1):
-                assert tables.table(node, outcome) == expect[node][outcome]
+                table = expect[node][outcome]
+                got = {
+                    t: (Fraction(value, den), state.chosen(node, outcome, t))
+                    for t, (value, _) in state.scaled[node][outcome].items()
+                }
+                budgets = undominated({t: p for t, (p, _) in table.items()})
+                assert got == {t: table[t] for t in budgets}
 
 
 def test_outtree_solver_rejects_a_non_multitree():
@@ -988,10 +995,10 @@ def running_case(kind, n, seed):
         parsed = replace(parsed, edges=rational_edges(parsed.edges, rng))
     tools = cli.Toolchain(parsed)
     if kind in ("mssc", "pipelined"):
-        return tools.instance, "weight", lambda s: mssc.coverage_weight(parsed, s), tools.solver
+        return tools.instance, "weight", lambda s: ref_coverage_weight(parsed, s), tools.solver
     if kind == "rof":
         return tools.instance, "weight", lambda s: rof.g_determined(parsed, s), tools.solver
-    return (tools.instance, "in_family", lambda s: orsched.or_initial_membership(parsed, s),
+    return (tools.instance, "in_family", lambda s: ref_or_initial_membership(parsed, s),
             tools.solver)
 
 

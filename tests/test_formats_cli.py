@@ -1,8 +1,11 @@
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from msop import exact, mssc, orsched, rof, xsearch
+from msop import cli, dual, exact, mssc, orsched, rof, xsearch
 from msop.cli import run
 from msop.errors import BadParams, ParseError, ValidationError
 from msop.formats import (
@@ -15,7 +18,7 @@ from msop.formats import (
 from msop.generators import KINDS, gen_instance
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag
-from msop.rof import ReadOnceFormula
+from msop.rof import Gate, Leaf, ReadOnceFormula
 from msop.xsearch import SearchGraph
 
 from fractions import Fraction
@@ -305,8 +308,6 @@ def test_cli_base_with_a_non_integer_id_is_an_error(tmp_path, capsys):
 
 
 def test_cli_reuses_one_parser_with_the_output_of_a_fresh_one(tmp_path, capsys, monkeypatch):
-    from msop import cli
-
     path = str(tmp_path / "m.msop")
     run(["gen", "pipelined", "--n", "6", "--seed", "4", "--out", path])
     capsys.readouterr()
@@ -425,3 +426,129 @@ def test_solve_reaches_adapter_and_solver_through_their_modules(tmp_path, capsys
     adapter, solver = ROUTES[kind]
     assert set(calls) == {adapter, solver, f"{solver} step"}
     assert calls[adapter] == calls[solver] == 1
+
+
+def test_cli_rejects_a_repeated_or_arc(tmp_path, capsys):
+    # counted twice, the arc's successor bit summed to the next job's bit
+    path = tmp_path / "dup.msop"
+    path.write_text("msop orsched v1\njob 0 1 0\njob 1 5 0\njob 2 1 9\narc 0 1\narc 0 1\narc 1 2\n")
+    for argv in (["solve", str(path)], ["exact", str(path)], ["check-ratio", str(path)]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValidationError: duplicate arc (0, 1)\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("msop mssc v1\nelements 2\nelements 3\n", 3, "only one elements record is allowed"),
+        ("msop mssc v1\nelements 2\ncost 0 1\ncost 1 1\ncost 0 2\n", 5,
+         "element 0 already has a cost"),
+        ("msop rof v1\nvar 1 1/2 1\nvar 2 1/2 1\nvar 1 1/3 2\nformula (or x1 x2)\n", 4,
+         "variable 1 is already declared"),
+        ("msop xsearch v1\nroot 0\nvertex 0 0\nvertex 1 1\nroot 1\nedge 0 1 1\n", 5,
+         "only one root record is allowed"),
+    ],
+    ids=["elements", "cost", "var", "root"],
+)
+def test_parse_rejects_a_repeated_one_off_record(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert message in str(err.value)
+    assert err.value.line == line
+
+
+def test_tracer_patches_existing_names_and_restores_them():
+    # perfbench/spans.py wraps module attributes by name during a traced
+    # run; a name that no longer exists must fail here, not in that run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = (cli, dual, exact, mssc, orsched, rof, xsearch)
+    before = [dict(vars(module)) for module in modules]
+    with spans.Tracer().patched():
+        inside = [dict(vars(module)) for module in modules]
+    after = [dict(vars(module)) for module in modules]
+    changed = {
+        (module.__name__, name)
+        for module, old, new in zip(modules, before, inside)
+        for name in old
+        if new[name] is not old[name]
+    }
+    assert [new.keys() for new in inside] == [old.keys() for old in before]
+    assert {(module.__name__, attr) for module, attr in PATCH_POINTS} <= changed
+    for old, new in zip(before, after):
+        assert new.keys() == old.keys()
+        assert all(new[name] is old[name] for name in old)
+
+
+rationals = st.builds(Fraction, st.integers(0, 30), st.integers(1, 12))
+positive = st.builds(Fraction, st.integers(1, 30), st.integers(1, 12))
+
+
+def forward_pairs(draw, n, max_size):
+    """Distinct pairs i < j of positions below ``n``."""
+    drawn = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=max_size))
+    return sorted({(min(i, j), max(i, j)) for i, j in drawn if i != j})
+
+
+@st.composite
+def mssc_instances(draw):
+    n = draw(st.integers(1, 7))
+    costs = draw(st.lists(positive, min_size=n, max_size=n))
+    edges = draw(st.lists(
+        st.tuples(rationals, st.frozensets(st.integers(0, n - 1), min_size=1)), max_size=8))
+    return MsscInstance(n, tuple(costs), tuple(edges))
+
+
+@st.composite
+def or_dags(draw):
+    # arcs run forward in the drawn job order, so the DAG has no cycle
+    jobs = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True))
+    n = len(jobs)
+    arcs = forward_pairs(draw, n, 12)
+    times = draw(st.lists(rationals, min_size=n, max_size=n))
+    weights = draw(st.lists(rationals, min_size=n, max_size=n))
+    return OrDag(tuple(jobs), tuple(times), tuple(weights),
+                 tuple((jobs[i], jobs[j]) for i, j in arcs))
+
+
+@st.composite
+def formulas(draw):
+    variables = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True))
+    nodes = [Leaf(v) for v in variables]
+    while len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        nodes[i:i + 2] = [Gate(draw(st.sampled_from(("and", "or"))), nodes[i], nodes[i + 1])]
+    probs = {v: Fraction(draw(st.integers(1, 10)), 11) for v in variables}
+    costs = {v: draw(st.integers(1, 9)) for v in variables}
+    return ReadOnceFormula(nodes[0], probs, costs)
+
+
+@st.composite
+def search_graphs(draw):
+    # each vertex after the first joins an earlier one, so the graph is connected
+    vertices = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True))
+    n = len(vertices)
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs.update(forward_pairs(draw, n, 6))
+    edges = [(vertices[i], vertices[j], draw(positive)) for i, j in sorted(pairs)]
+    mass = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    mass[0] += 1
+    probs = {v: Fraction(m, sum(mass)) for v, m in zip(vertices, mass)}
+    root = draw(st.sampled_from(vertices))
+    return SearchGraph(tuple(vertices), root, tuple(edges), probs)
+
+
+@pytest.mark.parametrize(
+    "instances", [mssc_instances(), or_dags(), formulas(), search_graphs()],
+    ids=["mssc", "orsched", "rof", "xsearch"],
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_round_trip_drawn_instances(instances, data):
+    text = serialize_instance(data.draw(instances))
+    assert serialize_instance(parse_instance_text(text)) == text

@@ -9,7 +9,6 @@ from msop.errors import ValidationError
 from msop.generators import gen_instance
 from msop.mssc import (
     MsscInstance,
-    coverage_weight,
     covering_cost,
     singleton_solver,
     to_msop,
@@ -19,10 +18,10 @@ from helpers import eq2_cost
 
 
 def test_coverage_weight_examples():
-    inst = MsscInstance.unit(2, [frozenset({0}), frozenset({0, 1})])
-    assert coverage_weight(inst, frozenset()) == 0
-    assert coverage_weight(inst, frozenset({0})) == 2
-    assert coverage_weight(inst, frozenset({1})) == 1
+    weight = to_msop(MsscInstance.unit(2, [frozenset({0}), frozenset({0, 1})])).weight
+    assert weight(frozenset()) == 0
+    assert weight(frozenset({0})) == 2
+    assert weight(frozenset({1})) == 1
 
 
 def test_coverage_weight_is_monotone_submodular_exhaustively():
@@ -32,7 +31,8 @@ def test_coverage_weight_is_monotone_submodular_exhaustively():
         subsets = [
             frozenset(v for v in range(n) if mask >> v & 1) for mask in range(1 << n)
         ]
-        value = {s: coverage_weight(inst, s) for s in subsets}
+        weight = to_msop(inst).weight
+        value = {s: weight(s) for s in subsets}
         for s in subsets:
             for t in subsets:
                 assert value[s | t] + value[s & t] <= value[s] + value[t]

@@ -19,7 +19,6 @@ from msop.orsched import (
     classify_dag,
     is_inforest,
     is_multitree,
-    or_initial_membership,
     outtree_solver,
     pipelined_to_msop,
     schedule_cost,
@@ -27,7 +26,13 @@ from msop.orsched import (
     to_msop,
 )
 
-from helpers import eq2_cost, max_density_stem, ref_classify_dag, residual
+from helpers import (
+    eq2_cost,
+    max_density_stem,
+    ref_classify_dag,
+    ref_or_initial_membership,
+    residual,
+)
 
 
 def unit_dag(arcs, n):
@@ -80,20 +85,20 @@ def test_cycles_rejected():
 
 
 def test_or_initial_membership_examples():
-    dag = unit_dag([(0, 1)], 2)
-    assert or_initial_membership(dag, frozenset())
-    assert or_initial_membership(dag, frozenset({0, 1}))
-    assert not or_initial_membership(dag, frozenset({1}))
-    assert or_initial_membership(dag, frozenset({0}))
+    member = to_msop(unit_dag([(0, 1)], 2)).in_family
+    assert member(frozenset())
+    assert member(frozenset({0, 1}))
+    assert not member(frozenset({1}))
+    assert member(frozenset({0}))
 
 
 def test_or_initial_family_union_closed_exhaustively():
     for seed, n in ((0, 8), (1, 8), (2, 10)):
-        dag = gen_instance("multitree", n, seed)
+        member = to_msop(gen_instance("multitree", n, seed)).in_family
         members = []
         for mask in range(1 << n):
             s = frozenset(v for v in range(n) if mask >> v & 1)
-            if or_initial_membership(dag, s):
+            if member(s):
                 members.append(s)
         member_set = set(members)
         for s in members:
@@ -200,7 +205,7 @@ def _random_or_initial_base(dag, inst, rng):
         candidates = [
             j
             for j in dag.jobs
-            if j not in base and or_initial_membership(dag, base | {j})
+            if j not in base and ref_or_initial_membership(dag, base | {j})
         ]
         if not candidates:
             break
@@ -261,7 +266,7 @@ def test_returned_step_is_inclusion_minimal():
         for r in range(1, len(added)):
             for combo in combinations(added, r):
                 s = base | frozenset(combo)
-                if not or_initial_membership(dag, s):
+                if not ref_or_initial_membership(dag, s):
                     continue
                 rho = marginal_density(inst, base, s).marginal_density
                 assert not _density_ge(rho, got.marginal_density), (seed, s)

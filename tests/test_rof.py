@@ -14,17 +14,22 @@ from msop.rof import (
     Leaf,
     ReadOnceFormula,
     _Supplements,
-    compute_rp,
     eval_partial,
     evaluate_order_cost,
     expected_stop_cost,
-    find_supp,
     g_determined,
-    rof_greedy,
     to_msop,
 )
 
-from helpers import determination_table, prob_tables
+from helpers import (
+    determination_table,
+    find_supp,
+    prob_tables,
+    ref_scaled_tables,
+    rof_greedy,
+    leaves_below,
+    undominated,
+)
 
 
 def fig_formula(p=Fraction(1, 2), costs=None):
@@ -182,30 +187,47 @@ def test_determination_table_matches_pointwise():
             assert table[mask] == g_determined(f, s)
 
 
-def test_compute_rp_single_leaf():
+def supplement_state(formula, s):
+    """A fresh supplement search state after a call on ``s``."""
+    state = _Supplements(formula)
+    state(frozenset(s))
+    return state
+
+
+def supplement_table(state, node, outcome):
+    """Budget -> (probability, chosen tests) of one node and target of a
+    supplement state's tables."""
+    den = state.formula.denominators[node]
+    return {
+        t: (Fraction(value, den), state.chosen(node, outcome, t))
+        for t, (value, _) in state.scaled[node][outcome].items()
+    }
+
+
+def test_supplement_tables_single_leaf():
     f = ReadOnceFormula(Leaf(1), {1: Fraction(2, 5)}, {1: 1})
-    tables = compute_rp(f, frozenset())
-    root = tables.table(f.root, 1)
+    root = supplement_table(supplement_state(f, frozenset()), f.root, 1)
     assert root[0] == (Fraction(0), frozenset())
     assert root[1] == (Fraction(2, 5), frozenset({1}))
 
 
-def test_compute_rp_and_of_two_leaves():
+def test_supplement_tables_and_of_two_leaves():
     f = ReadOnceFormula(
         Gate("and", Leaf(1), Leaf(2)),
         {1: Fraction(1, 2), 2: Fraction(1, 3)},
         {1: 1, 2: 1},
     )
-    tables = compute_rp(f, frozenset())
-    assert tables.table(f.root, 1)[2][0] == Fraction(1, 6)
+    root = supplement_table(supplement_state(f, frozenset()), f.root, 1)
+    assert root[2][0] == Fraction(1, 6)
 
 
 def brute_gate_maxima(formula, s):
     """Oracle: per gate, target and exact cost, maximise the determination
     probability by trying every subset of the gate's untested leaves."""
     out = {}
+    below = leaves_below(formula)
     for node in formula.nodes:
-        candidates = sorted(formula.tests_below[node] - s)
+        candidates = sorted(below[node] - s)
         table = {0: {}, 1: {}}
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
@@ -219,20 +241,26 @@ def brute_gate_maxima(formula, s):
     return out
 
 
-def test_compute_rp_matches_brute_force():
+def test_supplement_tables_match_brute_force():
     rng = random.Random(25)
     for seed in range(8):
         f = gen_instance("rof", 3 + seed % 6, 80 + seed)
         s = frozenset(v for v in f.variables if rng.random() < 0.3)
-        tables = compute_rp(f, s)
+        state = supplement_state(f, s)
         expect = brute_gate_maxima(f, s)
+        below = leaves_below(f)
         for node in f.nodes:
             for outcome in (0, 1):
-                got = {t: p for t, (p, _) in tables.table(node, outcome).items()}
-                assert got == expect[node][outcome]
-                # recorded subsets attain the recorded probability at that cost
-                for t, (p, chosen) in tables.table(node, outcome).items():
+                table = supplement_table(state, node, outcome)
+                got = {t: p for t, (p, _) in table.items()}
+                assert got == undominated(expect[node][outcome])
+                # recorded subsets cost exactly the budget and attain the
+                # recorded probability
+                for t, (p, chosen) in table.items():
+                    assert chosen <= below[node] - s
                     assert sum(f.costs[i] for i in chosen) == t
+                    ones, zeros = prob_tables(f, s | chosen)
+                    assert (ones if outcome else zeros)[node] == p
 
 
 def test_find_supp_last_missing_test():
@@ -295,11 +323,13 @@ def test_supplement_gains_are_nonnegative_for_both_targets():
         if base >= set(f.variables):
             base = frozenset()
         ones, zeros = prob_tables(f, base)
-        tables = compute_rp(f, base)
+        # the full exact-budget tables, nothing pruned
+        root = ref_scaled_tables(f, base)[f.root]
+        den = f.denominators[f.root]
         for outcome, floor in ((1, ones[f.root]), (0, zeros[f.root])):
-            for t, (p, _) in tables.table(f.root, outcome).items():
+            for t, (p, _) in root[outcome].items():
                 if t > 0:
-                    assert p >= floor
+                    assert Fraction(p, den) >= floor
 
 
 def test_rof_greedy_optimal_on_pure_or():
