@@ -184,6 +184,14 @@ def test_permutation_to_chain_respects_precedence():
     assert err.value.prefix_len == 1
 
 
+def test_permutation_to_chain_rejects_repeats_and_the_empty_order():
+    inst = free_instance(2, modular([1, 1]), modular([1, 1]))
+    with pytest.raises(InvalidChain):
+        permutation_to_chain(inst, (0, 0, 1))
+    with pytest.raises(ValidationError):
+        permutation_to_chain(inst, ())
+
+
 def test_chain_to_permutation_consistency_free_family():
     inst = free_instance(3, modular([1, 1, 1]), modular([1, 1, 1]))
     chain = Chain((frozenset(), frozenset({0, 2}), frozenset({0, 1, 2})))

@@ -1,8 +1,9 @@
 """CLI reports compared byte for byte with committed golden reports.
 
 ``tests/golden`` holds one small seeded instance file per kind and the
-``solve``, ``solve --backward``, ``check-ratio``, ``exact --mode perm`` and
-``exact --mode chain`` reports on it, with the ``wall_time_s`` line left out;
+``solve``, ``solve --backward``, ``density``, ``check-ratio``, ``exact --mode
+perm``, ``exact --mode chain`` and ``exact --mode density`` reports on it
+(both density steps from the empty base), with the ``wall_time_s`` line left out;
 stderr lines and the exit code are appended.  The chain report runs with the
 chain cap raised to 9, the largest golden ground set.
 A change meant to keep every report byte-identical must leave these tests
@@ -33,9 +34,11 @@ INSTANCES = (
 COMMANDS = {
     "solve": ("solve",),
     "backward": ("solve", "--backward"),
+    "density": ("density",),
     "check-ratio": ("check-ratio",),
     "exact-perm": ("exact", "--mode", "perm"),
     "exact-chain": ("exact", "--mode", "chain"),
+    "exact-density": ("exact", "--mode", "density"),
 }
 # exhaustive caps a command runs with, where the defaults would refuse it
 CAPS = {"exact-chain": "chain=9"}
