@@ -12,7 +12,6 @@ from .core import (
     DensityResult,
     INF,
     MsopInstance,
-    Permutation,
     chain_cost,
     chain_to_permutation,
     densest_consistent_permutation,
@@ -41,7 +40,6 @@ __all__ = [
     "INF",
     "MsopError",
     "MsopInstance",
-    "Permutation",
     "backward_greedy_chain",
     "chain_cost",
     "chain_to_permutation",

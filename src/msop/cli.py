@@ -28,7 +28,6 @@ from .formats import (
     Instance,
     format_rational,
     parse_instance,
-    parse_rational,
     serialize_instance,
 )
 from .generators import KINDS, gen_instance
@@ -48,16 +47,6 @@ def _format_chain(chain: Chain) -> str:
     # nonempty, and the last one holds every id
     text = {v: str(v) for v in chain.sets[-1]}.__getitem__
     return ";".join(",".join(map(text, sorted(s))) for s in chain.sets[1:])
-
-
-def _alpha_arg(text: str):
-    try:
-        alpha = parse_rational(text, None, None)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if alpha < 1:
-        raise argparse.ArgumentTypeError("alpha must be at least 1")
-    return alpha
 
 
 def _parse_base(text: str, instance: MsopInstance) -> frozenset[int]:
@@ -87,13 +76,10 @@ class Toolchain:
         self.instance, self.solver, self.alpha, self.detail = kind.tools(parsed)
         self.bound = 4 * self.alpha
 
-    def greedy(self, backward: bool = False, alpha=None) -> Chain:
-        claimed = self.alpha if alpha is None else alpha
+    def greedy(self, backward: bool = False) -> Chain:
         if backward:
-            return dual.backward_greedy_chain(
-                self.instance, exact.exact_density_solver, claimed
-            )
-        return greedy_chain(self.instance, self.solver, claimed)
+            return dual.backward_greedy_chain(self.instance, exact.exact_density_solver)
+        return greedy_chain(self.instance, self.solver)
 
 
 def _emit(key: str, value) -> None:
@@ -114,17 +100,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     chain_tools = Toolchain(parse_instance(args.file))
-    alpha = chain_tools.alpha if args.alpha is None else args.alpha
-    chain = chain_tools.greedy(backward=args.backward, alpha=alpha)
+    chain = chain_tools.greedy(backward=args.backward)
     cost = chain_cost(chain_tools.instance, chain)
     permutation = chain_to_permutation(chain_tools.instance, chain)
     _emit("kind", chain_tools.detail)
     _emit("n", chain_tools.instance.n)
     _emit("mode", "backward" if args.backward else "forward")
-    _emit("alpha", format_rational(alpha))
+    # the backward chain's steps are exhaustive (factor 1) on the dual
+    _emit("alpha", 1 if args.backward else format_rational(chain_tools.alpha))
     _emit("chain", _format_chain(chain))
     _emit("densities", ",".join(_format_density(d) for d in chain.densities or ()))
-    _emit("permutation", ",".join(str(v) for v in permutation.order))
+    _emit("permutation", ",".join(map(str, permutation)))
     _emit("greedy_cost", format_rational(cost))
     return 0
 
@@ -134,10 +120,10 @@ def _cmd_density(args) -> int:
     base = _parse_base(args.base, chain_tools.instance)
     result = chain_tools.solver(base)
     _emit("kind", chain_tools.detail)
-    _emit("base", _format_set(result.base))
+    _emit("base", _format_set(base))
     _emit("candidate", _format_set(result.candidate))
     _emit("density", _format_density(result.marginal_density))
-    _emit("alpha", format_rational(result.alpha_certificate))
+    _emit("alpha", format_rational(chain_tools.alpha))
     return 0
 
 
@@ -147,15 +133,16 @@ def _cmd_exact(args) -> int:
     _emit("kind", chain_tools.detail)
     if args.mode == "perm":
         permutation, cost = exact.exact_opt_permutation(instance)
-        _emit("permutation", ",".join(str(v) for v in permutation.order))
+        _emit("permutation", ",".join(map(str, permutation)))
         _emit("cost", format_rational(cost))
     elif args.mode == "chain":
         chain, cost = exact.exact_opt_chain(instance)
         _emit("chain", _format_chain(chain))
         _emit("cost", format_rational(cost))
     else:
-        result = exact.exact_max_density(instance, _parse_base(args.base, instance))
-        _emit("base", _format_set(result.base))
+        base = _parse_base(args.base, instance)
+        result = exact.exact_max_density(instance, base)
+        _emit("base", _format_set(base))
         _emit("candidate", _format_set(result.candidate))
         _emit("density", _format_density(result.marginal_density))
     return 0
@@ -227,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="greedy chain plus consistent permutation")
     solve.add_argument("file")
-    solve.add_argument("--alpha", type=_alpha_arg, default=None)
     solve.add_argument("--backward", action="store_true")
     solve.set_defaults(run=_cmd_solve)
 

@@ -131,14 +131,12 @@ class MsopInstance:
 class Chain:
     """Strictly increasing feasible sets from the empty set to the ground set.
 
-    ``densities`` and ``alpha`` carry the greedy certificate (one achieved
-    marginal density per step and the solver's approximation factor); they
-    do not take part in equality comparisons.
+    ``densities`` carries the greedy certificate, one achieved marginal
+    density per step; it does not take part in equality comparisons.
     """
 
     sets: tuple[frozenset[int], ...]
     densities: tuple[Density, ...] | None = field(default=None, compare=False)
-    alpha: Rational | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.sets) < 2:
@@ -159,36 +157,15 @@ class Chain:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.order:
-            raise ValidationError("permutation is empty")
-        if len(set(self.order)) != len(self.order):
-            raise ValidationError("permutation repeats an element")
-
-
-@dataclass(frozen=True)
 class DensityResult:
-    """A feasible strict superset of ``base`` with its marginal density.
+    """A feasible strict superset of a step's base with its marginal density.
 
     ``marginal_density`` is (weight gain)/(cost gain), or the +inf sentinel
-    exactly when the cost gain is zero.  ``alpha_certificate`` is the factor
-    within which the producing solver claims to approximate the best
-    feasible superset.
+    exactly when the cost gain is zero.
     """
 
-    base: frozenset[int]
     candidate: frozenset[int]
     marginal_density: Density
-    alpha_certificate: Rational = 1
-
-
-def order_of(permutation: Permutation | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(permutation, Permutation):
-        return permutation.order
-    return tuple(permutation)
 
 
 def validate_chain(instance: MsopInstance, chain: Chain) -> None:
@@ -232,7 +209,7 @@ def marginal_density(
     if not instance.in_family(base):
         raise NotInFamily(f"base {sorted(base)} is not in the family")
     _, _, dg, df = _step_from(instance, base, instance.cost(base), instance.weight(base), candidate)
-    return DensityResult(base, candidate, INF if df == 0 else Fraction(dg, df), 1)
+    return DensityResult(candidate, INF if df == 0 else Fraction(dg, df))
 
 
 def _step_from(
@@ -291,9 +268,7 @@ def compare_density(
 DensitySolver = Callable[[frozenset[int]], DensityResult]
 
 
-def greedy_chain(
-    instance: MsopInstance, density_solver: DensitySolver, alpha: Rational = 1
-) -> Chain:
+def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain:
     """Iterate a density solver from the empty set until the ground set.
 
     The solver's answer is taken verbatim each step; its density is checked
@@ -327,14 +302,11 @@ def greedy_chain(
         sets.append(step.candidate)
         densities.append(step.marginal_density)
         current = step.candidate
-    return Chain(tuple(sets), tuple(densities), alpha)
+    return Chain(tuple(sets), tuple(densities))
 
 
-def permutation_to_chain(
-    instance: MsopInstance, permutation: Permutation | Sequence[int]
-) -> Chain:
+def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
     """Chain of all initial sets of a feasible permutation."""
-    order = order_of(permutation)
     if frozenset(order) != instance.universe():
         raise ValidationError("permutation must arrange the full ground set")
     sets = [frozenset()]
@@ -348,7 +320,7 @@ def permutation_to_chain(
     return Chain(tuple(sets))
 
 
-def _extend_through(instance: MsopInstance, chain: Chain, pick) -> Permutation:
+def _extend_through(instance: MsopInstance, chain: Chain, pick) -> tuple[int, ...]:
     """Fill each chain increment one element at a time: ``pick(prefix,
     rest)`` gets the increment's rest in ascending order and returns a
     feasible next element, or ``None`` if there is none."""
@@ -365,10 +337,10 @@ def _extend_through(instance: MsopInstance, chain: Chain, pick) -> Permutation:
                 )
             order_out.append(nxt)
             current = current | {nxt}
-    return Permutation(tuple(order_out))
+    return tuple(order_out)
 
 
-def chain_to_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
+def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
     """A permutation consistent with the chain (every chain set is one of its
     initial sets).
 
@@ -392,7 +364,7 @@ def _densest_extension(instance: MsopInstance, base: frozenset[int], elements):
     return max(steps, key=lambda step: step.marginal_density, default=None)
 
 
-def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> Permutation:
+def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
     """Like ``chain_to_permutation`` but orders each increment by locally
     best single-element marginal density (ties to the smallest id).
 

@@ -63,22 +63,20 @@ def dual_chain(chain: Chain) -> Chain:
     return Chain(tuple(universe - s for s in reversed(chain.sets)))
 
 
-def backward_greedy_chain(
-    instance: MsopInstance, solver_factory: SolverFactory, alpha: Rational = 1
-) -> Chain:
+def backward_greedy_chain(instance: MsopInstance, solver_factory: SolverFactory) -> Chain:
     """Backward greedy: forward greedy on the dual, mapped back.
 
     ``solver_factory`` receives the dual instance and must return a density
     solver for it.  The returned chain's certificate stores, per step, the
     marginal density between the consecutive primal sets (the quantity the
-    backward greedy condition bounds by alpha times the minimum removal
-    density).
+    backward greedy condition bounds by the dual step's factor times the
+    minimum removal density).
     """
     dual_instance = dualize(instance)
-    forward = greedy_chain(dual_instance, solver_factory(dual_instance), alpha)
+    forward = greedy_chain(dual_instance, solver_factory(dual_instance))
     primal = dual_chain(forward)
     densities = tuple(
         marginal_density(instance, a, b).marginal_density
         for a, b in zip(primal.sets, primal.sets[1:])
     )
-    return Chain(primal.sets, densities, alpha)
+    return Chain(primal.sets, densities)

@@ -42,9 +42,6 @@ class NotWellFounded(MsopError):
 class TooLarge(MsopError):
     def __init__(self, what: str, n: int, cap: int):
         super().__init__(f"{what}: instance has {n} elements, exhaustive cap is {cap}")
-        self.what = what
-        self.n = n
-        self.cap = cap
 
 
 class NoFeasiblePermutation(MsopError):
@@ -76,10 +73,6 @@ class NotMultitree(MsopError):
 
 
 class InfeasibleOrder(MsopError):
-    pass
-
-
-class EmptyRemainder(MsopError):
     pass
 
 

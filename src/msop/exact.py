@@ -24,7 +24,6 @@ from .core import (
     DensitySolver,
     INF,
     MsopInstance,
-    Permutation,
     Rational,
     compare_density,
     validate_chain,
@@ -78,7 +77,7 @@ def _checked_lattice(instance: MsopInstance) -> Lattice:
     return lattice
 
 
-def exact_opt_permutation(instance: MsopInstance) -> tuple[Permutation, Rational]:
+def exact_opt_permutation(instance: MsopInstance) -> tuple[tuple[int, ...], Rational]:
     """Global minimum over feasible permutations (every initial set feasible).
 
     Ties break to the lexicographically smallest optimal permutation.
@@ -126,7 +125,7 @@ def exact_opt_permutation(instance: MsopInstance) -> tuple[Permutation, Rational
                 break
         else:  # pragma: no cover - best[s] finite guarantees an extension
             raise AssertionError("optimal extension must exist")
-    return Permutation(tuple(order)), Fraction(best[0], lattice.cost_scale * lattice.weight_scale)
+    return tuple(order), Fraction(best[0], lattice.cost_scale * lattice.weight_scale)
 
 
 def exact_opt_chain(instance: MsopInstance) -> tuple[Chain, Rational]:
@@ -232,7 +231,7 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
         if not best_spent
         else Fraction(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
     )
-    return DensityResult(base, base.union(_members(ground, best_mask)), rho, 1)
+    return DensityResult(base.union(_members(ground, best_mask)), rho)
 
 
 def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
@@ -268,16 +267,14 @@ class HistogramReport:
     """Outcome of the shrunken-histogram containment check.
 
     ``opt_columns`` has one column per step of the optimal chain (height =
-    cost of the step's set); ``greedy_columns`` one per greedy step, height
-    (weight(V) - weight(S_{i-1})) / rho_i, unshrunk.  The check shrinks the
-    greedy histogram by 2 horizontally (flush right) and 2*alpha vertically
-    and verifies it fits under the optimal one.  Both raw areas equal the
-    respective chain costs exactly.
+    cost of the step's set).  The greedy histogram has one per greedy step,
+    height (weight(V) - weight(S_{i-1})) / rho_i; the check shrinks it by 2
+    horizontally (flush right) and 2*alpha vertically and verifies it fits
+    under the optimal one.  Both raw areas equal the respective chain costs
+    exactly.
     """
 
     opt_columns: tuple[Column, ...]
-    greedy_columns: tuple[Column, ...]
-    alpha: Rational
     contained: bool
     first_violation: tuple[Rational, Density, Rational] | None
     opt_area: Rational
@@ -358,8 +355,6 @@ def histogram_containment_check(
 
     return HistogramReport(
         tuple(opt_columns),
-        tuple(greedy_columns),
-        alpha,
         first_violation is None,
         first_violation,
         opt_area,

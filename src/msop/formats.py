@@ -91,6 +91,7 @@ def parse_instance(path: str | os.PathLike) -> Instance:
 def _parse_mssc(body) -> MsscInstance:
     n = None
     costs: dict[int, Rational] = {}
+    cost_lines: dict[int, int] = {}
     edges: list[tuple[Rational, frozenset[int]]] = []
     for lineno, line in body:
         tokens = line.split()
@@ -108,6 +109,7 @@ def _parse_mssc(body) -> MsscInstance:
             if v in costs:
                 raise ParseError(f"element {v} already has a cost", lineno)
             costs[v] = parse_rational(tokens[2], lineno)
+            cost_lines[v] = lineno
         elif word == "edge":
             if len(tokens) < 3:
                 raise ParseError("edge takes a weight and at least one element", lineno)
@@ -118,9 +120,9 @@ def _parse_mssc(body) -> MsscInstance:
             raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
     if n is None:
         raise ParseError("missing 'elements' record", 1)
-    for v in costs:
+    for v, lineno in cost_lines.items():
         if not 0 <= v < n:
-            raise ValidationError(f"cost record references unknown element {v}")
+            raise ParseError(f"cost record references unknown element {v}", lineno)
     return MsscInstance(n, tuple(costs.get(v, 1) for v in range(n)), tuple(edges))
 
 
@@ -149,8 +151,10 @@ def _parse_orsched(body) -> OrDag:
     return OrDag(tuple(jobs), tuple(times), tuple(weights), tuple(arcs))
 
 
-def _parse_formula(expr: str, lineno: int, offset: int) -> Node:
+def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int, int]]:
+    """The formula's root, and the column of each leaf's variable."""
     pos = 0
+    columns: dict[int, int] = {}
 
     def error(msg: str, at: int):
         raise ParseError(msg, lineno, offset + at + 1)
@@ -203,18 +207,20 @@ def _parse_formula(expr: str, lineno: int, offset: int) -> Node:
             if not token.startswith("x") or not token[1:].isdigit():
                 error(f"expected a variable like x3, got {token!r}", at)
             node = Leaf(int(token[1:]))
+            columns[node.var] = offset + at + 1
         if not stack:
             break
         stack[-1][2].append(node)
     skip_blank()
     if pos != len(expr):
         error("trailing text after formula", pos)
-    return node
+    return node, columns
 
 
 def _parse_rof(body) -> ReadOnceFormula:
     probs: dict[int, Fraction] = {}
     costs: dict[int, int] = {}
+    var_lines: dict[int, int] = {}
     root: Node | None = None
     for lineno, line in body:
         tokens = line.split(None, 1)
@@ -228,17 +234,25 @@ def _parse_rof(body) -> ReadOnceFormula:
                 raise ParseError(f"variable {i} is already declared", lineno)
             probs[i] = Fraction(parse_rational(parts[2], lineno))
             costs[i] = _int(parts[3], lineno, "integer cost")
+            var_lines[i] = lineno
         elif word == "formula":
             if root is not None:
                 raise ParseError("only one formula line is allowed", lineno)
             if len(tokens) != 2:
                 raise ParseError("formula line is empty", lineno)
             expr = tokens[1]
-            root = _parse_formula(expr, lineno, line.index(expr))
+            root, columns = _parse_formula(expr, lineno, line.index(expr))
+            formula_line = lineno
         else:
             raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
     if root is None:
         raise ParseError("missing formula line", 1)
+    for i, column in columns.items():
+        if i not in probs:
+            raise ParseError(f"leaf x{i} has no var record", formula_line, column)
+    for i, lineno in var_lines.items():
+        if i not in columns:
+            raise ParseError(f"variable {i} is not a leaf of the formula", lineno)
     return ReadOnceFormula(root, probs, costs)
 
 

@@ -16,10 +16,8 @@ from .core import (
     DensityResult,
     DensitySolver,
     MsopInstance,
-    Permutation,
     Rational,
     RunningOracle,
-    order_of,
 )
 from .errors import NoFeasibleSuperset, ValidationError
 from .lattice import coverage_column, free, modular, supply
@@ -96,9 +94,8 @@ class CoverageWeight(RunningOracle):
         return total
 
 
-def covering_cost(instance: MsscInstance, permutation: Permutation | Sequence[int]) -> Rational:
+def covering_cost(instance: MsscInstance, order: Sequence[int]) -> Rational:
     """Weighted sum over hyperedges of the prefix cost at first coverage."""
-    order = order_of(permutation)
     if sorted(order) != list(range(instance.n)):
         raise ValidationError("permutation must arrange all elements")
     position = {v: i for i, v in enumerate(order)}
@@ -220,6 +217,6 @@ def singleton_solver(instance: MsscInstance) -> DensitySolver:
         if not base < full:
             raise NoFeasibleSuperset("base already contains every element")
         v, g, c = state(base)
-        return DensityResult(base, base | {v}, Fraction(g, c), 1)
+        return DensityResult(base | {v}, Fraction(g, c))
 
     return solve

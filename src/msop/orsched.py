@@ -23,11 +23,9 @@ from .core import (
     DensitySolver,
     INF,
     MsopInstance,
-    Permutation,
     Rational,
     RunningOracle,
     compare_density,
-    order_of,
 )
 from .errors import (
     CyclicInput,
@@ -403,7 +401,7 @@ def _densest_source_step(
     assert best is not None
     gain, spent, *_, start, below = best
     rho: Density = INF if not spent else Fraction(gain, spent)
-    return DensityResult(base, base.union(below, (start,)), rho, 1)
+    return DensityResult(base.union(below, (start,)), rho)
 
 
 def _densest_stem(
@@ -422,7 +420,7 @@ def _densest_outtree_step(state: _Residual, base: frozenset[int]) -> DensityResu
     time = state.dag.time_map
     zero = [v for v in state.sources if time[v] == 0]
     if zero:
-        return DensityResult(base, base | {min(zero)}, INF, 1)
+        return DensityResult(base | {min(zero)}, INF)
 
     def best_subtree(start: int) -> tuple:
         subtree, w_sum, t_sum = _best_ratio_subtree(state.dag, start, state.successor_tree(start))
@@ -449,9 +447,8 @@ def _residual_solver(
     return solve
 
 
-def schedule_cost(dag: OrDag, permutation: Permutation | Sequence[int]) -> Rational:
+def schedule_cost(dag: OrDag, order: Sequence[int]) -> Rational:
     """Weighted sum of completion times of a feasible one-machine order."""
-    order = order_of(permutation)
     if sorted(order) != sorted(dag.jobs):
         raise ValidationError("order must schedule every job exactly once")
     time, weight = dag.time_map, dag.weight_map

@@ -23,8 +23,8 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .core import DensityResult, MsopInstance, Permutation, RunningOracle, order_of
-from .errors import EmptyRemainder, ValidationError
+from .core import DensityResult, MsopInstance, RunningOracle
+from .errors import NoFeasibleSuperset, ValidationError
 from .lattice import free, modular, supply
 
 
@@ -267,12 +267,9 @@ def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
     return [v // common for v in column], den[formula.root] // common
 
 
-def evaluate_order_cost(
-    formula: ReadOnceFormula, permutation: Permutation | Sequence[int]
-) -> Fraction:
+def evaluate_order_cost(formula: ReadOnceFormula, order: Sequence[int]) -> Fraction:
     """Expected testing cost of an order, as the chain objective
     sum_j cost(S_j) * (weight gain at step j) over prefix sets."""
-    order = order_of(permutation)
     if sorted(order) != list(formula.variables):
         raise ValidationError("order must test every variable exactly once")
     total = Fraction(0)
@@ -288,12 +285,9 @@ def evaluate_order_cost(
     return total
 
 
-def expected_stop_cost(
-    formula: ReadOnceFormula, permutation: Permutation | Sequence[int]
-) -> Fraction:
+def expected_stop_cost(formula: ReadOnceFormula, order: Sequence[int]) -> Fraction:
     """Same expectation, summed test by test: each test is paid for exactly
     when the previous outcomes have not yet determined the value."""
-    order = order_of(permutation)
     if sorted(order) != list(formula.variables):
         raise ValidationError("order must test every variable exactly once")
     total = Fraction(0)
@@ -448,11 +442,11 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
     def solve(base: frozenset[int]) -> DensityResult:
         base = frozenset(base)
         if base.issuperset(formula.variables):
-            raise EmptyRemainder("every test has already been taken")
+            raise NoFeasibleSuperset("every test has already been taken")
         chosen, spent, base_weight = state(base)
         candidate = base | chosen
         gain = instance.weight(candidate) - base_weight
-        return DensityResult(base, candidate, Fraction(gain, spent), 2)
+        return DensityResult(candidate, Fraction(gain, spent))
 
     return solve
 

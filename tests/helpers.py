@@ -18,14 +18,12 @@ from msop.core import (
     DensityResult,
     INF,
     MsopInstance,
-    Permutation,
     densest_consistent_permutation,
     greedy_chain,
     marginal_density,
     validate_chain,
 )
 from msop.errors import (
-    EmptyRemainder,
     MissingCertificate,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
@@ -197,7 +195,7 @@ def ref_exact_opt_permutation(instance: MsopInstance):
                 order.append(ground[i])
                 s = t
                 break
-    return Permutation(tuple(order)), best[0]
+    return tuple(order), best[0]
 
 
 def ref_exact_opt_chain(instance: MsopInstance):
@@ -240,7 +238,7 @@ def ref_exact_opt_chain(instance: MsopInstance):
 # run both and require identical answers, chains and densities.
 
 
-def ref_greedy_chain(instance: MsopInstance, density_solver, alpha=1) -> Chain:
+def ref_greedy_chain(instance: MsopInstance, density_solver) -> Chain:
     """Greedy loop that re-evaluates base and candidate at every step."""
     instance.validate()
     universe = instance.universe()
@@ -257,7 +255,7 @@ def ref_greedy_chain(instance: MsopInstance, density_solver, alpha=1) -> Chain:
         sets.append(step.candidate)
         densities.append(checked.marginal_density)
         current = step.candidate
-    return Chain(tuple(sets), tuple(densities), alpha)
+    return Chain(tuple(sets), tuple(densities))
 
 
 def _beats(cand, best) -> bool:
@@ -314,7 +312,7 @@ def ref_exact_max_density(instance: MsopInstance, base) -> DensityResult:
     if best is None:
         raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
     rho = INF if best[1] == 0 else Fraction(best[0], best[1])
-    return DensityResult(base, best_set, rho, 1)
+    return DensityResult(best_set, rho)
 
 
 def ref_coverage_weight(instance: MsscInstance, s) -> Fraction:
@@ -339,7 +337,7 @@ def ref_singleton_greedy_density(instance: MsscInstance, base) -> DensityResult:
         rho = Fraction(gain, instance.costs[v])
         if best is None or rho > best[0]:
             best = (rho, v)
-    return DensityResult(base, base | {best[1]}, best[0], 1)
+    return DensityResult(base | {best[1]}, best[0])
 
 
 def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
@@ -358,7 +356,7 @@ def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
     for v in range(best + 1, instance.n):
         if v not in base and gain[v] * costs[best] > gain[best] * costs[v]:
             best = v
-    return DensityResult(base, base | {best}, Fraction(gain[best], costs[best]), 1)
+    return DensityResult(base | {best}, Fraction(gain[best], costs[best]))
 
 
 def ref_or_initial_membership(dag: OrDag, s) -> bool:
@@ -421,7 +419,7 @@ def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
             nxt = res.succs[v]
             v = nxt[0] if nxt else None
     rho = INF if best[1] == 0 else Fraction(best[0], best[1])
-    return DensityResult(base, best_members, rho, 1)
+    return DensityResult(best_members, rho)
 
 
 def ref_best_ratio_subtree(res: OrDag, root, reach):
@@ -464,7 +462,7 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
         raise NotMultitree("residual graph has two paths between some pair of jobs")
     for v in res.sources:
         if res.time_map[v] == 0:
-            return DensityResult(base, base | {v}, INF, 1)
+            return DensityResult(base | {v}, INF)
     best = None
     best_set = None
     for start in res.sources:
@@ -476,7 +474,7 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
         if best is None or rho > best[0]:
             best = (rho, start)
             best_set = subtree
-    return DensityResult(base, base | best_set, best[0], 1)
+    return DensityResult(base | best_set, best[0])
 
 
 def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
@@ -572,7 +570,7 @@ def ref_compute_rp(formula: ReadOnceFormula, s):
 def ref_find_supp(formula: ReadOnceFormula, s) -> frozenset:
     s = frozenset(s)
     if s >= set(formula.variables):
-        raise EmptyRemainder("every test has already been taken")
+        raise NoFeasibleSuperset("every test has already been taken")
     tables = ref_compute_rp(formula, s)
     ones, zeros = ref_prob_tables(formula, s)
     baseline = {1: ones[formula.root], 0: zeros[formula.root]}
@@ -654,7 +652,7 @@ def ref_scaled_supplement(formula: ReadOnceFormula, s):
     determination probability of ``s``."""
     s = frozenset(s)
     if s >= set(formula.variables):
-        raise EmptyRemainder("every test has already been taken")
+        raise NoFeasibleSuperset("every test has already been taken")
     scaled = ref_scaled_tables(formula, s)
     root_tables = scaled[formula.root]
     best = {}
@@ -679,7 +677,7 @@ def ref_scaled_supplement_step(formula: ReadOnceFormula, instance: MsopInstance,
     chosen, spent, base_weight = ref_scaled_supplement(formula, base)
     candidate = frozenset(base) | chosen
     gain = instance.weight(candidate) - base_weight
-    return DensityResult(frozenset(base), candidate, Fraction(gain, spent), 2)
+    return DensityResult(candidate, Fraction(gain, spent))
 
 
 def find_supp(formula: ReadOnceFormula, base) -> frozenset:
@@ -690,12 +688,12 @@ def find_supp(formula: ReadOnceFormula, base) -> frozenset:
 
 
 def rof_greedy(formula: ReadOnceFormula):
-    """The supplement greedy chain (alpha 2), refined to an order by locally
+    """The supplement greedy chain (factor 2) refined to an order by locally
     best single-test density, and the order's expected cost."""
     instance = rof_to_msop(formula)
-    chain = greedy_chain(instance, supplement_solver(formula, instance), alpha=2)
-    permutation = densest_consistent_permutation(instance, chain)
-    return chain, permutation, evaluate_order_cost(formula, permutation)
+    chain = greedy_chain(instance, supplement_solver(formula, instance))
+    order = densest_consistent_permutation(instance, chain)
+    return order, evaluate_order_cost(formula, order)
 
 
 def ref_rof_instance(formula: ReadOnceFormula) -> MsopInstance:
@@ -707,7 +705,7 @@ def ref_supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
     def solve(base):
         candidate = base | ref_find_supp(formula, base)
         rho = marginal_density(instance, base, candidate).marginal_density
-        return DensityResult(base, candidate, rho, 2)
+        return DensityResult(candidate, rho)
 
     return solve
 
@@ -901,8 +899,6 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
 
     return HistogramReport(
         tuple(opt_columns),
-        tuple(greedy_columns),
-        alpha,
         contained,
         first_violation,
         opt_area,

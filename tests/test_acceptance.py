@@ -70,7 +70,7 @@ def generic_greedy_run():
     for i in range(_count(10_000)):
         n = 2 + i % 6
         inst = gen_generic_msop(n, SEEDS["generic"] + i)
-        chain = greedy_chain(inst, exact.exact_density_solver(inst), 1)
+        chain = greedy_chain(inst, exact.exact_density_solver(inst))
         greedy_cost = chain_cost(inst, chain)
         opt_chain, opt_cost = exact.exact_opt_chain(inst)
         report = histogram_containment_check(inst, chain, opt_chain, 1)
@@ -115,7 +115,7 @@ def test_criterion_03_set_cover_singleton_greedy():
         n = 2 + i % 7  # up to 8 elements
         cover = gen_instance("pipelined", n, SEEDS["mssc"] + i, edges=1 + i % 10)
         inst = mssc.to_msop(cover)
-        chain = greedy_chain(inst, mssc.singleton_solver(cover), 1)
+        chain = greedy_chain(inst, mssc.singleton_solver(cover))
         greedy_cost = chain_cost(inst, chain)
         _, opt_cost = exact.exact_opt_permutation(inst)
         assert greedy_cost <= 4 * opt_cost, f"seed {i}"
@@ -138,7 +138,7 @@ def _or_ratio_run(kind: str, solver_factory, count: int, seed0: int) -> tuple[in
         n = 2 + i % 7  # up to 8 jobs
         dag = gen_instance(kind, n, seed0 + i)
         inst = orsched.to_msop(dag)
-        chain = greedy_chain(inst, solver_factory(dag), 1)
+        chain = greedy_chain(inst, solver_factory(dag))
         greedy_cost = chain_cost(inst, chain)
         _, opt_cost = exact.exact_opt_permutation(inst)
         assert greedy_cost <= 4 * opt_cost, f"{kind} seed {i}"
@@ -203,7 +203,7 @@ def test_criterion_05_or_pipelined_cover():
         n = 2 + i % 7
         dag, edges = gen_or_pipelined(n, SEEDS["pipelined"] + i)
         inst = orsched.pipelined_to_msop(dag, edges)
-        chain = greedy_chain(inst, orsched.stem_solver(dag, inst.weight), 1)
+        chain = greedy_chain(inst, orsched.stem_solver(dag, inst.weight))
         greedy_cost = chain_cost(inst, chain)
         _, opt_cost = exact.exact_opt_permutation(inst)
         assert greedy_cost <= 4 * opt_cost, f"seed {i}"
@@ -298,7 +298,7 @@ def test_criterion_07_formula_order_within_eight():
     for i in range(total):
         n = 2 + i % 6  # up to 7 tests
         formula = gen_instance("rof", n, SEEDS["formula"] + i)
-        _, perm, cost = rof_greedy(formula)
+        perm, cost = rof_greedy(formula)
         _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula))
         assert cost <= 8 * opt_cost, f"seed {i}"
         worst = max(worst, Fraction(cost, opt_cost))
@@ -316,7 +316,7 @@ def test_criterion_07_formula_order_within_eight():
             {v: Fraction(rng.randint(1, 7), 8) for v in leaves},
             {v: rng.randint(1, 3) for v in leaves},
         )
-        _, perm, cost = rof_greedy(formula)
+        perm, cost = rof_greedy(formula)
         _, opt_cost = exact.exact_opt_permutation(rof.to_msop(formula))
         assert cost == opt_cost, f"pure-or seed {i}"
     _verdict(
@@ -342,7 +342,7 @@ def test_criterion_08_duality_identity_and_backward_greedy():
     for i in range(backward):
         n = 2 + i % 6
         inst = gen_supermodular_cost_msop(n, SEEDS["duality"] + i)
-        chain = backward_greedy_chain(inst, singleton_solver, 1)
+        chain = backward_greedy_chain(inst, singleton_solver)
         cost = chain_cost(inst, chain)
         _, opt_cost = exact.exact_opt_chain(inst)
         assert cost <= 4 * opt_cost, f"backward seed {i}"

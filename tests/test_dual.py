@@ -84,16 +84,16 @@ def test_cost_identity_under_duality():
 def test_backward_greedy_equals_dualized_forward():
     for seed in range(20):
         inst = gen_supermodular_cost_msop(2 + seed % 5, seed)
-        back = backward_greedy_chain(inst, singleton_solver, 1)
-        forward = greedy_chain(dualize(inst), singleton_solver(dualize(inst)), 1)
+        back = backward_greedy_chain(inst, singleton_solver)
+        forward = greedy_chain(dualize(inst), singleton_solver(dualize(inst)))
         assert back.sets == dual_chain(forward).sets
-        assert back.densities is not None and back.alpha == 1
+        assert back.densities is not None
 
 
 def test_backward_greedy_four_approximation_smoke():
     for seed in range(40):
         inst = gen_supermodular_cost_msop(2 + seed % 6, 100 + seed)
-        back = backward_greedy_chain(inst, singleton_solver, 1)
+        back = backward_greedy_chain(inst, singleton_solver)
         _, opt = exact.exact_opt_chain(inst)
         assert chain_cost(inst, back) <= 4 * opt
 
@@ -102,6 +102,6 @@ def test_backward_on_duality_symmetric_instance():
     # cost and weight both |S|: the instance equals its dual, so both
     # directions produce the same objective value
     inst = MsopInstance((0, 1, 2), lambda s: True, lambda s: len(s), lambda s: len(s))
-    back = backward_greedy_chain(inst, singleton_solver, 1)
-    forward = greedy_chain(inst, singleton_solver(inst), 1)
+    back = backward_greedy_chain(inst, singleton_solver)
+    forward = greedy_chain(inst, singleton_solver(inst))
     assert chain_cost(inst, back) == chain_cost(inst, forward)

@@ -45,14 +45,14 @@ def free_instance(n, cost, weight):
 def test_opt_permutation_single_element():
     inst = free_instance(1, modular([3]), modular([2]))
     perm, cost = exact.exact_opt_permutation(inst)
-    assert perm.order == (0,)
+    assert perm == (0,)
     assert cost == 6
 
 
 def test_opt_permutation_or_chain_example():
     dag = OrDag((0, 1), (1, 1), (0, 1), ((0, 1),))
     perm, cost = exact.exact_opt_permutation(ordag_to_msop(dag))
-    assert perm.order == (0, 1)
+    assert perm == (0, 1)
     assert cost == 2
 
 
@@ -61,7 +61,7 @@ def test_opt_permutation_mssc_example_starts_with_covering_element():
 
     inst = MsscInstance.unit(3, [frozenset({0, 1}), frozenset({1}), frozenset({2})])
     perm, cost = exact.exact_opt_permutation(mssc_to_msop(inst))
-    assert perm.order[0] == 1
+    assert perm[0] == 1
     assert cost == 4
 
 
@@ -78,14 +78,14 @@ def test_opt_permutation_matches_brute_force():
         # reported order achieves the reported cost and is feasible
         from helpers import eq2_cost, feasible_order
 
-        assert feasible_order(inst, perm.order)
-        assert eq2_cost(inst, perm.order) == cost
+        assert feasible_order(inst, perm)
+        assert eq2_cost(inst, perm) == cost
 
 
 def test_opt_permutation_lexicographic_tie_break():
     inst = free_instance(3, modular([1, 1, 1]), modular([1, 1, 1]))
     perm, _ = exact.exact_opt_permutation(inst)
-    assert perm.order == (0, 1, 2)  # every order ties; smallest wins
+    assert perm == (0, 1, 2)  # every order ties; smallest wins
 
 
 def test_opt_chain_matches_brute_force():
@@ -255,7 +255,7 @@ def test_base_outside_the_ground_set_is_not_in_the_family():
 
 def test_histogram_trivial_single_column():
     inst = free_instance(1, modular([2]), modular([3]))
-    chain = greedy_chain(inst, exact.exact_density_solver(inst), 1)
+    chain = greedy_chain(inst, exact.exact_density_solver(inst))
     report = histogram_containment_check(inst, chain, chain, 1)
     assert report.contained
     assert report.opt_area == report.greedy_area == chain_cost(inst, chain)
@@ -272,8 +272,8 @@ def test_histogram_rejects_a_chain_whose_weight_falls():
     # weight({0}) = 2 > weight({0, 1}) = 1; the merge needs both step
     # functions' columns in order of x
     inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
-    falling = Chain((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1), 1)
-    rising = Chain((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0), 1)
+    falling = Chain((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
+    rising = Chain((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
     with pytest.raises(NonMonotone, match="greedy chain"):
         histogram_containment_check(inst, falling, rising, 1)
     with pytest.raises(NonMonotone, match="optimal chain"):
@@ -283,7 +283,7 @@ def test_histogram_rejects_a_chain_whose_weight_falls():
 def test_histogram_area_identities_and_containment():
     for seed in range(60):
         inst = gen_generic_msop(2 + seed % 6, 7000 + seed)
-        chain = greedy_chain(inst, exact.exact_density_solver(inst), 1)
+        chain = greedy_chain(inst, exact.exact_density_solver(inst))
         opt, opt_cost = exact.exact_opt_chain(inst)
         report = histogram_containment_check(inst, chain, opt, 1)
         assert report.contained
@@ -295,8 +295,8 @@ def test_histogram_area_identities_and_containment():
 
 def test_histogram_corrupted_certificate_is_pinpointed():
     inst = free_instance(1, modular([1]), modular([1]))
-    chain = greedy_chain(inst, exact.exact_density_solver(inst), 1)
-    corrupt = Chain(chain.sets, tuple(Fraction(d, 4) for d in chain.densities), 1)
+    chain = greedy_chain(inst, exact.exact_density_solver(inst))
+    corrupt = Chain(chain.sets, tuple(Fraction(d, 4) for d in chain.densities))
     report = histogram_containment_check(inst, corrupt, chain, 1)
     assert not report.contained
     assert report.first_violation is not None

@@ -98,7 +98,7 @@ def test_greedy_pipeline_smoke():
     for seed in range(40):
         inst = gen_instance("pipelined", 2 + seed % 7, 700 + seed, edges=6)
         mi = to_msop(inst)
-        chain = greedy_chain(mi, singleton_solver(inst), 1)
+        chain = greedy_chain(mi, singleton_solver(inst))
         _, opt = exact.exact_opt_permutation(mi)
         assert chain_cost(mi, chain) <= 4 * opt
 

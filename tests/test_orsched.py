@@ -318,12 +318,12 @@ def test_greedy_ratio_smoke_all_shapes():
     for seed in range(30):
         dag = gen_instance("inforest", 2 + seed % 7, seed)
         inst = to_msop(dag)
-        chain = greedy_chain(inst, stem_solver(dag), 1)
+        chain = greedy_chain(inst, stem_solver(dag))
         _, opt = exact.exact_opt_permutation(inst)
         assert chain_cost(inst, chain) <= 4 * opt
     for seed in range(30):
         dag = gen_instance("multitree", 2 + seed % 7, seed)
         inst = to_msop(dag)
-        chain = greedy_chain(inst, outtree_solver(dag), 1)
+        chain = greedy_chain(inst, outtree_solver(dag))
         _, opt = exact.exact_opt_permutation(inst)
         assert chain_cost(inst, chain) <= 4 * opt
