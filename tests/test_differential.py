@@ -16,7 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from msop import INF, Chain, MsopInstance, cli, dual, exact, formats, greedy_chain, mssc, orsched, rof, xsearch
+from msop import (
+    INF, Chain, MsopInstance, cli, dual, exact, formats, greedy_chain, marginal_density, mssc,
+    orsched, rof, xsearch,
+)
 from msop.errors import (
     DisconnectedInput,
     MsopError,
@@ -576,6 +579,21 @@ def test_backward_exhaustive_step_matches_reference_chain(kind):
         forward = assert_same_exhaustive_chain(dual.dualize(inst))
         backward = dual.backward_greedy_chain(inst, exact.exact_density_solver)
         assert backward.sets == dual.dual_chain(forward).sets
+
+
+@pytest.mark.parametrize("kind, n, params", [
+    ("mssc", 12, {"edges": 24}), ("pipelined", 12, {"edges": 24}),
+    ("inforest", 11, {}), ("multitree", 11, {}), ("rof", 7, {}),
+])
+def test_backward_certificate_matches_pairwise_marginal_density(kind, n, params):
+    # the certificate, read off one walk of the primal chain, against
+    # marginal_density evaluated afresh on each pair of consecutive sets
+    for seed in (1, 2, 3):
+        inst = ADAPTERS[kind](gen_instance(kind, n, seed, **params))
+        chain = dual.backward_greedy_chain(inst, exact.exact_density_solver)
+        expected = [marginal_density(inst, a, b).marginal_density
+                    for a, b in zip(chain.sets, chain.sets[1:])]
+        assert [(type(d), d) for d in chain.densities] == [(type(d), d) for d in expected]
 
 
 def tie_counts(inst, base):

@@ -14,6 +14,7 @@ from msop import (
 )
 from msop import exact
 from msop.errors import (
+    InvalidChain,
     MissingCertificate,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
@@ -278,6 +279,40 @@ def test_histogram_rejects_a_chain_whose_weight_falls():
         histogram_containment_check(inst, falling, rising, 1)
     with pytest.raises(NonMonotone, match="optimal chain"):
         histogram_containment_check(inst, rising, falling, 1)
+
+
+def _two_elements(cost=modular([1, 1]), weight=modular([1, 1]), family=lambda s: True):
+    return MsopInstance((0, 1), family, cost, weight)
+
+
+ZERO_ONE = frozenset({0, 1})
+
+# (instance, a chain it rejects, a chain to pair it with, the error)
+BAD_CHAINS = {
+    "stops short": (
+        _two_elements(), Chain((frozenset(), frozenset({0}))),
+        Chain((frozenset(), ZERO_ONE)), InvalidChain),
+    "through an infeasible set": (
+        _two_elements(family=lambda s: s != {0}),
+        Chain((frozenset(), frozenset({0}), ZERO_ONE)),
+        Chain((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
+    "weight falls": (
+        _two_elements(weight=lambda s: 2 if s == {0} else min(len(s), 1)),
+        Chain((frozenset(), frozenset({0}), ZERO_ONE)),
+        Chain((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_CHAINS))
+def test_chain_cost_and_histogram_reject_the_same_chains(row):
+    inst, bad, good, error = BAD_CHAINS[row]
+    with_certificate = lambda chain: Chain(chain.sets, (1,) * chain.steps)  # noqa: E731
+    with pytest.raises(error):
+        chain_cost(inst, bad)
+    with pytest.raises(error):
+        histogram_containment_check(inst, with_certificate(bad), good, 1)
+    with pytest.raises(error):
+        histogram_containment_check(inst, with_certificate(good), bad, 1)
 
 
 def test_histogram_area_identities_and_containment():
