@@ -176,23 +176,36 @@ def validate_chain(instance: MsopInstance, chain: Chain) -> None:
             raise InvalidChain(f"set {sorted(s)} is not in the family")
 
 
-def chain_cost(instance: MsopInstance, chain: Chain) -> Rational:
-    """Exact objective value of a chain; raises on any invariant breach."""
+def chain_values(
+    instance: MsopInstance, chain: Chain
+) -> tuple[list[Rational], list[Rational]]:
+    """The cost and the weight of each chain set, each read once: the one
+    checked walk of a chain.  Raises on any invariant breach: a set outside
+    the family, an end short of the ground set, a nonzero value on the
+    empty set, or a value that falls."""
     validate_chain(instance, chain)
-    fs = [instance.cost(s) for s in chain.sets]
-    gs = [instance.weight(s) for s in chain.sets]
-    if fs[0] != 0 or gs[0] != 0:
+    costs = [instance.cost(s) for s in chain.sets]
+    weights = [instance.weight(s) for s in chain.sets]
+    if costs[0] != 0 or weights[0] != 0:
         raise InvalidChain("cost and weight must be zero on the empty set")
-    total: Rational = 0
-    for j in range(1, len(chain.sets)):
-        df = fs[j] - fs[j - 1]
-        dg = gs[j] - gs[j - 1]
-        if df < 0 or dg < 0:
+    for j in range(1, len(costs)):
+        if costs[j] < costs[j - 1] or weights[j] < weights[j - 1]:
             raise NonMonotone(
                 f"value decreased between {sorted(chain.sets[j - 1])} and {sorted(chain.sets[j])}"
             )
-        total += fs[j] * dg
-    return total
+    return costs, weights
+
+
+def chain_cost(instance: MsopInstance, chain: Chain) -> Rational:
+    """Exact objective value of a chain; raises on any invariant breach."""
+    costs, weights = chain_values(instance, chain)
+    return sum(f * (g - prev) for f, g, prev in zip(costs[1:], weights[1:], weights))
+
+
+def density(gain: Rational, spent: Rational) -> Density:
+    """The density gain/spent as an exact ``Fraction``, or the +inf
+    sentinel exactly when ``spent`` is 0."""
+    return INF if not spent else Fraction(gain, spent)
 
 
 def marginal_density(
@@ -209,7 +222,7 @@ def marginal_density(
     if not instance.in_family(base):
         raise NotInFamily(f"base {sorted(base)} is not in the family")
     _, _, dg, df = _step_from(instance, base, instance.cost(base), instance.weight(base), candidate)
-    return DensityResult(candidate, INF if df == 0 else Fraction(dg, df))
+    return DensityResult(candidate, density(dg, df))
 
 
 def _step_from(
@@ -239,11 +252,9 @@ def _step_from(
 def _is_density(claimed: Density, gain: Rational, spent: Rational) -> bool:
     """Whether ``claimed`` equals gain/spent (+inf when ``spent`` is 0);
     an int or ``Fraction`` claim is checked by cross-multiplication."""
-    if not spent:
-        return claimed == INF
     if type(claimed) is int or type(claimed) is Fraction:
-        return gain * claimed.denominator == claimed.numerator * spent
-    return claimed == Fraction(gain, spent)
+        return bool(spent) and gain * claimed.denominator == claimed.numerator * spent
+    return claimed == density(gain, spent)
 
 
 def compare_density(
@@ -294,10 +305,9 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
             instance, current, cost, weight, frozenset(step.candidate)
         )
         if not _is_density(step.marginal_density, dg, df):
-            rho = INF if df == 0 else Fraction(dg, df)
             raise ValidationError(
                 "density solver reported density "
-                f"{step.marginal_density} but the oracles give {rho}"
+                f"{step.marginal_density} but the oracles give {density(dg, df)}"
             )
         sets.append(step.candidate)
         densities.append(step.marginal_density)

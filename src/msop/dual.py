@@ -16,8 +16,9 @@ from .core import (
     DensitySolver,
     MsopInstance,
     Rational,
+    chain_values,
+    density,
     greedy_chain,
-    marginal_density,
 )
 from .lattice import complemented, supply
 
@@ -70,13 +71,12 @@ def backward_greedy_chain(instance: MsopInstance, solver_factory: SolverFactory)
     solver for it.  The returned chain's certificate stores, per step, the
     marginal density between the consecutive primal sets (the quantity the
     backward greedy condition bounds by the dual step's factor times the
-    minimum removal density).
+    minimum removal density), read off one checked walk of the primal chain.
     """
     dual_instance = dualize(instance)
     forward = greedy_chain(dual_instance, solver_factory(dual_instance))
     primal = dual_chain(forward)
-    densities = tuple(
-        marginal_density(instance, a, b).marginal_density
-        for a, b in zip(primal.sets, primal.sets[1:])
-    )
+    costs, weights = chain_values(instance, primal)
+    densities = tuple(density(g - prev_g, f - prev_f) for f, prev_f, g, prev_g
+                      in zip(costs[1:], costs, weights[1:], weights))
     return Chain(primal.sets, densities)

@@ -25,8 +25,9 @@ from .core import (
     INF,
     MsopInstance,
     Rational,
+    chain_values,
     compare_density,
-    validate_chain,
+    density,
 )
 from .errors import (
     MissingCertificate,
@@ -226,11 +227,7 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
         x = (x - 1) & comp
     if not best_mask:
         raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
-    rho: Density = (
-        INF
-        if not best_spent
-        else Fraction(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
-    )
+    rho = density(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
     return DensityResult(base.union(_members(ground, best_mask)), rho)
 
 
@@ -259,22 +256,21 @@ def exact_density_solver(instance: MsopInstance) -> DensitySolver:
     return solve
 
 
-Column = tuple[Rational, Rational, Density]  # (left, right, height) over the weight axis
+Column = tuple[Rational, Rational, Density]  # (left, right, height) over the doubled weight axis
 
 
 @dataclass(frozen=True)
 class HistogramReport:
     """Outcome of the shrunken-histogram containment check.
 
-    ``opt_columns`` has one column per step of the optimal chain (height =
-    cost of the step's set).  The greedy histogram has one per greedy step,
-    height (weight(V) - weight(S_{i-1})) / rho_i; the check shrinks it by 2
-    horizontally (flush right) and 2*alpha vertically and verifies it fits
-    under the optimal one.  Both raw areas equal the respective chain costs
-    exactly.
+    The optimal histogram has one column per step of the optimal chain,
+    height = cost of the step's set.  The greedy histogram has one per
+    greedy step, height (weight(V) - weight(S_{i-1})) / rho_i; the check
+    shrinks it by 2 horizontally (flush right) and 2*alpha vertically and
+    verifies it fits under the optimal one.  Both raw areas equal the
+    respective chain costs exactly.
     """
 
-    opt_columns: tuple[Column, ...]
     contained: bool
     first_violation: tuple[Rational, Density, Rational] | None
     opt_area: Rational
@@ -291,54 +287,39 @@ def histogram_containment_check(
         raise MissingCertificate("greedy chain carries no per-step density certificate")
     if alpha < 1:
         raise ValidationError("alpha must be at least 1")
-    validate_chain(instance, greedy)
-    validate_chain(instance, opt)
-    g_total = instance.weight(instance.universe())
+    greedy_weights = chain_values(instance, greedy)[1]
+    opt_costs, opt_weights = chain_values(instance, opt)
+    g_total = opt_weights[-1]
 
-    opt_columns: list[Column] = []
+    # one merge in doubled x, where a greedy edge x shrinks to g_total + x
+    # and an optimal one sits at 2x: the solid columns tile [g_total, 2 g_total]
+    # and [0, 2 g_total], so each overlap of positive width is one interval
+    # of the common refinement, met in order of x
+    solid_opt: list[Column] = []
     opt_area: Rational = 0
-    prev_w: Rational = 0
-    prev_h: Rational = 0
-    for s in opt.sets[1:]:
-        w = instance.weight(s)
-        h = instance.cost(s)
-        if h < prev_h or w < prev_w:
-            raise NonMonotone(f"optimal chain is not monotone at {sorted(s)}")
-        opt_columns.append((prev_w, w, h))
-        opt_area += h * (w - prev_w)
-        prev_w, prev_h = w, h
-
+    for left, right, height in zip(opt_weights, opt_weights[1:], opt_costs[1:]):
+        if left < right:
+            solid_opt.append((2 * left, 2 * right, height))
+            opt_area += height * (right - left)
     # a density, height or area is a float only for the ``INF`` sentinel
-    greedy_columns: list[Column] = []
+    shrunk: list[Column] = []
     greedy_area: Density = 0
-    prev_w = 0
-    for s, rho in zip(greedy.sets[1:], greedy.densities):
-        w = instance.weight(s)
-        if w < prev_w:
-            raise NonMonotone(f"greedy chain is not monotone at {sorted(s)}")
-        remaining = g_total - prev_w
+    for left, right, rho in zip(greedy_weights, greedy_weights[1:], greedy.densities):
+        if left == right:
+            continue
+        remaining = g_total - left
         if remaining == 0 or type(rho) is float:
             height: Density = 0
         elif rho == 0:
             height = INF  # only reachable through a corrupted certificate
         else:
             height = Fraction(remaining, rho)
-        greedy_columns.append((prev_w, w, height))
-        if type(height) is float and w > prev_w:
+        shrunk.append((g_total + left, g_total + right, height))
+        if type(height) is float:
             greedy_area = INF
         elif type(greedy_area) is not float:
-            greedy_area += height * (w - prev_w)
-        prev_w = w
-
-    # one merge in doubled x, where a greedy edge x shrinks to g_total + x
-    # and an optimal one sits at 2x: the solid columns tile [g_total, 2 g_total]
-    # and [0, 2 g_total], so each overlap of positive width is one interval
-    # of the common refinement, met in order of x
+            greedy_area += height * (right - left)
     two_alpha = 2 * alpha
-    shrunk = [(g_total + left, g_total + right, height)
-              for left, right, height in greedy_columns if left < right]
-    solid_opt = [(2 * left, 2 * right, height)
-                 for left, right, height in opt_columns if left < right]
     first_violation: tuple[Rational, Density, Rational] | None = None
     i = j = 0
     while first_violation is None and i < len(shrunk):
@@ -353,10 +334,4 @@ def histogram_containment_check(
         else:
             j += 1
 
-    return HistogramReport(
-        tuple(opt_columns),
-        first_violation is None,
-        first_violation,
-        opt_area,
-        greedy_area,
-    )
+    return HistogramReport(first_violation is None, first_violation, opt_area, greedy_area)

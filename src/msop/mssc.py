@@ -9,7 +9,6 @@ prefix cost up to its first covered element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import (
@@ -18,6 +17,8 @@ from .core import (
     MsopInstance,
     Rational,
     RunningOracle,
+    compare_density,
+    density,
 )
 from .errors import NoFeasibleSuperset, ValidationError
 from .lattice import coverage_column, free, modular, supply
@@ -182,8 +183,8 @@ class _Gains(RunningOracle):
         return self.best()
 
     def best(self) -> tuple[int, Rational, Rational]:
-        """The element of best gain per unit cost, with its gain and cost;
-        densities are compared by cross-multiplication."""
+        """The element of best gain per unit cost, with its gain and cost,
+        ties to the smallest id."""
         gain = self.gain
         best = None
         for c, group in self.groups:
@@ -194,7 +195,7 @@ class _Gains(RunningOracle):
             if best is None:
                 best = (v, g, c)
                 continue
-            order = g * best[2] - best[1] * c
+            order = compare_density(g, c, best[1], best[2])
             if order > 0 or (order == 0 and v < best[0]):
                 best = (v, g, c)
         assert best is not None
@@ -217,6 +218,6 @@ def singleton_solver(instance: MsscInstance) -> DensitySolver:
         if not base < full:
             raise NoFeasibleSuperset("base already contains every element")
         v, g, c = state(base)
-        return DensityResult(base | {v}, Fraction(g, c))
+        return DensityResult(base | {v}, density(g, c))
 
     return solve

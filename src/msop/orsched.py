@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
-    Density,
     DensityResult,
     DensitySolver,
     INF,
@@ -26,6 +24,7 @@ from .core import (
     Rational,
     RunningOracle,
     compare_density,
+    density,
 )
 from .errors import (
     CyclicInput,
@@ -400,8 +399,7 @@ def _densest_source_step(
             best = cand
     assert best is not None
     gain, spent, *_, start, below = best
-    rho: Density = INF if not spent else Fraction(gain, spent)
-    return DensityResult(base.union(below, (start,)), rho)
+    return DensityResult(base.union(below, (start,)), density(gain, spent))
 
 
 def _densest_stem(

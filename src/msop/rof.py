@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .core import DensityResult, MsopInstance, RunningOracle
+from .core import DensityResult, MsopInstance, RunningOracle, compare_density, density
 from .errors import NoFeasibleSuperset, ValidationError
 from .lattice import free, modular, supply
 
@@ -394,7 +394,7 @@ class _Supplements(_FormulaState):
         formula = self.formula
         root_tables = self.scaled[formula.root]
         # (gain, budget) per target; gains share the root's denominator, so
-        # densities gain / budget compare by cross-multiplication
+        # they compare as densities gain / budget
         best: dict[int, tuple[int, int]] = {}
         for outcome in (0, 1):
             root = root_tables[outcome]
@@ -403,10 +403,9 @@ class _Supplements(_FormulaState):
                 if t == 0:
                     continue
                 gain = root[t][0] - baseline
-                if outcome not in best or gain * best[outcome][1] > best[outcome][0] * t:
+                if outcome not in best or compare_density(gain, t, *best[outcome]) > 0:
                     best[outcome] = (gain, t)
-        (gain0, t0), (gain1, t1) = best[0], best[1]
-        outcome = 0 if gain0 * t1 > gain1 * t0 else 1
+        outcome = 0 if compare_density(*best[0], *best[1]) > 0 else 1
         spent = best[outcome][1]
         # budget 0: the probabilities that the set alone determines 0, 1
         determined = root_tables[0][0][0] + root_tables[1][0][0]
@@ -446,7 +445,7 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
         chosen, spent, base_weight = state(base)
         candidate = base | chosen
         gain = instance.weight(candidate) - base_weight
-        return DensityResult(candidate, Fraction(gain, spent))
+        return DensityResult(candidate, density(gain, spent))
 
     return solve
 

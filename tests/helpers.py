@@ -898,7 +898,6 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
             break
 
     return HistogramReport(
-        tuple(opt_columns),
         contained,
         first_violation,
         opt_area,

@@ -13,6 +13,7 @@ from msop import (
     marginal_density,
 )
 from msop import exact
+from msop.core import chain_values
 from msop.errors import (
     InvalidChain,
     MissingCertificate,
@@ -275,9 +276,9 @@ def test_histogram_rejects_a_chain_whose_weight_falls():
     inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
     falling = Chain((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
     rising = Chain((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
-    with pytest.raises(NonMonotone, match="greedy chain"):
+    with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
         histogram_containment_check(inst, falling, rising, 1)
-    with pytest.raises(NonMonotone, match="optimal chain"):
+    with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
         histogram_containment_check(inst, rising, falling, 1)
 
 
@@ -298,6 +299,15 @@ BAD_CHAINS = {
         Chain((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
     "weight falls": (
         _two_elements(weight=lambda s: 2 if s == {0} else min(len(s), 1)),
+        Chain((frozenset(), frozenset({0}), ZERO_ONE)),
+        Chain((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
+    # histogram_containment_check rejects the two below since it reads its
+    # chains through chain_values
+    "nonzero on the empty set": (
+        _two_elements(cost=lambda s: len(s) + 1), Chain((frozenset(), ZERO_ONE)),
+        Chain((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
+    "cost falls": (
+        _two_elements(cost=lambda s: 3 if s == {0} else len(s)),
         Chain((frozenset(), frozenset({0}), ZERO_ONE)),
         Chain((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
 }
@@ -324,7 +334,7 @@ def test_histogram_area_identities_and_containment():
         assert report.contained
         assert report.opt_area == opt_cost
         assert report.greedy_area == chain_cost(inst, chain)
-        heights = [h for _, _, h in report.opt_columns]
+        heights = chain_values(inst, opt)[0]
         assert heights == sorted(heights)
 
 
