@@ -93,6 +93,7 @@ def _parse_mssc(body) -> MsscInstance:
     costs: dict[int, Rational] = {}
     cost_lines: dict[int, int] = {}
     edges: list[tuple[Rational, frozenset[int]]] = []
+    edge_lines: list[int] = []
     for lineno, line in body:
         tokens = line.split()
         word = tokens[0]
@@ -116,6 +117,7 @@ def _parse_mssc(body) -> MsscInstance:
             weight = parse_rational(tokens[1], lineno)
             members = frozenset(_int(t, lineno) for t in tokens[2:])
             edges.append((weight, members))
+            edge_lines.append(lineno)
         else:
             raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
     if n is None:
@@ -123,32 +125,44 @@ def _parse_mssc(body) -> MsscInstance:
     for v, lineno in cost_lines.items():
         if not 0 <= v < n:
             raise ParseError(f"cost record references unknown element {v}", lineno)
+    known = frozenset(range(n))
+    for (_, members), lineno in zip(edges, edge_lines):
+        if not members <= known:
+            raise ParseError(f"hyperedge references unknown element {min(members - known)}", lineno)
     return MsscInstance(n, tuple(costs.get(v, 1) for v in range(n)), tuple(edges))
 
 
 def _parse_orsched(body) -> OrDag:
-    jobs: list[int] = []
+    job_lines: dict[int, int] = {}
     times: list[Rational] = []
     weights: list[Rational] = []
     arcs: list[tuple[int, int]] = []
+    arc_lines: list[int] = []
     for lineno, line in body:
         tokens = line.split()
         word = tokens[0]
         if word == "job":
             if len(tokens) != 4:
                 raise ParseError("job takes id, processing time and weight", lineno)
-            jobs.append(_int(tokens[1], lineno))
+            job = _int(tokens[1], lineno)
+            if job in job_lines:
+                raise ParseError("job ids must be distinct", lineno)
+            job_lines[job] = lineno
             times.append(parse_rational(tokens[2], lineno))
             weights.append(parse_rational(tokens[3], lineno))
         elif word == "arc":
             if len(tokens) != 3:
                 raise ParseError("arc takes two job ids", lineno)
             arcs.append((_int(tokens[1], lineno), _int(tokens[2], lineno)))
+            arc_lines.append(lineno)
         else:
             raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
-    if not jobs:
+    if not job_lines:
         raise ParseError("orsched file lists no jobs", 1)
-    return OrDag(tuple(jobs), tuple(times), tuple(weights), tuple(arcs))
+    for (i, j), lineno in zip(arcs, arc_lines):
+        if i not in job_lines or j not in job_lines:
+            raise ParseError(f"arc ({i}, {j}) references an unknown job", lineno)
+    return OrDag(tuple(job_lines), tuple(times), tuple(weights), tuple(arcs))
 
 
 def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int, int]]:
@@ -207,6 +221,8 @@ def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int,
             if not token.startswith("x") or not token[1:].isdigit():
                 error(f"expected a variable like x3, got {token!r}", at)
             node = Leaf(int(token[1:]))
+            if node.var in columns:
+                error("each variable may appear in exactly one leaf", at)
             columns[node.var] = offset + at + 1
         if not stack:
             break
@@ -258,9 +274,9 @@ def _parse_rof(body) -> ReadOnceFormula:
 
 def _parse_xsearch(body) -> SearchGraph:
     root = None
-    vertices: list[int] = []
     probs: dict[int, Rational] = {}
     edges: list[tuple[int, int, Rational]] = []
+    edge_lines: list[int] = []
     for lineno, line in body:
         tokens = line.split()
         word = tokens[0]
@@ -274,7 +290,8 @@ def _parse_xsearch(body) -> SearchGraph:
             if len(tokens) != 3:
                 raise ParseError("vertex takes an id and a probability", lineno)
             v = _int(tokens[1], lineno)
-            vertices.append(v)
+            if v in probs:
+                raise ParseError("vertex ids must be distinct", lineno)
             probs[v] = parse_rational(tokens[2], lineno)
         elif word == "edge":
             if len(tokens) != 4:
@@ -286,11 +303,15 @@ def _parse_xsearch(body) -> SearchGraph:
                     parse_rational(tokens[3], lineno),
                 )
             )
+            edge_lines.append(lineno)
         else:
             raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
     if root is None:
         raise ParseError("missing root record", 1)
-    return SearchGraph(tuple(vertices), root, tuple(edges), probs)
+    for (u, v, _), lineno in zip(edges, edge_lines):
+        if u not in probs or v not in probs:
+            raise ParseError(f"edge ({u}, {v}) references an unknown vertex", lineno)
+    return SearchGraph(tuple(probs), root, tuple(edges), probs)
 
 
 def _serialize_formula(root: Node) -> str:

@@ -47,7 +47,7 @@ def test_parse_mssc_header_and_body():
 
 def test_parse_rejects_out_of_range_edge():
     bad = MSSC_TEXT + "edge 1 3\n"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match=r"^hyperedge references unknown element 3 \(line 9\)$"):
         parse_instance_text(bad)
 
 
@@ -78,15 +78,27 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_instance_text("msop mssc v1\nelements 2\nwhatever 1\n")
     assert err.value.line == 3
-    for text, message in [
+    for text, message, line, column in [
         ("msop rof v1\nvar 1 1/2 1\nvar 7 1/2 1\nformula x1\n",
-         "variable 7 is not a leaf of the formula"),
+         "variable 7 is not a leaf of the formula", 3, None),
         ("msop mssc v1\nelements 2\ncost 5 1\nedge 1 0\n",
-         "cost record references unknown element 5"),
+         "cost record references unknown element 5", 3, None),
+        ("msop mssc v1\nelements 2\nedge 1 0 5\n",
+         "hyperedge references unknown element 5", 3, None),
+        ("msop orsched v1\njob 0 1 0\njob 1 1 1\narc 0 7\n",
+         "arc \\(0, 7\\) references an unknown job", 4, None),
+        ("msop xsearch v1\nroot 0\nvertex 0 1/2\nvertex 1 1/2\nedge 0 9 1\n",
+         "edge \\(0, 9\\) references an unknown vertex", 5, None),
+        ("msop orsched v1\njob 0 1 0\njob 0 1 1\n", "job ids must be distinct", 3, None),
+        ("msop xsearch v1\nroot 1\nvertex 1 1/2\nvertex 1 1/2\n",
+         "vertex ids must be distinct", 4, None),
+        ("msop rof v1\nvar 1 1/2 1\nformula (and x1 x1)\n",
+         "each variable may appear in exactly one leaf", 3, 17),
     ]:
-        with pytest.raises(ParseError, match=f"^{message} \\(line 3\\)$") as err:
+        where = f"line {line}" + ("" if column is None else f", column {column}")
+        with pytest.raises(ParseError, match=f"^{message} \\({where}\\)$") as err:
             parse_instance_text(text)
-        assert err.value.line == 3
+        assert (err.value.line, err.value.column) == (line, column)
     with pytest.raises(ParseError):
         parse_instance_text("not a header\n")
     with pytest.raises(ParseError):
