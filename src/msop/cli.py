@@ -20,9 +20,8 @@ from .core import (
     chain_cost,
     chain_to_permutation,
     greedy_chain,
-    permutation_to_chain,
 )
-from .errors import MsopError, NotInFamily, ParseError
+from .errors import MsopError, NotInFamily, ParseError, TooLarge
 from .formats import (
     KIND_OF_TYPE,
     Instance,
@@ -130,21 +129,23 @@ def _cmd_density(args) -> int:
 def _cmd_exact(args) -> int:
     chain_tools = Toolchain(parse_instance(args.file))
     instance = chain_tools.instance
-    _emit("kind", chain_tools.detail)
     if args.mode == "perm":
         permutation, cost = exact.exact_opt_permutation(instance)
-        _emit("permutation", ",".join(map(str, permutation)))
-        _emit("cost", format_rational(cost))
+        lines = [("permutation", ",".join(map(str, permutation))), ("cost", format_rational(cost))]
     elif args.mode == "chain":
         chain, cost = exact.exact_opt_chain(instance)
-        _emit("chain", _format_chain(chain))
-        _emit("cost", format_rational(cost))
+        lines = [("chain", _format_chain(chain)), ("cost", format_rational(cost))]
     else:
         base = _parse_base(args.base, instance)
         result = exact.exact_max_density(instance, base)
-        _emit("base", _format_set(base))
-        _emit("candidate", _format_set(result.candidate))
-        _emit("density", _format_density(result.marginal_density))
+        lines = [
+            ("base", _format_set(base)),
+            ("candidate", _format_set(result.candidate)),
+            ("density", _format_density(result.marginal_density)),
+        ]
+    _emit("kind", chain_tools.detail)
+    for key, value in lines:
+        _emit(key, value)
     return 0
 
 
@@ -153,50 +154,38 @@ def _cmd_check_ratio(args) -> int:
     chain_tools = Toolchain(parse_instance(args.file))
     instance = chain_tools.instance
     chain = chain_tools.greedy()
-    greedy_cost = chain_cost(instance, chain)
-    _emit("instance", args.file)
-    _emit("kind", chain_tools.detail)
-    _emit("n", instance.n)
-    _emit("greedy_cost", format_rational(greedy_cost))
-    _emit("bound", format_rational(chain_tools.bound))
-    _emit(
-        "certificate",
-        ",".join(_format_density(d) for d in chain.densities or ()),
-    )
     try:
-        opt_perm, opt_cost = exact.exact_opt_permutation(instance)
-    except MsopError as exc:
-        _emit("exact_cost", "skipped")
-        _emit("skip_reason", exc)
-        _emit("wall_time_s", f"{time.perf_counter() - started:.3f}")
-        return 0
-    violated = greedy_cost > chain_tools.bound * opt_cost
-    _emit("exact_cost", format_rational(opt_cost))
-    if opt_cost > 0:
-        _emit("ratio", format_rational(Fraction(greedy_cost, opt_cost)))
-    else:
-        _emit("ratio", "0" if greedy_cost == 0 else "inf")
-        violated = violated or greedy_cost > 0
-    report = exact.histogram_containment_check(
-        instance,
-        chain,
-        permutation_to_chain(instance, opt_perm),
-        chain_tools.alpha,
-    )
-    _emit("histogram_contained", "true" if report.contained else "false")
-    if report.first_violation is not None:
-        x, got, allowed = report.first_violation
-        _emit(
-            "histogram_violation",
-            f"x={format_rational(x)} height={_format_density(got)} "
-            f"limit={format_rational(allowed)}",
+        greedy_cost, opt_cost, report, violated = exact.check_ratio(
+            instance, chain, chain_tools.alpha
         )
-    _emit("wall_time_s", f"{time.perf_counter() - started:.3f}")
-    if violated or not report.contained:
-        _emit("verdict", "BOUND VIOLATED")
-        return 2
-    _emit("verdict", "ok")
-    return 0
+    except TooLarge as exc:
+        greedy_cost, violated = chain_cost(instance, chain), False
+        lines, verdict = [("exact_cost", "skipped"), ("skip_reason", exc)], []
+    else:
+        lines = [
+            ("exact_cost", format_rational(opt_cost)),
+            ("ratio", format_rational(Fraction(greedy_cost, opt_cost)) if opt_cost
+             else "inf" if greedy_cost else "0"),
+            ("histogram_contained", "true" if report.contained else "false"),
+        ]
+        if report.first_violation is not None:
+            x, got, allowed = report.first_violation
+            lines.append(("histogram_violation", f"x={format_rational(x)} height="
+                          f"{_format_density(got)} limit={format_rational(allowed)}"))
+        verdict = [("verdict", "BOUND VIOLATED" if violated else "ok")]
+    for key, value in [
+        ("instance", args.file),
+        ("kind", chain_tools.detail),
+        ("n", instance.n),
+        ("greedy_cost", format_rational(greedy_cost)),
+        ("bound", format_rational(chain_tools.bound)),
+        ("certificate", ",".join(_format_density(d) for d in chain.densities or ())),
+        *lines,
+        ("wall_time_s", f"{time.perf_counter() - started:.3f}"),
+        *verdict,
+    ]:
+        _emit(key, value)
+    return 2 if violated else 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -198,7 +198,11 @@ def chain_values(
 
 def chain_cost(instance: MsopInstance, chain: Chain) -> Rational:
     """Exact objective value of a chain; raises on any invariant breach."""
-    costs, weights = chain_values(instance, chain)
+    return values_cost(*chain_values(instance, chain))
+
+
+def values_cost(costs: Sequence[Rational], weights: Sequence[Rational]) -> Rational:
+    """The objective of a chain from the values ``chain_values`` read."""
     return sum(f * (g - prev) for f, g, prev in zip(costs[1:], weights[1:], weights))
 
 
@@ -299,19 +303,19 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     densities: list[Density] = []
     while current != universe:
         step = density_solver(current)
-        if step.candidate == current:
+        # frozen once, since the solver may hand out a set it changes later
+        candidate = frozenset(step.candidate)
+        if candidate == current:
             raise SolverStall(f"density solver returned its base {sorted(current)}")
-        cost, weight, dg, df = _step_from(
-            instance, current, cost, weight, frozenset(step.candidate)
-        )
+        cost, weight, dg, df = _step_from(instance, current, cost, weight, candidate)
         if not _is_density(step.marginal_density, dg, df):
             raise ValidationError(
                 "density solver reported density "
                 f"{step.marginal_density} but the oracles give {density(dg, df)}"
             )
-        sets.append(step.candidate)
+        sets.append(candidate)
         densities.append(step.marginal_density)
-        current = step.candidate
+        current = candidate
     return Chain(tuple(sets), tuple(densities))
 
 

@@ -1,4 +1,4 @@
-"""Exhaustive oracles for desk-scale instances, plus the histogram checker.
+"""Exhaustive oracles for desk-scale instances, and the bound's certification.
 
 The optimal-permutation and optimal-chain oracles run dynamic programs over
 the subset lattice: every feasible permutation is a path through feasible
@@ -16,6 +16,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from typing import Sequence
 
 from .core import (
     Chain,
@@ -28,6 +30,7 @@ from .core import (
     chain_values,
     compare_density,
     density,
+    values_cost,
 )
 from .errors import (
     MissingCertificate,
@@ -249,11 +252,7 @@ def exact_density_solver(instance: MsopInstance) -> DensitySolver:
     greedy run calls no oracle inside a step after that.  The cap is
     checked on every call, not when the solver is built.
     """
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        return exact_max_density(instance, base)
-
-    return solve
+    return lambda base: exact_max_density(instance, base)
 
 
 Column = tuple[Rational, Rational, Density]  # (left, right, height) over the doubled weight axis
@@ -278,17 +277,19 @@ class HistogramReport:
 
 
 def histogram_containment_check(
-    instance: MsopInstance,
-    greedy: Chain,
-    opt: Chain,
+    greedy_weights: Sequence[Rational],
+    certificate: Sequence[Density] | None,
+    opt_costs: Sequence[Rational],
+    opt_weights: Sequence[Rational],
     alpha: Rational,
 ) -> HistogramReport:
-    if greedy.densities is None:
+    """The check on the greedy chain's weights and certificate and the
+    optimal chain's costs and weights, as ``chain_values`` read them; both
+    chains end at the ground set, so their last weights agree."""
+    if certificate is None:
         raise MissingCertificate("greedy chain carries no per-step density certificate")
     if alpha < 1:
         raise ValidationError("alpha must be at least 1")
-    greedy_weights = chain_values(instance, greedy)[1]
-    opt_costs, opt_weights = chain_values(instance, opt)
     g_total = opt_weights[-1]
 
     # one merge in doubled x, where a greedy edge x shrinks to g_total + x
@@ -304,7 +305,7 @@ def histogram_containment_check(
     # a density, height or area is a float only for the ``INF`` sentinel
     shrunk: list[Column] = []
     greedy_area: Density = 0
-    for left, right, rho in zip(greedy_weights, greedy_weights[1:], greedy.densities):
+    for left, right, rho in zip(greedy_weights, greedy_weights[1:], certificate):
         if left == right:
             continue
         remaining = g_total - left
@@ -335,3 +336,19 @@ def histogram_containment_check(
             j += 1
 
     return HistogramReport(first_violation is None, first_violation, opt_area, greedy_area)
+
+
+def check_ratio(
+    instance: MsopInstance, chain: Chain, alpha: Rational
+) -> tuple[Rational, Rational, HistogramReport, bool]:
+    """Certify the 4*alpha bound as the paper's proof runs: (greedy cost,
+    optimum, histogram report, violated), violated when the greedy cost
+    exceeds 4*alpha times the optimum or the histogram is not contained.
+    ``TooLarge`` comes before any chain is read; each is read once."""
+    order, opt = exact_opt_permutation(instance)
+    costs, weights = chain_values(instance, chain)
+    prefixes = accumulate(order, lambda s, v: s | {v}, initial=frozenset())
+    opt_costs, opt_weights = chain_values(instance, Chain(tuple(prefixes)))
+    report = histogram_containment_check(weights, chain.densities, opt_costs, opt_weights, alpha)
+    greedy_cost = values_cost(costs, weights)
+    return greedy_cost, opt, report, greedy_cost > 4 * alpha * opt or not report.contained

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .core import Chain, MsopInstance, Rational
 from .errors import BadParams
+from .lattice import IntColumn, coverage_column, modular_column
 from .mssc import MsscInstance
 from .orsched import OrDag
 from .rof import Gate, Leaf, Node, ReadOnceFormula
@@ -185,10 +186,7 @@ def table_instance(
     """Instance over {0..n-1} whose oracles read precomputed mask tables."""
 
     def mask_of(s: frozenset[int]) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        return m
+        return sum(1 << v for v in s)
 
     return MsopInstance(
         tuple(range(n)),
@@ -200,19 +198,14 @@ def table_instance(
 
 
 def _union_closure(seeds: set[int]) -> frozenset[int]:
-    members = set(seeds)
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        for m in list(members):
-            u = m | x
-            if u not in members:
-                members.add(u)
-                queue.append(u)
+    # the unions of the nonempty subsets of the seeds taken so far
+    members: set[int] = set()
+    for x in seeds:
+        members |= {m | x for m in members} | {x}
     return frozenset(members)
 
 
-def _coverage_table(rng: random.Random, n: int, max_weight: int = 3) -> list[int]:
+def _coverage_table(rng: random.Random, n: int, max_weight: int = 3) -> IntColumn:
     full = (1 << n) - 1
     k = rng.randint(1, 2 * n)
     edges = []
@@ -220,17 +213,12 @@ def _coverage_table(rng: random.Random, n: int, max_weight: int = 3) -> list[int
         mask = rng.getrandbits(n) & full
         if mask == 0:
             mask = 1 << rng.randrange(n)
-        edges.append((mask, rng.randint(1, max_weight)))
-    return [sum(w for mask, w in edges if mask & s) for s in range(full + 1)]
+        edges.append((rng.randint(1, max_weight), mask))
+    return coverage_column(n, edges)[0]
 
 
-def _modular_table(rng: random.Random, n: int, lo: int, hi: int) -> list[int]:
-    per = [rng.randint(lo, hi) for _ in range(n)]
-    table = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        table[s] = table[s ^ low] + per[low.bit_length() - 1]
-    return table
+def _modular_table(rng: random.Random, n: int, lo: int, hi: int) -> IntColumn:
+    return modular_column([rng.randint(lo, hi) for _ in range(n)])[0]
 
 
 def _milestone_table(rng: random.Random, n: int, min_size: int = 1) -> list[int]:
@@ -259,7 +247,7 @@ def gen_generic_msop(n: int, seed: int) -> MsopInstance:
 
     f_style = rng.choice(("modular", "truncated", "coverage"))
     if f_style == "modular":
-        f_table: list[int] = _modular_table(rng, n, 0, 4)
+        f_table: Sequence[int] = _modular_table(rng, n, 0, 4)
     elif f_style == "truncated":
         raw = _modular_table(rng, n, 1, 5)
         per_max = max(raw[1 << i] for i in range(n))
@@ -270,7 +258,7 @@ def gen_generic_msop(n: int, seed: int) -> MsopInstance:
 
     g_style = rng.choice(("modular", "coverage", "milestones", "mixed"))
     if g_style == "modular":
-        g_table: list[int] = _modular_table(rng, n, 0, 4)
+        g_table: Sequence[int] = _modular_table(rng, n, 0, 4)
     elif g_style == "coverage":
         g_table = _coverage_table(rng, n)
     elif g_style == "milestones":

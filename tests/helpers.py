@@ -18,6 +18,7 @@ from msop.core import (
     DensityResult,
     INF,
     MsopInstance,
+    chain_values,
     densest_consistent_permutation,
     greedy_chain,
     marginal_density,
@@ -35,7 +36,7 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
-from msop.exact import HistogramReport
+from msop.exact import HistogramReport, histogram_containment_check
 from msop.generators import _rng
 from msop.rof import (
     Determination,
@@ -815,6 +816,15 @@ def _height_at(columns, x):
         if left < x < right:
             return height
     return 0
+
+
+def chain_histogram(instance: MsopInstance, greedy: Chain, opt: Chain, alpha) -> HistogramReport:
+    """``histogram_containment_check`` on two chains, each read once
+    through ``chain_values``, as ``exact.check_ratio`` reads them."""
+    greedy_weights = chain_values(instance, greedy)[1]
+    opt_costs, opt_weights = chain_values(instance, opt)
+    return histogram_containment_check(
+        greedy_weights, greedy.densities, opt_costs, opt_weights, alpha)
 
 
 def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: Chain, alpha):

@@ -22,7 +22,6 @@ from msop import (
     dual_chain,
     dualize,
     greedy_chain,
-    histogram_containment_check,
     marginal_density,
     permutation_to_chain,
     singleton_solver,
@@ -36,7 +35,14 @@ from msop.generators import (
     random_chain,
 )
 
-from helpers import find_supp, leaves_below, ref_or_initial_membership, rof_greedy, undominated
+from helpers import (
+    chain_histogram,
+    find_supp,
+    leaves_below,
+    ref_or_initial_membership,
+    rof_greedy,
+    undominated,
+)
 
 SCALE = float(os.environ.get("MSOP_TEST_SCALE", "1"))
 
@@ -73,7 +79,7 @@ def generic_greedy_run():
         chain = greedy_chain(inst, exact.exact_density_solver(inst))
         greedy_cost = chain_cost(inst, chain)
         opt_chain, opt_cost = exact.exact_opt_chain(inst)
-        report = histogram_containment_check(inst, chain, opt_chain, 1)
+        report = chain_histogram(inst, chain, opt_chain, 1)
         results.append((inst, greedy_cost, opt_cost, report))
     return results
 

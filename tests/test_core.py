@@ -162,6 +162,34 @@ def test_greedy_rejects_stalling_solver():
         greedy_chain(inst, stall)
 
 
+def test_greedy_freezes_each_candidate_once():
+    # a solver may answer with a fresh set, or refill one buffer that it
+    # hands out each step; the chain is the frozenset solver's either way
+    from msop.core import DensityResult
+
+    inst = gen_generic_msop(6, 10)
+    exhaustive = exact.exact_density_solver(inst)
+    buffer = set()
+
+    def fresh(base):
+        step = exhaustive(base)
+        return DensityResult(set(step.candidate), step.marginal_density)
+
+    def refill(base):
+        step = exhaustive(base)
+        buffer.clear()
+        buffer.update(step.candidate)
+        return DensityResult(buffer, step.marginal_density)
+
+    want = greedy_chain(inst, exhaustive)
+    assert want.steps > 1
+    for solver in (fresh, refill):
+        chain = greedy_chain(inst, solver)
+        assert chain == want and chain.densities == want.densities
+        assert all(type(s) is frozenset for s in chain.sets)
+        assert hash(chain) == hash(want)
+
+
 def test_permutation_to_chain_free_family():
     inst = free_instance(3, modular([1, 1, 1]), modular([1, 1, 1]))
     chain = permutation_to_chain(inst, (0, 1, 2))

@@ -30,6 +30,7 @@ from msop.orsched import OrDag, to_msop as ordag_to_msop
 
 from helpers import (
     brute_max_density,
+    chain_histogram,
     brute_opt_chain,
     brute_opt_permutation,
     ref_exact_max_density,
@@ -258,28 +259,34 @@ def test_base_outside_the_ground_set_is_not_in_the_family():
 def test_histogram_trivial_single_column():
     inst = free_instance(1, modular([2]), modular([3]))
     chain = greedy_chain(inst, exact.exact_density_solver(inst))
-    report = histogram_containment_check(inst, chain, chain, 1)
+    report = chain_histogram(inst, chain, chain, 1)
     assert report.contained
     assert report.opt_area == report.greedy_area == chain_cost(inst, chain)
 
 
 def test_histogram_requires_certificate():
-    inst = free_instance(1, modular([2]), modular([3]))
-    bare = Chain((frozenset(), frozenset({0})))
+    # the values of the chain {} < {0} with cost 2 and weight 3
     with pytest.raises(MissingCertificate):
-        histogram_containment_check(inst, bare, bare, 1)
+        histogram_containment_check([0, 3], None, [0, 2], [0, 3], 1)
+
+
+def test_histogram_rejects_alpha_below_one():
+    with pytest.raises(ValidationError, match="alpha must be at least 1"):
+        histogram_containment_check([0, 3], [Fraction(3, 2)], [0, 2], [0, 3], Fraction(1, 2))
 
 
 def test_histogram_rejects_a_chain_whose_weight_falls():
     # weight({0}) = 2 > weight({0, 1}) = 1; the merge needs both step
-    # functions' columns in order of x
+    # functions' columns in order of x, so check_ratio reads both chains
+    # through chain_values first: the greedy chain, or the optimal order
+    # 0, 1 that the permutation DP finds on these weights
     inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
     falling = Chain((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
     rising = Chain((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
-    with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
-        histogram_containment_check(inst, falling, rising, 1)
-    with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
-        histogram_containment_check(inst, rising, falling, 1)
+    assert exact.exact_opt_permutation(inst)[0] == (0, 1)
+    for greedy in (falling, rising):
+        with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
+            exact.check_ratio(inst, greedy, 1)
 
 
 def _two_elements(cost=modular([1, 1]), weight=modular([1, 1]), family=lambda s: True):
@@ -301,8 +308,8 @@ BAD_CHAINS = {
         _two_elements(weight=lambda s: 2 if s == {0} else min(len(s), 1)),
         Chain((frozenset(), frozenset({0}), ZERO_ONE)),
         Chain((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
-    # histogram_containment_check rejects the two below since it reads its
-    # chains through chain_values
+    # the two below are rejected since the certification reads its chains
+    # through chain_values
     "nonzero on the empty set": (
         _two_elements(cost=lambda s: len(s) + 1), Chain((frozenset(), ZERO_ONE)),
         Chain((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
@@ -319,9 +326,9 @@ def test_chain_cost_and_histogram_reject_the_same_chains(row):
     with pytest.raises(error):
         chain_cost(inst, bad)
     with pytest.raises(error):  # a greedy chain needs a certificate, of any values
-        histogram_containment_check(inst, Chain(bad.sets, (1,) * bad.steps), good, 1)
+        chain_histogram(inst, Chain(bad.sets, (1,) * bad.steps), good, 1)
     with pytest.raises(error):
-        histogram_containment_check(inst, Chain(good.sets, (1,) * good.steps), bad, 1)
+        chain_histogram(inst, Chain(good.sets, (1,) * good.steps), bad, 1)
 
 
 def test_histogram_area_identities_and_containment():
@@ -329,7 +336,7 @@ def test_histogram_area_identities_and_containment():
         inst = gen_generic_msop(2 + seed % 6, 7000 + seed)
         chain = greedy_chain(inst, exact.exact_density_solver(inst))
         opt, opt_cost = exact.exact_opt_chain(inst)
-        report = histogram_containment_check(inst, chain, opt, 1)
+        report = chain_histogram(inst, chain, opt, 1)
         assert report.contained
         assert report.opt_area == opt_cost
         assert report.greedy_area == chain_cost(inst, chain)
@@ -341,7 +348,7 @@ def test_histogram_corrupted_certificate_is_pinpointed():
     inst = free_instance(1, modular([1]), modular([1]))
     chain = greedy_chain(inst, exact.exact_density_solver(inst))
     corrupt = Chain(chain.sets, tuple(Fraction(d, 4) for d in chain.densities))
-    report = histogram_containment_check(inst, corrupt, chain, 1)
+    report = chain_histogram(inst, corrupt, chain, 1)
     assert not report.contained
     assert report.first_violation is not None
     x, got, allowed = report.first_violation

@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,64 @@ def test_cli_check_ratio_flags_violations_with_exit_two(tmp_path, capsys, monkey
     assert run(["check-ratio", str(path)]) == 2
     out = capsys.readouterr().out
     assert "verdict=BOUND VIOLATED" in out
+
+
+def test_cli_exact_prints_nothing_when_it_fails(tmp_path, capsys):
+    path = tmp_path / "big.msop"
+    run(["gen", "inforest", "--n", "12", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    for argv in (["exact", str(path)], ["exact", str(path), "--mode", "chain"],
+                 ["exact", str(path), "--mode", "density", "--base", "99"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), argv
+
+
+def test_cli_check_ratio_skips_only_above_the_caps(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f.msop"
+    run(["gen", "inforest", "--n", "4", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=x")
+    assert run(["check-ratio", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValidationError: bad MSOP_EXACT_CAPS entry: 'perm=x'\n"
+
+
+def test_cli_check_ratio_reads_each_chain_once(tmp_path, capsys, monkeypatch):
+    # after the greedy run, one checked walk of the greedy chain and one of
+    # the optimal chain: 5 sets each on this file, each set asked about
+    # once per oracle; the permutation DP reads the supplied lattice columns
+    path = tmp_path / "f.msop"
+    run(["gen", "inforest", "--n", "4", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    calls = Counter()
+
+    def counted(oracle, name):
+        def call(s):
+            calls[name] += 1
+            return oracle(s)
+
+        if hasattr(oracle, "lattice_column"):
+            call.lattice_column = oracle.lattice_column
+        return call
+
+    def adapter(dag, to_msop=orsched.to_msop):
+        instance = to_msop(dag)
+        return replace(instance, **{name: counted(getattr(instance, name), name)
+                                    for name in ("in_family", "cost", "weight")})
+
+    def greedy(*args, greedy_chain=cli.greedy_chain):
+        chain = greedy_chain(*args)
+        calls.clear()
+        return chain
+
+    monkeypatch.setattr(orsched, "to_msop", adapter)
+    monkeypatch.setattr(cli, "greedy_chain", greedy)
+    assert run(["check-ratio", str(path)]) == 0
+    assert "verdict=ok" in capsys.readouterr().out
+    assert calls == {"in_family": 10, "cost": 10, "weight": 10}
 
 
 def test_cli_missing_file_is_an_error_not_a_traceback(tmp_path, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from msop import INF, exact
 from msop.generators import KINDS
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ratio_sweep.py"
@@ -21,9 +22,23 @@ def ratio_sweep():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_sweep_certifies_every_kind(ratio_sweep, kind):
-    worst, _, contained, bound, _ = ratio_sweep.sweep(kind, 2, 1)
+    worst, _, contained, violated, bound, _ = ratio_sweep.sweep(kind, 2, 1)
     assert bound == (8 if kind == "rof" else 4)
-    assert contained and worst <= bound
+    assert contained and worst <= bound and not violated
+
+
+def test_sweep_flags_a_zero_optimum_under_a_positive_greedy_cost(
+        ratio_sweep, monkeypatch, capsys):
+    # check_ratio's verdict, as in `msop check-ratio`: the ratio is unbounded
+    real = exact.exact_opt_permutation
+    monkeypatch.setattr(exact, "exact_opt_permutation", lambda inst: (real(inst)[0], 0))
+    worst, seed, contained, violated, _, _ = ratio_sweep.sweep("mssc", 2, 1)
+    assert (worst, seed, violated) == (INF, 1, True)
+    monkeypatch.setattr(sys, "argv", ["ratio_sweep.py", "--kinds", "mssc", "--count", "2",
+                                      "--seed", "1"])
+    assert ratio_sweep.main() == 2
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:3] == ["mssc", "2", "inf"] and "VIOLATION" in row
 
 
 def test_unknown_kind_is_an_error_not_a_traceback(ratio_sweep, monkeypatch, capsys):
