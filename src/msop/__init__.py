@@ -20,7 +20,6 @@ from .core import (
     permutation_to_chain,
     singleton_solver,
     spot_check_hypotheses,
-    validate_chain,
 )
 from .dual import backward_greedy_chain, dual_chain, dualize
 from .exact import (
@@ -56,5 +55,4 @@ __all__ = [
     "permutation_to_chain",
     "singleton_solver",
     "spot_check_hypotheses",
-    "validate_chain",
 ]

@@ -35,6 +35,7 @@ from .lattice import Lattice, build_lattice
 
 Rational = int | Fraction
 Density = int | Fraction | float  # float solely for the +inf sentinel
+Values = tuple[tuple[Rational, ...], tuple[Rational, ...]]  # costs, weights
 INF = math.inf
 
 SetFn = Callable[[frozenset[int]], Rational]
@@ -132,11 +133,14 @@ class Chain:
     """Strictly increasing feasible sets from the empty set to the ground set.
 
     ``densities`` carries the greedy certificate, one achieved marginal
-    density per step; it does not take part in equality comparisons.
+    density per step; ``values``, each set's cost and weight as checked on
+    ``instance``.  None of the three takes part in equality comparisons.
     """
 
     sets: tuple[frozenset[int], ...]
     densities: tuple[Density, ...] | None = field(default=None, compare=False)
+    values: Values | None = field(default=None, compare=False, repr=False)
+    instance: MsopInstance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.sets) < 2:
@@ -168,24 +172,21 @@ class DensityResult:
     marginal_density: Density
 
 
-def validate_chain(instance: MsopInstance, chain: Chain) -> None:
+def chain_values(instance: MsopInstance, chain: Chain) -> Values:
+    """The cost and the weight of each chain set.  A chain whose values
+    were kept on this very ``instance`` hands them back; any other is read
+    in one checked walk, each set's cost and weight once, which raises on
+    any invariant breach: a set outside the family, an end short of the
+    ground set, a nonzero value on the empty set, or a value that falls."""
+    if chain.instance is instance and chain.values is not None:
+        return chain.values
     if chain.sets[-1] != instance.universe():
         raise InvalidChain("chain must end at the full ground set")
     for s in chain.sets:
         if not instance.in_family(s):
             raise InvalidChain(f"set {sorted(s)} is not in the family")
-
-
-def chain_values(
-    instance: MsopInstance, chain: Chain
-) -> tuple[list[Rational], list[Rational]]:
-    """The cost and the weight of each chain set, each read once: the one
-    checked walk of a chain.  Raises on any invariant breach: a set outside
-    the family, an end short of the ground set, a nonzero value on the
-    empty set, or a value that falls."""
-    validate_chain(instance, chain)
-    costs = [instance.cost(s) for s in chain.sets]
-    weights = [instance.weight(s) for s in chain.sets]
+    costs = tuple(map(instance.cost, chain.sets))
+    weights = tuple(map(instance.weight, chain.sets))
     if costs[0] != 0 or weights[0] != 0:
         raise InvalidChain("cost and weight must be zero on the empty set")
     for j in range(1, len(costs)):
@@ -255,10 +256,11 @@ def _step_from(
 
 def _is_density(claimed: Density, gain: Rational, spent: Rational) -> bool:
     """Whether ``claimed`` equals gain/spent (+inf when ``spent`` is 0);
-    an int or ``Fraction`` claim is checked by cross-multiplication."""
+    an int or ``Fraction`` claim is checked by cross-multiplication, and a
+    float claim holds only as the +inf sentinel."""
     if type(claimed) is int or type(claimed) is Fraction:
         return bool(spent) and gain * claimed.denominator == claimed.numerator * spent
-    return claimed == density(gain, spent)
+    return not spent and claimed == INF
 
 
 def compare_density(
@@ -288,17 +290,17 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
 
     The solver's answer is taken verbatim each step; its density is checked
     against the oracles' weight and cost gains and recorded as the chain's
-    certificate.  Cost-flat (+inf density) steps are expected to be offered
-    by the solver before any finite-density step and are taken immediately;
-    they never increase the objective.
+    certificate, and the chain keeps each set's cost and weight for
+    ``chain_values``.  Cost-flat (+inf density) steps are expected to be
+    offered by the solver before any finite-density step and are taken
+    immediately; they never increase the objective.
     """
     instance.validate()
     universe = instance.universe()
     current: frozenset[int] = frozenset()
     # each step's base is the previous candidate, already checked and
     # evaluated; validate() showed the empty set is feasible with value 0
-    cost: Rational = 0
-    weight: Rational = 0
+    costs, weights = [0], [0]
     sets = [current]
     densities: list[Density] = []
     while current != universe:
@@ -307,16 +309,18 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
         candidate = frozenset(step.candidate)
         if candidate == current:
             raise SolverStall(f"density solver returned its base {sorted(current)}")
-        cost, weight, dg, df = _step_from(instance, current, cost, weight, candidate)
+        cost, weight, dg, df = _step_from(instance, current, costs[-1], weights[-1], candidate)
         if not _is_density(step.marginal_density, dg, df):
             raise ValidationError(
                 "density solver reported density "
                 f"{step.marginal_density} but the oracles give {density(dg, df)}"
             )
         sets.append(candidate)
+        costs.append(cost)
+        weights.append(weight)
         densities.append(step.marginal_density)
         current = candidate
-    return Chain(tuple(sets), tuple(densities))
+    return Chain(tuple(sets), tuple(densities), (tuple(costs), tuple(weights)), instance)
 
 
 def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
@@ -338,12 +342,13 @@ def _extend_through(instance: MsopInstance, chain: Chain, pick) -> tuple[int, ..
     """Fill each chain increment one element at a time: ``pick(prefix,
     rest)`` gets the increment's rest in ascending order and returns a
     feasible next element, or ``None`` if there is none."""
-    validate_chain(instance, chain)
+    chain_values(instance, chain)
     order_out: list[int] = []
     current: frozenset[int] = frozenset()
     for target in chain.sets[1:]:
         while current != target:
-            nxt = pick(current, sorted(target - current))
+            rest = sorted(target - current)
+            nxt = rest[0] if len(rest) == 1 else pick(current, rest)  # completes a checked set
             if nxt is None:
                 raise NotWellFounded(
                     f"no feasible single-element extension of {sorted(current)} inside "

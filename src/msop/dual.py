@@ -71,7 +71,8 @@ def backward_greedy_chain(instance: MsopInstance, solver_factory: SolverFactory)
     solver for it.  The returned chain's certificate stores, per step, the
     marginal density between the consecutive primal sets (the quantity the
     backward greedy condition bounds by the dual step's factor times the
-    minimum removal density), read off one checked walk of the primal chain.
+    minimum removal density), read off one checked walk of the primal chain,
+    whose values the chain keeps.
     """
     dual_instance = dualize(instance)
     forward = greedy_chain(dual_instance, solver_factory(dual_instance))
@@ -79,4 +80,4 @@ def backward_greedy_chain(instance: MsopInstance, solver_factory: SolverFactory)
     costs, weights = chain_values(instance, primal)
     densities = tuple(density(g - prev_g, f - prev_f) for f, prev_f, g, prev_g
                       in zip(costs[1:], costs, weights[1:], weights))
-    return Chain(primal.sets, densities)
+    return Chain(primal.sets, densities, (costs, weights), instance)

@@ -276,8 +276,8 @@ def gen_supermodular_cost_msop(n: int, seed: int) -> MsopInstance:
     the shape on which the backward greedy is exact in polynomial time.
     The cost is not subadditive, so the forward bound's hypotheses hold
     only on the dual instance, where the backward greedy runs."""
-    if n < 1:
-        raise BadParams("n must be at least 1")
+    if n < 2:  # each milestone of the cost spans at least two elements
+        raise BadParams("n must be at least 2")
     rng = _rng("supercost", n, seed)
     full = (1 << n) - 1
     base = _modular_table(rng, n, 0, 3)

@@ -22,7 +22,6 @@ from msop.core import (
     densest_consistent_permutation,
     greedy_chain,
     marginal_density,
-    validate_chain,
 )
 from msop.errors import (
     MissingCertificate,
@@ -834,28 +833,19 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
         raise MissingCertificate("greedy chain carries no per-step density certificate")
     if alpha < 1:
         raise ValidationError("alpha must be at least 1")
-    validate_chain(instance, greedy)
-    validate_chain(instance, opt)
-    g_total = instance.weight(instance.universe())
+    greedy_weights = chain_values(instance, greedy)[1]
+    opt_costs, opt_weights = chain_values(instance, opt)
+    g_total = opt_weights[-1]
 
     opt_columns = []
     opt_area = 0
-    prev_w = 0
-    prev_h = 0
-    for s in opt.sets[1:]:
-        w = instance.weight(s)
-        h = instance.cost(s)
-        if h < prev_h or w < prev_w:
-            raise NonMonotone(f"optimal chain is not monotone at {sorted(s)}")
+    for prev_w, w, h in zip(opt_weights, opt_weights[1:], opt_costs[1:]):
         opt_columns.append((prev_w, w, h))
         opt_area += h * (w - prev_w)
-        prev_w, prev_h = w, h
 
     greedy_columns = []
     greedy_area = 0
-    prev_w = 0
-    for s, rho in zip(greedy.sets[1:], greedy.densities):
-        w = instance.weight(s)
+    for prev_w, w, rho in zip(greedy_weights, greedy_weights[1:], greedy.densities):
         remaining = g_total - prev_w
         if remaining == 0 or rho == INF:
             height = 0
@@ -868,7 +858,6 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
             greedy_area = INF
         elif greedy_area != INF:
             greedy_area += height * (w - prev_w)
-        prev_w = w
 
     two_alpha = 2 * alpha
     shrunk = []

@@ -11,6 +11,7 @@ from msop import (
     chain_cost,
     chain_to_permutation,
     densest_consistent_permutation,
+    dualize,
     greedy_chain,
     marginal_density,
     permutation_to_chain,
@@ -18,6 +19,8 @@ from msop import (
     spot_check_hypotheses,
 )
 from msop import exact
+from msop.cli import Toolchain
+from msop.core import chain_values
 from msop.errors import (
     InfeasibleInitialSet,
     InvalidChain,
@@ -28,7 +31,7 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
-from msop.generators import gen_generic_msop, gen_instance, random_chain
+from msop.generators import KINDS, gen_generic_msop, gen_instance, random_chain
 from msop.mssc import MsscInstance, covering_cost, singleton_solver as mssc_singleton, to_msop
 from msop.orsched import OrDag, schedule_cost, stem_solver, to_msop as ordag_to_msop
 
@@ -188,6 +191,60 @@ def test_greedy_freezes_each_candidate_once():
         assert chain == want and chain.densities == want.densities
         assert all(type(s) is frozenset for s in chain.sets)
         assert hash(chain) == hash(want)
+
+
+def test_greedy_rejects_a_float_claim_of_a_finite_density():
+    # 0.5 equals the step's gain/spent of 1/2, but a float stands only for
+    # the +inf sentinel of a cost-flat step
+    from msop.core import DensityResult
+
+    inst = free_instance(1, modular([2]), modular([1]))
+    with pytest.raises(ValidationError, match="reported density 0.5 but the oracles give 1/2"):
+        greedy_chain(inst, lambda base: DensityResult(frozenset({0}), 0.5))
+    chain = greedy_chain(inst, lambda base: DensityResult(frozenset({0}), Fraction(1, 2)))
+    assert chain.densities == (Fraction(1, 2),)
+    flat = free_instance(1, modular([0]), modular([1]))
+    assert greedy_chain(flat, lambda base: DensityResult(frozenset({0}), INF)).densities == (INF,)
+
+
+def _greedy_runs():
+    # every kind above the exhaustive permutation and chain caps (xsearch's
+    # 13 edges; the rest above the density cap too), a backward chain and
+    # a generic instance
+    runs = []
+    for kind in KINDS:
+        tools = Toolchain(gen_instance(kind, 10 if kind == "xsearch" else 24, 1))
+        runs.append((tools.instance, tools.greedy()))
+    tools = Toolchain(gen_instance("mssc", 12, 1))
+    runs.append((tools.instance, tools.greedy(backward=True)))
+    inst = gen_generic_msop(12, 3)
+    runs.append((inst, greedy_chain(inst, exact.exact_density_solver(inst))))
+    return runs
+
+
+def test_greedy_keeps_the_values_a_fresh_walk_reads():
+    for inst, chain in _greedy_runs():
+        assert chain.instance is inst and chain.steps > 1 and inst.n > 9
+        assert chain_values(inst, chain) is chain.values
+        assert chain_values(inst, Chain(chain.sets)) == chain.values
+
+
+def test_kept_values_answer_only_the_instance_that_read_them():
+    inst, chain = _greedy_runs()[0]  # mssc: every subset is feasible
+    asked = []
+
+    def counted(oracle):
+        def call(s):
+            asked.append(s)
+            return oracle(s)
+
+        return call
+
+    copy = replace(inst, cost=counted(inst.cost), weight=counted(inst.weight))
+    assert chain_values(copy, chain) == chain.values
+    assert len(asked) == 2 * len(chain.sets)
+    dual = dualize(inst)
+    assert chain_values(dual, chain) == chain_values(dual, Chain(chain.sets)) != chain.values
 
 
 def test_permutation_to_chain_free_family():

@@ -341,7 +341,7 @@ def test_histogram_area_identities_and_containment():
         assert report.opt_area == opt_cost
         assert report.greedy_area == chain_cost(inst, chain)
         heights = chain_values(inst, opt)[0]
-        assert heights == sorted(heights)
+        assert heights == tuple(sorted(heights))
 
 
 def test_histogram_corrupted_certificate_is_pinpointed():

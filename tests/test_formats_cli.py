@@ -296,18 +296,17 @@ def test_cli_check_ratio_skips_only_above_the_caps(tmp_path, capsys, monkeypatch
     assert captured.err == "error: ValidationError: bad MSOP_EXACT_CAPS entry: 'perm=x'\n"
 
 
-def test_cli_check_ratio_reads_each_chain_once(tmp_path, capsys, monkeypatch):
-    # after the greedy run, one checked walk of the greedy chain and one of
-    # the optimal chain: 5 sets each on this file, each set asked about
-    # once per oracle; the permutation DP reads the supplied lattice columns
-    path = tmp_path / "f.msop"
-    run(["gen", "inforest", "--n", "4", "--seed", "1", "--out", str(path)])
-    capsys.readouterr()
-    calls = Counter()
+def _oracle_calls_after_greedy(monkeypatch, backward=False):
+    """Record every set the adapter's oracles are asked about once the
+    greedy run (forward, or backward through the dual) has returned, and
+    the chains that run returned; the permutation DP reads the supplied
+    lattice columns, which the counting wrappers keep."""
+    asked = {name: [] for name in ("in_family", "cost", "weight")}
+    chains = []
 
     def counted(oracle, name):
         def call(s):
-            calls[name] += 1
+            asked[name].append(frozenset(s))
             return oracle(s)
 
         if hasattr(oracle, "lattice_column"):
@@ -317,18 +316,50 @@ def test_cli_check_ratio_reads_each_chain_once(tmp_path, capsys, monkeypatch):
     def adapter(dag, to_msop=orsched.to_msop):
         instance = to_msop(dag)
         return replace(instance, **{name: counted(getattr(instance, name), name)
-                                    for name in ("in_family", "cost", "weight")})
+                                    for name in asked})
 
-    def greedy(*args, greedy_chain=cli.greedy_chain):
-        chain = greedy_chain(*args)
-        calls.clear()
-        return chain
+    module, name = (dual, "backward_greedy_chain") if backward else (cli, "greedy_chain")
+
+    def greedy(*args, run_greedy=getattr(module, name)):
+        chains.append(run_greedy(*args))
+        for sets in asked.values():
+            sets.clear()
+        return chains[-1]
 
     monkeypatch.setattr(orsched, "to_msop", adapter)
-    monkeypatch.setattr(cli, "greedy_chain", greedy)
+    monkeypatch.setattr(module, name, greedy)
+    return asked, chains
+
+
+def test_cli_check_ratio_reads_each_chain_once(tmp_path, capsys, monkeypatch):
+    # the greedy run keeps its chain's values, so after it only the optimal
+    # chain is walked: 5 sets on this file, each asked about once per oracle
+    path = tmp_path / "f.msop"
+    run(["gen", "inforest", "--n", "4", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    asked, _ = _oracle_calls_after_greedy(monkeypatch)
     assert run(["check-ratio", str(path)]) == 0
     assert "verdict=ok" in capsys.readouterr().out
-    assert calls == {"in_family": 10, "cost": 10, "weight": 10}
+    assert {name: len(sets) for name, sets in asked.items()} == {
+        "in_family": 5, "cost": 5, "weight": 5}
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_cli_solve_asks_no_oracle_about_the_greedy_chain(tmp_path, capsys, monkeypatch, backward):
+    # chain_cost and the refinement take the chain's values and membership
+    # from the greedy run; the refinement asks only about the prefixes
+    # inside an increment of more than one element
+    path = tmp_path / "f.msop"
+    run(["gen", "inforest", "--n", "8", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    asked, chains = _oracle_calls_after_greedy(monkeypatch, backward)
+    assert run(["solve", str(path), *["--backward"] * backward]) == 0
+    assert "greedy_cost=" in capsys.readouterr().out
+    (chain,) = chains
+    assert asked["cost"] == asked["weight"] == []
+    assert not set(asked["in_family"]) & set(chain.sets)
+    assert any(len(b - a) > 1 for a, b in zip(chain.sets, chain.sets[1:]))
+    assert asked["in_family"]
 
 
 def test_cli_missing_file_is_an_error_not_a_traceback(tmp_path, capsys):

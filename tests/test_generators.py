@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msop import dualize, spot_check_hypotheses
+from msop.errors import BadParams
 from msop.formats import KIND_OF_TYPE
 from msop.generators import (
     KINDS,
@@ -93,6 +94,14 @@ def test_generic_instances_declare_honest_flags(seed):
 def test_supermodular_cost_instances_declare_honest_flags(seed):
     inst = gen_supermodular_cost_msop(2 + seed % 6, seed)
     spot_check_hypotheses(dualize(inst), random.Random(seed), rounds=40)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_supermodular_cost_needs_two_elements(n):
+    # each milestone of the cost spans two elements; n = 1 used to loop
+    # forever looking for a second one
+    with pytest.raises(BadParams, match="n must be at least 2"):
+        gen_supermodular_cost_msop(n, 0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
