@@ -28,7 +28,6 @@ from .core import (
     MsopInstance,
     Rational,
     chain_values,
-    compare_density,
     density,
     values_cost,
 )
@@ -203,35 +202,50 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
     if not feasible[base_mask]:
         raise NotInFamily(f"base {sorted(base)} is not in the family")
     # gains are compared on the scaled integers: both scales are common to
-    # every candidate, so they are left out and put back once in the density
+    # every candidate, so they are left out and put back once in the density.
+    # A candidate beats the incumbent when d > 0, d being the cross-multiplied
+    # difference of their densities (compare_density inlined); when a cost
+    # gain is zero, the +inf sentinel, the difference of the cost gains has
+    # d's sign.  The incumbent starts at density -1, which every candidate beats.
     f_base, g_base = f[base_mask], g[base_mask]
-    best_mask = 0
-    best_gain = best_spent = 0
-    comp = ((1 << len(ground)) - 1) & ~base_mask
-    x = comp
-    while x:
-        mask = base_mask | x
-        if feasible[mask]:
-            spent = f[mask] - f_base
-            gain = g[mask] - g_base
-            if spent < 0 or gain < 0:
-                candidate = base.union(_members(ground, x))
-                raise NonMonotone(
-                    f"value decreased between {sorted(base)} and {sorted(candidate)}"
-                )
-            if not best_mask:
-                order = 1
-            else:
-                order = compare_density(gain, spent, best_gain, best_spent)
-                if not order:
-                    order = _smaller_first(ground, x, best_mask)
-            if order > 0:
-                best_mask, best_gain, best_spent = x, gain, spent
-        x = (x - 1) & comp
+    best_mask, best_gain, best_spent = 0, -1, 1
+    full = (1 << len(ground)) - 1
+    if base_mask or f_base or g_base:
+        comp = full & ~base_mask
+        x = comp
+        while x:
+            mask = base_mask | x
+            if feasible[mask]:
+                spent = f[mask] - f_base
+                gain = g[mask] - g_base
+                if spent < 0 or gain < 0:
+                    raise _non_monotone(ground, base, x)
+                d = (gain * best_spent - best_gain * spent if spent and best_spent
+                     else best_spent - spent)
+                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:
+                    best_mask, best_gain, best_spent = x, gain, spent
+            x = (x - 1) & comp
+    else:
+        # the empty base with zero values: the same masks in the same order,
+        # each set's values being its gains, read in step off the columns
+        columns = zip(range(full, 0, -1), reversed(feasible), reversed(f), reversed(g))
+        for x, ok, spent, gain in columns:
+            if ok:
+                if spent < 0 or gain < 0:
+                    raise _non_monotone(ground, base, x)
+                d = (gain * best_spent - best_gain * spent if spent and best_spent
+                     else best_spent - spent)
+                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:
+                    best_mask, best_gain, best_spent = x, gain, spent
     if not best_mask:
         raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
     rho = density(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
     return DensityResult(base.union(_members(ground, best_mask)), rho)
+
+
+def _non_monotone(ground: tuple[int, ...], base: frozenset[int], x: int) -> NonMonotone:
+    candidate = base.union(_members(ground, x))
+    return NonMonotone(f"value decreased between {sorted(base)} and {sorted(candidate)}")
 
 
 def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:

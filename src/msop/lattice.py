@@ -144,10 +144,10 @@ def modular_column(values: Sequence) -> Scaled:
     """Column of S -> sum of ``values[i]`` over the bits i of S:
     ``col[m | 1 << i] = col[m] + values[i]`` for every m below 2^i."""
     ints, scale = _scaled(values)
-    col = int_column([0], sum(map(abs, ints)))
+    col = [0]
     for c in ints:
-        col.extend([x + c for x in col])
-    return col, scale
+        col += [x + c for x in col]
+    return int_column(col, sum(map(abs, ints))), scale
 
 
 def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:

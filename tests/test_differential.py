@@ -582,6 +582,22 @@ def test_backward_exhaustive_step_matches_reference_chain(kind):
         assert backward.sets == dual.dual_chain(forward).sets
 
 
+@pytest.mark.parametrize("kind, n", [("mssc", 13), ("pipelined", 13), ("rof", 8), ("xsearch", 13),
+                                     ("xsearch", 14)])
+def test_exhaustive_step_matches_reference_chain_above_the_benchmark_sizes(kind, n):
+    # one size above the solve-exhaustive workload's for each kind: the
+    # empty base's column walk and the submask walk over the other bases,
+    # forward on xsearch and on the duals behind solve --backward
+    if kind == "xsearch":
+        assert_same_exhaustive_chain(xsearch_instance(n, n - 9))
+        return
+    params = {"edges": 2 * n} if kind in ("mssc", "pipelined") else {}
+    inst = ADAPTERS[kind](gen_instance(kind, n, 5, **params))
+    forward = assert_same_exhaustive_chain(dual.dualize(inst))
+    backward = dual.backward_greedy_chain(inst, exact.exact_density_solver)
+    assert backward.sets == dual.dual_chain(forward).sets
+
+
 @pytest.mark.parametrize("kind, n, params", [
     ("mssc", 12, {"edges": 24}), ("pipelined", 12, {"edges": 24}),
     ("inforest", 11, {}), ("multitree", 11, {}), ("rof", 7, {}),
@@ -651,21 +667,35 @@ def test_exhaustive_solver_matches_reference_on_bases_out_of_order():
             assert (got.candidate, got.marginal_density) == (want.candidate, want.marginal_density)
 
 
-def test_exhaustive_step_names_the_same_non_monotone_pair():
+def weight_falling_on_2_without_6():
     inst = mssc.to_msop(gen_instance("mssc", 7, 3))
     drop = inst.weight(inst.universe()) + 1
     # weight falls on sets holding 2 but not 6, which the enumeration from
     # the full complement down reaches only after many others
-    bad = replace(inst, weight=lambda s: inst.weight(s) - drop * (2 in s and 6 not in s))
+    return replace(inst, weight=lambda s: inst.weight(s) - drop * (2 in s and 6 not in s))
+
+
+def assert_same_non_monotone_pair(bad, base):
     with pytest.raises(NonMonotone) as want:
-        ref_exact_max_density(bad, frozenset())
+        ref_exact_max_density(bad, base)
     assert str(sorted(bad.universe())) not in str(want.value)
     with pytest.raises(NonMonotone) as got:
-        exact.exact_max_density(bad, frozenset())
+        exact.exact_max_density(bad, base)
     assert str(got.value) == str(want.value)
     with pytest.raises(NonMonotone) as got:
-        exact.exact_density_solver(bad)(frozenset())
+        exact.exact_density_solver(bad)(base)
     assert str(got.value) == str(want.value)
+
+
+def test_exhaustive_step_names_the_same_non_monotone_pair():
+    assert_same_non_monotone_pair(weight_falling_on_2_without_6(), frozenset())
+
+
+def test_exhaustive_step_names_the_same_non_monotone_pair_above_a_base():
+    # a base holding neither 2 nor 6 walks its supersets by submasks, not
+    # the empty base's column order
+    bad = weight_falling_on_2_without_6()
+    assert_same_non_monotone_pair(bad, frozenset({0, 4}))
 
 
 def test_one_greedy_run_evaluates_each_subset_once():
