@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Run the mutant catalogue: planted faults and the tests that must catch them.
+
+Each entry of ``MUTANTS`` names a file, an exact text in it, the text that
+replaces it, and the pytest node id of a test that must fail once the
+replacement is made.  For each entry the script copies the checkout's
+``src/``, ``tests/``, ``conftest.py`` and ``pyproject.toml`` into a
+temporary directory, plants the mutant there (its old text must occur
+exactly once in the file), and runs the named test in a subprocess.
+
+One line per entry is printed: ``caught`` when the test fails, ``MISSED``
+when it passes, ``ERROR`` when the text does not occur exactly once or
+pytest ends otherwise (no test collected, an internal error).  The script
+exits 1 unless every mutant is caught.  Stdlib only, apart from pytest in
+the subprocess.
+
+    python scripts/mutants.py
+    python scripts/mutants.py --only residual
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "conftest.py", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout's root
+    old: str
+    new: str
+    test: str  # pytest node id
+
+
+DIFF = "tests/test_differential.py"
+MUTANTS = (
+    # OR-DAG steps: the lazy candidate heap of orsched._Residual
+    Mutant("residual-owners-not-dirty", "src/msop/orsched.py",
+           "                                del found[s]\n"
+           "                                dirty.add(s)\n",
+           "                                del found[s]\n",
+           f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
+    Mutant("residual-heap-kept-across-removal", "src/msop/orsched.py",
+           "        self.heap.clear()\n", "",
+           f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
+    Mutant("residual-tie-without-cand2", "src/msop/orsched.py",
+           "(self[2], self[-2]) < (other[2], other[-2])", "self[-2] < other[-2]",
+           f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
+    # best single element: the per-cost heaps of mssc._Gains
+    Mutant("gains-tie-to-larger-id", "src/msop/mssc.py",
+           "(order == 0 and v < best[0])", "(order == 0 and v > best[0])",
+           f"{DIFF}::test_singleton_step_matches_reference_chain[pipelined]"),
+    Mutant("gains-minus-one-top", "src/msop/mssc.py",
+           "                if now < 0:\n", "                if now < -1:\n",
+           f"{DIFF}::test_gains_heap_tops_are_each_cost_class_maximum_after_every_move"),
+    # the exhaustive step's two walks (exact.exact_max_density)
+    Mutant("exhaustive-submask-tie-to-later", "src/msop/exact.py",
+           "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "            x = (x - 1) & comp\n",
+           "                if d >= 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "            x = (x - 1) & comp\n",
+           f"{DIFF}::test_exhaustive_step_matches_reference_chain_through_ties"),
+    Mutant("exhaustive-empty-base-tie-to-later", "src/msop/exact.py",
+           "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "    if not best_mask:\n",
+           "                if d >= 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "    if not best_mask:\n",
+           f"{DIFF}::test_exhaustive_step_matches_reference_chain_above_the_benchmark_sizes"
+           "[xsearch-13]"),
+    Mutant("exhaustive-submask-no-monotone-check", "src/msop/exact.py",
+           "                gain = g[mask] - g_base\n"
+           "                if spent < 0 or gain < 0:\n"
+           "                    raise _non_monotone(ground, base, x)\n",
+           "                gain = g[mask] - g_base\n",
+           f"{DIFF}::test_exhaustive_step_names_the_same_non_monotone_pair_above_a_base"),
+    Mutant("exhaustive-empty-base-no-monotone-check", "src/msop/exact.py",
+           "            if ok:\n"
+           "                if spent < 0 or gain < 0:\n"
+           "                    raise _non_monotone(ground, base, x)\n",
+           "            if ok:\n",
+           f"{DIFF}::test_exhaustive_step_names_the_same_non_monotone_pair"),
+    Mutant("exhaustive-submask-inf-ties-to-incumbent", "src/msop/exact.py",
+           "                     else best_spent - spent)\n"
+           "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "            x = (x - 1) & comp\n",
+           "                     else best_spent - spent or -1)\n"
+           "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "            x = (x - 1) & comp\n",
+           f"{DIFF}::test_backward_exhaustive_step_matches_reference_chain[mssc]"),
+    Mutant("exhaustive-empty-base-inf-ties-to-incumbent", "src/msop/exact.py",
+           "                     else best_spent - spent)\n"
+           "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "    if not best_mask:\n",
+           "                     else best_spent - spent or -1)\n"
+           "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"
+           "                    best_mask, best_gain, best_spent = x, gain, spent\n"
+           "    if not best_mask:\n",
+           f"{DIFF}::test_backward_exhaustive_step_matches_reference_chain[mssc]"),
+    # the values a greedy run keeps (core.chain_values)
+    Mutant("kept-values-for-any-instance", "src/msop/core.py",
+           "    if chain.instance is instance and chain.values is not None:\n",
+           "    if chain.values is not None:\n",
+           "tests/test_core.py::test_kept_values_answer_only_the_instance_that_read_them"),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """``caught``, ``MISSED`` or ``ERROR: ...`` for one mutant."""
+    found = (ROOT / mutant.file).read_text().count(mutant.old)
+    if found != 1:
+        return f"ERROR: old text occurs {found} times in {mutant.file}"
+    with tempfile.TemporaryDirectory(prefix="msop-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+            else:
+                shutil.copy2(source, copy / name)
+        target = copy / mutant.file
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", mutant.test],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    if done.returncode == 1:
+        return "caught"
+    if done.returncode == 0:
+        return "MISSED"
+    tail = (done.stdout.strip().splitlines() or ["no output"])[-1]
+    return f"ERROR: pytest exited {done.returncode}: {tail}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", default="", help="run the entries whose name contains this")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if args.only in m.name]
+    if not chosen:
+        print(f"error: no mutant name contains {args.only!r}", file=sys.stderr)
+        return 1
+    failed = 0
+    for mutant in chosen:
+        verdict = run(mutant)
+        failed += verdict != "caught"
+        print(f"{verdict:8s} {mutant.name}  ({mutant.test})", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

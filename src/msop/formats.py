@@ -102,7 +102,7 @@ def _parse_mssc(body) -> MsscInstance:
                 raise ParseError("elements takes one count", lineno)
             if n is not None:
                 raise ParseError("only one elements record is allowed", lineno)
-            n = _int(tokens[1], lineno)
+            n, elements_line = _int(tokens[1], lineno), lineno
         elif word == "cost":
             if len(tokens) != 3:
                 raise ParseError("cost takes an element id and a value", lineno)
@@ -125,10 +125,16 @@ def _parse_mssc(body) -> MsscInstance:
     for v, lineno in cost_lines.items():
         if not 0 <= v < n:
             raise ParseError(f"cost record references unknown element {v}", lineno)
-    known = frozenset(range(n))
-    for (_, members), lineno in zip(edges, edge_lines):
-        if not members <= known:
-            raise ParseError(f"hyperedge references unknown element {min(members - known)}", lineno)
+    named = set(costs).union(*(members for _, members in edges))
+    if named and (min(named) < 0 or max(named) >= n):
+        for (_, members), lineno in zip(edges, edge_lines):
+            unknown = [v for v in members if not 0 <= v < n]
+            if unknown:
+                raise ParseError(f"hyperedge references unknown element {min(unknown)}", lineno)
+    # so the element count is bounded by the file's size, not by its value
+    if len(named) < n:
+        unnamed = next(v for v in range(n) if v not in named)
+        raise ParseError(f"element {unnamed} is named by no cost or edge record", elements_line)
     return MsscInstance(n, tuple(costs.get(v, 1) for v in range(n)), tuple(edges))
 
 

@@ -9,6 +9,7 @@ prefix cost up to its first covered element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
 from .core import (
@@ -136,7 +137,14 @@ class _Gains(RunningOracle):
     uncovered hyperedges through each element outside the base, -1 for a
     base member, and a count per hyperedge of its members in the base, as
     in ``CoverageWeight``, built on the first call.  A call returns
-    ``best()``."""
+    ``best()``.
+
+    Each distinct cost keeps a heap of (-gain, element) entries, so its
+    top is its first maximum gain by ascending id once the top is valid.
+    An entry may overstate its element's gain but never understates it:
+    gains only fall as the base grows, and a removal pushes a fresh entry
+    for each element whose gain it raises.  So ``best`` needs to refresh
+    only the tops, as in the lazy greedy for submodular coverage."""
 
     def __init__(self, instance: MsscInstance):
         super().__init__()
@@ -152,21 +160,28 @@ class _Gains(RunningOracle):
                 for v in members:
                     self.incident[v].append(e)
                     self.initial[v] += w
-            # elements by cost, ascending ids: a group's best is its first maximum gain
+            costs = self.instance.costs
             groups: dict[Rational, list[int]] = {}
-            for v, c in enumerate(self.instance.costs):
+            for v, c in enumerate(costs):
                 groups.setdefault(c, []).append(v)
-            self.groups = list(groups.items())
-        self.gain = self.initial.copy()
+            self.class_costs, self.classes = list(groups), list(groups.values())
+            index = {c: k for k, c in enumerate(groups)}
+            self.group = [index[c] for c in costs]  # each element's cost class
+        self.gain = gain = self.initial.copy()
         self.count = [0] * len(self.edges)
+        self.heaps = [[(-gain[v], v) for v in members] for members in self.classes]
+        for heap in self.heaps:
+            heapify(heap)
 
     def move(self, added, removed) -> tuple[int, Rational, Rational]:
         gain, count, edges, incident = self.gain, self.count, self.edges, self.incident
+        raised: set[int] = set(removed)
         for v in removed:
             for e in incident[v]:
                 count[e] -= 1
                 if not count[e]:
                     w, members = edges[e]
+                    raised.update(members)
                     for u in members:
                         gain[u] += w
         for v in added:
@@ -180,18 +195,31 @@ class _Gains(RunningOracle):
             gain[v] = -1
         for v in removed:  # the weight of its hyperedges left uncovered
             gain[v] = sum(edges[e][0] for e in incident[v] if not count[e])
+        heaps, group = self.heaps, self.group
+        for u in raised:
+            heappush(heaps[group[u]], (-gain[u], u))
         return self.best()
 
     def best(self) -> tuple[int, Rational, Rational]:
         """The element of best gain per unit cost, with its gain and cost,
-        ties to the smallest id."""
+        ties to the smallest id.  Each heap's top is made valid first: an
+        entry of a base member is dropped, and one that overstates its
+        element's gain is replaced by the element's current entry."""
         gain = self.gain
         best = None
-        for c, group in self.groups:
-            v = max(group, key=gain.__getitem__)
-            g = gain[v]
-            if g < 0:  # the whole group is in the base
+        for c, heap in zip(self.class_costs, self.heaps):
+            while heap:
+                g, v = heap[0]
+                now = gain[v]
+                if now < 0:
+                    heappop(heap)
+                elif now != -g:
+                    heapreplace(heap, (-now, v))
+                else:
+                    break
+            if not heap:  # the whole group is in the base
                 continue
+            g = -g
             if best is None:
                 best = (v, g, c)
                 continue
@@ -207,9 +235,10 @@ def singleton_solver(instance: MsscInstance) -> DensitySolver:
     weight per unit cost, ties to the smallest id.  Exact for the maximum
     density here (modular cost, submodular weight, free family), so greedy
     chains built from it are 1-greedy.  The solver keeps the gains of its
-    last base (``_Gains``), so a greedy step costs O(n) plus the sizes of
-    the hyperedges it covers, and a removed element the sizes of the
-    hyperedges it uncovers."""
+    last base and a heap per distinct cost (``_Gains``), so a greedy step
+    costs the size of the hyperedges it covers plus O(cost classes + log n
+    per refreshed heap top), and a removed element O(log n) per member of
+    the hyperedges it uncovers."""
     state = _Gains(instance)
     full = frozenset(range(instance.n))
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .core import (
     DensityResult,
     DensitySolver,
-    INF,
     MsopInstance,
     Rational,
     RunningOracle,
@@ -233,6 +233,19 @@ class OrInitialMembership(RunningOracle):
         return not stranded
 
 
+class _Ranked(tuple):
+    """A kept candidate, ordered as by the exact key (-density, ``cand[2]``,
+    start): the denser first, by ``compare_density`` (the cost-flat +inf
+    sentinel before every finite density), then the smaller ``cand[2]``,
+    then the smaller start ``cand[-2]``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "_Ranked") -> bool:
+        order = compare_density(self[0], self[1], other[0], other[1])
+        return order > 0 or (order == 0 and (self[2], self[-2]) < (other[2], other[-2]))
+
+
 class _Residual(OrInitialMembership):
     """The residual DAG of the last set, read off the original DAG, with the
     best candidate of each residual source; a call returns whether the set
@@ -245,46 +258,85 @@ class _Residual(OrInitialMembership):
     residual successors are its successors outside ``closed``; they are
     filtered only for the jobs a step visits, so no ``OrDag`` is built.
 
-    ``found`` maps a source to the candidate a step computed for it, whose
-    last field holds the candidate's jobs other than the source.  Jobs only
-    ever leave a superset's residual, and its successor structure below the
-    jobs that stay is unchanged, so a source's candidates shrink to a
-    subfamily; the best one stays best, with the same tie-breaks, while
-    none of those jobs is closed (``cached``).  A removal empties
-    ``found``.
+    ``found`` maps a source to the candidate a step kept for it, whose last
+    fields hold the source and the candidate's other jobs; ``heap`` orders
+    the kept candidates, and ``owners`` maps each job to the candidates
+    that hold it (``keep``).  Jobs only ever leave a superset's residual,
+    and its successor structure below the jobs that stay is unchanged, so
+    a source's candidates shrink to a subfamily; the best one stays best,
+    with the same tie-breaks, while none of those jobs is closed.  So a
+    move drops from ``found`` the candidates that hold a job it closes, and
+    the candidate of each source that joins the set, and marks ``dirty``
+    the sources a step must compute: the owners it dropped and the new
+    sources.  A heap or owner entry that is no longer in ``found`` is
+    stale, and is dropped when it is met.  A removal empties ``found``,
+    ``owners`` and ``heap`` and marks every source dirty (``clear``).
     """
 
     def reset(self) -> None:
         super().reset()
         self.closed: set[int] = set()
         self.sources = set(self.dag.sources)
-        self.found: dict[int, tuple] = {}
+        self.found: dict[int, _Ranked] = {}
+        self.owners: dict[int, list[_Ranked]] = {}
+        self.heap: list[_Ranked] = []
+        self.dirty = set(self.sources)
 
     def move(self, added, removed) -> bool:
         initial = super().move(added, removed)
-        if removed:
-            self.found.clear()
         preds, succs, inside, members = self.dag.preds, self.dag.succs, self.inside, self.members
-        closed, sources = self.closed, self.sources
+        closed, sources, found, owners, dirty = (
+            self.closed, self.sources, self.found, self.owners, self.dirty)
         for v in (*added, *removed):
             for j in (v, *succs[v]):
                 if j in members or inside[j]:
-                    closed.add(j)
+                    if j not in closed:
+                        closed.add(j)
+                        for cand in owners.pop(j, ()):
+                            s = cand[-2]
+                            if found.get(s) is cand:
+                                del found[s]
+                                dirty.add(s)
                 else:
                     closed.discard(j)
                 if j not in members and (inside[j] or not preds[j]):
-                    sources.add(j)
-                else:
-                    sources.discard(j)
+                    if j not in sources:
+                        sources.add(j)
+                        dirty.add(j)
+                elif j in sources:
+                    sources.remove(j)
+                    found.pop(j, None)
+        if removed:
+            self.clear()
         return initial
 
-    def cached(self, source: int) -> tuple | None:
-        """``source``'s candidate from an earlier step, unless a job of it
-        has been added or freed since (a freed source is closed itself)."""
-        entry = self.found.get(source)
-        if entry is None or not self.closed.isdisjoint(entry[-1]):
-            return None
-        return entry
+    def clear(self) -> None:
+        """Forget every kept candidate: each source is computed again."""
+        self.found.clear()
+        self.owners.clear()
+        self.heap.clear()
+        self.dirty = set(self.sources)
+
+    def keep(self, cand: tuple) -> None:
+        """Keep ``cand`` as its start's candidate, in heap order."""
+        cand = _Ranked(cand)
+        self.found[cand[-2]] = cand
+        owners = self.owners
+        for j in cand[-1]:
+            held = owners.get(j)
+            if held is None:
+                owners[j] = [cand]
+            else:
+                held.append(cand)
+        heappush(self.heap, cand)
+
+    def best(self) -> tuple:
+        """The kept candidate first in heap order, after dropping the stale
+        tops."""
+        heap, found = self.heap, self.found
+        while found.get(heap[0][-2]) is not heap[0]:
+            heappop(heap)
+        return heap[0]
 
     def successor(self, v: int) -> int | None:
         """The first residual successor of ``v``, the only one in an inforest."""
@@ -381,24 +433,21 @@ def _densest_source_step(
     """The best candidate of the residual sources as a step from ``base``.
 
     A candidate is (weight gain, time, *tie-break, start, jobs after
-    start); the denser wins, then the smaller tie-break ``cand[2:-1]``.
-    The scan meets the sources in ascending order, so of that tie-break
-    only ``cand[2]`` can decide: a later start never wins a tie.
-    ``candidate(start)`` computes a source's, and with ``keep`` it is kept
-    in ``state.found`` for later steps."""
-    best = None
+    start); the denser wins, then the smaller tie-break, then the smaller
+    start.  Since a start's tie-break begins with ``cand[2]`` and ends
+    with the start, that is the heap order of ``_Residual.keep``.
+    ``candidate(start)`` computes a source's; only the dirty sources are
+    computed, in ascending order, and kept for later steps.  Without
+    ``keep`` every source is computed again at every step."""
+    if not keep:
+        state.clear()
+    sources = state.sources
     # sorted also so that a non-monotone oracle is reported at the same source
-    for start in sorted(state.sources):
-        cand = state.cached(start)
-        if cand is None:
-            cand = candidate(start)
-            if keep:
-                state.found[start] = cand
-        order = 1 if best is None else compare_density(cand[0], cand[1], best[0], best[1])
-        if order > 0 or (order == 0 and cand[2] < best[2]):
-            best = cand
-    assert best is not None
-    gain, spent, *_, start, below = best
+    for start in sorted(state.dirty):
+        if start in sources:
+            state.keep(candidate(start))
+    state.dirty.clear()
+    gain, spent, *_, start, below = state.best()
     return DensityResult(base.union(below, (start,)), density(gain, spent))
 
 
@@ -414,17 +463,18 @@ def _densest_stem(
     )
 
 
+def _best_subtree(state: _Residual, start: int) -> tuple:
+    """The best-ratio rooted subtree of ``start``'s residual successor
+    outtree as a candidate; a zero-time ``start`` alone, a cost-flat step."""
+    dag = state.dag
+    if not dag.time_map[start]:
+        return dag.weight_map[start], 0, start, ()
+    subtree, w_sum, t_sum = _best_ratio_subtree(dag, start, state.successor_tree(start))
+    return w_sum, t_sum, start, subtree - {start}
+
+
 def _densest_outtree_step(state: _Residual, base: frozenset[int]) -> DensityResult:
-    time = state.dag.time_map
-    zero = [v for v in state.sources if time[v] == 0]
-    if zero:
-        return DensityResult(base | {min(zero)}, INF)
-
-    def best_subtree(start: int) -> tuple:
-        subtree, w_sum, t_sum = _best_ratio_subtree(state.dag, start, state.successor_tree(start))
-        return w_sum, t_sum, start, subtree - {start}
-
-    return _densest_source_step(state, base, best_subtree)
+    return _densest_source_step(state, base, lambda start: _best_subtree(state, start))
 
 
 def _residual_solver(
@@ -518,7 +568,7 @@ def outtree_solver(dag: OrDag) -> DensitySolver:
 
     For each residual source the candidate is the best-ratio rooted subtree
     of its successor outtree; the best source wins, smaller id on ties.
-    A zero-time source is a cost-flat step and returned alone immediately.
+    A zero-time source is a cost-flat step alone, so it comes first.
     Residuals of a multitree are multitrees too, so the shape is checked
     once; the solver keeps the residual of its last base and each residual
     source's best subtree (``_Residual``).  The parametric DP returns the

@@ -20,6 +20,7 @@ from msop import (
     INF, Chain, MsopInstance, cli, dual, exact, formats, greedy_chain, marginal_density, mssc,
     orsched, rof, xsearch,
 )
+from msop.core import compare_density
 from msop.errors import (
     DisconnectedInput,
     MsopError,
@@ -29,6 +30,7 @@ from msop.errors import (
 )
 from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined, random_chain
 from msop.lattice import free, modular
+from msop.mssc import MsscInstance
 from msop.orsched import OrDag
 
 from helpers import (
@@ -313,16 +315,18 @@ def test_residual_forgets_candidates_through_added_or_freed_jobs():
                 ((0, 1), (1, 2), (2, 4), (3, 2)))
     state = orsched._Residual(dag)
     state(frozenset())
-    state.found[0] = orsched._best_prefix(state, 0, None, frozenset(), None)
-    assert state.cached(0)[-1] == [1, 2, 4]
+    state.keep(orsched._best_prefix(state, 0, None, frozenset(), None))
+    state.dirty.clear()
+    cand = state.found[0]
+    assert cand[-1] == [1, 2, 4] and state.owners == {j: [cand] for j in (1, 2, 4)}
     state(frozenset())
-    assert state.cached(0) is not None
+    assert 0 in state.found and not state.dirty
     state(frozenset({3}))
-    assert state.cached(0) is None and state.sources == {0, 2}
-    state.found[0] = orsched._best_prefix(state, 0, None, frozenset({3}), None)
-    assert state.cached(0)[-1] == []
+    assert 0 not in state.found and state.sources == {0, 2} and state.dirty == {0, 2}
+    state.keep(orsched._best_prefix(state, 0, None, frozenset({3}), None))
+    assert state.found[0][-1] == []
     state(frozenset({0}))  # not a superset: everything is recomputed
-    assert state.found == {}
+    assert state.found == {} and state.heap == [] and state.dirty >= state.sources
 
 
 def gains_step(state, parsed, base):
@@ -401,6 +405,155 @@ def test_residual_forgets_candidates_when_a_removal_reopens_a_job():
         assert step(state, dag, base) == outcome(modular_stem, dag, base)
     assert state.rebuilds == 1
     assert step(state, dag, frozenset({5})) == (frozenset({0, 1, 2, 4, 5}), Fraction(7, 2))
+
+
+def tie_heavy_dag(kind, n, seed):
+    """A generated DAG of ``kind`` with unit times and weights, and time 0
+    on three of its sources: nearly every step is a tie."""
+    dag = gen_instance(kind, n, seed)
+    flat = set(random.Random(seed).sample(dag.sources, 3))
+    return OrDag(dag.jobs, tuple(0 if j in flat else 1 for j in dag.jobs), (1,) * n, dag.arcs)
+
+
+def tie_heavy_mssc(n, seed):
+    """Generated hyperedges with one cost for every element and one weight
+    for every hyperedge."""
+    parsed = gen_instance("pipelined", n, seed)
+    return MsscInstance(n, (2,) * n, tuple((3, members) for _, members in parsed.edges))
+
+
+# kind: (parsed instance, adapter, solver factory, stateless reference)
+TIE_HEAVY = {
+    "inforest": (lambda: tie_heavy_dag("inforest", 300, 31), orsched.to_msop,
+                 orsched.stem_solver, modular_stem),
+    "multitree": (lambda: tie_heavy_dag("multitree", 300, 32), orsched.to_msop,
+                  orsched.outtree_solver, ref_max_density_outtree),
+    "mssc": (lambda: tie_heavy_mssc(300, 33), mssc.to_msop, mssc.singleton_solver,
+             ref_singleton_step),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIE_HEAVY))
+def test_heap_step_matches_reference_chain_through_ties(kind):
+    # above the caps, where the heap orders hundreds of equal densities
+    make, adapter, solver, reference = TIE_HEAVY[kind]
+    parsed = make()
+    inst = adapter(parsed)
+    fast = greedy_chain(inst, solver(parsed))
+    slow = ref_greedy_chain(inst, lambda b: reference(parsed, b))
+    assert_same_chain(fast, slow)
+    densities = list(fast.densities)
+    assert len(densities) - len(set(densities)) >= 100
+    assert (INF in densities) == isinstance(parsed, OrDag)
+
+
+def detour_walk(parsed, inst, sets, rng):
+    """Bases along a greedy chain's sets with detours: each set, then the
+    set without the largest id of its last increment (in a generated DAG
+    no job of the increment follows it), then the set again, the same set
+    twice, a jump ahead and back, and a set that neither contains nor is
+    contained in the last one."""
+    bases = []
+    for prev, base in zip(sets, sets[1:]):
+        bases += [base, base - {max(base - prev)}, base] if prev else [base]
+    b = 2 * len(sets) // 3
+    walk = (or_initial_walk(parsed, rng) if isinstance(parsed, OrDag)
+            else free_walk(inst.ground_set, rng))
+    return bases[:b] + [bases[b - 1], sets[b + 3], sets[b + 1], walk[len(sets[b])]] + bases[b:]
+
+
+def scanned_best(state, candidate):
+    """The best candidate of a fresh scan over the sorted residual sources:
+    denser first, then the smaller ``cand[2]``, then the earlier start."""
+    best = None
+    for start in sorted(state.sources):
+        cand = candidate(start)
+        order = 1 if best is None else compare_density(cand[0], cand[1], best[0], best[1])
+        if order > 0 or (order == 0 and cand[2] < best[2]):
+            best = cand
+    return best
+
+
+def stem_step(state, base):
+    return orsched._densest_stem(state, None, base)
+
+
+def fresh_stem(state, base):
+    return lambda start: orsched._best_prefix(state, start, None, base, None)
+
+
+def fresh_subtree(state, base):
+    return lambda start: orsched._best_subtree(state, start)
+
+
+# shape: (parsed instance, step on the state, fresh candidate of a source)
+RESIDUAL_STEPS = {
+    "inforest": (lambda: gen_instance("inforest", 150, 13), stem_step, fresh_stem),
+    "inforest-ties": (lambda: tie_heavy_dag("inforest", 120, 34), stem_step, fresh_stem),
+    "multitree": (lambda: gen_instance("multitree", 110, 14), orsched._densest_outtree_step,
+                  fresh_subtree),
+    "multitree-ties": (lambda: tie_heavy_dag("multitree", 110, 35),
+                       orsched._densest_outtree_step, fresh_subtree),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RESIDUAL_STEPS))
+def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
+    # after each step along a chain with detours: the heap's valid top is
+    # the best of a fresh scan, every source and no other job has a kept
+    # candidate, no kept candidate holds a closed job, the owner index's
+    # live pairs are exactly the kept candidates' jobs, and a move that
+    # removed jobs leaves no stale heap entry
+    make, step, fresh = RESIDUAL_STEPS[shape]
+    dag = make()
+    inst = orsched.to_msop(dag)
+    sets = cli.Toolchain(dag).greedy().sets[:-1]
+    state = orsched._Residual(dag)
+    last, steps, removals = frozenset(), 0, 0
+    for base in detour_walk(dag, inst, sets, random.Random(shape)):
+        initial, removed, last = state(base), not last <= base, base
+        if not initial or not state.sources:
+            continue
+        step(state, base)
+        assert tuple(state.best()) == tuple(scanned_best(state, fresh(state, base))), sorted(base)
+        found = state.found
+        assert set(found) == state.sources
+        held = {(j, s) for s, cand in found.items() for j in cand[-1]}
+        assert state.closed.isdisjoint(j for j, _ in held)
+        live = {(j, cand[-2]) for j, cands in state.owners.items() for cand in cands
+                if found.get(cand[-2]) is cand}
+        assert live == held
+        if removed:
+            assert all(found.get(cand[-2]) is cand for cand in state.heap)
+            removals += 1
+        steps += 1
+    assert steps >= 150 and removals >= 50
+
+
+def test_gains_heap_tops_are_each_cost_class_maximum_after_every_move():
+    # after each move along a chain with detours, removals included: each
+    # cost class's heap top is its first maximum gain (none when the whole
+    # class is in the base), and no element outside the base has only
+    # entries that understate its gain
+    emptied = 0
+    for kind in ("mssc", "pipelined"):
+        parsed = gen_instance(kind, 120, 36)
+        inst = mssc.to_msop(parsed)
+        sets = cli.Toolchain(parsed).greedy().sets[:-1]
+        state = mssc._Gains(parsed)
+        for base in detour_walk(parsed, inst, sets, random.Random(kind)):
+            state(base)
+            gain = state.gain
+            for members, heap in zip(state.classes, state.heaps):
+                top = max(members, key=gain.__getitem__)
+                want = (-gain[top], top) if gain[top] >= 0 else None
+                assert (heap[0] if heap else None) == want, (kind, sorted(base))
+                emptied += not heap
+                highest = {}
+                for g, v in heap:
+                    highest[v] = max(highest.get(v, -g), -g)
+                assert all(highest.get(v, -1) >= gain[v] for v in members)
+    assert emptied
 
 
 def test_supplement_step_matches_reference_chain():

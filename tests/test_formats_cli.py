@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -576,6 +577,26 @@ def test_parse_rejects_a_repeated_one_off_record(text, line, message):
         parse_instance_text(text)
     assert message in str(err.value)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, unnamed", [
+    ("msop mssc v1\nelements 3\ncost 0 1\nedge 1 2\n", 1),
+    ("msop mssc v1\nelements 10000000\ncost 0 1\nedge 1 2\n", 1),
+    ("msop mssc v1\nelements 99999999999\n", 0),
+], ids=["three", "ten-million", "huge"])
+def test_parse_requires_every_mssc_element_to_be_named(tmp_path, capsys, text, unnamed):
+    # an element that no record names has unit cost and no hyperedge, so it
+    # never changes the objective; requiring a record for each bounds the
+    # count by the file's size, and a huge count fails at once, before
+    # anything of that size is built
+    message = f"element {unnamed} is named by no cost or edge record (line 2)"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_instance_text(text)
+    path = tmp_path / "unnamed.msop"
+    path.write_text(text)
+    assert run(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: ParseError: {message}\n")
 
 
 def test_tracer_patches_existing_names_and_restores_them():
