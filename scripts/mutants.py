@@ -115,6 +115,40 @@ MUTANTS = (
            "    if chain.instance is instance and chain.values is not None:\n",
            "    if chain.values is not None:\n",
            "tests/test_core.py::test_kept_values_answer_only_the_instance_that_read_them"),
+    # walks that move by each chain increment
+    Mutant("running-sum-ignores-removed", "src/msop/lattice.py",
+           "        if removed:\n"
+           "            total -= sum(map(get, removed))\n", "",
+           f"{DIFF}::test_running_oracle_up_a_greedy_chain_and_down_its_complements[modular]"),
+    Mutant("chain-text-appends-increment", "src/msop/cli.py",
+           "            ids.insert(k, v)\n"
+           "            texts.insert(k, str(v))\n",
+           "            ids.append(v)\n"
+           "            texts.append(str(v))\n",
+           f"{DIFF}::test_chain_text_matches_reference_through_multi_element_increments"),
+    Mutant("refinement-takes-chain-set-early", "src/msop/core.py",
+           "            current = current | {nxt}\n", "            current = target\n",
+           f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[inforest]"),
+    # the histogram check's merge (exact.histogram_containment_check)
+    Mutant("histogram-advances-optimal-on-common-end", "src/msop/exact.py",
+           "        elif right <= o_right:\n", "        elif right < o_right:\n",
+           f"{DIFF}::test_histogram_check_matches_reference_on_scaled_certificates"),
+    Mutant("histogram-compares-zero-width-overlaps", "src/msop/exact.py",
+           "        if lo < hi and height > two_alpha * o_height:\n",
+           "        if lo <= hi and height > two_alpha * o_height:\n",
+           f"{DIFF}::test_histogram_check_matches_reference_on_scaled_certificates"),
+    Mutant("histogram-reports-shrunk-column-midpoint", "src/msop/exact.py",
+           "first_violation = (Fraction(lo + hi, 4),",
+           "first_violation = (Fraction(left + right, 4),",
+           f"{DIFF}::test_histogram_check_matches_reference_on_scaled_certificates"),
+    # DAG shape labels (orsched.classify_dag)
+    Mutant("classify-outtree-without-one-source", "src/msop/orsched.py",
+           "for j in dag.jobs) and len(dag.sources) <= 1:\n", "for j in dag.jobs):\n",
+           "tests/test_orsched.py::test_classify_dag_matches_reference_on_random_dags"),
+    Mutant("classify-intree-without-one-sink", "src/msop/orsched.py",
+           '"intree" if sum(not dag.succs[j] for j in dag.jobs) == 1 else "inforest"',
+           '"intree"',
+           "tests/test_orsched.py::test_classify_dag_matches_reference_on_random_dags"),
 )
 
 

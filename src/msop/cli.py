@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from bisect import bisect
 from fractions import Fraction
 
 from . import dual, exact
@@ -42,10 +43,22 @@ def _format_set(s) -> str:
 
 
 def _format_chain(chain: Chain) -> str:
-    # chain sets strictly increase from the empty set: each printed set is
-    # nonempty, and the last one holds every id
-    text = {v: str(v) for v in chain.sets[-1]}.__getitem__
-    return ";".join(",".join(map(text, sorted(s))) for s in chain.sets[1:])
+    # chain sets strictly increase from the empty set, so each printed set
+    # is nonempty and its sorted ids are the previous set's with the
+    # increment's inserted; their texts are kept beside them, so a set's
+    # text is one join
+    ids: list[int] = []
+    texts: list[str] = []
+    parts = []
+    prev = chain.sets[0]
+    for s in chain.sets[1:]:
+        for v in s - prev:
+            k = bisect(ids, v)
+            ids.insert(k, v)
+            texts.insert(k, str(v))
+        parts.append(",".join(texts))
+        prev = s
+    return ";".join(parts)
 
 
 def _parse_base(text: str, instance: MsopInstance) -> frozenset[int]:

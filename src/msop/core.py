@@ -31,7 +31,8 @@ from .errors import (
     SolverStall,
     ValidationError,
 )
-from .lattice import Lattice, build_lattice
+# ``RunningOracle`` lives with the oracles' columns and is re-exported here
+from .lattice import Lattice, RunningOracle, build_lattice
 
 Rational = int | Fraction
 Density = int | Fraction | float  # float solely for the +inf sentinel
@@ -40,54 +41,6 @@ INF = math.inf
 
 SetFn = Callable[[frozenset[int]], Rational]
 FamilyFn = Callable[[frozenset[int]], bool]
-
-
-class RunningOracle:
-    """A set function that keeps its value for the last set it was asked
-    about and moves to the next set by the symmetric difference: a greedy
-    chain, its dual's complements and the chain's refinement each ask
-    about sets one or two elements apart.  When the difference is larger
-    than the new set, the state is rebuilt from the empty set.
-
-    Subclasses hold the state: ``reset()`` empties it and
-    ``move(added, removed)`` applies a difference and returns the value.
-    An argument that is not a ``frozenset`` is frozen before it is kept,
-    since its caller may change it later.  ``rebuilds`` counts the moves
-    that started from the empty set.
-    """
-
-    def __init__(self):
-        self.last: frozenset[int] | None = None
-        self.value = None
-        self.rebuilds = 0
-
-    def __call__(self, s):
-        if type(s) is not frozenset:
-            s = frozenset(s)
-        last = self.last
-        if s is last:
-            return self.value
-        rebuild = last is None
-        if not rebuild:
-            added = s - last
-            size = len(s)
-            if len(last) + len(added) == size:  # last <= s
-                if not added:
-                    self.last = s
-                    return self.value
-                removed = ()
-            else:
-                removed = last - s
-                rebuild = len(added) + len(removed) > size
-        if rebuild:
-            self.rebuilds += 1
-            self.reset()
-            added, removed = s, ()
-        # a move that raises leaves a state nothing may trust
-        self.last = None
-        self.value = self.move(added, removed)
-        self.last = s
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -346,16 +299,20 @@ def _extend_through(instance: MsopInstance, chain: Chain, pick) -> tuple[int, ..
     order_out: list[int] = []
     current: frozenset[int] = frozenset()
     for target in chain.sets[1:]:
-        while current != target:
-            rest = sorted(target - current)
-            nxt = rest[0] if len(rest) == 1 else pick(current, rest)  # completes a checked set
+        rest = sorted(target - current)
+        while len(rest) > 1:
+            nxt = pick(current, rest)
             if nxt is None:
                 raise NotWellFounded(
                     f"no feasible single-element extension of {sorted(current)} inside "
                     f"{sorted(target)}; the permutation family is not closed under splicing"
                 )
             order_out.append(nxt)
+            rest.remove(nxt)
             current = current | {nxt}
+        # the last element completes the checked chain set itself
+        order_out.append(rest[0])
+        current = target
     return tuple(order_out)
 
 

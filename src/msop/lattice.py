@@ -18,6 +18,10 @@ feasible), ``modular`` (a sum of per-element values) and
 with no builder comes from one sweep over the oracles, which builds each
 subset from a smaller one and calls cost and weight only on feasible sets.
 
+The oracles themselves answer one set at a time.  Those that would redo
+the whole set at each call are ``RunningOracle``s, which move from the
+last set asked about by the elements that came and went.
+
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
 each block computed from the one before by a list comprehension.
@@ -39,6 +43,54 @@ Scaled = tuple[IntColumn, int]  # (column, scale): value = column[mask] / scale
 # an int column in machine words takes 8 bytes a mask, a list of ints
 # about 36 once the values outgrow Python's small-int cache
 _WORD = 1 << 63
+
+
+class RunningOracle:
+    """A set function that keeps its value for the last set it was asked
+    about and moves to the next set by the symmetric difference: a greedy
+    chain, its dual's complements and the chain's refinement each ask
+    about sets one or two elements apart.  When the difference is larger
+    than the new set, the state is rebuilt from the empty set.
+
+    Subclasses hold the state: ``reset()`` empties it and
+    ``move(added, removed)`` applies a difference and returns the value.
+    An argument that is not a ``frozenset`` is frozen before it is kept,
+    since its caller may change it later.  ``rebuilds`` counts the moves
+    that started from the empty set.
+    """
+
+    def __init__(self):
+        self.last: frozenset[int] | None = None
+        self.value = None
+        self.rebuilds = 0
+
+    def __call__(self, s):
+        if type(s) is not frozenset:
+            s = frozenset(s)
+        last = self.last
+        if s is last:
+            return self.value
+        rebuild = last is None
+        if not rebuild:
+            added = s - last
+            size = len(s)
+            if len(last) + len(added) == size:  # last <= s
+                if not added:
+                    self.last = s
+                    return self.value
+                removed = ()
+            else:
+                removed = last - s
+                rebuild = len(added) + len(removed) > size
+        if rebuild:
+            self.rebuilds += 1
+            self.reset()
+            added, removed = s, ()
+        # a move that raises leaves a state nothing may trust
+        self.last = None
+        self.value = self.move(added, removed)
+        self.last = s
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -124,9 +176,10 @@ def free(ground: tuple[int, ...]) -> Callable:
 
 
 def modular(ground: tuple[int, ...], values: Callable[[], Mapping]) -> Callable:
-    """The oracle S -> sum of ``values()[v]`` over the members v of S, with
-    its column over ``ground``.  ``values`` is called once, at the first
-    use, so that nothing is built before."""
+    """The oracle S -> sum of ``values()[v]`` over the members v of S, a
+    ``RunningSum``, with its column over ``ground``.  ``values`` is called
+    once, at the first use, so that nothing is built before; an id it does
+    not map raises."""
     get = None  # values().__getitem__ from the first use on
 
     def table() -> Callable:
@@ -134,10 +187,35 @@ def modular(ground: tuple[int, ...], values: Callable[[], Mapping]) -> Callable:
         get = get or values().__getitem__
         return get
 
-    def total(s: frozenset[int]):
-        return sum(map(get or table(), s))
+    # the column builder reaches the values through ``table`` alone: a
+    # reference to the oracle would make a cycle that only the cyclic
+    # garbage collector frees
+    def column() -> Scaled:
+        return modular_column(list(map(table(), ground)))
 
-    return supply(total, ground, lambda: modular_column(list(map(table(), ground))))
+    return supply(RunningSum(table), ground, column)
+
+
+class RunningSum(RunningOracle):
+    """S -> the sum of ``table()(v)`` over the members v of S, as a running
+    oracle: a move adds the values of the elements that came and subtracts
+    those of the elements that went."""
+
+    def __init__(self, table: Callable[[], Callable]):
+        super().__init__()
+        self.table = table
+
+    def reset(self) -> None:
+        self.get = self.table()
+        self.total = 0
+
+    def move(self, added, removed):
+        get = self.get
+        total = self.total + sum(map(get, added))
+        if removed:
+            total -= sum(map(get, removed))
+        self.total = total
+        return total
 
 
 def modular_column(values: Sequence) -> Scaled:

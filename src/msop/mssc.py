@@ -128,7 +128,8 @@ def coverage(ground: tuple[int, ...], edges: Callable[[], Hyperedges]) -> Covera
 def to_msop(instance: MsscInstance) -> MsopInstance:
     """Free-family instance: modular costs, submodular coverage weight."""
     ground = tuple(range(instance.n))
-    return MsopInstance(ground, free(ground), modular(ground, lambda: instance.costs),
+    return MsopInstance(ground, free(ground),
+                        modular(ground, lambda: dict(enumerate(instance.costs))),
                         coverage(ground, lambda: instance.edges), name="mssc")
 
 

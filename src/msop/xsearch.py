@@ -130,7 +130,7 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
     return MsopInstance(
         ground,
         supply(in_family, ground, lambda: _feasible_column(graph)),
-        modular(ground, lambda: [c for _, _, c in graph.edges]),
+        modular(ground, lambda: {e: c for e, (_, _, c) in enumerate(graph.edges)}),
         coverage(ground, touched),
         name="xsearch",
     )

@@ -233,6 +233,30 @@ def ref_exact_opt_chain(instance: MsopInstance):
 
 
 # ---------------------------------------------------------------------------
+# Reference chain walks: a fresh sort or set per chain set, where the
+# library moves by each increment.
+
+
+def ref_format_chain(chain: Chain) -> str:
+    """The ``chain=`` text as ``cli._format_chain`` wrote it before it
+    inserted each increment: every chain set sorted afresh."""
+    text = {v: str(v) for v in chain.sets[-1]}.__getitem__
+    return ";".join(",".join(map(text, sorted(s))) for s in chain.sets[1:])
+
+
+def ref_chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple:
+    """``core.chain_to_permutation`` as a new set per prefix: each
+    increment filled by the smallest id that keeps the prefix feasible."""
+    order, current = [], frozenset()
+    for target in chain.sets[1:]:
+        while current != target:
+            nxt = min(v for v in target - current if instance.in_family(current | {v}))
+            order.append(nxt)
+            current = current | {nxt}
+    return tuple(order)
+
+
+# ---------------------------------------------------------------------------
 # Reference density steps: the straightforward implementations that the
 # library's incremental, integer-exact steps replaced.  Differential tests
 # run both and require identical answers, chains and densities.

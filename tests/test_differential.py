@@ -7,10 +7,14 @@ compared: for the polynomial steps at sizes far above the exhaustive caps,
 for the exhaustive step at 10 to 14 elements.  The lattice DPs, which run
 on scaled integers, are compared with their ``Fraction`` versions up to the
 exhaustive caps, and the histogram check's merge with the breakpoint scan
-it replaced.
+it replaced.  The running oracles, the chain text and the refinement,
+which move by each chain increment, are compared with their from-scratch
+versions along the walks the solve path takes.
 """
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +24,7 @@ from msop import (
     INF, Chain, MsopInstance, cli, dual, exact, formats, greedy_chain, marginal_density, mssc,
     orsched, rof, xsearch,
 )
-from msop.core import compare_density
+from msop.core import chain_to_permutation, compare_density
 from msop.errors import (
     DisconnectedInput,
     MsopError,
@@ -29,7 +33,7 @@ from msop.errors import (
     NotMultitree,
 )
 from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined, random_chain
-from msop.lattice import free, modular
+from msop.lattice import RunningSum, free, modular
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag
 
@@ -37,12 +41,14 @@ from helpers import (
     chain_histogram,
     find_supp,
     prob_tables,
+    ref_chain_to_permutation,
     ref_compute_rp,
     ref_coverage_weight,
     ref_exact_max_density,
     ref_exact_opt_chain,
     ref_exact_opt_permutation,
     ref_find_supp,
+    ref_format_chain,
     ref_g_determined,
     ref_greedy_chain,
     ref_histogram_containment_check,
@@ -1146,6 +1152,64 @@ def test_modular_reads_its_values_once_and_only_when_used():
     assert calls == [1]
 
 
+def test_modular_sum_and_column_on_signed_ids():
+    # a ground set of shuffled signed ids: the running sum on random sets
+    # and the column on every mask against fresh sums
+    rng = random.Random(31)
+    for n in (1, 4, 7):
+        ground = tuple(rng.sample(range(-20, 20), n))
+        values = {v: rational(rng, zero=True) for v in ground}
+        oracle = modular(ground, lambda: values)
+        assert isinstance(oracle, RunningSum)
+        for _ in range(80):
+            s = random_base(ground, rng, rng.random())
+            assert oracle(s) == sum(values[v] for v in s), sorted(s)
+        assert oracle.lattice_column[0] == ground
+        col, scale = oracle.lattice_column[1]()
+        assert [Fraction(x, scale) for x in col] == [
+            sum(values[v] for i, v in enumerate(ground) if m >> i & 1) for m in range(1 << n)]
+
+
+def test_modular_oracle_is_freed_without_the_cycle_collector():
+    # the column builder reaches the values, never the oracle: a cycle
+    # through it would keep each instance's oracles until a collection
+    oracle = modular((0, 1, 2), lambda: {0: 1, 1: 2, 2: 3})
+    assert oracle(frozenset({0, 2})) == 4
+    assert list(oracle.lattice_column[1]()[0]) == [0, 1, 2, 3, 3, 4, 5, 6]
+    gone = weakref.ref(oracle)
+    gc.disable()
+    try:
+        del oracle
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["pipelined", "xsearch"])
+def test_modular_cost_rejects_ids_outside_the_ground_set(kind):
+    # the adapters key their values by id, so a negative id is no index
+    # from the end: every id outside the ground set raises, from scratch
+    # and as a move, and the next call is answered in full
+    size = 7
+    if kind == "xsearch":
+        graph = gen_instance("xsearch", size + 1, 3, extra=0)
+        inst = xsearch.xsearch_to_msop(graph)
+        values = [c for _, _, c in graph.edges]
+    else:
+        parsed = gen_instance("pipelined", size, 3)
+        inst = mssc.to_msop(parsed)
+        values = parsed.costs
+    assert inst.n == size
+    base = frozenset(range(0, size, 2))
+    grown = base | {1}
+    for outside in (-1, -size, size):
+        for s in (frozenset({outside}), base | {outside}):
+            assert inst.cost(base) == sum(values[v] for v in base)
+            with pytest.raises(KeyError):
+                inst.cost(s)
+            assert inst.cost(grown) == sum(values[v] for v in grown)
+
+
 def test_replacing_one_oracle_drops_only_its_column():
     inst = orsched.to_msop(relabelled_dag("multitree", 10, 5))
     want = inst.lattice
@@ -1180,7 +1244,8 @@ def rational_edges(edges, rng):
 def running_case(kind, n, seed):
     """(instance, name of its running oracle, the oracle's from-scratch
     function, a density solver) for one seeded instance; the pipelined and
-    OR-pipelined hyperedges get rational weights."""
+    OR-pipelined hyperedges get rational weights, the modular sum rational
+    values."""
     rng = random.Random(seed)
     if kind == "or-pipelined":
         dag, edges = gen_or_pipelined(n, seed)
@@ -1191,6 +1256,13 @@ def running_case(kind, n, seed):
             return sum(w for w, members in edges if not members.isdisjoint(s))
 
         return inst, "weight", covered, orsched.stem_solver(dag, inst.weight)
+    if kind == "modular":
+        # mssc's element costs, rational
+        parsed = gen_instance("mssc", n, seed)
+        parsed = replace(parsed, costs=tuple(rational(rng) for _ in range(n)))
+        tools = cli.Toolchain(parsed)
+        assert isinstance(tools.instance.cost, RunningSum)
+        return tools.instance, "cost", lambda s: sum(parsed.costs[v] for v in s), tools.solver
     parsed = gen_instance(kind, n, seed)
     if kind == "pipelined":
         parsed = replace(parsed, edges=rational_edges(parsed.edges, rng))
@@ -1204,6 +1276,7 @@ def running_case(kind, n, seed):
 
 
 RUNNING_KINDS = {  # kind: (n, seed) of each instance
+    "modular": ((80, 13), (128, 14)),
     "mssc": ((60, 1), (90, 2)),
     "pipelined": ((60, 3), (80, 4)),
     "inforest": ((70, 5), (100, 6)),
@@ -1249,10 +1322,11 @@ def test_running_oracle_through_jumps_repeats_and_outside_ids(kind):
             assert oracle(s) == reference(s)
             assert oracle(s) == reference(s)  # the same set again
             assert oracle(frozenset(sorted(s))) == reference(s)  # an equal one
-            if name == "in_family":
-                # an unknown job is a KeyError (the from-scratch check's too,
-                # unless it meets a member without a predecessor first), and
-                # the next call is answered from a rebuilt state
+            if name != "weight":
+                # an unknown job or element is a KeyError (the from-scratch
+                # membership check's too, unless it meets a member without a
+                # predecessor first), and the next call is answered from a
+                # rebuilt state
                 with pytest.raises(KeyError):
                     oracle(s | {outside})
             else:
@@ -1289,8 +1363,74 @@ def test_running_oracle_shared_by_a_replaced_and_a_dual_instance(kind):
             if name == "in_family":
                 assert dual_inst.in_family(universe - other) == reference(other)
             else:
-                assert dual_inst.cost(universe - other) == reference(universe) - reference(other)
+                # the dual's weight complements the primal cost, its cost
+                # the primal weight
+                complement = dual_inst.weight if name == "cost" else dual_inst.cost
+                assert complement(universe - other) == reference(universe) - reference(other)
             assert getattr(inst, name)(other) == reference(other)
+
+
+# ---------------------------------------------------------------------------
+# chain walks: the chain text and the refinement move by each increment;
+# the references sort or build every chain set afresh
+
+
+def signed_ids_dag(kind, n, seed):
+    """A seeded DAG of ``kind`` over shuffled job ids, negative ones and
+    gaps among them, through its file text."""
+    rng = random.Random(seed)
+    dag = gen_instance(kind, n, seed)
+    ids = rng.sample(range(-3 * n, 3 * n), n)
+    dag = OrDag(tuple(ids), dag.times, dag.weights, tuple((ids[i], ids[j]) for i, j in dag.arcs))
+    return formats.parse_instance_text(formats.serialize_instance(dag))
+
+
+CHAIN_TEXT_SIZES = {"mssc": 150, "pipelined": 150, "inforest": 150, "multitree": 150,
+                    "bipartite-or": 150, "rof": 40, "xsearch": 11}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chain_text_matches_reference_on_greedy_chains_above_the_caps(kind):
+    for seed in (1, 2):
+        tools = cli.Toolchain(gen_instance(kind, CHAIN_TEXT_SIZES[kind], seed))
+        assert tools.instance.n > exact.exhaustive_caps()["perm"]
+        chain = tools.greedy()
+        assert cli._format_chain(chain) == ref_format_chain(chain)
+
+
+def test_chain_text_matches_reference_through_multi_element_increments():
+    rng = random.Random(32)
+    for _ in range(200):
+        ids = rng.sample(range(-50, 50), rng.randint(1, 30))
+        sets, current = [frozenset()], set()
+        while len(current) < len(ids):
+            current.update(rng.sample(ids, min(len(ids), rng.randint(1, 5))))
+            if len(current) > len(sets[-1]):
+                sets.append(frozenset(current))
+        chain = Chain(tuple(sets))
+        assert cli._format_chain(chain) == ref_format_chain(chain), sets
+
+
+@pytest.mark.parametrize("kind", ["inforest", "multitree", "bipartite-or"])
+def test_chain_text_and_refinement_on_signed_job_ids(kind, tmp_path, capsys):
+    # OR-DAG steps add stems and subtrees, whose jobs must be ordered along
+    # the arcs, not by id; ``solve`` prints both walks
+    multi = 0
+    for n, seed in ((120, 42), (200, 43)):
+        dag = signed_ids_dag(kind, n, seed)
+        tools = cli.Toolchain(dag)
+        chain = tools.greedy()
+        multi += sum(len(b) - len(a) > 2 for a, b in zip(chain.sets, chain.sets[1:]))
+        permutation = ref_chain_to_permutation(tools.instance, chain)
+        assert chain_to_permutation(tools.instance, chain) == permutation
+        path = tmp_path / f"{kind}-{seed}.msop"
+        path.write_text(formats.serialize_instance(dag))
+        capsys.readouterr()
+        assert cli.run(["solve", str(path)]) == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert report["chain"] == ref_format_chain(chain)
+        assert report["permutation"] == ",".join(map(str, permutation))
+    assert multi >= 5, multi
 
 
 # ---------------------------------------------------------------------------
