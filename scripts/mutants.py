@@ -129,6 +129,10 @@ MUTANTS = (
     Mutant("refinement-takes-chain-set-early", "src/msop/core.py",
            "            current = current | {nxt}\n", "            current = target\n",
            f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[inforest]"),
+    Mutant("refinement-skips-feasibility-test", "src/msop/core.py",
+           "            nxt = next((v for v in rest if in_family(current | {v})), None)\n",
+           "            nxt = rest[0]\n",
+           f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[multitree]"),
     # the histogram check's merge (exact.histogram_containment_check)
     Mutant("histogram-advances-optimal-on-common-end", "src/msop/exact.py",
            "        elif right <= o_right:\n", "        elif right < o_right:\n",

@@ -14,7 +14,6 @@ from .core import (
     MsopInstance,
     chain_cost,
     chain_to_permutation,
-    densest_consistent_permutation,
     greedy_chain,
     marginal_density,
     permutation_to_chain,
@@ -42,7 +41,6 @@ __all__ = [
     "backward_greedy_chain",
     "chain_cost",
     "chain_to_permutation",
-    "densest_consistent_permutation",
     "dual_chain",
     "dualize",
     "exact_density_solver",

@@ -31,8 +31,7 @@ from .errors import (
     SolverStall,
     ValidationError,
 )
-# ``RunningOracle`` lives with the oracles' columns and is re-exported here
-from .lattice import Lattice, RunningOracle, build_lattice
+from .lattice import Lattice, build_lattice
 
 Rational = int | Fraction
 Density = int | Fraction | float  # float solely for the +inf sentinel
@@ -291,17 +290,23 @@ def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
     return Chain(tuple(sets))
 
 
-def _extend_through(instance: MsopInstance, chain: Chain, pick) -> tuple[int, ...]:
-    """Fill each chain increment one element at a time: ``pick(prefix,
-    rest)`` gets the increment's rest in ascending order and returns a
-    feasible next element, or ``None`` if there is none."""
+def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
+    """A permutation consistent with the chain (every chain set is one of its
+    initial sets).
+
+    Each increment is filled by repeatedly adding the smallest element that
+    keeps the prefix feasible; for permutation families closed under
+    splicing such an element always exists, so a stall means the family is
+    not well-founded.
+    """
     chain_values(instance, chain)
+    in_family = instance.in_family
     order_out: list[int] = []
     current: frozenset[int] = frozenset()
     for target in chain.sets[1:]:
         rest = sorted(target - current)
         while len(rest) > 1:
-            nxt = pick(current, rest)
+            nxt = next((v for v in rest if in_family(current | {v})), None)
             if nxt is None:
                 raise NotWellFounded(
                     f"no feasible single-element extension of {sorted(current)} inside "
@@ -316,45 +321,6 @@ def _extend_through(instance: MsopInstance, chain: Chain, pick) -> tuple[int, ..
     return tuple(order_out)
 
 
-def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
-    """A permutation consistent with the chain (every chain set is one of its
-    initial sets).
-
-    Each increment is filled by repeatedly adding the smallest element that
-    keeps the prefix feasible; for permutation families closed under
-    splicing such an element always exists, so a stall means the family is
-    not well-founded.
-    """
-
-    def smallest(current: frozenset[int], rest: list[int]) -> int | None:
-        return next((v for v in rest if instance.in_family(current | {v})), None)
-
-    return _extend_through(instance, chain, smallest)
-
-
-def _densest_extension(instance: MsopInstance, base: frozenset[int], elements):
-    """The feasible ``base | {v}``, v in ``elements``, of best marginal
-    density as a ``DensityResult``, the first on ties; ``None`` if none."""
-    steps = (marginal_density(instance, base, base | {v})
-             for v in elements if instance.in_family(base | {v}))
-    return max(steps, key=lambda step: step.marginal_density, default=None)
-
-
-def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
-    """Like ``chain_to_permutation`` but orders each increment by locally
-    best single-element marginal density (ties to the smallest id).
-
-    The result is still consistent with the chain, so its full-permutation
-    chain costs no more than the input chain.
-    """
-
-    def densest(current: frozenset[int], rest: list[int]) -> int | None:
-        step = _densest_extension(instance, current, rest)
-        return None if step is None else min(step.candidate - current)
-
-    return _extend_through(instance, chain, densest)
-
-
 def singleton_solver(instance: MsopInstance) -> DensitySolver:
     """Density step that adds the single element of best marginal density.
 
@@ -365,7 +331,9 @@ def singleton_solver(instance: MsopInstance) -> DensitySolver:
     ground = sorted(instance.ground_set)
 
     def solve(base: frozenset[int]) -> DensityResult:
-        step = _densest_extension(instance, base, (v for v in ground if v not in base))
+        steps = (marginal_density(instance, base, base | {v})
+                 for v in ground if v not in base and instance.in_family(base | {v}))
+        step = max(steps, key=lambda step: step.marginal_density, default=None)
         if step is None:
             raise NoFeasibleSuperset(f"no feasible singleton extension of {sorted(base)}")
         return step

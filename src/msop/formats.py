@@ -45,12 +45,20 @@ def parse_rational(token: str, line: int | None, column: int | None = 1) -> Rati
 
 
 def format_rational(value: Rational) -> str:
-    if type(value) is int:
-        return str(value)
-    frac = value if type(value) is Fraction else Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        if type(value) is int:
+            return str(value)
+        frac = value if type(value) is Fraction else Fraction(value)
+        if frac.denominator == 1:
+            return str(frac.numerator)
+        return f"{frac.numerator}/{frac.denominator}"
+    except ValueError:
+        # past the interpreter's int-to-str digit limit, which Decimal lacks
+        from decimal import Decimal
+
+        frac = Fraction(value)
+        num, den = str(Decimal(frac.numerator)), str(Decimal(frac.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def _records(text: str):

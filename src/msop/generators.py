@@ -4,7 +4,7 @@ Every generator is a pure function of (kind, parameters, seed): the RNG is
 seeded from those alone, so identical calls produce identical instances.
 Generated instances satisfy the structural hypotheses of the guarantee they
 are meant to exercise (inforests really are inforests, multitree candidates
-are re-checked, families are union-closed by construction, ...).
+are re-checked, ...).
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
 
-from .core import Chain, MsopInstance, Rational
+from .core import Rational
 from .errors import BadParams
-from .lattice import IntColumn, coverage_column, modular_column
 from .mssc import MsscInstance
 from .orsched import OrDag
 from .rof import Gate, Leaf, Node, ReadOnceFormula
@@ -171,158 +169,3 @@ def gen_instance(kind: str, n: int, seed: int, **params):
         raise BadParams("n must be at least 1")
     return generate(n, seed, **params)
 
-
-# ---------------------------------------------------------------------------
-# table-backed generic instances for the certification suites
-
-
-def table_instance(
-    n: int,
-    feasible_masks: frozenset[int],
-    f_table: Sequence[Rational],
-    g_table: Sequence[Rational],
-    name: str,
-) -> MsopInstance:
-    """Instance over {0..n-1} whose oracles read precomputed mask tables."""
-
-    def mask_of(s: frozenset[int]) -> int:
-        return sum(1 << v for v in s)
-
-    return MsopInstance(
-        tuple(range(n)),
-        lambda s: mask_of(s) in feasible_masks,
-        lambda s: f_table[mask_of(s)],
-        lambda s: g_table[mask_of(s)],
-        name=name,
-    )
-
-
-def _union_closure(seeds: set[int]) -> frozenset[int]:
-    # the unions of the nonempty subsets of the seeds taken so far
-    members: set[int] = set()
-    for x in seeds:
-        members |= {m | x for m in members} | {x}
-    return frozenset(members)
-
-
-def _coverage_table(rng: random.Random, n: int, max_weight: int = 3) -> IntColumn:
-    full = (1 << n) - 1
-    k = rng.randint(1, 2 * n)
-    edges = []
-    for _ in range(k):
-        mask = rng.getrandbits(n) & full
-        if mask == 0:
-            mask = 1 << rng.randrange(n)
-        edges.append((rng.randint(1, max_weight), mask))
-    return coverage_column(n, edges)[0]
-
-
-def _modular_table(rng: random.Random, n: int, lo: int, hi: int) -> IntColumn:
-    return modular_column([rng.randint(lo, hi) for _ in range(n)])[0]
-
-
-def _milestone_table(rng: random.Random, n: int, min_size: int = 1) -> list[int]:
-    full = (1 << n) - 1
-    marks = []
-    for _ in range(rng.randint(1, 3)):
-        mask = rng.getrandbits(n) & full
-        while bin(mask).count("1") < min_size:
-            mask |= 1 << rng.randrange(n)
-        marks.append((mask, rng.randint(1, 4)))
-    return [sum(u for mask, u in marks if mask & s == mask) for s in range(full + 1)]
-
-
-def gen_generic_msop(n: int, seed: int) -> MsopInstance:
-    """Random instance with a union-closed family, subadditive monotone cost
-    and monotone weight; weights range over modular, coverage, milestone and
-    mixed shapes so the certification suite sees unstructured instances."""
-    if n < 1:
-        raise BadParams("n must be at least 1")
-    rng = _rng("generic", n, seed)
-    full = (1 << n) - 1
-    seeds = {0, full}
-    for _ in range(rng.randint(0, n)):
-        seeds.add(rng.getrandbits(n) & full)
-    family = _union_closure(seeds)
-
-    f_style = rng.choice(("modular", "truncated", "coverage"))
-    if f_style == "modular":
-        f_table: Sequence[int] = _modular_table(rng, n, 0, 4)
-    elif f_style == "truncated":
-        raw = _modular_table(rng, n, 1, 5)
-        per_max = max(raw[1 << i] for i in range(n))
-        lid = rng.randint(per_max, max(per_max, raw[full]))
-        f_table = [min(v, lid) for v in raw]
-    else:
-        f_table = _coverage_table(rng, n)
-
-    g_style = rng.choice(("modular", "coverage", "milestones", "mixed"))
-    if g_style == "modular":
-        g_table: Sequence[int] = _modular_table(rng, n, 0, 4)
-    elif g_style == "coverage":
-        g_table = _coverage_table(rng, n)
-    elif g_style == "milestones":
-        g_table = _milestone_table(rng, n)
-    else:
-        mod = _modular_table(rng, n, 0, 2)
-        mile = _milestone_table(rng, n)
-        g_table = [a + b for a, b in zip(mod, mile)]
-
-    return table_instance(n, family, f_table, g_table, f"generic-{n}-{seed}")
-
-
-def gen_supermodular_cost_msop(n: int, seed: int) -> MsopInstance:
-    """Free family, supermodular monotone cost, modular positive weight:
-    the shape on which the backward greedy is exact in polynomial time.
-    The cost is not subadditive, so the forward bound's hypotheses hold
-    only on the dual instance, where the backward greedy runs."""
-    if n < 2:  # each milestone of the cost spans at least two elements
-        raise BadParams("n must be at least 2")
-    rng = _rng("supercost", n, seed)
-    full = (1 << n) - 1
-    base = _modular_table(rng, n, 0, 3)
-    mile = _milestone_table(rng, n, min_size=2)
-    f_table = [a + b for a, b in zip(base, mile)]
-    g_table = _modular_table(rng, n, 1, 4)
-    return table_instance(
-        n, frozenset(range(full + 1)), f_table, g_table, f"supercost-{n}-{seed}"
-    )
-
-
-def gen_or_pipelined(n: int, seed: int) -> tuple[OrDag, tuple[tuple[int, frozenset[int]], ...]]:
-    """Inforest over n jobs with positive times plus weighted hyperedges."""
-    rng = _rng("or-pipelined", n, seed)
-    jobs = tuple(range(n))
-    arcs = []
-    for v in range(n - 1):
-        if rng.random() < 0.75:
-            arcs.append((v, rng.randrange(v + 1, n)))
-    dag = OrDag(
-        jobs,
-        tuple(rng.randint(1, 4) for _ in range(n)),
-        tuple(0 for _ in range(n)),
-        tuple(sorted(arcs)),
-    )
-    edges = []
-    for _ in range(rng.randint(1, 2 * n)):
-        size = rng.randint(1, min(3, n))
-        edges.append((rng.randint(1, 5), frozenset(rng.sample(range(n), size))))
-    return dag, tuple(edges)
-
-
-def random_chain(instance: MsopInstance, rng: random.Random) -> Chain:
-    """Uniform-ish random feasible chain built by random superset jumps."""
-    n = instance.n
-    ground = sorted(instance.ground_set)
-    subsets = [
-        frozenset(ground[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)
-    ]
-    feasible = [s for s in subsets if instance.in_family(s)]
-    current = frozenset()
-    sets = [current]
-    universe = instance.universe()
-    while current != universe:
-        ups = [s for s in feasible if current < s]
-        current = rng.choice(sorted(ups, key=lambda s: (len(s), tuple(sorted(s)))))
-        sets.append(current)
-    return Chain(tuple(sets))

@@ -17,12 +17,11 @@ from .core import (
     DensitySolver,
     MsopInstance,
     Rational,
-    RunningOracle,
     compare_density,
     density,
 )
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import coverage_column, free, modular, supply
+from .lattice import RunningOracle, coverage_column, free, modular, supply
 
 Hyperedges = Sequence[tuple[Rational, frozenset[int]]]
 

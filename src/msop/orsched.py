@@ -22,7 +22,6 @@ from .core import (
     DensitySolver,
     MsopInstance,
     Rational,
-    RunningOracle,
     compare_density,
     density,
 )
@@ -36,7 +35,7 @@ from .errors import (
     NotMultitree,
     ValidationError,
 )
-from .lattice import modular, supply, union_column
+from .lattice import RunningOracle, modular, supply, union_column
 from .mssc import coverage
 
 WeightOracle = Callable[[frozenset[int]], Rational]

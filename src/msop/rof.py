@@ -23,9 +23,9 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .core import DensityResult, MsopInstance, RunningOracle, compare_density, density
+from .core import DensityResult, MsopInstance, compare_density, density
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import free, modular, supply
+from .lattice import RunningOracle, free, modular, supply
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,18 +27,16 @@ from msop import (
     singleton_solver,
 )
 from msop import exact, mssc, orsched, rof
-from msop.generators import (
-    gen_generic_msop,
-    gen_instance,
-    gen_or_pipelined,
-    gen_supermodular_cost_msop,
-    random_chain,
-)
+from msop.generators import gen_instance
 
 from helpers import (
     chain_histogram,
     find_supp,
+    gen_generic_msop,
+    gen_or_pipelined,
+    gen_supermodular_cost_msop,
     leaves_below,
+    random_chain,
     ref_or_initial_membership,
     rof_greedy,
     undominated,

@@ -10,7 +10,6 @@ from msop import (
     MsopInstance,
     chain_cost,
     chain_to_permutation,
-    densest_consistent_permutation,
     dualize,
     greedy_chain,
     marginal_density,
@@ -31,11 +30,11 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
-from msop.generators import KINDS, gen_generic_msop, gen_instance, random_chain
+from msop.generators import KINDS, gen_instance
 from msop.mssc import MsscInstance, covering_cost, singleton_solver as mssc_singleton, to_msop
 from msop.orsched import OrDag, schedule_cost, stem_solver, to_msop as ordag_to_msop
 
-from helpers import eq2_cost
+from helpers import densest_consistent_permutation, eq2_cost, gen_generic_msop, random_chain
 
 
 def free_instance(n, cost, weight):

@@ -32,7 +32,7 @@ from msop.errors import (
     NonMonotone,
     NotMultitree,
 )
-from msop.generators import KINDS, gen_generic_msop, gen_instance, gen_or_pipelined, random_chain
+from msop.generators import KINDS, gen_instance
 from msop.lattice import RunningSum, free, modular
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag
@@ -40,7 +40,10 @@ from msop.orsched import OrDag
 from helpers import (
     chain_histogram,
     find_supp,
+    gen_generic_msop,
+    gen_or_pipelined,
     prob_tables,
+    random_chain,
     ref_chain_to_permutation,
     ref_compute_rp,
     ref_coverage_weight,

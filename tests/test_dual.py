@@ -16,11 +16,8 @@ from msop import (
 )
 from msop import exact
 from msop.errors import ValidationError
-from msop.generators import (
-    gen_generic_msop,
-    gen_supermodular_cost_msop,
-    random_chain,
-)
+
+from helpers import gen_generic_msop, gen_supermodular_cost_msop, random_chain
 
 
 def modular(values):

@@ -24,7 +24,6 @@ from msop.errors import (
     TooLarge,
     ValidationError,
 )
-from msop.generators import gen_generic_msop
 from msop.mssc import to_msop as mssc_to_msop
 from msop.orsched import OrDag, to_msop as ordag_to_msop
 
@@ -33,6 +32,7 @@ from helpers import (
     chain_histogram,
     brute_opt_chain,
     brute_opt_permutation,
+    gen_generic_msop,
     ref_exact_max_density,
 )
 

@@ -217,6 +217,22 @@ def test_cli_check_ratio_passes_and_is_deterministic(tmp_path, capsys):
         assert strip(first) == strip(second)
 
 
+
+def test_cli_prints_exact_values_past_the_int_digit_limit(tmp_path, capsys):
+    # (10^3000 - 1)^2 has 6,000 digits, past the interpreter's default limit
+    # of 4,300 on converting an int to text
+    nines = "9" * 3000
+    path = tmp_path / "big.msop"
+    path.write_text(f"msop mssc v1\nelements 1\ncost 0 {nines}\nedge {nines} 0\n")
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"
+    for command in ("solve", "check-ratio"):
+        capsys.readouterr()
+        assert run([command, str(path)]) == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert report["greedy_cost"] == square, command
+    assert report["exact_cost"] == square
+    assert format_rational(Fraction(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+
 def test_cli_solve_backward(tmp_path, capsys):
     path = tmp_path / "m.msop"
     run(["gen", "mssc", "--n", "4", "--seed", "5", "--out", str(path)])

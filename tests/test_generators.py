@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 from msop import dualize, spot_check_hypotheses
 from msop.errors import BadParams
 from msop.formats import KIND_OF_TYPE
-from msop.generators import (
-    KINDS,
+from msop.generators import KINDS, gen_instance
+from msop.orsched import classify_dag, is_inforest, is_multitree, pipelined_to_msop
+
+from helpers import (
     gen_generic_msop,
-    gen_instance,
     gen_or_pipelined,
     gen_supermodular_cost_msop,
     random_chain,
+    ref_gen_multitree,
 )
-from msop.orsched import classify_dag, is_inforest, is_multitree, pipelined_to_msop
-
-from helpers import ref_gen_multitree
 
 
 def test_mssc_generator_validity_batch():
@@ -136,3 +136,29 @@ def test_random_chain_is_valid():
         assert chain.sets[0] == frozenset()
         assert chain.sets[-1] == inst.universe()
         assert all(inst.in_family(s) for s in chain.sets)
+
+
+def _mask_tables(instance):
+    subsets = [frozenset(v for v in range(instance.n) if mask >> v & 1)
+               for mask in range(1 << instance.n)]
+    return ([instance.in_family(s) for s in subsets], [instance.cost(s) for s in subsets],
+            [instance.weight(s) for s in subsets])
+
+
+def test_table_generators_give_the_pinned_output():
+    # one digest over every table generator's output for n = 1-6 and seeds
+    # 0-99: each table instance on all 2^n masks, a random chain of each
+    # generic instance, and each OR-pipelined instance
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for seed in range(100):
+            generic = gen_generic_msop(n, seed)
+            chain = random_chain(generic, random.Random(seed))
+            dag, edges = gen_or_pipelined(n, seed)
+            parts = [_mask_tables(generic), [sorted(s) for s in chain.sets],
+                     dag.times, dag.arcs, [(w, sorted(members)) for w, members in edges]]
+            if n >= 2:
+                parts.append(_mask_tables(gen_supermodular_cost_msop(n, seed)))
+            digest.update(repr(parts).encode())
+    assert digest.hexdigest() == (
+        "05f2ff71a5fbb63b596148150527fb0e4b43a55897e2744434efb96c16ad9247")

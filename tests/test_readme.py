@@ -1,4 +1,4 @@
-"""README.md names library code as ``module.name`` (``core.RunningOracle``,
+"""README.md names library code as ``module.name`` (``lattice.RunningOracle``,
 ``msop.cli.run``, ``lattice.modular(ground, values)``); each such name must
 still resolve, so a rename cannot leave the README stale."""
 
