@@ -42,10 +42,16 @@ class Mutant(NamedTuple):
 DIFF = "tests/test_differential.py"
 MUTANTS = (
     # OR-DAG steps: the lazy candidate heap of orsched._Residual
-    Mutant("residual-owners-not-dirty", "src/msop/orsched.py",
-           "                                del found[s]\n"
-           "                                dirty.add(s)\n",
-           "                                del found[s]\n",
+    Mutant("residual-top-without-closed-test", "src/msop/orsched.py",
+           "            elif closed.isdisjoint(top[-1]):\n"
+           "                return top\n"
+           "            else:\n"
+           "                heapreplace(heap, _Ranked(candidate(top[-2])))\n",
+           "            else:\n"
+           "                return top\n",
+           f"{DIFF}::test_residual_forgets_candidates_through_added_or_freed_jobs"),
+    Mutant("residual-top-kept-after-start-left", "src/msop/orsched.py",
+           "            if top[-2] not in sources:\n", "            if False:\n",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
     Mutant("residual-heap-kept-across-removal", "src/msop/orsched.py",
            "        self.heap.clear()\n", "",

@@ -16,6 +16,7 @@ serializer read every per-kind decision from it.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -31,16 +32,33 @@ from .xsearch import SearchGraph
 Instance = MsscInstance | OrDag | ReadOnceFormula | SearchGraph
 
 
+def _shown(token: str) -> str:
+    """``token`` as quoted in a message, cut to a short prefix."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+
+
+def _literal(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # past the interpreter's int-from-str digit limit, which Decimal lacks
+        if not re.fullmatch("[+-]?[0-9]+", text):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(text))
+
+
 def parse_rational(token: str, line: int | None, column: int | None = 1) -> Rational:
     if "." in token:
-        raise ParseError(f"decimal literals are not accepted: {token!r}", line, column)
+        raise ParseError(f"decimal literals are not accepted: {_shown(token)}", line, column)
     num, slash, den = token.partition("/")
     try:
         if not slash:
-            return int(num)
-        value = Fraction(int(num), int(den))
+            return _literal(num)
+        value = Fraction(_literal(num), _literal(den))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {token!r}", line, column) from None
+        raise ParseError(f"bad rational {_shown(token)}", line, column) from None
     return value if value.denominator != 1 else int(value)
 
 
@@ -73,7 +91,7 @@ def _int(token: str, line: int, what: str = "integer") -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"expected an {what}, got {token!r}", line) from None
+        raise ParseError(f"expected an {what}, got {_shown(token)}", line) from None
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -83,10 +101,10 @@ def parse_instance_text(text: str) -> Instance:
     header_line, header = records[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "msop" or parts[2] != "v1":
-        raise ParseError(f"bad header {header!r}; expected 'msop <kind> v1'", header_line)
+        raise ParseError(f"bad header {_shown(header)}; expected 'msop <kind> v1'", header_line)
     kind = _BY_NAME.get(parts[1])
     if kind is None:
-        raise ParseError(f"unknown kind {parts[1]!r}", header_line, len("msop ") + 1)
+        raise ParseError(f"unknown kind {_shown(parts[1])}", header_line, len("msop ") + 1)
     return kind.parse(records[1:])
 
 
@@ -127,7 +145,7 @@ def _parse_mssc(body) -> MsscInstance:
             edges.append((weight, members))
             edge_lines.append(lineno)
         else:
-            raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
+            raise ParseError(f"unknown record {_shown(word)}", lineno, line.index(word) + 1)
     if n is None:
         raise ParseError("missing 'elements' record", 1)
     for v, lineno in cost_lines.items():
@@ -170,7 +188,7 @@ def _parse_orsched(body) -> OrDag:
             arcs.append((_int(tokens[1], lineno), _int(tokens[2], lineno)))
             arc_lines.append(lineno)
         else:
-            raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
+            raise ParseError(f"unknown record {_shown(word)}", lineno, line.index(word) + 1)
     if not job_lines:
         raise ParseError("orsched file lists no jobs", 1)
     for (i, j), lineno in zip(arcs, arc_lines):
@@ -225,16 +243,19 @@ def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int,
             skip_blank()
             op, op_at = read_token()
             if op not in ("and", "or"):
-                error(f"unknown gate {op!r}", op_at)
+                error(f"unknown gate {_shown(op)}", op_at)
             stack.append((op, open_at, []))
             continue
         elif expr[pos] == ")":
             error("unexpected ')'", pos)
         else:
             token, at = read_token()
-            if not token.startswith("x") or not token[1:].isdigit():
-                error(f"expected a variable like x3, got {token!r}", at)
-            node = Leaf(int(token[1:]))
+            if not re.fullmatch("x[0-9]+", token):
+                error(f"expected a variable like x3, got {_shown(token)}", at)
+            try:
+                node = Leaf(int(token[1:]))
+            except ValueError:  # past the interpreter's int-from-str digit limit
+                error(f"variable id too long: {_shown(token)}", at)
             if node.var in columns:
                 error("each variable may appear in exactly one leaf", at)
             columns[node.var] = offset + at + 1
@@ -274,7 +295,7 @@ def _parse_rof(body) -> ReadOnceFormula:
             root, columns = _parse_formula(expr, lineno, line.index(expr))
             formula_line = lineno
         else:
-            raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
+            raise ParseError(f"unknown record {_shown(word)}", lineno, line.index(word) + 1)
     if root is None:
         raise ParseError("missing formula line", 1)
     for i, column in columns.items():
@@ -319,7 +340,7 @@ def _parse_xsearch(body) -> SearchGraph:
             )
             edge_lines.append(lineno)
         else:
-            raise ParseError(f"unknown record {word!r}", lineno, line.index(word) + 1)
+            raise ParseError(f"unknown record {_shown(word)}", lineno, line.index(word) + 1)
     if root is None:
         raise ParseError("missing root record", 1)
     for (u, v, _), lineno in zip(edges, edge_lines):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
 from .core import (
@@ -257,85 +257,68 @@ class _Residual(OrInitialMembership):
     residual successors are its successors outside ``closed``; they are
     filtered only for the jobs a step visits, so no ``OrDag`` is built.
 
-    ``found`` maps a source to the candidate a step kept for it, whose last
-    fields hold the source and the candidate's other jobs; ``heap`` orders
-    the kept candidates, and ``owners`` maps each job to the candidates
-    that hold it (``keep``).  Jobs only ever leave a superset's residual,
-    and its successor structure below the jobs that stay is unchanged, so
-    a source's candidates shrink to a subfamily; the best one stays best,
-    with the same tie-breaks, while none of those jobs is closed.  So a
-    move drops from ``found`` the candidates that hold a job it closes, and
-    the candidate of each source that joins the set, and marks ``dirty``
-    the sources a step must compute: the owners it dropped and the new
-    sources.  A heap or owner entry that is no longer in ``found`` is
-    stale, and is dropped when it is met.  A removal empties ``found``,
-    ``owners`` and ``heap`` and marks every source dirty (``clear``).
+    ``heap`` holds one kept candidate per source, whose last fields hold
+    the source and the candidate's other jobs, in candidate order; the
+    entry of a job that left ``sources`` stays until it reaches the top.
+    Jobs only ever leave a superset's residual, and its successor structure
+    below the jobs that stay is unchanged, so a source's candidates shrink
+    to a subfamily: a kept candidate never ranks behind its source's
+    current best, and equals it while none of its jobs is closed.  So the
+    heap is made current only at its top (``best``), as the heaps of
+    ``mssc._Gains`` are, and a move marks ``dirty`` only the new sources,
+    which a step must compute.  A removal empties ``heap`` and marks every
+    source dirty (``clear``).
     """
 
     def reset(self) -> None:
         super().reset()
         self.closed: set[int] = set()
         self.sources = set(self.dag.sources)
-        self.found: dict[int, _Ranked] = {}
-        self.owners: dict[int, list[_Ranked]] = {}
         self.heap: list[_Ranked] = []
         self.dirty = set(self.sources)
 
     def move(self, added, removed) -> bool:
         initial = super().move(added, removed)
         preds, succs, inside, members = self.dag.preds, self.dag.succs, self.inside, self.members
-        closed, sources, found, owners, dirty = (
-            self.closed, self.sources, self.found, self.owners, self.dirty)
+        closed, sources, dirty = self.closed, self.sources, self.dirty
         for v in (*added, *removed):
             for j in (v, *succs[v]):
                 if j in members or inside[j]:
-                    if j not in closed:
-                        closed.add(j)
-                        for cand in owners.pop(j, ()):
-                            s = cand[-2]
-                            if found.get(s) is cand:
-                                del found[s]
-                                dirty.add(s)
+                    closed.add(j)
                 else:
                     closed.discard(j)
                 if j not in members and (inside[j] or not preds[j]):
                     if j not in sources:
                         sources.add(j)
                         dirty.add(j)
-                elif j in sources:
-                    sources.remove(j)
-                    found.pop(j, None)
+                else:
+                    sources.discard(j)
         if removed:
             self.clear()
         return initial
 
     def clear(self) -> None:
         """Forget every kept candidate: each source is computed again."""
-        self.found.clear()
-        self.owners.clear()
         self.heap.clear()
         self.dirty = set(self.sources)
 
     def keep(self, cand: tuple) -> None:
         """Keep ``cand`` as its start's candidate, in heap order."""
-        cand = _Ranked(cand)
-        self.found[cand[-2]] = cand
-        owners = self.owners
-        for j in cand[-1]:
-            held = owners.get(j)
-            if held is None:
-                owners[j] = [cand]
-            else:
-                held.append(cand)
-        heappush(self.heap, cand)
+        heappush(self.heap, _Ranked(cand))
 
-    def best(self) -> tuple:
-        """The kept candidate first in heap order, after dropping the stale
-        tops."""
-        heap, found = self.heap, self.found
-        while found.get(heap[0][-2]) is not heap[0]:
-            heappop(heap)
-        return heap[0]
+    def best(self, candidate: Callable[[int], tuple]) -> tuple:
+        """The kept candidate first in heap order, once the top is current:
+        a top whose start has left ``sources`` is dropped, and one that
+        holds a closed job is replaced by ``candidate(start)``."""
+        heap, closed, sources = self.heap, self.closed, self.sources
+        while True:
+            top = heap[0]
+            if top[-2] not in sources:
+                heappop(heap)
+            elif closed.isdisjoint(top[-1]):
+                return top
+            else:
+                heapreplace(heap, _Ranked(candidate(top[-2])))
 
     def successor(self, v: int) -> int | None:
         """The first residual successor of ``v``, the only one in an inforest."""
@@ -435,8 +418,9 @@ def _densest_source_step(
     start); the denser wins, then the smaller tie-break, then the smaller
     start.  Since a start's tie-break begins with ``cand[2]`` and ends
     with the start, that is the heap order of ``_Residual.keep``.
-    ``candidate(start)`` computes a source's; only the dirty sources are
-    computed, in ascending order, and kept for later steps.  Without
+    ``candidate(start)`` computes a source's: the dirty sources', in
+    ascending order, and then that of each kept candidate that reaches the
+    heap's top holding a closed job (``_Residual.best``).  Without
     ``keep`` every source is computed again at every step."""
     if not keep:
         state.clear()
@@ -446,7 +430,7 @@ def _densest_source_step(
         if start in sources:
             state.keep(candidate(start))
     state.dirty.clear()
-    gain, spent, *_, start, below = state.best()
+    gain, spent, *_, start, below = state.best(candidate)
     return DensityResult(base.union(below, (start,)), density(gain, spent))
 
 
@@ -454,7 +438,7 @@ def _densest_stem(
     state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
 ) -> DensityResult:
     # with modular weights a stem's gains do not depend on the base, so
-    # each source's best prefix is kept until one of its jobs is closed
+    # each source's best prefix is kept while none of its jobs is closed
     g_base = None if g_oracle is None else g_oracle(base)
     return _densest_source_step(
         state, base, lambda start: _best_prefix(state, start, g_oracle, base, g_base),

@@ -15,6 +15,7 @@ versions along the walks the solve path takes.
 import gc
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -326,16 +327,24 @@ def test_residual_forgets_candidates_through_added_or_freed_jobs():
     state(frozenset())
     state.keep(orsched._best_prefix(state, 0, None, frozenset(), None))
     state.dirty.clear()
-    cand = state.found[0]
-    assert cand[-1] == [1, 2, 4] and state.owners == {j: [cand] for j in (1, 2, 4)}
+    kept = state.heap[0]
+    assert kept[-2:] == (0, [1, 2, 4])
     state(frozenset())
-    assert 0 in state.found and not state.dirty
+    assert state.heap == [kept] and not state.dirty
     state(frozenset({3}))
-    assert 0 not in state.found and state.sources == {0, 2} and state.dirty == {0, 2}
-    state.keep(orsched._best_prefix(state, 0, None, frozenset({3}), None))
-    assert state.found[0][-1] == []
+    assert state.sources == {0, 2} and state.dirty == {2} and 2 in state.closed
+    calls = []
+
+    def fresh(start):
+        calls.append(start)
+        return orsched._best_prefix(state, start, None, frozenset({3}), None)
+
+    # the top holds the closed job 2, so source 0's stem is computed again
+    assert state.best(fresh)[-2:] == (0, []) and calls == [0]
+    assert state.best(fresh) is state.heap[0] and calls == [0]
+    assert state.heap == [orsched._best_prefix(state, 0, None, frozenset({3}), None)]
     state(frozenset({0}))  # not a superset: everything is recomputed
-    assert state.found == {} and state.heap == [] and state.dirty >= state.sources
+    assert state.heap == [] and state.dirty >= state.sources
 
 
 def gains_step(state, parsed, base):
@@ -508,11 +517,11 @@ RESIDUAL_STEPS = {
 
 @pytest.mark.parametrize("shape", sorted(RESIDUAL_STEPS))
 def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
-    # after each step along a chain with detours: the heap's valid top is
-    # the best of a fresh scan, every source and no other job has a kept
-    # candidate, no kept candidate holds a closed job, the owner index's
-    # live pairs are exactly the kept candidates' jobs, and a move that
-    # removed jobs leaves no stale heap entry
+    # after each step along a chain with detours: the heap's current top is
+    # the best of a fresh scan, every source has exactly one kept
+    # candidate, which equals its fresh candidate while it holds no closed
+    # job and ranks no later than it otherwise, and a move that removed
+    # jobs leaves no entry of a job that is not a source
     make, step, fresh = RESIDUAL_STEPS[shape]
     dag = make()
     inst = orsched.to_msop(dag)
@@ -524,16 +533,19 @@ def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
         if not initial or not state.sources:
             continue
         step(state, base)
-        assert tuple(state.best()) == tuple(scanned_best(state, fresh(state, base))), sorted(base)
-        found = state.found
-        assert set(found) == state.sources
-        held = {(j, s) for s, cand in found.items() for j in cand[-1]}
-        assert state.closed.isdisjoint(j for j, _ in held)
-        live = {(j, cand[-2]) for j, cands in state.owners.items() for cand in cands
-                if found.get(cand[-2]) is cand}
-        assert live == held
+        candidate = fresh(state, base)
+        assert tuple(state.best(candidate)) == tuple(scanned_best(state, candidate)), sorted(base)
+        starts = Counter(cand[-2] for cand in state.heap)
+        assert all(starts[s] == 1 for s in state.sources)
+        for cand in state.heap:
+            if cand[-2] in state.sources:
+                now = orsched._Ranked(candidate(cand[-2]))
+                if state.closed.isdisjoint(cand[-1]):
+                    assert cand == now, sorted(base)
+                else:
+                    assert not now < cand, sorted(base)
         if removed:
-            assert all(found.get(cand[-2]) is cand for cand in state.heap)
+            assert all(cand[-2] in state.sources for cand in state.heap)
             removals += 1
         steps += 1
     assert steps >= 150 and removals >= 50

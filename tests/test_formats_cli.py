@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msop import cli, dual, exact, mssc, orsched, rof, xsearch
+from msop import cli, dual, exact, formats, mssc, orsched, rof, xsearch
 from msop.cli import run
 from msop.errors import BadParams, ParseError, ValidationError
 from msop.formats import (
@@ -105,6 +105,65 @@ def test_parse_errors_carry_line_numbers():
         parse_instance_text("not a header\n")
     with pytest.raises(ParseError):
         parse_instance_text("msop unknown v1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("msop mssc v1\nelements x\n", "expected an integer, got 'x'", 2, None),
+        ("# no header\n\n", "empty instance file", 1, None),
+        ("msop mssc v1\nelements 1 2\n", "elements takes one count", 2, None),
+        ("msop mssc v1\nelements 1\ncost 0\n", "cost takes an element id and a value", 3, None),
+        ("msop mssc v1\nelements 1\nedge 1\n", "edge takes a weight and at least one element",
+         3, None),
+        ("msop xsearch v1\nroot 0\nedge 0 1\n", "edge takes two endpoints and a cost", 3, None),
+        ("msop orsched v1\njob 0 1\n", "job takes id, processing time and weight", 2, None),
+        ("msop orsched v1\njob 0 1 1\narc 0\n", "arc takes two job ids", 3, None),
+        ("msop rof v1\nvar 1 1/2\n", "var takes id, probability and cost", 2, None),
+        ("msop xsearch v1\nroot\n", "root takes one vertex id", 2, None),
+        ("msop xsearch v1\nroot 0\nvertex 0\n", "vertex takes an id and a probability", 3, None),
+        ("msop orsched v1\njob 0 1 1\n  task 1\n", "unknown record 'task'", 3, 3),
+        ("msop rof v1\nvar 1 1/2 1\nleaf 1\n", "unknown record 'leaf'", 3, 1),
+        ("msop xsearch v1\nroot 0\n node 1\n", "unknown record 'node'", 3, 2),
+        ("msop mssc v1\ncost 0 1\n", "missing 'elements' record", 1, None),
+        ("msop orsched v1\n# no jobs\n", "orsched file lists no jobs", 1, None),
+        ("msop rof v1\nvar 1 1/2 1\n", "missing formula line", 1, None),
+        ("msop xsearch v1\nvertex 0 1\n", "missing root record", 1, None),
+        ("msop rof v1\nvar 1 1/2 1\nformula x1\nformula x1\n",
+         "only one formula line is allowed", 4, None),
+        ("msop rof v1\nvar 1 1/2 1\nformula   \n", "formula line is empty", 3, None),
+        ("msop rof v1\nvar 1 1/2 1\nformula y1\n", "expected a variable like x3, got 'y1'", 3, 9),
+        ("msop rof v1\nvar 1 1/2 1\nformula (or x1 x\u00b2)\n",
+         "expected a variable like x3, got 'x\u00b2'", 3, 16),
+        ("msop rof v1\nvar 1 1/2 1\nformula x" + "1" * 5000 + "\n",
+         f"variable id too long: 'x{'1' * 39}'... (5001 characters)", 3, 9),
+    ],
+    ids=["integer", "empty-file", "elements", "cost", "mssc-edge", "xsearch-edge", "job", "arc",
+         "var", "root", "vertex", "orsched-record", "rof-record", "xsearch-record",
+         "no-elements", "no-jobs", "no-formula", "no-root", "two-formulas", "empty-formula",
+         "variable", "superscript-variable", "long-variable"],
+)
+def test_parse_error_messages_and_their_place(text, message, line, column):
+    where = f"line {line}" + ("" if column is None else f", column {column}")
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert str(err.value) == f"{message} ({where})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_unexpected_end_of_formula_needs_an_empty_expression():
+    # a formula record's text is never empty (that is "formula line is
+    # empty"), so only a direct call reaches this message
+    with pytest.raises(ParseError) as err:
+        formats._parse_formula("", 3, 8)
+    assert str(err.value) == "unexpected end of formula (line 3, column 9)"
+
+
+def test_gen_without_out_writes_the_file_to_stdout(capsys):
+    assert run(["gen", "inforest", "--n", "6", "--seed", "2"]) == 0
+    assert capsys.readouterr() == (serialize_instance(gen_instance("inforest", 6, 2)), "")
+    with pytest.raises(ValidationError, match=r"^cannot serialize dict$"):
+        serialize_instance({})
 
 
 def test_parse_orsched_and_xsearch_and_rof():
@@ -233,6 +292,27 @@ def test_cli_prints_exact_values_past_the_int_digit_limit(tmp_path, capsys):
     assert report["exact_cost"] == square
     assert format_rational(Fraction(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
 
+def test_cli_reads_integer_literals_past_the_int_digit_limit(tmp_path, capsys):
+    # the interpreter refuses to convert more than 4,300 digits of text to
+    # an int; a token is cut to a short prefix in the message that echoes it
+    nines = "9" * 5000
+    path = tmp_path / "big.msop"
+    path.write_text(f"msop mssc v1\nelements 1\ncost 0 {nines}\nedge 1 0\n")
+    assert run(["solve", str(path)]) == 0
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["greedy_cost"] == nines
+    assert parse_rational(f"-{nines}/3", 1) == -(10**5000 - 1) // 3
+    assert parse_rational("1" + "0" * 5000 + "/4", 1) == Fraction(10**5000, 4)
+    path.write_text(f"msop mssc v1\nelements 1\ncost 0 {nines[1:]}x\nedge 1 0\n")
+    assert run(["solve", str(path)]) == 1
+    message = f"bad rational {nines[:40]!r}... (5000 characters) (line 3, column 1)"
+    assert capsys.readouterr() == ("", f"error: ParseError: {message}\n")
+    for token in ("1e" + "0" * 4999, "+-" + nines, nines + "/1.5"):
+        with pytest.raises(ParseError) as err:
+            parse_rational(token, 1)
+        assert len(str(err.value)) < 120, token[:10]
+
+
 def test_cli_solve_backward(tmp_path, capsys):
     path = tmp_path / "m.msop"
     run(["gen", "mssc", "--n", "4", "--seed", "5", "--out", str(path)])
@@ -288,6 +368,27 @@ def test_cli_check_ratio_flags_violations_with_exit_two(tmp_path, capsys, monkey
     assert run(["check-ratio", str(path)]) == 2
     out = capsys.readouterr().out
     assert "verdict=BOUND VIOLATED" in out
+
+
+def test_cli_check_ratio_reports_the_first_histogram_violation(tmp_path, capsys, monkeypatch):
+    # a greedy histogram that does not fit under the optimal one: the report
+    # names the first point where it sticks out, and the exit code is 2
+    path = tmp_path / "v.msop"
+    run(["gen", "mssc", "--n", "4", "--seed", "9", "--out", str(path)])
+    capsys.readouterr()
+    real = cli.exact.check_ratio
+
+    def uncontained(instance, chain, alpha):
+        greedy_cost, opt, report, _ = real(instance, chain, alpha)
+        violation = (Fraction(3, 2), Fraction(7, 3), 2)
+        return greedy_cost, opt, replace(report, contained=False, first_violation=violation), True
+
+    monkeypatch.setattr(cli.exact, "check_ratio", uncontained)
+    assert run(["check-ratio", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("histogram_contained=false")
+    assert lines[at + 1] == "histogram_violation=x=3/2 height=7/3 limit=2"
+    assert lines[-1] == "verdict=BOUND VIOLATED"
 
 
 def test_cli_exact_prints_nothing_when_it_fails(tmp_path, capsys):
