@@ -66,6 +66,10 @@ MUTANTS = (
     Mutant("gains-minus-one-top", "src/msop/mssc.py",
            "                if now < 0:\n", "                if now < -1:\n",
            f"{DIFF}::test_gains_heap_tops_are_each_cost_class_maximum_after_every_move"),
+    # the exhaustive caps (exact._cap_for): each search takes n up to its cap
+    Mutant("exact-cap-refuses-at-the-cap", "src/msop/exact.py",
+           "    if n > CAPS[what]:\n", "    if n >= CAPS[what]:\n",
+           "tests/test_exact.py::test_caps_raise_too_large"),
     # the exhaustive step's two walks (exact.exact_max_density)
     Mutant("exhaustive-submask-tie-to-later", "src/msop/exact.py",
            "                if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:\n"

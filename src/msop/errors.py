@@ -30,8 +30,8 @@ class SolverStall(MsopError):
 
 
 class InfeasibleInitialSet(MsopError):
-    def __init__(self, prefix_len: int, message: str | None = None):
-        super().__init__(message or f"initial set of length {prefix_len} is not in the family")
+    def __init__(self, prefix_len: int):
+        super().__init__(f"initial set of length {prefix_len} is not in the family")
         self.prefix_len = prefix_len
 
 

@@ -6,16 +6,14 @@ prefix sets and every chain is a path through nested feasible sets, so the
 lattice DP minimises over exactly the stated search space with no sampling.
 These DPs and the exhaustive density step read every subset's membership,
 cost and weight from the instance's ``msop.lattice.Lattice``.
-Caps are hard errors, never silent truncation; they can be overridden with
-the MSOP_EXACT_CAPS environment variable, e.g. ``perm=10,chain=8,density=22``.
+Caps are hard errors, never silent truncation, and fixed in ``CAPS``, so a
+report depends only on the command line and the file.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -42,33 +40,12 @@ from .errors import (
 )
 from .lattice import Lattice
 
-_DEFAULT_CAPS = {"perm": 9, "chain": 7, "density": 20}
-
-
-def exhaustive_caps() -> dict[str, int]:
-    return dict(_parse_caps(os.environ.get("MSOP_EXACT_CAPS", "")))
-
-
-@lru_cache(maxsize=8)
-def _parse_caps(raw: str) -> dict[str, int]:
-    """``MSOP_EXACT_CAPS`` parsed once per value; a bad one raises each time."""
-    caps = dict(_DEFAULT_CAPS)
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        key = key.strip()
-        if key not in caps or not val.strip().isdigit():
-            raise ValidationError(f"bad MSOP_EXACT_CAPS entry: {part!r}")
-        caps[key] = int(val.strip())
-    return caps
+CAPS = {"perm": 9, "chain": 7, "density": 20}  # the largest n each search takes
 
 
 def _cap_for(what: str, n: int) -> None:
-    limit = exhaustive_caps()[what]
-    if n > limit:
-        raise TooLarge(what, n, limit)
+    if n > CAPS[what]:
+        raise TooLarge(what, n, CAPS[what])
 
 
 def _checked_lattice(instance: MsopInstance) -> Lattice:

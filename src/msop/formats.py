@@ -49,17 +49,25 @@ def _literal(text: str) -> int:
         return int(Decimal(text))
 
 
-def parse_rational(token: str, line: int | None, column: int | None = 1) -> Rational:
+def _rational(token: str) -> Rational:
+    """``token``'s value; a bad token raises ValueError with the message."""
     if "." in token:
-        raise ParseError(f"decimal literals are not accepted: {_shown(token)}", line, column)
+        raise ValueError(f"decimal literals are not accepted: {_shown(token)}")
     num, slash, den = token.partition("/")
     try:
         if not slash:
             return _literal(num)
         value = Fraction(_literal(num), _literal(den))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {_shown(token)}", line, column) from None
+        raise ValueError(f"bad rational {_shown(token)}") from None
     return value if value.denominator != 1 else int(value)
+
+
+def parse_rational(token: str, line: int | None, column: int | None) -> Rational:
+    try:
+        return _rational(token)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, column) from None
 
 
 def format_rational(value: Rational) -> str:
@@ -80,26 +88,32 @@ def format_rational(value: Rational) -> str:
 
 
 def _records(text: str):
+    """(line number, text, tokens) of each line that is not blank or a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        yield lineno, line
+        yield lineno, line, line.split()
 
 
-def _int(token: str, line: int, what: str = "integer") -> int:
+def _field(record, index: int, read: Callable[[str], object] = int, what: str = "integer"):
+    """``read`` of the record's token ``index``: ``int``, whose error names
+    ``what``, or ``_rational``.  A bad token's error names its 1-based
+    column, found only then, so a good file pays nothing for it."""
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an {what}, got {_shown(token)}", line) from None
+        return read(record[2][index])
+    except ValueError as exc:
+        lineno, line, tokens = record
+        message = f"expected an {what}, got {_shown(tokens[index])}" if read is int else str(exc)
+        column = [m.start() for m in re.finditer(r"\S+", line)][index] + 1
+        raise ParseError(message, lineno, column) from None
 
 
 def parse_instance_text(text: str) -> Instance:
     records = list(_records(text))
     if not records:
         raise ParseError("empty instance file", 1)
-    header_line, header = records[0]
-    parts = header.split()
+    header_line, header, parts = records[0]
     if len(parts) != 3 or parts[0] != "msop" or parts[2] != "v1":
         raise ParseError(f"bad header {_shown(header)}; expected 'msop <kind> v1'", header_line)
     kind = _BY_NAME.get(parts[1])
@@ -120,28 +134,31 @@ def _parse_mssc(body) -> MsscInstance:
     cost_lines: dict[int, int] = {}
     edges: list[tuple[Rational, frozenset[int]]] = []
     edge_lines: list[int] = []
-    for lineno, line in body:
-        tokens = line.split()
+    for record in body:
+        lineno, line, tokens = record
         word = tokens[0]
         if word == "elements":
             if len(tokens) != 2:
                 raise ParseError("elements takes one count", lineno)
             if n is not None:
                 raise ParseError("only one elements record is allowed", lineno)
-            n, elements_line = _int(tokens[1], lineno), lineno
+            n, elements_line = _field(record, 1), lineno
         elif word == "cost":
             if len(tokens) != 3:
                 raise ParseError("cost takes an element id and a value", lineno)
-            v = _int(tokens[1], lineno)
+            v = _field(record, 1)
             if v in costs:
                 raise ParseError(f"element {v} already has a cost", lineno)
-            costs[v] = parse_rational(tokens[2], lineno)
+            costs[v] = _field(record, 2, _rational)
             cost_lines[v] = lineno
         elif word == "edge":
             if len(tokens) < 3:
                 raise ParseError("edge takes a weight and at least one element", lineno)
-            weight = parse_rational(tokens[1], lineno)
-            members = frozenset(_int(t, lineno) for t in tokens[2:])
+            weight = _field(record, 1, _rational)
+            try:
+                members = frozenset(map(int, tokens[2:]))
+            except ValueError:  # the bad member's error, with its column
+                members = frozenset(_field(record, i) for i in range(2, len(tokens)))
             edges.append((weight, members))
             edge_lines.append(lineno)
         else:
@@ -170,22 +187,22 @@ def _parse_orsched(body) -> OrDag:
     weights: list[Rational] = []
     arcs: list[tuple[int, int]] = []
     arc_lines: list[int] = []
-    for lineno, line in body:
-        tokens = line.split()
+    for record in body:
+        lineno, line, tokens = record
         word = tokens[0]
         if word == "job":
             if len(tokens) != 4:
                 raise ParseError("job takes id, processing time and weight", lineno)
-            job = _int(tokens[1], lineno)
+            job = _field(record, 1)
             if job in job_lines:
                 raise ParseError("job ids must be distinct", lineno)
             job_lines[job] = lineno
-            times.append(parse_rational(tokens[2], lineno))
-            weights.append(parse_rational(tokens[3], lineno))
+            times.append(_field(record, 2, _rational))
+            weights.append(_field(record, 3, _rational))
         elif word == "arc":
             if len(tokens) != 3:
                 raise ParseError("arc takes two job ids", lineno)
-            arcs.append((_int(tokens[1], lineno), _int(tokens[2], lineno)))
+            arcs.append((_field(record, 1), _field(record, 2)))
             arc_lines.append(lineno)
         else:
             raise ParseError(f"unknown record {_shown(word)}", lineno, line.index(word) + 1)
@@ -273,25 +290,24 @@ def _parse_rof(body) -> ReadOnceFormula:
     costs: dict[int, int] = {}
     var_lines: dict[int, int] = {}
     root: Node | None = None
-    for lineno, line in body:
-        tokens = line.split(None, 1)
+    for record in body:
+        lineno, line, tokens = record
         word = tokens[0]
         if word == "var":
-            parts = line.split()
-            if len(parts) != 4:
+            if len(tokens) != 4:
                 raise ParseError("var takes id, probability and cost", lineno)
-            i = _int(parts[1], lineno)
+            i = _field(record, 1)
             if i in probs:
                 raise ParseError(f"variable {i} is already declared", lineno)
-            probs[i] = Fraction(parse_rational(parts[2], lineno))
-            costs[i] = _int(parts[3], lineno, "integer cost")
+            probs[i] = Fraction(_field(record, 2, _rational))
+            costs[i] = _field(record, 3, what="integer cost")
             var_lines[i] = lineno
         elif word == "formula":
             if root is not None:
                 raise ParseError("only one formula line is allowed", lineno)
-            if len(tokens) != 2:
+            if len(tokens) == 1:
                 raise ParseError("formula line is empty", lineno)
-            expr = tokens[1]
+            expr = line.split(None, 1)[1]
             root, columns = _parse_formula(expr, lineno, line.index(expr))
             formula_line = lineno
         else:
@@ -312,32 +328,26 @@ def _parse_xsearch(body) -> SearchGraph:
     probs: dict[int, Rational] = {}
     edges: list[tuple[int, int, Rational]] = []
     edge_lines: list[int] = []
-    for lineno, line in body:
-        tokens = line.split()
+    for record in body:
+        lineno, line, tokens = record
         word = tokens[0]
         if word == "root":
             if len(tokens) != 2:
                 raise ParseError("root takes one vertex id", lineno)
             if root is not None:
                 raise ParseError("only one root record is allowed", lineno)
-            root = _int(tokens[1], lineno)
+            root = _field(record, 1)
         elif word == "vertex":
             if len(tokens) != 3:
                 raise ParseError("vertex takes an id and a probability", lineno)
-            v = _int(tokens[1], lineno)
+            v = _field(record, 1)
             if v in probs:
                 raise ParseError("vertex ids must be distinct", lineno)
-            probs[v] = parse_rational(tokens[2], lineno)
+            probs[v] = _field(record, 2, _rational)
         elif word == "edge":
             if len(tokens) != 4:
                 raise ParseError("edge takes two endpoints and a cost", lineno)
-            edges.append(
-                (
-                    _int(tokens[1], lineno),
-                    _int(tokens[2], lineno),
-                    parse_rational(tokens[3], lineno),
-                )
-            )
+            edges.append((_field(record, 1), _field(record, 2), _field(record, 3, _rational)))
             edge_lines.append(lineno)
         else:
             raise ParseError(f"unknown record {_shown(word)}", lineno, line.index(word) + 1)

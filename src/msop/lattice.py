@@ -254,7 +254,7 @@ def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:
     return col, scale
 
 
-def union_column(parts: Sequence[int], start: int = 0) -> IntColumn:
+def union_column(parts: Sequence[int], start: int) -> IntColumn:
     """Column of S -> ``start`` | the OR of ``parts[i]`` over the bits i of
     S, for masks ``parts`` of at most 62 bits."""
     col = array("q", [start])

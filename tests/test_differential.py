@@ -936,7 +936,7 @@ def seeded_instance(kind, n, seed):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_lattice_dps_match_reference_on_seeded_instances(kind):
-    caps = exact.exhaustive_caps()
+    caps = exact.CAPS
     for n in range(1, caps["perm"] + 1):
         for seed in (1, 2):
             inst = seeded_instance(kind, n, seed)
@@ -1408,7 +1408,7 @@ CHAIN_TEXT_SIZES = {"mssc": 150, "pipelined": 150, "inforest": 150, "multitree":
 def test_chain_text_matches_reference_on_greedy_chains_above_the_caps(kind):
     for seed in (1, 2):
         tools = cli.Toolchain(gen_instance(kind, CHAIN_TEXT_SIZES[kind], seed))
-        assert tools.instance.n > exact.exhaustive_caps()["perm"]
+        assert tools.instance.n > exact.CAPS["perm"]
         chain = tools.greedy()
         assert cli._format_chain(chain) == ref_format_chain(chain)
 

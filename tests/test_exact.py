@@ -132,36 +132,21 @@ def test_opt_chain_never_exceeds_opt_permutation():
 
 
 def test_caps_raise_too_large(monkeypatch):
-    inst = gen_generic_msop(5, 1)
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4,chain=4,density=4")
-    with pytest.raises(TooLarge):
-        exact.exact_opt_permutation(inst)
-    with pytest.raises(TooLarge):
-        exact.exact_opt_chain(inst)
-    with pytest.raises(TooLarge):
-        exact.exact_max_density(inst, frozenset())
-    free = free_instance(5, modular([1] * 5), modular([1] * 5))
-    with pytest.raises(TooLarge):
-        exact.exact_opt_permutation(free)
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=5")
-    exact.exact_opt_permutation(free)
-
-
-def test_caps_follow_each_change_of_the_variable(monkeypatch):
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4")
-    assert exact.exhaustive_caps() == {"perm": 4, "chain": 7, "density": 20}
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "chain=3,density=5")
-    assert exact.exhaustive_caps() == {"perm": 9, "chain": 3, "density": 5}
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4")
-    caps = exact.exhaustive_caps()
-    caps["perm"] = 1  # a caller's copy: the next call still sees 4
-    assert exact.exhaustive_caps()["perm"] == 4
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=4,speed=3")
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="speed=3"):
-            exact.exhaustive_caps()
-    monkeypatch.delenv("MSOP_EXACT_CAPS")
-    assert exact.exhaustive_caps() == {"perm": 9, "chain": 7, "density": 20}
+    # each search runs at n equal to its cap and refuses one element more
+    monkeypatch.setattr(exact, "CAPS", {"perm": 4, "chain": 4, "density": 4})
+    searches = {
+        "perm": exact.exact_opt_permutation,
+        "chain": exact.exact_opt_chain,
+        "density": lambda inst: exact.exact_max_density(inst, frozenset()),
+    }
+    at_cap, above = (free_instance(n, modular(range(1, n + 1)), modular([1] * n)) for n in (4, 5))
+    for what, search in searches.items():
+        search(at_cap)
+        with pytest.raises(TooLarge) as err:
+            search(above)
+        assert str(err.value) == f"{what}: instance has 5 elements, exhaustive cap is 4"
+    monkeypatch.setitem(exact.CAPS, "perm", 5)
+    exact.exact_opt_permutation(above)
 
 
 def test_max_density_prefers_best_singleton():

@@ -54,12 +54,12 @@ def test_parse_rejects_out_of_range_edge():
 
 
 def test_parse_rational_rules():
-    assert parse_rational("7", 1) == 7
-    assert parse_rational("2/4", 1) == Fraction(1, 2)
+    assert parse_rational("7", 1, 1) == 7
+    assert parse_rational("2/4", 1, 1) == Fraction(1, 2)
     with pytest.raises(ParseError):
-        parse_rational("0.5", 1)
+        parse_rational("0.5", 1, 1)
     with pytest.raises(ParseError):
-        parse_rational("1/0", 1)
+        parse_rational("1/0", 1, 1)
     assert format_rational(Fraction(4, 2)) == "2"
 
 
@@ -72,7 +72,7 @@ def test_format_rational_on_ints_and_fractions():
     }
     for value, text in cases.items():
         assert format_rational(value) == text, value
-        assert parse_rational(text, 1) == value
+        assert parse_rational(text, 1, 1) == value
     assert format_rational(True) == "1"  # not an int by type: the Fraction path
 
 
@@ -110,7 +110,20 @@ def test_parse_errors_carry_line_numbers():
 @pytest.mark.parametrize(
     "text, message, line, column",
     [
-        ("msop mssc v1\nelements x\n", "expected an integer, got 'x'", 2, None),
+        ("msop mssc v1\nelements x\n", "expected an integer, got 'x'", 2, 10),
+        ("msop mssc v1\nelements 1\ncost 0 1.5\n",
+         "decimal literals are not accepted: '1.5'", 3, 8),
+        ("msop mssc v1\nelements 2\nedge  1/0 0 1\n", "bad rational '1/0'", 3, 7),
+        ("msop mssc v1\nelements 2\nedge 1 0 one\n", "expected an integer, got 'one'", 3, 10),
+        ("msop orsched v1\njob 0 q 1\n", "bad rational 'q'", 2, 7),
+        ("msop orsched v1\njob 0 1 1/x\n", "bad rational '1/x'", 2, 9),
+        ("msop rof v1\nvar 1 0.5 1\nformula x1\n",
+         "decimal literals are not accepted: '0.5'", 2, 7),
+        ("msop rof v1\nvar 1 1/2 1/2\nformula x1\n",
+         "expected an integer cost, got '1/2'", 2, 11),
+        ("msop xsearch v1\nroot 0\nvertex 0 p\n", "bad rational 'p'", 3, 10),
+        ("msop xsearch v1\nroot 0\n  edge 0 1 2.0\n",
+         "decimal literals are not accepted: '2.0'", 3, 12),
         ("# no header\n\n", "empty instance file", 1, None),
         ("msop mssc v1\nelements 1 2\n", "elements takes one count", 2, None),
         ("msop mssc v1\nelements 1\ncost 0\n", "cost takes an element id and a value", 3, None),
@@ -138,7 +151,9 @@ def test_parse_errors_carry_line_numbers():
         ("msop rof v1\nvar 1 1/2 1\nformula x" + "1" * 5000 + "\n",
          f"variable id too long: 'x{'1' * 39}'... (5001 characters)", 3, 9),
     ],
-    ids=["integer", "empty-file", "elements", "cost", "mssc-edge", "xsearch-edge", "job", "arc",
+    ids=["integer", "mssc-cost-value", "mssc-edge-weight", "mssc-edge-member", "job-time",
+         "job-weight", "var-probability", "var-cost", "vertex-probability", "xsearch-edge-cost",
+         "empty-file", "elements", "cost", "mssc-edge", "xsearch-edge", "job", "arc",
          "var", "root", "vertex", "orsched-record", "rof-record", "xsearch-record",
          "no-elements", "no-jobs", "no-formula", "no-root", "two-formulas", "empty-formula",
          "variable", "superscript-variable", "long-variable"],
@@ -301,15 +316,15 @@ def test_cli_reads_integer_literals_past_the_int_digit_limit(tmp_path, capsys):
     assert run(["solve", str(path)]) == 0
     report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert report["greedy_cost"] == nines
-    assert parse_rational(f"-{nines}/3", 1) == -(10**5000 - 1) // 3
-    assert parse_rational("1" + "0" * 5000 + "/4", 1) == Fraction(10**5000, 4)
+    assert parse_rational(f"-{nines}/3", 1, 1) == -(10**5000 - 1) // 3
+    assert parse_rational("1" + "0" * 5000 + "/4", 1, 1) == Fraction(10**5000, 4)
     path.write_text(f"msop mssc v1\nelements 1\ncost 0 {nines[1:]}x\nedge 1 0\n")
     assert run(["solve", str(path)]) == 1
-    message = f"bad rational {nines[:40]!r}... (5000 characters) (line 3, column 1)"
+    message = f"bad rational {nines[:40]!r}... (5000 characters) (line 3, column 8)"
     assert capsys.readouterr() == ("", f"error: ParseError: {message}\n")
     for token in ("1e" + "0" * 4999, "+-" + nines, nines + "/1.5"):
         with pytest.raises(ParseError) as err:
-            parse_rational(token, 1)
+            parse_rational(token, 1, 1)
         assert len(str(err.value)) < 120, token[:10]
 
 
@@ -326,7 +341,7 @@ def test_cli_density_cap_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.msop"
     run(["gen", "mssc", "--n", "6", "--seed", "2", "--out", str(path)])
     capsys.readouterr()
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=3,chain=3,density=3")
+    monkeypatch.setattr(exact, "CAPS", {"perm": 3, "chain": 3, "density": 3})
     assert run(["exact", str(path), "--mode", "density"]) == 1
     err = capsys.readouterr().err
     assert "TooLarge" in err
@@ -344,7 +359,7 @@ def test_cli_check_ratio_skips_exact_above_caps(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.msop"
     run(["gen", "inforest", "--n", "8", "--seed", "1", "--out", str(path)])
     capsys.readouterr()
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=5,chain=5,density=20")
+    monkeypatch.setattr(exact, "CAPS", {"perm": 5, "chain": 5, "density": 20})
     assert run(["check-ratio", str(path)]) == 0
     out = capsys.readouterr().out
     assert "exact_cost=skipped" in out
@@ -403,15 +418,25 @@ def test_cli_exact_prints_nothing_when_it_fails(tmp_path, capsys):
         assert captured.err.startswith("error: "), argv
 
 
-def test_cli_check_ratio_skips_only_above_the_caps(tmp_path, capsys, monkeypatch):
+def test_cli_reports_ignore_the_environment(tmp_path, capsys, monkeypatch):
+    # the exhaustive caps are fixed in the code: no environment setting,
+    # however low or malformed, changes a report or its exit code
     path = tmp_path / "f.msop"
-    run(["gen", "inforest", "--n", "4", "--seed", "1", "--out", str(path)])
+    run(["gen", "inforest", "--n", "7", "--seed", "1", "--out", str(path)])
     capsys.readouterr()
-    monkeypatch.setenv("MSOP_EXACT_CAPS", "perm=x")
-    assert run(["check-ratio", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ValidationError: bad MSOP_EXACT_CAPS entry: 'perm=x'\n"
+    for argv in (["check-ratio", str(path)], ["exact", str(path), "--mode", "chain"]):
+        reports = []
+        for caps in (None, "perm=3,chain=3,density=3", "perm=x"):
+            if caps is None:
+                monkeypatch.delenv("MSOP_EXACT_CAPS", raising=False)
+            else:
+                monkeypatch.setenv("MSOP_EXACT_CAPS", caps)
+            assert run(argv) == 0, (argv, caps)
+            lines = capsys.readouterr().out.splitlines()
+            reports.append([line for line in lines if not line.startswith("wall_time_s=")])
+        assert reports[0] == reports[1] == reports[2], argv
+        report = dict(line.split("=", 1) for line in reports[0])
+        assert re.fullmatch("[0-9]+(/[0-9]+)?", report.get("exact_cost", report.get("cost"))), argv
 
 
 def _oracle_calls_after_greedy(monkeypatch, backward=False):

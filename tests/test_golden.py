@@ -40,8 +40,8 @@ COMMANDS = {
     "exact-chain": ("exact", "--mode", "chain"),
     "exact-density": ("exact", "--mode", "density"),
 }
-# exhaustive caps a command runs with, where the defaults would refuse it
-CAPS = {"exact-chain": "chain=9"}
+# exhaustive caps a command raises, where ``exact.CAPS`` would refuse it
+CAPS = {"exact-chain": {"chain": 9}}
 
 
 def report(name: str, argv) -> str:
@@ -60,31 +60,32 @@ def report(name: str, argv) -> str:
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("kind", [kind for kind, _, _ in INSTANCES])
 def test_report_matches_golden(kind, command, monkeypatch):
+    from msop import exact
+
     monkeypatch.chdir(GOLDEN)
-    if command in CAPS:
-        monkeypatch.setenv("MSOP_EXACT_CAPS", CAPS[command])
+    monkeypatch.setattr(exact, "CAPS", {**exact.CAPS, **CAPS.get(command, {})})
     want = (GOLDEN / f"{kind}.{command}.out").read_text(encoding="utf-8")
     assert report(f"{kind}.msop", COMMANDS[command]) == want
 
 
 def write_golden() -> None:
+    from msop import exact
     from msop.formats import serialize_instance
     from msop.generators import gen_instance
 
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(GOLDEN)
+    caps = exact.CAPS
     for kind, n, seed in INSTANCES:
         Path(f"{kind}.msop").write_text(
             serialize_instance(gen_instance(kind, n, seed)), encoding="utf-8"
         )
         for command, argv in COMMANDS.items():
-            os.environ.pop("MSOP_EXACT_CAPS", None)
-            if command in CAPS:
-                os.environ["MSOP_EXACT_CAPS"] = CAPS[command]
+            exact.CAPS = {**caps, **CAPS.get(command, {})}
             Path(f"{kind}.{command}.out").write_text(
                 report(f"{kind}.msop", argv), encoding="utf-8"
             )
-    os.environ.pop("MSOP_EXACT_CAPS", None)
+    exact.CAPS = caps
 
 
 if __name__ == "__main__":
