@@ -137,12 +137,27 @@ MUTANTS = (
            "            texts.append(str(v))\n",
            f"{DIFF}::test_chain_text_matches_reference_through_multi_element_increments"),
     Mutant("refinement-takes-chain-set-early", "src/msop/core.py",
-           "            current = current | {nxt}\n", "            current = target\n",
+           "            current = current | {nxt}\n",
+           "            current = current.union(increment)\n",
            f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[inforest]"),
     Mutant("refinement-skips-feasibility-test", "src/msop/core.py",
            "            nxt = next((v for v in rest if in_family(current | {v})), None)\n",
            "            nxt = rest[0]\n",
            f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[multitree]"),
+    # greedy steps by their increments: the re-check (core.greedy_chain)
+    # and the increment entry point (lattice.RunningOracle.advance)
+    Mutant("recheck-keeps-base-values", "src/msop/core.py",
+           "        costs.append(cost)\n        weights.append(weight)\n",
+           "        costs.append(costs[-1])\n        weights.append(weights[-1])\n",
+           "tests/test_core.py::test_greedy_keeps_the_values_a_fresh_walk_reads"),
+    Mutant("advance-skips-identity-gate", "src/msop/lattice.py",
+           "        if self.last is not base or not base.isdisjoint(added):\n",
+           "        if not base.isdisjoint(added):\n",
+           f"{DIFF}::test_running_oracle_advance_contract[RunningSum]"),
+    Mutant("advance-skips-disjoint-check", "src/msop/lattice.py",
+           "        if self.last is not base or not base.isdisjoint(added):\n",
+           "        if self.last is not base:\n",
+           f"{DIFF}::test_running_oracle_advance_contract[RunningSum]"),
     # the histogram check's merge (exact.histogram_containment_check)
     Mutant("histogram-advances-optimal-on-common-end", "src/msop/exact.py",
            "        elif right <= o_right:\n", "        elif right < o_right:\n",

@@ -43,21 +43,18 @@ def _format_set(s) -> str:
 
 
 def _format_chain(chain: Chain) -> str:
-    # chain sets strictly increase from the empty set, so each printed set
-    # is nonempty and its sorted ids are the previous set's with the
-    # increment's inserted; their texts are kept beside them, so a set's
-    # text is one join
+    # each chain set after the empty one is printed, so it is nonempty and
+    # its sorted ids are the previous set's with the increment's inserted;
+    # their texts are kept beside them, so a set's text is one join
     ids: list[int] = []
     texts: list[str] = []
     parts = []
-    prev = chain.sets[0]
-    for s in chain.sets[1:]:
-        for v in s - prev:
+    for increment in chain.increments:
+        for v in increment:
             k = bisect(ids, v)
             ids.insert(k, v)
             texts.insert(k, str(v))
         parts.append(",".join(texts))
-        prev = s
     return ";".join(parts)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SolverStall,
     ValidationError,
 )
-from .lattice import Lattice, build_lattice
+from .lattice import Lattice, Stepper, build_lattice, stepper
 
 Rational = int | Fraction
 Density = int | Fraction | float  # float solely for the +inf sentinel
@@ -82,34 +82,67 @@ class MsopInstance:
 
 @dataclass(frozen=True)
 class Chain:
-    """Strictly increasing feasible sets from the empty set to the ground set.
+    """Strictly increasing feasible sets from the empty set to the ground
+    set, kept as their increments: ``increments[j]`` holds the sorted ids
+    that set j + 1 adds to set j, so the chain takes memory linear in the
+    ground set.  ``from_sets`` builds a chain from its sets, and ``sets``
+    gives them back.
 
     ``densities`` carries the greedy certificate, one achieved marginal
     density per step; ``values``, each set's cost and weight as checked on
     ``instance``.  None of the three takes part in equality comparisons.
     """
 
-    sets: tuple[frozenset[int], ...]
+    increments: tuple[tuple[int, ...], ...]
     densities: tuple[Density, ...] | None = field(default=None, compare=False)
     values: Values | None = field(default=None, compare=False, repr=False)
     instance: MsopInstance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.sets) < 2:
+        if not self.increments:
             raise InvalidChain("a chain has at least two sets")
-        if self.sets[0]:
+        ids = [v for increment in self.increments for v in increment]
+        if (not all(self.increments) or len(set(ids)) != len(ids)
+                or any(increment != tuple(sorted(increment)) for increment in self.increments)):
+            raise InvalidChain("chain increments must be nonempty, disjoint, sorted tuples")
+        if self.densities is not None and len(self.densities) != self.steps:
+            raise InvalidChain("certificate length must match the number of steps")
+        if self.values is not None and any(len(column) != self.steps + 1
+                                           for column in self.values):
+            raise InvalidChain("kept values must give one cost and one weight per chain set")
+
+    @classmethod
+    def from_sets(
+        cls,
+        sets: Sequence[frozenset[int]],
+        densities: tuple[Density, ...] | None = None,
+        values: Values | None = None,
+        instance: MsopInstance | None = None,
+    ) -> "Chain":
+        """The chain through ``sets``, which must strictly increase from
+        the empty set."""
+        if len(sets) < 2:
+            raise InvalidChain("a chain has at least two sets")
+        if sets[0]:
             raise InvalidChain("chains start at the empty set")
-        for a, b in zip(self.sets, self.sets[1:]):
+        increments = []
+        for a, b in zip(sets, sets[1:]):
             if not a < b:
                 raise InvalidChain(
                     f"chain sets must strictly increase, got {sorted(a)} before {sorted(b)}"
                 )
-        if self.densities is not None and len(self.densities) != len(self.sets) - 1:
-            raise InvalidChain("certificate length must match the number of steps")
+            increments.append(tuple(sorted(b - a)))
+        return cls(tuple(increments), densities, values, instance)
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The chain's sets, the empty set first, built afresh on each
+        access: quadratic in the ground set, so no solve path reads it."""
+        return tuple(accumulate(self.increments, frozenset.union, initial=frozenset()))
 
     @property
     def steps(self) -> int:
-        return len(self.sets) - 1
+        return len(self.increments)
 
 
 @dataclass(frozen=True)
@@ -127,26 +160,39 @@ class DensityResult:
 def chain_values(instance: MsopInstance, chain: Chain) -> Values:
     """The cost and the weight of each chain set.  A chain whose values
     were kept on this very ``instance`` hands them back; any other is read
-    in one checked walk, each set's cost and weight once, which raises on
-    any invariant breach: a set outside the family, an end short of the
-    ground set, a nonzero value on the empty set, or a value that falls."""
+    in one checked walk up its increments, each set's membership, cost and
+    weight once, which raises on any invariant breach, in this order: an
+    end short of the ground set, the first set outside the family, a
+    nonzero value on the empty set, the first value that falls."""
     if chain.instance is instance and chain.values is not None:
         return chain.values
-    if chain.sets[-1] != instance.universe():
+    universe = instance.universe()
+    # the increments are disjoint, so they cover the ground set exactly
+    # when their sizes add up to it and none holds an outside id
+    if (sum(map(len, chain.increments)) != len(universe)
+            or not all(map(universe.issuperset, chain.increments))):
         raise InvalidChain("chain must end at the full ground set")
-    for s in chain.sets:
-        if not instance.in_family(s):
+    s: frozenset[int] = frozenset()
+    if not instance.in_family(s):
+        raise InvalidChain(f"set {sorted(s)} is not in the family")
+    costs, weights = [instance.cost(s)], [instance.weight(s)]
+    family, cost, weight = _steppers(instance)
+    for increment in chain.increments:
+        added = frozenset(increment)
+        base, s = s, s | added
+        if not family(base, s, added):
             raise InvalidChain(f"set {sorted(s)} is not in the family")
-    costs = tuple(map(instance.cost, chain.sets))
-    weights = tuple(map(instance.weight, chain.sets))
+        costs.append(cost(base, s, added))
+        weights.append(weight(base, s, added))
     if costs[0] != 0 or weights[0] != 0:
         raise InvalidChain("cost and weight must be zero on the empty set")
     for j in range(1, len(costs)):
         if costs[j] < costs[j - 1] or weights[j] < weights[j - 1]:
+            sets = chain.sets
             raise NonMonotone(
-                f"value decreased between {sorted(chain.sets[j - 1])} and {sorted(chain.sets[j])}"
+                f"value decreased between {sorted(sets[j - 1])} and {sorted(sets[j])}"
             )
-    return costs, weights
+    return tuple(costs), tuple(weights)
 
 
 def chain_cost(instance: MsopInstance, chain: Chain) -> Rational:
@@ -178,25 +224,33 @@ def marginal_density(
         raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
     if not instance.in_family(base):
         raise NotInFamily(f"base {sorted(base)} is not in the family")
-    _, _, dg, df = _step_from(instance, base, instance.cost(base), instance.weight(base), candidate)
+    _, _, dg, df = _step_from(_steppers(instance), base, instance.cost(base),
+                              instance.weight(base), candidate, candidate - base)
     return DensityResult(candidate, density(dg, df))
 
 
+def _steppers(instance: MsopInstance) -> tuple[Stepper, Stepper, Stepper]:
+    """The instance's family, cost and weight oracles as ``stepper``s."""
+    return stepper(instance.in_family), stepper(instance.cost), stepper(instance.weight)
+
+
 def _step_from(
-    instance: MsopInstance,
+    oracles: tuple[Stepper, Stepper, Stepper],
     base: frozenset[int],
     base_cost: Rational,
     base_weight: Rational,
     candidate: frozenset[int],
+    added: frozenset[int],
 ) -> tuple[Rational, Rational, Rational, Rational]:
-    """Cost and weight of ``candidate``, and its weight and cost gains, over
-    a feasible ``base`` whose cost and weight are already known."""
-    if not base < candidate:
-        raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
-    if not instance.in_family(candidate):
+    """Cost and weight of ``candidate``, the strict superset of a feasible
+    ``base`` by ``added``, and its weight and cost gains over ``base``,
+    whose cost and weight are already known, by the ``_steppers`` of an
+    instance."""
+    family, cost_at, weight_at = oracles
+    if not family(base, candidate, added):
         raise NotInFamily(f"candidate {sorted(candidate)} is not in the family")
-    cost = instance.cost(candidate)
-    weight = instance.weight(candidate)
+    cost = cost_at(base, candidate, added)
+    weight = weight_at(base, candidate, added)
     df = cost - base_cost
     dg = weight - base_weight
     if df < 0 or dg < 0:
@@ -240,12 +294,15 @@ DensitySolver = Callable[[frozenset[int]], DensityResult]
 def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain:
     """Iterate a density solver from the empty set until the ground set.
 
-    The solver's answer is taken verbatim each step; its density is checked
-    against the oracles' weight and cost gains and recorded as the chain's
-    certificate, and the chain keeps each set's cost and weight for
-    ``chain_values``.  Cost-flat (+inf density) steps are expected to be
-    offered by the solver before any finite-density step and are taken
-    immediately; they never increase the objective.
+    The solver's answer is taken verbatim each step and checked: its
+    increment over the base, found by one set difference, must be
+    nonempty and the candidate a feasible superset of the base, and its
+    density must equal the oracles' weight and cost gains.  The chain
+    keeps the increments, the densities as its certificate, and each
+    set's cost and weight for ``chain_values``.  Cost-flat (+inf density)
+    steps are expected to be offered by the solver before any
+    finite-density step and are taken immediately; they never increase
+    the objective.
     """
     instance.validate()
     universe = instance.universe()
@@ -253,41 +310,44 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     # each step's base is the previous candidate, already checked and
     # evaluated; validate() showed the empty set is feasible with value 0
     costs, weights = [0], [0]
-    sets = [current]
+    oracles = _steppers(instance)
+    increments: list[tuple[int, ...]] = []
     densities: list[Density] = []
     while current != universe:
         step = density_solver(current)
         # frozen once, since the solver may hand out a set it changes later
         candidate = frozenset(step.candidate)
-        if candidate == current:
-            raise SolverStall(f"density solver returned its base {sorted(current)}")
-        cost, weight, dg, df = _step_from(instance, current, costs[-1], weights[-1], candidate)
+        added = candidate - current
+        if not added or len(current) + len(added) != len(candidate):
+            if candidate == current:
+                raise SolverStall(f"density solver returned its base {sorted(current)}")
+            raise NotASuperset(
+                f"{sorted(candidate)} is not a strict superset of {sorted(current)}")
+        cost, weight, dg, df = _step_from(
+            oracles, current, costs[-1], weights[-1], candidate, added)
         if not _is_density(step.marginal_density, dg, df):
             raise ValidationError(
                 "density solver reported density "
                 f"{step.marginal_density} but the oracles give {density(dg, df)}"
             )
-        sets.append(candidate)
+        increments.append(tuple(sorted(added)))
         costs.append(cost)
         weights.append(weight)
         densities.append(step.marginal_density)
         current = candidate
-    return Chain(tuple(sets), tuple(densities), (tuple(costs), tuple(weights)), instance)
+    return Chain(tuple(increments), tuple(densities), (tuple(costs), tuple(weights)), instance)
 
 
 def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
     """Chain of all initial sets of a feasible permutation."""
     if frozenset(order) != instance.universe():
         raise ValidationError("permutation must arrange the full ground set")
-    sets = [frozenset()]
     current: set[int] = set()
     for j, v in enumerate(order, start=1):
         current.add(v)
-        s = frozenset(current)
-        if not instance.in_family(s):
+        if not instance.in_family(frozenset(current)):
             raise InfeasibleInitialSet(j)
-        sets.append(s)
-    return Chain(tuple(sets))
+    return Chain(tuple((v,) for v in order))
 
 
 def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
@@ -297,27 +357,32 @@ def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...
     Each increment is filled by repeatedly adding the smallest element that
     keeps the prefix feasible; for permutation families closed under
     splicing such an element always exists, so a stall means the family is
-    not well-founded.
+    not well-founded.  The last element of an increment completes a
+    checked chain set, so a one-element increment asks no oracle, and the
+    prefix set is built only for an increment with a choice to make.
     """
     chain_values(instance, chain)
     in_family = instance.in_family
     order_out: list[int] = []
-    current: frozenset[int] = frozenset()
-    for target in chain.sets[1:]:
-        rest = sorted(target - current)
+    current: frozenset[int] = frozenset()  # the first ``placed`` ids of ``order_out``
+    placed = 0
+    for increment in chain.increments:
+        rest = list(increment)
+        if len(rest) > 1:
+            current, placed = current.union(order_out[placed:]), len(order_out)
         while len(rest) > 1:
             nxt = next((v for v in rest if in_family(current | {v})), None)
             if nxt is None:
                 raise NotWellFounded(
                     f"no feasible single-element extension of {sorted(current)} inside "
-                    f"{sorted(target)}; the permutation family is not closed under splicing"
+                    f"{sorted(current.union(rest))}; the permutation family is not closed "
+                    "under splicing"
                 )
             order_out.append(nxt)
             rest.remove(nxt)
             current = current | {nxt}
-        # the last element completes the checked chain set itself
+            placed += 1
         order_out.append(rest[0])
-        current = target
     return tuple(order_out)
 
 

@@ -59,9 +59,10 @@ def dualize(instance: MsopInstance) -> MsopInstance:
 
 
 def dual_chain(chain: Chain) -> Chain:
-    """Complement every set and reverse; an involution on chains."""
-    universe = chain.sets[-1]
-    return Chain(tuple(universe - s for s in reversed(chain.sets)))
+    """Complement every set and reverse; an involution on chains.  The
+    complement of set j grows into that of set j - 1 by increment j, so
+    the dual chain's increments are the chain's, reversed."""
+    return Chain(tuple(reversed(chain.increments)))
 
 
 def backward_greedy_chain(instance: MsopInstance, solver_factory: SolverFactory) -> Chain:
@@ -80,4 +81,4 @@ def backward_greedy_chain(instance: MsopInstance, solver_factory: SolverFactory)
     costs, weights = chain_values(instance, primal)
     densities = tuple(density(g - prev_g, f - prev_f) for f, prev_f, g, prev_g
                       in zip(costs[1:], costs, weights[1:], weights))
-    return Chain(primal.sets, densities, (costs, weights), instance)
+    return Chain(primal.increments, densities, (costs, weights), instance)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 from .core import (
@@ -144,8 +143,10 @@ def exact_opt_chain(instance: MsopInstance) -> tuple[Chain, Rational]:
     while masks[-1] != 0:
         masks.append(parent[masks[-1]])
     ground = instance.ground_set
-    sets = tuple(frozenset(_members(ground, m)) for m in reversed(masks))
-    return Chain(sets), Fraction(cost, lattice.cost_scale * lattice.weight_scale)
+    # each step adds the bits of its mask that its parent lacks
+    increments = tuple(tuple(sorted(_members(ground, mask & ~below)))
+                       for mask, below in zip(masks, masks[1:]))
+    return Chain(increments[::-1]), Fraction(cost, lattice.cost_scale * lattice.weight_scale)
 
 
 def _members(ground: tuple[int, ...], mask: int) -> list[int]:
@@ -338,8 +339,7 @@ def check_ratio(
     ``TooLarge`` comes before any chain is read; each is read once."""
     order, opt = exact_opt_permutation(instance)
     costs, weights = chain_values(instance, chain)
-    prefixes = accumulate(order, lambda s, v: s | {v}, initial=frozenset())
-    opt_costs, opt_weights = chain_values(instance, Chain(tuple(prefixes)))
+    opt_costs, opt_weights = chain_values(instance, Chain(tuple((v,) for v in order)))
     report = histogram_containment_check(weights, chain.densities, opt_costs, opt_weights, alpha)
     greedy_cost = values_cost(costs, weights)
     return greedy_cost, opt, report, greedy_cost > 4 * alpha * opt or not report.contained

@@ -20,7 +20,8 @@ subset from a smaller one and calls cost and weight only on feasible sets.
 
 The oracles themselves answer one set at a time.  Those that would redo
 the whole set at each call are ``RunningOracle``s, which move from the
-last set asked about by the elements that came and went.
+last set asked about by the elements that came and went, or by an
+increment their caller knows (``advance``).
 
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
@@ -51,6 +52,9 @@ class RunningOracle:
     chain, its dual's complements and the chain's refinement each ask
     about sets one or two elements apart.  When the difference is larger
     than the new set, the state is rebuilt from the empty set.
+
+    A caller that knows the increment from the last set calls
+    ``advance`` instead, which skips the symmetric difference.
 
     Subclasses hold the state: ``reset()`` empties it and
     ``move(added, removed)`` applies a difference and returns the value.
@@ -91,6 +95,30 @@ class RunningOracle:
         self.value = self.move(added, removed)
         self.last = s
         return self.value
+
+    def advance(self, base: frozenset[int], s: frozenset[int], added: frozenset[int]):
+        """The value at the frozenset ``s``, which the caller vouches is
+        ``base`` joined with the frozenset ``added``.  When the last set
+        asked about is ``base`` itself and ``added`` misses it, the state
+        moves by ``added`` alone, O(|added|); otherwise this is ``self(s)``."""
+        if self.last is not base or not base.isdisjoint(added):
+            return self(s)
+        self.last = None  # as in ``__call__``
+        self.value = self.move(added, ())
+        self.last = s
+        return self.value
+
+
+Stepper = Callable[[frozenset[int], frozenset[int], frozenset[int]], object]
+
+
+def stepper(oracle: Callable) -> Stepper:
+    """``oracle`` as a function of (base, s, added), for ``s`` = ``base``
+    joined with ``added``: a running oracle's ``advance``, which moves by
+    ``added``; any other function is called with ``s``."""
+    if isinstance(oracle, RunningOracle):
+        return oracle.advance
+    return lambda base, s, added: oracle(s)
 
 
 @dataclass(frozen=True)

@@ -238,15 +238,29 @@ def singleton_solver(instance: MsscInstance) -> DensitySolver:
     last base and a heap per distinct cost (``_Gains``), so a greedy step
     costs the size of the hyperedges it covers plus O(cost classes + log n
     per refreshed heap top), and a removed element O(log n) per member of
-    the hyperedges it uncovers."""
+    the hyperedges it uncovers.  Called with its last candidate itself,
+    as the greedy loop calls it, the solver moves the state by the element
+    it added (``RunningOracle.advance``), and the candidate's union is the
+    one whole-set operation of the step."""
     state = _Gains(instance)
-    full = frozenset(range(instance.n))
+    n = instance.n
+    full = frozenset(range(n))
+    last = (None, None, None)  # the last answer's base, candidate and increment
 
     def solve(base: frozenset[int]) -> DensityResult:
-        base = frozenset(base)
-        if not base < full:
-            raise NoFeasibleSuperset("base already contains every element")
-        v, g, c = state(base)
-        return DensityResult(base | {v}, density(g, c))
+        nonlocal last
+        prev, candidate, added = last
+        if base is candidate:
+            if len(base) == n:
+                raise NoFeasibleSuperset("base already contains every element")
+            v, g, c = state.advance(prev, base, added)
+        else:
+            base = frozenset(base)
+            if not base < full:
+                raise NoFeasibleSuperset("base already contains every element")
+            v, g, c = state(base)
+        added = frozenset((v,))
+        last = base, base | added, added
+        return DensityResult(last[1], density(g, c))
 
     return solve

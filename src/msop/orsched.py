@@ -18,6 +18,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
 from .core import (
+    Density,
     DensityResult,
     DensitySolver,
     MsopInstance,
@@ -410,9 +411,11 @@ def _best_ratio_subtree(
 
 
 def _densest_source_step(
-    state: _Residual, base: frozenset[int], candidate: Callable[[int], tuple], keep: bool = True
-) -> DensityResult:
-    """The best candidate of the residual sources as a step from ``base``.
+    state: _Residual, candidate: Callable[[int], tuple], keep: bool = True
+) -> tuple[frozenset[int], Density]:
+    """The best candidate of the residual sources as a step from the
+    state's set: the candidate's jobs, which are the step's increment, and
+    its density.
 
     A candidate is (weight gain, time, *tie-break, start, jobs after
     start); the denser wins, then the smaller tie-break, then the smaller
@@ -431,17 +434,17 @@ def _densest_source_step(
             state.keep(candidate(start))
     state.dirty.clear()
     gain, spent, *_, start, below = state.best(candidate)
-    return DensityResult(base.union(below, (start,)), density(gain, spent))
+    return frozenset((start, *below)), density(gain, spent)
 
 
 def _densest_stem(
     state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
-) -> DensityResult:
+) -> tuple[frozenset[int], Density]:
     # with modular weights a stem's gains do not depend on the base, so
     # each source's best prefix is kept while none of its jobs is closed
     g_base = None if g_oracle is None else g_oracle(base)
     return _densest_source_step(
-        state, base, lambda start: _best_prefix(state, start, g_oracle, base, g_base),
+        state, lambda start: _best_prefix(state, start, g_oracle, base, g_base),
         keep=g_oracle is None,
     )
 
@@ -456,24 +459,38 @@ def _best_subtree(state: _Residual, start: int) -> tuple:
     return w_sum, t_sum, start, subtree - {start}
 
 
-def _densest_outtree_step(state: _Residual, base: frozenset[int]) -> DensityResult:
-    return _densest_source_step(state, base, lambda start: _best_subtree(state, start))
+def _densest_outtree_step(
+    state: _Residual, base: frozenset[int]
+) -> tuple[frozenset[int], Density]:
+    return _densest_source_step(state, lambda start: _best_subtree(state, start))
 
 
-def _residual_solver(
-    dag: OrDag, step: Callable[[_Residual, frozenset[int]], DensityResult]
-) -> DensitySolver:
+Step = Callable[[_Residual, frozenset[int]], tuple[frozenset[int], Density]]
+
+
+def _residual_solver(dag: OrDag, step: Step) -> DensitySolver:
     """Density steps by ``step`` on the residual of each base, kept by one
-    ``_Residual`` between calls."""
+    ``_Residual`` between calls.  Called with its last candidate itself, as
+    the greedy loop calls it, the solver moves the residual by the jobs it
+    added (``RunningOracle.advance``)."""
     state = _Residual(dag)
+    last = (None, None, None)  # the last answer's base, candidate and increment
 
     def solve(base: frozenset[int]) -> DensityResult:
-        base = frozenset(base)
-        if not state(base):
+        nonlocal last
+        prev, candidate, added = last
+        if base is candidate:
+            initial = state.advance(prev, base, added)
+        else:
+            base = frozenset(base)
+            initial = state(base)
+        if not initial:
             raise NotInitial(f"{sorted(base)} is not an OR-initial set")
         if not state.sources:
             raise NoFeasibleSuperset("base already contains every job")
-        return step(state, base)
+        added, rho = step(state, base)
+        last = base, base | added, added
+        return DensityResult(last[1], rho)
 
     return solve
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .core import DensityResult, MsopInstance, compare_density, density
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import RunningOracle, free, modular, supply
+from .lattice import RunningOracle, free, modular, stepper, supply
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,16 +435,30 @@ def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
     supplement's cost is its budget, so a step calls the weight oracle once,
     on the candidate.  The solver keeps the pruned tables of its last base
     (``_Supplements``): a greedy step recomputes the gates on the root
-    paths of the tests the last step added."""
+    paths of the tests the last step added.  Called with its last
+    candidate itself, as the greedy loop calls it, the solver moves the
+    tables and the weight oracle by the tests it added
+    (``RunningOracle.advance``)."""
     state = _Supplements(formula)
+    variables = frozenset(formula.variables)
+    weight = stepper(instance.weight)
+    # the last answer's base, candidate, increment, and the number of
+    # tests the candidate leaves untested
+    last = (None, None, None, None)
 
     def solve(base: frozenset[int]) -> DensityResult:
-        base = frozenset(base)
-        if base.issuperset(formula.variables):
+        nonlocal last
+        prev, candidate, added, untested = last
+        follows = base is candidate
+        if not follows:
+            base = frozenset(base)
+            untested = len(variables - base)
+        if not untested:
             raise NoFeasibleSuperset("every test has already been taken")
-        chosen, spent, base_weight = state(base)
+        chosen, spent, base_weight = state.advance(prev, base, added) if follows else state(base)
         candidate = base | chosen
-        gain = instance.weight(candidate) - base_weight
+        gain = weight(base, candidate, chosen) - base_weight
+        last = base, candidate, chosen, untested - len(chosen)
         return DensityResult(candidate, density(gain, spent))
 
     return solve

@@ -238,7 +238,7 @@ def random_chain(instance: MsopInstance, rng: random.Random) -> Chain:
         ups = [s for s in feasible if current < s]
         current = rng.choice(sorted(ups, key=lambda s: (len(s), tuple(sorted(s)))))
         sets.append(current)
-    return Chain(tuple(sets))
+    return Chain.from_sets(tuple(sets))
 
 
 
@@ -392,7 +392,7 @@ def ref_exact_opt_chain(instance: MsopInstance):
     masks = [full]
     while masks[-1] != 0:
         masks.append(parent[masks[-1]])
-    return Chain(tuple(subsets[m] for m in reversed(masks))), best[full]
+    return Chain.from_sets(tuple(subsets[m] for m in reversed(masks))), best[full]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def ref_greedy_chain(instance: MsopInstance, density_solver) -> Chain:
         sets.append(step.candidate)
         densities.append(checked.marginal_density)
         current = step.candidate
-    return Chain(tuple(sets), tuple(densities))
+    return Chain.from_sets(tuple(sets), tuple(densities))
 
 
 def _beats(cand, best) -> bool:

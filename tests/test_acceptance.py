@@ -369,7 +369,7 @@ def test_criterion_09_subchains_cost_at_least_chains():
         chain = random_chain(inst, rng)
         k = chain.steps
         keep = sorted({0, k} | {j for j in range(1, k) if rng.random() < 0.5})
-        sub = Chain(tuple(chain.sets[j] for j in keep))
+        sub = Chain.from_sets(tuple(chain.sets[j] for j in keep))
         assert chain_cost(inst, sub) >= chain_cost(inst, chain), f"seed {i}"
     _verdict(
         "criterion 9: every subchain costs at least its chain",

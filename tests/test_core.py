@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ def modular(values):
 
 def test_chain_cost_single_step_is_product():
     inst = free_instance(3, modular([1, 2, 3]), modular([1, 1, 1]))
-    chain = Chain((frozenset(), frozenset({0, 1, 2})))
+    chain = Chain.from_sets((frozenset(), frozenset({0, 1, 2})))
     assert chain_cost(inst, chain) == 6 * 3
 
 
@@ -55,11 +56,11 @@ def test_chain_cost_flat_weight_steps_contribute_nothing():
     # weight jumps only on the first step; later sets add cost but no weight
     weight = lambda s: 5 if s else 0
     inst = free_instance(3, modular([1, 1, 1]), weight)
-    lazy = Chain(
+    lazy = Chain.from_sets(
         (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))
     )
     assert chain_cost(inst, lazy) == 1 * 5
-    direct = Chain((frozenset(), frozenset({0, 1, 2})))
+    direct = Chain.from_sets((frozenset(), frozenset({0, 1, 2})))
     assert chain_cost(inst, direct) == 3 * 5
 
 
@@ -77,24 +78,49 @@ def test_chain_cost_mssc_example_matches_exact_oracle():
 def test_chain_validation_errors():
     inst = free_instance(2, modular([1, 1]), modular([1, 1]))
     with pytest.raises(InvalidChain):
-        Chain((frozenset({0}), frozenset({0, 1})))  # must start empty
+        Chain.from_sets((frozenset({0}), frozenset({0, 1})))  # must start empty
     with pytest.raises(InvalidChain):
-        Chain((frozenset(), frozenset()))  # strict inclusion
-    short = Chain((frozenset(), frozenset({0})))
+        Chain.from_sets((frozenset(), frozenset()))  # strict inclusion
+    short = Chain.from_sets((frozenset(), frozenset({0})))
     with pytest.raises(InvalidChain):
         chain_cost(inst, short)  # does not reach the ground set
     gated = MsopInstance(
         (0, 1), lambda s: len(s) != 1, modular([1, 1]), modular([1, 1])
     )
     with pytest.raises(InvalidChain):
-        chain_cost(gated, Chain((frozenset(), frozenset({0}), frozenset({0, 1}))))
+        chain_cost(gated, Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1}))))
+
+
+def test_chain_rejects_kept_values_of_the_wrong_length():
+    # the values of a three-set chain are three costs and three weights;
+    # two-entry columns would answer chain_values for it, and chain_cost
+    # would read 5 where the chain costs 3
+    inst = to_msop(MsscInstance.unit(2, [frozenset({0}), frozenset({1})]))
+    sets = (frozenset(), frozenset({0}), frozenset({0, 1}))
+    for values in (((0, 5), (0, 1)), ((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 2, 2))):
+        with pytest.raises(InvalidChain, match="one cost and one weight per chain set"):
+            Chain.from_sets(sets, (1, 1), values, inst)
+    chain = Chain.from_sets(sets, (1, 1), ((0, 1, 2), (0, 1, 2)), inst)
+    assert chain_cost(inst, chain) == 3 == chain_cost(inst, Chain.from_sets(sets))
+
+
+def test_chain_keeps_sorted_increments_and_derives_its_sets():
+    sets = (frozenset(), frozenset({5, -1}), frozenset({5, -1, 3, 0}))
+    chain = Chain.from_sets(sets)
+    assert chain.increments == ((-1, 5), (0, 3)) and chain.steps == 2
+    assert chain.sets == sets and chain == Chain(((-1, 5), (0, 3)))
+    for bad in ((), ((),), ((0,), (0, 1)), ((1, 0),), ((0, 0),), [[0]]):
+        with pytest.raises(InvalidChain):
+            Chain(tuple(bad) if isinstance(bad, tuple) else bad)
+    with pytest.raises(InvalidChain, match=r"strictly increase, got \[0\] before \[1\]"):
+        Chain.from_sets((frozenset(), frozenset({0}), frozenset({1})))
 
 
 def test_chain_cost_detects_non_monotone_weight():
     values = {frozenset(): 0, frozenset({0}): 2, frozenset({0, 1}): 1}
     inst = MsopInstance((0, 1), lambda s: True, modular([1, 1]), lambda s: values[s])
     with pytest.raises(NonMonotone):
-        chain_cost(inst, Chain((frozenset(), frozenset({0}), frozenset({0, 1}))))
+        chain_cost(inst, Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1}))))
 
 
 def test_marginal_density_definition_and_sentinel():
@@ -164,6 +190,36 @@ def test_greedy_rejects_stalling_solver():
         greedy_chain(inst, stall)
 
 
+def test_greedy_recheck_errors_keep_their_order_and_texts():
+    # the re-check takes one set difference: an empty one is a stall when
+    # the sizes agree, and an increment that does not account for the
+    # candidate's size is a failed superset test; the family, the values
+    # and the density are checked after it, in that order
+    from msop.core import DensityResult
+
+    base = frozenset({0})
+    values = {frozenset(): 0, base: 2, frozenset({0, 1}): 1, frozenset({0, 2}): 3,
+              frozenset({0, 1, 2}): 3}
+    inst = MsopInstance((0, 1, 2), lambda s: s != {0, 2}, modular([1, 1, 1]), values.__getitem__)
+
+    def answer(*steps):
+        # the first step is {0} at its density 2, the second is ``steps``'
+        asked = iter((base, *steps))
+        return lambda b: DensityResult(frozenset(next(asked)), 2)
+
+    cases = [
+        (({0},), SolverStall, r"returned its base \[0\]"),
+        (((),), NotASuperset, r"\[\] is not a strict superset of \[0\]"),
+        (({1, 2},), NotASuperset, r"\[1, 2\] is not a strict superset of \[0\]"),
+        (({0, 2},), NotInFamily, r"candidate \[0, 2\] is not in the family"),
+        (({0, 1},), NonMonotone, r"value decreased between \[0\] and \[0, 1\]"),
+        (({0, 1, 2},), ValidationError, "reported density 2 but the oracles give 1/2"),
+    ]
+    for steps, error, text in cases:
+        with pytest.raises(error, match=text):
+            greedy_chain(inst, answer(*steps))
+
+
 def test_greedy_freezes_each_candidate_once():
     # a solver may answer with a fresh set, or refill one buffer that it
     # hands out each step; the chain is the frozenset solver's either way
@@ -225,7 +281,25 @@ def test_greedy_keeps_the_values_a_fresh_walk_reads():
     for inst, chain in _greedy_runs():
         assert chain.instance is inst and chain.steps > 1 and inst.n > 9
         assert chain_values(inst, chain) is chain.values
-        assert chain_values(inst, Chain(chain.sets)) == chain.values
+        assert chain_values(inst, Chain.from_sets(chain.sets)) == chain.values
+
+
+def test_greedy_run_memory_grows_linearly():
+    # the chain keeps one increment per step, and no step keeps a set, so
+    # doubling n from 500 at most doubles the peak and the state's hash
+    # tables; nested chain sets would quadruple it
+    peaks = []
+    for n in (500, 1000):
+        tools = Toolchain(gen_instance("mssc", n, 1))
+        tracemalloc.start()
+        try:
+            chain = greedy_chain(tools.instance, tools.solver)
+            chain_cost(tools.instance, chain)
+            chain_to_permutation(tools.instance, chain)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 def test_kept_values_answer_only_the_instance_that_read_them():
@@ -243,7 +317,8 @@ def test_kept_values_answer_only_the_instance_that_read_them():
     assert chain_values(copy, chain) == chain.values
     assert len(asked) == 2 * len(chain.sets)
     dual = dualize(inst)
-    assert chain_values(dual, chain) == chain_values(dual, Chain(chain.sets)) != chain.values
+    walked = chain_values(dual, Chain.from_sets(chain.sets))
+    assert chain_values(dual, chain) == walked != chain.values
 
 
 def test_permutation_to_chain_free_family():
@@ -277,7 +352,7 @@ def test_permutation_to_chain_rejects_repeats_and_the_empty_order():
 
 def test_chain_to_permutation_consistency_free_family():
     inst = free_instance(3, modular([1, 1, 1]), modular([1, 1, 1]))
-    chain = Chain((frozenset(), frozenset({0, 2}), frozenset({0, 1, 2})))
+    chain = Chain.from_sets((frozenset(), frozenset({0, 2}), frozenset({0, 1, 2})))
     perm = chain_to_permutation(inst, chain)
     assert perm in ((0, 2, 1), (2, 0, 1))
     assert frozenset(perm[:2]) == frozenset({0, 2})
@@ -288,7 +363,7 @@ def test_chain_to_permutation_not_well_founded():
     # under splicing, so no permutation is consistent with the chain
     family = {frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})}
     inst = MsopInstance((0, 1, 2), family.__contains__, modular([1, 1, 1]), modular([1, 1, 1]))
-    chain = Chain((frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})))
+    chain = Chain.from_sets((frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})))
     for refine in (chain_to_permutation, densest_consistent_permutation):
         with pytest.raises(NotWellFounded):
             refine(inst, chain)
@@ -321,7 +396,7 @@ def test_subchain_costs_at_least_chain():
         chain = random_chain(inst, rng)
         k = chain.steps
         keep = sorted({0, k} | {i for i in range(1, k) if rng.random() < 0.5})
-        sub = Chain(tuple(chain.sets[i] for i in keep))
+        sub = Chain.from_sets(tuple(chain.sets[i] for i in keep))
         assert chain_cost(inst, sub) >= chain_cost(inst, chain)
 
 

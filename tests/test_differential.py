@@ -355,8 +355,8 @@ def gains_step(state, parsed, base):
 def residual_step(densest):
     def step(state, dag, base):
         assert state(base)
-        got = densest(state, base)
-        return got.candidate, got.marginal_density
+        added, rho = densest(state, base)
+        return base | added, rho
 
     return step
 
@@ -995,7 +995,7 @@ def test_histogram_check_matches_reference_on_scaled_certificates():
         opts = [exact.exact_opt_chain(inst)[0], random_chain(inst, rng), random_chain(inst, rng)]
         for _ in range(4):
             factor = Fraction(rng.randint(1, 6), 4 << rng.randrange(4))
-            scaled = Chain(greedy.sets, tuple(d * factor for d in greedy.densities))
+            scaled = Chain.from_sets(greedy.sets, tuple(d * factor for d in greedy.densities))
             for opt in opts:
                 for alpha in (1, Fraction(3, 2), 2):
                     report = chain_histogram(inst, scaled, opt, alpha)
@@ -1385,6 +1385,86 @@ def test_running_oracle_shared_by_a_replaced_and_a_dual_instance(kind):
             assert getattr(inst, name)(other) == reference(other)
 
 
+def residual_value(state, initial, s):
+    """A ``_Residual``'s answer at ``s`` with the densest stem step it
+    leads to, when there is one."""
+    return initial, (orsched._densest_stem(state, None, s)
+                     if initial and state.sources else None)
+
+
+# kind: (instance, a new running oracle over it, its value after a call)
+ADVANCE_KINDS = {
+    "RunningSum": ("modular", 80, 13),
+    "CoverageWeight": ("pipelined", 60, 3),
+    "OrInitialMembership": ("inforest", 70, 5),
+    "Determination": ("rof", 24, 12),
+    "_Gains": (lambda: gen_instance("mssc", 70, 21), mssc._Gains),
+    "_Residual": (lambda: gen_instance("inforest", 80, 23), orsched._Residual),
+    "_Supplements": (lambda: gen_instance("rof", 40, 25), rof._Supplements),
+}
+
+
+def advance_case(kind):
+    """(a greedy chain's sets, a new oracle, the value an oracle shows
+    after a call, the value at a set from scratch)."""
+    case = ADVANCE_KINDS[kind]
+    if isinstance(case[0], str):
+        inst, name, reference, solver = running_case(*case)
+        return (greedy_chain(inst, solver).sets, lambda: getattr(running_case(*case)[0], name),
+                lambda oracle, value, s: value, reference)
+    make, state_class = case
+    parsed = make()
+    shown = residual_value if state_class is orsched._Residual else lambda o, value, s: value
+
+    def fresh(s):
+        state = state_class(parsed)
+        return shown(state, state(s), s)
+
+    return cli.Toolchain(parsed).greedy().sets, lambda: state_class(parsed), shown, fresh
+
+
+@pytest.mark.parametrize("kind", sorted(ADVANCE_KINDS))
+def test_running_oracle_advance_contract(kind):
+    sets, new, shown, fresh = advance_case(kind)
+    sets = sets[:-1]  # a solver state answers below the ground set
+    oracle = new()
+    oracle(sets[0])
+    # up the chain by each increment: one move each, from the set itself
+    for base, s in zip(sets, sets[1:]):
+        assert shown(oracle, oracle.advance(base, s, s - base), s) == fresh(s), sorted(s)
+        assert oracle.last is s
+    assert oracle.rebuilds == 1
+    # each of these takes the symmetric-difference path
+    rng = random.Random(kind)
+    for j in sorted(rng.sample(range(1, len(sets) - 3), 6)):
+        base, s = sets[j], sets[j + 1]
+        added = s - base
+        oracle.advance(sets[j - 1], base, base - sets[j - 1])
+        oracle(sets[j + 2])  # the state moved on since: a stale base
+        assert shown(oracle, oracle.advance(base, s, added), s) == fresh(s)
+        oracle(base)
+        equal = frozenset(sorted(base))  # an equal base, not the same one
+        assert shown(oracle, oracle.advance(equal, s, added), s) == fresh(s)
+        for x in sorted(base)[:3]:
+            oracle(base)
+            # an increment that meets the base, then the base left
+            assert shown(oracle, oracle.advance(base, s, added | {x}), s) == fresh(s)
+            assert shown(oracle, oracle(s - {x}), s - {x}) == fresh(s - {x}), x
+    # a move that raises leaves nothing kept; the next call rebuilds
+    base, s = sets[2], sets[3]
+    oracle(base)
+
+    def raising(added, removed):
+        raise KeyError("move")
+
+    oracle.move = raising
+    with pytest.raises(KeyError):
+        oracle.advance(base, s, s - base)
+    assert oracle.last is None
+    del oracle.move
+    assert shown(oracle, oracle.advance(base, s, s - base), s) == fresh(s)
+
+
 # ---------------------------------------------------------------------------
 # chain walks: the chain text and the refinement move by each increment;
 # the references sort or build every chain set afresh
@@ -1400,17 +1480,29 @@ def signed_ids_dag(kind, n, seed):
     return formats.parse_instance_text(formats.serialize_instance(dag))
 
 
-CHAIN_TEXT_SIZES = {"mssc": 150, "pipelined": 150, "inforest": 150, "multitree": 150,
-                    "bipartite-or": 150, "rof": 40, "xsearch": 11}
+CHAIN_TEXT_SIZES = {"mssc": 300, "pipelined": 300, "inforest": 300, "multitree": 300,
+                    "bipartite-or": 300, "rof": 60, "xsearch": 11}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_chain_text_matches_reference_on_greedy_chains_above_the_caps(kind):
-    for seed in (1, 2):
-        tools = cli.Toolchain(gen_instance(kind, CHAIN_TEXT_SIZES[kind], seed))
+    # the greedy run hands each candidate back to its solver and moves the
+    # solver's state and the oracles by the increment; the reference loop
+    # asks a second toolchain's solver about a copy of each base, which
+    # takes the symmetric-difference path, and every value, text and
+    # permutation is read afresh from the reference's sets
+    for seed in (1, 2, 3):
+        parsed = gen_instance(kind, CHAIN_TEXT_SIZES[kind], seed)
+        tools, twin = cli.Toolchain(parsed), cli.Toolchain(parsed)
         assert tools.instance.n > exact.CAPS["perm"]
         chain = tools.greedy()
-        assert cli._format_chain(chain) == ref_format_chain(chain)
+        ref = ref_greedy_chain(twin.instance, lambda base: twin.solver(frozenset(sorted(base))))
+        assert chain.increments == ref.increments and chain.sets == ref.sets
+        assert chain.densities == ref.densities
+        inst = cli.Toolchain(parsed).instance
+        assert chain.values == (tuple(map(inst.cost, ref.sets)), tuple(map(inst.weight, ref.sets)))
+        assert cli._format_chain(chain) == ref_format_chain(ref)
+        assert chain_to_permutation(tools.instance, chain) == ref_chain_to_permutation(inst, ref)
 
 
 def test_chain_text_matches_reference_through_multi_element_increments():
@@ -1422,7 +1514,7 @@ def test_chain_text_matches_reference_through_multi_element_increments():
             current.update(rng.sample(ids, min(len(ids), rng.randint(1, 5))))
             if len(current) > len(sets[-1]):
                 sets.append(frozenset(current))
-        chain = Chain(tuple(sets))
+        chain = Chain.from_sets(tuple(sets))
         assert cli._format_chain(chain) == ref_format_chain(chain), sets
 
 

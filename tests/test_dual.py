@@ -62,11 +62,11 @@ def test_supermodular_cost_meets_the_hypotheses_only_on_its_dual():
 
 
 def test_dual_chain_examples_and_involution():
-    chain = Chain((frozenset(), frozenset({1}), frozenset({1, 2})))
+    chain = Chain.from_sets((frozenset(), frozenset({1}), frozenset({1, 2})))
     d = dual_chain(chain)
     assert d.sets == (frozenset(), frozenset({2}), frozenset({1, 2}))
     assert dual_chain(d) == chain
-    two = Chain((frozenset(), frozenset({1, 2})))
+    two = Chain.from_sets((frozenset(), frozenset({1, 2})))
     assert dual_chain(two) == two
 
 

@@ -266,8 +266,8 @@ def test_histogram_rejects_a_chain_whose_weight_falls():
     # through chain_values first: the greedy chain, or the optimal order
     # 0, 1 that the permutation DP finds on these weights
     inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
-    falling = Chain((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
-    rising = Chain((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
+    falling = Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
+    rising = Chain.from_sets((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
     assert exact.exact_opt_permutation(inst)[0] == (0, 1)
     for greedy in (falling, rising):
         with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
@@ -283,25 +283,25 @@ ZERO_ONE = frozenset({0, 1})
 # (instance, a chain it rejects, a chain to pair it with, the error)
 BAD_CHAINS = {
     "stops short": (
-        _two_elements(), Chain((frozenset(), frozenset({0}))),
-        Chain((frozenset(), ZERO_ONE)), InvalidChain),
+        _two_elements(), Chain.from_sets((frozenset(), frozenset({0}))),
+        Chain.from_sets((frozenset(), ZERO_ONE)), InvalidChain),
     "through an infeasible set": (
         _two_elements(family=lambda s: s != {0}),
-        Chain((frozenset(), frozenset({0}), ZERO_ONE)),
-        Chain((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
+        Chain.from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
+        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
     "weight falls": (
         _two_elements(weight=lambda s: 2 if s == {0} else min(len(s), 1)),
-        Chain((frozenset(), frozenset({0}), ZERO_ONE)),
-        Chain((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
+        Chain.from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
+        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
     # the two below are rejected since the certification reads its chains
     # through chain_values
     "nonzero on the empty set": (
-        _two_elements(cost=lambda s: len(s) + 1), Chain((frozenset(), ZERO_ONE)),
-        Chain((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
+        _two_elements(cost=lambda s: len(s) + 1), Chain.from_sets((frozenset(), ZERO_ONE)),
+        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
     "cost falls": (
         _two_elements(cost=lambda s: 3 if s == {0} else len(s)),
-        Chain((frozenset(), frozenset({0}), ZERO_ONE)),
-        Chain((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
+        Chain.from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
+        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
 }
 
 
@@ -311,9 +311,9 @@ def test_chain_cost_and_histogram_reject_the_same_chains(row):
     with pytest.raises(error):
         chain_cost(inst, bad)
     with pytest.raises(error):  # a greedy chain needs a certificate, of any values
-        chain_histogram(inst, Chain(bad.sets, (1,) * bad.steps), good, 1)
+        chain_histogram(inst, Chain.from_sets(bad.sets, (1,) * bad.steps), good, 1)
     with pytest.raises(error):
-        chain_histogram(inst, Chain(good.sets, (1,) * good.steps), bad, 1)
+        chain_histogram(inst, Chain.from_sets(good.sets, (1,) * good.steps), bad, 1)
 
 
 def test_histogram_area_identities_and_containment():
@@ -332,7 +332,7 @@ def test_histogram_area_identities_and_containment():
 def test_histogram_corrupted_certificate_is_pinpointed():
     inst = free_instance(1, modular([1]), modular([1]))
     chain = greedy_chain(inst, exact.exact_density_solver(inst))
-    corrupt = Chain(chain.sets, tuple(Fraction(d, 4) for d in chain.densities))
+    corrupt = Chain.from_sets(chain.sets, tuple(Fraction(d, 4) for d in chain.densities))
     report = chain_histogram(inst, corrupt, chain, 1)
     assert not report.contained
     assert report.first_violation is not None
