@@ -59,10 +59,18 @@ MUTANTS = (
     Mutant("residual-tie-without-cand2", "src/msop/orsched.py",
            "(self[2], self[-2]) < (other[2], other[-2])", "self[-2] < other[-2]",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
+    Mutant("residual-step-reads-stale-dirty", "src/msop/orsched.py",
+           "        for start in sorted(self.dirty):\n", "        for start in sorted(dirty):\n",
+           f"{DIFF}::test_or_solver_matches_reference_on_bases_out_of_order[inforest]"),
     # best single element: the per-cost heaps of mssc._Gains
     Mutant("gains-tie-to-larger-id", "src/msop/mssc.py",
            "(order == 0 and v < best[0])", "(order == 0 and v > best[0])",
            f"{DIFF}::test_singleton_step_matches_reference_chain[pipelined]"),
+    Mutant("gains-move-without-id-guard", "src/msop/mssc.py",
+           "        if not self.ids.issuperset(added):"
+           "  # an id outside range(n), negative ones too\n"
+           "            raise NoFeasibleSuperset(\"base already contains every element\")\n", "",
+           f"{DIFF}::test_solver_errors_and_the_call_after_them[mssc]"),
     Mutant("gains-minus-one-top", "src/msop/mssc.py",
            "                if now < 0:\n", "                if now < -1:\n",
            f"{DIFF}::test_gains_heap_tops_are_each_cost_class_maximum_after_every_move"),
@@ -144,12 +152,17 @@ MUTANTS = (
            "            nxt = next((v for v in rest if in_family(current | {v})), None)\n",
            "            nxt = rest[0]\n",
            f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[multitree]"),
-    # greedy steps by their increments: the re-check (core.greedy_chain)
-    # and the increment entry point (lattice.RunningOracle.advance)
+    # greedy steps by their increments: the re-check and the solver's moves
+    # (core.greedy_chain), and the increment entry point
+    # (lattice.RunningOracle.advance)
     Mutant("recheck-keeps-base-values", "src/msop/core.py",
            "        costs.append(cost)\n        weights.append(weight)\n",
            "        costs.append(costs[-1])\n        weights.append(weights[-1])\n",
            "tests/test_core.py::test_greedy_keeps_the_values_a_fresh_walk_reads"),
+    Mutant("greedy-calls-solver-with-set", "src/msop/core.py",
+           "        step = solve(base, current, added)\n",
+           "        step = density_solver(current)\n",
+           f"{DIFF}::test_greedy_moves_each_solver_only_by_advance[mssc]"),
     Mutant("advance-skips-identity-gate", "src/msop/lattice.py",
            "        if self.last is not base or not base.isdisjoint(added):\n",
            "        if not base.isdisjoint(added):\n",

@@ -288,21 +288,25 @@ def compare_density(
     return (lhs > rhs) - (lhs < rhs)
 
 
+# a function of the base, or a ``RunningOracle`` whose value at a base is the step
 DensitySolver = Callable[[frozenset[int]], DensityResult]
 
 
 def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain:
     """Iterate a density solver from the empty set until the ground set.
 
-    The solver's answer is taken verbatim each step and checked: its
-    increment over the base, found by one set difference, must be
-    nonempty and the candidate a feasible superset of the base, and its
-    density must equal the oracles' weight and cost gains.  The chain
-    keeps the increments, the densities as its certificate, and each
-    set's cost and weight for ``chain_values``.  Cost-flat (+inf density)
-    steps are expected to be offered by the solver before any
-    finite-density step and are taken immediately; they never increase
-    the objective.
+    The solver is called with the empty set, and from then on driven
+    through ``stepper``, as the instance's oracles are: a running oracle
+    moves from the last base by the increment it answered with, any other
+    solver is called with the base.  Its answer is taken verbatim each
+    step and checked: its increment over the base, found by one set
+    difference, must be nonempty and the candidate a feasible superset of
+    the base, and its density must equal the oracles' weight and cost
+    gains.  The chain keeps the increments, the densities as its
+    certificate, and each set's cost and weight for ``chain_values``.
+    Cost-flat (+inf density) steps are expected to be offered by the
+    solver before any finite-density step and are taken immediately;
+    they never increase the objective.
     """
     instance.validate()
     universe = instance.universe()
@@ -311,10 +315,11 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     # evaluated; validate() showed the empty set is feasible with value 0
     costs, weights = [0], [0]
     oracles = _steppers(instance)
+    solve = stepper(density_solver)
     increments: list[tuple[int, ...]] = []
     densities: list[Density] = []
-    while current != universe:
-        step = density_solver(current)
+    step = density_solver(current)
+    while True:
         # frozen once, since the solver may hand out a set it changes later
         candidate = frozenset(step.candidate)
         added = candidate - current
@@ -334,7 +339,10 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
         costs.append(cost)
         weights.append(weight)
         densities.append(step.marginal_density)
-        current = candidate
+        base, current = current, candidate
+        if current == universe:
+            break
+        step = solve(base, current, added)
     return Chain(tuple(increments), tuple(densities), (tuple(costs), tuple(weights)), instance)
 
 

@@ -21,7 +21,8 @@ subset from a smaller one and calls cost and weight only on feasible sets.
 The oracles themselves answer one set at a time.  Those that would redo
 the whole set at each call are ``RunningOracle``s, which move from the
 last set asked about by the elements that came and went, or by an
-increment their caller knows (``advance``).
+increment their caller knows (``advance``).  The polynomial density
+solvers are running oracles too, whose value at a base is the step.
 
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
@@ -57,7 +58,8 @@ class RunningOracle:
     ``advance`` instead, which skips the symmetric difference.
 
     Subclasses hold the state: ``reset()`` empties it and
-    ``move(added, removed)`` applies a difference and returns the value.
+    ``move(s, added, removed)`` applies the difference that leads to the
+    frozenset ``s`` and returns the value at ``s``.
     An argument that is not a ``frozenset`` is frozen before it is kept,
     since its caller may change it later.  ``rebuilds`` counts the moves
     that started from the empty set.
@@ -92,7 +94,7 @@ class RunningOracle:
             added, removed = s, ()
         # a move that raises leaves a state nothing may trust
         self.last = None
-        self.value = self.move(added, removed)
+        self.value = self.move(s, added, removed)
         self.last = s
         return self.value
 
@@ -104,7 +106,7 @@ class RunningOracle:
         if self.last is not base or not base.isdisjoint(added):
             return self(s)
         self.last = None  # as in ``__call__``
-        self.value = self.move(added, ())
+        self.value = self.move(s, added, ())
         self.last = s
         return self.value
 
@@ -237,7 +239,7 @@ class RunningSum(RunningOracle):
         self.get = self.table()
         self.total = 0
 
-    def move(self, added, removed):
+    def move(self, s, added, removed):
         get = self.get
         total = self.total + sum(map(get, added))
         if removed:

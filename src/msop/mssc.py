@@ -78,7 +78,7 @@ class CoverageWeight(RunningOracle):
         self.count = [0] * len(self.weights)
         self.total: Rational = 0
 
-    def move(self, added, removed) -> Rational:
+    def move(self, s, added, removed) -> Rational:
         incident, count, weights = self.incident, self.count, self.weights
         total = self.total
         for v in removed:
@@ -133,11 +133,13 @@ def to_msop(instance: MsscInstance) -> MsopInstance:
 
 
 class _Gains(RunningOracle):
-    """Per-element gains of one base as a running oracle: the weight of the
-    uncovered hyperedges through each element outside the base, -1 for a
-    base member, and a count per hyperedge of its members in the base, as
-    in ``CoverageWeight``, built on the first call.  A call returns
-    ``best()``.
+    """Best-single-element density steps as a running oracle: its value at
+    a base is the step, the element of most newly covered weight per unit
+    cost with ties to the smallest id.  The state holds the base's
+    per-element gains: the weight of the uncovered hyperedges through each
+    element outside the base, -1 for a base member, and a count per
+    hyperedge of its members in the base, as in ``CoverageWeight``, built
+    on the first call.
 
     Each distinct cost keeps a heap of (-gain, element) entries, so its
     top is its first maximum gain by ascending id once the top is valid.
@@ -154,6 +156,7 @@ class _Gains(RunningOracle):
     def reset(self) -> None:
         if self.incident is None:
             self.edges, n = self.instance.edges, self.instance.n
+            self.ids = frozenset(range(n))
             self.incident = [[] for _ in range(n)]
             self.initial: list[Rational] = [0] * n
             for e, (w, members) in enumerate(self.edges):
@@ -173,7 +176,9 @@ class _Gains(RunningOracle):
         for heap in self.heaps:
             heapify(heap)
 
-    def move(self, added, removed) -> tuple[int, Rational, Rational]:
+    def move(self, s, added, removed) -> DensityResult:
+        if not self.ids.issuperset(added):  # an id outside range(n), negative ones too
+            raise NoFeasibleSuperset("base already contains every element")
         gain, count, edges, incident = self.gain, self.count, self.edges, self.incident
         raised: set[int] = set(removed)
         for v in removed:
@@ -198,7 +203,8 @@ class _Gains(RunningOracle):
         heaps, group = self.heaps, self.group
         for u in raised:
             heappush(heaps[group[u]], (-gain[u], u))
-        return self.best()
+        v, g, c = self.best()
+        return DensityResult(s | {v}, density(g, c))
 
     def best(self) -> tuple[int, Rational, Rational]:
         """The element of best gain per unit cost, with its gain and cost,
@@ -226,41 +232,17 @@ class _Gains(RunningOracle):
             order = compare_density(g, c, best[1], best[2])
             if order > 0 or (order == 0 and v < best[0]):
                 best = (v, g, c)
-        assert best is not None
+        if best is None:
+            raise NoFeasibleSuperset("base already contains every element")
         return best
 
 
 def singleton_solver(instance: MsscInstance) -> DensitySolver:
-    """Best-single-element density steps: the element of most newly covered
-    weight per unit cost, ties to the smallest id.  Exact for the maximum
-    density here (modular cost, submodular weight, free family), so greedy
-    chains built from it are 1-greedy.  The solver keeps the gains of its
-    last base and a heap per distinct cost (``_Gains``), so a greedy step
-    costs the size of the hyperedges it covers plus O(cost classes + log n
-    per refreshed heap top), and a removed element O(log n) per member of
-    the hyperedges it uncovers.  Called with its last candidate itself,
-    as the greedy loop calls it, the solver moves the state by the element
-    it added (``RunningOracle.advance``), and the candidate's union is the
-    one whole-set operation of the step."""
-    state = _Gains(instance)
-    n = instance.n
-    full = frozenset(range(n))
-    last = (None, None, None)  # the last answer's base, candidate and increment
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        nonlocal last
-        prev, candidate, added = last
-        if base is candidate:
-            if len(base) == n:
-                raise NoFeasibleSuperset("base already contains every element")
-            v, g, c = state.advance(prev, base, added)
-        else:
-            base = frozenset(base)
-            if not base < full:
-                raise NoFeasibleSuperset("base already contains every element")
-            v, g, c = state(base)
-        added = frozenset((v,))
-        last = base, base | added, added
-        return DensityResult(last[1], density(g, c))
-
-    return solve
+    """Best-single-element density steps (``_Gains``).  Exact for the
+    maximum density here (modular cost, submodular weight, free family), so
+    greedy chains built from it are 1-greedy.  Driven up a greedy chain by
+    each added element (``RunningOracle.advance``), a step costs the size
+    of the hyperedges it covers plus O(cost classes + log n per refreshed
+    heap top), and a removed element O(log n) per member of the
+    hyperedges it uncovers."""
+    return _Gains(instance)

@@ -18,7 +18,6 @@ from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
 from .core import (
-    Density,
     DensityResult,
     DensitySolver,
     MsopInstance,
@@ -209,7 +208,7 @@ class OrInitialMembership(RunningOracle):
         self.members: set[int] = set()
         self.stranded = 0
 
-    def move(self, added, removed) -> bool:
+    def move(self, s, added, removed) -> bool:
         preds, succs = self.dag.preds, self.dag.succs
         inside, members = self.inside, self.members
         stranded = self.stranded
@@ -247,9 +246,10 @@ class _Ranked(tuple):
 
 
 class _Residual(OrInitialMembership):
-    """The residual DAG of the last set, read off the original DAG, with the
-    best candidate of each residual source; a call returns whether the set
-    is OR-initial.
+    """Density steps on the residual DAG of a base as a running oracle: its
+    value at an OR-initial base is the step, the best candidate of the
+    residual sources by ``candidates`` (see ``move``).  The residual is
+    read off the original DAG.
 
     ``closed`` holds the set and every job with a predecessor in it, and
     ``sources`` the residual sources: the jobs outside the set with no
@@ -271,6 +271,10 @@ class _Residual(OrInitialMembership):
     source dirty (``clear``).
     """
 
+    def __init__(self, dag: OrDag, candidates: Callable[["_Residual", frozenset[int]], Callable]):
+        super().__init__(dag)
+        self.candidates = candidates
+
     def reset(self) -> None:
         super().reset()
         self.closed: set[int] = set()
@@ -278,8 +282,16 @@ class _Residual(OrInitialMembership):
         self.heap: list[_Ranked] = []
         self.dirty = set(self.sources)
 
-    def move(self, added, removed) -> bool:
-        initial = super().move(added, removed)
+    def move(self, s, added, removed) -> DensityResult:
+        """The step from ``s``.  A candidate is (weight gain, time,
+        *tie-break, start, jobs after start); the denser wins, then the
+        smaller tie-break, then the smaller start, which is the heap order
+        of ``_Ranked``.  ``candidates(self, s)`` gives the function that
+        computes a source's candidate at ``s``: it runs on the dirty
+        sources, in ascending order, and then on each kept candidate that
+        reaches the heap's top holding a closed job (``best``)."""
+        if not super().move(s, added, removed):
+            raise NotInitial(f"{sorted(s)} is not an OR-initial set")
         preds, succs, inside, members = self.dag.preds, self.dag.succs, self.inside, self.members
         closed, sources, dirty = self.closed, self.sources, self.dirty
         for v in (*added, *removed):
@@ -296,16 +308,23 @@ class _Residual(OrInitialMembership):
                     sources.discard(j)
         if removed:
             self.clear()
-        return initial
+        if not sources:
+            raise NoFeasibleSuperset("base already contains every job")
+        candidate = self.candidates(self, s)
+        heap = self.heap
+        # ``dirty`` read only now: ``clear`` rebinds it; sorted also so that
+        # a non-monotone oracle is reported at the same source
+        for start in sorted(self.dirty):
+            if start in sources:
+                heappush(heap, _Ranked(candidate(start)))
+        self.dirty.clear()
+        gain, spent, *_, start, below = self.best(candidate)
+        return DensityResult(s.union((start, *below)), density(gain, spent))
 
     def clear(self) -> None:
         """Forget every kept candidate: each source is computed again."""
         self.heap.clear()
         self.dirty = set(self.sources)
-
-    def keep(self, cand: tuple) -> None:
-        """Keep ``cand`` as its start's candidate, in heap order."""
-        heappush(self.heap, _Ranked(cand))
 
     def best(self, candidate: Callable[[int], tuple]) -> tuple:
         """The kept candidate first in heap order, once the top is current:
@@ -410,45 +429,6 @@ def _best_ratio_subtree(
             return frozenset(chosen), w_sum, t_sum
 
 
-def _densest_source_step(
-    state: _Residual, candidate: Callable[[int], tuple], keep: bool = True
-) -> tuple[frozenset[int], Density]:
-    """The best candidate of the residual sources as a step from the
-    state's set: the candidate's jobs, which are the step's increment, and
-    its density.
-
-    A candidate is (weight gain, time, *tie-break, start, jobs after
-    start); the denser wins, then the smaller tie-break, then the smaller
-    start.  Since a start's tie-break begins with ``cand[2]`` and ends
-    with the start, that is the heap order of ``_Residual.keep``.
-    ``candidate(start)`` computes a source's: the dirty sources', in
-    ascending order, and then that of each kept candidate that reaches the
-    heap's top holding a closed job (``_Residual.best``).  Without
-    ``keep`` every source is computed again at every step."""
-    if not keep:
-        state.clear()
-    sources = state.sources
-    # sorted also so that a non-monotone oracle is reported at the same source
-    for start in sorted(state.dirty):
-        if start in sources:
-            state.keep(candidate(start))
-    state.dirty.clear()
-    gain, spent, *_, start, below = state.best(candidate)
-    return frozenset((start, *below)), density(gain, spent)
-
-
-def _densest_stem(
-    state: _Residual, g_oracle: WeightOracle | None, base: frozenset[int]
-) -> tuple[frozenset[int], Density]:
-    # with modular weights a stem's gains do not depend on the base, so
-    # each source's best prefix is kept while none of its jobs is closed
-    g_base = None if g_oracle is None else g_oracle(base)
-    return _densest_source_step(
-        state, lambda start: _best_prefix(state, start, g_oracle, base, g_base),
-        keep=g_oracle is None,
-    )
-
-
 def _best_subtree(state: _Residual, start: int) -> tuple:
     """The best-ratio rooted subtree of ``start``'s residual successor
     outtree as a candidate; a zero-time ``start`` alone, a cost-flat step."""
@@ -457,42 +437,6 @@ def _best_subtree(state: _Residual, start: int) -> tuple:
         return dag.weight_map[start], 0, start, ()
     subtree, w_sum, t_sum = _best_ratio_subtree(dag, start, state.successor_tree(start))
     return w_sum, t_sum, start, subtree - {start}
-
-
-def _densest_outtree_step(
-    state: _Residual, base: frozenset[int]
-) -> tuple[frozenset[int], Density]:
-    return _densest_source_step(state, lambda start: _best_subtree(state, start))
-
-
-Step = Callable[[_Residual, frozenset[int]], tuple[frozenset[int], Density]]
-
-
-def _residual_solver(dag: OrDag, step: Step) -> DensitySolver:
-    """Density steps by ``step`` on the residual of each base, kept by one
-    ``_Residual`` between calls.  Called with its last candidate itself, as
-    the greedy loop calls it, the solver moves the residual by the jobs it
-    added (``RunningOracle.advance``)."""
-    state = _Residual(dag)
-    last = (None, None, None)  # the last answer's base, candidate and increment
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        nonlocal last
-        prev, candidate, added = last
-        if base is candidate:
-            initial = state.advance(prev, base, added)
-        else:
-            base = frozenset(base)
-            initial = state(base)
-        if not initial:
-            raise NotInitial(f"{sorted(base)} is not an OR-initial set")
-        if not state.sources:
-            raise NoFeasibleSuperset("base already contains every job")
-        added, rho = step(state, base)
-        last = base, base | added, added
-        return DensityResult(last[1], rho)
-
-    return solve
 
 
 def schedule_cost(dag: OrDag, order: Sequence[int]) -> Rational:
@@ -560,7 +504,18 @@ def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolv
     source's densest stem prefix (``_Residual``)."""
     if not is_inforest(dag):
         raise NotInforest("graph has a vertex with two successors")
-    return _residual_solver(dag, lambda state, base: _densest_stem(state, g_oracle, base))
+
+    def candidates(state: _Residual, base: frozenset[int]) -> Callable[[int], tuple]:
+        # with modular weights a stem's gains do not depend on the base, so
+        # each source's best prefix is kept while none of its jobs is
+        # closed; a supplied oracle's do, so every source is computed again
+        g_base = None
+        if g_oracle is not None:
+            state.clear()
+            g_base = g_oracle(base)
+        return lambda start: _best_prefix(state, start, g_oracle, base, g_base)
+
+    return _Residual(dag, candidates)
 
 
 def outtree_solver(dag: OrDag) -> DensitySolver:
@@ -577,4 +532,4 @@ def outtree_solver(dag: OrDag) -> DensitySolver:
     """
     if not is_multitree(dag):
         raise NotMultitree("graph has two paths between some pair of jobs")
-    return _residual_solver(dag, _densest_outtree_step)
+    return _Residual(dag, lambda state, base: lambda start: _best_subtree(state, start))

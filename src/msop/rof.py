@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .core import DensityResult, MsopInstance, compare_density, density
+from .core import DensityResult, DensitySolver, MsopInstance, compare_density, density
 from .errors import NoFeasibleSuperset, ValidationError
 from .lattice import RunningOracle, free, modular, stepper, supply
 
@@ -175,7 +175,7 @@ class _FormulaState(RunningOracle):
     recomputes the leaves whose tested state changed, then the gates on
     their root paths; after a rebuild it computes every node once.
     Subclasses supply ``leaf(leaf, tested)``, ``gate(gate)`` and
-    ``result()``, the call's value."""
+    ``result(s)``, the value at the tested set ``s``."""
 
     def __init__(self, formula: ReadOnceFormula):
         super().__init__()
@@ -185,7 +185,7 @@ class _FormulaState(RunningOracle):
         # the move that follows overwrites every node's value
         self.rebuilt = True
 
-    def move(self, added, removed):
+    def move(self, s, added, removed):
         formula = self.formula
         if self.rebuilt:
             self.rebuilt = False
@@ -199,7 +199,7 @@ class _FormulaState(RunningOracle):
                 self.leaf(node, node.var in added)
             else:
                 self.gate(node)
-        return self.result()
+        return self.result(s)
 
 
 class Determination(_FormulaState):
@@ -221,7 +221,7 @@ class Determination(_FormulaState):
     def gate(self, gate: Gate) -> None:
         _scaled_gate(gate, self.ones, self.zeros, self.formula.denominators)
 
-    def result(self) -> Fraction:
+    def result(self, s) -> Fraction:
         root = self.formula.root
         return Fraction(self.ones[root] + self.zeros[root], self.formula.denominators[root])
 
@@ -303,7 +303,9 @@ ScaledTable = dict[int, tuple[int, int]]
 
 
 class _Supplements(_FormulaState):
-    """The supplement search's tables for the last tested set.
+    """Supplement-search density steps over ``instance``, the formula's
+    ``to_msop`` instance, as a running oracle: the search's tables for the
+    last tested set, whose value at a set is the step from it.
 
     ``scaled[node][l][t]`` describes the subset R of the node's untested
     leaves with total cost exactly t that maximises the probability the
@@ -316,16 +318,23 @@ class _Supplements(_FormulaState):
     children give the pruned gate, with the full exact-budget tables'
     values and splits.
 
-    A call returns a 2-approximate maximum-density supplement of the set,
-    with its total cost and the set's determination probability read off
-    the root tables; some test must be left untested.  For each target the
-    best density over budgets is taken against the budget-0 entry (the set
-    alone); the larger of the two wins (target 1 on a tie), and within a
-    target the smallest budget.  The chosen budget has positive gain
-    (testing every untested leaf determines the root where the set alone
-    may not), so no smaller budget reaches its value and it is kept.  The
-    winner's density is at least half the best over all supersets.
+    The step takes a 2-approximate maximum-density supplement of the set,
+    read off the root tables with its total cost, the supplement's budget,
+    and the set's determination probability; some test must be left
+    untested.  For each target the best density over budgets is taken
+    against the budget-0 entry (the set alone); the larger of the two wins
+    (target 1 on a tie), and within a target the smallest budget.  The
+    chosen budget has positive gain (testing every untested leaf
+    determines the root where the set alone may not), so no smaller budget
+    reaches its value and it is kept.  The winner's density is at least
+    half the best over all supersets.  The candidate's weight comes from
+    the instance's weight oracle, moved from the set by the supplement
+    (``lattice.stepper``), so a step calls it once.
     """
+
+    def __init__(self, formula: ReadOnceFormula, instance: MsopInstance):
+        super().__init__(formula)
+        self.weight = stepper(instance.weight)
 
     def reset(self) -> None:
         super().reset()
@@ -390,7 +399,7 @@ class _Supplements(_FormulaState):
             stack.append((node.right, t - tl))
         return frozenset(out)
 
-    def result(self) -> tuple[frozenset[int], int, Fraction]:
+    def result(self, s) -> DensityResult:
         formula = self.formula
         root_tables = self.scaled[formula.root]
         # (gain, budget) per target; gains share the root's denominator, so
@@ -405,12 +414,17 @@ class _Supplements(_FormulaState):
                 gain = root[t][0] - baseline
                 if outcome not in best or compare_density(gain, t, *best[outcome]) > 0:
                     best[outcome] = (gain, t)
+        if not best:  # no budget above 0: every test of the formula is in ``s``
+            raise NoFeasibleSuperset("every test has already been taken")
         outcome = 0 if compare_density(*best[0], *best[1]) > 0 else 1
         spent = best[outcome][1]
         # budget 0: the probabilities that the set alone determines 0, 1
         determined = root_tables[0][0][0] + root_tables[1][0][0]
         determined = Fraction(determined, formula.denominators[formula.root])
-        return self.chosen(formula.root, outcome, spent), spent, determined
+        chosen = self.chosen(formula.root, outcome, spent)
+        candidate = s | chosen
+        gain = self.weight(s, candidate, chosen) - determined
+        return DensityResult(candidate, density(gain, spent))
 
 
 def to_msop(formula: ReadOnceFormula) -> MsopInstance:
@@ -427,39 +441,12 @@ def to_msop(formula: ReadOnceFormula) -> MsopInstance:
     )
 
 
-def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
+def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance) -> DensitySolver:
     """Density solver wrapping the supplement search (factor 2), over
-    ``instance``, the formula's ``to_msop`` instance.
+    ``instance``, the formula's ``to_msop`` instance (``_Supplements``).
 
-    The base's weight comes from the supplement search's own tables and the
-    supplement's cost is its budget, so a step calls the weight oracle once,
-    on the candidate.  The solver keeps the pruned tables of its last base
-    (``_Supplements``): a greedy step recomputes the gates on the root
-    paths of the tests the last step added.  Called with its last
-    candidate itself, as the greedy loop calls it, the solver moves the
-    tables and the weight oracle by the tests it added
-    (``RunningOracle.advance``)."""
-    state = _Supplements(formula)
-    variables = frozenset(formula.variables)
-    weight = stepper(instance.weight)
-    # the last answer's base, candidate, increment, and the number of
-    # tests the candidate leaves untested
-    last = (None, None, None, None)
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        nonlocal last
-        prev, candidate, added, untested = last
-        follows = base is candidate
-        if not follows:
-            base = frozenset(base)
-            untested = len(variables - base)
-        if not untested:
-            raise NoFeasibleSuperset("every test has already been taken")
-        chosen, spent, base_weight = state.advance(prev, base, added) if follows else state(base)
-        candidate = base | chosen
-        gain = weight(base, candidate, chosen) - base_weight
-        last = base, candidate, chosen, untested - len(chosen)
-        return DensityResult(candidate, density(gain, spent))
-
-    return solve
-
+    The solver keeps the pruned tables of its last base: driven up a
+    greedy chain by each increment (``RunningOracle.advance``), a step
+    recomputes the gates on the root paths of the tests the last step
+    added, and moves the weight oracle by the tests it adds."""
+    return _Supplements(formula, instance)

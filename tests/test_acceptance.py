@@ -271,7 +271,7 @@ def test_criterion_06_supplement_half_density():
         base = frozenset(v for v in universe if rng.random() < 0.3)
         if base >= universe:
             base = frozenset()
-        state = rof._Supplements(formula)
+        state = rof._Supplements(formula, inst)
         state(base)
         expect, memo = _brute_gate_maxima(formula, base)
         below = leaves_below(formula)

@@ -30,7 +30,9 @@ from msop.errors import (
     DisconnectedInput,
     MsopError,
     NoFeasiblePermutation,
+    NoFeasibleSuperset,
     NonMonotone,
+    NotInitial,
     NotMultitree,
 )
 from msop.generators import KINDS, gen_instance
@@ -320,66 +322,52 @@ def test_residual_forgets_candidates_through_added_or_freed_jobs():
     # 0 -> 1 -> 2 -> 4 and 3 -> 2: source 0's densest stem is 0, 1, 2, 4.
     # Adding job 3 frees job 2, which cuts that stem short.  A best stem
     # through a freed job always loses to the freed job's own (its tail is
-    # denser), so no chain shows a kept one: this checks the state itself.
+    # denser), so it reaches the heap's top only once the freed job has
+    # left the residual sources: this checks the state itself.
     dag = OrDag((0, 1, 2, 3, 4), (1, 1, 1, 1, 1), (0, 0, 9, 1, 5),
                 ((0, 1), (1, 2), (2, 4), (3, 2)))
-    state = orsched._Residual(dag)
-    state(frozenset())
-    state.keep(orsched._best_prefix(state, 0, None, frozenset(), None))
-    state.dirty.clear()
-    kept = state.heap[0]
-    assert kept[-2:] == (0, [1, 2, 4])
-    state(frozenset())
-    assert state.heap == [kept] and not state.dirty
-    state(frozenset({3}))
-    assert state.sources == {0, 2} and state.dirty == {2} and 2 in state.closed
     calls = []
 
-    def fresh(start):
-        calls.append(start)
-        return orsched._best_prefix(state, start, None, frozenset({3}), None)
+    def candidates(state, base):
+        def fresh(start):
+            calls.append(start)
+            return orsched._best_prefix(state, start, None, base, None)
 
-    # the top holds the closed job 2, so source 0's stem is computed again
-    assert state.best(fresh)[-2:] == (0, []) and calls == [0]
-    assert state.best(fresh) is state.heap[0] and calls == [0]
-    assert state.heap == [orsched._best_prefix(state, 0, None, frozenset({3}), None)]
-    state(frozenset({0}))  # not a superset: everything is recomputed
-    assert state.heap == [] and state.dirty >= state.sources
+        return fresh
+
+    state = orsched._Residual(dag, candidates)
+    state(frozenset())
+    kept = next(cand for cand in state.heap if cand[-2] == 0)
+    assert kept[-2:] == (0, [1, 2, 4]) and calls == [0, 3]
+    heap = list(state.heap)
+    state(frozenset())
+    assert state.heap == heap and kept in heap and not state.dirty and calls == [0, 3]
+    # job 2 is freed: the new source alone is computed, source 0's stem is kept
+    state(frozenset({3}))
+    assert state.sources == {0, 2} and calls == [0, 3, 2] and 2 in state.closed
+    assert kept in state.heap and not state.dirty
+    del calls[:]
+    base = frozenset({2, 3, 4})
+    # sources 2 and 3 leave, so the top holds the closed job 2 and source
+    # 0's stem is computed again
+    assert state(base).candidate == base | {0} and calls == [0]
+    assert state.best(candidates(state, base)) is state.heap[0] and calls == [0]
+    assert state.heap == [orsched._best_prefix(state, 0, None, base, None)]
+    assert state.heap[0][-2:] == (0, [])
+    state(frozenset({0}))  # not a superset: rebuilt, every source computed again
+    assert calls == [0, 1, 3] and sorted(cand[-2] for cand in state.heap) == [1, 3]
+    assert not state.dirty
 
 
-def gains_step(state, parsed, base):
-    v, gain, cost = state(base)
-    return base | {v}, Fraction(gain, cost)
-
-
-def residual_step(densest):
-    def step(state, dag, base):
-        assert state(base)
-        added, rho = densest(state, base)
-        return base | added, rho
-
-    return step
-
-
-def supplement_state_step(state, formula, base):
-    chosen, spent, determined = state(base)
-    candidate = base | chosen
-    return candidate, Fraction(rof.g_determined(formula, candidate) - determined, spent)
-
-
-# kind: (parsed instance, solver state, its step, stateless reference)
+# kind: (parsed instance, solver factory, stateless reference)
 STATES = {
-    "mssc": (lambda: gen_instance("mssc", 70, 21), mssc._Gains, gains_step,
-             ref_singleton_step),
-    "pipelined": (lambda: gen_instance("pipelined", 60, 22), mssc._Gains, gains_step,
+    "mssc": (lambda: gen_instance("mssc", 70, 21), mssc.singleton_solver, ref_singleton_step),
+    "pipelined": (lambda: gen_instance("pipelined", 60, 22), mssc.singleton_solver,
                   ref_singleton_step),
-    "inforest": (lambda: gen_instance("inforest", 80, 23), orsched._Residual,
-                 residual_step(lambda state, base: orsched._densest_stem(state, None, base)),
-                 modular_stem),
-    "multitree": (lambda: gen_instance("multitree", 70, 24), orsched._Residual,
-                  residual_step(orsched._densest_outtree_step), ref_max_density_outtree),
-    "rof": (lambda: gen_instance("rof", 40, 25), rof._Supplements, supplement_state_step,
-            rof_step),
+    "inforest": (lambda: gen_instance("inforest", 80, 23), orsched.stem_solver, modular_stem),
+    "multitree": (lambda: gen_instance("multitree", 70, 24), orsched.outtree_solver,
+                  ref_max_density_outtree),
+    "rof": (lambda: gen_instance("rof", 40, 25), rof_solver, rof_step),
 }
 
 
@@ -390,10 +378,10 @@ def test_solver_state_drops_and_takes_back_one_element_by_moves(kind):
     # at once, then two at random) and adds it again: each call is a move
     # from the last set, never a rebuild, and each step is the stateless
     # reference's
-    make, state_class, step, reference = STATES[kind]
+    make, solver, reference = STATES[kind]
     parsed = make()
     chain = cli.Toolchain(parsed).greedy()
-    state = state_class(parsed)
+    state = solver(parsed)
     rng = random.Random(kind)
     moves = 0
     for prev, base in zip(chain.sets, chain.sets[1:-1]):
@@ -404,7 +392,7 @@ def test_solver_state_drops_and_takes_back_one_element_by_moves(kind):
             order = [x for x in order if ref_or_initial_membership(parsed, base - {x})]
         for x in order[:2] + rng.sample(order[2:], min(2, len(order) - 2)):
             for s in (base - {x}, base):
-                assert step(state, parsed, s) == outcome(reference, parsed, s), sorted(s)
+                assert outcome(state, s) == outcome(reference, parsed, s), sorted(s)
                 assert state.rebuilds == 1, sorted(s)
                 moves += 1
     assert moves >= 40
@@ -417,12 +405,11 @@ def test_residual_forgets_candidates_when_a_removal_reopens_a_job():
     # 3, 2, 4 (14/12)
     dag = OrDag((0, 1, 2, 3, 4, 5), (1, 1, 1, 10, 1, 1), (0, 0, 9, 0, 5, 1),
                 ((0, 1), (1, 2), (2, 4), (3, 2)))
-    state = orsched._Residual(dag)
-    step = STATES["inforest"][2]
+    solve = orsched.stem_solver(dag)
     for base in (frozenset({3, 5}), frozenset({5})):
-        assert step(state, dag, base) == outcome(modular_stem, dag, base)
-    assert state.rebuilds == 1
-    assert step(state, dag, frozenset({5})) == (frozenset({0, 1, 2, 4, 5}), Fraction(7, 2))
+        assert outcome(solve, base) == outcome(modular_stem, dag, base)
+    assert solve.rebuilds == 1
+    assert outcome(solve, frozenset({5})) == (frozenset({0, 1, 2, 4, 5}), Fraction(7, 2))
 
 
 def tie_heavy_dag(kind, n, seed):
@@ -492,10 +479,6 @@ def scanned_best(state, candidate):
     return best
 
 
-def stem_step(state, base):
-    return orsched._densest_stem(state, None, base)
-
-
 def fresh_stem(state, base):
     return lambda start: orsched._best_prefix(state, start, None, base, None)
 
@@ -504,14 +487,15 @@ def fresh_subtree(state, base):
     return lambda start: orsched._best_subtree(state, start)
 
 
-# shape: (parsed instance, step on the state, fresh candidate of a source)
+# shape: (parsed instance, solver factory, fresh candidate of a source)
 RESIDUAL_STEPS = {
-    "inforest": (lambda: gen_instance("inforest", 150, 13), stem_step, fresh_stem),
-    "inforest-ties": (lambda: tie_heavy_dag("inforest", 120, 34), stem_step, fresh_stem),
-    "multitree": (lambda: gen_instance("multitree", 110, 14), orsched._densest_outtree_step,
+    "inforest": (lambda: gen_instance("inforest", 150, 13), orsched.stem_solver, fresh_stem),
+    "inforest-ties": (lambda: tie_heavy_dag("inforest", 120, 34), orsched.stem_solver,
+                      fresh_stem),
+    "multitree": (lambda: gen_instance("multitree", 110, 14), orsched.outtree_solver,
                   fresh_subtree),
-    "multitree-ties": (lambda: tie_heavy_dag("multitree", 110, 35),
-                       orsched._densest_outtree_step, fresh_subtree),
+    "multitree-ties": (lambda: tie_heavy_dag("multitree", 110, 35), orsched.outtree_solver,
+                       fresh_subtree),
 }
 
 
@@ -522,17 +506,18 @@ def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
     # candidate, which equals its fresh candidate while it holds no closed
     # job and ranks no later than it otherwise, and a move that removed
     # jobs leaves no entry of a job that is not a source
-    make, step, fresh = RESIDUAL_STEPS[shape]
+    make, solver, fresh = RESIDUAL_STEPS[shape]
     dag = make()
     inst = orsched.to_msop(dag)
     sets = cli.Toolchain(dag).greedy().sets[:-1]
-    state = orsched._Residual(dag)
+    state = solver(dag)
     last, steps, removals = frozenset(), 0, 0
     for base in detour_walk(dag, inst, sets, random.Random(shape)):
-        initial, removed, last = state(base), not last <= base, base
-        if not initial or not state.sources:
+        removed, last = not last <= base, base
+        try:
+            state(base)
+        except (NotInitial, NoFeasibleSuperset):
             continue
-        step(state, base)
         candidate = fresh(state, base)
         assert tuple(state.best(candidate)) == tuple(scanned_best(state, candidate)), sorted(base)
         starts = Counter(cand[-2] for cand in state.heap)
@@ -605,7 +590,7 @@ def test_supplement_tables_are_the_undominated_exact_budget_entries():
     for seed in range(10):
         formula = gen_instance("rof", 12 + 5 * seed, 400 + seed)
         walk = free_walk(formula.variables, rng)
-        state = rof._Supplements(formula)
+        state = rof._Supplements(formula, rof.to_msop(formula))
         for base in walk[:-1] + rng.sample(walk[:-1], 6):
             state(base)
             full = ref_scaled_tables(formula, base)
@@ -688,7 +673,7 @@ def test_supplement_tables_match_reference_entry_for_entry():
     for seed in range(20):
         formula = gen_instance("rof", 3 + seed, 300 + seed)
         base = random_base(formula.variables, rng, 0.3)
-        state = rof._Supplements(formula)
+        state = rof._Supplements(formula, rof.to_msop(formula))
         state(base)
         expect = ref_compute_rp(formula, base)
         for node in formula.nodes:
@@ -1385,76 +1370,81 @@ def test_running_oracle_shared_by_a_replaced_and_a_dual_instance(kind):
             assert getattr(inst, name)(other) == reference(other)
 
 
-def residual_value(state, initial, s):
-    """A ``_Residual``'s answer at ``s`` with the densest stem step it
-    leads to, when there is one."""
-    return initial, (orsched._densest_stem(state, None, s)
-                     if initial and state.sources else None)
+def answer(oracle, s):
+    """``oracle(s)``, or the class and message of the error it raises."""
+    try:
+        return oracle(s)
+    except MsopError as err:
+        return type(err).__name__, str(err)
 
 
-# kind: (instance, a new running oracle over it, its value after a call)
+# kind: (instance, a new running oracle over it); a density solver's value
+# at a base is its step
 ADVANCE_KINDS = {
     "RunningSum": ("modular", 80, 13),
     "CoverageWeight": ("pipelined", 60, 3),
     "OrInitialMembership": ("inforest", 70, 5),
     "Determination": ("rof", 24, 12),
-    "_Gains": (lambda: gen_instance("mssc", 70, 21), mssc._Gains),
-    "_Residual": (lambda: gen_instance("inforest", 80, 23), orsched._Residual),
-    "_Supplements": (lambda: gen_instance("rof", 40, 25), rof._Supplements),
+    "_Gains": (lambda: gen_instance("mssc", 70, 21), mssc.singleton_solver),
+    "_Residual": (lambda: gen_instance("inforest", 80, 23), orsched.stem_solver),
+    "_Supplements": (lambda: gen_instance("rof", 40, 25), rof_solver),
 }
 
 
 def advance_case(kind):
-    """(a greedy chain's sets, a new oracle, the value an oracle shows
-    after a call, the value at a set from scratch)."""
+    """(a greedy chain's sets, a new oracle, the answer at a set from
+    scratch)."""
     case = ADVANCE_KINDS[kind]
     if isinstance(case[0], str):
         inst, name, reference, solver = running_case(*case)
         return (greedy_chain(inst, solver).sets, lambda: getattr(running_case(*case)[0], name),
-                lambda oracle, value, s: value, reference)
-    make, state_class = case
+                reference)
+    make, solver = case
     parsed = make()
-    shown = residual_value if state_class is orsched._Residual else lambda o, value, s: value
 
     def fresh(s):
-        state = state_class(parsed)
-        return shown(state, state(s), s)
+        return answer(solver(parsed), s)
 
-    return cli.Toolchain(parsed).greedy().sets, lambda: state_class(parsed), shown, fresh
+    return cli.Toolchain(parsed).greedy().sets, lambda: solver(parsed), fresh
 
 
 @pytest.mark.parametrize("kind", sorted(ADVANCE_KINDS))
 def test_running_oracle_advance_contract(kind):
-    sets, new, shown, fresh = advance_case(kind)
-    sets = sets[:-1]  # a solver state answers below the ground set
+    sets, new, fresh = advance_case(kind)
+    sets = sets[:-1]  # a solver answers below the ground set
     oracle = new()
     oracle(sets[0])
     # up the chain by each increment: one move each, from the set itself
     for base, s in zip(sets, sets[1:]):
-        assert shown(oracle, oracle.advance(base, s, s - base), s) == fresh(s), sorted(s)
+        assert oracle.advance(base, s, s - base) == fresh(s), sorted(s)
         assert oracle.last is s
     assert oracle.rebuilds == 1
     # each of these takes the symmetric-difference path
     rng = random.Random(kind)
+    errors = set()
     for j in sorted(rng.sample(range(1, len(sets) - 3), 6)):
         base, s = sets[j], sets[j + 1]
         added = s - base
         oracle.advance(sets[j - 1], base, base - sets[j - 1])
         oracle(sets[j + 2])  # the state moved on since: a stale base
-        assert shown(oracle, oracle.advance(base, s, added), s) == fresh(s)
+        assert oracle.advance(base, s, added) == fresh(s)
         oracle(base)
         equal = frozenset(sorted(base))  # an equal base, not the same one
-        assert shown(oracle, oracle.advance(equal, s, added), s) == fresh(s)
+        assert oracle.advance(equal, s, added) == fresh(s)
         for x in sorted(base)[:3]:
             oracle(base)
             # an increment that meets the base, then the base left
-            assert shown(oracle, oracle.advance(base, s, added | {x}), s) == fresh(s)
-            assert shown(oracle, oracle(s - {x}), s - {x}) == fresh(s - {x}), x
+            assert oracle.advance(base, s, added | {x}) == fresh(s)
+            got = answer(oracle, s - {x})
+            assert got == answer(fresh, s - {x}), x
+            errors.add(got[0] if type(got) is tuple else None)
+    # where the membership oracle answers False, the stem solver raises
+    assert errors == ({None, "NotInitial"} if kind == "_Residual" else {None})
     # a move that raises leaves nothing kept; the next call rebuilds
     base, s = sets[2], sets[3]
     oracle(base)
 
-    def raising(added, removed):
+    def raising(s, added, removed):
         raise KeyError("move")
 
     oracle.move = raising
@@ -1462,7 +1452,67 @@ def test_running_oracle_advance_contract(kind):
         oracle.advance(base, s, s - base)
     assert oracle.last is None
     del oracle.move
-    assert shown(oracle, oracle.advance(base, s, s - base), s) == fresh(s)
+    assert oracle.advance(base, s, s - base) == fresh(s)
+
+
+# the kinds of the five routes to a polynomial density solver, with the
+# size of the seeded instance each runs
+SOLVER_ROUTES = {"mssc": 300, "pipelined": 300, "inforest": 300, "multitree": 300, "rof": 60}
+
+
+def refused_bases(kind, parsed, universe, base):
+    """(set, error class, message) of the sets that the solver of
+    ``kind`` refuses, the whole ground set first; ``base`` is a chain set
+    between the empty set and the ground set."""
+    if kind == "rof":
+        return [(universe, "NoFeasibleSuperset", "every test has already been taken")]
+    if kind in ("mssc", "pipelined"):
+        n, text = parsed.n, "base already contains every element"
+        return [(s, "NoFeasibleSuperset", text) for s in (
+            universe, frozenset({n}), frozenset({-1}), base | {n}, base | {-1}, base | {-n})]
+    blocked = blocked_job(parsed, base)
+    return [(universe, "NoFeasibleSuperset", "base already contains every job")] + [
+        (s, "NotInitial", f"{sorted(s)} is not an OR-initial set")
+        for s in (base | {blocked}, frozenset({blocked}))]
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
+def test_solver_errors_and_the_call_after_them(kind):
+    # each refused set raises its error, reached by a greedy increment (the
+    # whole ground set) or from a state moved along the chain; the call
+    # after a raising step rebuilds and answers as a fresh solver
+    parsed = gen_instance(kind, SOLVER_ROUTES[kind], 1)
+    tools = cli.Toolchain(parsed)
+    universe = tools.instance.universe()
+    sets = tools.greedy().sets
+    solve, k = tools.solver, len(sets) // 2
+    refused = refused_bases(kind, parsed, universe, sets[k])
+    tries = [(sets[-2], lambda s: solve.advance(sets[-2], s, s - sets[-2]), *refused[0])]
+    tries += [(sets[k], solve, *refusal) for refusal in refused]
+    for start, attempt, s, error, text in tries:
+        solve(start)
+        assert answer(attempt, s) == (error, text)
+        assert solve.last is None
+        rebuilds = solve.rebuilds
+        assert solve(sets[k + 1]) == cli.Toolchain(parsed).solver(sets[k + 1])
+        assert solve.rebuilds == rebuilds + 1
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
+def test_greedy_moves_each_solver_only_by_advance(kind):
+    # after the first step, from the empty set, each step moves the solver
+    # by the increment it answered with; a call with the set would find
+    # the same chain by a set difference
+    tools = cli.Toolchain(gen_instance(kind, SOLVER_ROUTES[kind], 1))
+    solve, advance, calls = tools.solver, tools.solver.advance, []
+
+    def counted(base, s, added):
+        calls.append(s)
+        return advance(base, s, added)
+
+    solve.advance = counted
+    chain = tools.greedy()
+    assert len(calls) == chain.steps - 1 and solve.rebuilds == 1
 
 
 # ---------------------------------------------------------------------------
