@@ -46,7 +46,7 @@ MUTANTS = (
            "            elif closed.isdisjoint(top[-1]):\n"
            "                return top\n"
            "            else:\n"
-           "                heapreplace(heap, _Ranked(candidate(top[-2])))\n",
+           "                heapreplace(heap, _Ranked(self.candidate(self, top[-2])))\n",
            "            else:\n"
            "                return top\n",
            f"{DIFF}::test_residual_forgets_candidates_through_added_or_freed_jobs"),
@@ -54,13 +54,13 @@ MUTANTS = (
            "            if top[-2] not in sources:\n", "            if False:\n",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
     Mutant("residual-heap-kept-across-removal", "src/msop/orsched.py",
-           "        self.heap.clear()\n", "",
+           "            self.heap.clear()\n", "",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
     Mutant("residual-tie-without-cand2", "src/msop/orsched.py",
            "(self[2], self[-2]) < (other[2], other[-2])", "self[-2] < other[-2]",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
     Mutant("residual-step-reads-stale-dirty", "src/msop/orsched.py",
-           "        for start in sorted(self.dirty):\n", "        for start in sorted(dirty):\n",
+           "            dirty = self.dirty = set(sources)\n", "            self.dirty = set(sources)\n",
            f"{DIFF}::test_or_solver_matches_reference_on_bases_out_of_order[inforest]"),
     # best single element: the per-cost heaps of mssc._Gains
     Mutant("gains-tie-to-larger-id", "src/msop/mssc.py",
@@ -145,31 +145,38 @@ MUTANTS = (
            "            texts.append(str(v))\n",
            f"{DIFF}::test_chain_text_matches_reference_through_multi_element_increments"),
     Mutant("refinement-takes-chain-set-early", "src/msop/core.py",
-           "            current = current | {nxt}\n",
-           "            current = current.union(increment)\n",
+           "                walk.grow(tuple(order_out[placed:]))\n",
+           "                walk.grow(tuple(order_out[placed:]) + increment)\n",
            f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[inforest]"),
     Mutant("refinement-skips-feasibility-test", "src/msop/core.py",
-           "            nxt = next((v for v in rest if in_family(current | {v})), None)\n",
+           "            nxt = next((v for v in rest if probe(walk, v)), None)\n",
            "            nxt = rest[0]\n",
            f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[multitree]"),
+    # the OR-initial family's probe of one more job (orsched.OrInitialMembership)
+    Mutant("or-probe-ignores-predecessors", "src/msop/orsched.py",
+           "        if self.dag.preds[v] and not inside[v]:\n"
+           "            stranded += 1\n", "",
+           f"{DIFF}::test_chain_text_and_refinement_on_signed_job_ids[inforest]"),
     # greedy steps by their increments: the re-check and the solver's moves
-    # (core.greedy_chain), and the increment entry point
-    # (lattice.RunningOracle.advance)
+    # (core.greedy_chain), and the walk entry point (lattice.RunningOracle.advance)
     Mutant("recheck-keeps-base-values", "src/msop/core.py",
            "        costs.append(cost)\n        weights.append(weight)\n",
            "        costs.append(costs[-1])\n        weights.append(weights[-1])\n",
            "tests/test_core.py::test_greedy_keeps_the_values_a_fresh_walk_reads"),
     Mutant("greedy-calls-solver-with-set", "src/msop/core.py",
-           "        step = solve(base, current, added)\n",
-           "        step = density_solver(current)\n",
+           "        step = solve(walk)\n",
+           "        step = density_solver(walk.frozen())\n",
            f"{DIFF}::test_greedy_moves_each_solver_only_by_advance[mssc]"),
+    Mutant("greedy-skips-disjoint-check", "src/msop/core.py",
+           "        if not members.isdisjoint(increment):\n"
+           "            raise NotASuperset(", "        if False:\n            raise NotASuperset(",
+           "tests/test_core.py::test_greedy_recheck_errors_keep_their_order_and_texts"),
+    Mutant("greedy-skips-ground-set-check", "src/msop/core.py",
+           "        if not universe.issuperset(increment):\n", "        if False:\n",
+           "tests/test_core.py::test_greedy_recheck_errors_keep_their_order_and_texts"),
     Mutant("advance-skips-identity-gate", "src/msop/lattice.py",
-           "        if self.last is not base or not base.isdisjoint(added):\n",
-           "        if not base.isdisjoint(added):\n",
-           f"{DIFF}::test_running_oracle_advance_contract[RunningSum]"),
-    Mutant("advance-skips-disjoint-check", "src/msop/lattice.py",
-           "        if self.last is not base or not base.isdisjoint(added):\n",
-           "        if self.last is not base:\n",
+           "        if at is walk.previous and at is not None:\n",
+           "        if at is not None:\n",
            f"{DIFF}::test_running_oracle_advance_contract[RunningSum]"),
     # the histogram check's merge (exact.histogram_containment_check)
     Mutant("histogram-advances-optimal-on-common-end", "src/msop/exact.py",

@@ -130,7 +130,7 @@ def _cmd_density(args) -> int:
     result = chain_tools.solver(base)
     _emit("kind", chain_tools.detail)
     _emit("base", _format_set(base))
-    _emit("candidate", _format_set(result.candidate))
+    _emit("candidate", _format_set(base.union(result.increment)))
     _emit("density", _format_density(result.marginal_density))
     _emit("alpha", format_rational(chain_tools.alpha))
     return 0
@@ -150,7 +150,7 @@ def _cmd_exact(args) -> int:
         result = exact.exact_max_density(instance, base)
         lines = [
             ("base", _format_set(base)),
-            ("candidate", _format_set(result.candidate)),
+            ("candidate", _format_set(base.union(result.increment))),
             ("density", _format_density(result.marginal_density)),
         ]
     _emit("kind", chain_tools.detail)

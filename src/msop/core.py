@@ -31,7 +31,7 @@ from .errors import (
     SolverStall,
     ValidationError,
 )
-from .lattice import Lattice, Stepper, build_lattice, stepper
+from .lattice import Lattice, Walk, build_lattice, prober, stepper
 
 Rational = int | Fraction
 Density = int | Fraction | float  # float solely for the +inf sentinel
@@ -80,6 +80,19 @@ class MsopInstance:
             raise ValidationError("cost and weight must vanish on the empty set")
 
 
+def _disjoint_sorted(increments: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether every increment is a nonempty sorted tuple and no id occurs
+    twice, in one pass: the ids are distinct exactly when there are as
+    many of them as the increments' sizes add up to."""
+    ids: set[int] = set()
+    for increment in increments:
+        if (type(increment) is not tuple or not increment
+                or len(increment) > 1 and list(increment) != sorted(increment)):
+            return False
+        ids.update(increment)
+    return len(ids) == sum(map(len, increments))
+
+
 @dataclass(frozen=True)
 class Chain:
     """Strictly increasing feasible sets from the empty set to the ground
@@ -99,16 +112,15 @@ class Chain:
     instance: MsopInstance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.increments:
+        increments = self.increments
+        if not increments:
             raise InvalidChain("a chain has at least two sets")
-        ids = [v for increment in self.increments for v in increment]
-        if (not all(self.increments) or len(set(ids)) != len(ids)
-                or any(increment != tuple(sorted(increment)) for increment in self.increments)):
+        if not _disjoint_sorted(increments):
             raise InvalidChain("chain increments must be nonempty, disjoint, sorted tuples")
-        if self.densities is not None and len(self.densities) != self.steps:
+        steps = len(increments)
+        if self.densities is not None and len(self.densities) != steps:
             raise InvalidChain("certificate length must match the number of steps")
-        if self.values is not None and any(len(column) != self.steps + 1
-                                           for column in self.values):
+        if self.values is not None and not set(map(len, self.values)) <= {steps + 1}:
             raise InvalidChain("kept values must give one cost and one weight per chain set")
 
     @classmethod
@@ -147,13 +159,15 @@ class Chain:
 
 @dataclass(frozen=True)
 class DensityResult:
-    """A feasible strict superset of a step's base with its marginal density.
+    """A density step from a base: ``increment``, the sorted ids it adds,
+    which with the base make a feasible strict superset of it, the
+    step's candidate, and the candidate's marginal density over the base.
 
     ``marginal_density`` is (weight gain)/(cost gain), or the +inf sentinel
     exactly when the cost gain is zero.
     """
 
-    candidate: frozenset[int]
+    increment: tuple[int, ...]
     marginal_density: Density
 
 
@@ -172,18 +186,17 @@ def chain_values(instance: MsopInstance, chain: Chain) -> Values:
     if (sum(map(len, chain.increments)) != len(universe)
             or not all(map(universe.issuperset, chain.increments))):
         raise InvalidChain("chain must end at the full ground set")
-    s: frozenset[int] = frozenset()
-    if not instance.in_family(s):
-        raise InvalidChain(f"set {sorted(s)} is not in the family")
-    costs, weights = [instance.cost(s)], [instance.weight(s)]
+    walk = Walk()
     family, cost, weight = _steppers(instance)
+    if not family(walk):
+        raise InvalidChain("set [] is not in the family")
+    costs, weights = [cost(walk)], [weight(walk)]
     for increment in chain.increments:
-        added = frozenset(increment)
-        base, s = s, s | added
-        if not family(base, s, added):
-            raise InvalidChain(f"set {sorted(s)} is not in the family")
-        costs.append(cost(base, s, added))
-        weights.append(weight(base, s, added))
+        walk.grow(increment)
+        if not family(walk):
+            raise InvalidChain(f"set {sorted(walk.members)} is not in the family")
+        costs.append(cost(walk))
+        weights.append(weight(walk))
     if costs[0] != 0 or weights[0] != 0:
         raise InvalidChain("cost and weight must be zero on the empty set")
     for j in range(1, len(costs)):
@@ -222,40 +235,45 @@ def marginal_density(
     candidate = frozenset(candidate)
     if not base < candidate:
         raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
-    if not instance.in_family(base):
+    oracles = family, cost, weight = _steppers(instance)
+    walk = Walk()
+    walk.grow(tuple(base))
+    if not family(walk):
         raise NotInFamily(f"base {sorted(base)} is not in the family")
-    _, _, dg, df = _step_from(_steppers(instance), base, instance.cost(base),
-                              instance.weight(base), candidate, candidate - base)
-    return DensityResult(candidate, density(dg, df))
+    base_cost, base_weight = cost(walk), weight(walk)
+    increment = tuple(sorted(candidate - base))
+    walk.grow(increment)
+    _, _, dg, df = _step(oracles, walk, base_cost, base_weight)
+    return DensityResult(increment, density(dg, df))
 
 
-def _steppers(instance: MsopInstance) -> tuple[Stepper, Stepper, Stepper]:
-    """The instance's family, cost and weight oracles as ``stepper``s."""
+def _steppers(instance: MsopInstance) -> tuple[Callable, Callable, Callable]:
+    """The instance's family, cost and weight oracles as functions of a
+    walk (``stepper``)."""
     return stepper(instance.in_family), stepper(instance.cost), stepper(instance.weight)
 
 
-def _step_from(
-    oracles: tuple[Stepper, Stepper, Stepper],
-    base: frozenset[int],
+def _step(
+    oracles: tuple[Callable, Callable, Callable],
+    walk: Walk,
     base_cost: Rational,
     base_weight: Rational,
-    candidate: frozenset[int],
-    added: frozenset[int],
 ) -> tuple[Rational, Rational, Rational, Rational]:
-    """Cost and weight of ``candidate``, the strict superset of a feasible
-    ``base`` by ``added``, and its weight and cost gains over ``base``,
-    whose cost and weight are already known, by the ``_steppers`` of an
+    """Cost and weight of the walk's set, which its last increment made
+    from a feasible base whose cost and weight are already known, and its
+    weight and cost gains over the base, by the ``_steppers`` of an
     instance."""
     family, cost_at, weight_at = oracles
-    if not family(base, candidate, added):
-        raise NotInFamily(f"candidate {sorted(candidate)} is not in the family")
-    cost = cost_at(base, candidate, added)
-    weight = weight_at(base, candidate, added)
+    if not family(walk):
+        raise NotInFamily(f"candidate {sorted(walk.members)} is not in the family")
+    cost = cost_at(walk)
+    weight = weight_at(walk)
     df = cost - base_cost
     dg = weight - base_weight
     if df < 0 or dg < 0:
         raise NonMonotone(
-            f"value decreased between {sorted(base)} and {sorted(candidate)}"
+            f"value decreased between {sorted(walk.members.difference(walk.added))} "
+            f"and {sorted(walk.members)}"
         )
     return cost, weight, dg, df
 
@@ -295,14 +313,14 @@ DensitySolver = Callable[[frozenset[int]], DensityResult]
 def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain:
     """Iterate a density solver from the empty set until the ground set.
 
-    The solver is called with the empty set, and from then on driven
-    through ``stepper``, as the instance's oracles are: a running oracle
-    moves from the last base by the increment it answered with, any other
-    solver is called with the base.  Its answer is taken verbatim each
-    step and checked: its increment over the base, found by one set
-    difference, must be nonempty and the candidate a feasible superset of
-    the base, and its density must equal the oracles' weight and cost
-    gains.  The chain keeps the increments, the densities as its
+    The loop keeps one growing set, a ``Walk``, and asks the solver and
+    the instance's oracles about it through ``stepper``: a running oracle
+    or solver moves by each step's increment, any other function is
+    called with the set.  The solver's answer is taken verbatim each step
+    and checked: its increment must be nonempty, made of ground-set ids
+    and disjoint from the base, the candidate feasible, its values no
+    lower than the base's, and its density equal to the oracles' weight
+    and cost gains.  The chain keeps the increments, the densities as its
     certificate, and each set's cost and weight for ``chain_values``.
     Cost-flat (+inf density) steps are expected to be offered by the
     solver before any finite-density step and are taken immediately;
@@ -310,7 +328,8 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     """
     instance.validate()
     universe = instance.universe()
-    current: frozenset[int] = frozenset()
+    walk = Walk()
+    members = walk.members
     # each step's base is the previous candidate, already checked and
     # evaluated; validate() showed the empty set is feasible with value 0
     costs, weights = [0], [0]
@@ -318,31 +337,30 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     solve = stepper(density_solver)
     increments: list[tuple[int, ...]] = []
     densities: list[Density] = []
-    step = density_solver(current)
     while True:
-        # frozen once, since the solver may hand out a set it changes later
-        candidate = frozenset(step.candidate)
-        added = candidate - current
-        if not added or len(current) + len(added) != len(candidate):
-            if candidate == current:
-                raise SolverStall(f"density solver returned its base {sorted(current)}")
-            raise NotASuperset(
-                f"{sorted(candidate)} is not a strict superset of {sorted(current)}")
-        cost, weight, dg, df = _step_from(
-            oracles, current, costs[-1], weights[-1], candidate, added)
+        step = solve(walk)
+        # sorted once, without repeats, since the solver may hand out ids it
+        # changes later
+        increment = tuple(sorted(frozenset(step.increment)))
+        if not increment:
+            raise SolverStall(f"density solver returned its base {sorted(members)}")
+        if not universe.issuperset(increment):
+            raise NotInFamily(f"candidate {sorted(members.union(increment))} is not in the family")
+        if not members.isdisjoint(increment):
+            raise NotASuperset(f"increment {list(increment)} meets its base {sorted(members)}")
+        walk.grow(increment)
+        cost, weight, dg, df = _step(oracles, walk, costs[-1], weights[-1])
         if not _is_density(step.marginal_density, dg, df):
             raise ValidationError(
                 "density solver reported density "
                 f"{step.marginal_density} but the oracles give {density(dg, df)}"
             )
-        increments.append(tuple(sorted(added)))
+        increments.append(increment)
         costs.append(cost)
         weights.append(weight)
         densities.append(step.marginal_density)
-        base, current = current, candidate
-        if current == universe:
+        if len(members) == len(universe):
             break
-        step = solve(base, current, added)
     return Chain(tuple(increments), tuple(densities), (tuple(costs), tuple(weights)), instance)
 
 
@@ -366,21 +384,23 @@ def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...
     keeps the prefix feasible; for permutation families closed under
     splicing such an element always exists, so a stall means the family is
     not well-founded.  The last element of an increment completes a
-    checked chain set, so a one-element increment asks no oracle, and the
-    prefix set is built only for an increment with a choice to make.
+    checked chain set, so a one-element increment asks no oracle.  The
+    placed prefix is a ``Walk``, grown only before an increment's choice,
+    and each candidate element is a ``probe`` of the family oracle.
     """
     chain_values(instance, chain)
-    in_family = instance.in_family
+    probe = prober(instance.in_family)
+    walk = Walk()  # the first ``len(walk.members)`` ids of ``order_out``
     order_out: list[int] = []
-    current: frozenset[int] = frozenset()  # the first ``placed`` ids of ``order_out``
-    placed = 0
     for increment in chain.increments:
         rest = list(increment)
-        if len(rest) > 1:
-            current, placed = current.union(order_out[placed:]), len(order_out)
         while len(rest) > 1:
-            nxt = next((v for v in rest if in_family(current | {v})), None)
+            placed = len(walk.members)
+            if placed < len(order_out):
+                walk.grow(tuple(order_out[placed:]))
+            nxt = next((v for v in rest if probe(walk, v)), None)
             if nxt is None:
+                current = walk.members
                 raise NotWellFounded(
                     f"no feasible single-element extension of {sorted(current)} inside "
                     f"{sorted(current.union(rest))}; the permutation family is not closed "
@@ -388,8 +408,6 @@ def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...
                 )
             order_out.append(nxt)
             rest.remove(nxt)
-            current = current | {nxt}
-            placed += 1
         order_out.append(rest[0])
     return tuple(order_out)
 

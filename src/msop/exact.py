@@ -218,7 +218,7 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
     if not best_mask:
         raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
     rho = density(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
-    return DensityResult(base.union(_members(ground, best_mask)), rho)
+    return DensityResult(tuple(sorted(_members(ground, best_mask))), rho)
 
 
 def _non_monotone(ground: tuple[int, ...], base: frozenset[int], x: int) -> NonMonotone:

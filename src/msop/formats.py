@@ -215,7 +215,10 @@ def _parse_orsched(body) -> OrDag:
 
 
 def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int, int]]:
-    """The formula's root, and the column of each leaf's variable."""
+    """The formula's root, and the column of each leaf's variable; a blank
+    ``expr`` is refused first, as an empty formula line."""
+    if not expr.strip():
+        raise ParseError("formula line is empty", lineno)
     pos = 0
     columns: dict[int, int] = {}
 
@@ -250,10 +253,8 @@ def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int,
                     open_at,
                 )
             node: Node = Gate(op, children[0], children[1])
-        elif pos >= len(expr):
-            if stack:
-                error("missing ')'", stack[-1][1])
-            error("unexpected end of formula", pos)
+        elif pos >= len(expr):  # only inside a gate: ``expr`` is not blank
+            error("missing ')'", stack[-1][1])
         elif expr[pos] == "(":
             open_at = pos
             pos += 1
@@ -305,9 +306,7 @@ def _parse_rof(body) -> ReadOnceFormula:
         elif word == "formula":
             if root is not None:
                 raise ParseError("only one formula line is allowed", lineno)
-            if len(tokens) == 1:
-                raise ParseError("formula line is empty", lineno)
-            expr = line.split(None, 1)[1]
+            expr = line.split(None, 1)[1] if len(tokens) > 1 else ""
             root, columns = _parse_formula(expr, lineno, line.index(expr))
             formula_line = lineno
         else:
@@ -424,8 +423,7 @@ def _orsched_tools(dag: OrDag) -> Tools:
 
 
 def _rof_tools(formula: ReadOnceFormula) -> Tools:
-    instance = rof.to_msop(formula)
-    return instance, rof.supplement_solver(formula, instance), 2, "rof"
+    return rof.to_msop(formula), rof.supplement_solver(formula), 2, "rof"
 
 
 def _xsearch_tools(graph: SearchGraph) -> Tools:

@@ -20,9 +20,10 @@ subset from a smaller one and calls cost and weight only on feasible sets.
 
 The oracles themselves answer one set at a time.  Those that would redo
 the whole set at each call are ``RunningOracle``s, which move from the
-last set asked about by the elements that came and went, or by an
-increment their caller knows (``advance``).  The polynomial density
-solvers are running oracles too, whose value at a base is the step.
+last set asked about by the elements that came and went, or, following a
+``Walk``, a set that grows in place, by its last increment (``advance``).
+The polynomial density solvers are running oracles too, whose value at a
+base is the step.
 
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
@@ -47,26 +48,57 @@ Scaled = tuple[IntColumn, int]  # (column, scale): value = column[mask] / scale
 _WORD = 1 << 63
 
 
+class Walk:
+    """A set grown in place by increments, for the running oracles that
+    follow it: ``members`` holds the set and ``added`` its last increment.
+    Each ``grow`` makes a new ``token`` and keeps the last one as
+    ``previous``, so an oracle last moved to the set before the growth
+    knows, by comparing tokens by identity, that ``added`` alone leads to
+    the set now.  ``grow`` takes an increment that misses the set."""
+
+    def __init__(self):
+        self.members: set[int] = set()
+        self.added: tuple[int, ...] = ()
+        self.token = object()
+        self.previous: object | None = None
+        self._frozen: frozenset[int] | None = frozenset()
+
+    def grow(self, added: tuple[int, ...]) -> None:
+        self.members.update(added)
+        self.added = added
+        self.previous, self.token = self.token, object()
+        self._frozen = None
+
+    def frozen(self) -> frozenset[int]:
+        """The set as a frozenset, built at most once per growth, for the
+        oracles that take a set."""
+        if self._frozen is None:
+            self._frozen = frozenset(self.members)
+        return self._frozen
+
+
 class RunningOracle:
     """A set function that keeps its value for the last set it was asked
-    about and moves to the next set by the symmetric difference: a greedy
-    chain, its dual's complements and the chain's refinement each ask
-    about sets one or two elements apart.  When the difference is larger
-    than the new set, the state is rebuilt from the empty set.
+    about and moves to the next one by the elements that came and went.
 
-    A caller that knows the increment from the last set calls
-    ``advance`` instead, which skips the symmetric difference.
+    Called with a set, it moves by the symmetric difference from the last
+    set: the dual's complements and out-of-order callers ask about sets a
+    few elements apart.  When the difference is larger than the new set,
+    the state is rebuilt from the empty set.  A walk (``Walk``) asks
+    through ``advance``, which moves by the walk's increment alone, and a
+    family oracle answers ``probe`` about one more element.
 
     Subclasses hold the state: ``reset()`` empties it and
-    ``move(s, added, removed)`` applies the difference that leads to the
-    frozenset ``s`` and returns the value at ``s``.
-    An argument that is not a ``frozenset`` is frozen before it is kept,
-    since its caller may change it later.  ``rebuilds`` counts the moves
-    that started from the empty set.
+    ``move(added, removed)`` applies the elements that came and went and
+    returns the value at the new set.  An argument that is not a
+    ``frozenset`` is frozen before it is kept, since its caller may change
+    it later.  ``rebuilds`` counts the moves that started from the empty
+    set.
     """
 
     def __init__(self):
-        self.last: frozenset[int] | None = None
+        self.last: frozenset[int] | None = None  # the last set asked about
+        self.at: object | None = None  # the token of the last walk set
         self.value = None
         self.rebuilds = 0
 
@@ -88,39 +120,58 @@ class RunningOracle:
             else:
                 removed = last - s
                 rebuild = len(added) + len(removed) > size
+        # a move that raises leaves a state nothing may trust
+        self.last = self.at = None
         if rebuild:
             self.rebuilds += 1
             self.reset()
             added, removed = s, ()
-        # a move that raises leaves a state nothing may trust
-        self.last = None
-        self.value = self.move(s, added, removed)
+        self.value = self.move(added, removed)
         self.last = s
         return self.value
 
-    def advance(self, base: frozenset[int], s: frozenset[int], added: frozenset[int]):
-        """The value at the frozenset ``s``, which the caller vouches is
-        ``base`` joined with the frozenset ``added``.  When the last set
-        asked about is ``base`` itself and ``added`` misses it, the state
-        moves by ``added`` alone, O(|added|); otherwise this is ``self(s)``."""
-        if self.last is not base or not base.isdisjoint(added):
-            return self(s)
-        self.last = None  # as in ``__call__``
-        self.value = self.move(s, added, ())
-        self.last = s
+    def advance(self, walk: Walk):
+        """The value at the walk's set.  One last moved to the walk's
+        previous set moves by the walk's increment, O(|increment|); one
+        already there answers at once; any other is rebuilt from the
+        walk's members.  No set is built."""
+        at = self.at
+        if at is walk.previous and at is not None:
+            self.at = None  # as in ``__call__``; ``last`` is None already
+            self.value = self.move(walk.added, ())
+        elif at is not walk.token:
+            self.last = self.at = None
+            self.rebuilds += 1
+            self.reset()
+            self.value = self.move(walk.members, ())
+        else:
+            return self.value
+        self.at = walk.token
         return self.value
 
+    def probe(self, walk: Walk, v: int):
+        """The value at the walk's set joined with ``v``, which it misses.
+        Asked here with that set, which moves the state; a family oracle
+        answers from the state at the walk's set instead, and keeps it."""
+        return self(walk.frozen() | {v})
 
-Stepper = Callable[[frozenset[int], frozenset[int], frozenset[int]], object]
 
-
-def stepper(oracle: Callable) -> Stepper:
-    """``oracle`` as a function of (base, s, added), for ``s`` = ``base``
-    joined with ``added``: a running oracle's ``advance``, which moves by
-    ``added``; any other function is called with ``s``."""
+def stepper(oracle: Callable) -> Callable[[Walk], object]:
+    """``oracle`` as a function of a walk: a running oracle's ``advance``;
+    any other function is called with the walk's set, built once per
+    growth for all of them (``Walk.frozen``)."""
     if isinstance(oracle, RunningOracle):
         return oracle.advance
-    return lambda base, s, added: oracle(s)
+    return lambda walk: oracle(walk.frozen())
+
+
+def prober(oracle: Callable) -> Callable[[Walk, int], object]:
+    """``oracle`` as a function of a walk and one element outside it: a
+    running oracle's ``probe``; any other function is called with the walk's
+    set joined with the element."""
+    if isinstance(oracle, RunningOracle):
+        return oracle.probe
+    return lambda walk, v: oracle(walk.frozen() | {v})
 
 
 @dataclass(frozen=True)
@@ -200,9 +251,23 @@ def int_column(values: Sequence[int], bound: int) -> IntColumn:
     return array("q", values) if bound < _WORD else list(values)
 
 
+class Everything(RunningOracle):
+    """The family of every subset: true at any set, asked in any way, so a
+    walk asks it nothing and keeps no state."""
+
+    def __call__(self, s) -> bool:
+        return True
+
+    def advance(self, walk: Walk) -> bool:
+        return True
+
+    def probe(self, walk: Walk, v: int) -> bool:
+        return True
+
+
 def free(ground: tuple[int, ...]) -> Callable:
     """The family of every subset of ``ground``, with its column."""
-    return supply(lambda s: True, ground, lambda: bytearray(b"\x01") * (1 << len(ground)))
+    return supply(Everything(), ground, lambda: bytearray(b"\x01") * (1 << len(ground)))
 
 
 def modular(ground: tuple[int, ...], values: Callable[[], Mapping]) -> Callable:
@@ -239,7 +304,7 @@ class RunningSum(RunningOracle):
         self.get = self.table()
         self.total = 0
 
-    def move(self, s, added, removed):
+    def move(self, added, removed):
         get = self.get
         total = self.total + sum(map(get, added))
         if removed:

@@ -78,7 +78,7 @@ class CoverageWeight(RunningOracle):
         self.count = [0] * len(self.weights)
         self.total: Rational = 0
 
-    def move(self, s, added, removed) -> Rational:
+    def move(self, added, removed) -> Rational:
         incident, count, weights = self.incident, self.count, self.weights
         total = self.total
         for v in removed:
@@ -176,7 +176,7 @@ class _Gains(RunningOracle):
         for heap in self.heaps:
             heapify(heap)
 
-    def move(self, s, added, removed) -> DensityResult:
+    def move(self, added, removed) -> DensityResult:
         if not self.ids.issuperset(added):  # an id outside range(n), negative ones too
             raise NoFeasibleSuperset("base already contains every element")
         gain, count, edges, incident = self.gain, self.count, self.edges, self.incident
@@ -204,7 +204,7 @@ class _Gains(RunningOracle):
         for u in raised:
             heappush(heaps[group[u]], (-gain[u], u))
         v, g, c = self.best()
-        return DensityResult(s | {v}, density(g, c))
+        return DensityResult((v,), density(g, c))
 
     def best(self) -> tuple[int, Rational, Rational]:
         """The element of best gain per unit cost, with its gain and cost,

@@ -29,16 +29,12 @@ from .errors import (
     CyclicInput,
     InfeasibleOrder,
     NoFeasibleSuperset,
-    NonMonotone,
     NotInforest,
     NotInitial,
     NotMultitree,
     ValidationError,
 )
-from .lattice import RunningOracle, modular, supply, union_column
-from .mssc import coverage
-
-WeightOracle = Callable[[frozenset[int]], Rational]
+from .lattice import RunningOracle, Walk, modular, supply, union_column
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,7 @@ class OrInitialMembership(RunningOracle):
         self.members: set[int] = set()
         self.stranded = 0
 
-    def move(self, s, added, removed) -> bool:
+    def move(self, added, removed) -> bool:
         preds, succs = self.dag.preds, self.dag.succs
         inside, members = self.inside, self.members
         stranded = self.stranded
@@ -231,6 +227,20 @@ class OrInitialMembership(RunningOracle):
         self.stranded = stranded
         return not stranded
 
+    def probe(self, walk: Walk, v: int) -> bool:
+        """Whether the walk's set joined with job ``v`` is OR-initial, from
+        the state at the walk's set, which stays: ``v`` must be a source or
+        follow a member, and each member it follows that had no
+        predecessor inside is no longer stranded.  O(arcs out of ``v``)."""
+        self.advance(walk)  # the state at the walk's set
+        inside, members, stranded = self.inside, self.members, self.stranded
+        if self.dag.preds[v] and not inside[v]:
+            stranded += 1
+        for w in self.dag.succs[v]:
+            if not inside[w] and w in members:
+                stranded -= 1
+        return not stranded
+
 
 class _Ranked(tuple):
     """A kept candidate, ordered as by the exact key (-density, ``cand[2]``,
@@ -248,7 +258,7 @@ class _Ranked(tuple):
 class _Residual(OrInitialMembership):
     """Density steps on the residual DAG of a base as a running oracle: its
     value at an OR-initial base is the step, the best candidate of the
-    residual sources by ``candidates`` (see ``move``).  The residual is
+    residual sources by ``candidate`` (see ``move``).  The residual is
     read off the original DAG.
 
     ``closed`` holds the set and every job with a predecessor in it, and
@@ -268,12 +278,12 @@ class _Residual(OrInitialMembership):
     heap is made current only at its top (``best``), as the heaps of
     ``mssc._Gains`` are, and a move marks ``dirty`` only the new sources,
     which a step must compute.  A removal empties ``heap`` and marks every
-    source dirty (``clear``).
+    source dirty.
     """
 
-    def __init__(self, dag: OrDag, candidates: Callable[["_Residual", frozenset[int]], Callable]):
+    def __init__(self, dag: OrDag, candidate: Callable[["_Residual", int], tuple]):
         super().__init__(dag)
-        self.candidates = candidates
+        self.candidate = candidate
 
     def reset(self) -> None:
         super().reset()
@@ -282,16 +292,16 @@ class _Residual(OrInitialMembership):
         self.heap: list[_Ranked] = []
         self.dirty = set(self.sources)
 
-    def move(self, s, added, removed) -> DensityResult:
-        """The step from ``s``.  A candidate is (weight gain, time,
+    def move(self, added, removed) -> DensityResult:
+        """The step from the new set.  A candidate is (weight gain, time,
         *tie-break, start, jobs after start); the denser wins, then the
         smaller tie-break, then the smaller start, which is the heap order
-        of ``_Ranked``.  ``candidates(self, s)`` gives the function that
-        computes a source's candidate at ``s``: it runs on the dirty
-        sources, in ascending order, and then on each kept candidate that
-        reaches the heap's top holding a closed job (``best``)."""
-        if not super().move(s, added, removed):
-            raise NotInitial(f"{sorted(s)} is not an OR-initial set")
+        of ``_Ranked``.  ``candidate(self, start)`` computes a source's
+        candidate at the set: it runs on the dirty sources, in ascending
+        order, and then on each kept candidate that reaches the heap's top
+        holding a closed job (``best``)."""
+        if not super().move(added, removed):
+            raise NotInitial(f"{sorted(self.members)} is not an OR-initial set")
         preds, succs, inside, members = self.dag.preds, self.dag.succs, self.inside, self.members
         closed, sources, dirty = self.closed, self.sources, self.dirty
         for v in (*added, *removed):
@@ -306,30 +316,23 @@ class _Residual(OrInitialMembership):
                         dirty.add(j)
                 else:
                     sources.discard(j)
-        if removed:
-            self.clear()
+        if removed:  # every kept candidate is forgotten
+            self.heap.clear()
+            dirty = self.dirty = set(sources)
         if not sources:
             raise NoFeasibleSuperset("base already contains every job")
-        candidate = self.candidates(self, s)
-        heap = self.heap
-        # ``dirty`` read only now: ``clear`` rebinds it; sorted also so that
-        # a non-monotone oracle is reported at the same source
-        for start in sorted(self.dirty):
+        heap, candidate = self.heap, self.candidate
+        for start in sorted(dirty):
             if start in sources:
-                heappush(heap, _Ranked(candidate(start)))
-        self.dirty.clear()
-        gain, spent, *_, start, below = self.best(candidate)
-        return DensityResult(s.union((start, *below)), density(gain, spent))
+                heappush(heap, _Ranked(candidate(self, start)))
+        dirty.clear()
+        gain, spent, *_, start, below = self.best()
+        return DensityResult(tuple(sorted((start, *below))), density(gain, spent))
 
-    def clear(self) -> None:
-        """Forget every kept candidate: each source is computed again."""
-        self.heap.clear()
-        self.dirty = set(self.sources)
-
-    def best(self, candidate: Callable[[int], tuple]) -> tuple:
+    def best(self) -> tuple:
         """The kept candidate first in heap order, once the top is current:
         a top whose start has left ``sources`` is dropped, and one that
-        holds a closed job is replaced by ``candidate(start)``."""
+        holds a closed job is replaced by its start's fresh candidate."""
         heap, closed, sources = self.heap, self.closed, self.sources
         while True:
             top = heap[0]
@@ -338,7 +341,7 @@ class _Residual(OrInitialMembership):
             elif closed.isdisjoint(top[-1]):
                 return top
             else:
-                heapreplace(heap, _Ranked(candidate(top[-2])))
+                heapreplace(heap, _Ranked(self.candidate(self, top[-2])))
 
     def successor(self, v: int) -> int | None:
         """The first residual successor of ``v``, the only one in an inforest."""
@@ -363,9 +366,7 @@ class _Residual(OrInitialMembership):
         return kids
 
 
-def _best_prefix(
-    state: _Residual, start: int, g_oracle: WeightOracle | None, base: frozenset[int], g_base
-) -> tuple[Rational, Rational, int, int, list[int]]:
+def _best_prefix(state: _Residual, start: int) -> tuple[Rational, Rational, int, int, list[int]]:
     """The densest prefix of the stem from ``start``, shortest on ties: its
     weight gain, time, length, start and jobs after ``start``."""
     time = state.dag.time_map
@@ -379,12 +380,7 @@ def _best_prefix(
     while v is not None:
         stem.append(v)
         time_sum += time[v]
-        if g_oracle is None:
-            dg += weight[v]
-        else:
-            dg = g_oracle(base.union(stem)) - g_base
-        if dg < 0:
-            raise NonMonotone(f"weight decreased when adding stem through {v}")
+        dg += weight[v]
         if best is None or compare_density(dg, time_sum, best[0], best[1]) > 0:
             best = (dg, time_sum, len(stem))
         v = successor(v)
@@ -475,47 +471,23 @@ def to_msop(dag: OrDag) -> MsopInstance:
     return _or_instance(dag, lambda jobs: modular(jobs, lambda: dag.weight_map), "orsched")
 
 
-def pipelined_to_msop(
-    dag: OrDag, edges: Sequence[tuple[Rational, frozenset[int]]]
-) -> MsopInstance:
-    """Covering variant: job times are element costs, hyperedge coverage is
-    the weight, and the OR-DAG constrains the order."""
-    jobs = set(dag.jobs)
-    for w, members in edges:
-        if w < 0 or not members or not members <= jobs:
-            raise ValidationError("bad hyperedge over the job set")
-    frozen_edges = tuple((w, frozenset(m)) for w, m in edges)
-    return _or_instance(dag, lambda jobs: coverage(jobs, lambda: frozen_edges), "or-pipelined")
-
-
-def stem_solver(dag: OrDag, g_oracle: WeightOracle | None = None) -> DensitySolver:
+def stem_solver(dag: OrDag) -> DensitySolver:
     """Exact density steps on an inforest: the best stem of the residual
     DAG.
 
     A stem starts at a residual source and follows the (unique) successor
     arc, so there are O(n^2) of them; inclusion-minimal maximum-density
-    OR-initial sets are stems whenever the weight oracle is submodular and
-    the cost is the sum of processing times.  Ties prefer the shortest stem,
-    then the smallest start id.  Without ``g_oracle`` the weights are the
-    jobs' own (modular) weights, summed along each stem; a supplied oracle
-    is called once per stem prefix.  Residuals of an inforest are
-    inforests too, so the shape is checked once; the solver keeps the
-    residual of its last base and, with modular weights, each residual
-    source's densest stem prefix (``_Residual``)."""
+    OR-initial sets are stems whenever the weight is submodular and the
+    cost is the sum of processing times.  Ties prefer the shortest stem,
+    then the smallest start id.  The weights are the jobs' own (modular)
+    weights, summed along each stem, so a stem's gains do not depend on
+    the base.  Residuals of an inforest are inforests too, so the shape is
+    checked once; the solver keeps the residual of its last base and each
+    residual source's densest stem prefix while none of its jobs is
+    closed (``_Residual``)."""
     if not is_inforest(dag):
         raise NotInforest("graph has a vertex with two successors")
-
-    def candidates(state: _Residual, base: frozenset[int]) -> Callable[[int], tuple]:
-        # with modular weights a stem's gains do not depend on the base, so
-        # each source's best prefix is kept while none of its jobs is
-        # closed; a supplied oracle's do, so every source is computed again
-        g_base = None
-        if g_oracle is not None:
-            state.clear()
-            g_base = g_oracle(base)
-        return lambda start: _best_prefix(state, start, g_oracle, base, g_base)
-
-    return _Residual(dag, candidates)
+    return _Residual(dag, _best_prefix)
 
 
 def outtree_solver(dag: OrDag) -> DensitySolver:
@@ -532,4 +504,4 @@ def outtree_solver(dag: OrDag) -> DensitySolver:
     """
     if not is_multitree(dag):
         raise NotMultitree("graph has two paths between some pair of jobs")
-    return _Residual(dag, lambda state, base: lambda start: _best_subtree(state, start))
+    return _Residual(dag, _best_subtree)

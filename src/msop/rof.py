@@ -23,9 +23,9 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .core import DensityResult, DensitySolver, MsopInstance, compare_density, density
+from .core import DensityResult, DensitySolver, MsopInstance, compare_density
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import RunningOracle, free, modular, stepper, supply
+from .lattice import RunningOracle, free, modular, supply
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +175,7 @@ class _FormulaState(RunningOracle):
     recomputes the leaves whose tested state changed, then the gates on
     their root paths; after a rebuild it computes every node once.
     Subclasses supply ``leaf(leaf, tested)``, ``gate(gate)`` and
-    ``result(s)``, the value at the tested set ``s``."""
+    ``result()``, the value at the tested set."""
 
     def __init__(self, formula: ReadOnceFormula):
         super().__init__()
@@ -185,21 +185,24 @@ class _FormulaState(RunningOracle):
         # the move that follows overwrites every node's value
         self.rebuilt = True
 
-    def move(self, s, added, removed):
+    def move(self, added, removed):
         formula = self.formula
-        if self.rebuilt:
+        if self.rebuilt:  # ``added`` is the whole tested set
             self.rebuilt = False
-            nodes = formula.nodes
-        else:
-            leaves = formula.leaves
-            nodes = [leaves[var] for var in (*removed, *added) if var in leaves]
-            nodes += formula.gates_above(added.union(removed))
-        for node in nodes:
-            if isinstance(node, Leaf):
-                self.leaf(node, node.var in added)
-            else:
-                self.gate(node)
-        return self.result(s)
+            for node in formula.nodes:
+                if isinstance(node, Leaf):
+                    self.leaf(node, node.var in added)
+                else:
+                    self.gate(node)
+            return self.result()
+        leaves = formula.leaves
+        for tested, variables in ((False, removed), (True, added)):
+            for var in variables:
+                if var in leaves:
+                    self.leaf(leaves[var], tested)
+        for gate in formula.gates_above((*removed, *added)):
+            self.gate(gate)
+        return self.result()
 
 
 class Determination(_FormulaState):
@@ -221,7 +224,7 @@ class Determination(_FormulaState):
     def gate(self, gate: Gate) -> None:
         _scaled_gate(gate, self.ones, self.zeros, self.formula.denominators)
 
-    def result(self, s) -> Fraction:
+    def result(self) -> Fraction:
         root = self.formula.root
         return Fraction(self.ones[root] + self.zeros[root], self.formula.denominators[root])
 
@@ -303,9 +306,9 @@ ScaledTable = dict[int, tuple[int, int]]
 
 
 class _Supplements(_FormulaState):
-    """Supplement-search density steps over ``instance``, the formula's
-    ``to_msop`` instance, as a running oracle: the search's tables for the
-    last tested set, whose value at a set is the step from it.
+    """Supplement-search density steps over the formula's ``to_msop``
+    instance, as a running oracle: the search's tables for the last tested
+    set, whose value at a set is the step from it.
 
     ``scaled[node][l][t]`` describes the subset R of the node's untested
     leaves with total cost exactly t that maximises the probability the
@@ -327,14 +330,10 @@ class _Supplements(_FormulaState):
     chosen budget has positive gain (testing every untested leaf
     determines the root where the set alone may not), so no smaller budget
     reaches its value and it is kept.  The winner's density is at least
-    half the best over all supersets.  The candidate's weight comes from
-    the instance's weight oracle, moved from the set by the supplement
-    (``lattice.stepper``), so a step calls it once.
+    half the best over all supersets.  The candidate's weight is read off
+    the budget-0 entries, which hold the set's own probabilities, along
+    the root paths of the supplement (``determined``); no oracle is asked.
     """
-
-    def __init__(self, formula: ReadOnceFormula, instance: MsopInstance):
-        super().__init__(formula)
-        self.weight = stepper(instance.weight)
 
     def reset(self) -> None:
         super().reset()
@@ -399,7 +398,26 @@ class _Supplements(_FormulaState):
             stack.append((node.right, t - tl))
         return frozenset(out)
 
-    def result(self, s) -> DensityResult:
+    def determined(self, chosen: frozenset[int]) -> int:
+        """The probability that the set's and ``chosen``'s outcomes
+        determine the formula, times the root's denominator: the gates on
+        the root paths of ``chosen``, children first, from the budget-0
+        entries of the nodes off those paths."""
+        formula, scaled = self.formula, self.scaled
+        ones: dict[Node, int] = {}
+        zeros: dict[Node, int] = {}
+        for var in chosen:
+            p = formula.probs[var]
+            leaf = formula.leaves[var]
+            ones[leaf], zeros[leaf] = p.numerator, p.denominator - p.numerator
+        for gate in formula.gates_above(chosen):
+            for child in (gate.left, gate.right):
+                if child not in ones:
+                    ones[child], zeros[child] = scaled[child][1][0][0], scaled[child][0][0][0]
+            _scaled_gate(gate, ones, zeros, formula.denominators)
+        return ones[formula.root] + zeros[formula.root]
+
+    def result(self) -> DensityResult:
         formula = self.formula
         root_tables = self.scaled[formula.root]
         # (gain, budget) per target; gains share the root's denominator, so
@@ -418,13 +436,11 @@ class _Supplements(_FormulaState):
             raise NoFeasibleSuperset("every test has already been taken")
         outcome = 0 if compare_density(*best[0], *best[1]) > 0 else 1
         spent = best[outcome][1]
-        # budget 0: the probabilities that the set alone determines 0, 1
-        determined = root_tables[0][0][0] + root_tables[1][0][0]
-        determined = Fraction(determined, formula.denominators[formula.root])
         chosen = self.chosen(formula.root, outcome, spent)
-        candidate = s | chosen
-        gain = self.weight(s, candidate, chosen) - determined
-        return DensityResult(candidate, density(gain, spent))
+        # budget 0: the probabilities that the set alone determines 0, 1
+        gain = self.determined(chosen) - root_tables[0][0][0] - root_tables[1][0][0]
+        return DensityResult(tuple(sorted(chosen)),
+                             Fraction(gain, formula.denominators[formula.root] * spent))
 
 
 def to_msop(formula: ReadOnceFormula) -> MsopInstance:
@@ -441,12 +457,13 @@ def to_msop(formula: ReadOnceFormula) -> MsopInstance:
     )
 
 
-def supplement_solver(formula: ReadOnceFormula, instance: MsopInstance) -> DensitySolver:
-    """Density solver wrapping the supplement search (factor 2), over
-    ``instance``, the formula's ``to_msop`` instance (``_Supplements``).
+def supplement_solver(formula: ReadOnceFormula) -> DensitySolver:
+    """Density solver wrapping the supplement search (factor 2), over the
+    formula's ``to_msop`` instance (``_Supplements``).
 
     The solver keeps the pruned tables of its last base: driven up a
     greedy chain by each increment (``RunningOracle.advance``), a step
     recomputes the gates on the root paths of the tests the last step
-    added, and moves the weight oracle by the tests it adds."""
-    return _Supplements(formula, instance)
+    added, and once more, without keeping them, the probabilities on the
+    root paths of the tests it adds."""
+    return _Supplements(formula)

@@ -51,9 +51,10 @@ from msop.rof import (
     supplement_solver,
     to_msop as rof_to_msop,
 )
-from msop.mssc import MsscInstance
+from msop.mssc import MsscInstance, coverage
 from msop.orsched import (
     OrDag,
+    _or_instance,
     is_bipartite,
     is_inforest,
     is_multitree,
@@ -221,6 +222,29 @@ def gen_or_pipelined(n: int, seed: int) -> tuple[OrDag, tuple[tuple[int, frozens
         size = rng.randint(1, min(3, n))
         edges.append((rng.randint(1, 5), frozenset(rng.sample(range(n), size))))
     return dag, tuple(edges)
+
+
+def or_coverage_instance(dag: OrDag, edges) -> MsopInstance:
+    """OR-initial family, processing-time cost and the coverage weight of
+    ``edges``, hyperedges over the jobs: a covering instance under
+    OR-precedence, whose steps the exhaustive solver takes."""
+    jobs = set(dag.jobs)
+    for w, members in edges:
+        if w < 0 or not members or not members <= jobs:
+            raise ValidationError("bad hyperedge over the job set")
+    frozen = tuple((w, frozenset(m)) for w, m in edges)
+    return _or_instance(dag, lambda ground: coverage(ground, lambda: frozen), "or-pipelined")
+
+
+def increment(base, candidate) -> tuple:
+    """The sorted ids that ``candidate`` adds to ``base``, as a density
+    step answers them."""
+    return tuple(sorted(frozenset(candidate) - frozenset(base)))
+
+
+def candidate(base, step: DensityResult) -> frozenset:
+    """The set a density step from ``base`` reaches."""
+    return frozenset(base).union(step.increment)
 
 
 def random_chain(instance: MsopInstance, rng: random.Random) -> Chain:
@@ -434,14 +458,15 @@ def ref_greedy_chain(instance: MsopInstance, density_solver) -> Chain:
     densities = []
     while current != universe:
         step = density_solver(current)
-        if step.candidate == current:
+        if not step.increment:
             raise SolverStall(f"density solver returned its base {sorted(current)}")
-        checked = marginal_density(instance, current, step.candidate)
+        after = candidate(current, step)
+        checked = marginal_density(instance, current, after)
         if checked.marginal_density != step.marginal_density:
             raise ValidationError("density solver disagrees with the oracles")
-        sets.append(step.candidate)
+        sets.append(after)
         densities.append(checked.marginal_density)
-        current = step.candidate
+        current = after
     return Chain.from_sets(tuple(sets), tuple(densities))
 
 
@@ -499,7 +524,7 @@ def ref_exact_max_density(instance: MsopInstance, base) -> DensityResult:
     if best is None:
         raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
     rho = INF if best[1] == 0 else Fraction(best[0], best[1])
-    return DensityResult(best_set, rho)
+    return DensityResult(increment(base, best_set), rho)
 
 
 def ref_coverage_weight(instance: MsscInstance, s) -> Fraction:
@@ -524,7 +549,7 @@ def ref_singleton_greedy_density(instance: MsscInstance, base) -> DensityResult:
         rho = Fraction(gain, instance.costs[v])
         if best is None or rho > best[0]:
             best = (rho, v)
-    return DensityResult(base | {best[1]}, best[0])
+    return DensityResult((best[1],), best[0])
 
 
 def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
@@ -543,7 +568,7 @@ def ref_singleton_step(instance: MsscInstance, base) -> DensityResult:
     for v in range(best + 1, instance.n):
         if v not in base and gain[v] * costs[best] > gain[best] * costs[v]:
             best = v
-    return DensityResult(base | {best}, Fraction(gain[best], costs[best]))
+    return DensityResult((best,), Fraction(gain[best], costs[best]))
 
 
 def ref_or_initial_membership(dag: OrDag, s) -> bool:
@@ -570,9 +595,9 @@ def residual(dag: OrDag, s: frozenset[int]) -> OrDag:
     )
 
 
-def max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
+def max_density_stem(dag: OrDag, base) -> DensityResult:
     """One step of a new ``stem_solver``."""
-    return stem_solver(dag, g_oracle)(base)
+    return stem_solver(dag)(base)
 
 
 def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
@@ -606,7 +631,7 @@ def ref_max_density_stem(dag: OrDag, g_oracle, base) -> DensityResult:
             nxt = res.succs[v]
             v = nxt[0] if nxt else None
     rho = INF if best[1] == 0 else Fraction(best[0], best[1])
-    return DensityResult(best_members, rho)
+    return DensityResult(increment(base, best_members), rho)
 
 
 def ref_best_ratio_subtree(res: OrDag, root, reach):
@@ -649,7 +674,7 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
         raise NotMultitree("residual graph has two paths between some pair of jobs")
     for v in res.sources:
         if res.time_map[v] == 0:
-            return DensityResult(base | {v}, INF)
+            return DensityResult((v,), INF)
     best = None
     best_set = None
     for start in res.sources:
@@ -661,7 +686,7 @@ def ref_max_density_outtree(dag: OrDag, base) -> DensityResult:
         if best is None or rho > best[0]:
             best = (rho, start)
             best_set = subtree
-    return DensityResult(base | best_set, best[0])
+    return DensityResult(tuple(sorted(best_set)), best[0])
 
 
 def determination_table(formula: ReadOnceFormula) -> list[Fraction]:
@@ -862,16 +887,14 @@ def ref_scaled_supplement(formula: ReadOnceFormula, s):
 
 def ref_scaled_supplement_step(formula: ReadOnceFormula, instance: MsopInstance, base):
     chosen, spent, base_weight = ref_scaled_supplement(formula, base)
-    candidate = frozenset(base) | chosen
-    gain = instance.weight(candidate) - base_weight
-    return DensityResult(candidate, Fraction(gain, spent))
+    gain = instance.weight(frozenset(base) | chosen) - base_weight
+    return DensityResult(tuple(sorted(chosen)), Fraction(gain, spent))
 
 
 def find_supp(formula: ReadOnceFormula, base) -> frozenset:
     """The tests that a fresh ``rof.supplement_solver`` step adds to
     ``base``."""
-    base = frozenset(base)
-    return supplement_solver(formula, rof_to_msop(formula))(base).candidate - base
+    return frozenset(supplement_solver(formula)(frozenset(base)).increment)
 
 
 def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> tuple:
@@ -894,7 +917,7 @@ def densest_consistent_permutation(instance: MsopInstance, chain: Chain) -> tupl
                     f"no feasible single-element extension of {sorted(current)} inside "
                     f"{sorted(target)}; the permutation family is not closed under splicing"
                 )
-            nxt = min(step.candidate - current)
+            nxt = step.increment[0]
             order.append(nxt)
             rest.remove(nxt)
             current = current | {nxt}
@@ -908,7 +931,7 @@ def rof_greedy(formula: ReadOnceFormula):
     """The supplement greedy chain (factor 2) refined to an order by locally
     best single-test density, and the order's expected cost."""
     instance = rof_to_msop(formula)
-    chain = greedy_chain(instance, supplement_solver(formula, instance))
+    chain = greedy_chain(instance, supplement_solver(formula))
     order = densest_consistent_permutation(instance, chain)
     return order, evaluate_order_cost(formula, order)
 
@@ -919,12 +942,7 @@ def ref_rof_instance(formula: ReadOnceFormula) -> MsopInstance:
 
 
 def ref_supplement_solver(formula: ReadOnceFormula, instance: MsopInstance):
-    def solve(base):
-        candidate = base | ref_find_supp(formula, base)
-        rho = marginal_density(instance, base, candidate).marginal_density
-        return DensityResult(candidate, rho)
-
-    return solve
+    return lambda base: marginal_density(instance, base, base | ref_find_supp(formula, base))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from helpers import (
     gen_or_pipelined,
     gen_supermodular_cost_msop,
     leaves_below,
+    or_coverage_instance,
     random_chain,
     ref_or_initial_membership,
     rof_greedy,
@@ -184,7 +185,7 @@ def test_criterion_04_or_scheduling_stem_and_outtree():
         if base == inst.universe():
             base = frozenset()
         if kind == "inforest":
-            got = orsched.stem_solver(dag, orsched.to_msop(dag).weight)(base)
+            got = orsched.stem_solver(dag)(base)
         else:
             got = orsched.outtree_solver(dag)(base)
         best = exact.exact_max_density(inst, base).marginal_density
@@ -206,8 +207,8 @@ def test_criterion_05_or_pipelined_cover():
     for i in range(total):
         n = 2 + i % 7
         dag, edges = gen_or_pipelined(n, SEEDS["pipelined"] + i)
-        inst = orsched.pipelined_to_msop(dag, edges)
-        chain = greedy_chain(inst, orsched.stem_solver(dag, inst.weight))
+        inst = or_coverage_instance(dag, edges)
+        chain = greedy_chain(inst, exact.exact_density_solver(inst))
         greedy_cost = chain_cost(inst, chain)
         _, opt_cost = exact.exact_opt_permutation(inst)
         assert greedy_cost <= 4 * opt_cost, f"seed {i}"
@@ -271,7 +272,7 @@ def test_criterion_06_supplement_half_density():
         base = frozenset(v for v in universe if rng.random() < 0.3)
         if base >= universe:
             base = frozenset()
-        state = rof._Supplements(formula, inst)
+        state = rof._Supplements(formula)
         state(base)
         expect, memo = _brute_gate_maxima(formula, base)
         below = leaves_below(formula)

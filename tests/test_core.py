@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -184,17 +185,17 @@ def test_greedy_rejects_stalling_solver():
     def stall(base):
         from msop.core import DensityResult
 
-        return DensityResult(base, 0)
+        return DensityResult((), 0)
 
     with pytest.raises(SolverStall):
         greedy_chain(inst, stall)
 
 
 def test_greedy_recheck_errors_keep_their_order_and_texts():
-    # the re-check takes one set difference: an empty one is a stall when
-    # the sizes agree, and an increment that does not account for the
-    # candidate's size is a failed superset test; the family, the values
-    # and the density are checked after it, in that order
+    # the re-check reads the increment alone: an empty one is a stall, an
+    # id outside the ground set makes a candidate outside the family, and
+    # one that meets its base is a failed superset test; the family, the
+    # values and the density are checked after it, in that order
     from msop.core import DensityResult
 
     base = frozenset({0})
@@ -204,16 +205,18 @@ def test_greedy_recheck_errors_keep_their_order_and_texts():
 
     def answer(*steps):
         # the first step is {0} at its density 2, the second is ``steps``'
-        asked = iter((base, *steps))
-        return lambda b: DensityResult(frozenset(next(asked)), 2)
+        asked = iter(((0,), *steps))
+        return lambda b: DensityResult(next(asked), 2)
 
     cases = [
-        (({0},), SolverStall, r"returned its base \[0\]"),
-        (((),), NotASuperset, r"\[\] is not a strict superset of \[0\]"),
-        (({1, 2},), NotASuperset, r"\[1, 2\] is not a strict superset of \[0\]"),
-        (({0, 2},), NotInFamily, r"candidate \[0, 2\] is not in the family"),
-        (({0, 1},), NonMonotone, r"value decreased between \[0\] and \[0, 1\]"),
-        (({0, 1, 2},), ValidationError, "reported density 2 but the oracles give 1/2"),
+        (((),), SolverStall, r"returned its base \[0\]"),
+        (((1, 3),), NotInFamily, r"candidate \[0, 1, 3\] is not in the family"),
+        (((-1,),), NotInFamily, r"candidate \[-1, 0\] is not in the family"),
+        (((0, 1),), NotASuperset, r"increment \[0, 1\] meets its base \[0\]"),
+        (((2, 0),), NotASuperset, r"increment \[0, 2\] meets its base \[0\]"),
+        (((2,),), NotInFamily, r"candidate \[0, 2\] is not in the family"),
+        (((1,),), NonMonotone, r"value decreased between \[0\] and \[0, 1\]"),
+        (((2, 1),), ValidationError, "reported density 2 but the oracles give 1/2"),
     ]
     for steps, error, text in cases:
         with pytest.raises(error, match=text):
@@ -221,30 +224,30 @@ def test_greedy_recheck_errors_keep_their_order_and_texts():
 
 
 def test_greedy_freezes_each_candidate_once():
-    # a solver may answer with a fresh set, or refill one buffer that it
-    # hands out each step; the chain is the frozenset solver's either way
+    # a solver may answer with a fresh list, unsorted, or refill one buffer
+    # that it hands out each step; the chain is the tuple solver's either way
     from msop.core import DensityResult
 
     inst = gen_generic_msop(6, 10)
     exhaustive = exact.exact_density_solver(inst)
-    buffer = set()
+    buffer = []
 
     def fresh(base):
         step = exhaustive(base)
-        return DensityResult(set(step.candidate), step.marginal_density)
+        return DensityResult(list(reversed(step.increment)), step.marginal_density)
 
     def refill(base):
         step = exhaustive(base)
-        buffer.clear()
-        buffer.update(step.candidate)
+        buffer[:] = step.increment
         return DensityResult(buffer, step.marginal_density)
 
     want = greedy_chain(inst, exhaustive)
-    assert want.steps > 1
+    assert want.steps > 1 and max(map(len, want.increments)) > 1
     for solver in (fresh, refill):
         chain = greedy_chain(inst, solver)
         assert chain == want and chain.densities == want.densities
         assert all(type(s) is frozenset for s in chain.sets)
+        assert all(type(increment) is tuple for increment in chain.increments)
         assert hash(chain) == hash(want)
 
 
@@ -255,11 +258,11 @@ def test_greedy_rejects_a_float_claim_of_a_finite_density():
 
     inst = free_instance(1, modular([2]), modular([1]))
     with pytest.raises(ValidationError, match="reported density 0.5 but the oracles give 1/2"):
-        greedy_chain(inst, lambda base: DensityResult(frozenset({0}), 0.5))
-    chain = greedy_chain(inst, lambda base: DensityResult(frozenset({0}), Fraction(1, 2)))
+        greedy_chain(inst, lambda base: DensityResult((0,), 0.5))
+    chain = greedy_chain(inst, lambda base: DensityResult((0,), Fraction(1, 2)))
     assert chain.densities == (Fraction(1, 2),)
     flat = free_instance(1, modular([0]), modular([1]))
-    assert greedy_chain(flat, lambda base: DensityResult(frozenset({0}), INF)).densities == (INF,)
+    assert greedy_chain(flat, lambda base: DensityResult((0,), INF)).densities == (INF,)
 
 
 def _greedy_runs():
@@ -300,6 +303,26 @@ def test_greedy_run_memory_grows_linearly():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("kind", ["mssc", "inforest"])
+def test_greedy_run_time_grows_linearly(kind):
+    # a step moves the solver and the oracles by its increment and builds
+    # no set, so quadrupling n from 4,000 about quadruples the time of the
+    # greedy run, chain_cost and the refinement; whole-set work per step
+    # multiplies it by 12 to 20.  The best of three runs each, the sizes
+    # taking turns, against a host whose speed drifts.
+    sizes = (4_000, 16_000)
+    tools = [Toolchain(gen_instance(kind, n, 1)) for n in sizes]
+    times = [float("inf")] * len(sizes)
+    for _ in range(3):
+        for k, run in enumerate(tools):
+            started = time.perf_counter()
+            chain = greedy_chain(run.instance, run.solver)
+            chain_cost(run.instance, chain)
+            chain_to_permutation(run.instance, chain)
+            times[k] = min(times[k], time.perf_counter() - started)
+    assert times[1] < 8 * times[0], times
 
 
 def test_kept_values_answer_only_the_instance_that_read_them():

@@ -22,8 +22,8 @@ from fractions import Fraction
 import pytest
 
 from msop import (
-    INF, Chain, MsopInstance, cli, dual, exact, formats, greedy_chain, marginal_density, mssc,
-    orsched, rof, xsearch,
+    INF, Chain, MsopInstance, chain_cost, cli, dual, exact, formats, greedy_chain,
+    marginal_density, mssc, orsched, rof, xsearch,
 )
 from msop.core import chain_to_permutation, compare_density
 from msop.errors import (
@@ -36,7 +36,7 @@ from msop.errors import (
     NotMultitree,
 )
 from msop.generators import KINDS, gen_instance
-from msop.lattice import RunningSum, free, modular
+from msop.lattice import RunningOracle, RunningSum, Walk, free, modular
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag
 
@@ -45,6 +45,7 @@ from helpers import (
     find_supp,
     gen_generic_msop,
     gen_or_pipelined,
+    or_coverage_instance,
     prob_tables,
     random_chain,
     ref_chain_to_permutation,
@@ -104,7 +105,7 @@ def test_singleton_step_matches_reference_from_any_base():
                 continue
             got = mssc.singleton_solver(parsed)(base)
             want = ref_singleton_greedy_density(parsed, base)
-            assert (got.candidate, got.marginal_density) == (want.candidate, want.marginal_density)
+            assert (got.increment, got.marginal_density) == (want.increment, want.marginal_density)
 
 
 def test_stem_step_matches_reference_chain():
@@ -114,15 +115,6 @@ def test_stem_step_matches_reference_chain():
         oracle = orsched.to_msop(dag).weight
         fast = greedy_chain(inst, orsched.stem_solver(dag))
         slow = ref_greedy_chain(inst, lambda b: ref_max_density_stem(dag, oracle, b))
-        assert_same_chain(fast, slow)
-
-
-def test_stem_step_with_coverage_oracle_matches_reference_chain():
-    for seed, n in ((1, 300), (2, 90)):
-        dag, edges = gen_or_pipelined(n, seed)
-        inst = orsched.pipelined_to_msop(dag, edges)
-        fast = greedy_chain(inst, orsched.stem_solver(dag, inst.weight))
-        slow = ref_greedy_chain(inst, lambda b: ref_max_density_stem(dag, inst.weight, b))
         assert_same_chain(fast, slow)
 
 
@@ -147,12 +139,12 @@ def or_initial_walk(dag, rng):
 
 
 def outcome(step, *args):
-    """The step's (candidate, density), or its error's class and message."""
+    """The step's (increment, density), or its error's class and message."""
     try:
         got = step(*args)
     except MsopError as err:
         return type(err).__name__, str(err)
-    return got.candidate, got.marginal_density
+    return got.increment, got.marginal_density
 
 
 def modular_stem(dag, base):
@@ -214,7 +206,7 @@ def rof_step(formula, base):
 
 
 def rof_solver(formula):
-    return rof.supplement_solver(formula, rof.to_msop(formula))
+    return rof.supplement_solver(formula)
 
 
 def free_walk(ground, rng):
@@ -314,8 +306,8 @@ def test_outtree_solver_memo_tells_apart_trees_of_equal_size():
     solve = orsched.outtree_solver(dag)
     for base in (frozenset({3}), frozenset({4}), frozenset({3, 4})):
         got, want = solve(base), ref_max_density_outtree(dag, base)
-        assert (got.candidate, got.marginal_density) == (want.candidate, want.marginal_density)
-    assert solve(frozenset({4})).candidate == frozenset({0, 1, 4})
+        assert (got.increment, got.marginal_density) == (want.increment, want.marginal_density)
+    assert solve(frozenset({4})).increment == (0, 1)
 
 
 def test_residual_forgets_candidates_through_added_or_freed_jobs():
@@ -328,14 +320,11 @@ def test_residual_forgets_candidates_through_added_or_freed_jobs():
                 ((0, 1), (1, 2), (2, 4), (3, 2)))
     calls = []
 
-    def candidates(state, base):
-        def fresh(start):
-            calls.append(start)
-            return orsched._best_prefix(state, start, None, base, None)
+    def fresh(state, start):
+        calls.append(start)
+        return orsched._best_prefix(state, start)
 
-        return fresh
-
-    state = orsched._Residual(dag, candidates)
+    state = orsched._Residual(dag, fresh)
     state(frozenset())
     kept = next(cand for cand in state.heap if cand[-2] == 0)
     assert kept[-2:] == (0, [1, 2, 4]) and calls == [0, 3]
@@ -350,9 +339,9 @@ def test_residual_forgets_candidates_through_added_or_freed_jobs():
     base = frozenset({2, 3, 4})
     # sources 2 and 3 leave, so the top holds the closed job 2 and source
     # 0's stem is computed again
-    assert state(base).candidate == base | {0} and calls == [0]
-    assert state.best(candidates(state, base)) is state.heap[0] and calls == [0]
-    assert state.heap == [orsched._best_prefix(state, 0, None, base, None)]
+    assert state(base).increment == (0,) and calls == [0]
+    assert state.best() is state.heap[0] and calls == [0]
+    assert state.heap == [orsched._best_prefix(state, 0)]
     assert state.heap[0][-2:] == (0, [])
     state(frozenset({0}))  # not a superset: rebuilt, every source computed again
     assert calls == [0, 1, 3] and sorted(cand[-2] for cand in state.heap) == [1, 3]
@@ -409,7 +398,7 @@ def test_residual_forgets_candidates_when_a_removal_reopens_a_job():
     for base in (frozenset({3, 5}), frozenset({5})):
         assert outcome(solve, base) == outcome(modular_stem, dag, base)
     assert solve.rebuilds == 1
-    assert outcome(solve, frozenset({5})) == (frozenset({0, 1, 2, 4, 5}), Fraction(7, 2))
+    assert outcome(solve, frozenset({5})) == ((0, 1, 2, 4), Fraction(7, 2))
 
 
 def tie_heavy_dag(kind, n, seed):
@@ -479,23 +468,16 @@ def scanned_best(state, candidate):
     return best
 
 
-def fresh_stem(state, base):
-    return lambda start: orsched._best_prefix(state, start, None, base, None)
-
-
-def fresh_subtree(state, base):
-    return lambda start: orsched._best_subtree(state, start)
-
-
 # shape: (parsed instance, solver factory, fresh candidate of a source)
 RESIDUAL_STEPS = {
-    "inforest": (lambda: gen_instance("inforest", 150, 13), orsched.stem_solver, fresh_stem),
+    "inforest": (lambda: gen_instance("inforest", 150, 13), orsched.stem_solver,
+                 orsched._best_prefix),
     "inforest-ties": (lambda: tie_heavy_dag("inforest", 120, 34), orsched.stem_solver,
-                      fresh_stem),
+                      orsched._best_prefix),
     "multitree": (lambda: gen_instance("multitree", 110, 14), orsched.outtree_solver,
-                  fresh_subtree),
+                  orsched._best_subtree),
     "multitree-ties": (lambda: tie_heavy_dag("multitree", 110, 35), orsched.outtree_solver,
-                       fresh_subtree),
+                       orsched._best_subtree),
 }
 
 
@@ -518,8 +500,10 @@ def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
             state(base)
         except (NotInitial, NoFeasibleSuperset):
             continue
-        candidate = fresh(state, base)
-        assert tuple(state.best(candidate)) == tuple(scanned_best(state, candidate)), sorted(base)
+        def candidate(start):
+            return fresh(state, start)
+
+        assert tuple(state.best()) == tuple(scanned_best(state, candidate)), sorted(base)
         starts = Counter(cand[-2] for cand in state.heap)
         assert all(starts[s] == 1 for s in state.sources)
         for cand in state.heap:
@@ -566,7 +550,7 @@ def test_supplement_step_matches_reference_chain():
     formula = gen_instance("rof", 60, 1)
     inst = rof.to_msop(formula)
     ref_inst = ref_rof_instance(formula)
-    fast = greedy_chain(inst, rof.supplement_solver(formula, inst))
+    fast = greedy_chain(inst, rof.supplement_solver(formula))
     slow = ref_greedy_chain(ref_inst, ref_supplement_solver(formula, ref_inst))
     assert_same_chain(fast, slow)
 
@@ -577,7 +561,7 @@ def test_supplement_step_matches_reference_chain():
 def test_supplement_step_matches_unpruned_reference_chain(make):
     formula = make()
     inst = rof.to_msop(formula)
-    fast = greedy_chain(inst, rof.supplement_solver(formula, inst))
+    fast = greedy_chain(inst, rof.supplement_solver(formula))
     slow = ref_greedy_chain(inst, lambda b: ref_scaled_supplement_step(formula, inst, b))
     assert_same_chain(fast, slow)
 
@@ -590,7 +574,7 @@ def test_supplement_tables_are_the_undominated_exact_budget_entries():
     for seed in range(10):
         formula = gen_instance("rof", 12 + 5 * seed, 400 + seed)
         walk = free_walk(formula.variables, rng)
-        state = rof._Supplements(formula, rof.to_msop(formula))
+        state = rof._Supplements(formula)
         for base in walk[:-1] + rng.sample(walk[:-1], 6):
             state(base)
             full = ref_scaled_tables(formula, base)
@@ -630,10 +614,11 @@ def test_supplement_step_calls_the_weight_oracle_once():
     inst = rof.to_msop(formula)
     calls = []
     counted = replace(inst, weight=lambda s: calls.append(s) or inst.weight(s))
-    chain = greedy_chain(counted, rof.supplement_solver(formula, counted))
+    chain = greedy_chain(counted, rof.supplement_solver(formula))
     # validate() weighs the empty set; each step weighs its candidate in the
-    # solver and again in the loop's re-check
-    assert len(calls) == 1 + 2 * chain.steps
+    # loop's re-check, since the solver reads the candidate's weight off its
+    # own tables
+    assert len(calls) == 1 + chain.steps
 
 
 def test_find_supp_and_g_determined_match_reference_on_random_bases():
@@ -673,7 +658,7 @@ def test_supplement_tables_match_reference_entry_for_entry():
     for seed in range(20):
         formula = gen_instance("rof", 3 + seed, 300 + seed)
         base = random_base(formula.variables, rng, 0.3)
-        state = rof._Supplements(formula, rof.to_msop(formula))
+        state = rof._Supplements(formula)
         state(base)
         expect = ref_compute_rp(formula, base)
         for node in formula.nodes:
@@ -692,16 +677,6 @@ def test_outtree_solver_rejects_a_non_multitree():
     diamond = OrDag((0, 1, 2, 3), (1, 1, 1, 1), (1, 1, 1, 1), ((0, 1), (0, 2), (1, 3), (2, 3)))
     with pytest.raises(NotMultitree):
         orsched.outtree_solver(diamond)
-
-
-def test_stem_with_a_decreasing_oracle_is_non_monotone():
-    dag = OrDag((0, 1), (1, 1), (1, 1), ((0, 1),))
-    with pytest.raises(NonMonotone):
-        orsched.stem_solver(dag, lambda s: Fraction(-len(s)))(frozenset())
-
-
-# ---------------------------------------------------------------------------
-# exhaustive step: one table of oracle values per solver, integer comparisons
 
 
 def xsearch_instance(edges, seed):
@@ -823,7 +798,7 @@ def test_exhaustive_solver_matches_reference_on_bases_out_of_order():
         solve = exact.exact_density_solver(inst)
         for base in bases:
             got, want = solve(base), ref_exact_max_density(inst, base)
-            assert (got.candidate, got.marginal_density) == (want.candidate, want.marginal_density)
+            assert (got.increment, got.marginal_density) == (want.increment, want.marginal_density)
 
 
 def weight_falling_on_2_without_6():
@@ -1023,7 +998,7 @@ def rational_or_pipelined(n, seed):
     rng = random.Random(seed)
     dag, edges = gen_or_pipelined(n, seed)
     dag = replace(dag, times=tuple(rational(rng) for _ in range(n)))
-    return orsched.pipelined_to_msop(dag, [(rational(rng, zero=True), m) for _, m in edges])
+    return or_coverage_instance(dag, [(rational(rng, zero=True), m) for _, m in edges])
 
 
 def has_bridge_and_cycle(graph):
@@ -1122,7 +1097,7 @@ def adapted(kind):
     of what it was built from that the adapter must leave unbuilt."""
     if kind == "or-pipelined":
         dag, edges = gen_or_pipelined(40, 1)
-        return orsched.pipelined_to_msop(dag, edges), dag, ("time_map", "weight_map")
+        return or_coverage_instance(dag, edges), dag, ("time_map", "weight_map")
     parsed = gen_instance(kind, 12 if kind in ("rof", "xsearch") else 40, 1)
     if isinstance(parsed, OrDag):
         return orsched.to_msop(parsed), parsed, ("time_map", "weight_map")
@@ -1250,12 +1225,13 @@ def running_case(kind, n, seed):
     if kind == "or-pipelined":
         dag, edges = gen_or_pipelined(n, seed)
         edges = rational_edges(edges, rng)
-        inst = orsched.pipelined_to_msop(dag, edges)
+        inst = or_coverage_instance(dag, edges)
 
         def covered(s):
             return sum(w for w, members in edges if not members.isdisjoint(s))
 
-        return inst, "weight", covered, orsched.stem_solver(dag, inst.weight)
+        # the densest stem by the coverage weight, exact here, by the reference
+        return inst, "weight", covered, lambda b: ref_max_density_stem(dag, covered, b)
     if kind == "modular":
         # mssc's element costs, rational
         parsed = gen_instance("mssc", n, seed)
@@ -1408,51 +1384,83 @@ def advance_case(kind):
     return cli.Toolchain(parsed).greedy().sets, lambda: solver(parsed), fresh
 
 
+def walk_to(s):
+    """A new walk grown to the set ``s`` in one increment."""
+    walk = Walk()
+    walk.grow(tuple(sorted(s)))
+    return walk
+
+
 @pytest.mark.parametrize("kind", sorted(ADVANCE_KINDS))
 def test_running_oracle_advance_contract(kind):
     sets, new, fresh = advance_case(kind)
     sets = sets[:-1]  # a solver answers below the ground set
     oracle = new()
-    oracle(sets[0])
-    # up the chain by each increment: one move each, from the set itself
+    walk = Walk()
+    # up the chain by each increment: one move each, by the increment
+    # alone; asked again at the same set, the oracle answers at once
     for base, s in zip(sets, sets[1:]):
-        assert oracle.advance(base, s, s - base) == fresh(s), sorted(s)
-        assert oracle.last is s
+        walk.grow(tuple(sorted(s - base)))
+        assert oracle.advance(walk) == fresh(s), sorted(s)
+        assert oracle.at is walk.token and oracle.last is None
+        assert oracle.advance(walk) == fresh(s)
     assert oracle.rebuilds == 1
-    # each of these takes the symmetric-difference path
+    # each of these rebuilds from the walk's members
     rng = random.Random(kind)
     errors = set()
     for j in sorted(rng.sample(range(1, len(sets) - 3), 6)):
         base, s = sets[j], sets[j + 1]
-        added = s - base
-        oracle.advance(sets[j - 1], base, base - sets[j - 1])
-        oracle(sets[j + 2])  # the state moved on since: a stale base
-        assert oracle.advance(base, s, added) == fresh(s)
-        oracle(base)
-        equal = frozenset(sorted(base))  # an equal base, not the same one
-        assert oracle.advance(equal, s, added) == fresh(s)
+        rebuilds = oracle.rebuilds
+        walk = walk_to(base)  # a walk the oracle has not followed
+        assert oracle.advance(walk) == fresh(base)
+        oracle(sets[j + 2])  # the state moved on since, from scratch too
+        assert oracle.at is None
+        walk.grow(tuple(sorted(s - base)))
+        assert oracle.advance(walk) == fresh(s)
+        assert oracle.rebuilds == rebuilds + 3
         for x in sorted(base)[:3]:
-            oracle(base)
-            # an increment that meets the base, then the base left
-            assert oracle.advance(base, s, added | {x}) == fresh(s)
+            # asked with a set after a walk: the base left, from scratch
             got = answer(oracle, s - {x})
             assert got == answer(fresh, s - {x}), x
             errors.add(got[0] if type(got) is tuple else None)
     # where the membership oracle answers False, the stem solver raises
     assert errors == ({None, "NotInitial"} if kind == "_Residual" else {None})
     # a move that raises leaves nothing kept; the next call rebuilds
-    base, s = sets[2], sets[3]
-    oracle(base)
+    walk = walk_to(sets[2])
+    oracle.advance(walk)
+    walk.grow(tuple(sorted(sets[3] - sets[2])))
 
-    def raising(s, added, removed):
+    def raising(added, removed):
         raise KeyError("move")
 
     oracle.move = raising
     with pytest.raises(KeyError):
-        oracle.advance(base, s, s - base)
-    assert oracle.last is None
+        oracle.advance(walk)
+    assert oracle.at is None and oracle.last is None
     del oracle.move
-    assert oracle.advance(base, s, s - base) == fresh(s)
+    assert oracle.advance(walk) == fresh(sets[3])
+
+
+@pytest.mark.parametrize("kind", ["inforest", "multitree"])
+def test_or_initial_probe_answers_one_more_job_and_keeps_the_state(kind):
+    # along a greedy chain, one probe per job outside each set: the answer
+    # is the from-scratch membership of the set with the job, and the
+    # state stays at the walk's set, so the next growth is one move
+    dag = gen_instance(kind, 60, 31)
+    tools = cli.Toolchain(dag)
+    oracle = orsched.OrInitialMembership(dag)
+    walk = Walk()
+    answers = Counter()
+    for increment in tools.greedy().increments[:-1]:
+        walk.grow(increment)
+        s = walk.frozen()
+        for v in dag.jobs:
+            if v not in s:
+                got = oracle.probe(walk, v)
+                assert got == ref_or_initial_membership(dag, s | {v}), (sorted(s), v)
+                assert oracle.at is walk.token and oracle.value
+                answers[got] += 1
+    assert oracle.rebuilds == 1 and answers[True] and answers[False]
 
 
 # the kinds of the five routes to a polynomial density solver, with the
@@ -1487,12 +1495,19 @@ def test_solver_errors_and_the_call_after_them(kind):
     sets = tools.greedy().sets
     solve, k = tools.solver, len(sets) // 2
     refused = refused_bases(kind, parsed, universe, sets[k])
-    tries = [(sets[-2], lambda s: solve.advance(sets[-2], s, s - sets[-2]), *refused[0])]
+
+    def by_increment(s):
+        walk = walk_to(sets[-2])
+        solve.advance(walk)
+        walk.grow(tuple(sorted(s - sets[-2])))
+        return solve.advance(walk)
+
+    tries = [(sets[-2], by_increment, *refused[0])]
     tries += [(sets[k], solve, *refusal) for refusal in refused]
     for start, attempt, s, error, text in tries:
         solve(start)
         assert answer(attempt, s) == (error, text)
-        assert solve.last is None
+        assert solve.last is None and solve.at is None
         rebuilds = solve.rebuilds
         assert solve(sets[k + 1]) == cli.Toolchain(parsed).solver(sets[k + 1])
         assert solve.rebuilds == rebuilds + 1
@@ -1500,19 +1515,47 @@ def test_solver_errors_and_the_call_after_them(kind):
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
 def test_greedy_moves_each_solver_only_by_advance(kind):
-    # after the first step, from the empty set, each step moves the solver
-    # by the increment it answered with; a call with the set would find
-    # the same chain by a set difference
+    # the first step builds the solver's state at the empty set; after it,
+    # each step moves the solver by the increment it answered with, never
+    # by a set: a call with the set would find the same chain by a set
+    # difference
     tools = cli.Toolchain(gen_instance(kind, SOLVER_ROUTES[kind], 1))
-    solve, advance, calls = tools.solver, tools.solver.advance, []
+    solve, move, moves = tools.solver, tools.solver.move, []
 
-    def counted(base, s, added):
-        calls.append(s)
-        return advance(base, s, added)
+    def counted(added, removed):
+        # a rebuild's ``added`` is the walk's member set, which grows later
+        moves.append((added if type(added) is tuple else frozenset(added), removed))
+        return move(added, removed)
 
-    solve.advance = counted
+    solve.move = counted
     chain = tools.greedy()
-    assert len(calls) == chain.steps - 1 and solve.rebuilds == 1
+    assert moves[0] == (frozenset(), ()) and solve.rebuilds == 1
+    assert moves[1:] == [(increment, ()) for increment in chain.increments[:-1]]
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
+def test_greedy_cost_and_refinement_ask_no_oracle_with_a_set(kind, monkeypatch):
+    # past validate(), which asks the family, cost and weight about the
+    # empty set and the ground set, no running oracle or solver is called
+    # with a set and no walk builds one, through the greedy run, chain_cost
+    # of a chain with kept values and of one without, and the refinement
+    tools = cli.Toolchain(gen_instance(kind, SOLVER_ROUTES[kind], 1))
+    inst = tools.instance
+    asked, built = [], []
+    call = RunningOracle.__call__
+
+    def counted(oracle, s):
+        asked.append((oracle, len(s)))
+        return call(oracle, s)
+
+    monkeypatch.setattr(RunningOracle, "__call__", counted)
+    monkeypatch.setattr(Walk, "frozen", lambda walk: built.append(walk) or set(walk.members))
+    chain = tools.greedy()
+    assert chain_cost(inst, chain) == chain_cost(inst, Chain(chain.increments))
+    chain_to_permutation(inst, chain)
+    assert not built and len(asked) <= 4
+    assert all(oracle is not tools.solver and size in (0, inst.n) for oracle, size in asked)
+    assert kind in ("mssc", "pipelined") or max(map(len, chain.increments)) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_caps_raise_too_large(monkeypatch):
 def test_max_density_prefers_best_singleton():
     inst = free_instance(2, modular([1, 1]), modular([3, 2]))
     result = exact.exact_max_density(inst, frozenset())
-    assert result.candidate == frozenset({0})
+    assert result.increment == (0,)
     assert result.marginal_density == 3
 
 
@@ -160,13 +160,13 @@ def test_max_density_infinite_sentinel_dominates():
     inst = free_instance(2, modular([0, 1]), modular([1, 5]))
     result = exact.exact_max_density(inst, frozenset())
     assert result.marginal_density == INF
-    assert result.candidate == frozenset({0})
+    assert result.increment == (0,)
 
 
 def test_max_density_tie_break_smallest_then_lexicographic():
     inst = free_instance(3, modular([1, 1, 1]), modular([2, 2, 2]))
     result = exact.exact_max_density(inst, frozenset())
-    assert result.candidate == frozenset({0})  # all singletons tie at 2
+    assert result.increment == (0,)  # all singletons tie at 2
 
 
 def test_max_density_matches_brute_force():
@@ -208,9 +208,9 @@ def test_max_density_ties_on_a_ground_set_out_of_order():
         for base in family - {full}:
             got = exact.exact_max_density(inst, base)
             want = ref_exact_max_density(inst, base)
-            assert got.candidate == want.candidate, (round_, sorted(base))
+            assert got.increment == want.increment, (round_, sorted(base))
             assert got.marginal_density == want.marginal_density == brute_max_density(inst, base)
-            best = [s for s in family if s > base and len(s) == len(got.candidate)
+            best = [s for s in family if s > base and len(s) == len(base) + len(got.increment)
                     and marginal_density(inst, base, s).marginal_density == got.marginal_density]
             ties += len(best) > 1
     assert ties >= 50, ties

@@ -167,11 +167,12 @@ def test_parse_error_messages_and_their_place(text, message, line, column):
 
 
 def test_unexpected_end_of_formula_needs_an_empty_expression():
-    # a formula record's text is never empty (that is "formula line is
-    # empty"), so only a direct call reaches this message
-    with pytest.raises(ParseError) as err:
-        formats._parse_formula("", 3, 8)
-    assert str(err.value) == "unexpected end of formula (line 3, column 9)"
+    # the parser is the one check of an empty formula: a direct call with
+    # empty or blank text ends where a file's empty formula record does
+    for text in ("", "   "):
+        with pytest.raises(ParseError) as err:
+            formats._parse_formula(text, 3, 8)
+        assert str(err.value) == "formula line is empty (line 3)"
 
 
 def test_gen_without_out_writes_the_file_to_stdout(capsys):

@@ -8,12 +8,13 @@ from msop import dualize, spot_check_hypotheses
 from msop.errors import BadParams
 from msop.formats import KIND_OF_TYPE
 from msop.generators import KINDS, gen_instance
-from msop.orsched import classify_dag, is_inforest, is_multitree, pipelined_to_msop
+from msop.orsched import classify_dag, is_inforest, is_multitree
 
 from helpers import (
     gen_generic_msop,
     gen_or_pipelined,
     gen_supermodular_cost_msop,
+    or_coverage_instance,
     random_chain,
     ref_gen_multitree,
 )
@@ -116,7 +117,7 @@ def test_adapter_instances_meet_the_bound_hypotheses(kind):
 def test_or_pipelined_instances_meet_the_bound_hypotheses():
     for n in (2, 5, 9, 16):
         for seed in range(1, 4):
-            instance = pipelined_to_msop(*gen_or_pipelined(n, seed))
+            instance = or_coverage_instance(*gen_or_pipelined(n, seed))
             spot_check_hypotheses(instance, random.Random(seed))
 
 

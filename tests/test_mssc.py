@@ -69,7 +69,7 @@ def test_unit_instance_reproduces_covering_times():
 def test_singleton_density_brute_force_example():
     inst = MsscInstance.unit(2, [frozenset({0}), frozenset({0}), frozenset({1})])
     result = singleton_solver(inst)(frozenset())
-    assert result.candidate == frozenset({0})
+    assert result.increment == (0,)
     assert result.marginal_density == 2
     # brute force over all supersets confirms no larger density exists
     assert exact.exact_max_density(to_msop(inst), frozenset()).marginal_density == 2
@@ -78,7 +78,7 @@ def test_singleton_density_brute_force_example():
 def test_singleton_density_zero_gain_smallest_id():
     inst = MsscInstance.unit(3, [frozenset({0})])
     result = singleton_solver(inst)(frozenset({0}))
-    assert result.candidate == frozenset({0, 1})
+    assert result.increment == (1,)
     assert result.marginal_density == 0
 
 

@@ -20,13 +20,13 @@ from msop.orsched import (
     is_inforest,
     is_multitree,
     outtree_solver,
-    pipelined_to_msop,
     schedule_cost,
     stem_solver,
     to_msop,
 )
 
 from helpers import (
+    candidate,
     eq2_cost,
     max_density_stem,
     ref_classify_dag,
@@ -125,8 +125,7 @@ def test_residual_of_inforest_is_inforest():
         inst = to_msop(dag)
         base = frozenset()
         while base != inst.universe():
-            step = max_density_stem(dag, to_msop(dag).weight, base)
-            base = step.candidate
+            base = candidate(base, max_density_stem(dag, base))
             assert is_inforest(residual(dag, base))
 
 
@@ -136,36 +135,35 @@ def test_residual_of_multitree_is_multitree():
         inst = to_msop(dag)
         base = frozenset()
         while base != inst.universe():
-            step = outtree_solver(dag)(base)
-            base = step.candidate
+            base = candidate(base, outtree_solver(dag)(base))
             assert is_multitree(residual(dag, base))
 
 
 def test_stem_chain_dag_example():
     dag = OrDag((0, 1), (1, 1), (0, 1), ((0, 1),))
-    result = max_density_stem(dag, to_msop(dag).weight, frozenset())
-    assert result.candidate == frozenset({0, 1})
+    result = max_density_stem(dag, frozenset())
+    assert result.increment == (0, 1)
     assert result.marginal_density == Fraction(1, 2)
 
 
 def test_stem_all_sources_picks_best_ratio_job():
     dag = OrDag((0, 1, 2), (2, 1, 4), (1, 3, 2), ())
-    result = max_density_stem(dag, to_msop(dag).weight, frozenset())
-    assert result.candidate == frozenset({1})
+    result = max_density_stem(dag, frozenset())
+    assert result.increment == (1,)
     assert result.marginal_density == 3
 
 
 def test_stem_zero_time_source_is_infinite():
     dag = OrDag((0, 1), (0, 2), (1, 5), ())
-    result = max_density_stem(dag, to_msop(dag).weight, frozenset())
+    result = max_density_stem(dag, frozenset())
     assert result.marginal_density == INF
-    assert result.candidate == frozenset({0})
+    assert result.increment == (0,)
 
 
 def test_stem_requires_inforest():
     dag = unit_dag([(0, 1), (0, 2)], 3)
     with pytest.raises(NotInforest):
-        max_density_stem(dag, to_msop(dag).weight, frozenset())
+        max_density_stem(dag, frozenset())
 
 
 def test_stem_solver_rejects_a_dag_that_is_not_an_inforest():
@@ -174,21 +172,19 @@ def test_stem_solver_rejects_a_dag_that_is_not_an_inforest():
     dag = OrDag((0, 1, 2), (1, 1, 1), (1, 1, 3), ((0, 1), (0, 2)))
     with pytest.raises(NotInforest):
         stem_solver(dag)
-    with pytest.raises(NotInforest):
-        stem_solver(dag, to_msop(dag).weight)
 
 
 def test_outtree_two_children_example():
     dag = OrDag((0, 1, 2), (1, 1, 1), (0, 3, 1), ((0, 1), (0, 2)))
     result = outtree_solver(dag)(frozenset())
-    assert result.candidate == frozenset({0, 1})
+    assert result.increment == (0, 1)
     assert result.marginal_density == Fraction(3, 2)
 
 
 def test_outtree_isolated_job():
     dag = OrDag((7,), (2,), (5,), ())
     result = outtree_solver(dag)(frozenset())
-    assert result.candidate == frozenset({7})
+    assert result.increment == (7,)
     assert result.marginal_density == Fraction(5, 2)
 
 
@@ -220,22 +216,7 @@ def test_stem_density_matches_exact_up_to_twelve_jobs():
         dag = gen_instance("inforest", n, seed)
         inst = to_msop(dag)
         base = _random_or_initial_base(dag, inst, rng)
-        got = max_density_stem(dag, to_msop(dag).weight, base)
-        assert got.marginal_density == exact.exact_max_density(inst, base).marginal_density
-
-
-def test_stem_density_matches_exact_with_coverage_weight():
-    rng = random.Random(13)
-    for seed in range(30):
-        n = 3 + seed % 8
-        dag = gen_instance("inforest", n, seed)
-        edges = []
-        for _ in range(rng.randint(1, 2 * n)):
-            size = rng.randint(1, min(3, n))
-            edges.append((rng.randint(1, 4), frozenset(rng.sample(range(n), size))))
-        inst = pipelined_to_msop(dag, edges)
-        base = _random_or_initial_base(dag, inst, rng)
-        got = max_density_stem(dag, inst.weight, base)
+        got = max_density_stem(dag, base)
         assert got.marginal_density == exact.exact_max_density(inst, base).marginal_density
 
 
@@ -259,10 +240,10 @@ def test_returned_step_is_inclusion_minimal():
         inst = to_msop(dag)
         base = _random_or_initial_base(dag, inst, rng)
         if kind == "inforest":
-            got = max_density_stem(dag, to_msop(dag).weight, base)
+            got = max_density_stem(dag, base)
         else:
             got = outtree_solver(dag)(base)
-        added = sorted(got.candidate - base)
+        added = got.increment
         for r in range(1, len(added)):
             for combo in combinations(added, r):
                 s = base | frozenset(combo)

@@ -189,7 +189,7 @@ def test_determination_table_matches_pointwise():
 
 def supplement_state(formula, s):
     """A fresh supplement search state after a call on ``s``."""
-    state = _Supplements(formula, to_msop(formula))
+    state = _Supplements(formula)
     state(frozenset(s))
     return state
 
@@ -280,7 +280,7 @@ def test_fresh_supplement_state_computes_each_gate_once():
             calls[gate] += 1
             super().gate(gate)
 
-    Counted(formula, to_msop(formula))(frozenset(formula.variables[::2]))
+    Counted(formula)(frozenset(formula.variables[::2]))
     assert calls == Counter(node for node in formula.nodes if isinstance(node, Gate))
 
 
