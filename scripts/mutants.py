@@ -99,13 +99,13 @@ MUTANTS = (
     Mutant("exhaustive-submask-no-monotone-check", "src/msop/exact.py",
            "                gain = g[mask] - g_base\n"
            "                if spent < 0 or gain < 0:\n"
-           "                    raise _non_monotone(ground, base, x)\n",
+           "                    raise _non_monotone(ground, base_mask, x)\n",
            "                gain = g[mask] - g_base\n",
            f"{DIFF}::test_exhaustive_step_names_the_same_non_monotone_pair_above_a_base"),
     Mutant("exhaustive-empty-base-no-monotone-check", "src/msop/exact.py",
            "            if ok:\n"
            "                if spent < 0 or gain < 0:\n"
-           "                    raise _non_monotone(ground, base, x)\n",
+           "                    raise _non_monotone(ground, base_mask, x)\n",
            "            if ok:\n",
            f"{DIFF}::test_exhaustive_step_names_the_same_non_monotone_pair"),
     Mutant("exhaustive-submask-inf-ties-to-incumbent", "src/msop/exact.py",
@@ -128,6 +128,40 @@ MUTANTS = (
            "                    best_mask, best_gain, best_spent = x, gain, spent\n"
            "    if not best_mask:\n",
            f"{DIFF}::test_backward_exhaustive_step_matches_reference_chain[mssc]"),
+    # the exhaustive step as a running oracle (exact._Exhaustive)
+    Mutant("exhaustive-move-ignores-removed", "src/msop/exact.py",
+           "        for v in removed:\n"
+           "            mask ^= bits[v]\n", "",
+           f"{DIFF}::test_exhaustive_solver_matches_reference_on_bases_out_of_order"),
+    # lattice columns: supplied by an adapter or read backwards for the dual
+    Mutant("xsearch-feasibility-spreads-along-lowest-edge", "src/msop/xsearch.py",
+           "        while grow:\n"
+           "            low = grow & -grow\n"
+           "            feasible[m | low] = 1\n"
+           "            grow ^= low\n",
+           "        if grow:\n"
+           "            low = grow & -grow\n"
+           "            feasible[m | low] = 1\n",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[xsearch]"),
+    Mutant("xsearch-weight-counts-root-mass", "src/msop/xsearch.py",
+           "    others = [v for v in graph.vertices if v != graph.root]\n",
+           "    others = list(graph.vertices)\n",
+           f"{DIFF}::test_xsearch_weight_and_column_are_the_touched_mass"),
+    Mutant("coverage-counts-covered-hyperedge-again", "src/msop/lattice.py",
+           "            gains[sub] = sum(w for w, lower in through if not lower & sub)\n",
+           "            gains[sub] = sum(w for w, lower in through)\n",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[mssc]"),
+    Mutant("dual-membership-not-reversed", "src/msop/dual.py",
+           "lambda: instance.lattice.feasible[::-1])", "lambda: instance.lattice.feasible)",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[inforest]"),
+    Mutant("dual-cost-column-not-reversed", "src/msop/dual.py",
+           "lambda: complemented(instance.lattice.weight, instance.lattice.weight_scale))",
+           "lambda: complemented(instance.lattice.weight[::-1], instance.lattice.weight_scale))",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[mssc]"),
+    Mutant("dual-scales-not-swapped", "src/msop/dual.py",
+           "complemented(instance.lattice.weight, instance.lattice.weight_scale)",
+           "complemented(instance.lattice.weight, instance.lattice.cost_scale)",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[pipelined]"),
     # the values a greedy run keeps (core.chain_values)
     Mutant("kept-values-for-any-instance", "src/msop/core.py",
            "    if chain.instance is instance and chain.values is not None:\n",

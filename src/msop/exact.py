@@ -37,7 +37,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .lattice import Lattice
+from .lattice import Lattice, RunningOracle
 
 CAPS = {"perm": 9, "chain": 7, "density": 20}  # the largest n each search takes
 
@@ -168,17 +168,27 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
     """
     _cap_for("density", instance.n)
     base = frozenset(base)
-    ground = instance.ground_set
-    index = {v: i for i, v in enumerate(ground)}
+    bits = _bits(instance.ground_set)
     base_mask = 0
     for v in base:
-        if v not in index:
-            raise NotInFamily(f"base {sorted(base)} is not in the family")
-        base_mask |= 1 << index[v]
+        if v not in bits:
+            raise _not_in_family(base)
+        base_mask |= bits[v]
+    return _densest(instance, base_mask)
+
+
+def _bits(ground: tuple[int, ...]) -> dict[int, int]:
+    return {v: 1 << i for i, v in enumerate(ground)}
+
+
+def _densest(instance: MsopInstance, base_mask: int) -> DensityResult:
+    """``exact_max_density`` from the base of bitmask ``base_mask``; the
+    base's ids are read off the mask only for an error's text."""
+    ground = instance.ground_set
     lattice = instance.lattice
     feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
     if not feasible[base_mask]:
-        raise NotInFamily(f"base {sorted(base)} is not in the family")
+        raise _not_in_family(_members(ground, base_mask))
     # gains are compared on the scaled integers: both scales are common to
     # every candidate, so they are left out and put back once in the density.
     # A candidate beats the incumbent when d > 0, d being the cross-multiplied
@@ -197,7 +207,7 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
                 spent = f[mask] - f_base
                 gain = g[mask] - g_base
                 if spent < 0 or gain < 0:
-                    raise _non_monotone(ground, base, x)
+                    raise _non_monotone(ground, base_mask, x)
                 d = (gain * best_spent - best_gain * spent if spent and best_spent
                      else best_spent - spent)
                 if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:
@@ -210,20 +220,28 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
         for x, ok, spent, gain in columns:
             if ok:
                 if spent < 0 or gain < 0:
-                    raise _non_monotone(ground, base, x)
+                    raise _non_monotone(ground, base_mask, x)
                 d = (gain * best_spent - best_gain * spent if spent and best_spent
                      else best_spent - spent)
                 if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:
                     best_mask, best_gain, best_spent = x, gain, spent
     if not best_mask:
-        raise NoFeasibleSuperset(f"no feasible strict superset of {sorted(base)}")
+        raise NoFeasibleSuperset(f"no feasible strict superset of {_sorted_ids(ground, base_mask)}")
     rho = density(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
     return DensityResult(tuple(sorted(_members(ground, best_mask))), rho)
 
 
-def _non_monotone(ground: tuple[int, ...], base: frozenset[int], x: int) -> NonMonotone:
-    candidate = base.union(_members(ground, x))
-    return NonMonotone(f"value decreased between {sorted(base)} and {sorted(candidate)}")
+def _not_in_family(ids) -> NotInFamily:
+    return NotInFamily(f"base {sorted(ids)} is not in the family")
+
+
+def _sorted_ids(ground: tuple[int, ...], mask: int) -> list[int]:
+    return sorted(_members(ground, mask))
+
+
+def _non_monotone(ground: tuple[int, ...], base_mask: int, x: int) -> NonMonotone:
+    return NonMonotone(f"value decreased between {_sorted_ids(ground, base_mask)} "
+                       f"and {_sorted_ids(ground, base_mask | x)}")
 
 
 def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
@@ -237,14 +255,43 @@ def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
     return 1 if min(_members(ground, x & ~y)) < min(_members(ground, y & ~x)) else -1
 
 
-def exact_density_solver(instance: MsopInstance) -> DensitySolver:
-    """Exhaustive density solver (factor 1) for use with the greedy loop.
+class _Exhaustive(RunningOracle):
+    """The exhaustive step as a running oracle: its value at a base is
+    ``exact_max_density``'s, and its state is the base's bitmask."""
 
-    Every step reads the instance's lattice, built by the first one, so a
-    greedy run calls no oracle inside a step after that.  The cap is
-    checked on every call, not when the solver is built.
+    def __init__(self, instance: MsopInstance):
+        super().__init__()
+        self.instance = instance
+        self.bits: dict[int, int] | None = None  # id -> its bit, from the first step on
+
+    def reset(self) -> None:
+        if self.bits is None:
+            self.bits = _bits(self.instance.ground_set)
+        self.mask = 0
+
+    def move(self, added, removed) -> DensityResult:
+        instance, bits = self.instance, self.bits
+        _cap_for("density", instance.n)
+        mask = self.mask
+        for v in removed:
+            mask ^= bits[v]
+        for v in added:
+            if v not in bits:
+                raise _not_in_family(set(_members(instance.ground_set, mask)).union(added))
+            mask |= bits[v]
+        self.mask = mask
+        return _densest(instance, mask)
+
+
+def exact_density_solver(instance: MsopInstance) -> DensitySolver:
+    """Exhaustive density solver (factor 1) for use with the greedy loop:
+    a running oracle (``_Exhaustive``) that moves the base's bitmask by
+    each increment and scans the lattice from it as ``exact_max_density``
+    does.  The instance's lattice is built by the first step, so a greedy
+    run calls no oracle inside a step after that.  The cap is checked at
+    every step computed, not when the solver is built.
     """
-    return lambda base: exact_max_density(instance, base)
+    return _Exhaustive(instance)
 
 
 Column = tuple[Rational, Rational, Density]  # (left, right, height) over the doubled weight axis

@@ -3,10 +3,13 @@
 The exhaustive oracles (the exhaustive density step and the permutation and
 chain DPs) read one ``Lattice`` per instance.  A subset is a bitmask over
 the instance's ground-set order: bit i stands for ``ground_set[i]``.  The
-feasibility column is a ``bytearray``; the cost and weight columns hold
-ints, each scaled by one positive integer, so a set's cost is
+feasibility column is a ``bytearray``; the cost and weight columns are
+lists of ints, each scaled by one positive integer, so a set's cost is
 ``cost[mask] / cost_scale`` and its weight ``weight[mask] / weight_scale``.
-Cost and weight are only meaningful on feasible masks.
+Cost and weight are only meaningful on feasible masks.  A list hands out
+the ints it holds, where a machine-word ``array`` makes a new int at each
+read; values below 257 are ints Python shares, and larger ones cost about
+28 bytes a mask on top of the list's 8.
 
 An adapter that knows how its oracles are built supplies their columns:
 ``supply`` attaches a column builder to the oracle function itself, so the
@@ -22,8 +25,9 @@ The oracles themselves answer one set at a time.  Those that would redo
 the whole set at each call are ``RunningOracle``s, which move from the
 last set asked about by the elements that came and went, or, following a
 ``Walk``, a set that grows in place, by its last increment (``advance``).
-The polynomial density solvers are running oracles too, whose value at a
-base is the step.
+The density solvers are running oracles too, whose value at a base is the
+step; the exhaustive one (``exact.exact_density_solver``) keeps the base's
+bitmask.
 
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
@@ -32,20 +36,15 @@ each block computed from the one before by a list comprehension.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from math import lcm
-from typing import TYPE_CHECKING, Callable, Mapping, MutableSequence, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import MsopInstance
 
-IntColumn = MutableSequence[int]
+IntColumn = list[int]
 Scaled = tuple[IntColumn, int]  # (column, scale): value = column[mask] / scale
-
-# an int column in machine words takes 8 bytes a mask, a list of ints
-# about 36 once the values outgrow Python's small-int cache
-_WORD = 1 << 63
 
 
 class Walk:
@@ -245,12 +244,6 @@ def _scaled(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def int_column(values: Sequence[int], bound: int) -> IntColumn:
-    """``values`` as machine words when every magnitude stays below
-    ``bound`` < 2^63, else as a list."""
-    return array("q", values) if bound < _WORD else list(values)
-
-
 class Everything(RunningOracle):
     """The family of every subset: true at any set, asked in any way, so a
     walk asks it nothing and keeps no state."""
@@ -320,7 +313,7 @@ def modular_column(values: Sequence) -> Scaled:
     col = [0]
     for c in ints:
         col += [x + c for x in col]
-    return int_column(col, sum(map(abs, ints))), scale
+    return col, scale
 
 
 def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:
@@ -330,7 +323,7 @@ def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:
     depends only on m's bits inside those hyperedges, and is tabulated
     once per block over the submasks of that union."""
     ints, scale = _scaled([w for w, _ in edges])
-    col = int_column([0], sum(ints))
+    col = [0]
     for i in range(n):
         bit = 1 << i
         through = [(w, members & (bit - 1)) for w, (_, members) in zip(ints, edges)
@@ -351,10 +344,10 @@ def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:
 
 def union_column(parts: Sequence[int], start: int) -> IntColumn:
     """Column of S -> ``start`` | the OR of ``parts[i]`` over the bits i of
-    S, for masks ``parts`` of at most 62 bits."""
-    col = array("q", [start])
+    S."""
+    col = [start]
     for part in parts:
-        col.extend([x | part for x in col])
+        col += [x | part for x in col]
     return col
 
 
@@ -363,5 +356,4 @@ def complemented(column: IntColumn, scale: int) -> Scaled:
     complement of mask m is the full mask minus m, so it reads ``column``
     backwards."""
     top = column[-1]
-    values = [top - x for x in reversed(column)]
-    return (array("q", values) if isinstance(column, array) else values), scale
+    return [top - x for x in reversed(column)], scale

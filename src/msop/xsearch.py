@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import MsopInstance, Rational
 from .errors import DisconnectedInput, ValidationError
-from .lattice import modular, supply, union_column
-from .mssc import coverage
+from .lattice import modular, modular_column, supply, union_column
+from .mssc import CoverageWeight
 
 
 @dataclass(frozen=True)
@@ -71,32 +72,57 @@ class SearchGraph:
                 raise DisconnectedInput("graph is not connected")
 
 
-def _feasible_column(graph: SearchGraph) -> bytearray:
-    """Feasibility of every edge set, by bitmask over the edges.  A
-    nonempty edge set is feasible when some edge of it touches the root or
-    the vertices of the rest, the rest being feasible; so feasibility
-    spreads from each feasible set to its union with every edge touching
-    the root or its vertices."""
-    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+def _columns(graph: SearchGraph) -> dict[str, object]:
+    """The feasibility and weight columns, by bitmask over the edges, both
+    read off the touched column: the non-root vertices that each edge set
+    touches, by bitmask over them.  The root has no bit, so the edges at
+    it reach every set and its mass is never counted.  A nonempty edge set
+    is feasible when some edge of it touches the root or the vertices of
+    the rest, the rest being feasible; so feasibility spreads from each
+    feasible set to its union with every edge at the root or at a vertex
+    it touches.  A set's weight is the mass of the vertices it touches.
+
+    The touched column is kept as two union columns, over the lower and
+    the upper half of the edges, whose entries are ORed where they are
+    read: a column of 2^n vertex masks would hold an int per edge set."""
+    others = [v for v in graph.vertices if v != graph.root]
+    bit = {graph.root: 0} | {v: 1 << i for i, v in enumerate(others)}
+    at = dict.fromkeys(graph.vertices, 0)  # vertex -> mask of its edges
+    for e, (u, v, _) in enumerate(graph.edges):
+        at[u] |= 1 << e
+        at[v] |= 1 << e
+    n = len(graph.edges)
+    half = n // 2
     ends = [bit[u] | bit[v] for u, v, _ in graph.edges]
-    incident = dict.fromkeys(bit.values(), 0)  # vertex bit -> mask of its edges
-    for e, pair in enumerate(ends):
-        incident[pair & -pair] |= 1 << e
-        incident[pair & (pair - 1)] |= 1 << e
-    reachable = union_column(
-        [incident[pair & -pair] | incident[pair & (pair - 1)] for pair in ends],
-        incident[bit[graph.root]],
-    )
-    feasible = bytearray(len(reachable))
+    lower, upper = union_column(ends[:half], 0), union_column(ends[half:], 0)
+    below = (1 << half) - 1
+    # vertex mask -> the edges at the root or at one of its vertices, for
+    # the masks that feasible sets touch
+    reach: dict[int, int] = {}
+
+    def reach_of(t: int) -> int:
+        edges, rest = at[graph.root], t
+        while rest:
+            low = rest & -rest
+            edges |= at[others[low.bit_length() - 1]]
+            rest ^= low
+        reach[t] = edges
+        return edges
+
+    feasible = bytearray(1 << n)
     feasible[0] = 1
-    for m, edges in enumerate(reachable):
-        if feasible[m]:
-            grow = edges & ~m
-            while grow:
-                low = grow & -grow
-                feasible[m | low] = 1
-                grow ^= low
-    return feasible
+    # ``compress`` reads each flag when it comes to it, so it sees the
+    # flags that smaller feasible masks set
+    for m in compress(range(1 << n), feasible):
+        t = upper[m >> half] | lower[m & below]
+        grow = (reach.get(t) or reach_of(t)) & ~m
+        while grow:
+            low = grow & -grow
+            feasible[m | low] = 1
+            grow ^= low
+    mass, scale = modular_column([graph.probs[v] for v in others])
+    return {"feasible": feasible,
+            "weight": ([mass[high | low] for high in upper for low in lower], scale)}
 
 
 def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
@@ -118,7 +144,7 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
                     grew = True
         return not remaining
 
-    def touched():
+    def hyperedges():
         """Each non-root vertex's mass and the edges that touch it."""
         edges: dict[int, list[int]] = {v: [] for v in graph.vertices}
         for e, (u, v, _) in enumerate(graph.edges):
@@ -126,11 +152,18 @@ def xsearch_to_msop(graph: SearchGraph) -> MsopInstance:
             edges[v].append(e)
         return [(graph.probs[v], frozenset(es)) for v, es in edges.items() if v != graph.root]
 
+    built = None  # both columns, built together by the first builder called
+
+    def column(name: str):
+        nonlocal built
+        built = built or _columns(graph)
+        return built[name]
+
     ground = tuple(range(len(graph.edges)))
     return MsopInstance(
         ground,
-        supply(in_family, ground, lambda: _feasible_column(graph)),
+        supply(in_family, ground, lambda: column("feasible")),
         modular(ground, lambda: {e: c for e, (_, _, c) in enumerate(graph.edges)}),
-        coverage(ground, touched),
+        supply(CoverageWeight(hyperedges), ground, lambda: column("weight")),
         name="xsearch",
     )

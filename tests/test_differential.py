@@ -1468,10 +1468,29 @@ def test_or_initial_probe_answers_one_more_job_and_keeps_the_state(kind):
 SOLVER_ROUTES = {"mssc": 300, "pipelined": 300, "inforest": 300, "multitree": 300, "rof": 60}
 
 
+def route_instance(kind):
+    """The seeded instance of a solver route: those of ``SOLVER_ROUTES``,
+    and xsearch, the exhaustive step's route, at 12 edges."""
+    if kind == "xsearch":
+        return gen_instance("xsearch", 8, 1, extra=5)
+    return gen_instance(kind, SOLVER_ROUTES[kind], 1)
+
+
 def refused_bases(kind, parsed, universe, base):
     """(set, error class, message) of the sets that the solver of
     ``kind`` refuses, the whole ground set first; ``base`` is a chain set
     between the empty set and the ground set."""
+    if kind == "xsearch":
+        # an edge away from the root alone is detached; each refusal is
+        # exact_max_density's, class and text
+        inst = xsearch.xsearch_to_msop(parsed)
+        detached = next(frozenset({e}) for e, (u, v, _) in enumerate(parsed.edges)
+                        if parsed.root not in (u, v))
+        refused = [(s, *answer(lambda b: exact.exact_max_density(inst, b), s))
+                   for s in (universe, detached, base | {inst.n})]
+        assert [error for _, error, _ in refused] == [
+            "NoFeasibleSuperset", "NotInFamily", "NotInFamily"]
+        return refused
     if kind == "rof":
         return [(universe, "NoFeasibleSuperset", "every test has already been taken")]
     if kind in ("mssc", "pipelined"):
@@ -1484,12 +1503,12 @@ def refused_bases(kind, parsed, universe, base):
         for s in (base | {blocked}, frozenset({blocked}))]
 
 
-@pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
+@pytest.mark.parametrize("kind", [*sorted(SOLVER_ROUTES), "xsearch"])
 def test_solver_errors_and_the_call_after_them(kind):
     # each refused set raises its error, reached by a greedy increment (the
     # whole ground set) or from a state moved along the chain; the call
     # after a raising step rebuilds and answers as a fresh solver
-    parsed = gen_instance(kind, SOLVER_ROUTES[kind], 1)
+    parsed = route_instance(kind)
     tools = cli.Toolchain(parsed)
     universe = tools.instance.universe()
     sets = tools.greedy().sets
@@ -1513,24 +1532,40 @@ def test_solver_errors_and_the_call_after_them(kind):
         assert solve.rebuilds == rebuilds + 1
 
 
-@pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
+@pytest.mark.parametrize("kind", [*sorted(SOLVER_ROUTES), "xsearch", "backward"])
 def test_greedy_moves_each_solver_only_by_advance(kind):
     # the first step builds the solver's state at the empty set; after it,
     # each step moves the solver by the increment it answered with, never
     # by a set: a call with the set would find the same chain by a set
-    # difference
-    tools = cli.Toolchain(gen_instance(kind, SOLVER_ROUTES[kind], 1))
-    solve, move, moves = tools.solver, tools.solver.move, []
+    # difference.  ``backward`` is the exhaustive step on the dual of a
+    # covering instance, whose greedy chain has the backward chain's
+    # increments reversed
+    moves, solvers = [], []
 
-    def counted(added, removed):
-        # a rebuild's ``added`` is the walk's member set, which grows later
-        moves.append((added if type(added) is tuple else frozenset(added), removed))
-        return move(added, removed)
+    def counted(solve):
+        move = solve.move
 
-    solve.move = counted
-    chain = tools.greedy()
+        def counted_move(added, removed):
+            # a rebuild's ``added`` is the walk's member set, which grows later
+            moves.append((added if type(added) is tuple else frozenset(added), removed))
+            return move(added, removed)
+
+        solve.move = counted_move
+        solvers.append(solve)
+        return solve
+
+    if kind == "backward":
+        inst = cli.Toolchain(gen_instance("mssc", 12, 1)).instance
+        chain = dual.backward_greedy_chain(
+            inst, lambda dual_inst: counted(exact.exact_density_solver(dual_inst)))
+        increments = chain.increments[::-1]
+    else:
+        tools = cli.Toolchain(route_instance(kind))
+        counted(tools.solver)
+        increments = tools.greedy().increments
+    [solve] = solvers
     assert moves[0] == (frozenset(), ()) and solve.rebuilds == 1
-    assert moves[1:] == [(increment, ()) for increment in chain.increments[:-1]]
+    assert moves[1:] == [(increment, ()) for increment in increments[:-1]]
 
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
