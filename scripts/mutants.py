@@ -217,13 +217,25 @@ MUTANTS = (
            "        elif right <= o_right:\n", "        elif right < o_right:\n",
            f"{DIFF}::test_histogram_check_matches_reference_on_scaled_certificates"),
     Mutant("histogram-compares-zero-width-overlaps", "src/msop/exact.py",
-           "        if lo < hi and height > two_alpha * o_height:\n",
-           "        if lo <= hi and height > two_alpha * o_height:\n",
+           "        if lo < hi and num * over > under * cost * den:\n",
+           "        if lo <= hi and num * over > under * cost * den:\n",
            f"{DIFF}::test_histogram_check_matches_reference_on_scaled_certificates"),
     Mutant("histogram-reports-shrunk-column-midpoint", "src/msop/exact.py",
-           "first_violation = (Fraction(lo + hi, 4),",
-           "first_violation = (Fraction(left + right, 4),",
+           "first_violation = (Fraction(lo + hi, 4 * weight_scale),",
+           "first_violation = (Fraction(left + right, 4 * weight_scale),",
            f"{DIFF}::test_histogram_check_matches_reference_on_scaled_certificates"),
+    Mutant("histogram-swaps-scales", "src/msop/exact.py",
+           "    over, under = alpha.denominator * cost_scale, 2 * alpha.numerator * weight_scale\n",
+           "    over, under = alpha.denominator * weight_scale, 2 * alpha.numerator * cost_scale\n",
+           f"{DIFF}::test_check_ratio_matches_reference_on_unequal_scales"),
+    Mutant("histogram-drops-alpha-denominator", "src/msop/exact.py",
+           "    over, under = alpha.denominator * cost_scale, 2 * alpha.numerator * weight_scale\n",
+           "    over, under = cost_scale, 2 * alpha.numerator * weight_scale\n",
+           f"{DIFF}::test_check_ratio_matches_reference_on_unequal_scales"),
+    Mutant("check-ratio-skips-optimum-monotone-check", "src/msop/exact.py",
+           "        if cost < opt_costs[-1] or weight < opt_weights[-1]:\n",
+           "        if False:\n",
+           "tests/test_exact.py::test_histogram_rejects_a_chain_whose_weight_falls"),
     # DAG shape labels (orsched.classify_dag)
     Mutant("classify-outtree-without-one-source", "src/msop/orsched.py",
            "for j in dag.jobs) and len(dag.sources) <= 1:\n", "for j in dag.jobs):\n",

@@ -210,11 +210,7 @@ def chain_values(instance: MsopInstance, chain: Chain) -> Values:
 
 def chain_cost(instance: MsopInstance, chain: Chain) -> Rational:
     """Exact objective value of a chain; raises on any invariant breach."""
-    return values_cost(*chain_values(instance, chain))
-
-
-def values_cost(costs: Sequence[Rational], weights: Sequence[Rational]) -> Rational:
-    """The objective of a chain from the values ``chain_values`` read."""
+    costs, weights = chain_values(instance, chain)
     return sum(f * (g - prev) for f, g, prev in zip(costs[1:], weights[1:], weights))
 
 

@@ -5,7 +5,9 @@ the subset lattice: every feasible permutation is a path through feasible
 prefix sets and every chain is a path through nested feasible sets, so the
 lattice DP minimises over exactly the stated search space with no sampling.
 These DPs and the exhaustive density step read every subset's membership,
-cost and weight from the instance's ``msop.lattice.Lattice``.
+cost and weight from the instance's ``msop.lattice.Lattice``, and so does
+the certification (``check_ratio``): it reads both chains' values off the
+integer columns and runs the histogram check and the greedy cost in ints.
 Caps are hard errors, never silent truncation, and fixed in ``CAPS``, so a
 report depends only on the command line and the file.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .core import (
@@ -26,7 +29,6 @@ from .core import (
     Rational,
     chain_values,
     density,
-    values_cost,
 )
 from .errors import (
     MissingCertificate,
@@ -294,9 +296,6 @@ def exact_density_solver(instance: MsopInstance) -> DensitySolver:
     return _Exhaustive(instance)
 
 
-Column = tuple[Rational, Rational, Density]  # (left, right, height) over the doubled weight axis
-
-
 @dataclass(frozen=True)
 class HistogramReport:
     """Outcome of the shrunken-histogram containment check.
@@ -321,10 +320,17 @@ def histogram_containment_check(
     opt_costs: Sequence[Rational],
     opt_weights: Sequence[Rational],
     alpha: Rational,
+    cost_scale: int = 1,
+    weight_scale: int = 1,
 ) -> HistogramReport:
     """The check on the greedy chain's weights and certificate and the
-    optimal chain's costs and weights, as ``chain_values`` read them; both
-    chains end at the ground set, so their last weights agree."""
+    optimal chain's costs and weights; both chains end at the ground set,
+    so their last weights agree.  A cost stands for ``cost / cost_scale``
+    and a weight for ``weight / weight_scale``: ``check_ratio`` passes the
+    lattice's integer columns and their scales, and with both scales 1 the
+    values are the Rationals themselves, as ``chain_values`` reads them.
+    Heights are compared as (numerator, denominator) pairs by
+    cross-multiplication, and the report's Rationals are built at the end."""
     if certificate is None:
         raise MissingCertificate("greedy chain carries no per-step density certificate")
     if alpha < 1:
@@ -335,46 +341,61 @@ def histogram_containment_check(
     # and an optimal one sits at 2x: the solid columns tile [g_total, 2 g_total]
     # and [0, 2 g_total], so each overlap of positive width is one interval
     # of the common refinement, met in order of x
-    solid_opt: list[Column] = []
-    opt_area: Rational = 0
-    for left, right, height in zip(opt_weights, opt_weights[1:], opt_costs[1:]):
+    solid_opt: list[tuple[Rational, Rational, Rational]] = []  # left, right, cost
+    opt_area = 0
+    for left, right, cost in zip(opt_weights, opt_weights[1:], opt_costs[1:]):
         if left < right:
-            solid_opt.append((2 * left, 2 * right, height))
-            opt_area += height * (right - left)
-    # a density, height or area is a float only for the ``INF`` sentinel
-    shrunk: list[Column] = []
-    greedy_area: Density = 0
+            solid_opt.append((2 * left, 2 * right, cost))
+            opt_area += cost * (right - left)
+    # greedy column i has height (g_total - left) / rho_i, kept as the pair
+    # (num, den) for num / (den * weight_scale) with den > 0, or (1, 0) for
+    # the ``INF`` sentinel height; the area is a sum of terms t / den over
+    # weight_scale^2
+    shrunk: list[tuple[Rational, Rational, Rational, int]] = []  # left, right, num, den
+    terms: list[tuple[Rational, int]] = []  # (t, den)
+    infinite = False
     for left, right, rho in zip(greedy_weights, greedy_weights[1:], certificate):
         if left == right:
             continue
         remaining = g_total - left
         if remaining == 0 or type(rho) is float:
-            height: Density = 0
+            num, den = 0, 1
         elif rho == 0:
-            height = INF  # only reachable through a corrupted certificate
+            num, den = 1, 0  # only reachable through a corrupted certificate
+            infinite = True
         else:
-            height = Fraction(remaining, rho)
-        shrunk.append((g_total + left, g_total + right, height))
-        if type(height) is float:
-            greedy_area = INF
-        elif type(greedy_area) is not float:
-            greedy_area += height * (right - left)
-    two_alpha = 2 * alpha
+            num, den = remaining * rho.denominator, rho.numerator
+            if den < 0:
+                num, den = -num, -den
+            terms.append((num * (right - left), den))
+        shrunk.append((g_total + left, g_total + right, num, den))
+    # with alpha = a / b, a shrunk height num / (2 alpha den weight_scale)
+    # sticks out of an optimal cost c / cost_scale where
+    # num * b * cost_scale > 2 a weight_scale * c * den
+    over, under = alpha.denominator * cost_scale, 2 * alpha.numerator * weight_scale
     first_violation: tuple[Rational, Density, Rational] | None = None
     i = j = 0
     while first_violation is None and i < len(shrunk):
-        left, right, height = shrunk[i]
-        o_left, o_right, o_height = solid_opt[j]
+        left, right, num, den = shrunk[i]
+        o_left, o_right, cost = solid_opt[j]
         lo, hi = max(left, o_left), min(right, o_right)
-        if lo < hi and height > two_alpha * o_height:
-            shrunk_height = INF if type(height) is float else Fraction(height, two_alpha)
-            first_violation = (Fraction(lo + hi, 4), shrunk_height, o_height)
+        if lo < hi and num * over > under * cost * den:
+            height = Fraction(num * alpha.denominator, under * den) if den else INF
+            first_violation = (Fraction(lo + hi, 4 * weight_scale), height,
+                               Fraction(cost, cost_scale))
         elif right <= o_right:
             i += 1
         else:
             j += 1
 
-    return HistogramReport(first_violation is None, first_violation, opt_area, greedy_area)
+    if infinite:
+        greedy_area: Density = INF
+    else:
+        common = lcm(*(den for _, den in terms))
+        greedy_area = Fraction(sum(t * (common // den) for t, den in terms),
+                               common * weight_scale * weight_scale)
+    return HistogramReport(first_violation is None, first_violation,
+                           Fraction(opt_area, cost_scale * weight_scale), greedy_area)
 
 
 def check_ratio(
@@ -383,10 +404,38 @@ def check_ratio(
     """Certify the 4*alpha bound as the paper's proof runs: (greedy cost,
     optimum, histogram report, violated), violated when the greedy cost
     exceeds 4*alpha times the optimum or the histogram is not contained.
-    ``TooLarge`` comes before any chain is read; each is read once."""
+    ``TooLarge`` comes before any chain is read.  ``chain_values`` checks
+    the greedy chain, at no cost for one the greedy run kept; then both
+    chains are read off the lattice as masks, the greedy chain's sets from
+    its increments and the optimum's prefixes from its order, so the
+    histogram check and the greedy cost run on the integer columns and no
+    oracle is asked.  A falling prefix value of the optimum raises
+    ``NonMonotone`` as ``chain_values`` would."""
     order, opt = exact_opt_permutation(instance)
-    costs, weights = chain_values(instance, chain)
-    opt_costs, opt_weights = chain_values(instance, Chain(tuple((v,) for v in order)))
-    report = histogram_containment_check(weights, chain.densities, opt_costs, opt_weights, alpha)
-    greedy_cost = values_cost(costs, weights)
+    chain_values(instance, chain)
+    lattice = instance.lattice
+    f, g = lattice.cost, lattice.weight
+    bits = _bits(instance.ground_set)
+    masks = [0]
+    for increment in chain.increments:
+        mask = masks[-1]
+        for v in increment:
+            mask |= bits[v]
+        masks.append(mask)
+    weights = [g[mask] for mask in masks]
+    opt_costs, opt_weights = [0], [0]
+    mask = 0
+    for v in order:
+        below, mask = mask, mask | bits[v]
+        cost, weight = f[mask], g[mask]
+        if cost < opt_costs[-1] or weight < opt_weights[-1]:
+            raise _non_monotone(instance.ground_set, below, bits[v])
+        opt_costs.append(cost)
+        opt_weights.append(weight)
+    cost_scale, weight_scale = lattice.cost_scale, lattice.weight_scale
+    report = histogram_containment_check(weights, chain.densities, opt_costs, opt_weights,
+                                         alpha, cost_scale, weight_scale)
+    steps = zip(masks[1:], weights[1:], weights)
+    greedy_cost = Fraction(sum(f[mask] * (w - prev) for mask, w, prev in steps),
+                           cost_scale * weight_scale)
     return greedy_cost, opt, report, greedy_cost > 4 * alpha * opt or not report.contained

@@ -1,11 +1,14 @@
 """Every subset's family membership, cost and weight, as bitmask columns.
 
 The exhaustive oracles (the exhaustive density step and the permutation and
-chain DPs) read one ``Lattice`` per instance.  A subset is a bitmask over
-the instance's ground-set order: bit i stands for ``ground_set[i]``.  The
-feasibility column is a ``bytearray``; the cost and weight columns are
-lists of ints, each scaled by one positive integer, so a set's cost is
-``cost[mask] / cost_scale`` and its weight ``weight[mask] / weight_scale``.
+chain DPs) read one ``Lattice`` per instance, and so does the certification
+(``exact.check_ratio``), which reads both of its chains' costs and weights
+off the same integer columns and divides by the scales once per result.
+A subset is a bitmask over the instance's ground-set order: bit i stands
+for ``ground_set[i]``.  The feasibility column is a ``bytearray``; the
+cost and weight columns are lists of ints, each scaled by one positive
+integer, so a set's cost is ``cost[mask] / cost_scale`` and its weight
+``weight[mask] / weight_scale``.
 Cost and weight are only meaningful on feasible masks.  A list hands out
 the ints it holds, where a machine-word ``array`` makes a new int at each
 read; values below 257 are ints Python shares, and larger ones cost about

@@ -1089,7 +1089,9 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
         else:
             height = Fraction(remaining, rho)
         greedy_columns.append((prev_w, w, height))
-        if height == INF and w > prev_w:
+        if w == prev_w:
+            continue  # no area, whatever the height: INF * 0 is nan
+        if height == INF:
             greedy_area = INF
         elif greedy_area != INF:
             greedy_area += height * (w - prev_w)

@@ -966,6 +966,50 @@ def test_histogram_check_matches_reference_on_scaled_certificates():
     assert cases >= 4000 and violations >= max(1000, cases // 4), (cases, violations)
 
 
+def test_check_ratio_matches_reference_on_unequal_scales():
+    # check_ratio runs the histogram check and the greedy cost on the
+    # lattice's integer columns: fraction-valued tables over unequal cost
+    # and weight scales, both above 1, make each value need its own scale
+    # (on the free family, which every ordering is feasible in).
+    # Certificates scaled by 1/32 to 3/2, one step set to the INF sentinel
+    # (height 0) and one set to a zero density (height INF) reach both ends
+    # of the height comparison; alpha = 3/2 needs alpha's denominator
+    rng = random.Random(33)
+    cases = uncontained = infinite = 0
+    for seed in range(60):
+        base = gen_generic_msop(2 + seed % 6, 3300 + seed)
+        # v(s) / d + 1 / d^2 on a nonempty s has denominator d^2 exactly
+        c, w = ((3, 5), (4, 9), (10, 7))[seed % 3]
+        inst = replace(base, in_family=lambda s: True,
+                       cost=lambda s, f=base.cost, d=c: Fraction(f(s) * d + bool(s), d * d),
+                       weight=lambda s, g=base.weight, d=w: Fraction(g(s) * d + bool(s), d * d))
+        lattice = inst.lattice
+        assert (lattice.cost_scale, lattice.weight_scale) == (c * c, w * w)
+        greedy = greedy_chain(inst, exact.exact_density_solver(inst))
+        order, opt = exact.exact_opt_permutation(inst)
+        opt_chain = Chain(tuple((v,) for v in order))
+        for _ in range(4):
+            factor = Fraction(rng.randint(1, 6), 4 << rng.randrange(4))
+            scaled = [d * factor for d in greedy.densities]
+            step = rng.randrange(greedy.steps)
+            for corrupt in (None, INF, 0):
+                certificate = list(scaled)
+                if corrupt is not None:
+                    certificate[step] = corrupt
+                chain = Chain(greedy.increments, tuple(certificate))
+                for alpha in (1, Fraction(3, 2), 2):
+                    cost, got_opt, report, violated = exact.check_ratio(inst, chain, alpha)
+                    expected = ref_histogram_containment_check(inst, chain, opt_chain, alpha)
+                    assert report == expected, (seed, factor, corrupt, alpha)
+                    assert cost == chain_cost(inst, chain) and got_opt == opt
+                    assert violated == (cost > 4 * alpha * opt or not expected.contained)
+                    cases += 1
+                    uncontained += not report.contained
+                    infinite += report.greedy_area == INF
+    assert cases >= 2000 and uncontained >= 1000 and infinite >= 100, (
+        cases, uncontained, infinite)
+
+
 # ---------------------------------------------------------------------------
 # lattice columns: each column an adapter supplies, and each dual column
 # derived by complement, against the oracles on every subset

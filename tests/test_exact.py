@@ -262,9 +262,10 @@ def test_histogram_rejects_alpha_below_one():
 
 def test_histogram_rejects_a_chain_whose_weight_falls():
     # weight({0}) = 2 > weight({0, 1}) = 1; the merge needs both step
-    # functions' columns in order of x, so check_ratio reads both chains
-    # through chain_values first: the greedy chain, or the optimal order
-    # 0, 1 that the permutation DP finds on these weights
+    # functions' columns in order of x, so check_ratio checks both chains
+    # first: the greedy chain through chain_values, or the optimal order
+    # 0, 1 that the permutation DP finds on these weights, read off the
+    # lattice with chain_values' class and text
     inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
     falling = Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
     rising = Chain.from_sets((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
