@@ -53,15 +53,12 @@ MUTANTS = (
     Mutant("residual-top-kept-after-start-left", "src/msop/orsched.py",
            "            if top[-2] not in sources:\n", "            if False:\n",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
-    Mutant("residual-heap-kept-across-removal", "src/msop/orsched.py",
-           "            self.heap.clear()\n", "",
-           f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
     Mutant("residual-tie-without-cand2", "src/msop/orsched.py",
            "(self[2], self[-2]) < (other[2], other[-2])", "self[-2] < other[-2]",
            f"{DIFF}::test_residual_heap_top_is_a_fresh_scan_after_every_move[inforest]"),
-    Mutant("residual-step-reads-stale-dirty", "src/msop/orsched.py",
-           "            dirty = self.dirty = set(sources)\n", "            self.dirty = set(sources)\n",
-           f"{DIFF}::test_or_solver_matches_reference_on_bases_out_of_order[inforest]"),
+    Mutant("residual-move-leaves-successors-open", "src/msop/orsched.py",
+           "                closed.add(w)\n", "",
+           f"{DIFF}::test_residual_forgets_candidates_through_added_or_freed_jobs"),
     # best single element: the per-cost heaps of mssc._Gains
     Mutant("gains-tie-to-larger-id", "src/msop/mssc.py",
            "(order == 0 and v < best[0])", "(order == 0 and v > best[0])",
@@ -128,11 +125,6 @@ MUTANTS = (
            "                    best_mask, best_gain, best_spent = x, gain, spent\n"
            "    if not best_mask:\n",
            f"{DIFF}::test_backward_exhaustive_step_matches_reference_chain[mssc]"),
-    # the exhaustive step as a running oracle (exact._Exhaustive)
-    Mutant("exhaustive-move-ignores-removed", "src/msop/exact.py",
-           "        for v in removed:\n"
-           "            mask ^= bits[v]\n", "",
-           f"{DIFF}::test_exhaustive_solver_matches_reference_on_bases_out_of_order"),
     # lattice columns: supplied by an adapter or read backwards for the dual
     Mutant("xsearch-feasibility-spreads-along-lowest-edge", "src/msop/xsearch.py",
            "        while grow:\n"
@@ -167,11 +159,12 @@ MUTANTS = (
            "    if chain.instance is instance and chain.values is not None:\n",
            "    if chain.values is not None:\n",
            "tests/test_core.py::test_kept_values_answer_only_the_instance_that_read_them"),
-    # walks that move by each chain increment
-    Mutant("running-sum-ignores-removed", "src/msop/lattice.py",
-           "        if removed:\n"
-           "            total -= sum(map(get, removed))\n", "",
-           f"{DIFF}::test_running_oracle_up_a_greedy_chain_and_down_its_complements[modular]"),
+    # running oracles: a call moves only to a superset of the last set
+    # (lattice.RunningOracle), and walks that move by each chain increment
+    Mutant("running-call-moves-without-subset-test", "src/msop/lattice.py",
+           "        grows = last is not None and len(last) + len(added) == len(s)  # last <= s\n",
+           "        grows = last is not None\n",
+           f"{DIFF}::test_running_oracle_rebuilds_once_for_a_set_missing_the_last[RunningSum]"),
     Mutant("chain-text-appends-increment", "src/msop/cli.py",
            "            ids.insert(k, v)\n"
            "            texts.insert(k, str(v))\n",

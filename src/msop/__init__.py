@@ -16,8 +16,6 @@ from .core import (
     chain_to_permutation,
     greedy_chain,
     marginal_density,
-    permutation_to_chain,
-    singleton_solver,
     spot_check_hypotheses,
 )
 from .dual import backward_greedy_chain, dual_chain, dualize
@@ -50,7 +48,5 @@ __all__ = [
     "greedy_chain",
     "histogram_containment_check",
     "marginal_density",
-    "permutation_to_chain",
-    "singleton_solver",
     "spot_check_hypotheses",
 ]

@@ -21,9 +21,7 @@ from itertools import accumulate, islice
 from typing import Callable, Sequence
 
 from .errors import (
-    InfeasibleInitialSet,
     InvalidChain,
-    NoFeasibleSuperset,
     NonMonotone,
     NotASuperset,
     NotInFamily,
@@ -360,18 +358,6 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     return Chain(tuple(increments), tuple(densities), (tuple(costs), tuple(weights)), instance)
 
 
-def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
-    """Chain of all initial sets of a feasible permutation."""
-    if frozenset(order) != instance.universe():
-        raise ValidationError("permutation must arrange the full ground set")
-    current: set[int] = set()
-    for j, v in enumerate(order, start=1):
-        current.add(v)
-        if not instance.in_family(frozenset(current)):
-            raise InfeasibleInitialSet(j)
-    return Chain(tuple((v,) for v in order))
-
-
 def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...]:
     """A permutation consistent with the chain (every chain set is one of its
     initial sets).
@@ -406,26 +392,6 @@ def chain_to_permutation(instance: MsopInstance, chain: Chain) -> tuple[int, ...
             rest.remove(nxt)
         order_out.append(rest[0])
     return tuple(order_out)
-
-
-def singleton_solver(instance: MsopInstance) -> DensitySolver:
-    """Density step that adds the single element of best marginal density.
-
-    Exact (factor 1) whenever the cost is modular, the weight submodular and
-    every subset is feasible; usable as a heuristic elsewhere.
-    """
-
-    ground = sorted(instance.ground_set)
-
-    def solve(base: frozenset[int]) -> DensityResult:
-        steps = (marginal_density(instance, base, base | {v})
-                 for v in ground if v not in base and instance.in_family(base | {v}))
-        step = max(steps, key=lambda step: step.marginal_density, default=None)
-        if step is None:
-            raise NoFeasibleSuperset(f"no feasible singleton extension of {sorted(base)}")
-        return step
-
-    return solve
 
 
 def spot_check_hypotheses(instance: MsopInstance, rng, rounds: int = 64) -> None:

@@ -30,7 +30,9 @@ def dualize(instance: MsopInstance) -> MsopInstance:
     The dual's lattice columns are the primal's read backwards (mask m
     stands for the complement of the primal's mask m), with the cost and
     weight columns and their scales trading places, so an exhaustive step
-    on the dual calls no dual oracle.
+    on the dual calls no dual oracle.  A dual oracle called with S asks the
+    primal one about V \\ S, and complements shrink as S grows, so each
+    such call rebuilds a running primal oracle: O(n - |S|).
     """
     universe = instance.universe()
     cost_fn, weight_fn, family = instance.cost, instance.weight, instance.in_family

@@ -271,12 +271,10 @@ class _Exhaustive(RunningOracle):
             self.bits = _bits(self.instance.ground_set)
         self.mask = 0
 
-    def move(self, added, removed) -> DensityResult:
+    def move(self, added) -> DensityResult:
         instance, bits = self.instance, self.bits
         _cap_for("density", instance.n)
         mask = self.mask
-        for v in removed:
-            mask ^= bits[v]
         for v in added:
             if v not in bits:
                 raise _not_in_family(set(_members(instance.ground_set, mask)).union(added))

@@ -25,12 +25,12 @@ with no builder comes from one sweep over the oracles, which builds each
 subset from a smaller one and calls cost and weight only on feasible sets.
 
 The oracles themselves answer one set at a time.  Those that would redo
-the whole set at each call are ``RunningOracle``s, which move from the
-last set asked about by the elements that came and went, or, following a
-``Walk``, a set that grows in place, by its last increment (``advance``).
-The density solvers are running oracles too, whose value at a base is the
-step; the exhaustive one (``exact.exact_density_solver``) keeps the base's
-bitmask.
+the whole set at each call are ``RunningOracle``s, which move forward
+only: from the last set asked about by the elements that came, or,
+following a ``Walk``, a set that grows in place, by its last increment
+(``advance``); any other set is rebuilt from the empty set.  The density
+solvers are running oracles too, whose value at a base is the step; the
+exhaustive one (``exact.exact_density_solver``) keeps the base's bitmask.
 
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
@@ -81,21 +81,20 @@ class Walk:
 
 class RunningOracle:
     """A set function that keeps its value for the last set it was asked
-    about and moves to the next one by the elements that came and went.
+    about and moves forward from it by the elements that came.
 
-    Called with a set, it moves by the symmetric difference from the last
-    set: the dual's complements and out-of-order callers ask about sets a
-    few elements apart.  When the difference is larger than the new set,
-    the state is rebuilt from the empty set.  A walk (``Walk``) asks
-    through ``advance``, which moves by the walk's increment alone, and a
-    family oracle answers ``probe`` about one more element.
+    Called with a set ``s``, it moves by ``s - last`` when the last set is
+    a subset of ``s``, and otherwise rebuilds from the empty set: the
+    dual's complements, which shrink, and out-of-order callers rebuild.  A
+    walk (``Walk``) asks through ``advance``, which moves by the walk's
+    increment alone, and a family oracle answers ``probe`` about one more
+    element.
 
-    Subclasses hold the state: ``reset()`` empties it and
-    ``move(added, removed)`` applies the elements that came and went and
-    returns the value at the new set.  An argument that is not a
-    ``frozenset`` is frozen before it is kept, since its caller may change
-    it later.  ``rebuilds`` counts the moves that started from the empty
-    set.
+    Subclasses hold the state: ``reset()`` empties it and ``move(added)``
+    applies the elements that came and returns the value at the new set.
+    An argument that is not a ``frozenset`` is frozen before it is kept,
+    since its caller may change it later.  ``rebuilds`` counts the moves
+    that started from the empty set.
     """
 
     def __init__(self):
@@ -110,25 +109,18 @@ class RunningOracle:
         last = self.last
         if s is last:
             return self.value
-        rebuild = last is None
-        if not rebuild:
-            added = s - last
-            size = len(s)
-            if len(last) + len(added) == size:  # last <= s
-                if not added:
-                    self.last = s
-                    return self.value
-                removed = ()
-            else:
-                removed = last - s
-                rebuild = len(added) + len(removed) > size
+        added = s if last is None else s - last
+        grows = last is not None and len(last) + len(added) == len(s)  # last <= s
+        if grows and not added:
+            self.last = s
+            return self.value
         # a move that raises leaves a state nothing may trust
         self.last = self.at = None
-        if rebuild:
+        if not grows:
             self.rebuilds += 1
             self.reset()
-            added, removed = s, ()
-        self.value = self.move(added, removed)
+            added = s
+        self.value = self.move(added)
         self.last = s
         return self.value
 
@@ -140,12 +132,12 @@ class RunningOracle:
         at = self.at
         if at is walk.previous and at is not None:
             self.at = None  # as in ``__call__``; ``last`` is None already
-            self.value = self.move(walk.added, ())
+            self.value = self.move(walk.added)
         elif at is not walk.token:
             self.last = self.at = None
             self.rebuilds += 1
             self.reset()
-            self.value = self.move(walk.members, ())
+            self.value = self.move(walk.members)
         else:
             return self.value
         self.at = walk.token
@@ -289,8 +281,7 @@ def modular(ground: tuple[int, ...], values: Callable[[], Mapping]) -> Callable:
 
 class RunningSum(RunningOracle):
     """S -> the sum of ``table()(v)`` over the members v of S, as a running
-    oracle: a move adds the values of the elements that came and subtracts
-    those of the elements that went."""
+    oracle: a move adds the values of the elements that came."""
 
     def __init__(self, table: Callable[[], Callable]):
         super().__init__()
@@ -300,13 +291,9 @@ class RunningSum(RunningOracle):
         self.get = self.table()
         self.total = 0
 
-    def move(self, added, removed):
-        get = self.get
-        total = self.total + sum(map(get, added))
-        if removed:
-            total -= sum(map(get, removed))
-        self.total = total
-        return total
+    def move(self, added):
+        self.total += sum(map(self.get, added))
+        return self.total
 
 
 def modular_column(values: Sequence) -> Scaled:

@@ -9,7 +9,7 @@ prefix cost up to its first covered element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heapreplace
 from typing import Callable, Sequence
 
 from .core import (
@@ -60,7 +60,7 @@ class CoverageWeight(RunningOracle):
     members) pairs that ``edges()`` returns, as a running oracle: the count
     of each hyperedge's members inside the last set, and per element the
     hyperedges through it, built on the first call.  A call costs the
-    hyperedges through the elements that came or went."""
+    hyperedges through the elements that came."""
 
     def __init__(self, edges: Callable[[], Hyperedges]):
         super().__init__()
@@ -78,14 +78,9 @@ class CoverageWeight(RunningOracle):
         self.count = [0] * len(self.weights)
         self.total: Rational = 0
 
-    def move(self, added, removed) -> Rational:
+    def move(self, added) -> Rational:
         incident, count, weights = self.incident, self.count, self.weights
         total = self.total
-        for v in removed:
-            for e in incident.get(v, ()):
-                count[e] -= 1
-                if not count[e]:
-                    total -= weights[e]
         for v in added:
             for e in incident.get(v, ()):
                 if not count[e]:
@@ -143,9 +138,8 @@ class _Gains(RunningOracle):
 
     Each distinct cost keeps a heap of (-gain, element) entries, so its
     top is its first maximum gain by ascending id once the top is valid.
-    An entry may overstate its element's gain but never understates it:
-    gains only fall as the base grows, and a removal pushes a fresh entry
-    for each element whose gain it raises.  So ``best`` needs to refresh
+    An entry may overstate its element's gain but never understates it,
+    since gains only fall as the base grows, so ``best`` needs to refresh
     only the tops, as in the lazy greedy for submodular coverage."""
 
     def __init__(self, instance: MsscInstance):
@@ -163,32 +157,20 @@ class _Gains(RunningOracle):
                 for v in members:
                     self.incident[v].append(e)
                     self.initial[v] += w
-            costs = self.instance.costs
             groups: dict[Rational, list[int]] = {}
-            for v, c in enumerate(costs):
+            for v, c in enumerate(self.instance.costs):
                 groups.setdefault(c, []).append(v)
             self.class_costs, self.classes = list(groups), list(groups.values())
-            index = {c: k for k, c in enumerate(groups)}
-            self.group = [index[c] for c in costs]  # each element's cost class
         self.gain = gain = self.initial.copy()
         self.count = [0] * len(self.edges)
         self.heaps = [[(-gain[v], v) for v in members] for members in self.classes]
         for heap in self.heaps:
             heapify(heap)
 
-    def move(self, added, removed) -> DensityResult:
+    def move(self, added) -> DensityResult:
         if not self.ids.issuperset(added):  # an id outside range(n), negative ones too
             raise NoFeasibleSuperset("base already contains every element")
         gain, count, edges, incident = self.gain, self.count, self.edges, self.incident
-        raised: set[int] = set(removed)
-        for v in removed:
-            for e in incident[v]:
-                count[e] -= 1
-                if not count[e]:
-                    w, members = edges[e]
-                    raised.update(members)
-                    for u in members:
-                        gain[u] += w
         for v in added:
             for e in incident[v]:
                 if not count[e]:
@@ -198,11 +180,6 @@ class _Gains(RunningOracle):
                 count[e] += 1
         for v in added:
             gain[v] = -1
-        for v in removed:  # the weight of its hyperedges left uncovered
-            gain[v] = sum(edges[e][0] for e in incident[v] if not count[e])
-        heaps, group = self.heaps, self.group
-        for u in raised:
-            heappush(heaps[group[u]], (-gain[u], u))
         v, g, c = self.best()
         return DensityResult((v,), density(g, c))
 
@@ -243,6 +220,6 @@ def singleton_solver(instance: MsscInstance) -> DensitySolver:
     greedy chains built from it are 1-greedy.  Driven up a greedy chain by
     each added element (``RunningOracle.advance``), a step costs the size
     of the hyperedges it covers plus O(cost classes + log n per refreshed
-    heap top), and a removed element O(log n) per member of the
-    hyperedges it uncovers."""
+    heap top); a base that is not a superset of the last one is rebuilt
+    from scratch, O(n + total hyperedge size)."""
     return _Gains(instance)

@@ -193,7 +193,7 @@ class OrInitialMembership(RunningOracle):
     """Whether a set is OR-initial, as a running oracle: per job, how many
     of its predecessors are in the last set, and how many members have
     predecessors but none inside.  A call costs the arcs out of the jobs
-    that came or went."""
+    that came."""
 
     def __init__(self, dag: OrDag):
         super().__init__()
@@ -204,18 +204,10 @@ class OrInitialMembership(RunningOracle):
         self.members: set[int] = set()
         self.stranded = 0
 
-    def move(self, added, removed) -> bool:
+    def move(self, added) -> bool:
         preds, succs = self.dag.preds, self.dag.succs
         inside, members = self.inside, self.members
         stranded = self.stranded
-        for v in removed:
-            members.remove(v)
-            if preds[v] and not inside[v]:
-                stranded -= 1
-            for w in succs[v]:
-                inside[w] -= 1
-                if not inside[w] and w in members:
-                    stranded += 1
         for v in added:
             if preds[v] and not inside[v]:  # an unknown job raises KeyError
                 stranded += 1
@@ -263,8 +255,9 @@ class _Residual(OrInitialMembership):
 
     ``closed`` holds the set and every job with a predecessor in it, and
     ``sources`` the residual sources: the jobs outside the set with no
-    predecessor or with one in it.  Both follow the ``inside`` counts of
-    the jobs that came or went and of their successors.  A residual job's
+    predecessor or with one in it.  A move closes the jobs that came and
+    their successors, takes the jobs that came out of ``sources`` and puts
+    in their successors outside the set.  A residual job's
     residual successors are its successors outside ``closed``; they are
     filtered only for the jobs a step visits, so no ``OrDag`` is built.
 
@@ -277,8 +270,7 @@ class _Residual(OrInitialMembership):
     current best, and equals it while none of its jobs is closed.  So the
     heap is made current only at its top (``best``), as the heaps of
     ``mssc._Gains`` are, and a move marks ``dirty`` only the new sources,
-    which a step must compute.  A removal empties ``heap`` and marks every
-    source dirty.
+    which a step must compute.
     """
 
     def __init__(self, dag: OrDag, candidate: Callable[["_Residual", int], tuple]):
@@ -292,7 +284,7 @@ class _Residual(OrInitialMembership):
         self.heap: list[_Ranked] = []
         self.dirty = set(self.sources)
 
-    def move(self, added, removed) -> DensityResult:
+    def move(self, added) -> DensityResult:
         """The step from the new set.  A candidate is (weight gain, time,
         *tie-break, start, jobs after start); the denser wins, then the
         smaller tie-break, then the smaller start, which is the heap order
@@ -300,25 +292,18 @@ class _Residual(OrInitialMembership):
         candidate at the set: it runs on the dirty sources, in ascending
         order, and then on each kept candidate that reaches the heap's top
         holding a closed job (``best``)."""
-        if not super().move(added, removed):
+        if not super().move(added):
             raise NotInitial(f"{sorted(self.members)} is not an OR-initial set")
-        preds, succs, inside, members = self.dag.preds, self.dag.succs, self.inside, self.members
+        succs, members = self.dag.succs, self.members
         closed, sources, dirty = self.closed, self.sources, self.dirty
-        for v in (*added, *removed):
-            for j in (v, *succs[v]):
-                if j in members or inside[j]:
-                    closed.add(j)
-                else:
-                    closed.discard(j)
-                if j not in members and (inside[j] or not preds[j]):
-                    if j not in sources:
-                        sources.add(j)
-                        dirty.add(j)
-                else:
-                    sources.discard(j)
-        if removed:  # every kept candidate is forgotten
-            self.heap.clear()
-            dirty = self.dirty = set(sources)
+        for v in added:
+            closed.add(v)
+            sources.discard(v)
+            for w in succs[v]:
+                closed.add(w)
+                if w not in members and w not in sources:
+                    sources.add(w)
+                    dirty.add(w)
         if not sources:
             raise NoFeasibleSuperset("base already contains every job")
         heap, candidate = self.heap, self.candidate

@@ -171,9 +171,9 @@ def _scaled_gate(gate: Gate, ones, zeros, den) -> None:
 
 
 class _FormulaState(RunningOracle):
-    """Per-node values of a formula for the last tested set: a call
-    recomputes the leaves whose tested state changed, then the gates on
-    their root paths; after a rebuild it computes every node once.
+    """Per-node values of a formula for the last tested set: a move
+    recomputes the leaves of the tests that came, then the gates on their
+    root paths; after a rebuild it computes every node once.
     Subclasses supply ``leaf(leaf, tested)``, ``gate(gate)`` and
     ``result()``, the value at the tested set."""
 
@@ -185,7 +185,7 @@ class _FormulaState(RunningOracle):
         # the move that follows overwrites every node's value
         self.rebuilt = True
 
-    def move(self, added, removed):
+    def move(self, added):
         formula = self.formula
         if self.rebuilt:  # ``added`` is the whole tested set
             self.rebuilt = False
@@ -196,11 +196,10 @@ class _FormulaState(RunningOracle):
                     self.gate(node)
             return self.result()
         leaves = formula.leaves
-        for tested, variables in ((False, removed), (True, added)):
-            for var in variables:
-                if var in leaves:
-                    self.leaf(leaves[var], tested)
-        for gate in formula.gates_above((*removed, *added)):
+        for var in added:
+            if var in leaves:
+                self.leaf(leaves[var], True)
+        for gate in formula.gates_above(added):
             self.gate(gate)
         return self.result()
 

@@ -12,12 +12,13 @@ import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Sequence
 
 from msop.core import (
     Chain,
     DensityResult,
+    DensitySolver,
     INF,
     MsopInstance,
     Rational,
@@ -27,6 +28,7 @@ from msop.core import (
 )
 from msop.errors import (
     BadParams,
+    InfeasibleInitialSet,
     MissingCertificate,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
@@ -185,6 +187,23 @@ def gen_generic_msop(n: int, seed: int) -> MsopInstance:
     return table_instance(n, family, f_table, g_table, f"generic-{n}-{seed}")
 
 
+def gen_permutation_msop(n: int, seed: int) -> MsopInstance:
+    """``gen_generic_msop``'s instance over a family that admits a feasible
+    permutation: the union closure of its family and the prefixes of a
+    random permutation, so restricted families reach the permutation DP.
+    The cost and weight tables are the generic instance's."""
+    base = gen_generic_msop(n, seed)
+    order = _rng("permutation", n, seed).sample(range(n), n)
+    sets = [frozenset(v for v in range(n) if m >> v & 1) for m in range(1 << n)]
+    feasible = {m for m, s in enumerate(sets) if base.in_family(s)}
+    family = _union_closure(feasible | set(accumulate(1 << v for v in order)))
+
+    def in_family(s: frozenset[int]) -> bool:
+        return sum(1 << v for v in s) in family
+
+    return replace(base, in_family=in_family, name=f"permutation-{n}-{seed}")
+
+
 def gen_supermodular_cost_msop(n: int, seed: int) -> MsopInstance:
     """Free family, supermodular monotone cost, modular positive weight:
     the shape on which the backward greedy is exact in polynomial time.
@@ -264,6 +283,38 @@ def random_chain(instance: MsopInstance, rng: random.Random) -> Chain:
         sets.append(current)
     return Chain.from_sets(tuple(sets))
 
+
+
+def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
+    """Chain of all initial sets of a feasible permutation."""
+    if frozenset(order) != instance.universe():
+        raise ValidationError("permutation must arrange the full ground set")
+    current: set[int] = set()
+    for j, v in enumerate(order, start=1):
+        current.add(v)
+        if not instance.in_family(frozenset(current)):
+            raise InfeasibleInitialSet(j)
+    return Chain(tuple((v,) for v in order))
+
+
+def singleton_solver(instance: MsopInstance) -> DensitySolver:
+    """Density step that adds the single element of best marginal density.
+
+    Exact (factor 1) whenever the cost is modular, the weight submodular and
+    every subset is feasible; usable as a heuristic elsewhere.
+    """
+
+    ground = sorted(instance.ground_set)
+
+    def solve(base: frozenset[int]) -> DensityResult:
+        steps = (marginal_density(instance, base, base | {v})
+                 for v in ground if v not in base and instance.in_family(base | {v}))
+        step = max(steps, key=lambda step: step.marginal_density, default=None)
+        if step is None:
+            raise NoFeasibleSuperset(f"no feasible singleton extension of {sorted(base)}")
+        return step
+
+    return solve
 
 
 def brute_opt_permutation(instance: MsopInstance):

@@ -23,8 +23,6 @@ from msop import (
     dualize,
     greedy_chain,
     marginal_density,
-    permutation_to_chain,
-    singleton_solver,
 )
 from msop import exact, mssc, orsched, rof
 from msop.generators import gen_instance
@@ -37,9 +35,11 @@ from helpers import (
     gen_supermodular_cost_msop,
     leaves_below,
     or_coverage_instance,
+    permutation_to_chain,
     random_chain,
     ref_or_initial_membership,
     rof_greedy,
+    singleton_solver,
     undominated,
 )
 

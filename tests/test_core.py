@@ -15,8 +15,6 @@ from msop import (
     dualize,
     greedy_chain,
     marginal_density,
-    permutation_to_chain,
-    singleton_solver,
     spot_check_hypotheses,
 )
 from msop import exact
@@ -36,7 +34,14 @@ from msop.generators import KINDS, gen_instance
 from msop.mssc import MsscInstance, covering_cost, singleton_solver as mssc_singleton, to_msop
 from msop.orsched import OrDag, schedule_cost, stem_solver, to_msop as ordag_to_msop
 
-from helpers import densest_consistent_permutation, eq2_cost, gen_generic_msop, random_chain
+from helpers import (
+    densest_consistent_permutation,
+    eq2_cost,
+    gen_generic_msop,
+    permutation_to_chain,
+    random_chain,
+    singleton_solver,
+)
 
 
 def free_instance(n, cost, weight):

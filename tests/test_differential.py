@@ -45,6 +45,7 @@ from helpers import (
     find_supp,
     gen_generic_msop,
     gen_or_pipelined,
+    gen_permutation_msop,
     or_coverage_instance,
     prob_tables,
     random_chain,
@@ -364,15 +365,16 @@ STATES = {
 def test_solver_state_drops_and_takes_back_one_element_by_moves(kind):
     # along a greedy chain, the state drops one element of each base (two
     # of the last increment's first, which the reference often takes back
-    # at once, then two at random) and adds it again: each call is a move
-    # from the last set, never a rebuild, and each step is the stateless
-    # reference's
+    # at once, then two at random) and adds it again: a set that misses an
+    # element of the last set rebuilds once, any other is a move from the
+    # last set (taking the element back is one), and each step is the
+    # stateless reference's
     make, solver, reference = STATES[kind]
     parsed = make()
     chain = cli.Toolchain(parsed).greedy()
     state = solver(parsed)
     rng = random.Random(kind)
-    moves = 0
+    last, rebuilds, moves = None, 0, 0
     for prev, base in zip(chain.sets, chain.sets[1:-1]):
         if len(base) < 3:
             continue
@@ -382,22 +384,27 @@ def test_solver_state_drops_and_takes_back_one_element_by_moves(kind):
         for x in order[:2] + rng.sample(order[2:], min(2, len(order) - 2)):
             for s in (base - {x}, base):
                 assert outcome(state, s) == outcome(reference, parsed, s), sorted(s)
-                assert state.rebuilds == 1, sorted(s)
-                moves += 1
-    assert moves >= 40
+                if last is not None and last <= s:
+                    moves += 1
+                else:
+                    rebuilds += 1
+                last = s
+                assert state.rebuilds == rebuilds, sorted(s)
+    assert moves >= 100 and rebuilds >= 60
 
 
 def test_residual_forgets_candidates_when_a_removal_reopens_a_job():
     # 0 -> 1 -> 2 -> 4 and 3 -> 2, with job 5 alone.  While job 3 is in the
     # base, job 2 is freed and source 0's densest stem is 0 alone (density
     # 0); dropping job 3 reopens job 2, and 0, 1, 2, 4 (density 14/4) beats
-    # 3, 2, 4 (14/12)
+    # 3, 2, 4 (14/12).  A base without job 3 misses the last base, so the
+    # solver is rebuilt and keeps no candidate of it
     dag = OrDag((0, 1, 2, 3, 4, 5), (1, 1, 1, 10, 1, 1), (0, 0, 9, 0, 5, 1),
                 ((0, 1), (1, 2), (2, 4), (3, 2)))
     solve = orsched.stem_solver(dag)
     for base in (frozenset({3, 5}), frozenset({5})):
         assert outcome(solve, base) == outcome(modular_stem, dag, base)
-    assert solve.rebuilds == 1
+    assert solve.rebuilds == 2
     assert outcome(solve, frozenset({5})) == ((0, 1, 2, 4), Fraction(7, 2))
 
 
@@ -486,8 +493,9 @@ def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
     # after each step along a chain with detours: the heap's current top is
     # the best of a fresh scan, every source has exactly one kept
     # candidate, which equals its fresh candidate while it holds no closed
-    # job and ranks no later than it otherwise, and a move that removed
-    # jobs leaves no entry of a job that is not a source
+    # job and ranks no later than it otherwise, and a set that misses jobs
+    # of the last one, which rebuilds, leaves no entry of a job that is not
+    # a source
     make, solver, fresh = RESIDUAL_STEPS[shape]
     dag = make()
     inst = orsched.to_msop(dag)
@@ -521,7 +529,7 @@ def test_residual_heap_top_is_a_fresh_scan_after_every_move(shape):
 
 
 def test_gains_heap_tops_are_each_cost_class_maximum_after_every_move():
-    # after each move along a chain with detours, removals included: each
+    # after each call along a chain with detours, rebuilds included: each
     # cost class's heap top is its first maximum gain (none when the whole
     # class is in the base), and no element outside the base has only
     # entries that understate its gain
@@ -966,6 +974,49 @@ def test_histogram_check_matches_reference_on_scaled_certificates():
     assert cases >= 4000 and violations >= max(1000, cases // 4), (cases, violations)
 
 
+def unequal_scales(base, seed):
+    """``base`` with cost and weight v(s) / d + 1 / d^2 on a nonempty s,
+    which has denominator d^2 exactly, for one of three (cost, weight)
+    pairs of d by ``seed``; the two scales, both above 1, differ."""
+    c, w = ((3, 5), (4, 9), (10, 7))[seed % 3]
+    inst = replace(base, cost=lambda s, f=base.cost, d=c: Fraction(f(s) * d + bool(s), d * d),
+                   weight=lambda s, g=base.weight, d=w: Fraction(g(s) * d + bool(s), d * d))
+    lattice = inst.lattice
+    assert (lattice.cost_scale, lattice.weight_scale) == (c * c, w * w)
+    return inst
+
+
+def check_ratio_cases(inst, rng):
+    """``check_ratio`` against the reference histogram check on one
+    instance, at four certificate scalings from 1/32 to 3/2, each as it is
+    and with one step set to the INF sentinel (height 0) or to a zero
+    density (height INF), at three alphas.  Returns the counts of cases,
+    of uncontained ones and of those with an infinite greedy area."""
+    greedy = greedy_chain(inst, exact.exact_density_solver(inst))
+    order, opt = exact.exact_opt_permutation(inst)
+    opt_chain = Chain(tuple((v,) for v in order))
+    counts = Counter()
+    for _ in range(4):
+        factor = Fraction(rng.randint(1, 6), 4 << rng.randrange(4))
+        scaled = [d * factor for d in greedy.densities]
+        step = rng.randrange(greedy.steps)
+        for corrupt in (None, INF, 0):
+            certificate = list(scaled)
+            if corrupt is not None:
+                certificate[step] = corrupt
+            chain = Chain(greedy.increments, tuple(certificate))
+            for alpha in (1, Fraction(3, 2), 2):
+                cost, got_opt, report, violated = exact.check_ratio(inst, chain, alpha)
+                expected = ref_histogram_containment_check(inst, chain, opt_chain, alpha)
+                assert report == expected, (inst.name, factor, corrupt, alpha)
+                assert cost == chain_cost(inst, chain) and got_opt == opt
+                assert violated == (cost > 4 * alpha * opt or not expected.contained)
+                counts["cases"] += 1
+                counts["uncontained"] += not report.contained
+                counts["infinite"] += report.greedy_area == INF
+    return counts
+
+
 def test_check_ratio_matches_reference_on_unequal_scales():
     # check_ratio runs the histogram check and the greedy cost on the
     # lattice's integer columns: fraction-valued tables over unequal cost
@@ -975,39 +1026,30 @@ def test_check_ratio_matches_reference_on_unequal_scales():
     # (height 0) and one set to a zero density (height INF) reach both ends
     # of the height comparison; alpha = 3/2 needs alpha's denominator
     rng = random.Random(33)
-    cases = uncontained = infinite = 0
+    counts = Counter()
     for seed in range(60):
         base = gen_generic_msop(2 + seed % 6, 3300 + seed)
-        # v(s) / d + 1 / d^2 on a nonempty s has denominator d^2 exactly
-        c, w = ((3, 5), (4, 9), (10, 7))[seed % 3]
-        inst = replace(base, in_family=lambda s: True,
-                       cost=lambda s, f=base.cost, d=c: Fraction(f(s) * d + bool(s), d * d),
-                       weight=lambda s, g=base.weight, d=w: Fraction(g(s) * d + bool(s), d * d))
-        lattice = inst.lattice
-        assert (lattice.cost_scale, lattice.weight_scale) == (c * c, w * w)
-        greedy = greedy_chain(inst, exact.exact_density_solver(inst))
-        order, opt = exact.exact_opt_permutation(inst)
-        opt_chain = Chain(tuple((v,) for v in order))
-        for _ in range(4):
-            factor = Fraction(rng.randint(1, 6), 4 << rng.randrange(4))
-            scaled = [d * factor for d in greedy.densities]
-            step = rng.randrange(greedy.steps)
-            for corrupt in (None, INF, 0):
-                certificate = list(scaled)
-                if corrupt is not None:
-                    certificate[step] = corrupt
-                chain = Chain(greedy.increments, tuple(certificate))
-                for alpha in (1, Fraction(3, 2), 2):
-                    cost, got_opt, report, violated = exact.check_ratio(inst, chain, alpha)
-                    expected = ref_histogram_containment_check(inst, chain, opt_chain, alpha)
-                    assert report == expected, (seed, factor, corrupt, alpha)
-                    assert cost == chain_cost(inst, chain) and got_opt == opt
-                    assert violated == (cost > 4 * alpha * opt or not expected.contained)
-                    cases += 1
-                    uncontained += not report.contained
-                    infinite += report.greedy_area == INF
+        counts += check_ratio_cases(unequal_scales(replace(base, in_family=lambda s: True), seed),
+                                    rng)
+    cases, uncontained, infinite = counts["cases"], counts["uncontained"], counts["infinite"]
     assert cases >= 2000 and uncontained >= 1000 and infinite >= 100, (
         cases, uncontained, infinite)
+
+
+def test_check_ratio_matches_reference_on_restricted_families():
+    # the cases above on families that admit a feasible permutation but not
+    # every one (gen_permutation_msop), so the optimum ranges over the
+    # feasible orderings and the greedy steps over feasible supersets
+    rng = random.Random(34)
+    counts = Counter()
+    restricted = 0
+    for seed in range(60):
+        inst = unequal_scales(gen_permutation_msop(2 + seed % 6, 3300 + seed), seed)
+        restricted += not all(inst.lattice.feasible)
+        counts += check_ratio_cases(inst, rng)
+    assert restricted >= 50, restricted
+    assert counts["cases"] == 2160 and counts["uncontained"] >= 1000, counts
+    assert counts["infinite"] >= 100, counts
 
 
 # ---------------------------------------------------------------------------
@@ -1319,10 +1361,13 @@ def test_running_oracle_up_a_greedy_chain_and_down_its_complements(kind):
         universe = inst.universe()
         oracle = getattr(running_case(kind, n, seed)[0], name)
         check_walk(oracle, reference, chain.sets)
+        # up the chain each call moves the state; only the first starts
+        # from empty
+        assert oracle.rebuilds == 1
         check_walk(oracle, reference, [universe - s for s in chain.sets])
-        # one element a call moves the state; only the first call and the
-        # return to the empty set start from empty
-        assert oracle.rebuilds == 2
+        # the first complement is the ground set, where the chain ended; each
+        # later one misses an element of the last, so each call rebuilds
+        assert oracle.rebuilds == len(chain.sets)
 
 
 @pytest.mark.parametrize("kind", sorted(RUNNING_KINDS))
@@ -1398,6 +1443,11 @@ def answer(oracle, s):
         return type(err).__name__, str(err)
 
 
+def xsearch_exhaustive(graph):
+    """A new exhaustive solver over a new instance of the graph."""
+    return exact.exact_density_solver(xsearch.xsearch_to_msop(graph))
+
+
 # kind: (instance, a new running oracle over it); a density solver's value
 # at a base is its step
 ADVANCE_KINDS = {
@@ -1408,6 +1458,7 @@ ADVANCE_KINDS = {
     "_Gains": (lambda: gen_instance("mssc", 70, 21), mssc.singleton_solver),
     "_Residual": (lambda: gen_instance("inforest", 80, 23), orsched.stem_solver),
     "_Supplements": (lambda: gen_instance("rof", 40, 25), rof_solver),
+    "_Exhaustive": (lambda: gen_instance("xsearch", 8, 1, extra=5), xsearch_exhaustive),
 }
 
 
@@ -1467,14 +1518,16 @@ def test_running_oracle_advance_contract(kind):
             got = answer(oracle, s - {x})
             assert got == answer(fresh, s - {x}), x
             errors.add(got[0] if type(got) is tuple else None)
-    # where the membership oracle answers False, the stem solver raises
-    assert errors == ({None, "NotInitial"} if kind == "_Residual" else {None})
+    # where the membership oracle answers False, the stem solver and the
+    # exhaustive step raise
+    refused = {"_Residual": "NotInitial", "_Exhaustive": "NotInFamily"}
+    assert errors == ({None, refused[kind]} if kind in refused else {None})
     # a move that raises leaves nothing kept; the next call rebuilds
     walk = walk_to(sets[2])
     oracle.advance(walk)
     walk.grow(tuple(sorted(sets[3] - sets[2])))
 
-    def raising(added, removed):
+    def raising(added):
         raise KeyError("move")
 
     oracle.move = raising
@@ -1483,6 +1536,31 @@ def test_running_oracle_advance_contract(kind):
     assert oracle.at is None and oracle.last is None
     del oracle.move
     assert oracle.advance(walk) == fresh(sets[3])
+
+
+@pytest.mark.parametrize("kind", sorted(ADVANCE_KINDS))
+def test_running_oracle_rebuilds_once_for_a_set_missing_the_last(kind):
+    # a call with a set that does not contain the last set, reached by a
+    # call or by a walk, rebuilds exactly once and answers as a new
+    # instance: a chain set without one member, and one without a member
+    # and with an element outside the chain set
+    sets, new, fresh = advance_case(kind)
+    universe = sets[-1]
+    oracle = new()
+    rng = random.Random(kind)
+    for j in sorted(rng.sample(range(2, len(sets) - 1), 4)):
+        s = sets[j]
+        x = rng.choice(sorted(s))
+        y = rng.choice(sorted(universe - s))
+        for by_walk in (False, True):
+            for missing in (s - {x}, s - {x} | {y}):
+                if by_walk:
+                    oracle.advance(walk_to(s))
+                else:
+                    oracle(s)
+                rebuilds = oracle.rebuilds
+                assert answer(oracle, missing) == answer(fresh, missing), sorted(missing)
+                assert oracle.rebuilds == rebuilds + 1
 
 
 @pytest.mark.parametrize("kind", ["inforest", "multitree"])
@@ -1589,10 +1667,10 @@ def test_greedy_moves_each_solver_only_by_advance(kind):
     def counted(solve):
         move = solve.move
 
-        def counted_move(added, removed):
+        def counted_move(added):
             # a rebuild's ``added`` is the walk's member set, which grows later
-            moves.append((added if type(added) is tuple else frozenset(added), removed))
-            return move(added, removed)
+            moves.append(added if type(added) is tuple else frozenset(added))
+            return move(added)
 
         solve.move = counted_move
         solvers.append(solve)
@@ -1608,8 +1686,8 @@ def test_greedy_moves_each_solver_only_by_advance(kind):
         counted(tools.solver)
         increments = tools.greedy().increments
     [solve] = solvers
-    assert moves[0] == (frozenset(), ()) and solve.rebuilds == 1
-    assert moves[1:] == [(increment, ()) for increment in increments[:-1]]
+    assert moves[0] == frozenset() and solve.rebuilds == 1
+    assert moves[1:] == list(increments[:-1])
 
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_ROUTES))
@@ -1661,7 +1739,7 @@ def test_chain_text_matches_reference_on_greedy_chains_above_the_caps(kind):
     # the greedy run hands each candidate back to its solver and moves the
     # solver's state and the oracles by the increment; the reference loop
     # asks a second toolchain's solver about a copy of each base, which
-    # takes the symmetric-difference path, and every value, text and
+    # moves by a set difference, and every value, text and
     # permutation is read afresh from the reference's sets
     for seed in (1, 2, 3):
         parsed = gen_instance(kind, CHAIN_TEXT_SIZES[kind], seed)

@@ -11,13 +11,12 @@ from msop import (
     dual_chain,
     dualize,
     greedy_chain,
-    singleton_solver,
     spot_check_hypotheses,
 )
 from msop import exact
 from msop.errors import ValidationError
 
-from helpers import gen_generic_msop, gen_supermodular_cost_msop, random_chain
+from helpers import gen_generic_msop, gen_supermodular_cost_msop, random_chain, singleton_solver
 
 
 def modular(values):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from msop import chain_cost, greedy_chain, permutation_to_chain
+from msop import chain_cost, greedy_chain
 from msop import exact
 from msop.errors import ValidationError
 from msop.generators import gen_instance
@@ -14,7 +14,7 @@ from msop.mssc import (
     to_msop,
 )
 
-from helpers import eq2_cost
+from helpers import eq2_cost, permutation_to_chain
 
 
 def test_coverage_weight_examples():

@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from msop import chain_cost, greedy_chain, permutation_to_chain
+from msop import chain_cost, greedy_chain
 from msop import exact
 from msop.errors import DisconnectedInput, ValidationError
 from msop.generators import gen_instance
 from msop.xsearch import SearchGraph, xsearch_to_msop
+
+from helpers import permutation_to_chain
 
 
 def star():
