@@ -15,7 +15,6 @@ from .core import (
     chain_cost,
     chain_to_permutation,
     greedy_chain,
-    marginal_density,
     spot_check_hypotheses,
 )
 from .dual import backward_greedy_chain, dual_chain, dualize
@@ -47,6 +46,5 @@ __all__ = [
     "exact_opt_permutation",
     "greedy_chain",
     "histogram_containment_check",
-    "marginal_density",
     "spot_check_hypotheses",
 ]

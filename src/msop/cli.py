@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import dual, exact
 from .core import (
     Chain,
+    DensityResult,
     MsopInstance,
     chain_cost,
     chain_to_permutation,
@@ -56,6 +57,15 @@ def _format_chain(chain: Chain) -> str:
             texts.insert(k, str(v))
         parts.append(",".join(texts))
     return ";".join(parts)
+
+
+def _density_lines(base: frozenset[int], result: DensityResult) -> list[tuple[str, str]]:
+    """The report lines of a density step from ``base``."""
+    return [
+        ("base", _format_set(base)),
+        ("candidate", _format_set(base.union(result.increment))),
+        ("density", _format_density(result.marginal_density)),
+    ]
 
 
 def _parse_base(text: str, instance: MsopInstance) -> frozenset[int]:
@@ -127,12 +137,10 @@ def _cmd_solve(args) -> int:
 def _cmd_density(args) -> int:
     chain_tools = Toolchain(parse_instance(args.file))
     base = _parse_base(args.base, chain_tools.instance)
-    result = chain_tools.solver(base)
-    _emit("kind", chain_tools.detail)
-    _emit("base", _format_set(base))
-    _emit("candidate", _format_set(base.union(result.increment)))
-    _emit("density", _format_density(result.marginal_density))
-    _emit("alpha", format_rational(chain_tools.alpha))
+    lines = _density_lines(base, chain_tools.solver(base))
+    for key, value in [("kind", chain_tools.detail), *lines,
+                       ("alpha", format_rational(chain_tools.alpha))]:
+        _emit(key, value)
     return 0
 
 
@@ -147,12 +155,7 @@ def _cmd_exact(args) -> int:
         lines = [("chain", _format_chain(chain)), ("cost", format_rational(cost))]
     else:
         base = _parse_base(args.base, instance)
-        result = exact.exact_max_density(instance, base)
-        lines = [
-            ("base", _format_set(base)),
-            ("candidate", _format_set(base.union(result.increment))),
-            ("density", _format_density(result.marginal_density)),
-        ]
+        lines = _density_lines(base, exact.exact_max_density(instance, base))
     _emit("kind", chain_tools.detail)
     for key, value in lines:
         _emit(key, value)

@@ -1,4 +1,4 @@
-"""Chains of feasible sets, marginal densities, and greedy chain construction.
+"""Chains of feasible sets, and greedy chain construction by density steps.
 
 An instance carries a finite ground set, a feasibility oracle over subsets,
 and two monotone set-value oracles, both zero on the empty set: a *cost* and
@@ -218,58 +218,10 @@ def density(gain: Rational, spent: Rational) -> Density:
     return INF if not spent else Fraction(gain, spent)
 
 
-def marginal_density(
-    instance: MsopInstance, base: frozenset[int], candidate: frozenset[int]
-) -> DensityResult:
-    """Marginal density of ``candidate`` with respect to ``base``.
-
-    Returns the +inf sentinel exactly when the cost increment is zero.
-    """
-    base = frozenset(base)
-    candidate = frozenset(candidate)
-    if not base < candidate:
-        raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
-    oracles = family, cost, weight = _steppers(instance)
-    walk = Walk()
-    walk.grow(tuple(base))
-    if not family(walk):
-        raise NotInFamily(f"base {sorted(base)} is not in the family")
-    base_cost, base_weight = cost(walk), weight(walk)
-    increment = tuple(sorted(candidate - base))
-    walk.grow(increment)
-    _, _, dg, df = _step(oracles, walk, base_cost, base_weight)
-    return DensityResult(increment, density(dg, df))
-
-
 def _steppers(instance: MsopInstance) -> tuple[Callable, Callable, Callable]:
     """The instance's family, cost and weight oracles as functions of a
     walk (``stepper``)."""
     return stepper(instance.in_family), stepper(instance.cost), stepper(instance.weight)
-
-
-def _step(
-    oracles: tuple[Callable, Callable, Callable],
-    walk: Walk,
-    base_cost: Rational,
-    base_weight: Rational,
-) -> tuple[Rational, Rational, Rational, Rational]:
-    """Cost and weight of the walk's set, which its last increment made
-    from a feasible base whose cost and weight are already known, and its
-    weight and cost gains over the base, by the ``_steppers`` of an
-    instance."""
-    family, cost_at, weight_at = oracles
-    if not family(walk):
-        raise NotInFamily(f"candidate {sorted(walk.members)} is not in the family")
-    cost = cost_at(walk)
-    weight = weight_at(walk)
-    df = cost - base_cost
-    dg = weight - base_weight
-    if df < 0 or dg < 0:
-        raise NonMonotone(
-            f"value decreased between {sorted(walk.members.difference(walk.added))} "
-            f"and {sorted(walk.members)}"
-        )
-    return cost, weight, dg, df
 
 
 def _is_density(claimed: Density, gain: Rational, spent: Rational) -> bool:
@@ -327,7 +279,7 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
     # each step's base is the previous candidate, already checked and
     # evaluated; validate() showed the empty set is feasible with value 0
     costs, weights = [0], [0]
-    oracles = _steppers(instance)
+    family, cost_at, weight_at = _steppers(instance)
     solve = stepper(density_solver)
     increments: list[tuple[int, ...]] = []
     densities: list[Density] = []
@@ -343,7 +295,17 @@ def greedy_chain(instance: MsopInstance, density_solver: DensitySolver) -> Chain
         if not members.isdisjoint(increment):
             raise NotASuperset(f"increment {list(increment)} meets its base {sorted(members)}")
         walk.grow(increment)
-        cost, weight, dg, df = _step(oracles, walk, costs[-1], weights[-1])
+        if not family(walk):
+            raise NotInFamily(f"candidate {sorted(members)} is not in the family")
+        cost = cost_at(walk)
+        weight = weight_at(walk)
+        df = cost - costs[-1]
+        dg = weight - weights[-1]
+        if df < 0 or dg < 0:
+            raise NonMonotone(
+                f"value decreased between {sorted(members.difference(increment))} "
+                f"and {sorted(members)}"
+            )
         if not _is_density(step.marginal_density, dg, df):
             raise ValidationError(
                 "density solver reported density "

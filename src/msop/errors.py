@@ -29,12 +29,6 @@ class SolverStall(MsopError):
     """A density solver returned its own base set instead of a strict superset."""
 
 
-class InfeasibleInitialSet(MsopError):
-    def __init__(self, prefix_len: int):
-        super().__init__(f"initial set of length {prefix_len} is not in the family")
-        self.prefix_len = prefix_len
-
-
 class NotWellFounded(MsopError):
     pass
 
@@ -69,10 +63,6 @@ class NotInforest(MsopError):
 
 
 class NotMultitree(MsopError):
-    pass
-
-
-class InfeasibleOrder(MsopError):
     pass
 
 

@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .lattice import Lattice, RunningOracle
+from .lattice import Lattice, RunningOracle, bit_of, ids_in
 
 CAPS = {"perm": 9, "chain": 7, "density": 20}  # the largest n each search takes
 
@@ -146,18 +146,9 @@ def exact_opt_chain(instance: MsopInstance) -> tuple[Chain, Rational]:
         masks.append(parent[masks[-1]])
     ground = instance.ground_set
     # each step adds the bits of its mask that its parent lacks
-    increments = tuple(tuple(sorted(_members(ground, mask & ~below)))
+    increments = tuple(tuple(sorted(ids_in(ground, mask & ~below)))
                        for mask, below in zip(masks, masks[1:]))
     return Chain(increments[::-1]), Fraction(cost, lattice.cost_scale * lattice.weight_scale)
-
-
-def _members(ground: tuple[int, ...], mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(ground[low.bit_length() - 1])
-        mask ^= low
-    return out
 
 
 def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityResult:
@@ -170,17 +161,13 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
     """
     _cap_for("density", instance.n)
     base = frozenset(base)
-    bits = _bits(instance.ground_set)
+    bits = bit_of(instance.ground_set)
     base_mask = 0
     for v in base:
         if v not in bits:
             raise _not_in_family(base)
         base_mask |= bits[v]
     return _densest(instance, base_mask)
-
-
-def _bits(ground: tuple[int, ...]) -> dict[int, int]:
-    return {v: 1 << i for i, v in enumerate(ground)}
 
 
 def _densest(instance: MsopInstance, base_mask: int) -> DensityResult:
@@ -190,7 +177,7 @@ def _densest(instance: MsopInstance, base_mask: int) -> DensityResult:
     lattice = instance.lattice
     feasible, f, g = lattice.feasible, lattice.cost, lattice.weight
     if not feasible[base_mask]:
-        raise _not_in_family(_members(ground, base_mask))
+        raise _not_in_family(ids_in(ground, base_mask))
     # gains are compared on the scaled integers: both scales are common to
     # every candidate, so they are left out and put back once in the density.
     # A candidate beats the incumbent when d > 0, d being the cross-multiplied
@@ -228,22 +215,19 @@ def _densest(instance: MsopInstance, base_mask: int) -> DensityResult:
                 if d > 0 or not d and _smaller_first(ground, x, best_mask) > 0:
                     best_mask, best_gain, best_spent = x, gain, spent
     if not best_mask:
-        raise NoFeasibleSuperset(f"no feasible strict superset of {_sorted_ids(ground, base_mask)}")
+        raise NoFeasibleSuperset(
+            f"no feasible strict superset of {sorted(ids_in(ground, base_mask))}")
     rho = density(best_gain * lattice.cost_scale, best_spent * lattice.weight_scale)
-    return DensityResult(tuple(sorted(_members(ground, best_mask))), rho)
+    return DensityResult(tuple(sorted(ids_in(ground, best_mask))), rho)
 
 
 def _not_in_family(ids) -> NotInFamily:
     return NotInFamily(f"base {sorted(ids)} is not in the family")
 
 
-def _sorted_ids(ground: tuple[int, ...], mask: int) -> list[int]:
-    return sorted(_members(ground, mask))
-
-
 def _non_monotone(ground: tuple[int, ...], base_mask: int, x: int) -> NonMonotone:
-    return NonMonotone(f"value decreased between {_sorted_ids(ground, base_mask)} "
-                       f"and {_sorted_ids(ground, base_mask | x)}")
+    return NonMonotone(f"value decreased between {sorted(ids_in(ground, base_mask))} "
+                       f"and {sorted(ids_in(ground, base_mask | x))}")
 
 
 def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
@@ -254,7 +238,7 @@ def _smaller_first(ground: tuple[int, ...], x: int, y: int) -> int:
     size_x, size_y = x.bit_count(), y.bit_count()
     if size_x != size_y:
         return 1 if size_x < size_y else -1
-    return 1 if min(_members(ground, x & ~y)) < min(_members(ground, y & ~x)) else -1
+    return 1 if min(ids_in(ground, x & ~y)) < min(ids_in(ground, y & ~x)) else -1
 
 
 class _Exhaustive(RunningOracle):
@@ -268,7 +252,7 @@ class _Exhaustive(RunningOracle):
 
     def reset(self) -> None:
         if self.bits is None:
-            self.bits = _bits(self.instance.ground_set)
+            self.bits = bit_of(self.instance.ground_set)
         self.mask = 0
 
     def move(self, added) -> DensityResult:
@@ -277,7 +261,7 @@ class _Exhaustive(RunningOracle):
         mask = self.mask
         for v in added:
             if v not in bits:
-                raise _not_in_family(set(_members(instance.ground_set, mask)).union(added))
+                raise _not_in_family(set(ids_in(instance.ground_set, mask)).union(added))
             mask |= bits[v]
         self.mask = mask
         return _densest(instance, mask)
@@ -413,7 +397,7 @@ def check_ratio(
     chain_values(instance, chain)
     lattice = instance.lattice
     f, g = lattice.cost, lattice.weight
-    bits = _bits(instance.ground_set)
+    bits = bit_of(instance.ground_set)
     masks = [0]
     for increment in chain.increments:
         mask = masks[-1]

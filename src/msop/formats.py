@@ -63,13 +63,6 @@ def _rational(token: str) -> Rational:
     return value if value.denominator != 1 else int(value)
 
 
-def parse_rational(token: str, line: int | None, column: int | None) -> Rational:
-    try:
-        return _rational(token)
-    except ValueError as exc:
-        raise ParseError(str(exc), line, column) from None
-
-
 def format_rational(value: Rational) -> str:
     try:
         if type(value) is int:

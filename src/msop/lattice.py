@@ -5,10 +5,10 @@ chain DPs) read one ``Lattice`` per instance, and so does the certification
 (``exact.check_ratio``), which reads both of its chains' costs and weights
 off the same integer columns and divides by the scales once per result.
 A subset is a bitmask over the instance's ground-set order: bit i stands
-for ``ground_set[i]``.  The feasibility column is a ``bytearray``; the
-cost and weight columns are lists of ints, each scaled by one positive
-integer, so a set's cost is ``cost[mask] / cost_scale`` and its weight
-``weight[mask] / weight_scale``.
+for ``ground_set[i]`` (``bit_of`` and ``ids_in`` translate).  The
+feasibility column is a ``bytearray``; the cost and weight columns are
+lists of ints, each scaled by one positive integer, so a set's cost is
+``cost[mask] / cost_scale`` and its weight ``weight[mask] / weight_scale``.
 Cost and weight are only meaningful on feasible masks.  A list hands out
 the ints it holds, where a machine-word ``array`` makes a new int at each
 read; values below 257 are ints Python shares, and larger ones cost about
@@ -166,6 +166,21 @@ def prober(oracle: Callable) -> Callable[[Walk, int], object]:
     if isinstance(oracle, RunningOracle):
         return oracle.probe
     return lambda walk, v: oracle(walk.frozen() | {v})
+
+
+def bit_of(ground: tuple[int, ...]) -> dict[int, int]:
+    """Each id of ``ground`` -> its bit, the bit i of ``ground[i]``."""
+    return {v: 1 << i for i, v in enumerate(ground)}
+
+
+def ids_in(ground: tuple[int, ...], mask: int) -> list[int]:
+    """The ids of the bits of ``mask``, by ascending bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ground[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)

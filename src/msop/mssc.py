@@ -21,7 +21,7 @@ from .core import (
     density,
 )
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import RunningOracle, coverage_column, free, modular, supply
+from .lattice import RunningOracle, bit_of, coverage_column, free, modular, supply
 
 Hyperedges = Sequence[tuple[Rational, frozenset[int]]]
 
@@ -48,11 +48,6 @@ class MsscInstance:
             for v in members:
                 if not 0 <= v < self.n:
                     raise ValidationError(f"hyperedge references unknown element {v}")
-
-    @classmethod
-    def unit(cls, n: int, edges: Sequence[frozenset[int]]) -> "MsscInstance":
-        """Plain min sum set cover: unit costs, unit weights."""
-        return cls(n, (1,) * n, tuple((1, frozenset(e)) for e in edges))
 
 
 class CoverageWeight(RunningOracle):
@@ -90,29 +85,13 @@ class CoverageWeight(RunningOracle):
         return total
 
 
-def covering_cost(instance: MsscInstance, order: Sequence[int]) -> Rational:
-    """Weighted sum over hyperedges of the prefix cost at first coverage."""
-    if sorted(order) != list(range(instance.n)):
-        raise ValidationError("permutation must arrange all elements")
-    position = {v: i for i, v in enumerate(order)}
-    prefix_cost: list[Rational] = []
-    running: Rational = 0
-    for v in order:
-        running += instance.costs[v]
-        prefix_cost.append(running)
-    total: Rational = 0
-    for w, members in instance.edges:
-        total += w * prefix_cost[min(position[v] for v in members)]
-    return total
-
-
 def coverage(ground: tuple[int, ...], edges: Callable[[], Hyperedges]) -> CoverageWeight:
     """``CoverageWeight`` over ``edges()``, with its column over ``ground``;
     ``edges`` is called when the oracle is first called and when the
     column is built."""
 
     def column():
-        bit = {v: 1 << i for i, v in enumerate(ground)}
+        bit = bit_of(ground)
         masks = [(w, sum(bit[v] for v in members)) for w, members in edges()]
         return coverage_column(len(ground), masks)
 

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import (
     DensityResult,
@@ -27,14 +27,13 @@ from .core import (
 )
 from .errors import (
     CyclicInput,
-    InfeasibleOrder,
     NoFeasibleSuperset,
     NotInforest,
     NotInitial,
     NotMultitree,
     ValidationError,
 )
-from .lattice import RunningOracle, Walk, modular, supply, union_column
+from .lattice import RunningOracle, Walk, bit_of, modular, supply, union_column
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def or_initial_column(dag: OrDag, ground: tuple[int, ...]) -> bytearray:
     is OR-initial when each member is a source or a successor of another
     member, so it is checked against the union of its members' successor
     masks."""
-    bit = {j: 1 << i for i, j in enumerate(ground)}
+    bit = bit_of(ground)
     sources = sum(bit[j] for j in ground if not dag.preds[j])
     satisfied = union_column([sum(bit[k] for k in dag.succs[j]) for j in ground], sources)
     return bytearray([not m & ~sat for m, sat in enumerate(satisfied)])
@@ -418,24 +417,6 @@ def _best_subtree(state: _Residual, start: int) -> tuple:
         return dag.weight_map[start], 0, start, ()
     subtree, w_sum, t_sum = _best_ratio_subtree(dag, start, state.successor_tree(start))
     return w_sum, t_sum, start, subtree - {start}
-
-
-def schedule_cost(dag: OrDag, order: Sequence[int]) -> Rational:
-    """Weighted sum of completion times of a feasible one-machine order."""
-    if sorted(order) != sorted(dag.jobs):
-        raise ValidationError("order must schedule every job exactly once")
-    time, weight = dag.time_map, dag.weight_map
-    done: set[int] = set()
-    clock: Rational = 0
-    total: Rational = 0
-    for j in order:
-        ps = dag.preds[j]
-        if ps and not any(p in done for p in ps):
-            raise InfeasibleOrder(f"job {j} scheduled before any of its predecessors")
-        clock += time[j]
-        total += weight[j] * clock
-        done.add(j)
-    return total
 
 
 def _or_instance(dag: OrDag, weight: Callable, name: str) -> MsopInstance:

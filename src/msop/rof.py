@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Mapping, Sequence
 
 from .core import DensityResult, DensitySolver, MsopInstance, compare_density
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import RunningOracle, free, modular, supply
+from .lattice import RunningOracle, bit_of, free, modular, supply
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,31 +129,6 @@ class ReadOnceFormula:
         return sorted(gates, key=self.positions.__getitem__)
 
 
-def eval_partial(formula: ReadOnceFormula, assignment: Mapping[int, int | None]):
-    """Three-valued evaluation; missing or None entries are untested.
-
-    Returns 0, 1, or None when the outcome is not yet determined.
-    """
-    value: dict[Node, int | None] = {}
-    for node in formula.nodes:
-        if isinstance(node, Leaf):
-            value[node] = assignment.get(node.var)
-            continue
-        a, b = value[node.left], value[node.right]
-        v = None
-        if node.op == "and":
-            if a == 0 or b == 0:
-                v = 0
-            elif a == 1 and b == 1:
-                v = 1
-        elif a == 1 or b == 1:
-            v = 1
-        elif a == 0 and b == 0:
-            v = 0
-        value[node] = v
-    return value[formula.root]
-
-
 def _scaled_gate(gate: Gate, ones, zeros, den) -> None:
     """A gate's probabilities of being determined 1 and 0, times its
     denominator, from its children's."""
@@ -228,17 +202,12 @@ class Determination(_FormulaState):
         return Fraction(self.ones[root] + self.zeros[root], self.formula.denominators[root])
 
 
-def g_determined(formula: ReadOnceFormula, s: frozenset[int]) -> Fraction:
-    """Probability that the formula value is determined by testing ``s``."""
-    return Determination(formula)(s)
-
-
 def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
     """Determination probability of every subset, by bitmask over the
     sorted variables: ints over the lcm of their denominators, and that
     lcm.  Exponential in n; meant for small oracles."""
     variables = formula.variables
-    bit = {v: i for i, v in enumerate(variables)}
+    bit = bit_of(variables)
     den = formula.denominators
     # per node: mask -> probabilities of 1 and 0, times the node's denominator
     tables: dict[Node, dict[int, tuple[int, int]]] = {}
@@ -246,7 +215,7 @@ def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
         if isinstance(node, Leaf):
             p = formula.probs[node.var]
             one, zero = p.numerator, p.denominator - p.numerator
-            tables[node] = {0: (0, 0), 1 << bit[node.var]: (one, zero)}
+            tables[node] = {0: (0, 0), bit[node.var]: (one, zero)}
         else:
             left, right = tables[node.left], tables[node.right]
             dl, dr = den[node.left], den[node.right]
@@ -267,37 +236,6 @@ def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
     # what they share
     common = gcd(den[formula.root], *column)
     return [v // common for v in column], den[formula.root] // common
-
-
-def evaluate_order_cost(formula: ReadOnceFormula, order: Sequence[int]) -> Fraction:
-    """Expected testing cost of an order, as the chain objective
-    sum_j cost(S_j) * (weight gain at step j) over prefix sets."""
-    if sorted(order) != list(formula.variables):
-        raise ValidationError("order must test every variable exactly once")
-    total = Fraction(0)
-    prefix_cost = 0
-    prev_g = Fraction(0)
-    current: set[int] = set()
-    for v in order:
-        current.add(v)
-        prefix_cost += formula.costs[v]
-        g = g_determined(formula, frozenset(current))
-        total += prefix_cost * (g - prev_g)
-        prev_g = g
-    return total
-
-
-def expected_stop_cost(formula: ReadOnceFormula, order: Sequence[int]) -> Fraction:
-    """Same expectation, summed test by test: each test is paid for exactly
-    when the previous outcomes have not yet determined the value."""
-    if sorted(order) != list(formula.variables):
-        raise ValidationError("order must test every variable exactly once")
-    total = Fraction(0)
-    current: set[int] = set()
-    for v in order:
-        total += formula.costs[v] * (1 - g_determined(formula, frozenset(current)))
-        current.add(v)
-    return total
 
 
 # entry: budget -> (probability times the gate's denominator, left child's budget)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to pin expected values, the
 reference lattice DPs, density steps and histogram check that the fast
-ones are tested against, and the generators of table-backed instances.
+ones are tested against, each problem's native order cost, and the
+generators of table-backed instances.
 
 The brute-force oracles deliberately avoid the library's lattice DPs:
 permutations are enumerated with itertools, chains by recursive descent,
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from msop.core import (
     Chain,
@@ -23,33 +24,36 @@ from msop.core import (
     MsopInstance,
     Rational,
     chain_values,
+    density,
     greedy_chain,
-    marginal_density,
 )
 from msop.errors import (
     BadParams,
-    InfeasibleInitialSet,
     MissingCertificate,
+    MsopError,
     NoFeasiblePermutation,
     NoFeasibleSuperset,
     NonMonotone,
+    NotASuperset,
     NotInFamily,
     NotInforest,
     NotInitial,
     NotMultitree,
     NotWellFounded,
+    ParseError,
     SolverStall,
     ValidationError,
 )
 from msop.exact import HistogramReport, histogram_containment_check
+from msop.formats import _rational
 from msop.generators import _rng
 from msop.lattice import IntColumn, coverage_column, modular_column
 from msop.rof import (
     Determination,
     Leaf,
+    Node,
     ReadOnceFormula,
     _determination_column,
-    evaluate_order_cost,
     supplement_solver,
     to_msop as rof_to_msop,
 )
@@ -85,6 +89,132 @@ def feasible_order(instance: MsopInstance, order) -> bool:
         if not instance.in_family(frozenset(current)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference identities: the marginal density of a set over a base, each
+# problem's native order cost, and the pieces they need.  The library
+# computes only the chain objective; these check it against the paper's
+# per-problem reductions.
+
+
+class InfeasibleInitialSet(MsopError):
+    def __init__(self, prefix_len: int):
+        super().__init__(f"initial set of length {prefix_len} is not in the family")
+        self.prefix_len = prefix_len
+
+
+class InfeasibleOrder(MsopError):
+    pass
+
+
+def marginal_density(
+    instance: MsopInstance, base: frozenset[int], candidate: frozenset[int]
+) -> DensityResult:
+    """Marginal density of ``candidate`` with respect to ``base``, from
+    the three oracles called with the base and the candidate as sets.
+
+    Returns the +inf sentinel exactly when the cost increment is zero.
+    """
+    base = frozenset(base)
+    candidate = frozenset(candidate)
+    if not base < candidate:
+        raise NotASuperset(f"{sorted(candidate)} is not a strict superset of {sorted(base)}")
+    if not instance.in_family(base):
+        raise NotInFamily(f"base {sorted(base)} is not in the family")
+    base_cost, base_weight = instance.cost(base), instance.weight(base)
+    if not instance.in_family(candidate):
+        raise NotInFamily(f"candidate {sorted(candidate)} is not in the family")
+    df = instance.cost(candidate) - base_cost
+    dg = instance.weight(candidate) - base_weight
+    if df < 0 or dg < 0:
+        raise NonMonotone(f"value decreased between {sorted(base)} and {sorted(candidate)}")
+    return DensityResult(tuple(sorted(candidate - base)), density(dg, df))
+
+
+def parse_rational(token: str, line: int | None, column: int | None) -> Rational:
+    try:
+        return _rational(token)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, column) from None
+
+
+def unit_mssc(n: int, edges: Sequence[frozenset[int]]) -> MsscInstance:
+    """Plain min sum set cover: unit costs, unit weights."""
+    return MsscInstance(n, (1,) * n, tuple((1, frozenset(e)) for e in edges))
+
+
+def covering_cost(instance: MsscInstance, order: Sequence[int]) -> Rational:
+    """Weighted sum over hyperedges of the prefix cost at first coverage."""
+    if sorted(order) != list(range(instance.n)):
+        raise ValidationError("permutation must arrange all elements")
+    position = {v: i for i, v in enumerate(order)}
+    prefix_cost: list[Rational] = []
+    running: Rational = 0
+    for v in order:
+        running += instance.costs[v]
+        prefix_cost.append(running)
+    total: Rational = 0
+    for w, members in instance.edges:
+        total += w * prefix_cost[min(position[v] for v in members)]
+    return total
+
+
+def schedule_cost(dag: OrDag, order: Sequence[int]) -> Rational:
+    """Weighted sum of completion times of a feasible one-machine order."""
+    if sorted(order) != sorted(dag.jobs):
+        raise ValidationError("order must schedule every job exactly once")
+    time, weight = dag.time_map, dag.weight_map
+    done: set[int] = set()
+    clock: Rational = 0
+    total: Rational = 0
+    for j in order:
+        ps = dag.preds[j]
+        if ps and not any(p in done for p in ps):
+            raise InfeasibleOrder(f"job {j} scheduled before any of its predecessors")
+        clock += time[j]
+        total += weight[j] * clock
+        done.add(j)
+    return total
+
+
+def eval_partial(formula: ReadOnceFormula, assignment: Mapping[int, int | None]):
+    """Three-valued evaluation; missing or None entries are untested.
+
+    Returns 0, 1, or None when the outcome is not yet determined.
+    """
+    value: dict[Node, int | None] = {}
+    for node in formula.nodes:
+        if isinstance(node, Leaf):
+            value[node] = assignment.get(node.var)
+            continue
+        a, b = value[node.left], value[node.right]
+        v = None
+        if node.op == "and":
+            if a == 0 or b == 0:
+                v = 0
+            elif a == 1 and b == 1:
+                v = 1
+        elif a == 1 or b == 1:
+            v = 1
+        elif a == 0 and b == 0:
+            v = 0
+        value[node] = v
+    return value[formula.root]
+
+
+def expected_stop_cost(formula: ReadOnceFormula, order: Sequence[int]) -> Fraction:
+    """The expected testing cost of an order, summed test by test: each
+    test is paid for exactly when the previous outcomes have not yet
+    determined the value."""
+    if sorted(order) != list(formula.variables):
+        raise ValidationError("order must test every variable exactly once")
+    total = Fraction(0)
+    current: set[int] = set()
+    for v in order:
+        total += formula.costs[v] * (1 - Determination(formula)(frozenset(current)))
+        current.add(v)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +1114,7 @@ def rof_greedy(formula: ReadOnceFormula):
     instance = rof_to_msop(formula)
     chain = greedy_chain(instance, supplement_solver(formula))
     order = densest_consistent_permutation(instance, chain)
-    return order, evaluate_order_cost(formula, order)
+    return order, eq2_cost(instance, order)
 
 
 def ref_rof_instance(formula: ReadOnceFormula) -> MsopInstance:

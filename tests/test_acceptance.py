@@ -22,23 +22,27 @@ from msop import (
     dual_chain,
     dualize,
     greedy_chain,
-    marginal_density,
 )
 from msop import exact, mssc, orsched, rof
 from msop.generators import gen_instance
 
 from helpers import (
     chain_histogram,
+    covering_cost,
+    eq2_cost,
+    expected_stop_cost,
     find_supp,
     gen_generic_msop,
     gen_or_pipelined,
     gen_supermodular_cost_msop,
     leaves_below,
+    marginal_density,
     or_coverage_instance,
     permutation_to_chain,
     random_chain,
     ref_or_initial_membership,
     rof_greedy,
+    schedule_cost,
     singleton_solver,
     undominated,
 )
@@ -389,7 +393,7 @@ def test_criterion_10_objective_identities():
         inst = mssc.to_msop(cover)
         order = list(range(n))
         rng.shuffle(order)
-        assert mssc.covering_cost(cover, order) == chain_cost(
+        assert covering_cost(cover, order) == chain_cost(
             inst, permutation_to_chain(inst, order)
         ), f"cover seed {i}"
     schedules = _count(1_000)
@@ -409,7 +413,7 @@ def test_criterion_10_objective_identities():
             pick = rng.choice(ready)
             order.append(pick)
             done.add(pick)
-        assert orsched.schedule_cost(dag, order) == chain_cost(
+        assert schedule_cost(dag, order) == chain_cost(
             inst, permutation_to_chain(inst, order)
         ), f"schedule seed {i}"
     formulas = _count(1_000)
@@ -418,7 +422,7 @@ def test_criterion_10_objective_identities():
         formula = gen_instance("rof", n, SEEDS["identity"] + i)
         order = list(formula.variables)
         rng.shuffle(order)
-        assert rof.evaluate_order_cost(formula, order) == rof.expected_stop_cost(
+        assert eq2_cost(rof.to_msop(formula), order) == expected_stop_cost(
             formula, order
         ), f"formula seed {i}"
     # the worked ordering example: both forms give exactly 63/16
@@ -436,8 +440,8 @@ def test_criterion_10_objective_identities():
         {i: 1 for i in range(1, 6)},
     )
     order = (3, 4, 5, 2, 1)
-    assert rof.evaluate_order_cost(walkthrough, order) == Fraction(63, 16)
-    assert rof.expected_stop_cost(walkthrough, order) == Fraction(63, 16)
+    assert eq2_cost(rof.to_msop(walkthrough), order) == Fraction(63, 16)
+    assert expected_stop_cost(walkthrough, order) == Fraction(63, 16)
     _verdict(
         "criterion 10: covering, scheduling and testing objectives coincide",
         started,

@@ -14,14 +14,12 @@ from msop import (
     chain_to_permutation,
     dualize,
     greedy_chain,
-    marginal_density,
     spot_check_hypotheses,
 )
 from msop import exact
 from msop.cli import Toolchain
 from msop.core import chain_values
 from msop.errors import (
-    InfeasibleInitialSet,
     InvalidChain,
     NonMonotone,
     NotASuperset,
@@ -31,16 +29,21 @@ from msop.errors import (
     ValidationError,
 )
 from msop.generators import KINDS, gen_instance
-from msop.mssc import MsscInstance, covering_cost, singleton_solver as mssc_singleton, to_msop
-from msop.orsched import OrDag, schedule_cost, stem_solver, to_msop as ordag_to_msop
+from msop.mssc import singleton_solver as mssc_singleton, to_msop
+from msop.orsched import OrDag, stem_solver, to_msop as ordag_to_msop
 
 from helpers import (
+    InfeasibleInitialSet,
+    covering_cost,
     densest_consistent_permutation,
     eq2_cost,
     gen_generic_msop,
+    marginal_density,
     permutation_to_chain,
     random_chain,
+    schedule_cost,
     singleton_solver,
+    unit_mssc,
 )
 
 
@@ -71,7 +74,7 @@ def test_chain_cost_flat_weight_steps_contribute_nothing():
 
 
 def test_chain_cost_mssc_example_matches_exact_oracle():
-    inst = MsscInstance.unit(3, [frozenset({0}), frozenset({0, 1}), frozenset({2})])
+    inst = unit_mssc(3, [frozenset({0}), frozenset({0, 1}), frozenset({2})])
     mi = to_msop(inst)
     perm = (0, 2, 1)
     cost = chain_cost(mi, permutation_to_chain(mi, perm))
@@ -101,7 +104,7 @@ def test_chain_rejects_kept_values_of_the_wrong_length():
     # the values of a three-set chain are three costs and three weights;
     # two-entry columns would answer chain_values for it, and chain_cost
     # would read 5 where the chain costs 3
-    inst = to_msop(MsscInstance.unit(2, [frozenset({0}), frozenset({1})]))
+    inst = to_msop(unit_mssc(2, [frozenset({0}), frozenset({1})]))
     sets = (frozenset(), frozenset({0}), frozenset({0, 1}))
     for values in (((0, 5), (0, 1)), ((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 2, 2))):
         with pytest.raises(InvalidChain, match="one cost and one weight per chain set"):
@@ -160,7 +163,7 @@ def test_greedy_single_step_when_full_set_densest():
 
 
 def test_greedy_mssc_singleton_densities():
-    inst = MsscInstance.unit(2, [frozenset({0}), frozenset({0}), frozenset({1})])
+    inst = unit_mssc(2, [frozenset({0}), frozenset({0}), frozenset({1})])
     chain = greedy_chain(to_msop(inst), mssc_singleton(inst))
     assert [sorted(s) for s in chain.sets] == [[], [0], [0, 1]]
     assert chain.densities == (Fraction(2), Fraction(1))

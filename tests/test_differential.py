@@ -23,7 +23,7 @@ import pytest
 
 from msop import (
     INF, Chain, MsopInstance, chain_cost, cli, dual, exact, formats, greedy_chain,
-    marginal_density, mssc, orsched, rof, xsearch,
+    mssc, orsched, rof, xsearch,
 )
 from msop.core import chain_to_permutation, compare_density
 from msop.errors import (
@@ -46,6 +46,7 @@ from helpers import (
     gen_generic_msop,
     gen_or_pipelined,
     gen_permutation_msop,
+    marginal_density,
     or_coverage_instance,
     prob_tables,
     random_chain,
@@ -637,7 +638,7 @@ def test_find_supp_and_g_determined_match_reference_on_random_bases():
         variables = formula.variables
         for _ in range(10):
             base = random_base(variables, rng, rng.random())
-            assert rof.g_determined(formula, base) == ref_g_determined(formula, base)
+            assert rof.Determination(formula)(base) == ref_g_determined(formula, base)
             assert prob_tables(formula, base) == ref_prob_tables(formula, base)
             if len(base) == len(variables):
                 continue
@@ -1332,7 +1333,7 @@ def running_case(kind, n, seed):
     if kind in ("mssc", "pipelined"):
         return tools.instance, "weight", lambda s: ref_coverage_weight(parsed, s), tools.solver
     if kind == "rof":
-        return tools.instance, "weight", lambda s: rof.g_determined(parsed, s), tools.solver
+        return tools.instance, "weight", lambda s: rof.Determination(parsed)(s), tools.solver
     return (tools.instance, "in_family", lambda s: ref_or_initial_membership(parsed, s),
             tools.solver)
 

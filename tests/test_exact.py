@@ -10,7 +10,6 @@ from msop import (
     chain_cost,
     greedy_chain,
     histogram_containment_check,
-    marginal_density,
 )
 from msop import exact
 from msop.core import chain_values
@@ -33,7 +32,9 @@ from helpers import (
     brute_opt_chain,
     brute_opt_permutation,
     gen_generic_msop,
+    marginal_density,
     ref_exact_max_density,
+    unit_mssc,
 )
 
 
@@ -60,9 +61,7 @@ def test_opt_permutation_or_chain_example():
 
 
 def test_opt_permutation_mssc_example_starts_with_covering_element():
-    from msop.mssc import MsscInstance
-
-    inst = MsscInstance.unit(3, [frozenset({0, 1}), frozenset({1}), frozenset({2})])
+    inst = unit_mssc(3, [frozenset({0, 1}), frozenset({1}), frozenset({2})])
     perm, cost = exact.exact_opt_permutation(mssc_to_msop(inst))
     assert perm[0] == 1
     assert cost == 4

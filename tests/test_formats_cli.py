@@ -15,7 +15,6 @@ from msop.formats import (
     format_rational,
     parse_instance,
     parse_instance_text,
-    parse_rational,
     serialize_instance,
 )
 from msop.generators import KINDS, gen_instance
@@ -23,6 +22,8 @@ from msop.mssc import MsscInstance
 from msop.orsched import OrDag
 from msop.rof import Gate, Leaf, ReadOnceFormula
 from msop.xsearch import SearchGraph
+
+from helpers import parse_rational
 
 from fractions import Fraction
 

@@ -9,16 +9,15 @@ from msop.errors import ValidationError
 from msop.generators import gen_instance
 from msop.mssc import (
     MsscInstance,
-    covering_cost,
     singleton_solver,
     to_msop,
 )
 
-from helpers import eq2_cost, permutation_to_chain
+from helpers import covering_cost, eq2_cost, permutation_to_chain, unit_mssc
 
 
 def test_coverage_weight_examples():
-    weight = to_msop(MsscInstance.unit(2, [frozenset({0}), frozenset({0, 1})])).weight
+    weight = to_msop(unit_mssc(2, [frozenset({0}), frozenset({0, 1})])).weight
     assert weight(frozenset()) == 0
     assert weight(frozenset({0})) == 2
     assert weight(frozenset({1})) == 1
@@ -41,9 +40,9 @@ def test_coverage_weight_is_monotone_submodular_exhaustively():
 
 
 def test_covering_cost_examples():
-    single = MsscInstance.unit(1, [frozenset({0})])
+    single = unit_mssc(1, [frozenset({0})])
     assert covering_cost(single, (0,)) == 1
-    inst = MsscInstance.unit(3, [frozenset({0}), frozenset({0, 1}), frozenset({2})])
+    inst = unit_mssc(3, [frozenset({0}), frozenset({0, 1}), frozenset({2})])
     assert covering_cost(inst, (0, 2, 1)) == 4
 
 
@@ -59,7 +58,7 @@ def test_covering_cost_equals_chain_cost():
 
 
 def test_unit_instance_reproduces_covering_times():
-    inst = MsscInstance.unit(4, [frozenset({2}), frozenset({1, 3})])
+    inst = unit_mssc(4, [frozenset({2}), frozenset({1, 3})])
     order = (3, 0, 2, 1)
     positions = {v: i + 1 for i, v in enumerate(order)}
     expected = sum(min(positions[v] for v in e) for _, e in inst.edges)
@@ -67,7 +66,7 @@ def test_unit_instance_reproduces_covering_times():
 
 
 def test_singleton_density_brute_force_example():
-    inst = MsscInstance.unit(2, [frozenset({0}), frozenset({0}), frozenset({1})])
+    inst = unit_mssc(2, [frozenset({0}), frozenset({0}), frozenset({1})])
     result = singleton_solver(inst)(frozenset())
     assert result.increment == (0,)
     assert result.marginal_density == 2
@@ -76,7 +75,7 @@ def test_singleton_density_brute_force_example():
 
 
 def test_singleton_density_zero_gain_smallest_id():
-    inst = MsscInstance.unit(3, [frozenset({0})])
+    inst = unit_mssc(3, [frozenset({0})])
     result = singleton_solver(inst)(frozenset({0}))
     assert result.increment == (1,)
     assert result.marginal_density == 0

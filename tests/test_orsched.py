@@ -4,11 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from msop import INF, chain_cost, greedy_chain, marginal_density
+from msop import INF, chain_cost, greedy_chain
 from msop import exact
 from msop.errors import (
     CyclicInput,
-    InfeasibleOrder,
     NotInforest,
     NotInitial,
     NotMultitree,
@@ -20,18 +19,20 @@ from msop.orsched import (
     is_inforest,
     is_multitree,
     outtree_solver,
-    schedule_cost,
     stem_solver,
     to_msop,
 )
 
 from helpers import (
+    InfeasibleOrder,
     candidate,
     eq2_cost,
+    marginal_density,
     max_density_stem,
     ref_classify_dag,
     ref_or_initial_membership,
     residual,
+    schedule_cost,
 )
 
 

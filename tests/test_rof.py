@@ -5,25 +5,25 @@ from itertools import combinations, product
 
 import pytest
 
-from msop import marginal_density
 from msop import exact
 from msop.errors import NoFeasibleSuperset, ValidationError
 from msop.generators import gen_instance
 from msop.rof import (
+    Determination,
     Gate,
     Leaf,
     ReadOnceFormula,
     _Supplements,
-    eval_partial,
-    evaluate_order_cost,
-    expected_stop_cost,
-    g_determined,
     to_msop,
 )
 
 from helpers import (
     determination_table,
+    eq2_cost,
+    eval_partial,
+    expected_stop_cost,
     find_supp,
+    marginal_density,
     prob_tables,
     ref_scaled_tables,
     rof_greedy,
@@ -132,10 +132,10 @@ def test_gate_probabilities_match_enumeration():
 def test_g_determined_examples():
     f = fig_formula()
     vs = frozenset(f.variables)
-    assert g_determined(f, vs) == 1
-    assert g_determined(f, frozenset()) == 0
-    assert g_determined(f, frozenset({3, 4, 5})) == Fraction(3, 8)
-    assert g_determined(f, frozenset({3, 4, 5})) == enum_determined(f, {3, 4, 5})
+    assert Determination(f)(vs) == 1
+    assert Determination(f)(frozenset()) == 0
+    assert Determination(f)(frozenset({3, 4, 5})) == Fraction(3, 8)
+    assert Determination(f)(frozenset({3, 4, 5})) == enum_determined(f, {3, 4, 5})
 
 
 def test_g_determined_monotone_along_random_chains():
@@ -148,7 +148,7 @@ def test_g_determined_monotone_along_random_chains():
         current = set()
         for v in order:
             current.add(v)
-            g = g_determined(f, frozenset(current))
+            g = Determination(f)(frozenset(current))
             assert g >= prev
             prev = g
         assert prev == 1
@@ -156,13 +156,13 @@ def test_g_determined_monotone_along_random_chains():
 
 def test_order_cost_single_test():
     f = ReadOnceFormula(Leaf(1), {1: Fraction(1, 3)}, {1: 7})
-    assert evaluate_order_cost(f, (1,)) == 7
+    assert eq2_cost(to_msop(f), (1,)) == 7
 
 
 def test_order_cost_walkthrough_value():
     f = fig_formula()
     order = (3, 4, 5, 2, 1)
-    value = evaluate_order_cost(f, order)
+    value = eq2_cost(to_msop(f), order)
     assert value == Fraction(63, 16)
     assert expected_stop_cost(f, order) == value
     assert enum_expected_cost(f, order) == value
@@ -174,7 +174,7 @@ def test_order_cost_two_forms_agree_randomly():
         f = gen_instance("rof", 2 + seed % 7, 50 + seed)
         order = list(f.variables)
         rng.shuffle(order)
-        assert evaluate_order_cost(f, order) == expected_stop_cost(f, order)
+        assert eq2_cost(to_msop(f), order) == expected_stop_cost(f, order)
 
 
 def test_determination_table_matches_pointwise():
@@ -184,7 +184,7 @@ def test_determination_table_matches_pointwise():
         vs = f.variables
         for mask in range(1 << len(vs)):
             s = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-            assert table[mask] == g_determined(f, s)
+            assert table[mask] == Determination(f)(s)
 
 
 def supplement_state(formula, s):
