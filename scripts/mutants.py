@@ -126,15 +126,20 @@ MUTANTS = (
            "    if not best_mask:\n",
            f"{DIFF}::test_backward_exhaustive_step_matches_reference_chain[mssc]"),
     # lattice columns: supplied by an adapter or read backwards for the dual
-    Mutant("xsearch-feasibility-spreads-along-lowest-edge", "src/msop/xsearch.py",
-           "        while grow:\n"
-           "            low = grow & -grow\n"
-           "            feasible[m | low] = 1\n"
-           "            grow ^= low\n",
-           "        if grow:\n"
-           "            low = grow & -grow\n"
-           "            feasible[m | low] = 1\n",
+    Mutant("xsearch-feasibility-stops-after-one-sweep", "src/msop/xsearch.py",
+           "    while bits != before:\n", "    if bits != before:\n",
            f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[xsearch]"),
+    Mutant("xsearch-root-edge-needs-a-neighbour", "src/msop/xsearch.py",
+           "    grows = [absent[e] if graph.root in (u, v) else absent[e] & ~(none_at[u] & none_at[v])\n",
+           "    grows = [absent[e] & ~(none_at[u] & none_at[v])\n",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[xsearch]"),
+    Mutant("or-initial-column-ignores-last-job", "src/msop/orsched.py",
+           "    for i, j in enumerate(ground):\n        if dag.preds[j]:\n",
+           "    for i, j in enumerate(ground[:-1]):\n        if dag.preds[j]:\n",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[bipartite-or]"),
+    Mutant("flags-read-from-the-highest-bit", "src/msop/lattice.py",
+           'format(bits, f"0{1 << n}b").encode()[::-1]', 'format(bits, f"0{1 << n}b").encode()',
+           f"{DIFF}::test_lacking_and_flags_spell_out_the_masks_without_a_bit"),
     Mutant("xsearch-weight-counts-root-mass", "src/msop/xsearch.py",
            "    others = [v for v in graph.vertices if v != graph.root]\n",
            "    others = list(graph.vertices)\n",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .core import (
@@ -286,14 +285,11 @@ class HistogramReport:
     height = cost of the step's set.  The greedy histogram has one per
     greedy step, height (weight(V) - weight(S_{i-1})) / rho_i; the check
     shrinks it by 2 horizontally (flush right) and 2*alpha vertically and
-    verifies it fits under the optimal one.  Both raw areas equal the
-    respective chain costs exactly.
+    verifies it fits under the optimal one.
     """
 
     contained: bool
     first_violation: tuple[Rational, Density, Rational] | None
-    opt_area: Rational
-    greedy_area: Density
 
 
 def histogram_containment_check(
@@ -312,7 +308,8 @@ def histogram_containment_check(
     lattice's integer columns and their scales, and with both scales 1 the
     values are the Rationals themselves, as ``chain_values`` reads them.
     Heights are compared as (numerator, denominator) pairs by
-    cross-multiplication, and the report's Rationals are built at the end."""
+    cross-multiplication, and a violation's Rationals are built once it is
+    found."""
     if certificate is None:
         raise MissingCertificate("greedy chain carries no per-step density certificate")
     if alpha < 1:
@@ -324,18 +321,13 @@ def histogram_containment_check(
     # and [0, 2 g_total], so each overlap of positive width is one interval
     # of the common refinement, met in order of x
     solid_opt: list[tuple[Rational, Rational, Rational]] = []  # left, right, cost
-    opt_area = 0
     for left, right, cost in zip(opt_weights, opt_weights[1:], opt_costs[1:]):
         if left < right:
             solid_opt.append((2 * left, 2 * right, cost))
-            opt_area += cost * (right - left)
     # greedy column i has height (g_total - left) / rho_i, kept as the pair
     # (num, den) for num / (den * weight_scale) with den > 0, or (1, 0) for
-    # the ``INF`` sentinel height; the area is a sum of terms t / den over
-    # weight_scale^2
+    # the ``INF`` sentinel height
     shrunk: list[tuple[Rational, Rational, Rational, int]] = []  # left, right, num, den
-    terms: list[tuple[Rational, int]] = []  # (t, den)
-    infinite = False
     for left, right, rho in zip(greedy_weights, greedy_weights[1:], certificate):
         if left == right:
             continue
@@ -344,12 +336,10 @@ def histogram_containment_check(
             num, den = 0, 1
         elif rho == 0:
             num, den = 1, 0  # only reachable through a corrupted certificate
-            infinite = True
         else:
             num, den = remaining * rho.denominator, rho.numerator
             if den < 0:
                 num, den = -num, -den
-            terms.append((num * (right - left), den))
         shrunk.append((g_total + left, g_total + right, num, den))
     # with alpha = a / b, a shrunk height num / (2 alpha den weight_scale)
     # sticks out of an optimal cost c / cost_scale where
@@ -369,15 +359,7 @@ def histogram_containment_check(
             i += 1
         else:
             j += 1
-
-    if infinite:
-        greedy_area: Density = INF
-    else:
-        common = lcm(*(den for _, den in terms))
-        greedy_area = Fraction(sum(t * (common // den) for t, den in terms),
-                               common * weight_scale * weight_scale)
-    return HistogramReport(first_violation is None, first_violation,
-                           Fraction(opt_area, cost_scale * weight_scale), greedy_area)
+    return HistogramReport(first_violation is None, first_violation)
 
 
 def check_ratio(

@@ -34,7 +34,12 @@ exhaustive one (``exact.exact_density_solver``) keeps the base's bitmask.
 
 The builders here are recurrences over one set bit: masks 2^i..2^(i+1)-1
 are the masks below 2^i with bit i added, so a column grows in blocks,
-each block computed from the one before by a list comprehension.
+each block computed from the one before by a list comprehension.  A
+feasibility column that the other masks decide is built instead as a
+bitset, one ``int`` of 2^n bits whose bit m stands for mask m: ``lacking``
+gives the masks without one bit, a few big-int operations per element or
+arc combine such sets in C with no Python loop over the masks, and
+``flags`` turns the result into the ``bytearray`` column.
 """
 
 from __future__ import annotations
@@ -345,6 +350,25 @@ def coverage_column(n: int, edges: Sequence[tuple[object, int]]) -> Scaled:
             sub = (sub - 1) & below
         col.extend([x + gains[m & below] for m, x in enumerate(col)])
     return col, scale
+
+
+def lacking(n: int, j: int) -> int:
+    """The masks below 2^n without bit j, as a bitset: runs of 2^j ones
+    and 2^j zeros, doubled until they fill the 2^n bits."""
+    bits, width, size = (1 << (1 << j)) - 1, 2 << j, 1 << n
+    while width < size:
+        bits |= bits << width
+        width *= 2
+    return bits
+
+
+_BINARY_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def flags(bits: int, n: int) -> bytearray:
+    """The bitset ``bits`` over the masks below 2^n as a feasibility
+    column: its binary digits, read from the lowest bit up."""
+    return bytearray(format(bits, f"0{1 << n}b").encode()[::-1].translate(_BINARY_TO_FLAGS))
 
 
 def union_column(parts: Sequence[int], start: int) -> IntColumn:

@@ -33,7 +33,7 @@ from .errors import (
     NotMultitree,
     ValidationError,
 )
-from .lattice import RunningOracle, Walk, bit_of, modular, supply, union_column
+from .lattice import RunningOracle, Walk, flags, lacking, modular, supply
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,22 @@ def classify_dag(dag: OrDag) -> str:
 
 def or_initial_column(dag: OrDag, ground: tuple[int, ...]) -> bytearray:
     """Whether each subset is OR-initial, by bitmask over ``ground``: a set
-    is OR-initial when each member is a source or a successor of another
-    member, so it is checked against the union of its members' successor
-    masks."""
-    bit = bit_of(ground)
-    sources = sum(bit[j] for j in ground if not dag.preds[j])
-    satisfied = union_column([sum(bit[k] for k in dag.succs[j]) for j in ground], sources)
-    return bytearray([not m & ~sat for m, sat in enumerate(satisfied)])
+    is OR-initial when each member with predecessors holds one of them.
+    Built as a bitset (``lattice.lacking``): the AND, over the jobs j with
+    predecessors, of the masks that lack j or hold a predecessor of j."""
+    n = len(ground)
+    full = (1 << (1 << n)) - 1
+    absent = [lacking(n, i) for i in range(n)]
+    index = {v: i for i, v in enumerate(ground)}
+    bits = full
+    for i, j in enumerate(ground):
+        if dag.preds[j]:
+            held = 0
+            for p in dag.preds[j]:
+                held |= absent[index[p]] ^ full
+            bits &= absent[i] | held
+    del absent  # before ``flags`` makes its copies, to keep the peak down
+    return flags(bits, n)
 
 
 class OrInitialMembership(RunningOracle):

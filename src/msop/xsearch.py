@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 
 from .core import MsopInstance, Rational
 from .errors import DisconnectedInput, ValidationError
-from .lattice import modular, modular_column, supply, union_column
+from .lattice import flags, lacking, modular, modular_column, supply, union_column
 from .mssc import CoverageWeight
 
 
@@ -73,53 +72,45 @@ class SearchGraph:
 
 
 def _columns(graph: SearchGraph) -> dict[str, object]:
-    """The feasibility and weight columns, by bitmask over the edges, both
-    read off the touched column: the non-root vertices that each edge set
-    touches, by bitmask over them.  The root has no bit, so the edges at
-    it reach every set and its mass is never counted.  A nonempty edge set
-    is feasible when some edge of it touches the root or the vertices of
-    the rest, the rest being feasible; so feasibility spreads from each
-    feasible set to its union with every edge at the root or at a vertex
-    it touches.  A set's weight is the mass of the vertices it touches.
+    """The feasibility and weight columns, by bitmask over the edges.
 
-    The touched column is kept as two union columns, over the lower and
-    the upper half of the edges, whose entries are ORed where they are
-    read: a column of 2^n vertex masks would hold an int per edge set."""
+    A nonempty edge set is feasible when some edge of it touches the root
+    or the vertices of the rest, the rest being feasible.  So feasibility
+    is the least fixpoint, from the empty set, of adding edge j to each
+    feasible set that misses j and reaches it: every set for an edge at
+    the root, else the sets that hold another edge at one of its
+    endpoints.  It is built as a bitset (``lattice.lacking``), one
+    ``bits |= (bits & grows[j]) << 2^j`` per edge, swept over the edges
+    until a sweep adds nothing; a path indexed from its far end needs a
+    sweep per edge.
+
+    A set's weight is the mass of the non-root vertices it touches, read
+    off the touched column, the mask of those vertices by edge set.  It is
+    kept as two union columns, over the lower and the upper half of the
+    edges, whose entries are ORed where they are read: a column of 2^n
+    vertex masks would hold an int per edge set."""
+    n = len(graph.edges)
+    absent = [lacking(n, e) for e in range(n)]
+    none_at = dict.fromkeys(graph.vertices, (1 << (1 << n)) - 1)  # masks with no edge at v
+    for e, (u, v, _) in enumerate(graph.edges):
+        none_at[u] &= absent[e]
+        none_at[v] &= absent[e]
+    grows = [absent[e] if graph.root in (u, v) else absent[e] & ~(none_at[u] & none_at[v])
+             for e, (u, v, _) in enumerate(graph.edges)]
+    del absent, none_at
+    bits, before = 1, 0
+    while bits != before:
+        before = bits
+        for e, grow in enumerate(grows):
+            bits |= (bits & grow) << (1 << e)
+    del grows  # before ``flags`` makes its copies, to keep the peak down
+    feasible = flags(bits, n)
+
     others = [v for v in graph.vertices if v != graph.root]
     bit = {graph.root: 0} | {v: 1 << i for i, v in enumerate(others)}
-    at = dict.fromkeys(graph.vertices, 0)  # vertex -> mask of its edges
-    for e, (u, v, _) in enumerate(graph.edges):
-        at[u] |= 1 << e
-        at[v] |= 1 << e
-    n = len(graph.edges)
     half = n // 2
     ends = [bit[u] | bit[v] for u, v, _ in graph.edges]
     lower, upper = union_column(ends[:half], 0), union_column(ends[half:], 0)
-    below = (1 << half) - 1
-    # vertex mask -> the edges at the root or at one of its vertices, for
-    # the masks that feasible sets touch
-    reach: dict[int, int] = {}
-
-    def reach_of(t: int) -> int:
-        edges, rest = at[graph.root], t
-        while rest:
-            low = rest & -rest
-            edges |= at[others[low.bit_length() - 1]]
-            rest ^= low
-        reach[t] = edges
-        return edges
-
-    feasible = bytearray(1 << n)
-    feasible[0] = 1
-    # ``compress`` reads each flag when it comes to it, so it sees the
-    # flags that smaller feasible masks set
-    for m in compress(range(1 << n), feasible):
-        t = upper[m >> half] | lower[m & below]
-        grow = (reach.get(t) or reach_of(t)) & ~m
-        while grow:
-            low = grow & -grow
-            feasible[m | low] = 1
-            grow ^= low
     mass, scale = modular_column([graph.probs[v] for v in others])
     return {"feasible": feasible,
             "weight": ([mass[high | low] for high in upper for low in lower], scale)}

@@ -1253,29 +1253,8 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
     opt_costs, opt_weights = chain_values(instance, opt)
     g_total = opt_weights[-1]
 
-    opt_columns = []
-    opt_area = 0
-    for prev_w, w, h in zip(opt_weights, opt_weights[1:], opt_costs[1:]):
-        opt_columns.append((prev_w, w, h))
-        opt_area += h * (w - prev_w)
-
-    greedy_columns = []
-    greedy_area = 0
-    for prev_w, w, rho in zip(greedy_weights, greedy_weights[1:], greedy.densities):
-        remaining = g_total - prev_w
-        if remaining == 0 or rho == INF:
-            height = 0
-        elif rho == 0:
-            height = INF  # only reachable through a corrupted certificate
-        else:
-            height = Fraction(remaining, rho)
-        greedy_columns.append((prev_w, w, height))
-        if w == prev_w:
-            continue  # no area, whatever the height: INF * 0 is nan
-        if height == INF:
-            greedy_area = INF
-        elif greedy_area != INF:
-            greedy_area += height * (w - prev_w)
+    opt_columns = list(zip(opt_weights, opt_weights[1:], opt_costs[1:]))
+    greedy_columns = _greedy_columns(greedy_weights, greedy.densities, g_total)
 
     two_alpha = 2 * alpha
     shrunk = []
@@ -1314,9 +1293,39 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
             first_violation = (mid, shrunk_height, opt_height)
             break
 
-    return HistogramReport(
-        contained,
-        first_violation,
-        opt_area,
-        greedy_area,
-    )
+    return HistogramReport(contained, first_violation)
+
+
+def _greedy_columns(greedy_weights, certificate, g_total):
+    """The greedy histogram: (left, right, height) per step, of height
+    (g_total - left) / rho, 0 for the ``INF`` sentinel and ``INF`` for a
+    zero density."""
+    columns = []
+    for prev_w, w, rho in zip(greedy_weights, greedy_weights[1:], certificate):
+        remaining = g_total - prev_w
+        if remaining == 0 or rho == INF:
+            height = 0
+        elif rho == 0:
+            height = INF  # only reachable through a corrupted certificate
+        else:
+            height = Fraction(remaining, rho)
+        columns.append((prev_w, w, height))
+    return columns
+
+
+def histogram_areas(instance: MsopInstance, greedy: Chain, opt: Chain) -> tuple:
+    """The unshrunk areas of the two histograms that the containment check
+    compares, (optimal, greedy); each equals its chain's cost, the greedy
+    one ``INF`` when a column of positive width is infinitely high."""
+    greedy_weights = chain_values(instance, greedy)[1]
+    opt_costs, opt_weights = chain_values(instance, opt)
+    opt_area = sum(h * (w - prev_w) for prev_w, w, h
+                   in zip(opt_weights, opt_weights[1:], opt_costs[1:]))
+    greedy_area = 0
+    for prev_w, w, height in _greedy_columns(greedy_weights, greedy.densities, opt_weights[-1]):
+        if w == prev_w:
+            continue  # no area, whatever the height: INF * 0 is nan
+        if height == INF:
+            return opt_area, INF
+        greedy_area += height * (w - prev_w)
+    return opt_area, greedy_area

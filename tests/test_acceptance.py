@@ -35,6 +35,7 @@ from helpers import (
     gen_generic_msop,
     gen_or_pipelined,
     gen_supermodular_cost_msop,
+    histogram_areas,
     leaves_below,
     marginal_density,
     or_coverage_instance,
@@ -83,14 +84,15 @@ def generic_greedy_run():
         greedy_cost = chain_cost(inst, chain)
         opt_chain, opt_cost = exact.exact_opt_chain(inst)
         report = chain_histogram(inst, chain, opt_chain, 1)
-        results.append((inst, greedy_cost, opt_cost, report))
+        areas = histogram_areas(inst, chain, opt_chain)
+        results.append((inst, greedy_cost, opt_cost, report, areas))
     return results
 
 
 def test_criterion_01_generic_four_alpha_bound(generic_greedy_run):
     started = time.time()
     worst = Fraction(0)
-    for inst, greedy_cost, opt_cost, _ in generic_greedy_run:
+    for inst, greedy_cost, opt_cost, *_ in generic_greedy_run:
         assert greedy_cost <= 4 * opt_cost, (
             f"{inst.name}: greedy {greedy_cost} > 4 * optimum {opt_cost}"
         )
@@ -105,10 +107,9 @@ def test_criterion_01_generic_four_alpha_bound(generic_greedy_run):
 
 def test_criterion_02_histogram_containment(generic_greedy_run):
     started = time.time()
-    for inst, greedy_cost, opt_cost, report in generic_greedy_run:
+    for inst, greedy_cost, opt_cost, report, areas in generic_greedy_run:
         assert report.contained, f"{inst.name}: {report.first_violation}"
-        assert report.opt_area == opt_cost, inst.name
-        assert report.greedy_area == greedy_cost, inst.name
+        assert areas == (opt_cost, greedy_cost), inst.name
     _verdict(
         "criterion 2: histogram containment and exact area identities",
         started,

@@ -36,7 +36,7 @@ from msop.errors import (
     NotMultitree,
 )
 from msop.generators import KINDS, gen_instance
-from msop.lattice import RunningOracle, RunningSum, Walk, free, modular
+from msop.lattice import RunningOracle, RunningSum, Walk, flags, free, lacking, modular
 from msop.mssc import MsscInstance
 from msop.orsched import OrDag
 
@@ -46,6 +46,7 @@ from helpers import (
     gen_generic_msop,
     gen_or_pipelined,
     gen_permutation_msop,
+    histogram_areas,
     marginal_density,
     or_coverage_instance,
     prob_tables,
@@ -1014,7 +1015,7 @@ def check_ratio_cases(inst, rng):
                 assert violated == (cost > 4 * alpha * opt or not expected.contained)
                 counts["cases"] += 1
                 counts["uncontained"] += not report.contained
-                counts["infinite"] += report.greedy_area == INF
+                counts["infinite"] += histogram_areas(inst, chain, opt_chain)[1] == INF
     return counts
 
 
@@ -1125,6 +1126,35 @@ def rational_xsearch(edges, seed):
     return xsearch.xsearch_to_msop(rational_search_graph(edges, seed))
 
 
+def search_graph(vertices, edges):
+    """Root 0, unit edge costs and equal vertex masses."""
+    vertices = tuple(range(vertices))
+    return xsearch.SearchGraph(vertices, 0, tuple((u, v, 1) for u, v in edges),
+                               dict.fromkeys(vertices, Fraction(1, len(vertices))))
+
+
+def adversarial_search_graphs():
+    """Shapes that the seeded graphs miss: a path from the root whose edges
+    are indexed from the far end, so that the feasibility fixpoint adds
+    one edge per sweep; a root with a single edge, into a cycle; and the
+    complete graph on 6 vertices."""
+    return [
+        search_graph(13, [(v, v + 1) for v in reversed(range(12))]),
+        search_graph(7, [(1, 2), (2, 3), (0, 1), (3, 4), (4, 5), (5, 6), (6, 1), (2, 5)]),
+        search_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+    ]
+
+
+def dag_with_a_job_after_all(n, seed):
+    """A seeded bipartite OR-DAG on n - 1 jobs and a job that has every
+    other job as a predecessor."""
+    dag = relabelled_dag("bipartite-or", n - 1, seed)
+    last = max(dag.jobs) + 1
+    return replace(dag, jobs=dag.jobs + (last,), times=dag.times + (Fraction(3, 2),),
+                   weights=dag.weights + (Fraction(5, 7),),
+                   arcs=dag.arcs + tuple((j, last) for j in dag.jobs))
+
+
 COLUMN_KINDS = {
     "mssc": lambda n, seed: mssc.to_msop(gen_instance("mssc", n, seed)),
     "pipelined": rational_mssc,
@@ -1151,11 +1181,17 @@ def assert_columns_match_oracles(inst):
     return lattice
 
 
+ADVERSARIAL_COLUMN_INPUTS = {
+    "xsearch": lambda: map(xsearch.xsearch_to_msop, adversarial_search_graphs()),
+    "bipartite-or": lambda: [orsched.to_msop(dag_with_a_job_after_all(12, 4))],
+}
+
+
 @pytest.mark.parametrize("kind", sorted(COLUMN_KINDS))
 def test_supplied_and_dual_columns_match_the_oracles(kind):
-    for n, seed in ((10, 1), (12, 2), (13, 3)):
-        inst = COLUMN_KINDS[kind](n, seed)
-        assert inst.n == n
+    seeded = [COLUMN_KINDS[kind](n, seed) for n, seed in ((10, 1), (12, 2), (13, 3))]
+    assert [inst.n for inst in seeded] == [10, 12, 13]
+    for inst in [*seeded, *ADVERSARIAL_COLUMN_INPUTS.get(kind, list)()]:
         primal = assert_columns_match_oracles(inst)
         dual_lattice = assert_columns_match_oracles(dual.dualize(inst))
         assert (dual_lattice.cost_scale, dual_lattice.weight_scale) == (
@@ -1167,6 +1203,7 @@ def test_xsearch_weight_and_column_are_the_touched_mass():
     graphs = [rational_search_graph(edges, seed) for edges, seed in ((10, 1), (12, 2), (13, 3))]
     graphs += [gen_instance("xsearch", vertices, seed, extra=extra)
                for vertices, seed, extra in ((5, 4, 3), (7, 5, 5), (8, 6, 0))]
+    graphs += adversarial_search_graphs()
     for graph in graphs:
         inst = xsearch.xsearch_to_msop(graph)
         assert isinstance(inst.weight, mssc.CoverageWeight)
@@ -1177,6 +1214,13 @@ def test_xsearch_weight_and_column_are_the_touched_mass():
         for m in range(1 << inst.n):
             s = frozenset(e for e in inst.ground_set if m >> e & 1)
             assert Fraction(lattice.weight[m], lattice.weight_scale) == ref_xsearch_weight(graph, s)
+
+
+def test_lacking_and_flags_spell_out_the_masks_without_a_bit():
+    for n in range(1, 9):
+        for j in range(n):
+            expected = [not m >> j & 1 for m in range(1 << n)]
+            assert list(flags(lacking(n, j), n)) == expected, (n, j)
 
 
 def adapted(kind):
