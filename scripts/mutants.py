@@ -230,6 +230,14 @@ MUTANTS = (
            "    over, under = alpha.denominator * cost_scale, 2 * alpha.numerator * weight_scale\n",
            "    over, under = cost_scale, 2 * alpha.numerator * weight_scale\n",
            f"{DIFF}::test_check_ratio_matches_reference_on_unequal_scales"),
+    # the certification record (exact.check_ratio) and the sweep over it (cli)
+    Mutant("certification-violated-ignores-histogram", "src/msop/exact.py",
+           "    violated = greedy_cost > 4 * alpha * opt or violation is not None\n",
+           "    violated = greedy_cost > 4 * alpha * opt\n",
+           f"{DIFF}::test_check_ratio_matches_reference_on_unequal_scales"),
+    Mutant("sweep-keeps-last-equal-worst-ratio", "src/msop/cli.py",
+           "            if record.ratio > worst:\n", "            if record.ratio >= worst:\n",
+           "tests/test_formats_cli.py::test_cli_sweep_certifies_every_kind[mssc]"),
     Mutant("check-ratio-skips-optimum-monotone-check", "src/msop/exact.py",
            "        if cost < opt_costs[-1] or weight < opt_weights[-1]:\n",
            "        if False:\n",

@@ -19,7 +19,6 @@ from .core import (
 )
 from .dual import backward_greedy_chain, dual_chain, dualize
 from .exact import (
-    HistogramReport,
     exact_density_solver,
     exact_max_density,
     exact_opt_chain,
@@ -31,7 +30,6 @@ from .errors import MsopError
 __all__ = [
     "Chain",
     "DensityResult",
-    "HistogramReport",
     "INF",
     "MsopError",
     "MsopInstance",

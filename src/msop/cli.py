@@ -1,9 +1,10 @@
-"""Command-line driver: solve, density, exact, check-ratio, gen.
+"""Command-line driver: solve, density, exact, check-ratio, sweep, gen.
 
-Reports are line-oriented ``key=value`` records on stdout.  Exit codes:
-0 success, 1 error (a bad command line too), 2 a certified bound was
-violated by check-ratio (which would falsify a hypothesis or reveal a bug,
-so it is distinguished).
+Reports are line-oriented ``key=value`` records on stdout; check-ratio and
+sweep print ``exact.check_ratio``'s record.  Exit codes: 0 success, 1 error
+(a bad command line too), 2 a certified bound was violated by check-ratio
+or sweep (which would falsify a hypothesis or reveal a bug, so it is
+distinguished).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import sys
 import time
 from bisect import bisect
-from fractions import Fraction
 
 from . import dual, exact
 from .core import (
@@ -23,7 +23,7 @@ from .core import (
     chain_to_permutation,
     greedy_chain,
 )
-from .errors import MsopError, NotInFamily, ParseError, TooLarge
+from .errors import BadParams, MsopError, NotInFamily, ParseError
 from .formats import (
     KIND_OF_TYPE,
     Instance,
@@ -31,7 +31,7 @@ from .formats import (
     parse_instance,
     serialize_instance,
 )
-from .generators import KINDS, gen_instance
+from .generators import KINDS, MAX_N, gen_instance
 
 
 def _format_density(value) -> str:
@@ -162,35 +162,34 @@ def _cmd_exact(args) -> int:
     return 0
 
 
+def _verdict(violated: bool) -> str:
+    return "BOUND VIOLATED" if violated else "ok"
+
+
 def _cmd_check_ratio(args) -> int:
     started = time.perf_counter()
     chain_tools = Toolchain(parse_instance(args.file))
     instance = chain_tools.instance
     chain = chain_tools.greedy()
-    try:
-        greedy_cost, opt_cost, report, violated = exact.check_ratio(
-            instance, chain, chain_tools.alpha
-        )
-    except TooLarge as exc:
-        greedy_cost, violated = chain_cost(instance, chain), False
-        lines, verdict = [("exact_cost", "skipped"), ("skip_reason", exc)], []
+    record = exact.check_ratio(instance, chain, chain_tools.alpha)
+    if record.optimum is None:
+        lines, verdict = [("exact_cost", "skipped"), ("skip_reason", record.skip_reason)], []
     else:
         lines = [
-            ("exact_cost", format_rational(opt_cost)),
-            ("ratio", format_rational(Fraction(greedy_cost, opt_cost)) if opt_cost
-             else "inf" if greedy_cost else "0"),
-            ("histogram_contained", "true" if report.contained else "false"),
+            ("exact_cost", format_rational(record.optimum)),
+            ("ratio", _format_density(record.ratio)),
+            ("histogram_contained", "true" if record.first_violation is None else "false"),
         ]
-        if report.first_violation is not None:
-            x, got, allowed = report.first_violation
+        if record.first_violation is not None:
+            x, got, allowed = record.first_violation
             lines.append(("histogram_violation", f"x={format_rational(x)} height="
                           f"{_format_density(got)} limit={format_rational(allowed)}"))
-        verdict = [("verdict", "BOUND VIOLATED" if violated else "ok")]
+        verdict = [("verdict", _verdict(record.violated))]
     for key, value in [
         ("instance", args.file),
         ("kind", chain_tools.detail),
         ("n", instance.n),
-        ("greedy_cost", format_rational(greedy_cost)),
+        ("greedy_cost", format_rational(record.greedy_cost)),
         ("bound", format_rational(chain_tools.bound)),
         ("certificate", ",".join(_format_density(d) for d in chain.densities or ())),
         *lines,
@@ -198,7 +197,44 @@ def _cmd_check_ratio(args) -> int:
         *verdict,
     ]:
         _emit(key, value)
-    return 2 if violated else 0
+    return 2 if record.violated else 0
+
+
+def _cmd_sweep(args) -> int:
+    kinds = [kind.strip() for kind in args.kinds.split(",")]
+    for kind in kinds:
+        if kind not in KINDS:
+            raise BadParams(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    if args.count < 1:
+        raise BadParams("--count must be at least 1")
+    seeds = range(args.seed, args.seed + args.count)
+    lines, failed = [], False
+    for kind in kinds:
+        started = time.perf_counter()
+        worst, worst_seed, contained, violated = 0, "-", True, False
+        for seed in seeds:
+            # the CLI's own routing, so the sweep certifies what `solve` runs
+            chain_tools = Toolchain(gen_instance(kind, 2 + seed % (MAX_N[kind] - 1), seed))
+            record = exact.check_ratio(chain_tools.instance, chain_tools.greedy(),
+                                       chain_tools.alpha)
+            contained = contained and record.first_violation is None
+            violated = violated or record.violated
+            if record.ratio > worst:
+                worst, worst_seed = record.ratio, seed
+        lines += [
+            ("kind", kind),
+            ("instances", args.count),
+            ("worst_ratio", _format_density(worst)),
+            ("worst_seed", worst_seed),
+            ("bound", format_rational(chain_tools.bound)),
+            ("contained", "true" if contained else "false"),
+            ("wall_time_s", f"{time.perf_counter() - started:.3f}"),
+            ("verdict", _verdict(violated)),
+        ]
+        failed = failed or violated
+    for key, value in lines:
+        _emit(key, value)
+    return 2 if failed else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,6 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check-ratio", help="greedy vs exact plus histogram check")
     check.add_argument("file")
     check.set_defaults(run=_cmd_check_ratio)
+
+    sweep = sub.add_parser("sweep", help="check-ratio over seeded instances of each kind")
+    sweep.add_argument("--kinds", default=",".join(KINDS))
+    sweep.add_argument("--count", type=int, default=200)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.set_defaults(run=_cmd_sweep)
 
     gen = sub.add_parser("gen", help="deterministic random instance")
     gen.add_argument("kind", choices=KINDS)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import (
     InvalidChain,
@@ -96,8 +96,8 @@ class Chain:
     """Strictly increasing feasible sets from the empty set to the ground
     set, kept as their increments: ``increments[j]`` holds the sorted ids
     that set j + 1 adds to set j, so the chain takes memory linear in the
-    ground set.  ``from_sets`` builds a chain from its sets, and ``sets``
-    gives them back.
+    ground set.  ``sets`` gives the sets back, and ``steps`` their number
+    less one.
 
     ``densities`` carries the greedy certificate, one achieved marginal
     density per step; ``values``, each set's cost and weight as checked on
@@ -120,29 +120,6 @@ class Chain:
             raise InvalidChain("certificate length must match the number of steps")
         if self.values is not None and not set(map(len, self.values)) <= {steps + 1}:
             raise InvalidChain("kept values must give one cost and one weight per chain set")
-
-    @classmethod
-    def from_sets(
-        cls,
-        sets: Sequence[frozenset[int]],
-        densities: tuple[Density, ...] | None = None,
-        values: Values | None = None,
-        instance: MsopInstance | None = None,
-    ) -> "Chain":
-        """The chain through ``sets``, which must strictly increase from
-        the empty set."""
-        if len(sets) < 2:
-            raise InvalidChain("a chain has at least two sets")
-        if sets[0]:
-            raise InvalidChain("chains start at the empty set")
-        increments = []
-        for a, b in zip(sets, sets[1:]):
-            if not a < b:
-                raise InvalidChain(
-                    f"chain sets must strictly increase, got {sorted(a)} before {sorted(b)}"
-                )
-            increments.append(tuple(sorted(b - a)))
-        return cls(tuple(increments), densities, values, instance)
 
     @property
     def sets(self) -> tuple[frozenset[int], ...]:

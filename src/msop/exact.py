@@ -7,9 +7,10 @@ lattice DP minimises over exactly the stated search space with no sampling.
 These DPs and the exhaustive density step read every subset's membership,
 cost and weight from the instance's ``msop.lattice.Lattice``, and so does
 the certification (``check_ratio``): it reads both chains' values off the
-integer columns and runs the histogram check and the greedy cost in ints.
-Caps are hard errors, never silent truncation, and fixed in ``CAPS``, so a
-report depends only on the command line and the file.
+integer columns, runs the histogram check and the greedy cost in ints, and
+returns one ``Certification`` record.  Caps are hard errors, never silent
+truncation, and fixed in ``CAPS``, so a report depends only on the command
+line and the file.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     INF,
     MsopInstance,
     Rational,
+    chain_cost,
     chain_values,
     density,
 )
@@ -158,15 +160,7 @@ def exact_max_density(instance: MsopInstance, base: frozenset[int]) -> DensityRe
     first call on an instance builds its lattice of 2^n subsets, which
     later calls on the same instance reuse.
     """
-    _cap_for("density", instance.n)
-    base = frozenset(base)
-    bits = bit_of(instance.ground_set)
-    base_mask = 0
-    for v in base:
-        if v not in bits:
-            raise _not_in_family(base)
-        base_mask |= bits[v]
-    return _densest(instance, base_mask)
+    return _Exhaustive(instance)(base)
 
 
 def _densest(instance: MsopInstance, base_mask: int) -> DensityResult:
@@ -277,34 +271,23 @@ def exact_density_solver(instance: MsopInstance) -> DensitySolver:
     return _Exhaustive(instance)
 
 
-@dataclass(frozen=True)
-class HistogramReport:
-    """Outcome of the shrunken-histogram containment check.
-
-    The optimal histogram has one column per step of the optimal chain,
-    height = cost of the step's set.  The greedy histogram has one per
-    greedy step, height (weight(V) - weight(S_{i-1})) / rho_i; the check
-    shrinks it by 2 horizontally (flush right) and 2*alpha vertically and
-    verifies it fits under the optimal one.
-    """
-
-    contained: bool
-    first_violation: tuple[Rational, Density, Rational] | None
-
-
 def histogram_containment_check(
     greedy_weights: Sequence[Rational],
     certificate: Sequence[Density] | None,
     opt_costs: Sequence[Rational],
     opt_weights: Sequence[Rational],
     alpha: Rational,
-    cost_scale: int = 1,
-    weight_scale: int = 1,
-) -> HistogramReport:
-    """The check on the greedy chain's weights and certificate and the
-    optimal chain's costs and weights; both chains end at the ground set,
-    so their last weights agree.  A cost stands for ``cost / cost_scale``
-    and a weight for ``weight / weight_scale``: ``check_ratio`` passes the
+    cost_scale: int,
+    weight_scale: int,
+) -> tuple[Rational, Density, Rational] | None:
+    """The first point (x, shrunk height, optimal height) where the shrunk
+    greedy histogram sticks out of the optimal one, or None.  The optimal
+    histogram has one column per step of the optimal chain, height = cost
+    of the step's set; the greedy one has one per greedy step, height
+    (weight(V) - weight(S_{i-1})) / rho_i, shrunk by 2 horizontally (flush
+    right) and 2*alpha vertically.  Both chains end at the ground set, so
+    their last weights agree.  A cost stands for ``cost / cost_scale`` and a
+    weight for ``weight / weight_scale``: ``check_ratio`` passes the
     lattice's integer columns and their scales, and with both scales 1 the
     values are the Rationals themselves, as ``chain_values`` reads them.
     Heights are compared as (numerator, denominator) pairs by
@@ -359,23 +342,48 @@ def histogram_containment_check(
             i += 1
         else:
             j += 1
-    return HistogramReport(first_violation is None, first_violation)
+    return first_violation
 
 
-def check_ratio(
-    instance: MsopInstance, chain: Chain, alpha: Rational
-) -> tuple[Rational, Rational, HistogramReport, bool]:
-    """Certify the 4*alpha bound as the paper's proof runs: (greedy cost,
-    optimum, histogram report, violated), violated when the greedy cost
-    exceeds 4*alpha times the optimum or the histogram is not contained.
-    ``TooLarge`` comes before any chain is read.  ``chain_values`` checks
-    the greedy chain, at no cost for one the greedy run kept; then both
-    chains are read off the lattice as masks, the greedy chain's sets from
-    its increments and the optimum's prefixes from its order, so the
+@dataclass(frozen=True)
+class Certification:
+    """``check_ratio``'s verdict on one greedy chain.  ``optimum`` is None
+    above the permutation cap, where ``skip_reason`` holds the ``TooLarge``
+    text and no histogram is checked.  ``violated`` holds when the greedy
+    cost exceeds 4*alpha times the optimum or the histogram check found a
+    ``first_violation``."""
+
+    greedy_cost: Rational
+    optimum: Rational | None
+    skip_reason: str | None
+    first_violation: tuple[Rational, Density, Rational] | None
+    violated: bool
+
+    @property
+    def ratio(self) -> Density | None:
+        """Greedy cost over the optimum, ``INF`` under a zero optimum with a
+        positive greedy cost, else 0; None when the optimum was skipped."""
+        if self.optimum is None:
+            return None
+        if self.optimum:
+            return Fraction(self.greedy_cost, self.optimum)
+        return INF if self.greedy_cost else 0
+
+
+def check_ratio(instance: MsopInstance, chain: Chain, alpha: Rational) -> Certification:
+    """Certify the 4*alpha bound as the paper's proof runs; never raises
+    ``TooLarge`` (see ``Certification``), and a skipped optimum leaves the
+    greedy cost to ``chain_cost``.  ``chain_values`` checks the greedy
+    chain, at no cost for one the greedy run kept; then both chains are
+    read off the lattice as masks, the greedy chain's sets from its
+    increments and the optimum's prefixes from its order, so the
     histogram check and the greedy cost run on the integer columns and no
     oracle is asked.  A falling prefix value of the optimum raises
     ``NonMonotone`` as ``chain_values`` would."""
-    order, opt = exact_opt_permutation(instance)
+    try:
+        order, opt = exact_opt_permutation(instance)
+    except TooLarge as exc:
+        return Certification(chain_cost(instance, chain), None, str(exc), None, False)
     chain_values(instance, chain)
     lattice = instance.lattice
     f, g = lattice.cost, lattice.weight
@@ -397,9 +405,10 @@ def check_ratio(
         opt_costs.append(cost)
         opt_weights.append(weight)
     cost_scale, weight_scale = lattice.cost_scale, lattice.weight_scale
-    report = histogram_containment_check(weights, chain.densities, opt_costs, opt_weights,
-                                         alpha, cost_scale, weight_scale)
+    violation = histogram_containment_check(weights, chain.densities, opt_costs, opt_weights,
+                                            alpha, cost_scale, weight_scale)
     steps = zip(masks[1:], weights[1:], weights)
     greedy_cost = Fraction(sum(f[mask] * (w - prev) for mask, w, prev in steps),
                            cost_scale * weight_scale)
-    return greedy_cost, opt, report, greedy_cost > 4 * alpha * opt or not report.contained
+    violated = greedy_cost > 4 * alpha * opt or violation is not None
+    return Certification(greedy_cost, opt, None, violation, violated)

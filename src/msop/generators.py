@@ -158,6 +158,10 @@ _GENERATORS = {
     "xsearch": _gen_xsearch,
 }
 KINDS = tuple(_GENERATORS)
+# the largest n that ``msop sweep`` generates of each kind; the sizes stay
+# under the exhaustive caps, so every instance gets its exact optimum
+MAX_N = {"mssc": 8, "pipelined": 8, "inforest": 8, "multitree": 8,
+         "bipartite-or": 7, "rof": 7, "xsearch": 5}
 
 
 def gen_instance(kind: str, n: int, seed: int, **params):

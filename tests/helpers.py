@@ -29,6 +29,7 @@ from msop.core import (
 )
 from msop.errors import (
     BadParams,
+    InvalidChain,
     MissingCertificate,
     MsopError,
     NoFeasiblePermutation,
@@ -44,7 +45,7 @@ from msop.errors import (
     SolverStall,
     ValidationError,
 )
-from msop.exact import HistogramReport, histogram_containment_check
+from msop.exact import histogram_containment_check
 from msop.formats import _rational
 from msop.generators import _rng
 from msop.lattice import IntColumn, coverage_column, modular_column
@@ -411,8 +412,24 @@ def random_chain(instance: MsopInstance, rng: random.Random) -> Chain:
         ups = [s for s in feasible if current < s]
         current = rng.choice(sorted(ups, key=lambda s: (len(s), tuple(sorted(s)))))
         sets.append(current)
-    return Chain.from_sets(tuple(sets))
+    return chain_from_sets(tuple(sets))
 
+
+
+def chain_from_sets(sets: Sequence[frozenset[int]], densities=None, values=None,
+                    instance=None) -> Chain:
+    """The chain through ``sets``, which must strictly increase from the
+    empty set, with ``Chain``'s other fields as given."""
+    if sets and sets[0]:
+        raise InvalidChain("chains start at the empty set")
+    increments = []
+    for a, b in zip(sets, sets[1:]):
+        if not a < b:
+            raise InvalidChain(
+                f"chain sets must strictly increase, got {sorted(a)} before {sorted(b)}"
+            )
+        increments.append(tuple(sorted(b - a)))
+    return Chain(tuple(increments), densities, values, instance)
 
 
 def permutation_to_chain(instance: MsopInstance, order: Sequence[int]) -> Chain:
@@ -597,7 +614,7 @@ def ref_exact_opt_chain(instance: MsopInstance):
     masks = [full]
     while masks[-1] != 0:
         masks.append(parent[masks[-1]])
-    return Chain.from_sets(tuple(subsets[m] for m in reversed(masks))), best[full]
+    return chain_from_sets(tuple(subsets[m] for m in reversed(masks))), best[full]
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +665,7 @@ def ref_greedy_chain(instance: MsopInstance, density_solver) -> Chain:
         sets.append(after)
         densities.append(checked.marginal_density)
         current = after
-    return Chain.from_sets(tuple(sets), tuple(densities))
+    return chain_from_sets(tuple(sets), tuple(densities))
 
 
 def _beats(cand, best) -> bool:
@@ -1233,13 +1250,14 @@ def _height_at(columns, x):
     return 0
 
 
-def chain_histogram(instance: MsopInstance, greedy: Chain, opt: Chain, alpha) -> HistogramReport:
+def chain_histogram(instance: MsopInstance, greedy: Chain, opt: Chain, alpha):
     """``histogram_containment_check`` on two chains, each read once
-    through ``chain_values``, as ``exact.check_ratio`` reads them."""
+    through ``chain_values``, as ``exact.check_ratio`` reads them: the
+    first violation, or None when the histogram is contained."""
     greedy_weights = chain_values(instance, greedy)[1]
     opt_costs, opt_weights = chain_values(instance, opt)
     return histogram_containment_check(
-        greedy_weights, greedy.densities, opt_costs, opt_weights, alpha)
+        greedy_weights, greedy.densities, opt_costs, opt_weights, alpha, 1, 1)
 
 
 def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: Chain, alpha):
@@ -1280,8 +1298,6 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
                 breakpoints.add(right)
     xs = sorted(breakpoints)
 
-    contained = True
-    first_violation = None
     for a, b in zip(xs, xs[1:]):
         if a == b:
             continue
@@ -1289,11 +1305,8 @@ def ref_histogram_containment_check(instance: MsopInstance, greedy: Chain, opt: 
         shrunk_height = _height_at(shrunk, mid)
         opt_height = _height_at(solid_opt, mid)
         if shrunk_height > opt_height:
-            contained = False
-            first_violation = (mid, shrunk_height, opt_height)
-            break
-
-    return HistogramReport(contained, first_violation)
+            return (mid, shrunk_height, opt_height)
+    return None
 
 
 def _greedy_columns(greedy_weights, certificate, g_total):

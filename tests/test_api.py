@@ -2,7 +2,8 @@
 
 A top-level public function, class or constant of ``src/msop`` that no
 library module reads is API that no command reaches; test-only references
-live in ``tests/helpers.py`` instead.
+live in ``tests/helpers.py`` instead.  The same holds for the public
+methods, properties and fields of the library's classes.
 """
 
 import ast
@@ -15,6 +16,13 @@ PACKAGE = Path(msop.__file__).resolve().parent
 # read by no library code yet: the hypotheses check that reports will run
 # above the exhaustive caps (ROADMAP, "Hypotheses verified over the lattice")
 WITHOUT_READER = {("core", "spot_check_hypotheses")}
+# class members that no library code reads, each kept for a reader outside it
+MEMBERS_WITHOUT_READER = {
+    # perfbench's traced spans record each greedy chain's step count
+    ("core", "Chain.steps"),
+    # argparse calls it on a bad command line, to exit 1 where it would exit 2
+    ("cli", "_Parser.error"),
+}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -70,3 +78,25 @@ def test_every_public_library_name_has_a_library_reader():
                          if name != "__init__"))
     unread = sorted(f"{module}.{name}" for module, name in defined - read - WITHOUT_READER)
     assert not unread, f"public names that no library module reads: {', '.join(unread)}"
+
+
+
+def test_every_public_class_member_has_a_library_reader():
+    # a member is read by any ``x.member`` outside its own definition: the
+    # receiver's class is not resolved, so a shared name counts for both
+    modules = _modules()
+    reads = {}  # attribute name -> ids of the nodes that read it
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if name != "__init__" and isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(id(node))
+    unread = []
+    for module, tree in modules.items():
+        for cls in (statement for statement in tree.body if isinstance(statement, ast.ClassDef)):
+            for statement in cls.body:
+                inside = set(map(id, ast.walk(statement)))
+                unread += [f"{module}.{cls.name}.{member}" for member in _defined(statement)
+                           if not reads.get(member, inside) - inside
+                           and (module, f"{cls.name}.{member}") not in MEMBERS_WITHOUT_READER]
+    assert not unread, f"class members that no library code reads: {', '.join(unread)}"

@@ -33,6 +33,7 @@ from msop.mssc import singleton_solver as mssc_singleton, to_msop
 from msop.orsched import OrDag, stem_solver, to_msop as ordag_to_msop
 
 from helpers import (
+    chain_from_sets,
     InfeasibleInitialSet,
     covering_cost,
     densest_consistent_permutation,
@@ -57,7 +58,7 @@ def modular(values):
 
 def test_chain_cost_single_step_is_product():
     inst = free_instance(3, modular([1, 2, 3]), modular([1, 1, 1]))
-    chain = Chain.from_sets((frozenset(), frozenset({0, 1, 2})))
+    chain = chain_from_sets((frozenset(), frozenset({0, 1, 2})))
     assert chain_cost(inst, chain) == 6 * 3
 
 
@@ -65,11 +66,11 @@ def test_chain_cost_flat_weight_steps_contribute_nothing():
     # weight jumps only on the first step; later sets add cost but no weight
     weight = lambda s: 5 if s else 0
     inst = free_instance(3, modular([1, 1, 1]), weight)
-    lazy = Chain.from_sets(
+    lazy = chain_from_sets(
         (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))
     )
     assert chain_cost(inst, lazy) == 1 * 5
-    direct = Chain.from_sets((frozenset(), frozenset({0, 1, 2})))
+    direct = chain_from_sets((frozenset(), frozenset({0, 1, 2})))
     assert chain_cost(inst, direct) == 3 * 5
 
 
@@ -87,17 +88,17 @@ def test_chain_cost_mssc_example_matches_exact_oracle():
 def test_chain_validation_errors():
     inst = free_instance(2, modular([1, 1]), modular([1, 1]))
     with pytest.raises(InvalidChain):
-        Chain.from_sets((frozenset({0}), frozenset({0, 1})))  # must start empty
+        chain_from_sets((frozenset({0}), frozenset({0, 1})))  # must start empty
     with pytest.raises(InvalidChain):
-        Chain.from_sets((frozenset(), frozenset()))  # strict inclusion
-    short = Chain.from_sets((frozenset(), frozenset({0})))
+        chain_from_sets((frozenset(), frozenset()))  # strict inclusion
+    short = chain_from_sets((frozenset(), frozenset({0})))
     with pytest.raises(InvalidChain):
         chain_cost(inst, short)  # does not reach the ground set
     gated = MsopInstance(
         (0, 1), lambda s: len(s) != 1, modular([1, 1]), modular([1, 1])
     )
     with pytest.raises(InvalidChain):
-        chain_cost(gated, Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1}))))
+        chain_cost(gated, chain_from_sets((frozenset(), frozenset({0}), frozenset({0, 1}))))
 
 
 def test_chain_rejects_kept_values_of_the_wrong_length():
@@ -108,28 +109,28 @@ def test_chain_rejects_kept_values_of_the_wrong_length():
     sets = (frozenset(), frozenset({0}), frozenset({0, 1}))
     for values in (((0, 5), (0, 1)), ((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 2, 2))):
         with pytest.raises(InvalidChain, match="one cost and one weight per chain set"):
-            Chain.from_sets(sets, (1, 1), values, inst)
-    chain = Chain.from_sets(sets, (1, 1), ((0, 1, 2), (0, 1, 2)), inst)
-    assert chain_cost(inst, chain) == 3 == chain_cost(inst, Chain.from_sets(sets))
+            chain_from_sets(sets, (1, 1), values, inst)
+    chain = chain_from_sets(sets, (1, 1), ((0, 1, 2), (0, 1, 2)), inst)
+    assert chain_cost(inst, chain) == 3 == chain_cost(inst, chain_from_sets(sets))
 
 
 def test_chain_keeps_sorted_increments_and_derives_its_sets():
     sets = (frozenset(), frozenset({5, -1}), frozenset({5, -1, 3, 0}))
-    chain = Chain.from_sets(sets)
+    chain = chain_from_sets(sets)
     assert chain.increments == ((-1, 5), (0, 3)) and chain.steps == 2
     assert chain.sets == sets and chain == Chain(((-1, 5), (0, 3)))
     for bad in ((), ((),), ((0,), (0, 1)), ((1, 0),), ((0, 0),), [[0]]):
         with pytest.raises(InvalidChain):
             Chain(tuple(bad) if isinstance(bad, tuple) else bad)
     with pytest.raises(InvalidChain, match=r"strictly increase, got \[0\] before \[1\]"):
-        Chain.from_sets((frozenset(), frozenset({0}), frozenset({1})))
+        chain_from_sets((frozenset(), frozenset({0}), frozenset({1})))
 
 
 def test_chain_cost_detects_non_monotone_weight():
     values = {frozenset(): 0, frozenset({0}): 2, frozenset({0, 1}): 1}
     inst = MsopInstance((0, 1), lambda s: True, modular([1, 1]), lambda s: values[s])
     with pytest.raises(NonMonotone):
-        chain_cost(inst, Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1}))))
+        chain_cost(inst, chain_from_sets((frozenset(), frozenset({0}), frozenset({0, 1}))))
 
 
 def test_marginal_density_definition_and_sentinel():
@@ -292,7 +293,7 @@ def test_greedy_keeps_the_values_a_fresh_walk_reads():
     for inst, chain in _greedy_runs():
         assert chain.instance is inst and chain.steps > 1 and inst.n > 9
         assert chain_values(inst, chain) is chain.values
-        assert chain_values(inst, Chain.from_sets(chain.sets)) == chain.values
+        assert chain_values(inst, chain_from_sets(chain.sets)) == chain.values
 
 
 def test_greedy_run_memory_grows_linearly():
@@ -348,7 +349,7 @@ def test_kept_values_answer_only_the_instance_that_read_them():
     assert chain_values(copy, chain) == chain.values
     assert len(asked) == 2 * len(chain.sets)
     dual = dualize(inst)
-    walked = chain_values(dual, Chain.from_sets(chain.sets))
+    walked = chain_values(dual, chain_from_sets(chain.sets))
     assert chain_values(dual, chain) == walked != chain.values
 
 
@@ -383,7 +384,7 @@ def test_permutation_to_chain_rejects_repeats_and_the_empty_order():
 
 def test_chain_to_permutation_consistency_free_family():
     inst = free_instance(3, modular([1, 1, 1]), modular([1, 1, 1]))
-    chain = Chain.from_sets((frozenset(), frozenset({0, 2}), frozenset({0, 1, 2})))
+    chain = chain_from_sets((frozenset(), frozenset({0, 2}), frozenset({0, 1, 2})))
     perm = chain_to_permutation(inst, chain)
     assert perm in ((0, 2, 1), (2, 0, 1))
     assert frozenset(perm[:2]) == frozenset({0, 2})
@@ -394,7 +395,7 @@ def test_chain_to_permutation_not_well_founded():
     # under splicing, so no permutation is consistent with the chain
     family = {frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})}
     inst = MsopInstance((0, 1, 2), family.__contains__, modular([1, 1, 1]), modular([1, 1, 1]))
-    chain = Chain.from_sets((frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})))
+    chain = chain_from_sets((frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})))
     for refine in (chain_to_permutation, densest_consistent_permutation):
         with pytest.raises(NotWellFounded):
             refine(inst, chain)
@@ -427,7 +428,7 @@ def test_subchain_costs_at_least_chain():
         chain = random_chain(inst, rng)
         k = chain.steps
         keep = sorted({0, k} | {i for i in range(1, k) if rng.random() < 0.5})
-        sub = Chain.from_sets(tuple(chain.sets[i] for i in keep))
+        sub = chain_from_sets(tuple(chain.sets[i] for i in keep))
         assert chain_cost(inst, sub) >= chain_cost(inst, chain)
 
 

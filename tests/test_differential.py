@@ -41,6 +41,7 @@ from msop.mssc import MsscInstance
 from msop.orsched import OrDag
 
 from helpers import (
+    chain_from_sets,
     chain_histogram,
     find_supp,
     gen_generic_msop,
@@ -965,14 +966,14 @@ def test_histogram_check_matches_reference_on_scaled_certificates():
         opts = [exact.exact_opt_chain(inst)[0], random_chain(inst, rng), random_chain(inst, rng)]
         for _ in range(4):
             factor = Fraction(rng.randint(1, 6), 4 << rng.randrange(4))
-            scaled = Chain.from_sets(greedy.sets, tuple(d * factor for d in greedy.densities))
+            scaled = chain_from_sets(greedy.sets, tuple(d * factor for d in greedy.densities))
             for opt in opts:
                 for alpha in (1, Fraction(3, 2), 2):
-                    report = chain_histogram(inst, scaled, opt, alpha)
+                    violation = chain_histogram(inst, scaled, opt, alpha)
                     expected = ref_histogram_containment_check(inst, scaled, opt, alpha)
-                    assert report == expected, (seed, factor, alpha)
+                    assert violation == expected, (seed, factor, alpha)
                     cases += 1
-                    violations += not report.contained
+                    violations += violation is not None
     assert cases >= 4000 and violations >= max(1000, cases // 4), (cases, violations)
 
 
@@ -1008,13 +1009,14 @@ def check_ratio_cases(inst, rng):
                 certificate[step] = corrupt
             chain = Chain(greedy.increments, tuple(certificate))
             for alpha in (1, Fraction(3, 2), 2):
-                cost, got_opt, report, violated = exact.check_ratio(inst, chain, alpha)
+                record = exact.check_ratio(inst, chain, alpha)
                 expected = ref_histogram_containment_check(inst, chain, opt_chain, alpha)
-                assert report == expected, (inst.name, factor, corrupt, alpha)
-                assert cost == chain_cost(inst, chain) and got_opt == opt
-                assert violated == (cost > 4 * alpha * opt or not expected.contained)
+                assert record.first_violation == expected, (inst.name, factor, corrupt, alpha)
+                cost = record.greedy_cost
+                assert cost == chain_cost(inst, chain) and record.optimum == opt
+                assert record.violated == (cost > 4 * alpha * opt or expected is not None)
                 counts["cases"] += 1
-                counts["uncontained"] += not report.contained
+                counts["uncontained"] += record.first_violation is not None
                 counts["infinite"] += histogram_areas(inst, chain, opt_chain)[1] == INF
     return counts
 
@@ -1809,7 +1811,7 @@ def test_chain_text_matches_reference_through_multi_element_increments():
             current.update(rng.sample(ids, min(len(ids), rng.randint(1, 5))))
             if len(current) > len(sets[-1]):
                 sets.append(frozenset(current))
-        chain = Chain.from_sets(tuple(sets))
+        chain = chain_from_sets(tuple(sets))
         assert cli._format_chain(chain) == ref_format_chain(chain), sets
 
 

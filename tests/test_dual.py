@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from msop import (
-    Chain,
     MsopInstance,
     backward_greedy_chain,
     chain_cost,
@@ -16,7 +15,8 @@ from msop import (
 from msop import exact
 from msop.errors import ValidationError
 
-from helpers import gen_generic_msop, gen_supermodular_cost_msop, random_chain, singleton_solver
+from helpers import (chain_from_sets, gen_generic_msop, gen_supermodular_cost_msop,
+                     random_chain, singleton_solver)
 
 
 def modular(values):
@@ -61,11 +61,11 @@ def test_supermodular_cost_meets_the_hypotheses_only_on_its_dual():
 
 
 def test_dual_chain_examples_and_involution():
-    chain = Chain.from_sets((frozenset(), frozenset({1}), frozenset({1, 2})))
+    chain = chain_from_sets((frozenset(), frozenset({1}), frozenset({1, 2})))
     d = dual_chain(chain)
     assert d.sets == (frozenset(), frozenset({2}), frozenset({1, 2}))
     assert dual_chain(d) == chain
-    two = Chain.from_sets((frozenset(), frozenset({1, 2})))
+    two = chain_from_sets((frozenset(), frozenset({1, 2})))
     assert dual_chain(two) == two
 
 

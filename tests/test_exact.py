@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from msop import (
-    Chain,
     INF,
     MsopInstance,
     chain_cost,
@@ -27,6 +26,7 @@ from msop.mssc import to_msop as mssc_to_msop
 from msop.orsched import OrDag, to_msop as ordag_to_msop
 
 from helpers import (
+    chain_from_sets,
     brute_max_density,
     chain_histogram,
     histogram_areas,
@@ -149,6 +149,14 @@ def test_caps_raise_too_large(monkeypatch):
     exact.exact_opt_permutation(above)
 
 
+def test_certification_ratio():
+    # a Fraction, INF under a zero optimum with a positive greedy cost, else 0
+    for cost, optimum, ratio in ((3, 2, Fraction(3, 2)), (Fraction(7, 2), Fraction(7, 4),
+                                 Fraction(2)), (3, 0, INF), (0, 0, 0)):
+        record = exact.Certification(cost, optimum, None, None, False)
+        assert repr(record.ratio) == repr(ratio)
+
+
 def test_max_density_prefers_best_singleton():
     inst = free_instance(2, modular([1, 1]), modular([3, 2]))
     result = exact.exact_max_density(inst, frozenset())
@@ -244,20 +252,20 @@ def test_base_outside_the_ground_set_is_not_in_the_family():
 def test_histogram_trivial_single_column():
     inst = free_instance(1, modular([2]), modular([3]))
     chain = greedy_chain(inst, exact.exact_density_solver(inst))
-    report = chain_histogram(inst, chain, chain, 1)
-    assert report.contained
+    assert chain_histogram(inst, chain, chain, 1) is None
     assert histogram_areas(inst, chain, chain) == (chain_cost(inst, chain),) * 2
 
 
 def test_histogram_requires_certificate():
     # the values of the chain {} < {0} with cost 2 and weight 3
     with pytest.raises(MissingCertificate):
-        histogram_containment_check([0, 3], None, [0, 2], [0, 3], 1)
+        histogram_containment_check([0, 3], None, [0, 2], [0, 3], 1, 1, 1)
 
 
 def test_histogram_rejects_alpha_below_one():
     with pytest.raises(ValidationError, match="alpha must be at least 1"):
-        histogram_containment_check([0, 3], [Fraction(3, 2)], [0, 2], [0, 3], Fraction(1, 2))
+        histogram_containment_check([0, 3], [Fraction(3, 2)], [0, 2], [0, 3], Fraction(1, 2),
+                                    1, 1)
 
 
 def test_histogram_rejects_a_chain_whose_weight_falls():
@@ -267,8 +275,8 @@ def test_histogram_rejects_a_chain_whose_weight_falls():
     # 0, 1 that the permutation DP finds on these weights, read off the
     # lattice with chain_values' class and text
     inst = free_instance(2, modular([1, 1]), lambda s: 2 if s == {0} else min(len(s), 1))
-    falling = Chain.from_sets((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
-    rising = Chain.from_sets((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
+    falling = chain_from_sets((frozenset(), frozenset({0}), frozenset({0, 1})), (2, 1))
+    rising = chain_from_sets((frozenset(), frozenset({1}), frozenset({0, 1})), (1, 0))
     assert exact.exact_opt_permutation(inst)[0] == (0, 1)
     for greedy in (falling, rising):
         with pytest.raises(NonMonotone, match=r"value decreased between \[0\] and \[0, 1\]"):
@@ -284,25 +292,25 @@ ZERO_ONE = frozenset({0, 1})
 # (instance, a chain it rejects, a chain to pair it with, the error)
 BAD_CHAINS = {
     "stops short": (
-        _two_elements(), Chain.from_sets((frozenset(), frozenset({0}))),
-        Chain.from_sets((frozenset(), ZERO_ONE)), InvalidChain),
+        _two_elements(), chain_from_sets((frozenset(), frozenset({0}))),
+        chain_from_sets((frozenset(), ZERO_ONE)), InvalidChain),
     "through an infeasible set": (
         _two_elements(family=lambda s: s != {0}),
-        Chain.from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
-        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
+        chain_from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
+        chain_from_sets((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
     "weight falls": (
         _two_elements(weight=lambda s: 2 if s == {0} else min(len(s), 1)),
-        Chain.from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
-        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
+        chain_from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
+        chain_from_sets((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
     # the two below are rejected since the certification reads its chains
     # through chain_values
     "nonzero on the empty set": (
-        _two_elements(cost=lambda s: len(s) + 1), Chain.from_sets((frozenset(), ZERO_ONE)),
-        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
+        _two_elements(cost=lambda s: len(s) + 1), chain_from_sets((frozenset(), ZERO_ONE)),
+        chain_from_sets((frozenset(), frozenset({1}), ZERO_ONE)), InvalidChain),
     "cost falls": (
         _two_elements(cost=lambda s: 3 if s == {0} else len(s)),
-        Chain.from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
-        Chain.from_sets((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
+        chain_from_sets((frozenset(), frozenset({0}), ZERO_ONE)),
+        chain_from_sets((frozenset(), frozenset({1}), ZERO_ONE)), NonMonotone),
 }
 
 
@@ -312,9 +320,9 @@ def test_chain_cost_and_histogram_reject_the_same_chains(row):
     with pytest.raises(error):
         chain_cost(inst, bad)
     with pytest.raises(error):  # a greedy chain needs a certificate, of any values
-        chain_histogram(inst, Chain.from_sets(bad.sets, (1,) * bad.steps), good, 1)
+        chain_histogram(inst, chain_from_sets(bad.sets, (1,) * bad.steps), good, 1)
     with pytest.raises(error):
-        chain_histogram(inst, Chain.from_sets(good.sets, (1,) * good.steps), bad, 1)
+        chain_histogram(inst, chain_from_sets(good.sets, (1,) * good.steps), bad, 1)
 
 
 def test_histogram_area_identities_and_containment():
@@ -322,8 +330,7 @@ def test_histogram_area_identities_and_containment():
         inst = gen_generic_msop(2 + seed % 6, 7000 + seed)
         chain = greedy_chain(inst, exact.exact_density_solver(inst))
         opt, opt_cost = exact.exact_opt_chain(inst)
-        report = chain_histogram(inst, chain, opt, 1)
-        assert report.contained
+        assert chain_histogram(inst, chain, opt, 1) is None
         assert histogram_areas(inst, chain, opt) == (opt_cost, chain_cost(inst, chain))
         heights = chain_values(inst, opt)[0]
         assert heights == tuple(sorted(heights))
@@ -332,10 +339,9 @@ def test_histogram_area_identities_and_containment():
 def test_histogram_corrupted_certificate_is_pinpointed():
     inst = free_instance(1, modular([1]), modular([1]))
     chain = greedy_chain(inst, exact.exact_density_solver(inst))
-    corrupt = Chain.from_sets(chain.sets, tuple(Fraction(d, 4) for d in chain.densities))
-    report = chain_histogram(inst, corrupt, chain, 1)
-    assert not report.contained
-    assert report.first_violation is not None
-    x, got, allowed = report.first_violation
+    corrupt = chain_from_sets(chain.sets, tuple(Fraction(d, 4) for d in chain.densities))
+    violation = chain_histogram(inst, corrupt, chain, 1)
+    assert violation is not None
+    x, got, allowed = violation
     assert got > allowed
     assert Fraction(1, 2) <= x <= 1

@@ -362,26 +362,29 @@ def test_cli_check_ratio_skips_exact_above_caps(tmp_path, capsys, monkeypatch):
     run(["gen", "inforest", "--n", "8", "--seed", "1", "--out", str(path)])
     capsys.readouterr()
     monkeypatch.setattr(exact, "CAPS", {"perm": 5, "chain": 5, "density": 20})
-    assert run(["check-ratio", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "exact_cost=skipped" in out
-    assert "greedy_cost=" in out
+    # above the cap the record holds the kept chain's greedy cost and the
+    # TooLarge text, and the report prints no ratio, histogram or verdict
+    solved, report = {}, {}
+    for command, lines in (("solve", solved), ("check-ratio", report)):
+        assert run([command, str(path)]) == 0
+        lines.update(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["greedy_cost"] == solved["greedy_cost"] and report["exact_cost"] == "skipped"
+    assert report["skip_reason"] == "perm: instance has 8 elements, exhaustive cap is 5"
+    assert not {"ratio", "histogram_contained", "verdict"} & set(report)
 
 
 def test_cli_check_ratio_flags_violations_with_exit_two(tmp_path, capsys, monkeypatch):
     # force an impossibly good "optimum" so the bound check must trip
-    import msop.cli as cli_mod
-
     path = tmp_path / "v.msop"
     run(["gen", "mssc", "--n", "4", "--seed", "9", "--out", str(path)])
     capsys.readouterr()
-    real = cli_mod.exact.exact_opt_permutation
+    real = exact.exact_opt_permutation
 
     def liar(instance):
         perm, cost = real(instance)
         return perm, Fraction(cost, 100)
 
-    monkeypatch.setattr(cli_mod.exact, "exact_opt_permutation", liar)
+    monkeypatch.setattr(exact, "exact_opt_permutation", liar)
     assert run(["check-ratio", str(path)]) == 2
     out = capsys.readouterr().out
     assert "verdict=BOUND VIOLATED" in out
@@ -396,9 +399,8 @@ def test_cli_check_ratio_reports_the_first_histogram_violation(tmp_path, capsys,
     real = cli.exact.check_ratio
 
     def uncontained(instance, chain, alpha):
-        greedy_cost, opt, report, _ = real(instance, chain, alpha)
         violation = (Fraction(3, 2), Fraction(7, 3), 2)
-        return greedy_cost, opt, replace(report, contained=False, first_violation=violation), True
+        return replace(real(instance, chain, alpha), first_violation=violation, violated=True)
 
     monkeypatch.setattr(cli.exact, "check_ratio", uncontained)
     assert run(["check-ratio", str(path)]) == 2
@@ -406,6 +408,55 @@ def test_cli_check_ratio_reports_the_first_histogram_violation(tmp_path, capsys,
     at = lines.index("histogram_contained=false")
     assert lines[at + 1] == "histogram_violation=x=3/2 height=7/3 limit=2"
     assert lines[-1] == "verdict=BOUND VIOLATED"
+
+
+# each kind's worst ratio over seeds 1 to 20, its first seed, and the bound
+SWEEP_WORST = {"mssc": ("1", "1", "4"), "pipelined": ("81/79", "5", "4"),
+               "inforest": ("17/14", "15", "4"), "multitree": ("22/15", "16", "4"),
+               "bipartite-or": ("5/4", "17", "4"), "rof": ("1273/1118", "2", "8"),
+               "xsearch": ("16/13", "1", "4")}
+SWEEP_KEYS = ["kind", "instances", "worst_ratio", "worst_seed", "bound", "contained",
+              "wall_time_s", "verdict"]
+
+
+def _sweep_blocks(out: str) -> list[dict[str, str]]:
+    """The ``key=value`` block of each kind, in the order printed."""
+    lines = [line.split("=", 1) for line in out.splitlines()]
+    blocks = [lines[i:i + len(SWEEP_KEYS)] for i in range(0, len(lines), len(SWEEP_KEYS))]
+    assert [[key for key, _ in block] for block in blocks] == [SWEEP_KEYS] * len(blocks), out
+    return [dict(block) for block in blocks]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_sweep_certifies_every_kind(capsys, kind):
+    assert run(["sweep", "--kinds", kind, "--count", "20", "--seed", "1"]) == 0
+    [block] = _sweep_blocks(capsys.readouterr().out)
+    assert (block["kind"], block["instances"], block["contained"], block["verdict"]) == (
+        kind, "20", "true", "ok")
+    assert (block["worst_ratio"], block["worst_seed"], block["bound"]) == SWEEP_WORST[kind]
+
+
+def test_cli_sweep_flags_a_zero_optimum_under_a_positive_greedy_cost(capsys, monkeypatch):
+    # check_ratio's verdict, as in `msop check-ratio`: the ratio is unbounded;
+    # every kind is swept by default
+    real = exact.exact_opt_permutation
+    monkeypatch.setattr(exact, "exact_opt_permutation", lambda inst: (real(inst)[0], 0))
+    assert run(["sweep", "--count", "2", "--seed", "1"]) == 2
+    blocks = _sweep_blocks(capsys.readouterr().out)
+    assert [block["kind"] for block in blocks] == list(KINDS)
+    assert (blocks[0]["worst_ratio"], blocks[0]["worst_seed"], blocks[0]["verdict"]) == (
+        "inf", "1", "BOUND VIOLATED")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kinds", "mssc,foo"], "unknown kind 'foo'; expected one of mssc, pipelined, "),
+    (["--count", "0"], "--count must be at least 1"),
+], ids=["unknown-kind", "no-count"])
+def test_cli_sweep_bad_arguments_are_errors_not_tracebacks(capsys, argv, message):
+    assert run(["sweep", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: BadParams: {message}")
 
 
 def test_cli_exact_prints_nothing_when_it_fails(tmp_path, capsys):
