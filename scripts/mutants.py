@@ -250,6 +250,17 @@ MUTANTS = (
            '"intree" if sum(not dag.succs[j] for j in dag.jobs) == 1 else "inforest"',
            '"intree"',
            "tests/test_orsched.py::test_classify_dag_matches_reference_on_random_dags"),
+    # read-once formulas: the gate rules (rof.GATES) and what reads them
+    Mutant("rof-column-root-read-without-remap", "src/msop/rof.py",
+           "    column = [zeros[i] + ones[i] for i in index]\n",
+           "    column = [z + o for z, o in zip(zeros, ones)]\n",
+           f"{DIFF}::test_supplied_and_dual_columns_match_the_oracles[rof]"),
+    Mutant("rof-either-without-overlap", "src/msop/rof.py",
+           "    return x * dy + y * dx - x * y\n", "    return x * dy + y * dx\n",
+           "tests/test_rof.py::test_gate_probabilities_match_enumeration"),
+    Mutant("rof-supplement-takes-other-outcome-rule", "src/msop/rof.py",
+           "GATES[gate.op][outcome] is _both", "GATES[gate.op][1 - outcome] is _both",
+           "tests/test_rof.py::test_supplement_tables_match_brute_force"),
 )
 
 

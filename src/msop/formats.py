@@ -26,7 +26,7 @@ from .core import DensitySolver, MsopInstance, Rational
 from .errors import ParseError, ValidationError
 from .mssc import MsscInstance
 from .orsched import OrDag
-from .rof import Gate, Leaf, Node, ReadOnceFormula
+from .rof import GATES, Gate, Leaf, Node, ReadOnceFormula
 from .xsearch import SearchGraph
 
 Instance = MsscInstance | OrDag | ReadOnceFormula | SearchGraph
@@ -253,7 +253,7 @@ def _parse_formula(expr: str, lineno: int, offset: int) -> tuple[Node, dict[int,
             pos += 1
             skip_blank()
             op, op_at = read_token()
-            if op not in ("and", "or"):
+            if op not in GATES:
                 error(f"unknown gate {_shown(op)}", op_at)
             stack.append((op, open_at, []))
             continue

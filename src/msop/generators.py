@@ -15,6 +15,7 @@ from functools import partial
 
 from .core import Rational
 from .errors import BadParams
+from .lattice import ids_in
 from .mssc import MsscInstance
 from .orsched import OrDag
 from .rof import Gate, Leaf, Node, ReadOnceFormula
@@ -75,13 +76,6 @@ def _gen_ordag(n: int, seed: int, kind: str, arc_chance: float | None = None) ->
     return OrDag(jobs, times, weights, tuple(sorted(arcs)))
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _one_path_with(reach: list[int], above: list[int], i: int, j: int) -> bool:
     """Whether arc i -> j keeps at most one path between every ordered pair,
     given the reachability masks of a multitree over jobs numbered in
@@ -91,14 +85,15 @@ def _one_path_with(reach: list[int], above: list[int], i: int, j: int) -> bool:
     path exactly when i or an ancestor of i already reaches j or a
     descendant of j."""
     ancestors, below = above[i], reach[j]
+    jobs = range(len(reach))
     reached = 0
-    for u in _bits(ancestors):
+    for u in ids_in(jobs, ancestors):
         reached |= reach[u]
     if reached & below:
         return False
-    for u in _bits(ancestors):
+    for u in ids_in(jobs, ancestors):
         reach[u] |= below
-    for v in _bits(below):
+    for v in ids_in(jobs, below):
         above[v] |= ancestors
     return True
 

@@ -33,7 +33,7 @@ from .errors import (
     NotMultitree,
     ValidationError,
 )
-from .lattice import RunningOracle, Walk, flags, lacking, modular, supply
+from .lattice import RunningOracle, Walk, bit_of, flags, lacking, modular, supply
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class OrDag:
         So one pass in reverse topological order, over reachability
         bitmasks, rejects a vertex two of whose successors reach a common
         vertex."""
-        bit = {j: 1 << i for i, j in enumerate(self.jobs)}
+        bit = bit_of(self.jobs)
         reach: dict[int, int] = {}
         for v in reversed(self._topological):
             below = 0
@@ -428,22 +428,18 @@ def _best_subtree(state: _Residual, start: int) -> tuple:
     return w_sum, t_sum, start, subtree - {start}
 
 
-def _or_instance(dag: OrDag, weight: Callable, name: str) -> MsopInstance:
-    """OR-initial membership and processing-time cost over the sorted jobs,
-    with the oracle ``weight(jobs)``; each supplies its column."""
+def to_msop(dag: OrDag) -> MsopInstance:
+    """OR-scheduling as a min-sum ordering instance over the sorted jobs:
+    OR-initial membership, and processing time and weight as modular cost
+    and weight; each oracle supplies its column."""
     ground = tuple(sorted(dag.jobs))
     return MsopInstance(
         ground,
         supply(OrInitialMembership(dag), ground, lambda: or_initial_column(dag, ground)),
         modular(ground, lambda: dag.time_map),
-        weight(ground),
-        name=name,
+        modular(ground, lambda: dag.weight_map),
+        name="orsched",
     )
-
-
-def to_msop(dag: OrDag) -> MsopInstance:
-    """OR-scheduling as a min-sum ordering instance (both oracles modular)."""
-    return _or_instance(dag, lambda jobs: modular(jobs, lambda: dag.weight_map), "orsched")
 
 
 def stem_solver(dag: OrDag) -> DensitySolver:

@@ -5,7 +5,11 @@ succeeds with probability p_i (a rational strictly between 0 and 1) and
 costs a positive integer c_i.  The weight of a test set S is the
 probability that the formula's value is already determined by the outcomes
 in S; the cost is the total test cost.  An ordering is evaluated by running
-tests until the value is determined.
+tests until the value is determined.  A gate is determined to an outcome
+when both of its children are, or when either one is: an AND needs both
+for 1 and either for 0, an OR the other way round.  ``GATES`` states these
+rules once, on probabilities scaled by the children's denominators, and
+the weight, its lattice column and the density step all read them there.
 
 The density step is a dynamic program over (gate, spent budget, target
 value): for every gate G, budget t and target l it records a subset of G's
@@ -24,7 +28,7 @@ from math import gcd
 
 from .core import DensityResult, DensitySolver, MsopInstance, compare_density
 from .errors import NoFeasibleSuperset, ValidationError
-from .lattice import RunningOracle, bit_of, free, modular, supply
+from .lattice import RunningOracle, free, modular, modular_column, supply
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,9 +36,24 @@ class Leaf:
     var: int
 
 
+def _both(x: int, y: int, dx: int, dy: int) -> int:
+    """Both children reach the outcome: probabilities ``x / dx`` and
+    ``y / dy`` give ``x * y / (dx * dy)``, returned times ``dx * dy``."""
+    return x * y
+
+
+def _either(x: int, y: int, dx: int, dy: int) -> int:
+    """Either child reaches the outcome, times ``dx * dy`` as ``_both``."""
+    return x * dy + y * dx - x * y
+
+
+# per gate kind, the rule of its outcomes 0 and 1 from its children's
+GATES = {"and": (_either, _both), "or": (_both, _either)}
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
-    op: str  # "and" | "or"
+    op: str  # a key of GATES
     left: "Node"
     right: "Node"
 
@@ -53,7 +72,7 @@ class ReadOnceFormula:
         for node in self.nodes:
             if isinstance(node, Leaf):
                 seen.append(node.var)
-            elif node.op not in ("and", "or"):
+            elif node.op not in GATES:
                 raise ValidationError(f"unknown gate {node.op!r}")
         if len(set(seen)) != len(seen):
             raise ValidationError("each variable may appear in exactly one leaf")
@@ -69,6 +88,11 @@ class ReadOnceFormula:
     @cached_property
     def variables(self) -> tuple[int, ...]:
         return tuple(sorted(self.probs))
+
+    @cached_property
+    def outcomes(self) -> dict[int, tuple[int, int]]:
+        """Each variable's probabilities of 1 and 0, times its denominator."""
+        return {v: (p.numerator, p.denominator - p.numerator) for v, p in self.probs.items()}
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
@@ -99,7 +123,7 @@ class ReadOnceFormula:
 
     @cached_property
     def leaves(self) -> dict[int, Leaf]:
-        """Each variable's leaf."""
+        """Each variable's leaf, from left to right."""
         return {node.var: node for node in self.nodes if isinstance(node, Leaf)}
 
     @cached_property
@@ -132,13 +156,10 @@ class ReadOnceFormula:
 def _scaled_gate(gate: Gate, ones, zeros, den) -> None:
     """A gate's probabilities of being determined 1 and 0, times its
     denominator, from its children's."""
-    pl, pr = ones[gate.left], ones[gate.right]
-    ql, qr = zeros[gate.left], zeros[gate.right]
-    dl, dr = den[gate.left], den[gate.right]
-    if gate.op == "and":
-        p, q = pl * pr, ql * dr + qr * dl - ql * qr
-    else:
-        p, q = pl * dr + pr * dl - pl * pr, ql * qr
+    left, right = gate.left, gate.right
+    dl, dr = den[left], den[right]
+    to_zero, to_one = GATES[gate.op]
+    p, q = to_one(ones[left], ones[right], dl, dr), to_zero(zeros[left], zeros[right], dl, dr)
     if p < 0 or q < 0 or p + q > den[gate]:
         raise ValidationError("gate probabilities left [0, 1]")
     ones[gate], zeros[gate] = p, q
@@ -190,9 +211,7 @@ class Determination(_FormulaState):
         self.zeros: dict[Node, int] = {}
 
     def leaf(self, leaf: Leaf, tested: bool) -> None:
-        p = self.formula.probs[leaf.var]
-        one, zero = (p.numerator, p.denominator - p.numerator) if tested else (0, 0)
-        self.ones[leaf], self.zeros[leaf] = one, zero
+        self.ones[leaf], self.zeros[leaf] = self.formula.outcomes[leaf.var] if tested else (0, 0)
 
     def gate(self, gate: Gate) -> None:
         _scaled_gate(gate, self.ones, self.zeros, self.formula.denominators)
@@ -205,33 +224,29 @@ class Determination(_FormulaState):
 def _determination_column(formula: ReadOnceFormula) -> tuple[list[int], int]:
     """Determination probability of every subset, by bitmask over the
     sorted variables: ints over the lcm of their denominators, and that
-    lcm.  Exponential in n; meant for small oracles."""
-    variables = formula.variables
-    bit = bit_of(variables)
+    lcm.  Per node and outcome, a list holds the probability of reaching
+    that outcome, times the node's denominator, for every subset of the
+    node's leaves, by bitmask over those leaves from left to right: a
+    gate's list is its rule over every pair of its children's entries, the
+    left child's bits below the right's.  Exponential in n; meant for
+    small oracles."""
     den = formula.denominators
-    # per node: mask -> probabilities of 1 and 0, times the node's denominator
-    tables: dict[Node, dict[int, tuple[int, int]]] = {}
+    lists: dict[Node, tuple[list[int], list[int]]] = {}
     for node in formula.nodes:
         if isinstance(node, Leaf):
-            p = formula.probs[node.var]
-            one, zero = p.numerator, p.denominator - p.numerator
-            tables[node] = {0: (0, 0), bit[node.var]: (one, zero)}
+            one, zero = formula.outcomes[node.var]
+            lists[node] = ([0, zero], [0, one])
         else:
-            left, right = tables[node.left], tables[node.right]
             dl, dr = den[node.left], den[node.right]
-            merged: dict[int, tuple[int, int]] = {}
-            if node.op == "and":
-                for ml, (pl, ql) in left.items():
-                    for mr, (pr, qr) in right.items():
-                        merged[ml | mr] = (pl * pr, ql * dr + qr * dl - ql * qr)
-            else:
-                for ml, (pl, ql) in left.items():
-                    for mr, (pr, qr) in right.items():
-                        merged[ml | mr] = (pl * dr + pr * dl - pl * pr, ql * qr)
-            tables[node] = merged
-            del tables[node.left], tables[node.right]
-    root = tables[formula.root]
-    column = [root[m][0] + root[m][1] for m in range(1 << len(variables))]
+            lists[node] = tuple(
+                [rule(x, y, dl, dr) for y in right for x in left]
+                for rule, left, right in zip(GATES[node.op], lists.pop(node.left),
+                                             lists.pop(node.right)))
+    zeros, ones = lists[formula.root]
+    place = {v: i for i, v in enumerate(formula.leaves)}  # left to right
+    # each sorted-variable mask's index in the left-to-right order
+    index, _ = modular_column([1 << place[v] for v in formula.variables])
+    column = [zeros[i] + ones[i] for i in index]
     # the root's denominator is a multiple of every entry's; divide out
     # what they share
     common = gcd(den[formula.root], *column)
@@ -277,8 +292,7 @@ class _Supplements(_FormulaState):
         self.scaled: dict[Node, dict[int, ScaledTable]] = {}
 
     def leaf(self, leaf: Leaf, tested: bool) -> None:
-        p = self.formula.probs[leaf.var]
-        one, zero = p.numerator, p.denominator - p.numerator
+        one, zero = self.formula.outcomes[leaf.var]
         if tested:
             self.scaled[leaf] = {1: {0: (one, 0)}, 0: {0: (zero, 0)}}
         else:
@@ -294,8 +308,7 @@ class _Supplements(_FormulaState):
         dl, dr = den[gate.left], den[gate.right]
         table = {}
         for outcome in (0, 1):
-            # both children must reach the target for "and"->1 and "or"->0
-            both = (gate.op == "and") == (outcome == 1)
+            both = GATES[gate.op][outcome] is _both
             left = sorted(scaled[gate.left][outcome].items())
             right = [(tr, pr) for tr, (pr, _) in sorted(scaled[gate.right][outcome].items())]
             # by budget: best value (-1 for none; values are nonnegative)
@@ -303,7 +316,7 @@ class _Supplements(_FormulaState):
             value = [-1] * (left[-1][0] + right[-1][0] + 1)
             share = [0] * len(value)
             for tl, (pl, _) in left:
-                # pl * pr, or pl * dr + pr * dl - pl * pr, as a + b * pr
+                # the rule as a function of pr alone: a + b * pr
                 a, b = (0, pl) if both else (pl * dr, dl - pl)
                 for tr, pr in right:
                     v = a + b * pr
@@ -344,9 +357,8 @@ class _Supplements(_FormulaState):
         ones: dict[Node, int] = {}
         zeros: dict[Node, int] = {}
         for var in chosen:
-            p = formula.probs[var]
             leaf = formula.leaves[var]
-            ones[leaf], zeros[leaf] = p.numerator, p.denominator - p.numerator
+            ones[leaf], zeros[leaf] = formula.outcomes[var]
         for gate in formula.gates_above(chosen):
             for child in (gate.left, gate.right):
                 if child not in ones:

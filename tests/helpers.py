@@ -61,11 +61,11 @@ from msop.rof import (
 from msop.mssc import MsscInstance, coverage
 from msop.orsched import (
     OrDag,
-    _or_instance,
     is_bipartite,
     is_inforest,
     is_multitree,
     stem_solver,
+    to_msop as ordag_to_msop,
 )
 from msop.xsearch import SearchGraph
 
@@ -383,7 +383,9 @@ def or_coverage_instance(dag: OrDag, edges) -> MsopInstance:
         if w < 0 or not members or not members <= jobs:
             raise ValidationError("bad hyperedge over the job set")
     frozen = tuple((w, frozenset(m)) for w, m in edges)
-    return _or_instance(dag, lambda ground: coverage(ground, lambda: frozen), "or-pipelined")
+    instance = ordag_to_msop(dag)
+    return replace(instance, weight=coverage(instance.ground_set, lambda: frozen),
+                   name="or-pipelined")
 
 
 def increment(base, candidate) -> tuple:

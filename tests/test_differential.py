@@ -1157,6 +1157,21 @@ def dag_with_a_job_after_all(n, seed):
                    arcs=dag.arcs + tuple((j, last) for j in dag.jobs))
 
 
+def nested_chain(n, left):
+    """A read-once formula of n leaves nested down its left (or right)
+    side, gates cycling through a mixed pattern; its ids run down from n
+    in left-to-right leaf order, against the sorted order of the column's
+    bits, and its probabilities have different denominators."""
+    ops = ("and", "or", "or", "and", "and")
+    node = rof.Leaf(n if left else 1)
+    for k, v in enumerate(range(n - 1, 0, -1) if left else range(2, n + 1)):
+        pair = (node, rof.Leaf(v)) if left else (rof.Leaf(v), node)
+        node = rof.Gate(ops[k % len(ops)], *pair)
+    ids = range(1, n + 1)
+    return rof.ReadOnceFormula(node, {v: Fraction(v % 4 + 1, v % 5 + 6) for v in ids},
+                               {v: v % 3 + 1 for v in ids})
+
+
 COLUMN_KINDS = {
     "mssc": lambda n, seed: mssc.to_msop(gen_instance("mssc", n, seed)),
     "pipelined": rational_mssc,
@@ -1186,6 +1201,12 @@ def assert_columns_match_oracles(inst):
 ADVERSARIAL_COLUMN_INPUTS = {
     "xsearch": lambda: map(xsearch.xsearch_to_msop, adversarial_search_graphs()),
     "bipartite-or": lambda: [orsched.to_msop(dag_with_a_job_after_all(12, 4))],
+    "rof": lambda: map(rof.to_msop, [
+        rof.ReadOnceFormula(rof.Leaf(1), {1: Fraction(2, 3)}, {1: 2}),
+        nested_chain(12, left=True),
+        nested_chain(12, left=False),
+        gen_instance("rof", 14, 4),
+    ]),
 }
 
 

@@ -380,3 +380,6 @@ def test_formula_validation():
         ReadOnceFormula(Leaf(1), {1: Fraction(3, 2)}, {1: 1})
     with pytest.raises(ValidationError):
         ReadOnceFormula(Leaf(1), {1: Fraction(1, 2), 2: Fraction(1, 2)}, {1: 1, 2: 1})
+    with pytest.raises(ValidationError, match="unknown gate 'xor'"):
+        ReadOnceFormula(Gate("xor", Leaf(1), Leaf(2)), {1: Fraction(1, 2), 2: Fraction(1, 2)},
+                        {1: 1, 2: 1})
